@@ -141,20 +141,21 @@ void Machine::charge_checkpoint(std::int64_t words) {
                    options_.cost.mem_op * slices;
 }
 
-MachineImage Machine::snapshot_state() const {
-  MachineImage image;
+void Machine::snapshot_state(MachineImage& image) const {
   image.rng_state = rng_.state();
-  image.fields.reserve(fields_.size());
+  std::size_t n = 0;
   for (std::size_t k = 0; k < fields_.size(); ++k) {
     const auto& f = fields_[k];
     if (f == nullptr) continue;
-    MachineImage::FieldImage fi;
+    if (n == image.fields.size()) image.fields.emplace_back();
+    // Copy-assignment keeps the image's capacity: a same-shaped machine
+    // snapshots into its previous image without allocating.
+    MachineImage::FieldImage& fi = image.fields[n++];
     fi.slot = static_cast<std::int32_t>(k);
     fi.data = f->raw();
     fi.defined = f->defined_raw();
-    image.fields.push_back(std::move(fi));
   }
-  return image;
+  image.fields.resize(n);
 }
 
 void Machine::restore_state(const MachineImage& image) {

@@ -179,7 +179,8 @@ class Machine {
   // Bytes currently allocated to fields (payload + defined flags).
   std::uint64_t field_bytes() const { return field_bytes_; }
 
-  MachineImage snapshot_state() const;
+  // Captures into `image`, reusing its storage.
+  void snapshot_state(MachineImage& image) const;
   void restore_state(const MachineImage& image);
 
   // Durable-restore hooks: a resumed process re-executes the run prefix

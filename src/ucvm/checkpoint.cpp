@@ -28,11 +28,11 @@ bool CheckpointManager::consume_replay() {
   return true;
 }
 
-Checkpoint CheckpointManager::capture(LaneSpace* space, Frame* frame,
-                                      bool charge) {
-  Checkpoint c;
-  c.machine = vm_.machine.snapshot_state();
+void CheckpointManager::capture(Checkpoint& c, LaneSpace* space,
+                                Frame* frame, bool charge) {
+  vm_.machine.snapshot_state(c.machine);
   std::int64_t words = c.machine.words();
+  c.global_scalars.clear();
   for (std::size_t i = 0; i < vm_.globals.size(); ++i) {
     if (vm_.globals[i].kind == FrameSlot::Kind::kScalar) {
       c.global_scalars.emplace_back(i, vm_.globals[i].scalar);
@@ -40,6 +40,7 @@ Checkpoint CheckpointManager::capture(LaneSpace* space, Frame* frame,
     }
   }
   c.frame = frame;
+  c.frame_scalars.clear();
   if (frame != nullptr) {
     for (std::size_t i = 0; i < frame->slots.size(); ++i) {
       if (frame->slots[i].kind == FrameSlot::Kind::kScalar) {
@@ -48,6 +49,7 @@ Checkpoint CheckpointManager::capture(LaneSpace* space, Frame* frame,
       }
     }
   }
+  c.chain.clear();
   for (LaneSpace* s = space; s != nullptr; s = s->parent) {
     c.chain.push_back({s, s->locals});
     for (const auto& [slot, vals] : s->locals) {
@@ -60,7 +62,6 @@ Checkpoint CheckpointManager::capture(LaneSpace* space, Frame* frame,
   c.fe_rng_state = vm_.fe_rng.state();
   if (charge) vm_.machine.charge_checkpoint(words);
   last_capture_seq_ = stmt_seq_;
-  return c;
 }
 
 void CheckpointManager::restore(const Checkpoint& c) {
@@ -117,7 +118,8 @@ void RecoveryScope::safe_point(LaneSpace* space, Frame* frame,
   if (vm_.durable != nullptr && vm_.durable->resume_pending() &&
       vm_.durable->resume_ordinal() == ordinal_ && !ckpt_.has_value()) {
     if (vm_.durable->apply_resume(space, frame)) {
-      ckpt_ = mgr.capture(space, frame, /*charge=*/false);
+      ckpt_.emplace(mgr.spares_);
+      mgr.capture(**ckpt_, space, frame, /*charge=*/false);
       ++mgr.live_checkpoints_;
       return;
     }
@@ -125,15 +127,17 @@ void RecoveryScope::safe_point(LaneSpace* space, Frame* frame,
     // forward from here as a normal from-scratch execution.
   }
   if (!mandatory && mgr.any_checkpoint() && !mgr.due()) return;
-  const bool had = ckpt_.has_value();
-  ckpt_ = mgr.capture(space, frame);
-  if (!had) ++mgr.live_checkpoints_;
+  if (!ckpt_.has_value()) {
+    ckpt_.emplace(mgr.spares_);
+    ++mgr.live_checkpoints_;
+  }
+  mgr.capture(**ckpt_, space, frame);
   // Persist every capture (no extra cadence, so --checkpoint-dir never
   // changes modeled cycles) — except while a resume is still pending:
   // prefix re-execution must not rotate out the generations it may yet
   // need to fall back to.
   if (vm_.durable != nullptr && !vm_.durable->resume_pending()) {
-    vm_.durable->write(*ckpt_, ordinal_);
+    vm_.durable->write(**ckpt_, ordinal_);
   }
 }
 
@@ -141,7 +145,7 @@ bool RecoveryScope::try_recover() {
   if (!ckpt_.has_value()) return false;
   auto& mgr = *vm_.ckpt;
   if (!mgr.consume_replay()) return false;
-  mgr.restore(*ckpt_);
+  mgr.restore(**ckpt_);
   vm_.machine.note_rollback();
   return true;
 }

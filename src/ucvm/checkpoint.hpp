@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "cm/machine.hpp"
+#include "support/free_list.hpp"
 #include "ucvm/value.hpp"
 
 namespace uc::lang {
@@ -78,16 +79,21 @@ class CheckpointManager {
   bool due() const;
   bool any_checkpoint() const { return live_checkpoints_ > 0; }
 
-  // `charge` is false only when re-anchoring state restored from a durable
+  // Captures the current state into `into`, reusing its storage.  `charge`
+  // is false only when re-anchoring state restored from a durable
   // snapshot: the original run already paid the capture cost, and it is
   // part of the restored stats.
-  Checkpoint capture(LaneSpace* space, Frame* frame, bool charge = true);
+  void capture(Checkpoint& into, LaneSpace* space, Frame* frame,
+               bool charge = true);
   void restore(const Checkpoint& ckpt);
 
   // Consumes one unit of the replay budget; false = budget exhausted and
   // the fault must escalate.
   bool consume_replay();
   std::uint64_t replays() const { return replays_; }
+
+  // Frees the images of recovery scopes that have finished.
+  void clear_spares() { spares_.clear(); }
 
   // Cadence state, exposed for the durable-checkpoint layer
   // (docs/ROBUSTNESS.md "Durable checkpoints & resume").
@@ -110,6 +116,8 @@ class CheckpointManager {
   std::uint64_t last_capture_seq_ = 0;
   std::uint64_t live_checkpoints_ = 0;
   std::uint64_t replays_ = 0;
+  // Lets each seq round's scope capture into the previous round's storage.
+  support::FreeList<Checkpoint> spares_;
 };
 
 // RAII recovery anchor owned by one construct driver.  The scope's
@@ -133,8 +141,6 @@ class RecoveryScope {
   // the replay budget is exhausted.
   bool try_recover();
 
-  bool has_checkpoint() const { return ckpt_.has_value(); }
-
   // Construction ordinal within the run (0 = the top-level net in run()).
   // Scope construction is deterministic given the program and seeds, so a
   // durable snapshot can name its capturing scope by ordinal and a resumed
@@ -146,7 +152,7 @@ class RecoveryScope {
   Impl& vm_;
   const lang::Stmt* where_;
   std::uint64_t ordinal_ = 0;
-  std::optional<Checkpoint> ckpt_;
+  std::optional<support::FreeList<Checkpoint>::Lease> ckpt_;
 };
 
 }  // namespace uc::vm::detail

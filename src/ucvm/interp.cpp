@@ -396,6 +396,13 @@ RunResult Impl::run() {
     }
   }
 
+  // The storage reused from round to round is dead now; free it before
+  // the result below copies every array.
+  spaces_.clear();
+  lane_lists_.clear();
+  value_lists_.clear();
+  ckpt->clear_spares();
+
   if (durable != nullptr && durable->resume_pending() && opts.log) {
     opts.log("--resume: the snapshot's recovery scope was never reached; "
              "the run completed from scratch");
@@ -588,7 +595,8 @@ Flow Impl::exec_scalar_stmt(const Stmt& stmt, EvalCtx& ctx) {
                       "parallel construct executed while already inside a "
                       "parallel context via a function call");
       }
-      exec_construct(s, ctx);
+      // Front-end spaces hold exactly one lane.
+      exec_nested_construct(s, *ctx.space, ctx.space->all_lanes(), ctx.frame);
       return Flow::kNormal;
     }
   }

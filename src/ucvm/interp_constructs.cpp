@@ -2,6 +2,7 @@
 // execution with conflict-checked commits, and the par / seq / oneof
 // constructs (solve lives in interp_solve.cpp).
 #include <algorithm>
+#include <optional>
 
 #include "support/error.hpp"
 #include "support/str.hpp"
@@ -22,36 +23,41 @@ using lang::UcOp;
 // Expansion
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<LaneSpace> Impl::expand(
-    LaneSpace& parent, const std::vector<std::int64_t>& active,
-    const std::vector<Symbol*>& sets) {
-  auto child = std::make_unique<LaneSpace>();
-  child->parent = &parent;
-  child->frontend = false;
-
-  std::int64_t prod = 1;
-  std::vector<const std::vector<std::int64_t>*> values;
-  for (const Symbol* s : sets) {
-    child->elems.push_back(s->index_set->elem);
-    values.push_back(&s->index_set->values);
-    prod *= static_cast<std::int64_t>(s->index_set->values.size());
-  }
+void Impl::expand(LaneSpace& child, LaneSpace& parent,
+                  const std::vector<std::int64_t>& active,
+                  const std::vector<Symbol*>& sets) {
+  // `child` may be a recycled space: every field is rewritten, and the
+  // per-lane vectors keep their capacity (a same-sized refill allocates
+  // nothing).
+  child.parent = &parent;
+  child.frontend = false;
+  child.locals.clear();
+  child.elems.clear();
   // Geometry: the parent's dims extended by the set sizes (the front end
   // contributes no dims).
-  child->dims = parent.frontend ? std::vector<std::int64_t>{} : parent.dims;
-  for (const Symbol* s : sets) {
-    child->dims.push_back(
-        static_cast<std::int64_t>(s->index_set->values.size()));
+  child.dims.clear();
+  if (!parent.frontend) {
+    child.dims.assign(parent.dims.begin(), parent.dims.end());
   }
-  child->geom_size = (parent.frontend ? 1 : parent.geom_size) * prod;
+  std::int64_t prod = 1;
+  for (const Symbol* s : sets) {
+    const auto size = static_cast<std::int64_t>(s->index_set->values.size());
+    child.elems.push_back(s->index_set->elem);
+    child.dims.push_back(size);
+    prod *= size;
+  }
+  child.geom_size = (parent.frontend ? 1 : parent.geom_size) * prod;
+  const auto values = [&sets](std::size_t k) -> const auto& {
+    return sets[k]->index_set->values;
+  };
 
   const std::size_t k_sets = sets.size();
-  const std::size_t n_dims = child->dims.size();
+  const std::size_t n_dims = child.dims.size();
   const auto lanes = static_cast<std::int64_t>(active.size()) * prod;
-  child->elem_vals.resize(static_cast<std::size_t>(lanes) * k_sets);
-  child->parent_lane.resize(static_cast<std::size_t>(lanes));
-  child->vps.resize(static_cast<std::size_t>(lanes));
-  child->coords.resize(static_cast<std::size_t>(lanes) * n_dims);
+  child.elem_vals.resize(static_cast<std::size_t>(lanes) * k_sets);
+  child.parent_lane.resize(static_cast<std::size_t>(lanes));
+  child.vps.resize(static_cast<std::size_t>(lanes));
+  child.coords.resize(static_cast<std::size_t>(lanes) * n_dims);
 
   std::int64_t out = 0;
   std::vector<std::size_t> pos(k_sets, 0);
@@ -60,20 +66,19 @@ std::unique_ptr<LaneSpace> Impl::expand(
     const std::int64_t parent_vp = parent.frontend ? 0 : parent.vps[pl];
     const std::size_t parent_dims = parent.frontend ? 0 : parent.dims.size();
     for (std::int64_t t = 0; t < prod; ++t, ++out) {
-      child->parent_lane[static_cast<std::size_t>(out)] = pl;
+      child.parent_lane[static_cast<std::size_t>(out)] = pl;
       // Element values + tuple flat position.
       std::int64_t tuple_flat = 0;
       for (std::size_t k = 0; k < k_sets; ++k) {
-        child->elem_vals[static_cast<std::size_t>(out) * k_sets + k] =
-            (*values[k])[pos[k]];
-        tuple_flat = tuple_flat * static_cast<std::int64_t>(
-                                      values[k]->size()) +
-                     static_cast<std::int64_t>(pos[k]);
+        child.elem_vals[static_cast<std::size_t>(out) * k_sets + k] =
+            values(k)[pos[k]];
+        tuple_flat =
+            tuple_flat * static_cast<std::int64_t>(values(k).size()) +
+            static_cast<std::int64_t>(pos[k]);
       }
-      child->vps[static_cast<std::size_t>(out)] = parent_vp * prod + tuple_flat;
+      child.vps[static_cast<std::size_t>(out)] = parent_vp * prod + tuple_flat;
       // Coordinates: parent coords ++ tuple positions.
-      auto* dst =
-          &child->coords[static_cast<std::size_t>(out) * n_dims];
+      auto* dst = &child.coords[static_cast<std::size_t>(out) * n_dims];
       for (std::size_t d = 0; d < parent_dims; ++d) {
         dst[d] = parent.coords[static_cast<std::size_t>(pl) * parent_dims + d];
       }
@@ -81,12 +86,11 @@ std::unique_ptr<LaneSpace> Impl::expand(
         dst[parent_dims + k] = static_cast<std::int64_t>(pos[k]);
       }
       for (std::size_t k = k_sets; k-- > 0;) {
-        if (++pos[k] < values[k]->size()) break;
+        if (++pos[k] < values(k).size()) break;
         pos[k] = 0;
       }
     }
   }
-  return child;
 }
 
 // ---------------------------------------------------------------------------
@@ -116,9 +120,9 @@ std::vector<std::pair<std::int64_t, std::int64_t>> shard_lane_ranges(
   return ranges;
 }
 
-std::vector<Value> Impl::eval_lanes(const Expr& expr, LaneSpace& space,
-                                    const std::vector<std::int64_t>& active,
-                                    Frame* frame, bool commit) {
+void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
+                      const std::vector<std::int64_t>& active, Frame* frame,
+                      std::vector<Value>* values) {
   check_deadline(nullptr);
   ckpt->note_statement();
   maybe_die();  // deterministic pre-statement kill point (tools/soak.sh)
@@ -130,7 +134,10 @@ std::vector<Value> Impl::eval_lanes(const Expr& expr, LaneSpace& space,
   // per-site deltas are engine-independent wherever the charges are.
   ProfScope prof_scope(*this, &expr, "stmt", expr.range);
 
-  auto attempt = [&]() -> std::vector<Value> {
+  if (values != nullptr) values->resize(active.size());
+  Value* const results = values != nullptr ? values->data() : nullptr;
+
+  auto attempt = [&]() {
     // Charge the static cost first: this also annotates reductions with the
     // processor-optimisation decision the evaluator consults.  With fusion
     // on (bytecode engine only) the charge goes through the
@@ -148,18 +155,15 @@ std::vector<Value> Impl::eval_lanes(const Expr& expr, LaneSpace& space,
     // fall through to the reference tree walk below (bit-identical results).
     // The native tier rides this same path: run_lanes_pooled diverts the
     // lane loop to the compiled .so when it can (docs/VM.md "Native tier").
-    if (opts.engine != ExecEngine::kWalk) {
-      if (auto fast = kernel_engine().try_run(expr, space, active, frame,
-                                              stmt_id, commit,
-                                              /*optimize=*/opts.fuse)) {
-        if (prof != nullptr) prof->note_engine(/*bytecode=*/true);
-        return std::move(*fast);
-      }
+    if (opts.engine != ExecEngine::kWalk &&
+        kernel_engine().try_run(expr, space, active, frame, stmt_id, results,
+                                /*optimize=*/opts.fuse)) {
+      if (prof != nullptr) prof->note_engine(/*bytecode=*/true);
+      return;
     }
     if (prof != nullptr) prof->note_engine(/*bytecode=*/false);
 
     const auto n = static_cast<std::int64_t>(active.size());
-    std::vector<Value> results(static_cast<std::size_t>(n));
     std::vector<std::vector<Write>> writes(static_cast<std::size_t>(n));
     std::vector<std::string> prints(static_cast<std::size_t>(n));
     std::vector<AccessStats> stats(static_cast<std::size_t>(n));
@@ -187,7 +191,8 @@ std::vector<Value> Impl::eval_lanes(const Expr& expr, LaneSpace& space,
         ctx.rng.seed(base_seed ^ (stmt_id * 0x9e3779b97f4a7c15ull) ^
                      (vp + 0x5851f42d4c957f2dull));
         ctx.rng_seeded = true;
-        results[static_cast<std::size_t>(k)] = eval(expr, ctx);
+        const Value v = eval(expr, ctx);
+        if (results != nullptr) results[k] = v;
       }
     };
     const unsigned shards = machine.shard_count();
@@ -215,9 +220,8 @@ std::vector<Value> Impl::eval_lanes(const Expr& expr, LaneSpace& space,
     for (const auto& s : stats) total.merge(s);
     charge_dynamic_stats(total, space.geom_size);
 
-    if (commit) commit_writes(writes);
+    commit_writes(writes);
     for (auto& p : prints) output += p;
-    return results;
   };
 
   // Statement-level transactional retry (docs/ROBUSTNESS.md): every charge
@@ -228,7 +232,8 @@ std::vector<Value> Impl::eval_lanes(const Expr& expr, LaneSpace& space,
   // otherwise the fault escalates (and aborts the run with a hint).
   for (;;) {
     try {
-      return attempt();
+      attempt();
+      return;
     } catch (const support::TransientFault&) {
       if (!ckpt->enabled() || !ckpt->consume_replay()) throw;
       machine.note_rollback();
@@ -449,16 +454,45 @@ void Impl::commit_writes(std::vector<std::vector<Write>>& per_lane) {
   }
 }
 
-std::vector<std::int64_t> Impl::filter_lanes(
-    const Expr& pred, LaneSpace& space,
-    const std::vector<std::int64_t>& candidates, Frame* frame) {
-  auto vals = eval_lanes(pred, space, candidates, frame);
-  std::vector<std::int64_t> enabled;
+void Impl::filter_lanes(const Expr& pred, LaneSpace& space,
+                        const std::vector<std::int64_t>& candidates,
+                        Frame* frame, std::vector<std::int64_t>& enabled) {
+  ValueList vals(value_lists_);
+  eval_lanes(pred, space, candidates, frame, &*vals);
+  enabled.clear();
   enabled.reserve(candidates.size());
   for (std::size_t k = 0; k < candidates.size(); ++k) {
-    if (vals[k].truthy()) enabled.push_back(candidates[k]);
+    if ((*vals)[k].truthy()) enabled.push_back(candidates[k]);
+  }
+}
+
+std::vector<const std::vector<std::int64_t>*> Impl::filter_blocks(
+    const UcConstructStmt& stmt, LaneSpace& space, Frame* frame,
+    std::vector<LaneList>& leases) {
+  std::vector<const std::vector<std::int64_t>*> enabled;
+  enabled.reserve(stmt.blocks.size());
+  for (const auto& block : stmt.blocks) {
+    if (!block.pred) {
+      enabled.push_back(&space.all_lanes());
+      continue;
+    }
+    auto& lanes = *leases.emplace_back(lane_lists_);
+    filter_lanes(*block.pred, space, space.all_lanes(), frame, lanes);
+    enabled.push_back(&lanes);
   }
   return enabled;
+}
+
+void Impl::run_others(const UcConstructStmt& stmt, LaneSpace& space,
+                      const std::vector<bool>& covered, Frame* frame) {
+  if (!stmt.others) return;
+  LaneList rest(lane_lists_);
+  rest->clear();
+  rest->reserve(covered.size());
+  for (std::size_t k = 0; k < covered.size(); ++k) {
+    if (!covered[k]) rest->push_back(static_cast<std::int64_t>(k));
+  }
+  if (!rest->empty()) exec_parallel_stmt(*stmt.others, space, *rest, frame);
 }
 
 // ---------------------------------------------------------------------------
@@ -475,7 +509,7 @@ void Impl::exec_parallel_stmt(const Stmt& stmt, LaneSpace& space,
       return;
     case StmtKind::kExpr: {
       const auto& s = static_cast<const lang::ExprStmt&>(stmt);
-      (void)eval_lanes(*s.expr, space, active, frame);
+      eval_lanes(*s.expr, space, active, frame);
       return;
     }
     case StmtKind::kCompound: {
@@ -510,10 +544,11 @@ void Impl::exec_parallel_stmt(const Stmt& stmt, LaneSpace& space,
         store.assign(static_cast<std::size_t>(space.lane_count()),
                      Value::of_int(0).coerce(d.symbol->type.scalar));
         if (d.init) {
-          auto vals = eval_lanes(*d.init, space, active, frame);
+          ValueList vals(value_lists_);
+          eval_lanes(*d.init, space, active, frame, &*vals);
           for (std::size_t k = 0; k < active.size(); ++k) {
             store[static_cast<std::size_t>(active[k])] =
-                vals[k].coerce(d.symbol->type.scalar);
+                (*vals)[k].coerce(d.symbol->type.scalar);
           }
         }
       }
@@ -521,30 +556,35 @@ void Impl::exec_parallel_stmt(const Stmt& stmt, LaneSpace& space,
     }
     case StmtKind::kIf: {
       const auto& s = static_cast<const lang::IfStmt&>(stmt);
-      auto vals = eval_lanes(*s.cond, space, active, frame);
-      std::vector<std::int64_t> then_lanes, else_lanes;
+      ValueList vals(value_lists_);
+      eval_lanes(*s.cond, space, active, frame, &*vals);
+      LaneList then_lanes(lane_lists_), else_lanes(lane_lists_);
+      then_lanes->clear();
+      else_lanes->clear();
       for (std::size_t k = 0; k < active.size(); ++k) {
-        (vals[k].truthy() ? then_lanes : else_lanes).push_back(active[k]);
+        ((*vals)[k].truthy() ? *then_lanes : *else_lanes).push_back(active[k]);
       }
-      if (!then_lanes.empty()) {
-        exec_parallel_stmt(*s.then_stmt, space, then_lanes, frame);
+      if (!then_lanes->empty()) {
+        exec_parallel_stmt(*s.then_stmt, space, *then_lanes, frame);
       }
-      if (s.else_stmt && !else_lanes.empty()) {
-        exec_parallel_stmt(*s.else_stmt, space, else_lanes, frame);
+      if (s.else_stmt && !else_lanes->empty()) {
+        exec_parallel_stmt(*s.else_stmt, space, *else_lanes, frame);
       }
       return;
     }
     case StmtKind::kWhile: {
       const auto& s = static_cast<const lang::WhileStmt&>(stmt);
       // Data-parallel while: the active set narrows monotonically.
-      std::vector<std::int64_t> live = active;
+      LaneList live(lane_lists_), next(lane_lists_);
+      live->assign(active.begin(), active.end());
       std::int64_t guard = 0;
       for (;;) {
         check_deadline(&stmt);
-        live = filter_lanes(*s.cond, space, live, frame);
+        filter_lanes(*s.cond, space, *live, frame, *next);
+        std::swap(*live, *next);
         machine.charge_global_or();
-        if (live.empty()) return;
-        exec_parallel_stmt(*s.body, space, live, frame);
+        if (live->empty()) return;
+        exec_parallel_stmt(*s.body, space, *live, frame);
         if (opts.max_iterations > 0 && ++guard > opts.max_iterations) {
           runtime_error(
               &stmt,
@@ -558,17 +598,19 @@ void Impl::exec_parallel_stmt(const Stmt& stmt, LaneSpace& space,
     case StmtKind::kFor: {
       const auto& s = static_cast<const lang::ForStmt&>(stmt);
       if (s.init) exec_parallel_stmt(*s.init, space, active, frame);
-      std::vector<std::int64_t> live = active;
+      LaneList live(lane_lists_), next(lane_lists_);
+      live->assign(active.begin(), active.end());
       std::int64_t guard = 0;
       for (;;) {
         check_deadline(&stmt);
         if (s.cond) {
-          live = filter_lanes(*s.cond, space, live, frame);
+          filter_lanes(*s.cond, space, *live, frame, *next);
+          std::swap(*live, *next);
           machine.charge_global_or();
-          if (live.empty()) return;
+          if (live->empty()) return;
         }
-        exec_parallel_stmt(*s.body, space, live, frame);
-        if (s.step) (void)eval_lanes(*s.step, space, live, frame);
+        exec_parallel_stmt(*s.body, space, *live, frame);
+        if (s.step) eval_lanes(*s.step, space, *live, frame);
         if (opts.max_iterations > 0 && ++guard > opts.max_iterations) {
           runtime_error(
               &stmt,
@@ -604,18 +646,6 @@ void Impl::exec_parallel_stmt(const Stmt& stmt, LaneSpace& space,
 // The constructs
 // ---------------------------------------------------------------------------
 
-void Impl::exec_construct(const UcConstructStmt& stmt, EvalCtx& ctx) {
-  std::vector<std::int64_t> active;
-  const auto n = ctx.space->lane_count();
-  active.reserve(static_cast<std::size_t>(n));
-  if (ctx.is_frontend()) {
-    active.push_back(0);
-  } else {
-    for (std::int64_t l = 0; l < n; ++l) active.push_back(l);
-  }
-  exec_nested_construct(stmt, *ctx.space, active, ctx.frame);
-}
-
 void Impl::exec_nested_construct(const UcConstructStmt& stmt,
                                  LaneSpace& parent,
                                  const std::vector<std::int64_t>& active,
@@ -633,13 +663,17 @@ void Impl::exec_nested_construct(const UcConstructStmt& stmt,
   ProfScope prof_scope(*this, &stmt, kind, stmt.range);
   check_deadline(&stmt);
 
-  // Lane-space expansion is hoisted out of the replay loop: it is
+  // The expanded lane space is leased, so each execution of this construct
+  // (every round of an enclosing seq or *solve) refills the storage of the
+  // one before.  Expansion is hoisted out of the replay loop: it is
   // deterministic and chargeless (it can never fault), and a restored
   // checkpoint's lane-local snapshots point into this space, which must
   // stay alive across replays.
-  std::unique_ptr<LaneSpace> child;
+  std::optional<support::FreeList<LaneSpace>::Lease> lease;
+  LaneSpace* child = nullptr;
   if (stmt.op != UcOp::kSeq) {
-    child = expand(parent, active, stmt.index_set_syms);
+    child = &*lease.emplace(spaces_);
+    expand(*child, parent, active, stmt.index_set_syms);
   }
 
   // Construct-level recovery anchor (docs/ROBUSTNESS.md).  solve must
@@ -647,7 +681,7 @@ void Impl::exec_nested_construct(const UcConstructStmt& stmt,
   // an entry snapshot can rewind (and its per-equation commits bypass the
   // eval_lanes statement-retry net).
   RecoveryScope rscope(*this, &stmt);
-  rscope.safe_point(child != nullptr ? child.get() : &parent, frame,
+  rscope.safe_point(child != nullptr ? child : &parent, frame,
                     /*mandatory=*/stmt.op == UcOp::kSolve && !stmt.starred);
 
   for (;;) {
@@ -668,7 +702,7 @@ void Impl::exec_nested_construct(const UcConstructStmt& stmt,
             // Sweep top: a valid redo point — the fixed-point loop carries
             // no state besides the machine itself, so restoring here and
             // re-dispatching from construct entry resumes this sweep.
-            rscope.safe_point(child.get(), frame);
+            rscope.safe_point(child, frame);
             machine.charge_global_or();
             if (!run_blocks_once_if_enabled(stmt, *child, frame)) return;
             if (opts.max_iterations > 0 && ++guard > opts.max_iterations) {
@@ -684,13 +718,13 @@ void Impl::exec_nested_construct(const UcConstructStmt& stmt,
         }
         case UcOp::kOneof: {
           if (!stmt.starred) {
-            exec_oneof(stmt, *child, frame);
+            (void)exec_oneof_once(stmt, *child, frame);
             return;
           }
           std::int64_t guard = 0;
           for (;;) {
             check_deadline(&stmt);
-            rscope.safe_point(child.get(), frame);
+            rscope.safe_point(child, frame);
             machine.charge_global_or();
             if (!exec_oneof_once(stmt, *child, frame)) return;
             if (opts.max_iterations > 0 && ++guard > opts.max_iterations) {
@@ -726,61 +760,63 @@ void Impl::exec_seq(const UcConstructStmt& stmt, LaneSpace& parent,
                     const std::vector<std::int64_t>& active, Frame* frame,
                     RecoveryScope& rscope) {
   // seq iterates the Cartesian product in declaration order, binding the
-  // elements for the *same* lanes (no VP expansion, paper §3.5).
-  std::vector<const std::vector<std::int64_t>*> values;
+  // elements for the *same* lanes (no VP expansion, paper §3.5).  So the
+  // binding space is built once: each tuple rewrites only its element
+  // values and starts with no lane locals.
+  LaneSpace bind;
+  bind.parent = &parent;
+  bind.frontend = parent.frontend;
+  bind.dims = parent.dims;
+  bind.geom_size = parent.geom_size;
   std::int64_t prod = 1;
   for (const Symbol* s : stmt.index_set_syms) {
-    values.push_back(&s->index_set->values);
+    bind.elems.push_back(s->index_set->elem);
     prod *= static_cast<std::int64_t>(s->index_set->values.size());
   }
+  const auto values = [&stmt](std::size_t s) -> const auto& {
+    return stmt.index_set_syms[s]->index_set->values;
+  };
+  const std::size_t k_sets = bind.elems.size();
+  const std::size_t n_dims = bind.dims.size();
+  bind.parent_lane = active;
+  bind.vps.resize(active.size());
+  bind.coords.resize(active.size() * n_dims);
+  bind.elem_vals.resize(active.size() * k_sets);
+  for (std::size_t k = 0; k < active.size(); ++k) {
+    const auto pl = static_cast<std::size_t>(active[k]);
+    bind.vps[k] = parent.vps[pl];
+    for (std::size_t d = 0; d < n_dims; ++d) {
+      bind.coords[k * n_dims + d] = parent.coords[pl * n_dims + d];
+    }
+  }
+  const auto& bind_active = bind.all_lanes();
+  LaneList enabled(lane_lists_);
 
   std::int64_t guard = 0;
   for (;;) {  // once for plain seq; repeated for *seq
     check_deadline(&stmt);
-    // *seq sweep top: the tuple loop rebuilds its binding spaces from
-    // scratch each sweep, so this is a valid redo point.
+    // *seq sweep top: the tuple loop rebinds every element from scratch
+    // each sweep, so this is a valid redo point.
     if (stmt.starred) rscope.safe_point(&parent, frame);
     bool any_enabled_this_sweep = false;
-    std::vector<std::size_t> pos(values.size(), 0);
+    std::vector<std::size_t> pos(k_sets, 0);
     for (std::int64_t t = 0; t < prod; ++t) {
-      // Binding space: same lanes as `active`, plus the seq elements.
-      LaneSpace bind;
-      bind.parent = &parent;
-      bind.frontend = parent.frontend;
-      bind.dims = parent.dims;
-      bind.geom_size = parent.geom_size;
-      for (const Symbol* s : stmt.index_set_syms) {
-        bind.elems.push_back(s->index_set->elem);
-      }
-      const std::size_t k_sets = bind.elems.size();
-      const std::size_t n_dims = bind.dims.size();
-      bind.parent_lane = active;
-      bind.vps.resize(active.size());
-      bind.coords.resize(active.size() * n_dims);
-      bind.elem_vals.resize(active.size() * k_sets);
+      bind.locals.clear();
       for (std::size_t k = 0; k < active.size(); ++k) {
-        bind.vps[k] = parent.vps[static_cast<std::size_t>(active[k])];
-        for (std::size_t d = 0; d < n_dims; ++d) {
-          bind.coords[k * n_dims + d] =
-              parent.coords[static_cast<std::size_t>(active[k]) * n_dims + d];
-        }
         for (std::size_t s = 0; s < k_sets; ++s) {
-          bind.elem_vals[k * k_sets + s] = (*values[s])[pos[s]];
+          bind.elem_vals[k * k_sets + s] = values(s)[pos[s]];
         }
-      }
-      std::vector<std::int64_t> bind_active(active.size());
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        bind_active[k] = static_cast<std::int64_t>(k);
       }
 
       for (const auto& block : stmt.blocks) {
-        std::vector<std::int64_t> enabled = bind_active;
+        const std::vector<std::int64_t>* lanes = &bind_active;
         if (block.pred) {
-          enabled = filter_lanes(*block.pred, bind, bind_active, frame);
+          filter_lanes(*block.pred, bind, bind_active, frame, *enabled);
+          lanes = &*enabled;
         }
-        if (!enabled.empty()) {
+        if (!lanes->empty()) {
           any_enabled_this_sweep = true;
-          exec_parallel_stmt(*block.body, bind, enabled, frame);
+          exec_parallel_stmt(*block.body, bind, *lanes, frame);
         }
       }
       if (stmt.others) {
@@ -792,18 +828,14 @@ void Impl::exec_seq(const UcConstructStmt& stmt, LaneSpace& parent,
             covered.assign(active.size(), true);
             break;
           }
-          auto en = filter_lanes(*block.pred, bind, bind_active, frame);
-          for (auto l : en) covered[static_cast<std::size_t>(l)] = true;
+          filter_lanes(*block.pred, bind, bind_active, frame, *enabled);
+          for (auto l : *enabled) covered[static_cast<std::size_t>(l)] = true;
         }
-        std::vector<std::int64_t> rest;
-        for (std::size_t k = 0; k < covered.size(); ++k) {
-          if (!covered[k]) rest.push_back(static_cast<std::int64_t>(k));
-        }
-        if (!rest.empty()) exec_parallel_stmt(*stmt.others, bind, rest, frame);
+        run_others(stmt, bind, covered, frame);
       }
 
-      for (std::size_t k = values.size(); k-- > 0;) {
-        if (++pos[k] < values[k]->size()) break;
+      for (std::size_t k = k_sets; k-- > 0;) {
+        if (++pos[k] < values(k).size()) break;
         pos[k] = 0;
       }
     }
@@ -826,99 +858,67 @@ void Impl::exec_seq(const UcConstructStmt& stmt, LaneSpace& parent,
 
 void Impl::run_blocks(const UcConstructStmt& stmt, LaneSpace& space,
                       Frame* frame) {
-  std::vector<std::int64_t> all(static_cast<std::size_t>(space.lane_count()));
-  for (std::size_t k = 0; k < all.size(); ++k) {
-    all[k] = static_cast<std::int64_t>(k);
-  }
-  std::vector<bool> covered(all.size(), false);
+  const auto& all = space.all_lanes();
+  LaneList enabled(lane_lists_);
+  std::vector<bool> covered(stmt.others ? all.size() : 0, false);
   for (const auto& block : stmt.blocks) {
-    std::vector<std::int64_t> enabled = all;
-    if (block.pred) enabled = filter_lanes(*block.pred, space, all, frame);
-    for (auto l : enabled) covered[static_cast<std::size_t>(l)] = true;
-    if (!enabled.empty()) {
-      exec_parallel_stmt(*block.body, space, enabled, frame);
+    const std::vector<std::int64_t>* lanes = &all;
+    if (block.pred) {
+      filter_lanes(*block.pred, space, all, frame, *enabled);
+      lanes = &*enabled;
     }
-  }
-  if (stmt.others) {
-    std::vector<std::int64_t> rest;
-    for (std::size_t k = 0; k < covered.size(); ++k) {
-      if (!covered[k]) rest.push_back(all[k]);
+    if (stmt.others) {
+      for (auto l : *lanes) covered[static_cast<std::size_t>(l)] = true;
     }
-    if (!rest.empty()) exec_parallel_stmt(*stmt.others, space, rest, frame);
+    if (!lanes->empty()) exec_parallel_stmt(*block.body, space, *lanes, frame);
   }
+  run_others(stmt, space, covered, frame);
 }
 
 bool Impl::run_blocks_once_if_enabled(const UcConstructStmt& stmt,
                                       LaneSpace& space, Frame* frame) {
-  std::vector<std::int64_t> all(static_cast<std::size_t>(space.lane_count()));
-  for (std::size_t k = 0; k < all.size(); ++k) {
-    all[k] = static_cast<std::int64_t>(k);
-  }
   // Evaluate all predicates first: iteration continues only while at least
   // one lane is enabled for some block (paper §3.3).
-  std::vector<std::vector<std::int64_t>> enabled(stmt.blocks.size());
+  std::vector<LaneList> leases;
+  const auto enabled = filter_blocks(stmt, space, frame, leases);
+  std::vector<bool> covered(
+      stmt.others ? static_cast<std::size_t>(space.lane_count()) : 0, false);
   bool any = false;
-  std::vector<bool> covered(all.size(), false);
-  for (std::size_t b = 0; b < stmt.blocks.size(); ++b) {
-    if (stmt.blocks[b].pred) {
-      enabled[b] = filter_lanes(*stmt.blocks[b].pred, space, all, frame);
-    } else {
-      enabled[b] = all;
+  for (const auto& lanes : enabled) {
+    if (stmt.others) {
+      for (auto l : *lanes) covered[static_cast<std::size_t>(l)] = true;
     }
-    for (auto l : enabled[b]) covered[static_cast<std::size_t>(l)] = true;
-    any = any || !enabled[b].empty();
+    any = any || !lanes->empty();
   }
   if (!any) return false;
   for (std::size_t b = 0; b < stmt.blocks.size(); ++b) {
-    if (!enabled[b].empty()) {
-      exec_parallel_stmt(*stmt.blocks[b].body, space, enabled[b], frame);
+    if (!enabled[b]->empty()) {
+      exec_parallel_stmt(*stmt.blocks[b].body, space, *enabled[b], frame);
     }
   }
-  if (stmt.others) {
-    std::vector<std::int64_t> rest;
-    for (std::size_t k = 0; k < covered.size(); ++k) {
-      if (!covered[k]) rest.push_back(all[k]);
-    }
-    if (!rest.empty()) exec_parallel_stmt(*stmt.others, space, rest, frame);
-  }
+  run_others(stmt, space, covered, frame);
   return true;
-}
-
-void Impl::exec_oneof(const UcConstructStmt& stmt, LaneSpace& space,
-                      Frame* frame) {
-  (void)exec_oneof_once(stmt, space, frame);
 }
 
 bool Impl::exec_oneof_once(const UcConstructStmt& stmt, LaneSpace& space,
                            Frame* frame) {
-  std::vector<std::int64_t> all(static_cast<std::size_t>(space.lane_count()));
-  for (std::size_t k = 0; k < all.size(); ++k) {
-    all[k] = static_cast<std::int64_t>(k);
-  }
-  std::vector<std::vector<std::int64_t>> enabled(stmt.blocks.size());
+  std::vector<LaneList> leases;
+  const auto enabled = filter_blocks(stmt, space, frame, leases);
   std::vector<std::size_t> enabled_blocks;
   for (std::size_t b = 0; b < stmt.blocks.size(); ++b) {
-    if (stmt.blocks[b].pred) {
-      enabled[b] = filter_lanes(*stmt.blocks[b].pred, space, all, frame);
-    } else {
-      enabled[b] = all;
-    }
-    if (!enabled[b].empty()) enabled_blocks.push_back(b);
+    if (!enabled[b]->empty()) enabled_blocks.push_back(b);
   }
   if (enabled_blocks.empty()) return false;
   // Non-deterministic but reproducible choice (no fairness guarantee,
   // paper §3.7): the machine's seeded RNG picks the block.
   const std::size_t pick =
       enabled_blocks[machine.rng().next_below(enabled_blocks.size())];
-  exec_parallel_stmt(*stmt.blocks[pick].body, space, enabled[pick], frame);
+  exec_parallel_stmt(*stmt.blocks[pick].body, space, *enabled[pick], frame);
   if (stmt.others) {
-    std::vector<bool> covered(all.size(), false);
-    for (auto l : enabled[pick]) covered[static_cast<std::size_t>(l)] = true;
-    std::vector<std::int64_t> rest;
-    for (std::size_t k = 0; k < covered.size(); ++k) {
-      if (!covered[k]) rest.push_back(all[k]);
-    }
-    if (!rest.empty()) exec_parallel_stmt(*stmt.others, space, rest, frame);
+    std::vector<bool> covered(static_cast<std::size_t>(space.lane_count()),
+                              false);
+    for (auto l : *enabled[pick]) covered[static_cast<std::size_t>(l)] = true;
+    run_others(stmt, space, covered, frame);
   }
   return true;
 }

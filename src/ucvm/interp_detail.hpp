@@ -15,6 +15,7 @@
 #include "cm/plan_cache.hpp"
 #include "prof/profile.hpp"
 #include "support/error.hpp"
+#include "support/free_list.hpp"
 #include "support/rng.hpp"
 #include "ucvm/checkpoint.hpp"
 #include "ucvm/interp.hpp"
@@ -58,6 +59,18 @@ struct LaneSpace {
   std::int64_t lane_count() const {
     return static_cast<std::int64_t>(vps.size());
   }
+
+  // The lane list [0, lane_count()), the active set of an unguarded block.
+  // Cached, so each round of a construct borrows it instead of building a
+  // new one; the cache's prefix stays valid when the space is refilled.
+  const std::vector<std::int64_t>& all_lanes() {
+    const auto n = static_cast<std::size_t>(lane_count());
+    iota.reserve(n);
+    while (iota.size() < n) iota.push_back(std::ssize(iota));
+    iota.resize(n);
+    return iota;
+  }
+  std::vector<std::int64_t> iota;  // all_lanes() cache
 
   // Finds the bound value of an index element for a lane, walking up the
   // parent chain.  Returns nullopt if the element is not bound (sema
@@ -262,7 +275,6 @@ struct Impl {
                       const std::vector<bool>& is_array_arg, EvalCtx& caller);
 
   // --- parallel execution ---
-  void exec_construct(const lang::UcConstructStmt& stmt, EvalCtx& ctx);
   void exec_nested_construct(const lang::UcConstructStmt& stmt,
                              LaneSpace& parent,
                              const std::vector<std::int64_t>& active,
@@ -297,16 +309,26 @@ struct Impl {
                         std::size_t count, LaneSpace& space,
                         const std::vector<std::int64_t>& active,
                         Frame* frame);
-  std::unique_ptr<LaneSpace> expand(LaneSpace& parent,
-                                    const std::vector<std::int64_t>& active,
-                                    const std::vector<Symbol*>& sets);
-  // Evaluates `pred` over `candidates`, returning the enabled subset.
-  std::vector<std::int64_t> filter_lanes(
-      const Expr& pred, LaneSpace& space,
-      const std::vector<std::int64_t>& candidates, Frame* frame);
+  void expand(LaneSpace& child, LaneSpace& parent,
+              const std::vector<std::int64_t>& active,
+              const std::vector<Symbol*>& sets);
+  // Stores the subset of `candidates` enabled by `pred` in `enabled`.
+  void filter_lanes(const Expr& pred, LaneSpace& space,
+                    const std::vector<std::int64_t>& candidates, Frame* frame,
+                    std::vector<std::int64_t>& enabled);
+  // Evaluates every block predicate of one construct round before any body
+  // runs (*par, oneof): entry b points at block b's enabled lanes, which
+  // are space.all_lanes() for an unguarded block and a list leased into
+  // `leases` for a guarded one.
+  using LaneList = support::FreeList<std::vector<std::int64_t>>::Lease;
+  using ValueList = support::FreeList<std::vector<Value>>::Lease;
+  std::vector<const std::vector<std::int64_t>*> filter_blocks(
+      const lang::UcConstructStmt& stmt, LaneSpace& space, Frame* frame,
+      std::vector<LaneList>& leases);
+  // Runs `others` (if any) over the lanes of `space` not covered.
+  void run_others(const lang::UcConstructStmt& stmt, LaneSpace& space,
+                  const std::vector<bool>& covered, Frame* frame);
   void run_blocks(const lang::UcConstructStmt& stmt, LaneSpace& space,
-                  Frame* frame);
-  void exec_oneof(const lang::UcConstructStmt& stmt, LaneSpace& space,
                   Frame* frame);
   void exec_solve(const lang::UcConstructStmt& stmt, LaneSpace& space,
                   Frame* frame);
@@ -316,10 +338,12 @@ struct Impl {
   // Evaluates an expression for every lane in `active` (on the thread
   // pool), collecting writes and prints per lane, then commits writes with
   // single-value conflict checking and flushes prints in lane order.
-  // Returns the per-lane values.
-  std::vector<Value> eval_lanes(const Expr& expr, LaneSpace& space,
-                                const std::vector<std::int64_t>& active,
-                                Frame* frame, bool commit = true);
+  // Stores the per-lane values, indexed like `active`, in `values` when it
+  // is given; expression statements discard theirs, so those are never
+  // produced.
+  void eval_lanes(const Expr& expr, LaneSpace& space,
+                  const std::vector<std::int64_t>& active, Frame* frame,
+                  std::vector<Value>* values = nullptr);
 
   void commit_writes(std::vector<std::vector<Write>>& per_lane);
   // Incremental commit used by both engines: commit_begin resets the
@@ -343,6 +367,11 @@ struct Impl {
   std::uint64_t plan_epoch_ = 0;
   std::unordered_map<const Stmt*, std::vector<FusionSeg>> fusion_segments_;
   CommitSeen commit_seen_;
+  // Storage each seq / *solve round leases and returns for the next
+  // (docs/VM.md "Linking and execution").
+  support::FreeList<LaneSpace> spaces_;
+  support::FreeList<std::vector<std::int64_t>> lane_lists_;
+  support::FreeList<std::vector<Value>> value_lists_;
 
   // --- expression evaluation (per lane) ---
   Value eval(const Expr& e, EvalCtx& ctx);

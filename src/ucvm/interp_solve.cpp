@@ -235,19 +235,19 @@ void Impl::exec_star_solve(const UcConstructStmt& stmt, LaneSpace& space,
     }
   }
 
+  // The previous round's state (the compiler-inserted temporaries the paper
+  // mentions).  Each round copies into the storage of the round before.
+  std::vector<std::vector<cm::Bits>> snapshot(targets.size());
   std::int64_t rounds = 0;
   for (;;) {
     check_deadline(&stmt);
     // Round top: like *par's sweep top, the fixed-point round carries no
     // loop state, so it is a valid redo point for checkpoint recovery.
     rscope.safe_point(&space, frame);
-    // Save the previous state (the compiler-inserted temporaries the paper
-    // mentions) — one vector copy instruction per target array.
-    std::vector<std::vector<cm::Bits>> snapshot;
-    snapshot.reserve(targets.size());
-    for (ArrayObj* arr : targets) {
-      machine.charge_vector_op(arr->size(), 1);
-      snapshot.push_back(arr->field().raw());
+    // One vector copy instruction per target array.
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      machine.charge_vector_op(targets[t]->size(), 1);
+      snapshot[t] = targets[t]->field().raw();
     }
 
     run_blocks(stmt, space, frame);
@@ -298,8 +298,8 @@ void Impl::apply_map_section(const lang::MapSectionStmt& section,
                           : target;
     // Evaluate both subscript tuples over the mapping's index sets using a
     // one-lane-per-tuple expansion of the front end.
-    std::vector<std::int64_t> fe_active{0};
-    auto space = expand(root, fe_active, m.index_set_syms);
+    support::FreeList<LaneSpace>::Lease space(spaces_);
+    expand(*space, root, root.all_lanes(), m.index_set_syms);
     // Snapshot the source owners first: fold maps an array relative to its
     // own (pre-fold) placement.
     std::vector<cm::VpIndex> source_owner(
@@ -311,7 +311,7 @@ void Impl::apply_map_section(const lang::MapSectionStmt& section,
     for (std::int64_t lane = 0; lane < space->lane_count(); ++lane) {
       EvalCtx mctx;
       mctx.vm = this;
-      mctx.space = space.get();
+      mctx.space = &*space;
       mctx.lane = lane;
       mctx.frame = ctx.frame;
       mctx.statement_frame = ctx.frame;

@@ -282,7 +282,7 @@ void Engine::classify_site(const LinkedArray& la, std::int64_t flat,
 void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
                       std::int64_t result_slot, Frame* frame,
                       std::uint64_t stmt_id, Arena& arena,
-                      std::vector<Value>& results) {
+                      Value* results) {
   Value* regs = arena.regs.data();
   const LinkedElem* elems = elems_.data();
   const LinkedScalar* scalars = scalars_.data();
@@ -678,7 +678,7 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         }
         break;
       case Op::kRet:
-        results[static_cast<std::size_t>(result_slot)] = regs[I.a];
+        if (results != nullptr) results[result_slot] = regs[I.a];
         return;
     }
     ++ip;
@@ -697,7 +697,7 @@ void Engine::reset_arenas(const Kernel& k) {
 void Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
                               const std::vector<std::int64_t>& active,
                               Frame* frame, std::uint64_t stmt_id,
-                              std::vector<Value>& results) {
+                              Value* results) {
   // Native tier: both the plain try_run path and fused groups funnel
   // through here, so one hook covers every dispatch.  A false return
   // (emitter declined, toolchain missing, assumption mismatch, runtime
@@ -768,23 +768,21 @@ void Engine::commit_buffered() {
   }
 }
 
-std::optional<std::vector<Value>> Engine::try_run(
-    const Expr& expr, LaneSpace& space,
-    const std::vector<std::int64_t>& active, Frame* frame,
-    std::uint64_t stmt_id, bool commit, bool optimize) {
+bool Engine::try_run(const Expr& expr, LaneSpace& space,
+                     const std::vector<std::int64_t>& active, Frame* frame,
+                     std::uint64_t stmt_id, Value* results, bool optimize) {
   const Kernel* kern =
       optimize ? compile_optimized_cached(expr) : compile_cached(expr);
   if (kern == nullptr) {
     ++fallback_statements_;
-    return std::nullopt;
+    return false;
   }
   if (!link(*kern, space, frame)) {
     ++fallback_statements_;
-    return std::nullopt;
+    return false;
   }
   ++compiled_statements_;
 
-  std::vector<Value> results(active.size());
   reset_arenas(*kern);
   run_lanes_pooled(*kern, space, active, frame, stmt_id, results);
 
@@ -792,8 +790,8 @@ std::optional<std::vector<Value>> Engine::try_run(
   for (const auto& a : arenas_) total.merge(a.stats[0]);
   vm_.charge_dynamic_stats(total, space.geom_size);
 
-  if (commit) commit_buffered();
-  return results;
+  commit_buffered();
+  return true;
 }
 
 bool Engine::prepare_group(const Expr* const* stmts, std::size_t n,
@@ -817,9 +815,9 @@ void Engine::run_group(LaneSpace& space,
   const Kernel& kern = *group_kernel_;
   compiled_statements_ += kern.num_members;
   ++fused_groups_;
-  std::vector<Value> results(active.size());
   reset_arenas(kern);
-  run_lanes_pooled(kern, space, active, frame, first_stmt_id, results);
+  run_lanes_pooled(kern, space, active, frame, first_stmt_id,
+                   /*results=*/nullptr);
   member_stats.assign(kern.num_members, AccessStats{});
   for (const auto& a : arenas_) {
     for (std::uint32_t m = 0; m < kern.num_members; ++m) {

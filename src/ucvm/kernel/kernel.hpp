@@ -1,13 +1,13 @@
 // The lane-kernel engine: compile-once-per-statement bytecode execution
 // for eval_lanes (docs/VM.md).  One Engine lives inside each vm Impl; it
 // owns the kernel cache (keyed by Expr*), the per-execution link tables,
-// and the per-worker arenas that make steady-state lane execution
-// allocation-free.
+// and the per-worker arenas the lane loop runs in without allocating.
+// Lane spaces, lane lists and result buffers belong to the Impl, which
+// reuses them from round to round (docs/VM.md "Linking and execution").
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -24,17 +24,17 @@ class Engine {
   // Runs one synchronous statement expression over the active lanes on the
   // bytecode engine: merges comm stats, charges dynamic communication,
   // commits writes with the same lane-order conflict checking as the walk,
-  // and returns the per-lane values.  Returns nullopt when the expression
-  // cannot be compiled or linked against the current space — the caller
-  // then falls back to the tree walk (which reproduces any error the link
-  // step declined to raise, e.g. an array used before its declaration).
-  // With optimize set the statement compiles through the fusion pipeline
-  // (CSE + dead-temporary elimination, separate cache); outputs are
-  // identical, dynamic comm stats can only shrink.
-  std::optional<std::vector<Value>> try_run(
-      const Expr& expr, LaneSpace& space,
-      const std::vector<std::int64_t>& active, Frame* frame,
-      std::uint64_t stmt_id, bool commit, bool optimize = false);
+  // and stores the per-lane values in `results` (indexed like `active`;
+  // null when the caller discards them).  Returns false when the
+  // expression cannot be compiled or linked against the current space —
+  // the caller then falls back to the tree walk (which reproduces any error
+  // the link step declined to raise, e.g. an array used before its
+  // declaration).  With optimize set the statement compiles through the
+  // fusion pipeline (CSE + dead-temporary elimination, separate cache);
+  // outputs are identical, dynamic comm stats can only shrink.
+  bool try_run(const Expr& expr, LaneSpace& space,
+               const std::vector<std::int64_t>& active, Frame* frame,
+               std::uint64_t stmt_id, Value* results, bool optimize = false);
 
   // --- fused statement groups (docs/VM.md "Fusion") ---
   // Three-phase protocol so the driver can interleave its per-member cost
@@ -128,8 +128,8 @@ class Engine {
     std::int64_t coords[8] = {};
   };
 
-  // --- per-worker arena: reused across statements, zero steady-state
-  // allocation ---
+  // --- per-worker arena: reused across statements; it only grows when a
+  // statement buffers more writes than any before it ---
   struct ChunkSpan {
     std::int64_t begin_k = 0;  // first active-lane position of the chunk
     std::uint32_t offset = 0;  // into Arena::writes
@@ -163,7 +163,7 @@ class Engine {
   void reset_arenas(const Kernel& k);
   void run_lanes_pooled(const Kernel& k, LaneSpace& space,
                         const std::vector<std::int64_t>& active, Frame* frame,
-                        std::uint64_t stmt_id, std::vector<Value>& results);
+                        std::uint64_t stmt_id, Value* results);
   // Native-tier dispatch (native_exec.cpp): prepares the kernel through the
   // backend, validates the emit-time representation assumptions against the
   // linked state, and runs the lanes through the compiled entry point with
@@ -174,11 +174,11 @@ class Engine {
   // its full message.
   bool run_lanes_native(const Kernel& k, LaneSpace& space,
                         const std::vector<std::int64_t>& active, Frame* frame,
-                        std::uint64_t stmt_id, std::vector<Value>& results);
+                        std::uint64_t stmt_id, Value* results);
   void commit_buffered();
   void run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
                 std::int64_t result_slot, Frame* frame, std::uint64_t stmt_id,
-                Arena& arena, std::vector<Value>& results);
+                Arena& arena, Value* results);
   void classify_site(const LinkedArray& la, std::int64_t flat,
                      std::int64_t lane_vp, const std::int64_t* lane_coords,
                      const ReduceState& rs, AccessStats& stats) const;

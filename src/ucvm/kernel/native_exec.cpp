@@ -12,7 +12,7 @@ namespace uc::vm::detail::kernel {
 bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
                               const std::vector<std::int64_t>& active,
                               Frame* frame, std::uint64_t stmt_id,
-                              std::vector<Value>& results) {
+                              Value* results) {
   // The frontend space shares one RNG stream across its single lane and
   // the emitted kernels only model the per-lane streams; frontend
   // statements are cheap scalar code anyway.
@@ -162,7 +162,7 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
     args.scalars = nscalars_.data();
     args.arrays = narrays_.data();
     args.reduces = nreduces_.data();
-    args.results = results.data();
+    args.results = results;
     args.writes = arena.native_scratch.data();
     args.stats = arena.stats.data();
     args.wheres = reinterpret_cast<const void* const*>(prep->wheres.data());

@@ -94,7 +94,8 @@ struct NativeArgs {
   const NArray* arrays = nullptr;
   const NReduce* reduces = nullptr;
 
-  // Outputs.  results is the host's Value array indexed by position kk;
+  // Outputs.  results is the host's Value array indexed by position kk, or
+  // null when the host discards the statement's values;
   // writes is the worker arena's Write storage starting at this chunk's
   // span, pre-sized to max_writes_per_lane * (k_end - k_begin).
   void* results = nullptr;

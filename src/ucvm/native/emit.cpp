@@ -793,15 +793,16 @@ class Emitter {
         }
         break;
       case Op::kRet: {
+        // A null results array means the host discards the values.
         if (rt_[I.a] == kFloat) {
           appendf(src_,
-                  "      results[kk].flt = true; results[kk].i = 0; "
-                  "results[kk].f = %s;\n",
+                  "      if (results) { results[kk].flt = true; "
+                  "results[kk].i = 0; results[kk].f = %s; }\n",
                   R(I.a).c_str());
         } else {
           appendf(src_,
-                  "      results[kk].flt = false; results[kk].i = %s; "
-                  "results[kk].f = 0.0;\n",
+                  "      if (results) { results[kk].flt = false; "
+                  "results[kk].i = %s; results[kk].f = 0.0; }\n",
                   R(I.a).c_str());
         }
         src_ += "      goto uc_lane_done;\n";

@@ -272,7 +272,8 @@ TEST(MachineFaults, SnapshotRestoreRoundTrip) {
     fld.set(vp, static_cast<Bits>(vp * 10));
   }
 
-  const MachineImage img = m.snapshot_state();
+  MachineImage img;
+  m.snapshot_state(img);
   EXPECT_GT(img.words(), 0);
   const std::uint64_t rng_probe = m.rng().next();
 

@@ -34,11 +34,11 @@ namespace uc::vm {
 namespace {
 
 RunResult run_with(const std::string& src, ExecEngine engine,
-                   bool fuse = false) {
+                   bool fuse = false, const cm::MachineOptions& mopts = {}) {
   ExecOptions eopts;
   eopts.engine = engine;
   eopts.fuse = fuse;
-  return run_uc(src, {}, eopts);
+  return run_uc(src, mopts, eopts);
 }
 
 // Field-by-field: CostStats has no operator==, and comparing each counter
@@ -69,14 +69,15 @@ void expect_globals_equal(const RunResult& a, const RunResult& b,
 }
 
 void expect_parity(const std::string& src,
-                   const std::vector<std::string>& globals = {}) {
-  RunResult walk = run_with(src, ExecEngine::kWalk);
-  RunResult byte = run_with(src, ExecEngine::kBytecode);
+                   const std::vector<std::string>& globals = {},
+                   const cm::MachineOptions& mopts = {}) {
+  RunResult walk = run_with(src, ExecEngine::kWalk, false, mopts);
+  RunResult byte = run_with(src, ExecEngine::kBytecode, false, mopts);
   EXPECT_EQ(walk.output(), byte.output());
   expect_stats_equal(walk.stats(), byte.stats());
   expect_globals_equal(walk, byte, globals, "walk/bytecode");
 
-  RunResult fused = run_with(src, ExecEngine::kBytecode, /*fuse=*/true);
+  RunResult fused = run_with(src, ExecEngine::kBytecode, /*fuse=*/true, mopts);
   EXPECT_EQ(walk.output(), fused.output());
   expect_globals_equal(walk, fused, globals, "walk/fused");
   EXPECT_LE(fused.stats().cycles, byte.stats().cycles);
@@ -84,7 +85,7 @@ void expect_parity(const std::string& src,
   // The native tier replaces the interpreter only; everything the cost
   // model observes is identical, so cycles must equal the fused run's
   // exactly (not merely bound it).
-  RunResult native = run_with(src, ExecEngine::kNative, /*fuse=*/true);
+  RunResult native = run_with(src, ExecEngine::kNative, /*fuse=*/true, mopts);
   EXPECT_EQ(walk.output(), native.output());
   expect_globals_equal(walk, native, globals, "walk/native");
   expect_stats_equal(fused.stats(), native.stats());
@@ -160,6 +161,39 @@ TEST(EngineParity, PrefixSumsSeqPar) {
 }
 
 TEST(EngineParity, Ranksort) { expect_parity(papers::ranksort(24)); }
+
+// Each round of a seq or *solve refills the lane space, lane lists and value
+// buffers of the round before, and pool workers write into them.  At two
+// host threads and 1600 lanes, enough for several chunks on every engine,
+// the engines must still agree.  The TSan lane (tools/ci.sh tsan) runs this.
+TEST(EngineParity, SeqAndStarSolveRoundsOnTwoThreads) {
+  const std::string src =
+      "#define N 40\n"
+      "index_set I:i = {0..N-1}, J:j = I, K:k = I;\n"
+      "index_set D:dir = {0..3};\n"
+      "int d[N][N], g[N][N];\n"
+      "void main() {\n"
+      "  par (I, J) st (i == j) d[i][j] = 0;\n"
+      "    others d[i][j] = (i * 7 + j * 13) % 31 + 1;\n"
+      "  seq (K)\n"
+      "    par (I, J)\n"
+      "      st (d[i][k] + d[k][j] < d[i][j])\n"
+      "        d[i][j] = d[i][k] + d[k][j];\n"
+      "  par (I, J) st (i == 0 && j == 0) g[i][j] = 0; others g[i][j] = INF;\n"
+      "  *solve (I, J)\n"
+      "    st (!(i == 0 && j == 0))\n"
+      "      g[i][j] = min(INF, d[i][j] + $<(D\n"
+      "        st (i + (dir==0) - (dir==1) >= 0 &&\n"
+      "            i + (dir==0) - (dir==1) <= N-1 &&\n"
+      "            j + (dir==2) - (dir==3) >= 0 &&\n"
+      "            j + (dir==2) - (dir==3) <= N-1)\n"
+      "          g[i + (dir==0) - (dir==1)][j + (dir==2) - (dir==3)]));\n"
+      "  print(\"d\", $+(I, J; d[i][j]), \"g\", $+(I, J; g[i][j]));\n"
+      "}\n";
+  cm::MachineOptions mopts;
+  mopts.host_threads = 2;
+  expect_parity(src, {"d", "g"}, mopts);
+}
 
 TEST(EngineParity, OddEvenSort) { expect_parity(papers::odd_even_sort(24)); }
 

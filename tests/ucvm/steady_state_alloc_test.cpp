@@ -1,0 +1,216 @@
+// Steady-state allocation regression test (docs/VM.md "Linking and
+// execution"): a round of seq or *solve must reuse the lane spaces, lane
+// lists and value buffers of the round before, so the number of large heap
+// allocations in a run does not grow with its number of rounds.
+//
+// This binary replaces the global operator new with one that counts blocks
+// of 64 KiB or more.  At the 4096 lanes of the workloads below, the lane
+// values, element bindings and coordinates a round would rebuild are at or
+// above that size, while per-statement bookkeeping stays far below it (so
+// the *solve grid is 64 x 64: at 32 x 32 no per-round buffer reaches it).
+// Each workload runs once to warm the native kernel cache, then with R and
+// with 2R rounds at the same lane count; the second count must not exceed
+// the first.
+//
+// The sanitizers own operator new, so the binary is built only when
+// UC_SANITIZE is empty.  The TSan lane covers the same two-thread reuse
+// through EngineParity.SeqAndStarSolveRoundsOnTwoThreads instead.
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <new>
+#include <string>
+
+#include "ucvm/interp.hpp"
+
+namespace {
+
+constexpr std::size_t kLargeBytes = 64 * 1024;
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_large{0};
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (n >= kLargeBytes && g_counting.load(std::memory_order_relaxed)) {
+    g_large.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace uc::vm {
+namespace {
+
+namespace fs = std::filesystem;
+
+// Fig 6 all-pairs shortest path on 64 x 64 lanes; the seq runs `rounds`
+// relaxation rounds (the k index wraps, so every round does real work).
+std::string seq_par_source(int rounds) {
+  return "#define N 64\n"
+         "#define R " + std::to_string(rounds) + "\n"
+         "index_set I:i = {0..N-1}, J:j = I, K:k = {0..R-1};\n"
+         "int d[N][N];\n"
+         "void main() {\n"
+         "  par (I, J) st (i == j) d[i][j] = 0;\n"
+         "    others d[i][j] = (i * 7 + j * 13) % 31 + 1;\n"
+         "  seq (K)\n"
+         "    par (I, J)\n"
+         "      st (d[i][k % N] + d[k % N][j] < d[i][j])\n"
+         "        d[i][j] = d[i][k % N] + d[k % N][j];\n"
+         "  print(\"sum\", $+(I, J; d[i][j]));\n"
+         "}\n";
+}
+
+// Fig 8 grid shortest path by *solve on 64 x 64 lanes.  The round count is
+// the farthest distance from the source: about 64 from the centre and 126
+// from a corner, at the same lane count.
+std::string star_solve_source(int src_row, int src_col) {
+  const std::string at = "(i == " + std::to_string(src_row) +
+                         " && j == " + std::to_string(src_col) + ")";
+  return "#define N 64\n"
+         "index_set I:i = {0..N-1}, J:j = I;\n"
+         "index_set D:dir = {0..3};\n"
+         "int d[N][N];\n"
+         "void main() {\n"
+         "  par (I, J) st " + at + " d[i][j] = 0; others d[i][j] = INF;\n"
+         "  *solve (I, J)\n"
+         "    st (!" + at + ")\n"
+         "      d[i][j] = min(INF, 1 + $<(D\n"
+         "        st (i + (dir==0) - (dir==1) >= 0 &&\n"
+         "            i + (dir==0) - (dir==1) <= N-1 &&\n"
+         "            j + (dir==2) - (dir==3) >= 0 &&\n"
+         "            j + (dir==2) - (dir==3) <= N-1)\n"
+         "          d[i + (dir==0) - (dir==1)][j + (dir==2) - (dir==3)]));\n"
+         "  print(\"sum\", $+(I, J; d[i][j]));\n"
+         "}\n";
+}
+
+RunResult run(const std::string& src, ExecEngine engine, unsigned threads,
+              const fs::path& cache_dir) {
+  cm::MachineOptions mopts;
+  mopts.host_threads = threads;
+  ExecOptions eopts;
+  eopts.engine = engine;
+  eopts.fuse = true;
+  eopts.native_cache_dir = cache_dir.string();
+  return run_uc(src, mopts, eopts);
+}
+
+std::uint64_t count_large(const std::string& src, ExecEngine engine,
+                          unsigned threads, const fs::path& cache_dir) {
+  g_large.store(0);
+  g_counting.store(true);
+  const RunResult r = run(src, engine, threads, cache_dir);
+  g_counting.store(false);
+  EXPECT_NE(r.output().find("sum "), std::string::npos) << r.output();
+  return g_large.load();
+}
+
+class SteadyStateAlloc : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::temp_directory_path() /
+           ("uc-alloc-test-" + std::to_string(::getpid()) + "-" +
+            info->name());
+  }
+  void TearDown() override {
+    std::error_code ec;
+    fs::remove_all(dir_, ec);
+  }
+
+  // Compiles and dispatches a trivial kernel once per process.
+  static bool toolchain_available() {
+    static const bool ok = [] {
+      const fs::path probe = fs::temp_directory_path() /
+                             ("uc-alloc-probe-" + std::to_string(::getpid()));
+      const RunResult r = run(
+          "index_set I:i = {0..63};\nint a[64];\n"
+          "void main() { par (I) a[i] = i + 1; }",
+          ExecEngine::kNative, 1, probe);
+      std::error_code ec;
+      fs::remove_all(probe, ec);
+      return r.native_dispatches() > 0;
+    }();
+    return ok;
+  }
+
+  void skip_without_toolchain() {
+    if (toolchain_available()) return;
+    std::fprintf(stderr,
+                 "NOTICE: SKIPPED native steady-state allocation checks: no "
+                 "working C++ toolchain on this host\n");
+    GTEST_SKIP() << "no working native toolchain on this host";
+  }
+
+  // `fewer` and `more` run the same lanes for about R and 2R rounds (R is
+  // 64 here).  On one thread the counts must match exactly.  On two, each
+  // worker's write arena grows to the most writes that worker buffered in
+  // one statement, which depends on which chunks it happened to take, so
+  // the two runs may end a few doublings apart.  A per-round allocation
+  // would add at least R.
+  void expect_flat(const std::string& fewer, const std::string& more,
+                   ExecEngine engine, unsigned threads) {
+    (void)run(fewer, engine, threads, dir_);  // warm the kernel cache
+    const std::uint64_t a = count_large(fewer, engine, threads, dir_);
+    const std::uint64_t b = count_large(more, engine, threads, dir_);
+    std::printf("large allocations: %llu (R rounds), %llu (2R rounds)\n",
+                static_cast<unsigned long long>(a),
+                static_cast<unsigned long long>(b));
+    const std::uint64_t slack = threads > 1 ? 8 : 0;
+    EXPECT_LE(b, a + slack)
+        << "large allocations grow with the number of rounds";
+  }
+
+  fs::path dir_;
+};
+
+TEST_F(SteadyStateAlloc, SeqParBytecode) {
+  expect_flat(seq_par_source(64), seq_par_source(128), ExecEngine::kBytecode,
+              1);
+}
+
+TEST_F(SteadyStateAlloc, SeqParBytecodeTwoThreads) {
+  expect_flat(seq_par_source(64), seq_par_source(128), ExecEngine::kBytecode,
+              2);
+}
+
+TEST_F(SteadyStateAlloc, StarSolveBytecode) {
+  expect_flat(star_solve_source(32, 32), star_solve_source(0, 0),
+              ExecEngine::kBytecode, 1);
+}
+
+TEST_F(SteadyStateAlloc, StarSolveBytecodeTwoThreads) {
+  expect_flat(star_solve_source(32, 32), star_solve_source(0, 0),
+              ExecEngine::kBytecode, 2);
+}
+
+TEST_F(SteadyStateAlloc, SeqParNative) {
+  skip_without_toolchain();
+  expect_flat(seq_par_source(64), seq_par_source(128), ExecEngine::kNative,
+              1);
+  expect_flat(seq_par_source(64), seq_par_source(128), ExecEngine::kNative,
+              2);
+}
+
+TEST_F(SteadyStateAlloc, StarSolveNative) {
+  skip_without_toolchain();
+  expect_flat(star_solve_source(32, 32), star_solve_source(0, 0),
+              ExecEngine::kNative, 1);
+  expect_flat(star_solve_source(32, 32), star_solve_source(0, 0),
+              ExecEngine::kNative, 2);
+}
+
+}  // namespace
+}  // namespace uc::vm

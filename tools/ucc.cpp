@@ -16,7 +16,13 @@
 // Options:
 //   --stats                 print machine statistics after a run
 //   --trace                 print the Paris-style instruction trace
-//   --engine=<walk|bytecode>  VM execution engine (default bytecode)
+//   --engine=<walk|bytecode|native>  VM execution engine (default
+//                           bytecode; native compiles lane kernels to a
+//                           cached .so with the host toolchain)
+//   --native-cache-dir=<dir>  native: compiled-kernel cache directory
+//                           (default $UC_NATIVE_CACHE_DIR or /tmp)
+//   --native-cc=<cc>        native: compiler driver (default
+//                           $UC_NATIVE_CC or c++)
 //   --fuse=<on|off>         statement fusion + communication-plan cache
 //                           on the bytecode engine (default on)
 //   --repeat=<n>            bench: report the median of n timed runs
