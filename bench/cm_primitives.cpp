@@ -16,7 +16,7 @@ struct Rig {
   FieldId a, b;
 
   explicit Rig(std::int64_t n, unsigned threads = 1)
-      : machine(MachineOptions{CostModel{}, threads, 1}),
+      : machine(MachineOptions{CostModel{}, threads}),
         geom(machine.create_geometry({n})),
         a(machine.allocate_field(geom, "a", ElemType::kInt)),
         b(machine.allocate_field(geom, "b", ElemType::kInt)) {

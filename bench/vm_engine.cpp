@@ -71,37 +71,6 @@ Row run_one(const std::string& name, const std::string& source,
   return row;
 }
 
-// Shard-scaling rows (docs/SHARDING.md): the fused bytecode engine with
-// the VP set split across S shards, all on the same 4-thread host pool so
-// the only variable is the shard count.  Sharding is a host-execution
-// knob, so every row must keep the output byte-identical to — and charge
-// exactly the same modeled cycles as — the shard-1 row; host_ms is the
-// quantity of interest (it scales with the hardware threads actually
-// available to the pool).
-Row run_one_sharded(const std::string& name, const std::string& source,
-                    unsigned shards, int reps) {
-  auto program = uc::Program::compile(name + ".uc", source);
-  Row row;
-  row.program = name;
-  row.engine = "bytecode-shard" + std::to_string(shards);
-  for (int r = 0; r < reps; ++r) {
-    uc::cm::MachineOptions mopts;
-    mopts.host_threads = 4;
-    mopts.shards = shards;
-    uc::cm::Machine machine(mopts);
-    uc::vm::ExecOptions eopts;
-    eopts.engine = uc::vm::ExecEngine::kBytecode;
-    eopts.fuse = true;
-    uc::bench::WallTimer timer;
-    auto result = program.run_on(machine, eopts);
-    const double ms = timer.elapsed_ms();
-    if (r == 0 || ms < row.host_ms) row.host_ms = ms;
-    row.cycles = result.stats().cycles;
-    row.output = result.output();
-  }
-  return row;
-}
-
 // Robustness-layer rows (docs/ROBUSTNESS.md).  "bytecode-ckpt" measures
 // pure checkpointing overhead (fault-free, so output must still match);
 // "bytecode-faulted" adds injected transient faults with recovery, whose
@@ -308,9 +277,6 @@ int main(int argc, char** argv) {
       Row faulted =
           run_one_robust(w.name, w.source, /*with_faults=*/true, reps);
       Row optmap = run_one_optmap(w.name, w.source, reps);
-      Row shard1 = run_one_sharded(w.name, w.source, 1, reps);
-      Row shard2 = run_one_sharded(w.name, w.source, 2, reps);
-      Row shard4 = run_one_sharded(w.name, w.source, 4, reps);
       // Checkpoint captures and fault recovery cost extra modeled cycles
       // by design, so those rows are held only to output equality.
       agree = agree && prof.output == byte.output &&
@@ -320,15 +286,7 @@ int main(int argc, char** argv) {
               durable.output == byte.output &&
               durable.cycles == ckpt.cycles &&
               faulted.output == byte.output && optmap.output == byte.output &&
-              optmap.cycles <= byte.cycles &&
-              // Sharding must be invisible in both output and modeled
-              // cycles at every shard count.
-              shard1.output == fused.output &&
-              shard1.cycles == fused.cycles &&
-              shard2.output == shard1.output &&
-              shard2.cycles == shard1.cycles &&
-              shard4.output == shard1.output &&
-              shard4.cycles == shard1.cycles;
+              optmap.cycles <= byte.cycles;
       std::printf("%-26s %-15s %10.2f %16llu %9s  %s\n", w.name.c_str(),
                   "+profile", prof.host_ms,
                   static_cast<unsigned long long>(prof.cycles), "", "");
@@ -344,21 +302,11 @@ int main(int argc, char** argv) {
       std::printf("%-26s %-15s %10.2f %16llu %9s  %s\n", w.name.c_str(),
                   "+optmap", optmap.host_ms,
                   static_cast<unsigned long long>(optmap.cycles), "", "");
-      for (const Row* s : {&shard1, &shard2, &shard4}) {
-        const double sspeedup =
-            s->host_ms > 0 ? shard1.host_ms / s->host_ms : 0;
-        std::printf("%-26s %-15s %10.2f %16llu %8.2fx  %s\n", w.name.c_str(),
-                    s->engine.c_str(), s->host_ms,
-                    static_cast<unsigned long long>(s->cycles), sspeedup, "");
-      }
       rows.push_back(prof);
       rows.push_back(ckpt);
       rows.push_back(durable);
       rows.push_back(faulted);
       rows.push_back(optmap);
-      rows.push_back(shard1);
-      rows.push_back(shard2);
-      rows.push_back(shard4);
     }
     if (!agree) std::printf("%-26s ENGINES DISAGREE\n", w.name.c_str());
     all_agree = all_agree && agree;

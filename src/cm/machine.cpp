@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "cm/plan_cache.hpp"
 #include "support/str.hpp"
 
 namespace uc::cm {
@@ -18,16 +17,8 @@ std::int64_t MachineImage::words() const {
 Machine::Machine(MachineOptions options)
     : options_(options),
       pool_(std::make_unique<ThreadPool>(options.host_threads)),
-      exchange_cache_(std::make_unique<PlanCache>()),
       rng_(options.seed),
-      injector_(options.faults) {
-  shard_count_ =
-      options_.shards == 0 ? pool_->thread_count() : options_.shards;
-  if (shard_count_ < 1) shard_count_ = 1;
-  shard_stats_.assign(shard_count_, ShardStats{});
-}
-
-Machine::~Machine() = default;  // here so PlanCache is complete
+      injector_(options.faults) {}
 
 GeomId Machine::create_geometry(std::vector<std::int64_t> dims) {
   geometries_.push_back(std::make_unique<Geometry>(std::move(dims)));

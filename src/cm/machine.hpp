@@ -17,14 +17,11 @@
 #include "cm/fault.hpp"
 #include "cm/field.hpp"
 #include "cm/geometry.hpp"
-#include "cm/shard.hpp"
 #include "cm/thread_pool.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace uc::cm {
-
-class PlanCache;  // plan_cache.hpp includes this header
 
 struct GeomId {
   std::int32_t index = -1;
@@ -38,13 +35,6 @@ struct FieldId {
 struct MachineOptions {
   CostModel cost;
   unsigned host_threads = 1;   // threads in the data-parallel host runtime
-  // Shard count for the sharded execution path (docs/SHARDING.md): the VP
-  // set is split into this many contiguous blocks, each processed by one
-  // worker per instruction with explicit cross-shard exchange phases.
-  // 1 = unsharded (the original single-region path); 0 = one shard per
-  // host thread.  Purely a host-execution knob — outputs and modeled
-  // cycles are bit-identical for every value.
-  unsigned shards = 1;
   std::uint64_t seed = 1;      // RNG seed (rand() in UC programs, oneof picks)
   // Record a Paris-style instruction trace (the CM-2 assembly interface the
   // paper's compiler was being retargeted to, §5).  One line per issued
@@ -78,7 +68,6 @@ struct MachineImage {
 class Machine {
  public:
   explicit Machine(MachineOptions options = {});
-  ~Machine();
 
   const CostModel& cost_model() const { return options_.cost; }
   const MachineOptions& options() const { return options_; }
@@ -93,33 +82,6 @@ class Machine {
 
   ThreadPool& pool() { return *pool_; }
   support::SplitMix64& rng() { return rng_; }
-
-  // ---- Shard model (docs/SHARDING.md) ----
-
-  // Resolved shard count: options.shards, with 0 meaning "one per host
-  // thread"; never less than 1.
-  unsigned shard_count() const { return shard_count_; }
-  // The contiguous-block partition of a geometry's VP range.
-  ShardLayout shard_layout(const Geometry& geom) const {
-    return ShardLayout(geom.size(), shard_count_);
-  }
-  // Cache of cross-shard exchange schedules for static-source ops, keyed
-  // over (geometry, axis, delta, shard count, layout epoch).
-  PlanCache& exchange_cache() { return *exchange_cache_; }
-  // Monotonic counter folded into every exchange key.  Bumped whenever
-  // the VP↔data mapping may have changed under the cache's feet (array
-  // (re)declaration, map-section remap, checkpoint restore), which retires
-  // every previously recorded schedule without scanning the cache.
-  std::uint64_t layout_epoch() const { return layout_epoch_; }
-  void note_layout_change() { ++layout_epoch_; }
-  // Per-shard host-observability counters.  Each slot is written only by
-  // the worker processing that shard inside a fork-join region; read them
-  // between instructions.  Empty until a sharded op runs.
-  const std::vector<ShardStats>& shard_stats() const { return shard_stats_; }
-  std::vector<ShardStats>& shard_stats() { return shard_stats_; }
-  void reset_shard_stats() {
-    shard_stats_.assign(shard_count_, ShardStats{});
-  }
 
   const CostStats& stats() const { return stats_; }
   void reset_stats() { stats_ = CostStats{}; }
@@ -183,14 +145,12 @@ class Machine {
   void snapshot_state(MachineImage& image) const;
   void restore_state(const MachineImage& image);
 
-  // Durable-restore hooks: a resumed process re-executes the run prefix
+  // Durable-restore hook: a resumed process re-executes the run prefix
   // deterministically, then jumps machine accounting forward to the
   // captured values (restored stats are always >= the prefix's — the
-  // delta is the skipped window's charges) and pins the layout epoch to
-  // the captured one so restored plan-cache entries stay valid.  Only the
-  // durable-checkpoint layer calls these (docs/ROBUSTNESS.md).
+  // delta is the skipped window's charges).  Only the durable-checkpoint
+  // layer calls this (docs/ROBUSTNESS.md).
   void set_stats(const CostStats& s) { stats_ = s; }
-  void set_layout_epoch(std::uint64_t e) { layout_epoch_ = e; }
 
  private:
   // Runs the detection/retry protocol for one protected instruction whose
@@ -205,10 +165,6 @@ class Machine {
   std::vector<std::unique_ptr<Field>> fields_;  // slot reuse after free
   std::vector<std::int32_t> free_field_slots_;
   std::unique_ptr<ThreadPool> pool_;
-  unsigned shard_count_ = 1;
-  std::unique_ptr<PlanCache> exchange_cache_;
-  std::uint64_t layout_epoch_ = 0;
-  std::vector<ShardStats> shard_stats_;
   support::SplitMix64 rng_;
   FaultInjector injector_;
   std::uint64_t field_bytes_ = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "cm/plan_cache.hpp"
-#include "cm/shard.hpp"
 #include "support/str.hpp"
 
 // Error taxonomy (docs/ROBUSTNESS.md): shape/geometry mismatches are the
@@ -13,13 +11,6 @@
 // the VP, its coordinates and the offending value, so a failing program
 // points at the lane that misbehaved.  All throws happen on the issuing
 // thread, before any parallel host work touches the destination.
-//
-// Sharded execution (docs/SHARDING.md): with machine.shard_count() > 1
-// every primitive decomposes into per-shard passes over contiguous VP
-// blocks plus an explicit cross-shard exchange where sources cross a block
-// boundary.  All cost charging happens first, on the issuing thread,
-// exactly as in the unsharded path — sharding changes host scheduling
-// only, never modeled cycles or outputs.
 
 namespace uc::cm {
 
@@ -63,34 +54,6 @@ std::string vp_coords(const Geometry& geom, VpIndex vp) {
   return out;
 }
 
-// Whether a reduce/scan over this op/type regroups bitwise-exactly under
-// shard decomposition.  Float add/mul are non-associative (rounding
-// depends on grouping), so those stay on the serial path; everything else
-// is exact: two's-complement add/mul wrap associatively, min/max pick an
-// element of the multiset independent of grouping (the identity is in the
-// multiset on both paths, and NaNs always appear as the losing second
-// argument), and and/or/xor are Boolean algebra on {0,1} payloads.
-bool shard_exact(ReduceOp op, ElemType type) {
-  return !(type == ElemType::kFloat &&
-           (op == ReduceOp::kAdd || op == ReduceOp::kMul));
-}
-
-// Exchange-cache key for a NEWS shift schedule: the schedule is a pure
-// function of these inputs, and the layout epoch retires entries recorded
-// under a superseded mapping (docs/SHARDING.md).
-std::uint64_t shift_exchange_key(const Machine& m, const Geometry& geom,
-                                 std::size_t axis, std::int64_t delta) {
-  auto h = PlanCache::mix(0x5ca1ab1eu, m.layout_epoch());
-  h = PlanCache::mix(h, m.shard_count());
-  h = PlanCache::mix(h, static_cast<std::uint64_t>(axis));
-  h = PlanCache::mix(h, static_cast<std::uint64_t>(delta));
-  h = PlanCache::mix(h, geom.rank());
-  for (std::size_t d = 0; d < geom.rank(); ++d) {
-    h = PlanCache::mix(h, static_cast<std::uint64_t>(geom.dims()[d]));
-  }
-  return h;
-}
-
 }  // namespace
 
 void elementwise(Machine& m, const ContextStack& ctx, Field& dst,
@@ -101,26 +64,6 @@ void elementwise(Machine& m, const ContextStack& ctx, Field& dst,
   m.charge_vector_op(geom.size(), n_ops);
   auto& raw = dst.raw();
   const auto& mask = ctx.current();
-  const unsigned shards = m.shard_count();
-  if (shards > 1) {
-    // Sharded path: one block per shard, each processed end-to-end by one
-    // worker.  Purely intra-shard — elementwise ops never read a foreign
-    // lane.
-    const ShardLayout layout = m.shard_layout(geom);
-    auto& sstats = m.shard_stats();
-    m.pool().for_shards(shards, [&](unsigned, unsigned s) {
-      std::uint64_t lanes = 0;
-      for (std::int64_t vp = layout.begin(s); vp < layout.end(s); ++vp) {
-        if (mask[static_cast<std::size_t>(vp)] != 0) {
-          raw[static_cast<std::size_t>(vp)] = fn(vp);
-          ++lanes;
-        }
-      }
-      sstats[s].ops += 1;
-      sstats[s].intra_lanes += lanes;
-    });
-    return;
-  }
   m.pool().parallel_for(0, geom.size(), [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t vp = b; vp < e; ++vp) {
       if (mask[static_cast<std::size_t>(vp)] != 0) {
@@ -152,65 +95,6 @@ void news_shift(Machine& m, const ContextStack& ctx, Field& dst,
     in = snapshot.data();
   }
   auto& out = dst.raw();
-  const unsigned shards = m.shard_count();
-  if (shards > 1) {
-    // Sharded path (docs/SHARDING.md): the shift decomposes into an
-    // intra-shard pass plus a cross-shard exchange over the boundary
-    // lanes.  The lane list is static per (geometry, axis, delta, shard
-    // count), so it is built once and cached in the exchange PlanCache.
-    const ShardLayout layout = m.shard_layout(geom);
-    const auto key = shift_exchange_key(m, geom, axis, delta);
-    const ExchangeSchedule* sched = m.exchange_cache().find_exchange(key);
-    if (sched == nullptr) {
-      sched = &m.exchange_cache().insert_exchange(
-          key, build_shift_exchange(geom, layout, axis, delta));
-    }
-    // Exchange phase A (gather): each shard copies its incoming remote
-    // lanes into a private buffer.  The fork-join barrier between phases
-    // guarantees every gather read sees pre-instruction values, even when
-    // dst aliases src.
-    std::vector<std::vector<Bits>> gathered(shards);
-    auto& sstats = m.shard_stats();
-    m.pool().for_shards(shards, [&](unsigned, unsigned s) {
-      const auto& lanes = sched->per_shard[s];
-      auto& buf = gathered[s];
-      buf.resize(lanes.size());
-      for (std::size_t i = 0; i < lanes.size(); ++i) {
-        buf[i] = in[static_cast<std::size_t>(lanes[i].src)];
-      }
-    });
-    // Intra pass + exchange phase B (commit): each shard writes only its
-    // own block, in ascending VP order — same-shard lanes read in place,
-    // remote lanes come from the gather buffer in recorded lane order, so
-    // every destination is written exactly once with the same value the
-    // unsharded pass would produce.
-    m.pool().for_shards(shards, [&](unsigned, unsigned s) {
-      std::uint64_t intra = 0;
-      std::uint64_t remote = 0;
-      for (std::int64_t vp = layout.begin(s); vp < layout.end(s); ++vp) {
-        if (mask[static_cast<std::size_t>(vp)] == 0) continue;
-        auto nb = geom.neighbor(vp, axis, delta);
-        if (nb && layout.same_shard(vp, *nb)) {
-          out[static_cast<std::size_t>(vp)] =
-              in[static_cast<std::size_t>(*nb)];
-          ++intra;
-        }
-      }
-      const auto& lanes = sched->per_shard[s];
-      const auto& buf = gathered[s];
-      for (std::size_t i = 0; i < lanes.size(); ++i) {
-        // The cached schedule is mask-independent; activity is checked
-        // here, at commit time.
-        if (mask[static_cast<std::size_t>(lanes[i].dst)] == 0) continue;
-        out[static_cast<std::size_t>(lanes[i].dst)] = buf[i];
-        ++remote;
-      }
-      sstats[s].ops += 1;
-      sstats[s].intra_lanes += intra;
-      sstats[s].exchange_lanes += remote;
-    });
-    return;
-  }
   m.pool().parallel_for(0, geom.size(), [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t vp = b; vp < e; ++vp) {
       if (mask[static_cast<std::size_t>(vp)] == 0) continue;
@@ -237,13 +121,6 @@ void router_get(Machine& m, const ContextStack& ctx, Field& dst,
     in = snapshot.data();
   }
   auto& out = dst.raw();
-  const unsigned shards = m.shard_count();
-  const ShardLayout layout = m.shard_layout(geom);
-  // Router addresses are data-dependent, so the exchange schedule is
-  // transient — rebuilt per instruction during the validation loop below,
-  // never cached.
-  ExchangeSchedule transient;
-  if (shards > 1) transient.per_shard.resize(shards);
   std::int64_t messages = 0;
   // Count messages and validate addresses serially first: addresses are
   // data-dependent, so a bad one is the *program's* runtime error and must
@@ -262,47 +139,8 @@ void router_get(Machine& m, const ContextStack& ctx, Field& dst,
           src.name().c_str(), static_cast<long long>(src.size())));
     }
     ++messages;
-    if (shards > 1 && !layout.same_shard(vp, *a)) {
-      transient.per_shard[layout.owner(vp)].push_back({vp, *a});
-    }
   }
   m.charge_router(geom.size(), static_cast<std::uint64_t>(messages));
-  if (shards > 1) {
-    // Sharded path: gather the remote lanes first (phase barrier keeps
-    // the reads pre-instruction), then each shard serves its own block —
-    // same-shard fetches in place, remote fetches from the gather buffer.
-    // Transient lanes were recorded under the active mask, so no recheck
-    // at commit (the mask cannot change mid-instruction).
-    std::vector<std::vector<Bits>> gathered(shards);
-    auto& sstats = m.shard_stats();
-    m.pool().for_shards(shards, [&](unsigned, unsigned s) {
-      const auto& lanes = transient.per_shard[s];
-      auto& buf = gathered[s];
-      buf.resize(lanes.size());
-      for (std::size_t i = 0; i < lanes.size(); ++i) {
-        buf[i] = in[static_cast<std::size_t>(lanes[i].src)];
-      }
-    });
-    m.pool().for_shards(shards, [&](unsigned, unsigned s) {
-      std::uint64_t intra = 0;
-      for (std::int64_t vp = layout.begin(s); vp < layout.end(s); ++vp) {
-        if (mask[static_cast<std::size_t>(vp)] == 0) continue;
-        auto a = addr(vp);
-        if (!a || !layout.same_shard(vp, *a)) continue;
-        out[static_cast<std::size_t>(vp)] = in[static_cast<std::size_t>(*a)];
-        ++intra;
-      }
-      const auto& lanes = transient.per_shard[s];
-      const auto& buf = gathered[s];
-      for (std::size_t i = 0; i < lanes.size(); ++i) {
-        out[static_cast<std::size_t>(lanes[i].dst)] = buf[i];
-      }
-      sstats[s].ops += 1;
-      sstats[s].intra_lanes += intra;
-      sstats[s].exchange_lanes += lanes.size();
-    });
-    return;
-  }
   m.pool().parallel_for(0, geom.size(), [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t vp = b; vp < e; ++vp) {
       if (mask[static_cast<std::size_t>(vp)] == 0) continue;
@@ -357,11 +195,15 @@ Bits apply_reduce_op(ReduceOp op, ElemType type, Bits a, Bits b) {
   } else {
     const std::int64_t x = as_int(a);
     const std::int64_t y = as_int(b);
+    // Integer add/mul wrap in two's complement: computed unsigned (defined
+    // modular arithmetic) and cast back, never signed-overflow UB.
+    const auto ux = static_cast<std::uint64_t>(x);
+    const auto uy = static_cast<std::uint64_t>(y);
     switch (op) {
       case ReduceOp::kAdd:
-        return from_int(x + y);
+        return from_int(static_cast<std::int64_t>(ux + uy));
       case ReduceOp::kMul:
-        return from_int(x * y);
+        return from_int(static_cast<std::int64_t>(ux * uy));
       case ReduceOp::kMax:
         return from_int(std::max(x, y));
       case ReduceOp::kMin:
@@ -385,36 +227,6 @@ Bits reduce(Machine& m, const ContextStack& ctx, const Field& src,
   const auto n_active = ctx.active_count();
   m.charge_reduce(geom.size(), n_active);
   const auto& raw = src.raw();
-  const unsigned shards = m.shard_count();
-  if (shards > 1 && shard_exact(op, src.type())) {
-    // Sharded path: per-shard partial folds, then an ordered combine on
-    // the issuing thread (the shard analogue of the scan network's wired
-    // combine).  Gated to op/type pairs that regroup bitwise-exactly —
-    // float add/mul fall through to the serial fold below.
-    const ShardLayout layout = m.shard_layout(geom);
-    std::vector<Bits> partial(shards);
-    auto& sstats = m.shard_stats();
-    m.pool().for_shards(shards, [&](unsigned, unsigned s) {
-      Bits local = reduce_identity(op, src.type());
-      std::uint64_t lanes = 0;
-      for (std::int64_t vp = layout.begin(s); vp < layout.end(s); ++vp) {
-        if (mask[static_cast<std::size_t>(vp)] != 0) {
-          local = apply_reduce_op(op, src.type(), local,
-                                  raw[static_cast<std::size_t>(vp)]);
-          ++lanes;
-        }
-      }
-      partial[s] = local;
-      sstats[s].ops += 1;
-      sstats[s].intra_lanes += lanes;
-      sstats[s].exchange_lanes += 1;  // the partial crosses to the combine
-    });
-    Bits acc = reduce_identity(op, src.type());
-    for (unsigned s = 0; s < shards; ++s) {
-      acc = apply_reduce_op(op, src.type(), acc, partial[s]);
-    }
-    return acc;
-  }
   Bits acc = reduce_identity(op, src.type());
   for (std::int64_t vp = 0; vp < geom.size(); ++vp) {
     if (mask[static_cast<std::size_t>(vp)] != 0) {
@@ -433,49 +245,6 @@ void scan(Machine& m, const ContextStack& ctx, Field& dst, const Field& src,
   m.charge_reduce(geom.size(), ctx.active_count());
   const auto& in = src.raw();
   auto& out = dst.raw();
-  const unsigned shards = m.shard_count();
-  if (shards > 1 && shard_exact(op, src.type())) {
-    // Sharded path: classic block scan.  Phase 1 — each shard scans its
-    // block locally and records its running total; phase 2 (serial) — an
-    // exclusive prefix over the shard totals; phase 3 — each shard folds
-    // its prefix into its local results.  Exact for the gated ops because
-    // apply(prefix, fold(identity, xs)) regroups bitwise to the serial
-    // left fold (float add/mul use the serial path below).
-    const ShardLayout layout = m.shard_layout(geom);
-    std::vector<Bits> partial(shards);
-    auto& sstats = m.shard_stats();
-    m.pool().for_shards(shards, [&](unsigned, unsigned s) {
-      Bits local = reduce_identity(op, src.type());
-      std::uint64_t lanes = 0;
-      for (std::int64_t vp = layout.begin(s); vp < layout.end(s); ++vp) {
-        if (mask[static_cast<std::size_t>(vp)] == 0) continue;
-        local = apply_reduce_op(op, src.type(), local,
-                                in[static_cast<std::size_t>(vp)]);
-        out[static_cast<std::size_t>(vp)] = local;
-        ++lanes;
-      }
-      partial[s] = local;
-      sstats[s].ops += 1;
-      sstats[s].intra_lanes += lanes;
-      sstats[s].exchange_lanes += 1;  // the block total crosses shards
-    });
-    std::vector<Bits> prefix(shards);
-    Bits acc = reduce_identity(op, src.type());
-    for (unsigned s = 0; s < shards; ++s) {
-      prefix[s] = acc;
-      acc = apply_reduce_op(op, src.type(), acc, partial[s]);
-    }
-    m.pool().for_shards(shards, [&](unsigned, unsigned s) {
-      if (s == 0) return;  // prefix is the identity: nothing to fold in
-      const Bits p = prefix[s];
-      for (std::int64_t vp = layout.begin(s); vp < layout.end(s); ++vp) {
-        if (mask[static_cast<std::size_t>(vp)] == 0) continue;
-        out[static_cast<std::size_t>(vp)] = apply_reduce_op(
-            op, src.type(), p, out[static_cast<std::size_t>(vp)]);
-      }
-    });
-    return;
-  }
   Bits acc = reduce_identity(op, src.type());
   for (std::int64_t vp = 0; vp < geom.size(); ++vp) {
     if (mask[static_cast<std::size_t>(vp)] == 0) continue;
@@ -494,23 +263,6 @@ void broadcast(Machine& m, const ContextStack& ctx, Field& dst, Bits value) {
   m.charge_broadcast(geom.size());
   const auto& mask = ctx.current();
   auto& out = dst.raw();
-  const unsigned shards = m.shard_count();
-  if (shards > 1) {
-    const ShardLayout layout = m.shard_layout(geom);
-    auto& sstats = m.shard_stats();
-    m.pool().for_shards(shards, [&](unsigned, unsigned s) {
-      std::uint64_t lanes = 0;
-      for (std::int64_t vp = layout.begin(s); vp < layout.end(s); ++vp) {
-        if (mask[static_cast<std::size_t>(vp)] != 0) {
-          out[static_cast<std::size_t>(vp)] = value;
-          ++lanes;
-        }
-      }
-      sstats[s].ops += 1;
-      sstats[s].intra_lanes += lanes;
-    });
-    return;
-  }
   for (std::int64_t vp = 0; vp < geom.size(); ++vp) {
     if (mask[static_cast<std::size_t>(vp)] != 0) {
       out[static_cast<std::size_t>(vp)] = value;

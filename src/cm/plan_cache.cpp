@@ -11,20 +11,6 @@ Plan& PlanCache::insert(std::uint64_t key, Plan plan) {
   return plans_[key] = std::move(plan);
 }
 
-const ExchangeSchedule* PlanCache::find_exchange(std::uint64_t key) const {
-  auto it = exchanges_.find(key);
-  if (it == exchanges_.end()) return nullptr;
-  ++exchange_hits_;
-  return it->second.get();
-}
-
-const ExchangeSchedule& PlanCache::insert_exchange(std::uint64_t key,
-                                                   ExchangeSchedule sched) {
-  auto& slot = exchanges_[key];
-  slot = std::make_unique<ExchangeSchedule>(std::move(sched));
-  return *slot;
-}
-
 void PlanCache::replay(Machine& machine, Plan& plan) {
   plan.hits += 1;
   machine.note_plan_hit();

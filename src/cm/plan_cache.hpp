@@ -18,12 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "cm/machine.hpp"
-#include "cm/shard.hpp"
 
 namespace uc::cm {
 
@@ -60,33 +58,13 @@ class PlanCache {
   // nullptr on miss.
   Plan* find(std::uint64_t key);
   Plan& insert(std::uint64_t key, Plan plan);
-  void clear() {
-    plans_.clear();
-    exchanges_.clear();
-  }
+  void clear() { plans_.clear(); }
   std::size_t size() const { return plans_.size(); }
   // Read-only view of the charge-recipe entries, for durable-snapshot
   // serialization (docs/ROBUSTNESS.md "Durable checkpoints & resume").
-  // Exchange schedules are host-only derivations and deliberately stay
-  // out: a resumed process rebuilds them on demand.
   const std::unordered_map<std::uint64_t, Plan>& entries() const {
     return plans_;
   }
-
-  // ---- Cross-shard exchange schedules (docs/SHARDING.md) ----
-  // Same idea as charge-recipe plans, different payload: the per-shard
-  // remote-lane lists for a static-source op (NEWS shift) are a pure
-  // function of (geometry, axis, delta, shard count, layout epoch), so
-  // they are built once and replayed.  Keys are caller-built with mix()
-  // over exactly those inputs; a layout epoch bump retires stale entries
-  // by changing every key.  nullptr on miss; the returned schedule stays
-  // valid until clear() (values are behind unique_ptr, so rehashing does
-  // not move them while an op is mid-execution).
-  const ExchangeSchedule* find_exchange(std::uint64_t key) const;
-  const ExchangeSchedule& insert_exchange(std::uint64_t key,
-                                          ExchangeSchedule sched);
-  std::size_t exchange_size() const { return exchanges_.size(); }
-  std::uint64_t exchange_hits() const { return exchange_hits_; }
 
   // Issue every recorded charge against `machine` with the reduced planned
   // issue overhead and count the hit.  Re-applying annotations is the
@@ -102,9 +80,6 @@ class PlanCache {
 
  private:
   std::unordered_map<std::uint64_t, Plan> plans_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<ExchangeSchedule>>
-      exchanges_;
-  mutable std::uint64_t exchange_hits_ = 0;
 };
 
 }  // namespace uc::cm

@@ -100,40 +100,7 @@ void ThreadPool::parallel_for_indexed(
   const auto nthreads = static_cast<std::int64_t>(workers_.size()) + 1;
   const std::int64_t grain =
       std::max<std::int64_t>(min_grain, n / (nthreads * 4));
-  run_pooled(begin, end, fn, grain);
-}
 
-void ThreadPool::for_shards(
-    unsigned count, const std::function<void(unsigned, unsigned)>& fn) {
-  if (count == 0) return;
-  const std::function<void(unsigned, std::int64_t, std::int64_t)> body =
-      [&fn](unsigned worker, std::int64_t b, std::int64_t e) {
-        for (std::int64_t s = b; s < e; ++s) {
-          fn(worker, static_cast<unsigned>(s));
-        }
-      };
-  if (tls_in_region) {
-    body(tls_worker_id, 0, count);
-    return;
-  }
-  ++jobs_executed_;
-  if (workers_.empty() || count == 1) {
-    ++inline_jobs_;
-    ++chunks_per_worker_[0];
-    RegionGuard guard(0);
-    body(0, 0, count);
-    return;
-  }
-  // Grain 1: exactly one chunk per shard, deliberately skipping the
-  // kInlineCutoff — shard counts are tiny, but each shard's chunk covers
-  // a whole block of VPs and must land on its own worker.
-  run_pooled(0, count, body, /*grain=*/1);
-}
-
-void ThreadPool::run_pooled(
-    std::int64_t begin, std::int64_t end,
-    const std::function<void(unsigned, std::int64_t, std::int64_t)>& fn,
-    std::int64_t grain) {
   std::unique_lock<std::mutex> lock(mu_);
   job_.fn = &fn;
   job_.end = end;

@@ -15,10 +15,10 @@
 //     calling thread; when several chunks throw, the one covering the
 //     lowest range wins, so the reported error is deterministic for any
 //     chunk completion order;
-//   * nested use is safe: a region body that issues pool work (shard
-//     workers do, docs/SHARDING.md) runs the inner region inline on its
-//     own worker — the pool holds one job at a time, and an inner posting
-//     would otherwise clobber it and deadlock the outer join.
+//   * nested use is safe: a region body that issues pool work runs the
+//     inner region inline on its own worker — the pool holds one job at a
+//     time, and an inner posting would otherwise clobber it and deadlock
+//     the outer join.
 #pragma once
 
 #include <condition_variable>
@@ -66,15 +66,6 @@ class ThreadPool {
       const std::function<void(unsigned, std::int64_t, std::int64_t)>& fn,
       std::int64_t min_grain = 1024);
 
-  // Shard dispatch (docs/SHARDING.md): calls fn(worker, shard) once per
-  // shard in [0, count), one chunk per shard so each shard's block is
-  // processed by exactly one worker per region (worker affinity without
-  // the inline cutoff folding all shards onto the caller).  `worker` is
-  // the executing worker id, usable for per-worker arenas exactly as in
-  // parallel_for_indexed.  Blocks until every shard completes.
-  void for_shards(unsigned count,
-                  const std::function<void(unsigned, unsigned)>& fn);
-
   // ---- Utilization counters (host-side observability, docs/PROFILING.md).
   // Counters only ever grow; they do not affect scheduling, results, or
   // modeled cycles.  Read them between parallel regions (the pool is
@@ -83,7 +74,7 @@ class ThreadPool {
   // inside an outer counted region, and the counters are written by the
   // top-level issuing thread only.
 
-  // Number of parallel_for / parallel_for_indexed / for_shards regions
+  // Number of parallel_for / parallel_for_indexed regions
   // executed, including ones that ran inline on the calling thread.
   std::uint64_t jobs_executed() const { return jobs_executed_; }
   // Of jobs_executed(): regions that ran inline without posting to the
@@ -118,13 +109,6 @@ class ThreadPool {
   void worker_loop(unsigned worker_id);
   // Claims and runs chunks of the current job until none remain.
   void run_chunks(std::unique_lock<std::mutex>& lock, unsigned worker_id);
-  // Posts [begin, end) with the given grain, participates, waits for the
-  // drain, and rethrows the winning error.  Caller has checked for nesting
-  // and the inline fast path.
-  void run_pooled(std::int64_t begin, std::int64_t end,
-                  const std::function<void(unsigned, std::int64_t,
-                                           std::int64_t)>& fn,
-                  std::int64_t grain);
 
   std::mutex mu_;
   std::condition_variable work_cv_;  // signalled when a job is posted / quit

@@ -8,28 +8,9 @@
 namespace uc::prof {
 
 using support::format;
+using support::json_escape;
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string engine_mark(const Site& s) {
   if (s.bytecode_stmts > 0 && s.walk_stmts > 0) return "mixed";
@@ -204,31 +185,6 @@ std::string render_table(const std::vector<Site>& sites,
                                             static_cast<double>(mn));
   }
   out += "\n";
-  // Sharded runs get a per-shard section: instructions dispatched to the
-  // shard, lanes served inside its block, lanes fed through an exchange
-  // phase, and the lane imbalance across shards (host scheduling only —
-  // modeled cycles are shard-count independent, docs/SHARDING.md).
-  if (pool.shards.size() > 1) {
-    out += format("shards: %zu\n", pool.shards.size());
-    out += format("  %-6s %12s %14s %16s\n", "shard", "ops", "intra-lanes",
-                  "exchange-lanes");
-    std::uint64_t lane_min = ~0ull, lane_max = 0;
-    for (std::size_t s = 0; s < pool.shards.size(); ++s) {
-      const auto& st = pool.shards[s];
-      const auto lanes = st.intra_lanes + st.exchange_lanes;
-      lane_min = std::min(lane_min, lanes);
-      lane_max = std::max(lane_max, lanes);
-      out += format("  %-6zu %12llu %14llu %16llu\n", s,
-                    static_cast<unsigned long long>(st.ops),
-                    static_cast<unsigned long long>(st.intra_lanes),
-                    static_cast<unsigned long long>(st.exchange_lanes));
-    }
-    if (lane_min > 0 && lane_max > 0) {
-      out += format("  lane imbalance %.2fx\n",
-                    static_cast<double>(lane_max) /
-                        static_cast<double>(lane_min));
-    }
-  }
   return out;
 }
 
@@ -293,19 +249,6 @@ std::string sites_json(const std::vector<Site>& sites,
                   static_cast<unsigned long long>(pool.chunks[k]));
   }
   out += "]}";
-  if (!pool.shards.empty()) {
-    out += ",\n  \"shards\": [";
-    for (std::size_t s = 0; s < pool.shards.size(); ++s) {
-      const auto& st = pool.shards[s];
-      out += format(
-          "%s{\"ops\": %llu, \"intra_lanes\": %llu, \"exchange_lanes\": "
-          "%llu}",
-          s > 0 ? ", " : "", static_cast<unsigned long long>(st.ops),
-          static_cast<unsigned long long>(st.intra_lanes),
-          static_cast<unsigned long long>(st.exchange_lanes));
-    }
-    out += "]";
-  }
   out += "\n}\n";
   return out;
 }

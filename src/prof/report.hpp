@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "cm/cost.hpp"
-#include "cm/shard.hpp"
 #include "prof/profile.hpp"
 
 namespace uc::prof {
@@ -17,9 +16,6 @@ struct PoolUtilization {
   unsigned threads = 1;
   std::uint64_t jobs = 0;                  // parallel regions executed
   std::vector<std::uint64_t> chunks;       // chunks per worker id
-  // Per-shard counters (docs/SHARDING.md); empty when the run was
-  // unsharded.  Rendered as a per-shard section under the pool line.
-  std::vector<cm::ShardStats> shards;
 };
 
 struct TableOptions {

@@ -16,6 +16,11 @@ bool starts_with(std::string_view s, std::string_view prefix);
 // printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+// Escapes a string for use inside a JSON string literal: quote,
+// backslash, \n and \t get their short escapes, other control bytes
+// become \u00XX, and every other byte (UTF-8 included) passes through.
+std::string json_escape(std::string_view s);
+
 // Counts non-blank, non-comment lines — used by the conciseness experiment
 // (E9 in DESIGN.md) to compare UC and C* program sizes.
 std::size_t count_code_lines(std::string_view source);

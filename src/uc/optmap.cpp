@@ -24,26 +24,7 @@ namespace {
 using analysis::Assignment;
 using analysis::MapChoice;
 using analysis::MapChoiceKind;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += support::format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using support::json_escape;
 
 lang::ExprPtr make_ident(const std::string& name) {
   auto e = std::make_unique<lang::IdentExpr>();

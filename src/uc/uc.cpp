@@ -112,9 +112,6 @@ ProfileResult Program::profile(const ProfileOptions& options) const {
   result.pool.threads = machine.pool().thread_count();
   result.pool.jobs = machine.pool().jobs_executed();
   result.pool.chunks = machine.pool().chunks_per_worker();
-  if (machine.shard_count() > 1) {
-    result.pool.shards = machine.shard_stats();
-  }
 
   if (options.join_static) {
     // Static-vs-dynamic join: classify every parallel access with the

@@ -84,14 +84,13 @@ void CheckpointManager::restore(const Checkpoint& c) {
   vm_.fe_rng.seed(c.fe_rng_state);
   // Restore rewinds data to the captured mapping, but the plan epoch kept
   // counting through any post-capture remaps — statements re-executed now
-  // would otherwise hit communication plans (and cached exchange
-  // schedules) recorded under the later layout and replay the wrong
-  // charge recipe against pre-remap state.  Bumping to a *fresh* epoch
-  // (never rewinding to the captured value, which would collide with
-  // entries recorded before the capture under that same epoch) retires
-  // every cached plan recorded on the abandoned timeline.
+  // would otherwise hit communication plans recorded under the later
+  // layout and replay the wrong charge recipe against pre-remap state.
+  // Bumping to a *fresh* epoch (never rewinding to the captured value,
+  // which would collide with entries recorded before the capture under
+  // that same epoch) retires every cached plan recorded on the abandoned
+  // timeline.
   ++vm_.plan_epoch_;
-  vm_.machine.note_layout_change();
 }
 
 RecoveryScope::RecoveryScope(Impl& vm, const lang::Stmt* where)

@@ -1,11 +1,11 @@
 // Durable checkpoint serialization, atomic persistence and the resume
 // scan (docs/ROBUSTNESS.md "Durable checkpoints & resume").
 //
-// File format, version 1.  Header (56 bytes, little-endian):
+// File format, version 2.  Header (56 bytes, little-endian):
 //
 //   offset  size  field
 //        0     8  magic "UCCKPT01"
-//        8     4  format version (1)
+//        8     4  format version (2)
 //       12     8  program hash   (FNV-1a over source + compile flags)
 //       20     8  options hash   (options_fingerprint)
 //       28     8  capturing scope ordinal
@@ -38,7 +38,7 @@ namespace uc::vm::detail {
 
 namespace {
 
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::uint64_t kMagic = [] {
   const char m[8] = {'U', 'C', 'C', 'K', 'P', 'T', '0', '1'};
   std::uint64_t v = 0;
@@ -202,8 +202,7 @@ void encode_payload(const Impl& vm, const Checkpoint& c, ByteWriter& w) {
     w.bytes(f.defined.data(), f.defined.size());
   }
   w.u64(c.machine.rng_state);
-  // 2. Epochs + fault schedule position.
-  w.u64(vm.machine.layout_epoch());
+  // 2. Plan epoch + fault schedule position.
   w.u64(vm.plan_epoch_);
   w.u64(vm.machine.fault_injector().rng_state());
   // 3. Cost stats (already include this capture's charge and this durable
@@ -277,7 +276,6 @@ DecodedSnapshot decode_payload(ByteReader& r) {
     s.machine.fields.push_back(std::move(f));
   }
   s.machine.rng_state = r.u64();
-  s.layout_epoch = r.u64();
   s.plan_epoch = r.u64();
   s.injector_rng = r.u64();
   s.stats = decode_stats(r);
@@ -668,10 +666,9 @@ bool DurableCheckpoints::apply_resume(LaneSpace* space, Frame* frame) {
   vm_.stmt_counter = snap.stmt_counter;
   vm_.fe_rng.seed(snap.fe_rng_state);
   vm_.machine.set_stats(snap.stats);
-  // Epochs are SET (not bumped): the prefix evolved them identically to
-  // the original run, and restored plan-cache entries are keyed under the
-  // captured values.
-  vm_.machine.set_layout_epoch(snap.layout_epoch);
+  // The plan epoch is SET (not bumped): the prefix evolved it identically
+  // to the original run, and restored plan-cache entries are keyed under
+  // the captured value.
   vm_.machine.fault_injector().set_rng_state(snap.injector_rng);
   vm_.plan_epoch_ = snap.plan_epoch;
   vm_.plan_cache_.clear();

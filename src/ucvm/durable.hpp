@@ -56,7 +56,6 @@ struct Checkpoint;
 // and validated against the live lane-space chain at apply time.
 struct DecodedSnapshot {
   cm::MachineImage machine;
-  std::uint64_t layout_epoch = 0;
   std::uint64_t plan_epoch = 0;
   std::uint64_t injector_rng = 0;
   cm::CostStats stats;
@@ -119,7 +118,7 @@ class DurableCheckpoints {
 
   // Fingerprint of every option that steers execution semantics (engine,
   // optimisation toggles, seeds, cost model, fault spec).  Host-only knobs
-  // (shards, host threads, timeout, tracing) are excluded: they never
+  // (host threads, timeout, tracing) are excluded: they never
   // change outputs or modeled cycles, so a snapshot stays resumable across
   // them.
   static std::uint64_t options_fingerprint(const Impl& vm);

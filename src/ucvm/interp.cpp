@@ -350,7 +350,6 @@ RunResult Impl::run() {
             slot.array = std::make_shared<ArrayObj>(
                 machine, d.name, d.symbol->type.scalar, d.symbol->type.dims);
             ++plan_epoch_;  // new layout: cached plans must not match
-            machine.note_layout_change();
           } else {
             slot.kind = FrameSlot::Kind::kScalar;
             slot.scalar = Value::of_int(0).coerce(d.symbol->type.scalar);
@@ -566,7 +565,6 @@ Flow Impl::exec_scalar_stmt(const Stmt& stmt, EvalCtx& ctx) {
           slot.array = std::make_shared<ArrayObj>(
               machine, d.name, d.symbol->type.scalar, d.symbol->type.dims);
           ++plan_epoch_;  // new layout: cached plans must not match
-          machine.note_layout_change();
         } else {
           slot.kind = FrameSlot::Kind::kScalar;
           slot.scalar = Value::of_int(0).coerce(d.symbol->type.scalar);

@@ -97,29 +97,6 @@ void Impl::expand(LaneSpace& child, LaneSpace& parent,
 // Synchronous evaluation over lanes
 // ---------------------------------------------------------------------------
 
-std::vector<std::pair<std::int64_t, std::int64_t>> shard_lane_ranges(
-    const LaneSpace& space, const std::vector<std::int64_t>& active,
-    const cm::ShardLayout& layout) {
-  std::vector<std::pair<std::int64_t, std::int64_t>> ranges(
-      layout.shard_count());
-  const auto n = static_cast<std::int64_t>(active.size());
-  std::int64_t k = 0;
-  for (unsigned s = 0; s < layout.shard_count(); ++s) {
-    const std::int64_t lo = k;
-    // First position whose VP lies past shard s's block (VPs are monotone
-    // along the active list, see interp_detail.hpp).
-    const auto bound = layout.end(s);
-    k = std::lower_bound(active.begin() + lo, active.begin() + n, bound,
-                         [&space](std::int64_t lane, std::int64_t b) {
-                           return space.vps[static_cast<std::size_t>(lane)] <
-                                  b;
-                         }) -
-        active.begin();
-    ranges[s] = {lo, k};
-  }
-  return ranges;
-}
-
 void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
                       const std::vector<std::int64_t>& active, Frame* frame,
                       std::vector<Value>* values) {
@@ -195,25 +172,7 @@ void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
         if (results != nullptr) results[k] = v;
       }
     };
-    const unsigned shards = machine.shard_count();
-    if (shards > 1 && n > cm::ThreadPool::kInlineCutoff) {
-      // Sharded dispatch (docs/SHARDING.md): each shard's contiguous
-      // slice of the active list goes to exactly one worker.  Per-lane
-      // results/writes/stats land in lane-indexed slots either way, so
-      // the commit below is dispatch-order independent.
-      const cm::ShardLayout layout(space.geom_size, shards);
-      const auto ranges = shard_lane_ranges(space, active, layout);
-      auto& sstats = machine.shard_stats();
-      machine.pool().for_shards(shards, [&](unsigned, unsigned s) {
-        const auto [b, e_] = ranges[s];
-        if (b >= e_) return;
-        run_range(b, e_);
-        sstats[s].ops += 1;
-        sstats[s].intra_lanes += static_cast<std::uint64_t>(e_ - b);
-      });
-    } else {
-      machine.pool().parallel_for(0, n, run_range, /*min_grain=*/64);
-    }
+    machine.pool().parallel_for(0, n, run_range, /*min_grain=*/64);
 
     // Merge dynamic comm stats and charge them on the issuing thread.
     AccessStats total;

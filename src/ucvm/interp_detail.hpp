@@ -512,16 +512,4 @@ void classify_remote_access(const ArrayObj& arr, std::int64_t flat,
 bool reduction_partitions(const lang::ReduceExpr& e,
                           const LaneSpace& outer_space);
 
-// Partitions an active-lane list into per-shard contiguous subranges
-// (docs/SHARDING.md): entry s is the half-open [begin, end) range of
-// positions in `active` whose lane VP falls in shard s's block.  Valid
-// because space.vps is monotone ascending in lane order (expand() builds
-// vp = parent_vp * prod + tuple_flat) and active-lane lists are ascending,
-// so ownership is monotone along `active` and each boundary is one binary
-// search.  Both engines' dispatch paths use this to give every shard's
-// lanes to exactly one worker per statement.
-std::vector<std::pair<std::int64_t, std::int64_t>> shard_lane_ranges(
-    const LaneSpace& space, const std::vector<std::int64_t>& active,
-    const cm::ShardLayout& layout);
-
 }  // namespace uc::vm::detail

@@ -275,7 +275,6 @@ void Impl::apply_map_section(const lang::MapSectionStmt& section,
                              EvalCtx& ctx) {
   ProfScope prof_scope(*this, &section, "map", section.range);
   ++plan_epoch_;  // remapping invalidates cached communication plans
-  machine.note_layout_change();  // ...and cached cross-shard exchanges
   for (const auto& m : section.mappings) {
     if (m.target_symbol == nullptr) continue;
     ArrayPtr target = array_of(*m.target_symbol, ctx);

@@ -719,24 +719,6 @@ void Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
             static_cast<std::uint32_t>(arena.writes.size()) - span_start;
         if (count > 0) arena.spans.push_back(ChunkSpan{b, span_start, count});
       };
-  const unsigned shards = vm_.machine.shard_count();
-  if (shards > 1 && n > cm::ThreadPool::kInlineCutoff) {
-    // Sharded dispatch (docs/SHARDING.md): one chunk per shard, so each
-    // shard's lanes run on a single worker and its buffered writes form
-    // one span.  commit_buffered() sorts spans by begin_k, which restores
-    // the walk's lane order regardless of which worker ran which shard.
-    const cm::ShardLayout layout(space.geom_size, shards);
-    const auto ranges = shard_lane_ranges(space, active, layout);
-    auto& sstats = vm_.machine.shard_stats();
-    vm_.machine.pool().for_shards(shards, [&](unsigned worker, unsigned s) {
-      const auto [b, e] = ranges[s];
-      if (b >= e) return;
-      body(worker, b, e);
-      sstats[s].ops += 1;
-      sstats[s].intra_lanes += static_cast<std::uint64_t>(e - b);
-    });
-    return;
-  }
   vm_.machine.pool().parallel_for_indexed(0, n, body, /*min_grain=*/64);
 }
 

@@ -167,7 +167,7 @@ class Engine {
   // Native-tier dispatch (native_exec.cpp): prepares the kernel through the
   // backend, validates the emit-time representation assumptions against the
   // linked state, and runs the lanes through the compiled entry point with
-  // the same chunking/sharding as the pooled bytecode path.  Returns false
+  // the same chunking as the pooled bytecode path.  Returns false
   // (with the arenas reset) when the statement must run on bytecode
   // instead — not prepared, assumptions failed, or the kernel flagged a
   // runtime error that the deterministic bytecode rerun will re-raise with

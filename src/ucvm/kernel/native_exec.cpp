@@ -1,8 +1,8 @@
 // Native-tier dispatch: builds NativeArgs from the engine's linked operand
 // state and runs lane chunks through the compiled entry point, with the
-// same chunking, sharding and buffered-write spans as the pooled bytecode
-// path so commit order and stats attribution are identical (docs/VM.md
-// "Native tier").
+// same chunking and buffered-write spans as the pooled bytecode path so
+// commit order and stats attribution are identical (docs/VM.md "Native
+// tier").
 #include <atomic>
 
 #include "ucvm/kernel/kernel.hpp"
@@ -188,35 +188,12 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
   };
 
   native_->note_dispatch();
-  const unsigned shards = vm_.machine.shard_count();
-  if (shards > 1 && n > cm::ThreadPool::kInlineCutoff) {
-    // Sharded dispatch, same layout as the bytecode path; the per-shard
-    // op/lane accounting is applied only after a successful run so an
-    // error fallback does not double-count when bytecode re-executes.
-    const cm::ShardLayout layout(space.geom_size, shards);
-    const auto ranges = shard_lane_ranges(space, active, layout);
-    vm_.machine.pool().for_shards(shards, [&](unsigned worker, unsigned s) {
-      const auto [b, e] = ranges[s];
-      if (b >= e) return;
-      body(worker, b, e);
-    });
-    if (!failed.load(std::memory_order_relaxed)) {
-      auto& sstats = vm_.machine.shard_stats();
-      for (unsigned s = 0; s < shards; ++s) {
-        const auto [b, e] = ranges[s];
-        if (b >= e) continue;
-        sstats[s].ops += 1;
-        sstats[s].intra_lanes += static_cast<std::uint64_t>(e - b);
-      }
-    }
-  } else {
-    // Compiled lanes are an order of magnitude cheaper than interpreted
-    // ones, so the profitable chunk size is correspondingly larger: below
-    // ~1k lanes the pool's fork-join handshake costs more than the whole
-    // statement and the range runs inline (docs/SHARDING.md "Dispatch
-    // latency and the host-time floor").
-    vm_.machine.pool().parallel_for_indexed(0, n, body, /*min_grain=*/1024);
-  }
+  // Compiled lanes are an order of magnitude cheaper than interpreted
+  // ones, so the profitable chunk size is correspondingly larger: below
+  // ~1k lanes the pool's fork-join handshake costs more than the whole
+  // statement and the range runs inline (docs/VM.md "Dispatch latency and
+  // the host-time floor").
+  vm_.machine.pool().parallel_for_indexed(0, n, body, /*min_grain=*/1024);
 
   if (failed.load(std::memory_order_relaxed)) {
     // A lane hit a runtime error (bounds, division by zero, ...).  Discard

@@ -6,7 +6,7 @@
 //   extern "C" const NativeInfo uc_native_info;
 //
 // NativeArgs carries everything link-dependent — field pointers, coord
-// tables, scalar snapshots, the shard's [k_begin, k_end) slice of the
+// tables, scalar snapshots, the chunk's [k_begin, k_end) slice of the
 // active-lane list — so the emitted code bakes in only kernel-static
 // facts (instruction sequence, register types, pool constants, operand
 // table indices).  The same .so therefore stays valid across executions,

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
+#include <vector>
 
 namespace uc::cm {
 namespace {
@@ -227,6 +229,108 @@ INSTANTIATE_TEST_SUITE_P(AllOps, ReducePropertyP,
                                            ReduceOp::kMax, ReduceOp::kMin,
                                            ReduceOp::kAnd, ReduceOp::kOr,
                                            ReduceOp::kXor));
+
+TEST(OpsWrap, IntAddMulWrapTwosComplement) {
+  // Integer reductions wrap like the two's-complement hardware adder and
+  // multiplier instead of overflowing (signed overflow is UB in C++).
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  Machine m;
+  auto g = m.create_geometry({2});
+  ContextStack ctx(&m.geometry(g));
+  auto& a = m.field(m.allocate_field(g, "a", ElemType::kInt));
+  a.set(0, from_int(kMax));
+  a.set(1, from_int(1));
+  EXPECT_EQ(as_int(reduce(m, ctx, a, ReduceOp::kAdd)), kMin);
+  EXPECT_EQ(as_int(reduce(m, ctx, a, ReduceOp::kMul)), kMax);
+  a.set(1, from_int(2));
+  EXPECT_EQ(as_int(reduce(m, ctx, a, ReduceOp::kMul)), -2);
+  a.set(0, from_int(kMin));
+  a.set(1, from_int(-1));
+  EXPECT_EQ(as_int(reduce(m, ctx, a, ReduceOp::kMul)), kMin);
+  EXPECT_EQ(as_int(reduce(m, ctx, a, ReduceOp::kAdd)), kMax);
+}
+
+// Host-thread differential: the primitives split per-VP work across the
+// pool, which must never change a field word, a front-end scalar or a cost
+// counter.  One mixed scenario — masked and aliased NEWS shifts, router
+// gathers, every reduction and scan, broadcasts — runs on a geometry large
+// enough to be chunked across workers, at 1 and 4 host threads.
+struct OpsScenarioResult {
+  std::vector<Bits> words;    // all field contents, concatenated
+  std::vector<Bits> scalars;  // reduce results + global_or
+  CostStats stats;
+};
+
+OpsScenarioResult run_ops_scenario(unsigned threads) {
+  MachineOptions opts;
+  opts.host_threads = threads;
+  Machine m(opts);
+  const GeomId g = m.create_geometry({64, 65});  // 4160 VPs: several chunks
+  const Geometry& geom = m.geometry(g);
+  const std::int64_t n = geom.size();
+  ContextStack ctx(&geom);
+  Field& a = m.field(m.allocate_field(g, "a", ElemType::kInt));
+  Field& b = m.field(m.allocate_field(g, "b", ElemType::kInt));
+  Field& x = m.field(m.allocate_field(g, "x", ElemType::kFloat));
+  Field& y = m.field(m.allocate_field(g, "y", ElemType::kFloat));
+
+  elementwise(m, ctx, b, [](VpIndex vp) { return from_int(vp * 7 - 3); });
+  elementwise(m, ctx, x,
+              [](VpIndex vp) { return from_float(vp * 0.5 - 3.25); });
+  a.fill(from_int(-1));
+  y.fill(from_float(0.0));
+
+  OpsScenarioResult r;
+  news_shift(m, ctx, a, b, 0, 1);
+  ctx.where([](VpIndex vp) { return vp % 3 != 0; });
+  news_shift(m, ctx, a, b, 1, -1);
+  ctx.end();
+  news_shift(m, ctx, a, a, 1, 2);   // dst aliases src
+  news_shift(m, ctx, y, x, 0, -3);  // float payloads, multi-hop
+  router_get(m, ctx, a, b,
+             [n](VpIndex vp) -> std::optional<VpIndex> { return n - 1 - vp; });
+  ctx.where([](VpIndex vp) { return vp % 5 == 1; });
+  router_get(m, ctx, y, x, [n](VpIndex vp) -> std::optional<VpIndex> {
+    if (vp % 2 == 0) return std::nullopt;
+    return (vp * 13) % n;
+  });
+  ctx.end();
+  for (const ReduceOp op : {ReduceOp::kAdd, ReduceOp::kMul, ReduceOp::kMin,
+                            ReduceOp::kMax, ReduceOp::kAnd, ReduceOp::kOr,
+                            ReduceOp::kXor}) {
+    r.scalars.push_back(reduce(m, ctx, b, op));
+  }
+  for (const ReduceOp op : {ReduceOp::kAdd, ReduceOp::kMin, ReduceOp::kMax}) {
+    r.scalars.push_back(reduce(m, ctx, x, op));
+  }
+  scan(m, ctx, a, b, ReduceOp::kAdd);
+  scan(m, ctx, y, x, ReduceOp::kMax);
+  ctx.where([](VpIndex vp) { return vp % 2 == 1; });
+  scan(m, ctx, a, b, ReduceOp::kMin);
+  ctx.end();
+  ctx.where([](VpIndex vp) { return vp % 7 == 3; });
+  broadcast(m, ctx, a, from_int(4242));
+  r.scalars.push_back(from_int(global_or(m, ctx) ? 1 : 0));
+  ctx.end();
+
+  for (const Field* f : {&a, &b, &x, &y}) {
+    for (VpIndex vp = 0; vp < n; ++vp) r.words.push_back(f->get(vp));
+  }
+  r.stats = m.stats();
+  return r;
+}
+
+TEST(OpsThreads, BitIdenticalAcrossHostThreadCounts) {
+  const OpsScenarioResult base = run_ops_scenario(1);
+  const OpsScenarioResult got = run_ops_scenario(4);
+  ASSERT_EQ(base.words.size(), got.words.size());
+  for (std::size_t i = 0; i < base.words.size(); ++i) {
+    ASSERT_EQ(base.words[i], got.words[i]) << "field word " << i;
+  }
+  EXPECT_EQ(base.scalars, got.scalars);
+  EXPECT_EQ(base.stats, got.stats);
+}
 
 }  // namespace
 }  // namespace uc::cm

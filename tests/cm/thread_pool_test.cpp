@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace uc::cm {
@@ -125,6 +126,66 @@ TEST(ThreadPool, SmallJobsRunInlineOnCallingThread) {
 TEST(ThreadPool, ThreadCountReported) {
   EXPECT_EQ(ThreadPool(1).thread_count(), 1u);
   EXPECT_EQ(ThreadPool(4).thread_count(), 4u);
+}
+
+TEST(ThreadPool, NestedParallelForRunsInline) {
+  // A region body may call helpers that use the pool again; the pool holds
+  // a single job slot, so the nested region must run inline on the calling
+  // worker (under its id) instead of re-entering the pool and deadlocking.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(4000);
+  std::atomic<int> mismatched_ids{0};
+  pool.parallel_for_indexed(
+      0, 4000,
+      [&](unsigned outer, std::int64_t b, std::int64_t e) {
+        pool.parallel_for_indexed(
+            b, e,
+            [&](unsigned inner, std::int64_t ib, std::int64_t ie) {
+              if (inner != outer) mismatched_ids++;
+              for (auto i = ib; i < ie; ++i) {
+                hits[static_cast<std::size_t>(i)].fetch_add(
+                    1, std::memory_order_relaxed);
+              }
+            },
+            /*min_grain=*/8);
+      },
+      /*min_grain=*/1000);
+  EXPECT_EQ(mismatched_ids.load(), 0);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, ErrorFromLowestRangeWins) {
+  // When several chunks throw, the rethrown error must be the one the
+  // serial left-to-right execution would have hit first — not whichever
+  // worker finished first (scheduling-dependent).
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    try {
+      pool.parallel_for(
+          0, 4000,
+          [&](std::int64_t b, std::int64_t) {
+            throw std::runtime_error("chunk@" + std::to_string(b));
+          },
+          /*min_grain=*/100);
+      FAIL() << "expected a throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "chunk@0");
+    }
+  }
+}
+
+TEST(ThreadPool, ZeroThreadCountFallsBackToHardware) {
+  // thread_count==0 means "ask the OS"; even when hardware_concurrency()
+  // itself returns 0 the pool must come up with at least one thread.
+  ThreadPool pool(0);
+  EXPECT_GE(pool.thread_count(), 1u);
+  std::atomic<int> n{0};
+  pool.parallel_for(
+      0, 2000, [&](std::int64_t b, std::int64_t e) { n += int(e - b); },
+      /*min_grain=*/100);
+  EXPECT_EQ(n.load(), 2000);
 }
 
 }  // namespace

@@ -56,5 +56,17 @@ TEST(Str, CountCodeLinesBlockCommentWithCodeBefore) {
   EXPECT_EQ(count_code_lines("int a; /* x\ny */ int b;\n"), 2u);
 }
 
+TEST(Str, JsonEscape) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("l1\nl2\tx"), "l1\\nl2\\tx");
+  EXPECT_EQ(json_escape(std::string_view("\x01\x1f", 2)), "\\u0001\\u001f");
+  EXPECT_EQ(json_escape(std::string_view("nul\0end", 7)), "nul\\u0000end");
+  // UTF-8 multi-byte sequences pass through unchanged.
+  EXPECT_EQ(json_escape("caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x98\x80"),
+            "caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x98\x80");
+}
+
 }  // namespace
 }  // namespace uc::support

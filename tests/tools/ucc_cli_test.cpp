@@ -206,6 +206,13 @@ TEST(UccCli, UnknownOptionRejected) {
   EXPECT_NE(r.output.find("unknown option"), std::string::npos);
 }
 
+TEST(UccCli, ShardsOptionIsGone) {
+  // --threads is the only host-parallel knob; --shards is not an option.
+  auto r = run_command(ucc() + " run " + program("hello.uc") + " --shards=2");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown option"), std::string::npos) << r.output;
+}
+
 TEST(UccCli, MissingFileRejected) {
   auto r = run_command(ucc() + " run /no/such/file.uc");
   EXPECT_NE(r.exit_code, 0);
@@ -382,7 +389,7 @@ TEST(UccCli, CheckpointDirRequiresCadence) {
 // generations behind; --resume restores the newest one and must finish
 // with the same program output AND the same modeled cycle count as an
 // uninterrupted run.  tools/soak.sh repeats this at randomized kill points
-// across programs, engines and shard counts.
+// across programs, engines and host thread counts.
 TEST(UccCli, DieAtKillsAndResumeReproducesBitIdentical) {
   const std::string dir = "/tmp/ucc_cli_ck";
   run_command("rm -rf " + dir + " " + dir + "_base");

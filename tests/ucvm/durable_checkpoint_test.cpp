@@ -174,27 +174,34 @@ TEST_P(DurableP, TornTailFallsBack) {
   EXPECT_EQ(first.stats().cycles, second.stats().cycles);
 }
 
-// A future format version is refused outright rather than misparsed.  The
-// version word sits at byte offset 8 of the header, outside the payload
-// CRC, so a single-byte patch produces exactly a version-skewed file.
+// An older or future format version is refused outright rather than
+// misparsed: version 1 files carry a layout-epoch word that version 2
+// dropped.  The version word sits at byte offset 8 of the header, outside
+// the payload CRC, so a single-byte patch produces exactly a version-skewed
+// file.
 TEST(DurableCheckpoint, VersionSkewIsRefused) {
   const std::string src = papers::shortest_path_on2(8, 11);
-  TempDir dir;
-  ExecOptions base = with_engine(ExecEngine::kBytecode, 2);
-  base.checkpoint_dir = dir.path;
-  const RunResult first = run_uc(src, {}, base);
-  auto gens = generations(dir.path);
-  ASSERT_GE(gens.size(), 2u);
-  patch_byte(gens.back(), 8, 2);
+  for (const unsigned version : {1u, 3u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    TempDir dir;
+    ExecOptions base = with_engine(ExecEngine::kBytecode, 2);
+    base.checkpoint_dir = dir.path;
+    const RunResult first = run_uc(src, {}, base);
+    auto gens = generations(dir.path);
+    ASSERT_GE(gens.size(), 2u);
+    patch_byte(gens.back(), 8, static_cast<unsigned char>(version));
 
-  std::vector<std::string> logs;
-  ExecOptions res = base;
-  res.resume = true;
-  res.log = [&](const std::string& line) { logs.push_back(line); };
-  const RunResult second = run_uc(src, {}, res);
-  EXPECT_TRUE(logged(logs, "format version 2, expected 1")) << "bad skew msg";
-  EXPECT_TRUE(logged(logs, "restoring generation"));
-  EXPECT_EQ(first.output(), second.output());
+    std::vector<std::string> logs;
+    ExecOptions res = base;
+    res.resume = true;
+    res.log = [&](const std::string& line) { logs.push_back(line); };
+    const RunResult second = run_uc(src, {}, res);
+    EXPECT_TRUE(logged(logs, "format version " + std::to_string(version) +
+                                 ", expected 2"))
+        << "bad skew msg";
+    EXPECT_TRUE(logged(logs, "restoring generation"));
+    EXPECT_EQ(first.output(), second.output());
+  }
 }
 
 // Snapshots are bound to the program text: a different program hash means

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "cm/fault.hpp"
 #include "support/error.hpp"
 #include "uc/paper_programs.hpp"
 #include "ucvm/interp.hpp"
@@ -340,6 +341,78 @@ TEST(EngineParity, FusionForwardsSameLaneRaw) {
       "  }\n"
       "}\n",
       {"a", "b", "c"});
+}
+
+// --- host threads under faults + checkpoints ---
+
+// Splitting lanes across host threads is a host-only knob: for every
+// engine, a run at 4 host threads must match the 1-thread run exactly —
+// output, named globals, and every CostStats counter, including the fault,
+// retry, rollback, checkpoint and plan-hit counters.  A run that drew a
+// different fault schedule or missed a cached plan is a real bug even when
+// the output happens to match.  The lane counts exceed the pool's inline
+// cutoff (and, for fig6/fig8, the native tier's 1024-lane grain), so lanes
+// are really dispatched across workers.  Fault rates are per unit (VP,
+// message or combine step), so each workload gets rates that draw faults
+// without exhausting the replay budget.
+constexpr const char* kGridFaultSpec =
+    "router:p=2e-5;news:p=2e-5;reduce:p=2e-5;memory:p=1e-4,"
+    "seed=7,retries=2,backoff=32,detect=16";
+// ranksort's rank reduction spans N*N VPs and its scatter sends ~4*N*N
+// router messages, so memory and router rates are scaled down.
+constexpr const char* kRanksortFaultSpec =
+    "router:p=5e-6;news:p=1e-4;reduce:p=1e-2;memory:p=5e-6,"
+    "seed=7,retries=2,backoff=32,detect=16";
+
+RunResult run_threaded(const std::string& src, const char* faults,
+                       ExecEngine engine, bool fuse, unsigned threads) {
+  cm::MachineOptions mopts;
+  mopts.host_threads = threads;
+  mopts.faults = cm::parse_fault_spec(faults);
+  ExecOptions eopts;
+  eopts.engine = engine;
+  eopts.fuse = fuse;
+  eopts.checkpoint_every = 8;
+  return run_uc(src, mopts, eopts);
+}
+
+void expect_thread_parity_under_faults(
+    const std::string& src, const char* faults,
+    const std::vector<std::string>& globals = {}) {
+  const struct {
+    ExecEngine engine;
+    bool fuse;
+    const char* label;
+  } configs[] = {{ExecEngine::kWalk, false, "walk"},
+                 {ExecEngine::kBytecode, false, "bytecode"},
+                 {ExecEngine::kBytecode, true, "bytecode-fused"},
+                 {ExecEngine::kNative, true, "native"}};
+  for (const auto& c : configs) {
+    SCOPED_TRACE(c.label);
+    const RunResult one = run_threaded(src, faults, c.engine, c.fuse, 1);
+    ASSERT_GT(one.stats().faults, 0u)
+        << "workload drew no faults; raise p so the test means something";
+    ASSERT_GT(one.stats().checkpoints, 0u);
+    const RunResult four = run_threaded(src, faults, c.engine, c.fuse, 4);
+    EXPECT_EQ(one.output(), four.output());
+    EXPECT_EQ(one.stats(), four.stats());
+    expect_globals_equal(one, four, globals, "threads=1/threads=4");
+  }
+}
+
+TEST(EngineParity, Fig6HostThreadsUnderFaultsAndCheckpoints) {
+  expect_thread_parity_under_faults(papers::shortest_path_on2(36),
+                                    kGridFaultSpec, {"d"});
+}
+
+TEST(EngineParity, Fig8HostThreadsUnderFaultsAndCheckpoints) {
+  expect_thread_parity_under_faults(papers::grid_shortest_path(36, 36, true),
+                                    kGridFaultSpec, {"d"});
+}
+
+TEST(EngineParity, RanksortHostThreadsUnderFaultsAndCheckpoints) {
+  expect_thread_parity_under_faults(papers::ranksort(300), kRanksortFaultSpec,
+                                    {"a"});
 }
 
 // --- diagnostics parity: same text, same location, either engine ---

@@ -123,6 +123,41 @@ INSTANTIATE_TEST_SUITE_P(Engines, FaultRecoveryP,
                                       : "bytecode";
                          });
 
+// ---- faults + checkpoint + plan cache differential ----
+
+// Locks in the checkpoint/epoch ordering fix: a rollback restores VM state
+// recorded *before* a map-section remap, so any plan recorded under the
+// later plan epoch must not replay after the restore.  Before the fix,
+// restore rewound the plan epoch to the captured value, colliding with
+// recipes recorded pre-capture under the same epoch number.  Runs at 1 and
+// 4 host threads; 1024 lanes are enough to split across the pool.
+TEST(FaultRecovery, MapRemapUnderFaultsMatchesCleanRun) {
+  const auto src = papers::shifted_sum(1024, 4, true);
+  ExecOptions clean_opts;
+  clean_opts.engine = ExecEngine::kBytecode;
+  clean_opts.fuse = true;
+  ExecOptions faulty_opts = clean_opts;
+  faulty_opts.checkpoint_every = 4;
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    cm::MachineOptions clean_m;
+    clean_m.host_threads = threads;
+    cm::MachineOptions faulty_m =
+        with_faults("memory:p=5e-4;news:p=5e-4,seed=11,retries=1");
+    faulty_m.host_threads = threads;
+    const RunResult clean = run_uc(src, clean_m, clean_opts);
+    const RunResult faulted = run_uc(src, faulty_m, faulty_opts);
+    EXPECT_GT(faulted.stats().faults, 0u);
+    EXPECT_GT(faulted.stats().checkpoints, 0u);
+    EXPECT_EQ(clean.output(), faulted.output());
+    EXPECT_EQ(ints(clean.global_array("a")), ints(faulted.global_array("a")));
+    // Deterministic: the same faulted run replays bit-identically.
+    const RunResult again = run_uc(src, faulty_m, faulty_opts);
+    EXPECT_EQ(faulted.output(), again.output());
+    EXPECT_EQ(faulted.stats(), again.stats());
+  }
+}
+
 // ---- unrecoverable faults ----
 
 TEST(FaultRecovery, CertainFaultWithoutCheckpointingIsFatal) {

@@ -1,6 +1,6 @@
 // Native-tier backend suite (docs/VM.md "Native tier"): the on-disk
 // compiled-kernel cache and its failure modes.  Engine-level output parity
-// lives in engine_parity_test.cpp / shard_parity_test.cpp; here we pin the
+// lives in engine_parity_test.cpp; here we pin the
 // cache mechanics — a warm cache reuses the compiled .so without invoking
 // the compiler, a corrupted or stale cached object is detected, discarded
 // and rebuilt (never trusted), and a kernel the emitter declines runs on

@@ -6,9 +6,8 @@
 #
 # The JSON is an array of {program, engine, host_ms, cycles} rows — walk,
 # bytecode (fusion off), bytecode-fused, bytecode-native (compiled lane
-# kernels; omitted on hosts without a working C++ toolchain), the
-# profiling/robustness variants, and the bytecode-shard1/2/4 scaling rows
-# (docs/SHARDING.md), one of each per workload (see docs/VM.md).
+# kernels; omitted on hosts without a working C++ toolchain), and the
+# profiling/robustness variants, one of each per workload (see docs/VM.md).
 # tools/ci.sh native gates the recorded fig8 native row against
 # regression.
 set -euo pipefail

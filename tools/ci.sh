@@ -144,33 +144,35 @@ run_asan() {
   # bytecode (byte-identical output and modeled cycles) vs bytecode-fused
   # (byte-identical output, cycles never above unfused).
   "$root/build-asan/tests/ucvm/test_ucvm" \
-      --gtest_filter='EngineParity*:ShardParity*'
+      --gtest_filter='EngineParity*'
   run_profile_smoke "$root/build-asan"
   run_fused_smoke "$root/build-asan"
   run_fault_smoke "$root/build-asan"
   run_optmap_smoke "$root/build-asan"
-  # Bounded under the sanitizers: one program, unsharded, one kill.
+  # Bounded under the sanitizers: one program, one host thread, one kill.
   run_soak_smoke "$root/build-asan" \
-      env SOAK_PROGS=fig6_shortest_path_on2 SOAK_SHARDS=1
+      env SOAK_PROGS=fig6_shortest_path_on2 SOAK_THREADS=1
 }
 
-# ThreadSanitizer lane (docs/SHARDING.md): sharded execution hands each
-# shard's block to its own pool worker, so the pool and the sharded parity
-# suites run under TSan.  The full ctest tier under TSan is slow; this lane
-# focuses on the suites that actually fork and join threads: the cm pool /
-# shard / ops / machine tests and the engine + shard differential suites,
-# which run every paper program through the sharded dispatch paths.
+# ThreadSanitizer lane: every primitive and every engine's lane loop split
+# VP/lane ranges across pool threads, so the pool and the host-thread
+# parity suites run under TSan.  The full ctest tier under TSan is slow;
+# this lane focuses on the suites that actually fork and join threads: the
+# cm pool / ops / machine tests (including the 1-vs-4-thread ops
+# differential), the engine parity suite (paper programs at 1 and 4 host
+# threads under faults and checkpoints), and the map-remap fault recovery
+# differential at 4 threads.
 run_tsan() {
   cmake -B "$root/build-tsan" -S "$root" -DUC_SANITIZE="thread"
   cmake --build "$root/build-tsan" -j
   "$root/build-tsan/tests/cm/test_cm" \
-      --gtest_filter='ThreadPool*:Threads/*:PoolShards*:Shard*:ShiftExchange*:MachineShards*:Machine*:Ops*'
+      --gtest_filter='ThreadPool*:Threads/*:Machine*:Ops*'
   # EngineParity.SeqAndStarSolveRoundsOnTwoThreads covers the lane spaces,
   # lane lists and value buffers that seq / *solve rounds reuse while pool
   # workers write them.  test_ucvm_alloc checks the same reuse by counting
   # allocations, which needs its own operator new, so TSan builds omit it.
   "$root/build-tsan/tests/ucvm/test_ucvm" \
-      --gtest_filter='ShardParity*:EngineParity*'
+      --gtest_filter='EngineParity*:FaultRecovery.MapRemap*'
 }
 
 run_bench_smoke() {

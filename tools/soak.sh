@@ -2,7 +2,7 @@
 # Kill/resume soak harness for durable checkpoints (docs/ROBUSTNESS.md
 # "Durable checkpoints & resume").
 #
-# For each (program, engine, shard-count) configuration:
+# For each (program, engine, host-thread-count) configuration:
 #   1. run once uninterrupted with --checkpoint-dir, recording the program
 #      output and the modeled cycle count;
 #   2. SOAK_KILLS times: rerun with --die-at=<random statement> (the VM
@@ -21,7 +21,7 @@
 #   SOAK_KILLS   kill/resume iterations per config   (default: 3)
 #   SOAK_PROGS   programs under programs/ to soak    (default: fig6/7/8)
 #   SOAK_ENGINES VM engines to soak                  (default: walk bytecode)
-#   SOAK_SHARDS  shard counts to soak                (default: 1 4)
+#   SOAK_THREADS host thread counts to soak          (default: 1 4)
 #   SOAK_SEED    RNG seed for kill-point selection   (default: 1)
 set -euo pipefail
 
@@ -31,7 +31,7 @@ ucc="$build/tools/ucc"
 kills="${SOAK_KILLS:-3}"
 progs="${SOAK_PROGS:-fig6_shortest_path_on2 fig7_shortest_path_on3 fig8_grid_obstacle}"
 engines="${SOAK_ENGINES:-walk bytecode}"
-shard_counts="${SOAK_SHARDS:-1 4}"
+thread_counts="${SOAK_THREADS:-1 4}"
 RANDOM="${SOAK_SEED:-1}"
 every=8
 
@@ -62,10 +62,10 @@ for prog in $progs; do
   src="$root/programs/$prog.uc"
   [ -f "$src" ] || fail "no such program $src"
   for engine in $engines; do
-    for shards in $shard_counts; do
+    for threads in $thread_counts; do
       configs=$((configs + 1))
-      cfg="$prog/$engine/shards=$shards"
-      common=(--engine="$engine" --shards="$shards" --checkpoint-every=$every)
+      cfg="$prog/$engine/threads=$threads"
+      common=(--engine="$engine" --threads="$threads" --checkpoint-every=$every)
 
       rm -rf "$tmp/base"
       "$ucc" run "$src" "${common[@]}" --checkpoint-dir="$tmp/base" --stats \

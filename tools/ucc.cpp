@@ -30,8 +30,6 @@
 //   --seed=<n>              machine RNG seed (default 1)
 //   --procs=<n>             physical processors (default 16384)
 //   --threads=<n>           host threads for the data-parallel runtime
-//   --shards=<n>            VP-set shards (0 = one per thread; default 1;
-//                           host-only: outputs and cycles are unchanged)
 //   --no-mappings           ignore map sections
 //   --no-procopt            disable the §4 processor optimisation
 //   --lower-solve           lower solve to *par at the source level
@@ -125,7 +123,6 @@ int usage() {
       "  --seed=<n>            machine RNG seed (default 1)\n"
       "  --procs=<n>           physical processors (default 16384)\n"
       "  --threads=<n>         host threads for the runtime\n"
-      "  --shards=<n>          VP-set shards (0 = one per thread)\n"
       "  --no-mappings         ignore map sections\n"
       "  --no-procopt          disable the processor optimisation\n"
       "  --lower-solve         lower solve to *par at the source level\n"
@@ -282,9 +279,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.machine.cost.physical_processors = v;
     } else if (int_value("--threads=", v)) {
       opts.machine.host_threads = static_cast<unsigned>(v);
-    } else if (int_value("--shards=", v, /*allow_zero=*/true)) {
-      // 0 = one shard per host thread (docs/SHARDING.md).
-      opts.machine.shards = static_cast<unsigned>(v);
     } else if (str_value("--faults=", sv)) {
       try {
         opts.machine.faults = uc::cm::parse_fault_spec(sv);
