@@ -17,6 +17,28 @@ namespace uc::vm {
 class ArrayObj;
 using ArrayPtr = std::shared_ptr<ArrayObj>;
 
+namespace detail {
+struct Write;
+}
+
+// Per-element conflict marks of the lane-ordered commit (docs/VM.md
+// "Linking and execution").  Element e was written by the commit in
+// progress iff marks[e].stamp == stamp, and marks[e].first is that
+// commit's first write to it.  A root array's column is allocated by the
+// first commit that writes the array and reused by every later one.
+struct WriteMarks {
+  struct Mark {
+    const detail::Write* first = nullptr;
+    std::uint32_t stamp = 0;
+  };
+  std::vector<Mark> marks;
+  std::uint32_t stamp = 0;
+  // The commit that last opened this column, and the column's entry in
+  // that commit's table of written arrays.
+  std::uint64_t commit = 0;
+  std::uint32_t slot = 0;
+};
+
 class ArrayObj {
  public:
   ArrayObj(cm::Machine& machine, std::string name, lang::ScalarKind scalar,
@@ -34,6 +56,22 @@ class ArrayObj {
                              std::vector<std::int64_t> dims);
 
   bool is_slice() const { return parent_ != nullptr; }
+
+  // The owning array (this one unless a slice) and this view's flat
+  // offset into it.
+  ArrayObj& root() { return parent_ ? *parent_ : *this; }
+  std::int64_t root_offset() const { return offset_; }
+
+  // The root array's commit conflict marks.
+  WriteMarks& write_marks() { return root().write_marks_; }
+
+  // Declared in a function called from a parallel lane: the array is
+  // private to that call, so writes to it apply immediately instead of
+  // waiting for the statement's commit.
+  bool call_local() const {
+    return parent_ ? parent_->call_local_ : call_local_;
+  }
+  void set_call_local() { root().call_local_ = true; }
 
   const std::string& name() const { return name_; }
   lang::ScalarKind scalar() const { return scalar_; }
@@ -88,8 +126,9 @@ class ArrayObj {
 
   // Hot-loop accessors for the bytecode engine: contiguous element storage
   // and owner table with the slice offset already applied, so element e of
-  // this view is raw_data()[e] / owner_data()[e].  Read-only — stores must
-  // go through store(), which maintains the field's defined flags.
+  // this view is raw_data()[e] / owner_data()[e].  Read-only — stores go
+  // through store(), or the commit, which also set the field's defined
+  // flags.
   const cm::Bits* raw_data() const { return field().raw().data() + offset_; }
   const cm::VpIndex* owner_data() const {
     return parent_ ? parent_->owner_data() + offset_ : owner_.data();
@@ -118,6 +157,8 @@ class ArrayObj {
   mutable std::vector<std::int64_t> coord_table_;
   bool replicated_ = false;
   std::int64_t replica_count_ = 1;
+  bool call_local_ = false;
+  WriteMarks write_marks_;
 
   // Slice view state (null/0 for owning arrays).  parent_ always points
   // at the owning root array (nested slices collapse), and offset_ is the

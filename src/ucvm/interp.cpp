@@ -564,6 +564,9 @@ Flow Impl::exec_scalar_stmt(const Stmt& stmt, EvalCtx& ctx) {
           slot.kind = FrameSlot::Kind::kArray;
           slot.array = std::make_shared<ArrayObj>(
               machine, d.name, d.symbol->type.scalar, d.symbol->type.dims);
+          if (ctx.writes != nullptr && ctx.frame != ctx.statement_frame) {
+            slot.array->set_call_local();
+          }
           ++plan_epoch_;  // new layout: cached plans must not match
         } else {
           slot.kind = FrameSlot::Kind::kScalar;

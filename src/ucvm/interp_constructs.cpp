@@ -362,7 +362,9 @@ bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
       }
     }
     // All faultable charges are behind us: apply the buffered writes of
-    // every member in one conflict-checked commit.
+    // every member in one conflict-checked commit, booked like the lane
+    // run to member 0.
+    ProfScope prof_scope(*this, stmts[0], "stmt", stmts[0]->range);
     eng.commit_group();
   };
   for (;;) {
@@ -376,41 +378,111 @@ bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
   }
 }
 
-void Impl::commit_begin(std::size_t expected_writes) {
-  commit_seen_.begin(expected_writes);
+Impl::CommitArray& Impl::commit_array(ArrayObj& root) {
+  WriteMarks& wm = root.write_marks();
+  if (wm.commit == commit_ordinal_) return commit_arrays_[wm.slot];
+  const auto n = static_cast<std::size_t>(root.size());
+  if (wm.marks.size() != n) {
+    wm.marks.assign(n, WriteMarks::Mark{});
+    wm.stamp = 0;
+  }
+  if (++wm.stamp == 0) {  // stamp wrapped: no stale mark may read as live
+    std::fill(wm.marks.begin(), wm.marks.end(), WriteMarks::Mark{});
+    wm.stamp = 1;
+  }
+  wm.commit = commit_ordinal_;
+  wm.slot = static_cast<std::uint32_t>(commit_arrays_.size());
+  cm::Field& field = root.field();
+  return commit_arrays_.emplace_back(
+      CommitArray{&root, wm.marks.data(), field.raw().data(),
+                  field.defined_raw().data(), n, wm.stamp, root.is_float()});
 }
 
-void Impl::commit_check(const Write& w) {
-  const CommitSeen::Slot* seen = commit_seen_.check_insert(w);
-  if (seen != nullptr && !(seen->value == w.value)) {
-    std::string what = "conflicting parallel assignment";
-    if (w.target.kind == WriteTarget::Kind::kArray) {
-      auto* arr = static_cast<ArrayObj*>(w.target.obj);
-      std::int64_t coords[8];
-      arr->unflatten(w.target.index, coords);
-      what += " to " + arr->name();
-      for (std::size_t d = 0; d < arr->dims().size(); ++d) {
-        what += "[" + std::to_string(coords[d]) + "]";
+void Impl::commit_conflict(const Write& first, const Write& w) {
+  std::string what = "conflicting parallel assignment";
+  if (w.target.kind == WriteTarget::Kind::kArray) {
+    auto* view = static_cast<ArrayObj*>(w.target.obj);
+    ArrayObj& arr = view->root();
+    std::int64_t coords[8];
+    arr.unflatten(w.target.index + view->root_offset(), coords);
+    what += " to " + arr.name();
+    for (std::size_t d = 0; d < arr.dims().size(); ++d) {
+      what += "[" + std::to_string(coords[d]) + "]";
+    }
+  }
+  what += ": values " + first.value.to_string() + " and " +
+          w.value.to_string() +
+          " (each variable may be assigned at most one value, "
+          "paper §3.4)";
+  runtime_error(w.where, what);
+}
+
+void Impl::commit(std::span<const WriteRun> runs) {
+  ++commit_ordinal_;
+  commit_arrays_.clear();
+  commit_seen_.begin();
+
+  // Pass 1: conflict check in lane order.  Consecutive writes usually hit
+  // the same array, so its commit entry is looked up once per change.
+  const void* last = nullptr;
+  CommitArray* ca = nullptr;
+  std::int64_t offset = 0;
+  for (const WriteRun& run : runs) {
+    for (const Write& w : run) {
+      if (w.target.kind != WriteTarget::Kind::kArray) {
+        const Write* first = commit_seen_.check_insert(w);
+        if (first != nullptr && !(first->value == w.value)) {
+          commit_conflict(*first, w);
+        }
+        continue;
+      }
+      if (w.target.obj != last) {
+        auto* view = static_cast<ArrayObj*>(w.target.obj);
+        ca = &commit_array(view->root());
+        offset = view->root_offset();
+        last = view;
+      }
+      const auto e = static_cast<std::uint64_t>(w.target.index + offset);
+      if (e >= ca->size) {
+        throw support::ApiError("Field '" + ca->root->field().name() +
+                                "': VP index out of range");
+      }
+      WriteMarks::Mark& mark = ca->marks[e];
+      if (mark.stamp != ca->stamp) {
+        mark.first = &w;
+        mark.stamp = ca->stamp;
+      } else if (!(mark.first->value == w.value)) {
+        commit_conflict(*mark.first, w);
       }
     }
-    what += ": values " + seen->value.to_string() + " and " +
-            w.value.to_string() +
-            " (each variable may be assigned at most one value, "
-            "paper §3.4)";
-    runtime_error(w.where, what);
+  }
+
+  // Pass 2: apply in the same order, storing array elements straight into
+  // the root field with the coercion ArrayObj::store would apply.
+  last = nullptr;
+  for (const WriteRun& run : runs) {
+    for (const Write& w : run) {
+      if (w.target.kind != WriteTarget::Kind::kArray) {
+        apply_write(w.target, w.value);
+        continue;
+      }
+      if (w.target.obj != last) {
+        auto* view = static_cast<ArrayObj*>(w.target.obj);
+        ca = &commit_arrays_[view->write_marks().slot];
+        offset = view->root_offset();
+        last = view;
+      }
+      const auto e = static_cast<std::size_t>(w.target.index + offset);
+      ca->data[e] = ca->flt ? cm::from_float(w.value.as_float())
+                            : cm::from_int(w.value.as_int());
+      ca->defined[e] = 1;
+    }
   }
 }
 
-void Impl::commit_writes(std::vector<std::vector<Write>>& per_lane) {
-  std::size_t total = 0;
-  for (const auto& lane_writes : per_lane) total += lane_writes.size();
-  commit_begin(total);
-  for (auto& lane_writes : per_lane) {
-    for (auto& w : lane_writes) commit_check(w);
-  }
-  for (auto& lane_writes : per_lane) {
-    for (auto& w : lane_writes) apply_write(w.target, w.value);
-  }
+void Impl::commit_writes(const std::vector<std::vector<Write>>& per_lane) {
+  commit_runs_.assign(per_lane.begin(), per_lane.end());
+  commit(commit_runs_);
 }
 
 void Impl::filter_lanes(const Expr& pred, LaneSpace& space,

@@ -3,10 +3,12 @@
 // white-box tests.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -100,7 +102,9 @@ struct Frame {
   std::vector<FrameSlot> slots;
 };
 
-// Address of a write target, usable as a hash key for conflict detection.
+// Address of a write target.  An array target names the array the write
+// went through, which may be a slice view; the commit resolves it to the
+// root array's flat element.
 struct WriteTarget {
   enum class Kind : std::uint8_t { kArray, kGlobal, kFrame, kLaneLocal };
   Kind kind = Kind::kArray;
@@ -127,59 +131,64 @@ struct Write {
   const Expr* where = nullptr;  // for error messages
 };
 
-// Open-addressing conflict table for one commit's writes.  Every parallel
-// statement funnels its buffered writes through here (paper §3.4: each
-// variable may receive at most one value), so the per-write probe is on
-// the hot commit path; a flat generation-stamped table avoids both the
-// node allocations of std::unordered_map and a per-statement clear of the
-// backing store.
+// A lane-ordered run of buffered writes: one lane's (walk, solve) or one
+// pool chunk's (kernel engine).
+using WriteRun = std::span<const Write>;
+
+// Conflict table for the non-array writes of one commit: globals, frame
+// scalars and lane-locals.  Array writes never enter it; they are checked
+// against their array's WriteMarks instead.  Open addressing with
+// generation stamps, so there are no node allocations and no per-commit
+// clear; the table only grows, to keep its load factor at most 1/2.
 class CommitSeen {
  public:
-  struct Slot {
-    WriteTarget target;
-    Value value;
-    const Expr* where = nullptr;
-    std::uint32_t gen = 0;
-  };
-
-  // Sizes the table for one commit's writes (load factor <= 1/2) and
-  // invalidates every surviving entry by bumping the generation stamp.
-  void begin(std::size_t expected_writes) {
-    std::size_t want = 16;
-    while (want < expected_writes * 2) want <<= 1;
-    if (want > slots_.size()) {
-      slots_.assign(want, Slot{});
-      mask_ = want - 1;
-      gen_ = 1;
-      return;
-    }
+  // Invalidates every entry by bumping the generation stamp.
+  void begin() {
+    count_ = 0;
     if (++gen_ == 0) {  // stamp wrapped: hard-reset so 0 stays "empty"
       std::fill(slots_.begin(), slots_.end(), Slot{});
       gen_ = 1;
     }
   }
 
-  // Returns the already-present entry for this target (first writer wins,
-  // as in the sequential walk), or records the write and returns nullptr.
-  Slot* check_insert(const Write& w) {
-    std::size_t pos = WriteTargetHash{}(w.target) & mask_;
-    for (;;) {
-      Slot& s = slots_[pos];
-      if (s.gen != gen_) {
-        s.target = w.target;
-        s.value = w.value;
-        s.where = w.where;
-        s.gen = gen_;
-        return nullptr;
-      }
-      if (s.target == w.target) return &s;
-      pos = (pos + 1) & mask_;
-    }
+  // Returns the commit's first write to w's target (first writer wins, as
+  // in the sequential walk), or records `w` and returns nullptr.  `w` must
+  // outlive the commit.
+  const Write* check_insert(const Write& w) {
+    if (2 * (count_ + 1) > slots_.size()) grow();
+    Slot& s = find(w.target);
+    if (s.gen == gen_) return s.first;
+    s = Slot{&w, gen_};
+    ++count_;
+    return nullptr;
   }
 
  private:
+  struct Slot {
+    const Write* first = nullptr;
+    std::uint32_t gen = 0;
+  };
+
+  Slot& find(const WriteTarget& t) {
+    std::size_t pos = WriteTargetHash{}(t) & mask_;
+    while (slots_[pos].gen == gen_ && !(slots_[pos].first->target == t)) {
+      pos = (pos + 1) & mask_;
+    }
+    return slots_[pos];
+  }
+
+  void grow() {
+    std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.gen == gen_) find(s.first->target) = s;
+    }
+  }
+
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
+  std::size_t count_ = 0;
   std::uint32_t gen_ = 0;
 };
 
@@ -216,9 +225,9 @@ struct EvalCtx {
   std::int64_t lane = 0;
   Frame* frame = nullptr;  // innermost function frame
   // The frame the enclosing statement executes in.  Writes to frames
-  // *below* it (functions called during this lane's evaluation) are
-  // private and apply immediately; writes to statement_frame itself obey
-  // the synchronous collect-then-commit rule.
+  // *below* it (functions called during this lane's evaluation), and to
+  // arrays declared there, are private and apply immediately; writes to
+  // statement_frame itself obey the synchronous collect-then-commit rule.
   Frame* statement_frame = nullptr;
 
   // Synchronous-write collection; nullptr = commit directly.
@@ -345,13 +354,14 @@ struct Impl {
                   const std::vector<std::int64_t>& active, Frame* frame,
                   std::vector<Value>* values = nullptr);
 
-  void commit_writes(std::vector<std::vector<Write>>& per_lane);
-  // Incremental commit used by both engines: commit_begin resets the
-  // reusable conflict map, commit_check records one write (raising the
-  // conflicting-parallel-assignment error on a second, different value for
-  // the same target), and the caller then applies the writes.
-  void commit_begin(std::size_t expected_writes);
-  void commit_check(const Write& w);
+  // The one commit path of every engine (docs/VM.md "Linking and
+  // execution").  `runs` hold one synchronous statement's buffered writes
+  // in lane order.  Pass 1 checks them in that order: the first write of
+  // a different value to an already written target raises the paper §3.4
+  // error.  Pass 2 applies them in the same order.
+  void commit(std::span<const WriteRun> runs);
+  // Commits per-lane write buffers (walk, solve), lanes in order.
+  void commit_writes(const std::vector<std::vector<Write>>& per_lane);
   void apply_write(const WriteTarget& t, const Value& v);
   // Charges the dynamic comm stats gathered by one statement execution
   // (order matters for the paris trace: news, router, broadcast, frontend).
@@ -366,6 +376,22 @@ struct Impl {
   cm::PlanCache plan_cache_;
   std::uint64_t plan_epoch_ = 0;
   std::unordered_map<const Stmt*, std::vector<FusionSeg>> fusion_segments_;
+  // Commit state (see commit()).  An array target's entry in
+  // commit_arrays_ resolves its root field and marks once per commit.
+  struct CommitArray {
+    ArrayObj* root = nullptr;
+    WriteMarks::Mark* marks = nullptr;
+    cm::Bits* data = nullptr;
+    std::uint8_t* defined = nullptr;
+    std::uint64_t size = 0;
+    std::uint32_t stamp = 0;
+    bool flt = false;
+  };
+  CommitArray& commit_array(ArrayObj& root);
+  [[noreturn]] void commit_conflict(const Write& first, const Write& w);
+  std::uint64_t commit_ordinal_ = 0;
+  std::vector<CommitArray> commit_arrays_;
+  std::vector<WriteRun> commit_runs_;
   CommitSeen commit_seen_;
   // Storage each seq / *solve round leases and returns for the next
   // (docs/VM.md "Linking and execution").

@@ -298,12 +298,22 @@ void Impl::write_value(const WriteTarget& t, Value v, const Expr& where,
                        EvalCtx& ctx) {
   if (ctx.writes != nullptr) {
     // Function-call frames entered during this lane's evaluation are
-    // private to the call: their locals must update immediately or loops
-    // inside the function would never see their own increments.
-    const bool private_frame =
-        t.kind == WriteTarget::Kind::kFrame && t.obj == ctx.frame &&
-        ctx.frame != ctx.statement_frame;
-    if (!private_frame) {
+    // private to the call: their locals, arrays included, must update
+    // immediately or loops inside the function would never see their own
+    // increments.
+    if (t.kind == WriteTarget::Kind::kArray) {
+      auto* view = static_cast<ArrayObj*>(t.obj);
+      if (!view->call_local()) {
+        // Buffer against the root array: a slice view made for a
+        // per-lane call dies with the call, before the commit.
+        WriteTarget root = t;
+        root.obj = &view->root();
+        root.index += view->root_offset();
+        ctx.writes->push_back(Write{root, v, &where});
+        return;
+      }
+    } else if (t.kind != WriteTarget::Kind::kFrame || t.obj != ctx.frame ||
+               ctx.frame == ctx.statement_frame) {
       ctx.writes->push_back(Write{t, v, &where});
       return;
     }

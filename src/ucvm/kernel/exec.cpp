@@ -727,27 +727,17 @@ void Engine::commit_buffered() {
   // their first active-lane position recovers the walk's lane order for
   // conflict detection (first-seen value wins the error message).
   span_order_.clear();
-  std::size_t total_writes = 0;
-  for (auto& a : arenas_) {
-    total_writes += a.writes.size();
-    for (const auto& s : a.spans) span_order_.emplace_back(&s, &a);
+  for (const auto& a : arenas_) {
+    for (const auto& s : a.spans) {
+      span_order_.emplace_back(s.begin_k,
+                               WriteRun(a.writes.data() + s.offset, s.count));
+    }
   }
   std::sort(span_order_.begin(), span_order_.end(),
-            [](const auto& x, const auto& y) {
-              return x.first->begin_k < y.first->begin_k;
-            });
-  vm_.commit_begin(total_writes);
-  for (const auto& [span, arena] : span_order_) {
-    for (std::uint32_t w = 0; w < span->count; ++w) {
-      vm_.commit_check(arena->writes[span->offset + w]);
-    }
-  }
-  for (const auto& [span, arena] : span_order_) {
-    for (std::uint32_t w = 0; w < span->count; ++w) {
-      const Write& wr = arena->writes[span->offset + w];
-      vm_.apply_write(wr.target, wr.value);
-    }
-  }
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  runs_.clear();
+  for (const auto& [begin_k, run] : span_order_) runs_.push_back(run);
+  vm_.commit(runs_);
 }
 
 bool Engine::try_run(const Expr& expr, LaneSpace& space,

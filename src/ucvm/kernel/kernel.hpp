@@ -6,6 +6,7 @@
 // reuses them from round to round (docs/VM.md "Linking and execution").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -45,7 +46,7 @@ class Engine {
   //   2. run_group: execute the lanes, buffering writes in the arenas and
   //      collecting per-member comm stats; charges nothing itself.
   //   3. commit_group: conflict-check and apply the buffered writes in
-  //      lane order, exactly like an unfused statement's commit.
+  //      lane order through Impl::commit, like an unfused statement.
   bool prepare_group(const Expr* const* stmts, std::size_t n,
                      LaneSpace& space, Frame* frame);
   void run_group(LaneSpace& space, const std::vector<std::int64_t>& active,
@@ -135,9 +136,43 @@ class Engine {
     std::uint32_t offset = 0;  // into Arena::writes
     std::uint32_t count = 0;
   };
+  // Append-only write log.  Its capacity is a high-water mark that clear()
+  // keeps, and growing it is the only time records are initialised, so a
+  // native chunk can reserve its worst case and fill it in place without
+  // paying for the records it leaves unused.
+  class WriteLog {
+   public:
+    void clear() { size_ = 0; }
+    std::size_t size() const { return size_; }
+    const Write* data() const { return buf_.get(); }
+    void push_back(const Write& w) {
+      if (size_ == cap_) grow(size_ + 1);
+      buf_[size_++] = w;
+    }
+    // Room for `n` records past the end; append_reserved(m) keeps the first
+    // m <= n of them.
+    Write* reserve_tail(std::size_t n) {
+      if (size_ + n > cap_) grow(size_ + n);
+      return buf_.get() + size_;
+    }
+    void append_reserved(std::size_t m) { size_ += m; }
+
+   private:
+    void grow(std::size_t need) {
+      cap_ = std::max({need, 2 * cap_, std::size_t{64}});
+      auto bigger = std::make_unique<Write[]>(cap_);
+      std::copy(buf_.get(), buf_.get() + size_, bigger.get());
+      buf_ = std::move(bigger);
+    }
+    std::unique_ptr<Write[]> buf_;
+    std::size_t size_ = 0;
+    std::size_t cap_ = 0;
+  };
   struct Arena {
     std::vector<Value> regs;
-    std::vector<Write> writes;
+    // Buffered writes of every chunk this worker ran, in chunk order; the
+    // bytecode loop appends, native kernels write their chunk in place.
+    WriteLog writes;
     std::vector<ChunkSpan> spans;
     // One slot per kernel member (plain statements use slot 0); fused
     // kernels switch slots at kMemberBoundary so the driver can charge
@@ -146,12 +181,6 @@ class Engine {
     // Reused across lanes: kReduceBegin reinitialises every field that is
     // read afterwards, so stale state from a previous lane is never seen.
     ReduceState rs;
-    // Native-tier write staging: the compiled entry point fills this
-    // high-water-sized buffer and only the used prefix is copied into
-    // `writes`, so the per-dispatch cost tracks actual writes instead of
-    // the worst-case capacity (a resize of `writes` itself would
-    // zero-fill the whole worst case every statement).
-    std::vector<Write> native_scratch;
   };
 
   // Deepest ancestor-space chain a kernel may reference.
@@ -175,6 +204,7 @@ class Engine {
   bool run_lanes_native(const Kernel& k, LaneSpace& space,
                         const std::vector<std::int64_t>& active, Frame* frame,
                         std::uint64_t stmt_id, Value* results);
+  // Hands every arena's chunk runs to Impl::commit in lane order.
   void commit_buffered();
   void run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
                 std::int64_t result_slot, Frame* frame, std::uint64_t stmt_id,
@@ -198,7 +228,9 @@ class Engine {
   std::vector<LaneSpace*> depth_spaces_;  // [0]=statement space, then parents
   std::int32_t max_depth_ = 0;
   std::vector<Arena> arenas_;
-  std::vector<std::pair<const ChunkSpan*, Arena*>> span_order_;
+  // commit_buffered's chunk runs, sorted by first lane position.
+  std::vector<std::pair<std::int64_t, WriteRun>> span_order_;
+  std::vector<WriteRun> runs_;
   std::uint64_t compiled_statements_ = 0;
   std::uint64_t fallback_statements_ = 0;
   std::uint64_t fused_groups_ = 0;

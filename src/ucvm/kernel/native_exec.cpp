@@ -141,14 +141,6 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
   auto body = [&](unsigned worker, std::int64_t b, std::int64_t e) {
     Arena& arena = arenas_[worker];
     const auto span_start = arena.writes.size();
-    // Stage writes into the high-water scratch buffer: growing it
-    // zero-fills once, after which dispatches only pay for the writes
-    // they actually produce.
-    const auto scratch_need =
-        static_cast<std::size_t>(e - b) * prep->max_writes_per_lane;
-    if (arena.native_scratch.size() < scratch_need) {
-      arena.native_scratch.resize(scratch_need);
-    }
     native::NativeArgs args;
     args.k_begin = b;
     args.k_end = e;
@@ -163,7 +155,10 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
     args.arrays = narrays_.data();
     args.reduces = nreduces_.data();
     args.results = results;
-    args.writes = arena.native_scratch.data();
+    // The kernel writes its records straight into the arena's log, past
+    // the chunks this worker already ran.
+    args.writes = arena.writes.reserve_tail(static_cast<std::size_t>(e - b) *
+                                            prep->max_writes_per_lane);
     args.stats = arena.stats.data();
     args.wheres = reinterpret_cast<const void* const*>(prep->wheres.data());
     args.frame = frame;
@@ -177,10 +172,8 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
       return;
     }
     if (args.writes_count > 0) {
-      arena.writes.insert(
-          arena.writes.end(), arena.native_scratch.begin(),
-          arena.native_scratch.begin() +
-              static_cast<std::ptrdiff_t>(args.writes_count));
+      arena.writes.append_reserved(
+          static_cast<std::size_t>(args.writes_count));
       arena.spans.push_back(
           ChunkSpan{b, static_cast<std::uint32_t>(span_start),
                     static_cast<std::uint32_t>(args.writes_count)});

@@ -96,8 +96,9 @@ struct NativeArgs {
 
   // Outputs.  results is the host's Value array indexed by position kk, or
   // null when the host discards the statement's values;
-  // writes is the worker arena's Write storage starting at this chunk's
-  // span, pre-sized to max_writes_per_lane * (k_end - k_begin).
+  // writes points into the worker arena's write log, past the chunks the
+  // worker already ran, with room for max_writes_per_lane *
+  // (k_end - k_begin) records that the kernel fills in place.
   void* results = nullptr;
   void* writes = nullptr;
   std::int64_t writes_count = 0;  // out: records actually appended

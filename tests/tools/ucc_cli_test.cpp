@@ -213,6 +213,27 @@ TEST(UccCli, ShardsOptionIsGone) {
   EXPECT_NE(r.output.find("unknown option"), std::string::npos) << r.output;
 }
 
+// A per-lane call writing through a slice used to leave the buffered
+// write pointing at the freed slice view (exit 139).  The conflict is now
+// reported against the root array, as a runtime error.
+TEST(UccCli, SliceWriteConflictFromLanesExitsOne) {
+  const std::string path = "/tmp/ucc_cli_slice_conflict.uc";
+  {
+    std::ofstream out(path);
+    out << "index_set I:i = {0..1};\n"
+           "int a[2][2];\n"
+           "int f(int r[2], int v) { r[0] = v; return 0; }\n"
+           "void main() { par (I) f(a[0], i + 5); }\n";
+  }
+  auto r = run_command(ucc() + " run " + path);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("conflicting parallel assignment to a[0][0]: "
+                          "values 5 and 6"),
+            std::string::npos)
+      << r.output;
+  std::remove(path.c_str());
+}
+
 TEST(UccCli, MissingFileRejected) {
   auto r = run_command(ucc() + " run /no/such/file.uc");
   EXPECT_NE(r.exit_code, 0);

@@ -1,0 +1,70 @@
+// White-box test of the commit's per-array conflict marks (docs/VM.md
+// "Linking and execution").  A mark is live only while its stamp equals
+// its array's current stamp, so the stamp wrapping around must not revive
+// a mark left by an earlier commit.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "support/error.hpp"
+#include "uclang/frontend.hpp"
+#include "ucvm/interp_detail.hpp"
+
+namespace uc::vm::detail {
+namespace {
+
+Write int_write(ArrayObj& arr, std::int64_t flat, std::int64_t v) {
+  Write w;
+  w.target.kind = WriteTarget::Kind::kArray;
+  w.target.obj = &arr;
+  w.target.index = flat;
+  w.value = Value::of_int(v);
+  return w;
+}
+
+TEST(CommitMarks, SurviveStampWraparound) {
+  auto unit = lang::compile("t.uc", "void main() {}");
+  ASSERT_TRUE(unit->ok());
+  cm::Machine machine;
+  Impl vm(*unit, machine, ExecOptions{});
+  ArrayObj arr(machine, "a", lang::ScalarKind::kInt, {4});
+  const auto commit = [&vm](const std::vector<Write>& writes) {
+    const WriteRun run(writes);
+    vm.commit(std::span<const WriteRun>(&run, 1));
+  };
+
+  // The first commit allocates the column and marks a[3] at stamp 1.  Its
+  // writes stay alive, so a revived mark would compare against value 7
+  // and report a conflict instead of reading freed memory.
+  const std::vector<Write> first = {int_write(arr, 3, 7)};
+  commit(first);
+  ASSERT_EQ(arr.write_marks().stamp, 1u);
+
+  // Two commits up to the largest stamp, then one that wraps back to 1,
+  // the stamp a[3]'s mark still carries.
+  arr.write_marks().stamp = std::numeric_limits<std::uint32_t>::max() - 2;
+  commit({int_write(arr, 0, 1)});
+  commit({int_write(arr, 0, 2)});
+  ASSERT_EQ(arr.write_marks().stamp, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_NO_THROW(commit({int_write(arr, 3, 8), int_write(arr, 0, 3),
+                          int_write(arr, 0, 3)}));
+  EXPECT_EQ(arr.write_marks().stamp, 1u);
+  EXPECT_EQ(arr.load(3).as_int(), 8);
+  EXPECT_EQ(arr.load(0).as_int(), 3);
+
+  // After the wrap a real conflict is still caught.
+  try {
+    commit({int_write(arr, 1, 1), int_write(arr, 1, 2)});
+    ADD_FAILURE() << "conflict not reported";
+  } catch (const support::UcRuntimeError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "conflicting parallel assignment to a[1]: values 1 and 2 "
+              "(each variable may be assigned at most one value, paper "
+              "§3.4)");
+  }
+}
+
+}  // namespace
+}  // namespace uc::vm::detail

@@ -376,18 +376,22 @@ RunResult run_threaded(const std::string& src, const char* faults,
   return run_uc(src, mopts, eopts);
 }
 
+// The four engine configurations the host-thread and commit suites sweep.
+struct EngineConfig {
+  ExecEngine engine;
+  bool fuse;
+  const char* label;
+};
+constexpr EngineConfig kEngineConfigs[] = {
+    {ExecEngine::kWalk, false, "walk"},
+    {ExecEngine::kBytecode, false, "bytecode"},
+    {ExecEngine::kBytecode, true, "bytecode-fused"},
+    {ExecEngine::kNative, true, "native"}};
+
 void expect_thread_parity_under_faults(
     const std::string& src, const char* faults,
     const std::vector<std::string>& globals = {}) {
-  const struct {
-    ExecEngine engine;
-    bool fuse;
-    const char* label;
-  } configs[] = {{ExecEngine::kWalk, false, "walk"},
-                 {ExecEngine::kBytecode, false, "bytecode"},
-                 {ExecEngine::kBytecode, true, "bytecode-fused"},
-                 {ExecEngine::kNative, true, "native"}};
-  for (const auto& c : configs) {
+  for (const auto& c : kEngineConfigs) {
     SCOPED_TRACE(c.label);
     const RunResult one = run_threaded(src, faults, c.engine, c.fuse, 1);
     ASSERT_GT(one.stats().faults, 0u)
@@ -413,6 +417,144 @@ TEST(EngineParity, Fig8HostThreadsUnderFaultsAndCheckpoints) {
 TEST(EngineParity, RanksortHostThreadsUnderFaultsAndCheckpoints) {
   expect_thread_parity_under_faults(papers::ranksort(300), kRanksortFaultSpec,
                                     {"a"});
+}
+
+// --- the lane-ordered commit (docs/VM.md "Linking and execution") ---
+
+// Every engine configuration at 1 and at 4 host threads: the program
+// prints `output`, or, when `error` is non-empty, raises exactly `error`.
+void expect_commit(const std::string& src, const std::string& output,
+                   const std::string& error = {}) {
+  for (const auto& c : kEngineConfigs) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(c.label) + " threads=" +
+                   std::to_string(threads));
+      cm::MachineOptions mopts;
+      mopts.host_threads = threads;
+      ExecOptions eopts;
+      eopts.engine = c.engine;
+      eopts.fuse = c.fuse;
+      try {
+        const RunResult r = run_uc(src, mopts, eopts);
+        EXPECT_TRUE(error.empty()) << "no error raised";
+        EXPECT_EQ(r.output(), output);
+      } catch (const support::UcRuntimeError& e) {
+        EXPECT_EQ(e.what(), error);
+      }
+    }
+  }
+}
+
+std::string conflict_error(const std::string& at, const std::string& what) {
+  return "program.uc:" + at + ": conflicting parallel assignment" + what +
+         " (each variable may be assigned at most one value, paper §3.4)";
+}
+
+// A per-lane call writing through a slice of its argument.  The slice
+// view dies with the call, so the buffered write must name the root.
+constexpr const char* kSlicePrelude =
+    "index_set I:i = {0..1};\n"
+    "int a[2][2];\n"
+    "int f(int r[2], int v) { r[0] = v; return 0; }\n";
+
+TEST(EngineParity, CommitSliceWritesFromTwoLanesConflict) {
+  expect_commit(std::string(kSlicePrelude) +
+                    "void main() { par (I) f(a[0], i + 5); }",
+                "", conflict_error("3:26", " to a[0][0]: values 5 and 6"));
+}
+
+TEST(EngineParity, CommitSliceWriteLandsInItsLanesRow) {
+  expect_commit(std::string(kSlicePrelude) +
+                    "void main() {\n"
+                    "  par (I) a[i][1] = f(a[i], 5) + 9;\n"
+                    "  print(a[0][0], a[0][1], a[1][0], a[1][1]);\n"
+                    "}",
+                "5 9 5 9\n");
+}
+
+TEST(EngineParity, CommitSliceWriteConflictsWithRootWrite) {
+  expect_commit(std::string(kSlicePrelude) +
+                    "void main() { par (I) a[0][0] = f(a[0], 5) + 9; }",
+                "", conflict_error("4:23", " to a[0][0]: values 5 and 9"));
+}
+
+// Arrays declared in a callee are private to the call, like its scalars:
+// the freed arrays of two lanes may share an address, and buffering their
+// writes would report a conflict between unrelated arrays.
+TEST(EngineParity, CommitCalleeLocalArrayAppliesImmediately) {
+  expect_commit(
+      "index_set I:i = {0..3};\n"
+      "int out[4];\n"
+      "int g(int v) { int t[2]; t[0] = v; t[1] = v + 1; return t[0] + t[1]; }\n"
+      "void main() { par (I) out[i] = g(i); print(out[0], out[1], out[2], "
+      "out[3]); }",
+      "1 3 5 7\n");
+}
+
+// Value equality decides a conflict, before the store coerces: an int
+// element written with 1 and 1.0 is legal, with 1 and 1.5 it is not.
+// swap() buffers the float uncoerced; the float-array cases compile.
+constexpr const char* kMixedPrelude =
+    "index_set I:i = {0..3};\n"
+    "int a[1]; float b[4], c[1];\n"
+    "int put(int a[1], float b[4], int i) {\n"
+    "  if (i % 2 == 0) a[0] = 1; else swap(a[0], b[i]);\n"
+    "  return 0;\n"
+    "}\n";
+
+TEST(EngineParity, CommitMixedIntFloatSameValueIsLegal) {
+  expect_commit(std::string(kMixedPrelude) +
+                    "void main() {\n"
+                    "  par (I) b[i] = 1.0;\n"
+                    "  par (I) put(a, b, i);\n"
+                    "  par (I) c[0] = (i < 2) ? 1 : 1.0;\n"
+                    "  print(a[0], b[0], b[1], c[0]);\n"
+                    "}",
+                "1 1 0 1\n");
+}
+
+TEST(EngineParity, CommitIntVersusFractionalFloatConflicts) {
+  expect_commit(std::string(kMixedPrelude) +
+                    "void main() { par (I) b[i] = 1.5; par (I) put(a, b, i); }",
+                "", conflict_error("4:34", " to a[0]: values 1 and 1.5"));
+  expect_commit(std::string(kMixedPrelude) +
+                    "void main() { par (I) c[0] = (i < 2) ? 1 : 1.5; }",
+                "", conflict_error("7:23", " to c[0]: values 1 and 1.5"));
+}
+
+// Two conflicting elements in one 2500-lane statement.  a[2500] gets its
+// second value at lane 2300, a[2501] at lane 2400, so lane order reports
+// a[2500].  Its writers sit in different pool chunks on every engine at 4
+// threads, the native tier's 1024-lane grain included, so a commit that
+// took chunks out of order would report a[2501] or swap the values.
+TEST(EngineParity, CommitLaneOrderPicksTheReportedConflict) {
+  expect_commit(
+      "index_set I:i = {0..2499};\n"
+      "int a[2502];\n"
+      "void main() {\n"
+      "  par (I) a[(i == 100 || i == 2300) ? 2500\n"
+      "            : ((i == 2350 || i == 2400) ? 2501 : i)] = i;\n"
+      "}",
+      "", conflict_error("4:11", " to a[2500]: values 100 and 2300"));
+}
+
+// Non-array targets keep the hashed table: a global scalar, and a
+// lane-local of the enclosing par written by every inner lane.
+TEST(EngineParity, CommitScalarConflictsAreStillCaught) {
+  expect_commit(
+      "index_set I:i = {0..299};\n"
+      "int x;\n"
+      "void main() { par (I) x = 7; print(x); par (I) x = i; }",
+      "", conflict_error("3:48", ": values 0 and 1"));
+  expect_commit(
+      "index_set I:i = {0..3}, J:j = I;\n"
+      "int s;\n"
+      "void main() {\n"
+      "  par (I) { int t; par (J) t = 5; s = t; }\n"
+      "  print(s);\n"
+      "  par (I) { int t; par (J) t = j; }\n"
+      "}",
+      "", conflict_error("6:28", ": values 0 and 1"));
 }
 
 // --- diagnostics parity: same text, same location, either engine ---

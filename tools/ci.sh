@@ -142,7 +142,9 @@ run_asan() {
   run_suite "$root/build-asan" -DUC_SANITIZE="address;undefined"
   # Engine parity under the sanitizers: every shipped program, walk vs
   # bytecode (byte-identical output and modeled cycles) vs bytecode-fused
-  # (byte-identical output, cycles never above unfused).
+  # (byte-identical output, cycles never above unfused), and the commit
+  # cases, among them the per-lane slice writes that once read a freed
+  # slice view.
   "$root/build-asan/tests/ucvm/test_ucvm" \
       --gtest_filter='EngineParity*'
   run_profile_smoke "$root/build-asan"
@@ -171,6 +173,10 @@ run_tsan() {
   # lane lists and value buffers that seq / *solve rounds reuse while pool
   # workers write them.  test_ucvm_alloc checks the same reuse by counting
   # allocations, which needs its own operator new, so TSan builds omit it.
+  # The EngineParity.Commit* cases run every engine at 4 threads, where
+  # each pool worker fills its arena's write log (kernel::Engine::WriteLog)
+  # in place, native kernels included, before the issuing thread commits
+  # the logs in lane order.
   "$root/build-tsan/tests/ucvm/test_ucvm" \
       --gtest_filter='EngineParity*:FaultRecovery.MapRemap*'
 }
