@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "support/str.hpp"
+#include "support/wrap.hpp"
 
 // Error taxonomy (docs/ROBUSTNESS.md): shape/geometry mismatches are the
 // *caller's* bug and throw ApiError; failures that depend on runtime data
@@ -195,15 +196,12 @@ Bits apply_reduce_op(ReduceOp op, ElemType type, Bits a, Bits b) {
   } else {
     const std::int64_t x = as_int(a);
     const std::int64_t y = as_int(b);
-    // Integer add/mul wrap in two's complement: computed unsigned (defined
-    // modular arithmetic) and cast back, never signed-overflow UB.
-    const auto ux = static_cast<std::uint64_t>(x);
-    const auto uy = static_cast<std::uint64_t>(y);
+    // Integer add/mul wrap in two's complement, never signed-overflow UB.
     switch (op) {
       case ReduceOp::kAdd:
-        return from_int(static_cast<std::int64_t>(ux + uy));
+        return from_int(support::wrap_add(x, y));
       case ReduceOp::kMul:
-        return from_int(static_cast<std::int64_t>(ux * uy));
+        return from_int(support::wrap_mul(x, y));
       case ReduceOp::kMax:
         return from_int(std::max(x, y));
       case ReduceOp::kMin:

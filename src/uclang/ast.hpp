@@ -338,6 +338,10 @@ struct FuncDecl {
   // Sema: true if the body contains any UC parallel construct (such
   // functions cannot be called from inside a parallel context).
   bool has_parallel_construct = false;
+  // Sema: true if the body, or a function it calls (transitively),
+  // declares an array.  Each such declaration allocates machine storage,
+  // so the VM runs lanes that may make one on a single host thread.
+  bool declares_array = false;
 };
 
 // A top-level item: a global declaration statement (var / index_set / map)

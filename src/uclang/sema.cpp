@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "support/wrap.hpp"
+
 namespace uc::lang {
 
 namespace {
@@ -30,6 +32,17 @@ SemaResult Sema::run() {
   declare_builtins();
   analyze_top_level();
   pop_scope();
+
+  // A function declares an array if its body does or a callee does.
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const auto& [caller, callee] : call_edges_) {
+      if (callee->declares_array && !caller->declares_array) {
+        caller->declares_array = true;
+        changed = true;
+      }
+    }
+  }
 
   // Direct check: a function whose body contains a parallel construct may
   // not be called from a parallel context.  (The transitive case — f calls
@@ -108,7 +121,7 @@ std::optional<std::int64_t> Sema::const_eval_int(const Expr& e) {
       auto v = const_eval_int(*u.operand);
       if (!v) return std::nullopt;
       switch (u.op) {
-        case UnaryOp::kNeg: return -*v;
+        case UnaryOp::kNeg: return support::wrap_neg(*v);
         case UnaryOp::kNot: return *v == 0 ? 1 : 0;
         case UnaryOp::kBitNot: return ~*v;
         case UnaryOp::kPlus: return *v;
@@ -121,9 +134,9 @@ std::optional<std::int64_t> Sema::const_eval_int(const Expr& e) {
       auto r = const_eval_int(*b.rhs);
       if (!l || !r) return std::nullopt;
       switch (b.op) {
-        case BinaryOp::kAdd: return *l + *r;
-        case BinaryOp::kSub: return *l - *r;
-        case BinaryOp::kMul: return *l * *r;
+        case BinaryOp::kAdd: return support::wrap_add(*l, *r);
+        case BinaryOp::kSub: return support::wrap_sub(*l, *r);
+        case BinaryOp::kMul: return support::wrap_mul(*l, *r);
         case BinaryOp::kDiv:
           if (*r == 0) return std::nullopt;
           return *l / *r;
@@ -261,6 +274,9 @@ void Sema::analyze_var_decl(VarDeclStmt& decl, bool is_global) {
         d.range);
     sym->type = t;
     sym->is_const = decl.is_const;
+    if (t.is_array() && current_function_ != nullptr) {
+      current_function_->declares_array = true;
+    }
     if (t.is_array() && parallel_depth_ > 0) {
       diags_.error(d.range,
                    "array declarations inside parallel constructs are not "
@@ -949,6 +965,9 @@ Type Sema::analyze_call(CallExpr& e) {
   }
 
   FuncDecl* fn = sym->func;
+  if (current_function_ != nullptr && fn != nullptr) {
+    call_edges_.emplace_back(current_function_, fn);
+  }
   if (e.args.size() != fn->params.size()) {
     diags_.error(e.range, "'" + e.callee + "' expects " +
                               std::to_string(fn->params.size()) +

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "support/diag.hpp"
@@ -98,6 +99,9 @@ class Sema {
     Symbol* callee;
   };
   std::vector<ParallelCall> parallel_calls_;
+  // Caller -> callee edges between user functions, for the transitive
+  // FuncDecl::declares_array.
+  std::vector<std::pair<FuncDecl*, FuncDecl*>> call_edges_;
 };
 
 }  // namespace uc::lang

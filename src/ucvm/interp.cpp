@@ -463,15 +463,14 @@ Value Impl::call_function(const FuncDecl& fn, std::vector<Value> scalar_args,
 
   EvalCtx ctx = caller;       // same lane/space/stats/writes context
   ctx.frame = &frame;
-  return_value = Value::of_int(0);
   if (fn.body != nullptr) {
     for (const auto& stmt : fn.body->body) {
       if (exec_scalar_stmt(*stmt, ctx) == Flow::kReturn) break;
     }
   }
-  return return_value.coerce(fn.return_scalar == ScalarKind::kVoid
-                                 ? ScalarKind::kInt
-                                 : fn.return_scalar);
+  return frame.return_value.coerce(fn.return_scalar == ScalarKind::kVoid
+                                       ? ScalarKind::kInt
+                                       : fn.return_scalar);
 }
 
 Flow Impl::exec_scalar_stmt(const Stmt& stmt, EvalCtx& ctx) {
@@ -544,7 +543,8 @@ Flow Impl::exec_scalar_stmt(const Stmt& stmt, EvalCtx& ctx) {
     }
     case StmtKind::kReturn: {
       const auto& s = static_cast<const lang::ReturnStmt&>(stmt);
-      return_value = s.value ? eval(*s.value, ctx) : Value::of_int(0);
+      ctx.frame->return_value =
+          s.value ? eval(*s.value, ctx) : Value::of_int(0);
       return Flow::kReturn;
     }
     case StmtKind::kBreak:

@@ -97,6 +97,59 @@ void Impl::expand(LaneSpace& child, LaneSpace& parent,
 // Synchronous evaluation over lanes
 // ---------------------------------------------------------------------------
 
+bool calls_array_declarer(const Expr& e) {
+  const auto any = [](const auto& exprs) {
+    for (const auto& x : exprs) {
+      if (x && calls_array_declarer(*x)) return true;
+    }
+    return false;
+  };
+  switch (e.kind) {
+    case lang::ExprKind::kCall: {
+      const auto& c = static_cast<const lang::CallExpr&>(e);
+      if (c.symbol != nullptr && c.symbol->func != nullptr &&
+          c.symbol->func->declares_array) {
+        return true;
+      }
+      return any(c.args);
+    }
+    case lang::ExprKind::kSubscript:
+      return any(static_cast<const lang::SubscriptExpr&>(e).indices);
+    case lang::ExprKind::kUnary:
+      return calls_array_declarer(
+          *static_cast<const lang::UnaryExpr&>(e).operand);
+    case lang::ExprKind::kBinary: {
+      const auto& b = static_cast<const lang::BinaryExpr&>(e);
+      return calls_array_declarer(*b.lhs) || calls_array_declarer(*b.rhs);
+    }
+    case lang::ExprKind::kAssign: {
+      const auto& a = static_cast<const lang::AssignExpr&>(e);
+      return calls_array_declarer(*a.lhs) || calls_array_declarer(*a.rhs);
+    }
+    case lang::ExprKind::kTernary: {
+      const auto& t = static_cast<const lang::TernaryExpr&>(e);
+      return calls_array_declarer(*t.cond) ||
+             calls_array_declarer(*t.then_expr) ||
+             calls_array_declarer(*t.else_expr);
+    }
+    case lang::ExprKind::kReduce: {
+      const auto& r = static_cast<const lang::ReduceExpr&>(e);
+      for (const auto& arm : r.arms) {
+        if ((arm.pred && calls_array_declarer(*arm.pred)) ||
+            calls_array_declarer(*arm.value)) {
+          return true;
+        }
+      }
+      return r.others && calls_array_declarer(*r.others);
+    }
+    case lang::ExprKind::kIncDec:
+      return calls_array_declarer(
+          *static_cast<const lang::IncDecExpr&>(e).operand);
+    default:
+      return false;
+  }
+}
+
 void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
                       const std::vector<std::int64_t>& active, Frame* frame,
                       std::vector<Value>* values) {
@@ -172,7 +225,9 @@ void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
         if (results != nullptr) results[k] = v;
       }
     };
-    machine.pool().parallel_for(0, n, run_range, /*min_grain=*/64);
+    // A grain of n runs every lane on the issuing thread.
+    machine.pool().parallel_for(0, n, run_range,
+                                calls_array_declarer(expr) ? n : 64);
 
     // Merge dynamic comm stats and charge them on the issuing thread.
     AccessStats total;

@@ -100,6 +100,9 @@ struct FrameSlot {
 struct Frame {
   const FuncDecl* fn = nullptr;
   std::vector<FrameSlot> slots;
+  // The call's `return` value.  Per frame, not per VM: lanes on different
+  // pool workers run calls at the same time.
+  Value return_value;
 };
 
 // Address of a write target.  An array target names the array the write
@@ -269,8 +272,7 @@ struct Impl {
   std::uint64_t stmt_counter = 0;  // statement-instance id for lane RNG
   std::uint64_t base_seed = 1;
   support::SplitMix64 fe_rng{1};
-  Value return_value;  // last function return (scalar exec)
-  LaneSpace root;      // the front-end space (one lane)
+  LaneSpace root;  // the front-end space (one lane)
 
   Impl(const lang::CompilationUnit& u, cm::Machine& m, ExecOptions o);
   ~Impl();  // out of line: kernel::Engine is incomplete here
@@ -516,11 +518,22 @@ class ProfScope {
   Impl* vm_ = nullptr;  // null when profiling is off
 };
 
+// True when evaluating `e` may call a user function that declares an
+// array (lang::FuncDecl::declares_array).  The declaration allocates a
+// machine geometry and field and bumps the plan epoch, none of which is
+// safe from pool workers, so the walk runs such statements' lanes on the
+// issuing thread (interp_constructs.cpp).
+bool calls_array_declarer(const Expr& e);
+
 // Shared between the tree walk and the bytecode engine (definitions in
 // interp_expr.cpp) so arithmetic, reduction folding and remote-access
 // classification cannot drift apart.
 Value eval_binary_op(Impl& vm, lang::BinaryOp op, const Value& a,
                      const Value& b, const Expr& where);
+Value eval_unary_op(lang::UnaryOp op, const Value& v);
+Value eval_incdec(const Value& v, bool increment);
+Value eval_abs(const Value& v);
+Value eval_minmax(const Value& a, const Value& b, bool take_min);
 Value fold_reduce_value(lang::ReduceKind op, const Value& acc, const Value& v);
 Value reduce_identity_value(lang::ReduceKind op, bool flt);
 // Classifies an access to a non-replicated array from a lane that is not on

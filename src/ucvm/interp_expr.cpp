@@ -5,6 +5,7 @@
 
 #include "support/error.hpp"
 #include "support/str.hpp"
+#include "support/wrap.hpp"
 #include "ucvm/interp_detail.hpp"
 
 namespace uc::vm {
@@ -33,13 +34,13 @@ Value eval_binary_op(Impl& vm, BinaryOp op, const Value& a, const Value& b,
   switch (op) {
     case BinaryOp::kAdd:
       return flt ? Value::of_float(a.as_float() + b.as_float())
-                 : Value::of_int(a.i + b.i);
+                 : Value::of_int(support::wrap_add(a.i, b.i));
     case BinaryOp::kSub:
       return flt ? Value::of_float(a.as_float() - b.as_float())
-                 : Value::of_int(a.i - b.i);
+                 : Value::of_int(support::wrap_sub(a.i, b.i));
     case BinaryOp::kMul:
       return flt ? Value::of_float(a.as_float() * b.as_float())
-                 : Value::of_int(a.i * b.i);
+                 : Value::of_int(support::wrap_mul(a.i, b.i));
     case BinaryOp::kDiv:
       if (flt) return Value::of_float(a.as_float() / b.as_float());
       if (b.i == 0) vm.runtime_error(&where, "integer division by zero");
@@ -77,16 +78,50 @@ Value eval_binary_op(Impl& vm, BinaryOp op, const Value& a, const Value& b,
   return Value::of_int(0);
 }
 
+Value eval_unary_op(UnaryOp op, const Value& v) {
+  switch (op) {
+    case UnaryOp::kNeg:
+      return v.is_float ? Value::of_float(-v.f)
+                        : Value::of_int(support::wrap_neg(v.i));
+    case UnaryOp::kNot:
+      return Value::of_bool(!v.truthy());
+    case UnaryOp::kBitNot:
+      return Value::of_int(~v.as_int());
+    case UnaryOp::kPlus:
+      return v;
+  }
+  return v;
+}
+
+Value eval_incdec(const Value& v, bool increment) {
+  const std::int64_t delta = increment ? 1 : -1;
+  return v.is_float ? Value::of_float(v.f + static_cast<double>(delta))
+                    : Value::of_int(support::wrap_add(v.i, delta));
+}
+
+Value eval_abs(const Value& v) {
+  return v.is_float ? Value::of_float(std::fabs(v.f))
+                    : Value::of_int(v.i < 0 ? -v.i : v.i);
+}
+
+Value eval_minmax(const Value& a, const Value& b, bool take_min) {
+  if (a.is_float || b.is_float) {
+    return Value::of_float(take_min ? std::min(a.as_float(), b.as_float())
+                                    : std::max(a.as_float(), b.as_float()));
+  }
+  return Value::of_int(take_min ? std::min(a.i, b.i) : std::max(a.i, b.i));
+}
+
 // Combines two values with a reduction operator.
 Value fold_reduce_value(ReduceKind op, const Value& acc, const Value& v) {
   const bool flt = acc.is_float || v.is_float;
   switch (op) {
     case ReduceKind::kAdd:
       return flt ? Value::of_float(acc.as_float() + v.as_float())
-                 : Value::of_int(acc.i + v.i);
+                 : Value::of_int(support::wrap_add(acc.i, v.i));
     case ReduceKind::kMul:
       return flt ? Value::of_float(acc.as_float() * v.as_float())
-                 : Value::of_int(acc.i * v.i);
+                 : Value::of_int(support::wrap_mul(acc.i, v.i));
     case ReduceKind::kAnd:
       return Value::of_bool(acc.truthy() && v.truthy());
     case ReduceKind::kOr:
@@ -402,17 +437,7 @@ Value Impl::eval(const Expr& e, EvalCtx& ctx) {
       const auto& u = static_cast<const lang::UnaryExpr&>(e);
       Value v = eval(*u.operand, ctx);
       if (ctx.undef) return v;
-      switch (u.op) {
-        case UnaryOp::kNeg:
-          return v.is_float ? Value::of_float(-v.f) : Value::of_int(-v.i);
-        case UnaryOp::kNot:
-          return Value::of_bool(!v.truthy());
-        case UnaryOp::kBitNot:
-          return Value::of_int(~v.as_int());
-        case UnaryOp::kPlus:
-          return v;
-      }
-      return v;
+      return eval_unary_op(u.op, v);
     }
     case ExprKind::kBinary: {
       const auto& b = static_cast<const lang::BinaryExpr&>(e);
@@ -490,9 +515,7 @@ Value Impl::eval(const Expr& e, EvalCtx& ctx) {
         return Value::of_int(0);
       }
       Value old = read_target(*target, ctx);
-      Value next = old.is_float
-                       ? Value::of_float(old.f + (i.is_increment ? 1 : -1))
-                       : Value::of_int(old.i + (i.is_increment ? 1 : -1));
+      Value next = eval_incdec(old, i.is_increment);
       if (target->kind == WriteTarget::Kind::kArray) {
         classify_access(*static_cast<ArrayObj*>(target->obj), target->index,
                         ctx);
@@ -660,23 +683,15 @@ Value Impl::eval_call(const lang::CallExpr& e, EvalCtx& ctx) {
       case BuiltinId::kAbs: {
         Value v = eval(*e.args[0], ctx);
         if (ctx.undef) return v;
-        return v.is_float ? Value::of_float(std::fabs(v.f))
-                          : Value::of_int(v.i < 0 ? -v.i : v.i);
+        return eval_abs(v);
       }
       case BuiltinId::kMin2:
       case BuiltinId::kMax2: {
         Value a = eval(*e.args[0], ctx);
         Value b = eval(*e.args[1], ctx);
         if (ctx.undef) return a;
-        const bool take_min =
-            static_cast<BuiltinId>(sym->builtin_id) == BuiltinId::kMin2;
-        if (a.is_float || b.is_float) {
-          return Value::of_float(take_min
-                                     ? std::min(a.as_float(), b.as_float())
-                                     : std::max(a.as_float(), b.as_float()));
-        }
-        return Value::of_int(take_min ? std::min(a.i, b.i)
-                                      : std::max(a.i, b.i));
+        return eval_minmax(
+            a, b, static_cast<BuiltinId>(sym->builtin_id) == BuiltinId::kMin2);
       }
       case BuiltinId::kSwap: {
         auto ta = resolve_lvalue(*e.args[0], ctx);

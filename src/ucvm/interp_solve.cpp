@@ -167,7 +167,8 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
               }
             }
           },
-          /*min_grain=*/64);
+          // A grain of n runs every lane on the issuing thread.
+          calls_array_declarer(*assigns[a].assign->rhs) ? n : 64);
 
       // Charge one *par-style round for this assignment.
       charge_expr(*assigns[a].assign, space.geom_size, /*frontend=*/false,

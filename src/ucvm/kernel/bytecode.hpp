@@ -101,6 +101,19 @@ struct ReduceRef {
   const lang::ReduceExpr* expr = nullptr;
 };
 
+// Static representation of a register (or reduction accumulator) on every
+// path through the kernel: kInt/kFloat registers hold that payload in
+// every lane; kDyn ones may hold either, so they carry a per-lane tag and
+// follow the tree walk's Value semantics; kUnset registers are never
+// written.
+enum RegType : std::uint8_t { kUnset, kInt, kFloat, kDyn };
+
+struct KernelTypes {
+  std::vector<RegType> regs;  // per virtual register
+  std::vector<RegType> acc;   // per reduction: its accumulator
+  bool all_static = true;     // no kDyn register or accumulator
+};
+
 struct Kernel {
   std::vector<Inst> code;
   std::vector<Value> pool;
@@ -114,7 +127,23 @@ struct Kernel {
   // starts at code[0]).  Plain statement kernels have num_members == 1.
   std::uint32_t num_members = 1;
   bool uses_rand = false;  // seed the per-lane RNG only when needed
+  // Store instructions one lane can execute: the bound on its buffered
+  // writes.  -1 when a store sits inside a reduction's tuple loop, where
+  // the count grows with the product.
+  std::int32_t writes_per_lane = 0;
+  // Register types with every scalar and array operand of its declared
+  // kind (type_kernel at compile time).
+  KernelTypes types;
 };
+
+// The typing pass (typing.cpp): infers each register's representation
+// over all control paths.  scalar_dyn / array_dyn (nullable, indexed by
+// operand slot) mark operands whose linked value is not of the declared
+// kind — e.g. a float lane-local that swap() left holding an int — whose
+// loads then type as kDyn.
+void type_kernel(const Kernel& k, KernelTypes& out,
+                 const std::uint8_t* scalar_dyn = nullptr,
+                 const std::uint8_t* array_dyn = nullptr);
 
 // True when the lowering covers this expression tree; false means the
 // statement runs on the tree-walk engine (solve bodies, user function

@@ -604,6 +604,34 @@ class Lowerer {
   }
 };
 
+// Kernel-static facts the executor and the native emitter read: register
+// types and the per-lane write bound.
+void finish(Kernel& k) {
+  type_kernel(k, k.types);
+  bool in_reduce = false;
+  for (const Inst& i : k.code) {
+    switch (i.op) {
+      case Op::kReduceBegin:
+        in_reduce = true;
+        break;
+      case Op::kReduceEnd:
+        in_reduce = false;
+        break;
+      case Op::kStoreScalar:
+      case Op::kArrStore:
+      case Op::kArrPut:
+        if (in_reduce) {
+          k.writes_per_lane = -1;
+          return;
+        }
+        ++k.writes_per_lane;
+        break;
+      default:
+        break;
+    }
+  }
+}
+
 }  // namespace
 
 bool can_compile_expr(const Expr& e) { return can_compile(e, false); }
@@ -612,6 +640,7 @@ std::unique_ptr<Kernel> compile_expr(const Expr& e) {
   if (!can_compile_expr(e)) return nullptr;
   auto kernel = std::make_unique<Kernel>();
   Lowerer(*kernel).lower(e);
+  finish(*kernel);
   return kernel;
 }
 
@@ -627,6 +656,7 @@ std::unique_ptr<Kernel> compile_fused(const Expr* const* stmts,
   // the 16-bit register file; decline and let the members run unfused.
   if (kernel->num_regs > 60000) return nullptr;
   if (!optimize_kernel(*kernel)) return nullptr;
+  finish(*kernel);
   return kernel;
 }
 

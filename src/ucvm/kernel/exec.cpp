@@ -1,15 +1,20 @@
-// Bytecode executor for the lane-kernel engine: link, per-lane switch
-// dispatch, stat merging and the lane-ordered write commit.  Every
-// observable effect (values, buffered-write order, comm classification,
-// error messages, RNG draws) matches the tree walk in interp_expr.cpp —
-// the engine_parity test suite holds the two engines to byte identity.
+// Bytecode executor for the lane-kernel engine: link, the lane-block
+// executor, stat merging and the lane-ordered write commit.  Each
+// instruction runs as one loop over a block of up to kBlock lanes, over
+// register columns typed by the kernel's typing pass.  Every observable
+// effect (values, buffered-write order, comm classification, error
+// messages, RNG draws) matches the tree walk in interp_expr.cpp — the
+// engine_parity test suite holds the engines to byte identity.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "ucvm/kernel/kernel.hpp"
 
+#include "support/error.hpp"
+#include "support/wrap.hpp"
 #include "uclang/symbols.hpp"
 #include "ucvm/durable.hpp"  // complete type for ~Impl's unique_ptr member
 
@@ -57,6 +62,38 @@ bool geom_equals(const std::vector<std::int64_t>& base, std::size_t base_dims,
     if (arr_dims[base_dims + k] != extra[k]) return false;
   }
   return true;
+}
+
+// The lanes of a block an instruction runs over: the range [lo, hi) when
+// the lane mask is contiguous, else its ascending lane list.
+struct Sel {
+  int n = 0;
+  int lo = 0;
+  int hi = 0;
+  bool dense = true;
+  std::uint8_t idx[kBlock];
+
+  void set(std::uint64_t mask) {
+    n = std::popcount(mask);
+    lo = std::countr_zero(mask);
+    hi = kBlock - std::countl_zero(mask);
+    dense = hi - lo == n;
+    if (dense) return;
+    int j = 0;
+    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+      idx[j++] = static_cast<std::uint8_t>(std::countr_zero(m));
+    }
+  }
+};
+
+// Calls f(l) for every lane of s in lane order.
+template <class F>
+inline void each(const Sel& s, F&& f) {
+  if (s.dense) {
+    for (int l = s.lo; l < s.hi; ++l) f(l);
+  } else {
+    for (int j = 0; j < s.n; ++j) f(static_cast<int>(s.idx[j]));
+  }
 }
 
 }  // namespace
@@ -209,479 +246,1023 @@ bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
     if (la.geom_matches) la.vp_coords = la.arr->coord_table();
   }
 
+  // The kernel's register types assume every operand holds its declared
+  // kind.  One that does not (a float lane-local that swap() left holding
+  // an int) retypes this execution: its loads, and what they flow into,
+  // take the tagged per-lane loops.
+  bool drift = false;
+  scalar_dyn_.assign(k.scalars.size(), 0);
+  for (std::size_t i = 0; i < k.scalars.size(); ++i) {
+    const bool want = k.scalars[i].sym->type.is_float();
+    const LinkedScalar& ls = scalars_[i];
+    if (ls.home == ScalarHome::kLaneLocal) {
+      for (const Value& v : *ls.store) {
+        if (v.is_float != want) {
+          scalar_dyn_[i] = 1;
+          break;
+        }
+      }
+    } else {
+      scalar_dyn_[i] = ls.value->is_float != want ? 1 : 0;
+    }
+    drift |= scalar_dyn_[i] != 0;
+  }
+  array_dyn_.assign(k.arrays.size(), 0);
+  for (std::size_t i = 0; i < k.arrays.size(); ++i) {
+    array_dyn_[i] = arrays_[i].flt != k.arrays[i].sym->type.is_float();
+    drift |= array_dyn_[i] != 0;
+  }
+  types_ = &k.types;
+  if (drift) {
+    type_kernel(k, link_types_, scalar_dyn_.data(), array_dyn_.data());
+    types_ = &link_types_;
+  }
+
   return max_depth_ < kMaxDepth;
 }
 
-void Engine::classify_site(const LinkedArray& la, std::int64_t flat,
-                           std::int64_t lane_vp,
-                           const std::int64_t* lane_coords,
-                           const ReduceState& rs, AccessStats& stats) const {
-  // Inside a partition-optimised reduction accesses are already paid for
-  // by the send-with-combine charge (walk: suppress_comm).
-  if (la.reduce >= 0 && rs.suppress) return;
-  switch (la.mode) {
-    case AccMode::kFrontend:
-      ++stats.frontend;
-      return;
-    case AccMode::kLocalReplicated:
-      ++stats.local;
-      return;
-    case AccMode::kRemote: {
-      std::int64_t vp;
-      const std::int64_t* coords;
-      if (la.reduce >= 0) {
-        vp = rs.vp;
-        coords = rs.coords;
-      } else {
-        vp = lane_vp;
-        coords = lane_coords;
+void Engine::classify_remote(const LinkedArray& la, std::int64_t flat,
+                             std::int64_t vp, const std::int64_t* coords,
+                             AccessStats& stats) const {
+  // Inlined classify_remote_access over the linked caches (identical
+  // decision order: local, slice->router, NEWS when the geometry matches,
+  // router otherwise).
+  const cm::VpIndex owner = la.owners[flat];
+  if (owner == vp) {
+    ++stats.local;
+    return;
+  }
+  if (la.slice) {
+    ++stats.router;
+    return;
+  }
+  if (la.geom_matches) {
+    // geom_matches implies the lane geometry equals the array shape, so
+    // la.rank coordinates cover both; the precomputed coord table replaces
+    // the per-access unflatten division.
+    const std::int64_t* oc =
+        la.vp_coords + static_cast<std::size_t>(owner) * la.rank;
+    int diff_axes = 0;
+    std::int64_t hops = 0;
+    for (std::uint32_t d = 0; d < la.rank; ++d) {
+      if (oc[d] != coords[d]) {
+        ++diff_axes;
+        hops = oc[d] < coords[d] ? coords[d] - oc[d] : oc[d] - coords[d];
       }
-      // Inlined classify_remote_access over the linked caches (identical
-      // decision order: local, slice->router, NEWS when the geometry
-      // matches, router otherwise).
-      const cm::VpIndex owner = la.owners[flat];
-      if (owner == vp) {
-        ++stats.local;
+    }
+    if (diff_axes == 1) {
+      const cm::CostModel& cost = vm_.machine.cost_model();
+      if (static_cast<std::uint64_t>(hops) * cost.news_op <= cost.router_op) {
+        ++stats.news;
+        stats.news_max_hops =
+            std::max(stats.news_max_hops, static_cast<std::uint64_t>(hops));
         return;
       }
-      if (la.slice) {
-        ++stats.router;
-        return;
-      }
-      if (la.geom_matches) {
-        // geom_matches implies the lane geometry equals the array shape,
-        // so la.rank coordinates cover both; the precomputed coord table
-        // replaces the per-access unflatten division.
-        const std::int64_t* oc =
-            la.vp_coords + static_cast<std::size_t>(owner) * la.rank;
-        int diff_axes = 0;
-        std::int64_t hops = 0;
-        for (std::uint32_t d = 0; d < la.rank; ++d) {
-          if (oc[d] != coords[d]) {
-            ++diff_axes;
-            hops = oc[d] < coords[d] ? coords[d] - oc[d] : oc[d] - coords[d];
-          }
-        }
-        if (diff_axes == 1) {
-          const cm::CostModel& cost = vm_.machine.cost_model();
-          if (static_cast<std::uint64_t>(hops) * cost.news_op <=
-              cost.router_op) {
-            ++stats.news;
-            stats.news_max_hops = std::max(
-                stats.news_max_hops, static_cast<std::uint64_t>(hops));
-            return;
-          }
-        }
-      }
-      ++stats.router;
-      return;
     }
   }
+  ++stats.router;
 }
 
-void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
-                      std::int64_t result_slot, Frame* frame,
-                      std::uint64_t stmt_id, Arena& arena,
-                      Value* results) {
-  Value* regs = arena.regs.data();
+void Engine::run_block(const Kernel& k, LaneSpace& space,
+                       const std::vector<std::int64_t>& active,
+                       std::int64_t k0, int n, Frame* frame,
+                       std::uint64_t stmt_id, Arena& arena, Value* results) {
+  const RegType* T = types_->regs.data();
+  Slot* const regs = arena.regs.data();
+  std::uint8_t* const tags = arena.tags.data();
+  BlockLanes& bl = arena.lanes;
+  ReduceTuple& rt = arena.rt;
   const LinkedElem* elems = elems_.data();
   const LinkedScalar* scalars = scalars_.data();
   const LinkedArray* arrays = arrays_.data();
   const LinkedReduce* reduces = reduces_.data();
 
-  // Translate this lane into every ancestor space the kernel touches.
-  std::int64_t lanes[kMaxDepth];
-  lanes[0] = lane;
+  // --- register access ---
+  const auto col = [&](std::uint16_t r) {
+    return regs + static_cast<std::size_t>(r) * kBlock;
+  };
+  const auto tag = [&](std::uint16_t r) {
+    return tags + static_cast<std::size_t>(r) * kBlock;
+  };
+  const auto get = [&](std::uint16_t r, int l) {
+    const Slot s = col(r)[l];
+    switch (T[r]) {
+      case kFloat:
+        return Value::of_float(s.f);
+      case kDyn:
+        return tag(r)[l] != 0 ? Value::of_float(s.f) : Value::of_int(s.i);
+      default:
+        return Value::of_int(s.i);
+    }
+  };
+  const auto put = [&](std::uint16_t r, int l, const Value& v) {
+    if (T[r] == kDyn) tag(r)[l] = v.is_float ? 1 : 0;
+    if (v.is_float) {
+      col(r)[l].f = v.f;
+    } else {
+      col(r)[l].i = v.i;
+    }
+  };
+  const auto as_int = [&](std::uint16_t r, int l) {
+    return get(r, l).as_int();
+  };
+  const auto truthy = [&](std::uint16_t r, int l) {
+    return get(r, l).truthy();
+  };
+
+  // --- block lanes: ancestor chain, VP, coordinates, RNG ---
+  std::int64_t* anc = arena.anc.data();
+  for (int l = 0; l < n; ++l) anc[l] = active[static_cast<std::size_t>(k0 + l)];
   for (std::int32_t d = 1; d <= max_depth_; ++d) {
-    lanes[d] = depth_spaces_[static_cast<std::size_t>(d) - 1]
-                   ->parent_lane[static_cast<std::size_t>(lanes[d - 1])];
+    const std::int64_t* up =
+        depth_spaces_[static_cast<std::size_t>(d) - 1]->parent_lane.data();
+    const std::int64_t* below = anc + static_cast<std::size_t>(d - 1) * kBlock;
+    std::int64_t* here = anc + static_cast<std::size_t>(d) * kBlock;
+    for (int l = 0; l < n; ++l) here[l] = up[below[l]];
   }
-
-  // Per-lane VP and coordinates, computed once (classification and
-  // reductions reuse them instead of re-indexing the space per access).
-  const std::int64_t lane_vp =
-      space.frontend ? 0 : space.vps[static_cast<std::size_t>(lane)];
   const std::size_t n_dims = space.dims.size();
-  const std::int64_t* lane_coords =
-      n_dims > 0 ? &space.coords[static_cast<std::size_t>(lane) * n_dims]
-                 : nullptr;
-
-  // Same per-lane RNG stream as the walk's eval_lanes seeding.
+  for (int l = 0; l < n; ++l) {
+    const auto lane = static_cast<std::size_t>(anc[l]);
+    bl.vp[l] = space.frontend ? 0 : space.vps[lane];
+    bl.coords[l] = n_dims > 0 ? &space.coords[lane * n_dims] : nullptr;
+  }
+  // Same per-lane RNG streams as the walk's eval_lanes seeding; fused
+  // kernels reseed at each member boundary with the member's statement id.
   const bool use_fe_rng = space.frontend;
-  support::SplitMix64 rng{0};
+  const auto seed_rng = [&](std::uint64_t id, int l) {
+    bl.rng[l].seed(vm_.base_seed ^ (id * 0x9e3779b97f4a7c15ull) ^
+                   (static_cast<std::uint64_t>(bl.vp[l]) +
+                    0x5851f42d4c957f2dull));
+  };
   if (k.uses_rand && !use_fe_rng) {
-    rng.seed(vm_.base_seed ^ (stmt_id * 0x9e3779b97f4a7c15ull) ^
-             (static_cast<std::uint64_t>(lane_vp) + 0x5851f42d4c957f2dull));
+    for (int l = 0; l < n; ++l) seed_rng(stmt_id, l);
   }
 
-  // Fused kernels switch this at kMemberBoundary so each member's
-  // communication is attributed (and charged) separately.
-  AccessStats* stats_cur = arena.stats.data();
-  ReduceState& rs = arena.rs;
+  // --- the running sub-block and the diverged ones waiting for it ---
+  std::uint64_t mask = n == kBlock ? ~0ull : (std::uint64_t{1} << n) - 1;
+  Sel S;
+  S.set(mask);
+  std::vector<SubBlock>& pending = arena.pending;
+  pending.clear();
+  const auto park = [&](std::int32_t at, std::uint64_t lanes) {
+    auto it = pending.begin();
+    while (it != pending.end() && it->ip > at) ++it;
+    if (it != pending.end() && it->ip == at) {
+      it->mask |= lanes;
+    } else {
+      pending.insert(it, SubBlock{at, lanes});
+    }
+  };
+  // A conditional jump taken by the lanes in `taken`: all of them jump,
+  // none do, or the block splits and the jumping lanes wait at `target`.
+  const auto branch = [&](std::uint64_t taken, std::int32_t target,
+                          std::int32_t& next) {
+    if (taken == 0) return;
+    if (taken == mask) {
+      next = target;
+      return;
+    }
+    park(target, taken);
+    mask &= ~taken;
+    S.set(mask);
+  };
+  const auto lanes_where = [&](std::uint16_t r, bool want) {
+    std::uint64_t m = 0;
+    if (T[r] == kInt) {
+      const Slot* c = col(r);
+      each(S, [&](int l) {
+        m |= static_cast<std::uint64_t>((c[l].i != 0) == want) << l;
+      });
+    } else {
+      each(S, [&](int l) {
+        m |= static_cast<std::uint64_t>(truthy(r, l) == want) << l;
+      });
+    }
+    return m;
+  };
+
+  // --- writes: lane l's j-th write goes to slot l * W + j of the space
+  // reserved at the log's tail, so the block's writes come out lane-major
+  // however the instructions interleave them.  A kernel whose lanes have
+  // no bound W runs one-lane blocks that append in order. ---
+  const std::int32_t W = k.writes_per_lane;
+  Write* slots = W > 0 ? arena.writes.reserve_tail(
+                             static_cast<std::size_t>(n) *
+                             static_cast<std::size_t>(W))
+                       : nullptr;
+  std::int32_t written[kBlock];
+  std::fill_n(written, n, 0);
+  const auto push_write = [&](int l, const WriteTarget& t, const Value& v,
+                              const Expr* where) {
+    if (slots == nullptr) {
+      arena.writes.push_back(Write{t, v, where});
+    } else {
+      slots[l * W + written[l]++] = Write{t, v, where};
+    }
+  };
+
+  // --- shared instruction bodies ---
+  AccessStats* st = arena.stats.data();
+  std::int64_t flat[kBlock];
+  // Flat element of la at subscripts r[I.b .. I.b+I.c) for every lane; a
+  // lane out of range raises the walk's error.
+  const auto index = [&](const Inst& I, const LinkedArray& la) {
+    bool bad = I.c != la.rank;
+    if (!bad) {
+      each(S, [&](int l) { flat[l] = 0; });
+      for (std::uint16_t j = 0; j < I.c; ++j) {
+        const auto r = static_cast<std::uint16_t>(I.b + j);
+        const std::int64_t dim = la.adims[j];
+        const auto stride = static_cast<std::uint64_t>(la.astrides[j]);
+        // Unsigned: a negative subscript compares as out of range, and
+        // an out-of-range one cannot overflow the (discarded) flat index.
+        const auto udim = static_cast<std::uint64_t>(dim);
+        bool out = false;
+        const auto step = [&](int l, std::int64_t ix) {
+          const auto u = static_cast<std::uint64_t>(ix);
+          out |= u >= udim;
+          flat[l] = static_cast<std::int64_t>(
+              static_cast<std::uint64_t>(flat[l]) + u * stride);
+        };
+        if (T[r] == kInt) {
+          const Slot* x = col(r);
+          each(S, [&](int l) { step(l, x[l].i); });
+        } else {
+          each(S, [&](int l) { step(l, as_int(r, l)); });
+        }
+        bad |= out;
+      }
+    }
+    if (!bad) return;
+    each(S, [&](int l) {
+      bool out = I.c != la.rank;
+      for (std::uint16_t j = 0; !out && j < I.c; ++j) {
+        const std::int64_t ix = as_int(static_cast<std::uint16_t>(I.b + j), l);
+        out = ix < 0 || ix >= la.adims[j];
+      }
+      if (!out) return;
+      std::string what = la.arr->name();
+      for (std::uint16_t j = 0; j < I.c; ++j) {
+        what += "[" +
+                std::to_string(as_int(static_cast<std::uint16_t>(I.b + j), l)) +
+                "]";
+      }
+      vm_.runtime_error(I.where, "array subscript out of range: " + what);
+    });
+  };
+  const auto flat_from = [&](std::uint16_t r) {
+    const Slot* c = col(r);
+    each(S, [&](int l) { flat[l] = c[l].i; });
+  };
+  const auto classify = [&](const LinkedArray& la) {
+    // Inside a partition-optimised reduction accesses are already paid for
+    // by the send-with-combine charge (walk: suppress_comm).
+    if (la.reduce >= 0 && rt.suppress) return;
+    switch (la.mode) {
+      case AccMode::kFrontend:
+        st->frontend += static_cast<std::uint64_t>(S.n);
+        return;
+      case AccMode::kLocalReplicated:
+        st->local += static_cast<std::uint64_t>(S.n);
+        return;
+      case AccMode::kRemote: {
+        AccessStats acc;
+        if (la.reduce >= 0) {
+          each(S, [&](int l) {
+            classify_remote(la, flat[l], bl.rs_vp[l], bl.rs_coords[l], acc);
+          });
+        } else {
+          each(S, [&](int l) {
+            classify_remote(la, flat[l], bl.vp[l], bl.coords[l], acc);
+          });
+        }
+        st->merge(acc);
+        return;
+      }
+    }
+  };
+  const auto load = [&](const Inst& I, const LinkedArray& la) {
+    Slot* d = col(I.dst);
+    const cm::Bits* data = la.data;
+    if (T[I.dst] == kDyn) {
+      each(S, [&](int l) {
+        put(I.dst, l, Value::from_bits(data[flat[l]], la.flt));
+      });
+    } else if (la.flt) {
+      each(S, [&](int l) { d[l].f = cm::as_float(data[flat[l]]); });
+    } else {
+      each(S, [&](int l) { d[l].i = cm::as_int(data[flat[l]]); });
+    }
+  };
+  const auto store = [&](const Inst& I, const LinkedArray& la,
+                         std::uint16_t value) {
+    WriteTarget t;
+    t.kind = WriteTarget::Kind::kArray;
+    t.obj = la.arr;
+    const Slot* v = col(value);
+    switch (T[value]) {
+      case kInt:
+        each(S, [&](int l) {
+          t.index = flat[l];
+          push_write(l, t, Value::of_int(v[l].i), I.where);
+        });
+        break;
+      case kFloat:
+        each(S, [&](int l) {
+          t.index = flat[l];
+          push_write(l, t, Value::of_float(v[l].f), I.where);
+        });
+        break;
+      default:
+        each(S, [&](int l) {
+          t.index = flat[l];
+          push_write(l, t, get(value, l), I.where);
+        });
+        break;
+    }
+  };
+  // After a typed loop wrote r's payloads: a kDyn r records their kind.
+  const auto mark = [&](std::uint16_t r, bool flt) {
+    if (T[r] != kDyn) return;
+    std::uint8_t* t = tag(r);
+    each(S, [&](int l) { t[l] = flt ? 1 : 0; });
+  };
+  // r's payloads as doubles: its own column when kFloat, else converted
+  // into a scratch column (r must be kInt or kFloat).
+  const auto fcol = [&](std::uint16_t r, int which) -> const Slot* {
+    if (T[r] == kFloat) return col(r);
+    Slot* out = bl.scratch[which];
+    const Slot* in = col(r);
+    each(S, [&](int l) { out[l].f = static_cast<double>(in[l].i); });
+    return out;
+  };
+  // Accumulator of the live reduction, per its static type.
+  const auto acc_get = [&](int l) {
+    switch (rt.acc) {
+      case kFloat:
+        return Value::of_float(bl.acc[l].f);
+      case kDyn:
+        return bl.acc_tag[l] != 0 ? Value::of_float(bl.acc[l].f)
+                                  : Value::of_int(bl.acc[l].i);
+      default:
+        return Value::of_int(bl.acc[l].i);
+    }
+  };
+  const auto acc_put = [&](int l, const Value& v) {
+    switch (rt.acc) {
+      case kFloat:
+        bl.acc[l].f = v.as_float();
+        return;
+      case kDyn:
+        bl.acc_tag[l] = v.is_float ? 1 : 0;
+        if (v.is_float) {
+          bl.acc[l].f = v.f;
+        } else {
+          bl.acc[l].i = v.i;
+        }
+        return;
+      default:
+        bl.acc[l].i = v.i;
+        return;
+    }
+  };
+  // Int division and modulo: the walk's error if any lane's divisor
+  // (kInt register r) is zero.
+  const auto zero_check = [&](std::uint16_t r, const Inst& I,
+                              const char* msg) {
+    const Slot* c = col(r);
+    bool zero = false;
+    each(S, [&](int l) { zero |= c[l].i == 0; });
+    if (zero) vm_.runtime_error(I.where, msg);
+  };
+
   const Inst* code = k.code.data();
-  std::size_t ip = 0;
+  std::int32_t ip = 0;
   for (;;) {
     const Inst& I = code[ip];
+    std::int32_t next = ip + 1;
     switch (I.op) {
-      case Op::kConst:
-        regs[I.dst] = k.pool[I.a];
-        break;
-      case Op::kMove:
-        regs[I.dst] = regs[I.a];
-        break;
-      case Op::kBool:
-        regs[I.dst] = Value::of_bool(regs[I.a].truthy());
-        break;
-      case Op::kLoadElem: {
-        const LinkedElem& le = elems[I.a];
-        regs[I.dst] = Value::of_int(
-            le.vals[static_cast<std::size_t>(lanes[le.depth]) * le.width +
-                    le.k]);
+      case Op::kConst: {
+        const Value& v = k.pool[I.a];
+        Slot s;
+        if (v.is_float) {
+          s.f = v.f;
+        } else {
+          s.i = v.i;
+        }
+        Slot* d = col(I.dst);
+        each(S, [&](int l) { d[l] = s; });
+        mark(I.dst, v.is_float);
         break;
       }
-      case Op::kLoadReduceElem:
-        regs[I.dst] = Value::of_int(rs.elem_vals[I.b]);
+      case Op::kMove: {
+        Slot* d = col(I.dst);
+        const Slot* a = col(I.a);
+        each(S, [&](int l) { d[l] = a[l]; });
+        if (T[I.dst] == kDyn) {
+          if (T[I.a] == kDyn) {
+            std::uint8_t* td = tag(I.dst);
+            const std::uint8_t* ta = tag(I.a);
+            each(S, [&](int l) { td[l] = ta[l]; });
+          } else {
+            mark(I.dst, T[I.a] == kFloat);
+          }
+        }
         break;
+      }
+      case Op::kBool: {
+        Slot* d = col(I.dst);
+        const Slot* a = col(I.a);
+        switch (T[I.a]) {
+          case kInt:
+            each(S, [&](int l) { d[l].i = a[l].i != 0 ? 1 : 0; });
+            break;
+          case kFloat:
+            each(S, [&](int l) { d[l].i = a[l].f != 0.0 ? 1 : 0; });
+            break;
+          default:
+            each(S, [&](int l) { d[l].i = truthy(I.a, l) ? 1 : 0; });
+            break;
+        }
+        mark(I.dst, false);
+        break;
+      }
+      case Op::kLoadElem: {
+        const LinkedElem& le = elems[I.a];
+        const std::int64_t* L =
+            anc + static_cast<std::size_t>(le.depth) * kBlock;
+        Slot* d = col(I.dst);
+        each(S, [&](int l) {
+          d[l].i = le.vals[static_cast<std::size_t>(L[l]) * le.width + le.k];
+        });
+        mark(I.dst, false);
+        break;
+      }
+      case Op::kLoadReduceElem: {
+        const std::int64_t v = rt.elem_vals[I.b];
+        Slot* d = col(I.dst);
+        each(S, [&](int l) { d[l].i = v; });
+        mark(I.dst, false);
+        break;
+      }
       case Op::kLoadScalar: {
         const LinkedScalar& ls = scalars[I.a];
-        regs[I.dst] =
-            ls.home == ScalarHome::kLaneLocal
-                ? (*ls.store)[static_cast<std::size_t>(lanes[ls.depth])]
-                : *ls.value;
+        Slot* d = col(I.dst);
+        if (ls.home == ScalarHome::kLaneLocal) {
+          const Value* src = ls.store->data();
+          const std::int64_t* L =
+              anc + static_cast<std::size_t>(ls.depth) * kBlock;
+          switch (T[I.dst]) {
+            case kFloat:
+              each(S, [&](int l) { d[l].f = src[L[l]].f; });
+              break;
+            case kInt:
+              each(S, [&](int l) { d[l].i = src[L[l]].i; });
+              break;
+            default:
+              each(S, [&](int l) { put(I.dst, l, src[L[l]]); });
+              break;
+          }
+        } else {
+          const Value v = *ls.value;
+          each(S, [&](int l) { put(I.dst, l, v); });
+        }
         break;
       }
       case Op::kStoreScalar: {
         const LinkedScalar& ls = scalars[I.a];
         WriteTarget t;
+        t.index = ls.slot;
+        const std::int64_t* L = nullptr;
         switch (ls.home) {
           case ScalarHome::kGlobal:
             t.kind = WriteTarget::Kind::kGlobal;
-            t.index = ls.slot;
             break;
           case ScalarHome::kFrame:
             t.kind = WriteTarget::Kind::kFrame;
             t.obj = frame;
-            t.index = ls.slot;
             break;
           case ScalarHome::kLaneLocal:
             t.kind = WriteTarget::Kind::kLaneLocal;
             t.obj = ls.owner;
-            t.index = ls.slot;
-            t.lane = lanes[ls.depth];
+            L = anc + static_cast<std::size_t>(ls.depth) * kBlock;
             break;
         }
-        arena.writes.push_back(Write{t, regs[I.b], I.where});
+        each(S, [&](int l) {
+          if (L != nullptr) t.lane = L[l];
+          push_write(l, t, get(I.b, l), I.where);
+        });
         break;
       }
       case Op::kArrIndex: {
-        const LinkedArray& la = arrays[I.a];
-        // Inlined ArrayObj::flatten over the linked dim/stride caches.
-        std::int64_t flat = I.c == la.rank ? 0 : -1;
-        for (std::uint16_t j = 0; flat >= 0 && j < I.c; ++j) {
-          const std::int64_t ix = regs[I.b + j].as_int();
-          if (ix < 0 || ix >= la.adims[j]) {
-            flat = -1;
-            break;
-          }
-          flat += ix * la.astrides[j];
-        }
-        if (flat < 0) {
-          std::string what = la.arr->name();
-          for (std::uint16_t j = 0; j < I.c; ++j) {
-            what += "[" + std::to_string(regs[I.b + j].as_int()) + "]";
-          }
-          vm_.runtime_error(I.where,
-                            "array subscript out of range: " + what);
-        }
-        regs[I.dst] = Value::of_int(flat);
+        index(I, arrays[I.a]);
+        Slot* d = col(I.dst);
+        each(S, [&](int l) { d[l].i = flat[l]; });
+        mark(I.dst, false);
         break;
       }
-      case Op::kArrLoad: {
-        const LinkedArray& la = arrays[I.a];
-        regs[I.dst] = Value::from_bits(la.data[regs[I.b].i], la.flt);
+      case Op::kArrLoad:
+        flat_from(I.b);
+        load(I, arrays[I.a]);
         break;
-      }
       case Op::kArrGet: {
-        // Fused kArrIndex + kClassify + kArrLoad for rvalue reads: one
-        // dispatch, and the flat index stays in a local instead of a
-        // register round-trip.  Order (bounds check, classify, load) and
-        // the error site match the unfused sequence exactly.
+        // Fused kArrIndex + kClassify + kArrLoad for rvalue reads: order
+        // (bounds check, classify, load) and the error site match the
+        // unfused sequence exactly.
         const LinkedArray& la = arrays[I.a];
-        std::int64_t flat = I.c == la.rank ? 0 : -1;
-        for (std::uint16_t j = 0; flat >= 0 && j < I.c; ++j) {
-          const std::int64_t ix = regs[I.b + j].as_int();
-          if (ix < 0 || ix >= la.adims[j]) {
-            flat = -1;
-            break;
-          }
-          flat += ix * la.astrides[j];
-        }
-        if (flat < 0) {
-          std::string what = la.arr->name();
-          for (std::uint16_t j = 0; j < I.c; ++j) {
-            what += "[" + std::to_string(regs[I.b + j].as_int()) + "]";
-          }
-          vm_.runtime_error(I.where,
-                            "array subscript out of range: " + what);
-        }
-        classify_site(la, flat, lane_vp, lane_coords, rs, *stats_cur);
-        regs[I.dst] = Value::from_bits(la.data[flat], la.flt);
+        index(I, la);
+        classify(la);
+        load(I, la);
         break;
       }
       case Op::kClassify:
-        classify_site(arrays[I.a], regs[I.b].i, lane_vp, lane_coords, rs,
-                      *stats_cur);
+        flat_from(I.b);
+        classify(arrays[I.a]);
         break;
       case Op::kBroadcastCheck:
         // Walk: writes to a replicated array broadcast, independent of the
         // suppress/frontend classification short-circuit.
-        if (arrays[I.a].arr->replicated()) ++stats_cur->broadcast;
+        if (arrays[I.a].arr->replicated()) {
+          st->broadcast += static_cast<std::uint64_t>(S.n);
+        }
         break;
-      case Op::kArrStore: {
-        WriteTarget t;
-        t.kind = WriteTarget::Kind::kArray;
-        t.obj = arrays[I.a].arr;
-        t.index = regs[I.b].i;
-        arena.writes.push_back(Write{t, regs[I.c], I.where});
+      case Op::kArrStore:
+        flat_from(I.b);
+        store(I, arrays[I.a], I.c);
         break;
-      }
       case Op::kArrPut: {
         // Fused kClassify (+ kBroadcastCheck when arg bit0) + kArrStore.
         const LinkedArray& la = arrays[I.a];
-        const std::int64_t flat = regs[I.b].i;
-        classify_site(la, flat, lane_vp, lane_coords, rs, *stats_cur);
-        if ((I.arg & 1) != 0 && la.arr->replicated()) ++stats_cur->broadcast;
-        WriteTarget t;
-        t.kind = WriteTarget::Kind::kArray;
-        t.obj = la.arr;
-        t.index = flat;
-        arena.writes.push_back(Write{t, regs[I.c], I.where});
+        flat_from(I.b);
+        classify(la);
+        if ((I.arg & 1) != 0 && la.arr->replicated()) {
+          st->broadcast += static_cast<std::uint64_t>(S.n);
+        }
+        store(I, la, I.c);
         break;
       }
       case Op::kUnary: {
-        const Value& v = regs[I.a];
-        switch (static_cast<UnaryOp>(I.arg)) {
-          case UnaryOp::kNeg:
-            regs[I.dst] =
-                v.is_float ? Value::of_float(-v.f) : Value::of_int(-v.i);
-            break;
-          case UnaryOp::kNot:
-            regs[I.dst] = Value::of_bool(!v.truthy());
-            break;
-          case UnaryOp::kBitNot:
-            regs[I.dst] = Value::of_int(~v.as_int());
-            break;
-          case UnaryOp::kPlus:
-            regs[I.dst] = v;
-            break;
+        // Negation and ! have typed loops (! guards fig8's *solve rounds);
+        // ~ and unary + are rare and share the walk's Value arithmetic.
+        const auto op = static_cast<UnaryOp>(I.arg);
+        const RegType ta = T[I.a];
+        Slot* d = col(I.dst);
+        const Slot* a = col(I.a);
+        if (ta == kDyn || T[I.dst] == kDyn ||
+            (op != UnaryOp::kNeg && op != UnaryOp::kNot)) {
+          each(S, [&](int l) {
+            put(I.dst, l, eval_unary_op(op, get(I.a, l)));
+          });
+        } else if (op == UnaryOp::kNeg && ta == kFloat) {
+          each(S, [&](int l) { d[l].f = -a[l].f; });
+        } else if (op == UnaryOp::kNeg) {
+          each(S, [&](int l) { d[l].i = support::wrap_neg(a[l].i); });
+        } else if (ta == kFloat) {
+          each(S, [&](int l) { d[l].i = a[l].f != 0.0 ? 0 : 1; });
+        } else {
+          each(S, [&](int l) { d[l].i = a[l].i != 0 ? 0 : 1; });
         }
         break;
       }
       case Op::kBinary: {
-        const Value& a = regs[I.a];
-        const Value& b = regs[I.b];
         const auto op = static_cast<BinaryOp>(I.arg);
-        // Int fast paths for the common arithmetic/comparisons; floats and
-        // the checked ops (div/mod) share eval_binary_op with the walk.
-        if (!a.is_float && !b.is_float) {
+        const RegType ta = T[I.a];
+        const RegType tb = T[I.b];
+        Slot* d = col(I.dst);
+        if (ta == kDyn || tb == kDyn || T[I.dst] == kDyn) {
+          each(S, [&](int l) {
+            put(I.dst, l,
+                eval_binary_op(vm_, op, get(I.a, l), get(I.b, l), *I.where));
+          });
+          break;
+        }
+        if (ta == kInt && tb == kInt) {
+          const Slot* a = col(I.a);
+          const Slot* b = col(I.b);
           switch (op) {
             case BinaryOp::kAdd:
-              regs[I.dst] = Value::of_int(a.i + b.i);
-              ++ip;
-              continue;
+              each(S, [&](int l) {
+                d[l].i = support::wrap_add(a[l].i, b[l].i);
+              });
+              break;
             case BinaryOp::kSub:
-              regs[I.dst] = Value::of_int(a.i - b.i);
-              ++ip;
-              continue;
+              each(S, [&](int l) {
+                d[l].i = support::wrap_sub(a[l].i, b[l].i);
+              });
+              break;
             case BinaryOp::kMul:
-              regs[I.dst] = Value::of_int(a.i * b.i);
-              ++ip;
-              continue;
+              each(S, [&](int l) {
+                d[l].i = support::wrap_mul(a[l].i, b[l].i);
+              });
+              break;
+            case BinaryOp::kDiv:
+              zero_check(I.b, I, "integer division by zero");
+              each(S, [&](int l) { d[l].i = a[l].i / b[l].i; });
+              break;
+            case BinaryOp::kMod:
+              zero_check(I.b, I, "modulo by zero");
+              each(S, [&](int l) { d[l].i = a[l].i % b[l].i; });
+              break;
             case BinaryOp::kEq:
-              regs[I.dst] = Value::of_bool(a.i == b.i);
-              ++ip;
-              continue;
+              each(S, [&](int l) { d[l].i = a[l].i == b[l].i ? 1 : 0; });
+              break;
             case BinaryOp::kNe:
-              regs[I.dst] = Value::of_bool(a.i != b.i);
-              ++ip;
-              continue;
+              each(S, [&](int l) { d[l].i = a[l].i != b[l].i ? 1 : 0; });
+              break;
             case BinaryOp::kLt:
-              regs[I.dst] = Value::of_bool(a.i < b.i);
-              ++ip;
-              continue;
+              each(S, [&](int l) { d[l].i = a[l].i < b[l].i ? 1 : 0; });
+              break;
             case BinaryOp::kGt:
-              regs[I.dst] = Value::of_bool(a.i > b.i);
-              ++ip;
-              continue;
+              each(S, [&](int l) { d[l].i = a[l].i > b[l].i ? 1 : 0; });
+              break;
             case BinaryOp::kLe:
-              regs[I.dst] = Value::of_bool(a.i <= b.i);
-              ++ip;
-              continue;
+              each(S, [&](int l) { d[l].i = a[l].i <= b[l].i ? 1 : 0; });
+              break;
             case BinaryOp::kGe:
-              regs[I.dst] = Value::of_bool(a.i >= b.i);
-              ++ip;
-              continue;
+              each(S, [&](int l) { d[l].i = a[l].i >= b[l].i ? 1 : 0; });
+              break;
             default:
+              // Bit operations and shifts: rare, the walk's arithmetic.
+              each(S, [&](int l) {
+                put(I.dst, l,
+                    eval_binary_op(vm_, op, get(I.a, l), get(I.b, l),
+                                   *I.where));
+              });
               break;
           }
+          break;
         }
-        regs[I.dst] = eval_binary_op(vm_, op, a, b, *I.where);
+        // At least one float operand: arithmetic and comparisons run on
+        // doubles; mod and the bit operations truncate both operands.
+        switch (op) {
+          case BinaryOp::kAdd:
+          case BinaryOp::kSub:
+          case BinaryOp::kMul:
+          case BinaryOp::kDiv:
+          case BinaryOp::kEq:
+          case BinaryOp::kNe:
+          case BinaryOp::kLt:
+          case BinaryOp::kGt:
+          case BinaryOp::kLe:
+          case BinaryOp::kGe: {
+            const Slot* a = fcol(I.a, 0);
+            const Slot* b = fcol(I.b, 1);
+            switch (op) {
+              case BinaryOp::kAdd:
+                each(S, [&](int l) { d[l].f = a[l].f + b[l].f; });
+                break;
+              case BinaryOp::kSub:
+                each(S, [&](int l) { d[l].f = a[l].f - b[l].f; });
+                break;
+              case BinaryOp::kMul:
+                each(S, [&](int l) { d[l].f = a[l].f * b[l].f; });
+                break;
+              case BinaryOp::kDiv:
+                each(S, [&](int l) { d[l].f = a[l].f / b[l].f; });
+                break;
+              case BinaryOp::kEq:
+                each(S, [&](int l) { d[l].i = a[l].f == b[l].f ? 1 : 0; });
+                break;
+              case BinaryOp::kNe:
+                each(S, [&](int l) { d[l].i = a[l].f != b[l].f ? 1 : 0; });
+                break;
+              case BinaryOp::kLt:
+                each(S, [&](int l) { d[l].i = a[l].f < b[l].f ? 1 : 0; });
+                break;
+              case BinaryOp::kGt:
+                each(S, [&](int l) { d[l].i = a[l].f > b[l].f ? 1 : 0; });
+                break;
+              case BinaryOp::kLe:
+                each(S, [&](int l) { d[l].i = a[l].f <= b[l].f ? 1 : 0; });
+                break;
+              default:
+                each(S, [&](int l) { d[l].i = a[l].f >= b[l].f ? 1 : 0; });
+                break;
+            }
+            break;
+          }
+          default:
+            // mod, bit operations and shifts: rare on floats, so they share
+            // the walk's arithmetic (which raises "modulo by zero").
+            each(S, [&](int l) {
+              put(I.dst, l,
+                  eval_binary_op(vm_, op, get(I.a, l), get(I.b, l), *I.where));
+            });
+            break;
+        }
         break;
       }
-      case Op::kIncDec: {
-        const Value& old = regs[I.a];
-        const std::int64_t delta = (I.arg & 1) != 0 ? 1 : -1;
-        regs[I.dst] = old.is_float
-                          ? Value::of_float(old.f + static_cast<double>(delta))
-                          : Value::of_int(old.i + delta);
+      case Op::kIncDec:
+        // Rare in lane code: the walk's Value arithmetic.
+        each(S, [&](int l) {
+          put(I.dst, l, eval_incdec(get(I.a, l), (I.arg & 1) != 0));
+        });
+        break;
+      case Op::kCoerce: {
+        const auto kind = static_cast<ScalarKind>(I.arg);
+        const bool to_float = kind == ScalarKind::kFloat;
+        Slot* d = col(I.dst);
+        const Slot* a = col(I.a);
+        if (T[I.dst] == kDyn || T[I.a] == kDyn) {
+          each(S, [&](int l) { put(I.dst, l, get(I.a, l).coerce(kind)); });
+        } else if (to_float == (T[I.a] == kFloat)) {
+          each(S, [&](int l) { d[l] = a[l]; });
+        } else if (to_float) {
+          each(S, [&](int l) { d[l].f = static_cast<double>(a[l].i); });
+        } else {
+          each(S, [&](int l) { d[l].i = static_cast<std::int64_t>(a[l].f); });
+        }
         break;
       }
-      case Op::kCoerce:
-        regs[I.dst] = regs[I.a].coerce(static_cast<ScalarKind>(I.arg));
-        break;
       case Op::kJump:
-        ip = static_cast<std::size_t>(I.jump);
-        continue;
+        next = I.jump;
+        break;
       case Op::kJumpIfFalse:
-        if (!regs[I.a].truthy()) {
-          ip = static_cast<std::size_t>(I.jump);
-          continue;
-        }
+        branch(lanes_where(I.a, false), I.jump, next);
         break;
       case Op::kJumpIfTrue:
-        if (regs[I.a].truthy()) {
-          ip = static_cast<std::size_t>(I.jump);
-          continue;
-        }
+        branch(lanes_where(I.a, true), I.jump, next);
         break;
-      case Op::kAbs: {
-        const Value& v = regs[I.a];
-        regs[I.dst] = v.is_float ? Value::of_float(std::fabs(v.f))
-                                 : Value::of_int(v.i < 0 ? -v.i : v.i);
+      case Op::kAbs:
+        each(S, [&](int l) { put(I.dst, l, eval_abs(get(I.a, l))); });
         break;
-      }
       case Op::kMinMax: {
-        const Value& a = regs[I.a];
-        const Value& b = regs[I.b];
         const bool take_min = (I.arg & 1) != 0;
-        if (a.is_float || b.is_float) {
-          regs[I.dst] = Value::of_float(
-              take_min ? std::min(a.as_float(), b.as_float())
-                       : std::max(a.as_float(), b.as_float()));
+        const RegType ta = T[I.a];
+        const RegType tb = T[I.b];
+        Slot* d = col(I.dst);
+        if (ta == kDyn || tb == kDyn || T[I.dst] == kDyn) {
+          each(S, [&](int l) {
+            put(I.dst, l, eval_minmax(get(I.a, l), get(I.b, l), take_min));
+          });
+        } else if (ta == kInt && tb == kInt) {
+          const Slot* a = col(I.a);
+          const Slot* b = col(I.b);
+          each(S, [&](int l) {
+            d[l].i = take_min ? std::min(a[l].i, b[l].i)
+                              : std::max(a[l].i, b[l].i);
+          });
         } else {
-          regs[I.dst] = Value::of_int(take_min ? std::min(a.i, b.i)
-                                               : std::max(a.i, b.i));
+          const Slot* a = fcol(I.a, 0);
+          const Slot* b = fcol(I.b, 1);
+          each(S, [&](int l) {
+            d[l].f = take_min ? std::min(a[l].f, b[l].f)
+                              : std::max(a[l].f, b[l].f);
+          });
         }
         break;
       }
       case Op::kPower2: {
-        const std::int64_t kk = regs[I.a].as_int();
-        if (kk < 0 || kk > 62) {
-          vm_.runtime_error(I.where, "power2 argument out of range: " +
-                                         std::to_string(kk));
-        }
-        regs[I.dst] = Value::of_int(std::int64_t{1} << kk);
+        Slot* d = col(I.dst);
+        each(S, [&](int l) {
+          const std::int64_t kk = as_int(I.a, l);
+          if (kk < 0 || kk > 62) {
+            vm_.runtime_error(I.where, "power2 argument out of range: " +
+                                           std::to_string(kk));
+          }
+          d[l].i = std::int64_t{1} << kk;
+        });
+        mark(I.dst, false);
         break;
       }
       case Op::kRand: {
-        const std::uint64_t x = use_fe_rng ? vm_.fe_rng.next() : rng.next();
-        regs[I.dst] = Value::of_int(static_cast<std::int64_t>(x >> 33));
+        Slot* d = col(I.dst);
+        each(S, [&](int l) {
+          const std::uint64_t x =
+              use_fe_rng ? vm_.fe_rng.next() : bl.rng[l].next();
+          d[l].i = static_cast<std::int64_t>(x >> 33);
+        });
+        mark(I.dst, false);
         break;
       }
       case Op::kReduceBegin: {
         const LinkedReduce& R = reduces[I.a];
-        rs.info = &R;
-        rs.acc = reduce_identity_value(R.op, R.flt);
-        rs.any = false;
-        rs.enabled_any = false;
-        rs.tuple = 0;
-        rs.suppress = R.expr->partition_optimized == 1;
-        rs.parent_vp = lane_vp;
+        rt.info = &R;
+        rt.acc = types_->acc[I.a];
+        rt.tuple = 0;
+        rt.suppress = R.expr->partition_optimized == 1;
+        const Value id = reduce_identity_value(R.op, R.flt);
+        each(S, [&](int l) {
+          acc_put(l, id);
+          bl.any[l] = 0;
+          bl.enabled_any[l] = 0;
+        });
         if (R.prod == 0) {
-          ip = static_cast<std::size_t>(I.jump);  // straight to kReduceEnd
-          continue;
-        }
-        // base_dims == n_dims for non-frontend spaces (and 0 on the
-        // frontend), so the lane coordinate pointer covers the copy.
-        for (std::size_t d = 0; d < R.base_dims; ++d) {
-          rs.coords[d] = lane_coords[d];
+          next = I.jump;  // straight to kReduceEnd
+          break;
         }
         for (std::size_t s = 0; s < R.n_sets; ++s) {
-          rs.pos[s] = 0;
-          rs.elem_vals[s] = (*R.values[s])[0];
-          rs.coords[R.base_dims + s] = 0;
+          rt.pos[s] = 0;
+          rt.elem_vals[s] = (*R.values[s])[0];
         }
-        rs.vp = rs.parent_vp * R.prod;
+        // base_dims == n_dims for non-frontend spaces (and 0 on the
+        // frontend), so the lane coordinates cover the copy.
+        each(S, [&](int l) {
+          std::int64_t* c = bl.rs_coords[l];
+          for (std::size_t dd = 0; dd < R.base_dims; ++dd) {
+            c[dd] = bl.coords[l][dd];
+          }
+          for (std::size_t s = 0; s < R.n_sets; ++s) c[R.base_dims + s] = 0;
+          bl.rs_vp[l] = bl.vp[l] * R.prod;
+        });
         break;
       }
       case Op::kReduceFold: {
-        const Value& v = regs[I.a];
-        const ReduceKind op = rs.info->op;
-        if (op == ReduceKind::kArb) {
-          if (!rs.any) rs.acc = v;
-        } else if (!rs.acc.is_float && !v.is_float &&
-                   (op == ReduceKind::kMin || op == ReduceKind::kMax ||
-                    op == ReduceKind::kAdd)) {
-          // Int fast paths for the hot folds; everything else shares
-          // fold_reduce_value with the walk.
-          rs.acc = Value::of_int(op == ReduceKind::kAdd
-                                     ? rs.acc.i + v.i
-                                     : (op == ReduceKind::kMin
-                                            ? std::min(rs.acc.i, v.i)
-                                            : std::max(rs.acc.i, v.i)));
+        const ReduceKind op = rt.info->op;
+        const RegType tv = T[I.a];
+        Slot* acc = bl.acc;
+        bool typed = true;
+        if (rt.acc == kInt && tv == kInt) {
+          const Slot* v = col(I.a);
+          switch (op) {
+            case ReduceKind::kAdd:
+              each(S, [&](int l) {
+                acc[l].i = support::wrap_add(acc[l].i, v[l].i);
+              });
+              break;
+            case ReduceKind::kMul:
+              each(S, [&](int l) {
+                acc[l].i = support::wrap_mul(acc[l].i, v[l].i);
+              });
+              break;
+            case ReduceKind::kMax:
+              each(S, [&](int l) { acc[l].i = std::max(acc[l].i, v[l].i); });
+              break;
+            case ReduceKind::kMin:
+              each(S, [&](int l) { acc[l].i = std::min(acc[l].i, v[l].i); });
+              break;
+            case ReduceKind::kAnd:
+              each(S, [&](int l) {
+                acc[l].i = acc[l].i != 0 && v[l].i != 0 ? 1 : 0;
+              });
+              break;
+            case ReduceKind::kOr:
+              each(S, [&](int l) {
+                acc[l].i = acc[l].i != 0 || v[l].i != 0 ? 1 : 0;
+              });
+              break;
+            case ReduceKind::kXor:
+              each(S, [&](int l) { acc[l].i ^= v[l].i; });
+              break;
+            case ReduceKind::kArb:
+              each(S, [&](int l) {
+                if (bl.any[l] == 0) acc[l].i = v[l].i;
+              });
+              break;
+          }
+        } else if (rt.acc == kFloat && tv != kDyn &&
+                   op != ReduceKind::kAnd && op != ReduceKind::kOr &&
+                   op != ReduceKind::kXor) {
+          const Slot* v = fcol(I.a, 0);
+          switch (op) {
+            case ReduceKind::kAdd:
+              each(S, [&](int l) { acc[l].f = acc[l].f + v[l].f; });
+              break;
+            case ReduceKind::kMul:
+              each(S, [&](int l) { acc[l].f = acc[l].f * v[l].f; });
+              break;
+            case ReduceKind::kMax:
+              each(S, [&](int l) { acc[l].f = std::max(acc[l].f, v[l].f); });
+              break;
+            case ReduceKind::kMin:
+              each(S, [&](int l) { acc[l].f = std::min(acc[l].f, v[l].f); });
+              break;
+            default:  // kArb: keep the first enabled operand
+              each(S, [&](int l) {
+                if (bl.any[l] == 0) acc[l].f = v[l].f;
+              });
+              break;
+          }
         } else {
-          rs.acc = fold_reduce_value(op, rs.acc, v);
+          typed = false;
         }
-        rs.any = true;
-        rs.enabled_any = true;
+        if (!typed) {
+          each(S, [&](int l) {
+            const Value a = acc_get(l);
+            const Value v = get(I.a, l);
+            if (op == ReduceKind::kArb) {
+              acc_put(l, bl.any[l] != 0 ? a : v);
+            } else {
+              acc_put(l, fold_reduce_value(op, a, v));
+            }
+          });
+        }
+        each(S, [&](int l) {
+          bl.any[l] = 1;
+          bl.enabled_any[l] = 1;
+        });
         break;
       }
-      case Op::kReduceSkipOthers:
-        if (rs.enabled_any) {
-          ip = static_cast<std::size_t>(I.jump);
-          continue;
-        }
+      case Op::kReduceSkipOthers: {
+        std::uint64_t taken = 0;
+        each(S, [&](int l) {
+          taken |= static_cast<std::uint64_t>(bl.enabled_any[l]) << l;
+        });
+        branch(taken, I.jump, next);
         break;
+      }
       case Op::kReduceNext: {
-        const LinkedReduce& R = *rs.info;
-        rs.enabled_any = false;
-        if (++rs.tuple >= R.prod) break;  // falls through to kReduceEnd
+        // Every lane of the reduction is here: the loop body only branches
+        // forward to this instruction, and the lowest-ip lanes always run
+        // first, so diverged lanes have merged again.
+        const LinkedReduce& R = *rt.info;
+        each(S, [&](int l) { bl.enabled_any[l] = 0; });
+        if (++rt.tuple >= R.prod) break;  // falls through to kReduceEnd
         for (std::size_t s = R.n_sets; s-- > 0;) {
-          if (++rs.pos[s] < static_cast<std::size_t>(R.sizes[s])) break;
-          rs.pos[s] = 0;
+          if (++rt.pos[s] < static_cast<std::size_t>(R.sizes[s])) break;
+          rt.pos[s] = 0;
         }
         std::int64_t tuple_flat = 0;
         for (std::size_t s = 0; s < R.n_sets; ++s) {
-          rs.elem_vals[s] = (*R.values[s])[rs.pos[s]];
-          rs.coords[R.base_dims + s] = static_cast<std::int64_t>(rs.pos[s]);
+          rt.elem_vals[s] = (*R.values[s])[rt.pos[s]];
           tuple_flat =
-              tuple_flat * R.sizes[s] + static_cast<std::int64_t>(rs.pos[s]);
+              tuple_flat * R.sizes[s] + static_cast<std::int64_t>(rt.pos[s]);
         }
-        rs.vp = rs.parent_vp * R.prod + tuple_flat;
-        ip = static_cast<std::size_t>(I.jump);
-        continue;
+        each(S, [&](int l) {
+          for (std::size_t s = 0; s < R.n_sets; ++s) {
+            bl.rs_coords[l][R.base_dims + s] =
+                static_cast<std::int64_t>(rt.pos[s]);
+          }
+          bl.rs_vp[l] = bl.vp[l] * R.prod + tuple_flat;
+        });
+        next = I.jump;
+        break;
       }
       case Op::kReduceEnd:
-        regs[I.dst] = rs.info->flt ? Value::of_float(rs.acc.as_float())
-                                   : rs.acc;
+        if (rt.info->flt) {
+          each(S, [&](int l) {
+            put(I.dst, l, Value::of_float(acc_get(l).as_float()));
+          });
+        } else {
+          each(S, [&](int l) { put(I.dst, l, acc_get(l)); });
+        }
         break;
       case Op::kMemberBoundary:
         // Entering member I.a of a fused group: its stats land in their
         // own slot, and the lane RNG is reseeded with the member's own
         // statement id so rand() draws match the unfused execution.
-        stats_cur = arena.stats.data() + I.a;
+        st = arena.stats.data() + I.a;
         if (k.uses_rand && !use_fe_rng) {
-          rng.seed(vm_.base_seed ^
-                   ((stmt_id + I.a) * 0x9e3779b97f4a7c15ull) ^
-                   (static_cast<std::uint64_t>(lane_vp) +
-                    0x5851f42d4c957f2dull));
+          each(S, [&](int l) { seed_rng(stmt_id + I.a, l); });
         }
         break;
-      case Op::kRet:
-        if (results != nullptr) results[result_slot] = regs[I.a];
+      case Op::kRet: {
+        // A null results array means the caller discards the values.
+        if (results != nullptr) {
+          each(S, [&](int l) { results[k0 + l] = get(I.a, l); });
+        }
+        if (slots != nullptr) {
+          // Close the gaps lanes left by skipping stores.
+          std::size_t kept = 0;
+          for (int l = 0; l < n; ++l) {
+            const Write* from = slots + static_cast<std::size_t>(l) * W;
+            if (from != slots + kept) {
+              std::copy(from, from + written[l], slots + kept);
+            }
+            kept += static_cast<std::size_t>(written[l]);
+          }
+          arena.writes.append_reserved(kept);
+        }
         return;
+      }
     }
-    ++ip;
+    ip = next;
+    // Reconverge: the lowest-ip lanes always run next, and lanes reaching
+    // the same ip run together again.
+    while (!pending.empty() && pending.back().ip <= ip) {
+      const SubBlock low = pending.back();
+      pending.pop_back();
+      if (low.ip == ip) {
+        mask |= low.mask;
+      } else {
+        park(ip, mask);
+        ip = low.ip;
+        mask = low.mask;
+      }
+      S.set(mask);
+    }
+  }
+}
+
+void Engine::run_block_or_replay(const Kernel& k, LaneSpace& space,
+                                 const std::vector<std::int64_t>& active,
+                                 std::int64_t k0, int n, Frame* frame,
+                                 std::uint64_t stmt_id, Arena& arena,
+                                 Value* results) {
+  try {
+    run_block(k, space, active, k0, n, frame, stmt_id, arena, results);
+  } catch (const support::UcRuntimeError&) {
+    if (n == 1) throw;
+    // Instruction-major order can reach a later lane's error before an
+    // earlier lane's error at a later instruction.  The block's writes
+    // were never appended (a block of several lanes only appends its
+    // reserved slots when it finishes), so rerun it one lane at a time:
+    // the first lane in lane order then raises its own error, exactly as
+    // a lane-at-a-time run would.  A statement that raises is never
+    // charged, so the partial block's stats do not matter.
+    for (int l = 0; l < n; ++l) {
+      run_block(k, space, active, k0 + l, 1, frame, stmt_id, arena, results);
+    }
   }
 }
 
@@ -690,7 +1271,6 @@ void Engine::reset_arenas(const Kernel& k) {
     a.writes.clear();
     a.spans.clear();
     a.stats.assign(k.num_members, AccessStats{});
-    if (a.regs.size() < k.num_regs) a.regs.resize(k.num_regs);
   }
 }
 
@@ -706,14 +1286,30 @@ void Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
       run_lanes_native(k, space, active, frame, stmt_id, results)) {
     return;
   }
+  // Register columns and ancestor rows, grown to the high-water mark.
+  const std::size_t cols = static_cast<std::size_t>(k.num_regs) * kBlock;
+  const std::size_t rows = static_cast<std::size_t>(max_depth_ + 1) * kBlock;
+  for (auto& a : arenas_) {
+    if (a.regs.size() < cols) {
+      a.regs.resize(cols);
+      a.tags.resize(cols);
+    }
+    if (a.anc.size() < rows) a.anc.resize(rows);
+  }
+  // One-lane blocks where instruction-major order would be visible: the
+  // frontend's lanes share one RNG stream, and a kernel with a store in a
+  // reduction loop has no per-lane bound on its write slots.
+  const std::int64_t block =
+      space.frontend || k.writes_per_lane < 0 ? 1 : kBlock;
   const auto n = static_cast<std::int64_t>(active.size());
   const std::function<void(unsigned, std::int64_t, std::int64_t)> body =
       [&](unsigned worker, std::int64_t b, std::int64_t e) {
         Arena& arena = arenas_[worker];
         const auto span_start = static_cast<std::uint32_t>(arena.writes.size());
-        for (std::int64_t kk = b; kk < e; ++kk) {
-          run_lane(k, space, active[static_cast<std::size_t>(kk)], kk, frame,
-                   stmt_id, arena, results);
+        for (std::int64_t kk = b; kk < e; kk += block) {
+          run_block_or_replay(k, space, active, kk,
+                              static_cast<int>(std::min(block, e - kk)), frame,
+                              stmt_id, arena, results);
         }
         const auto count =
             static_cast<std::uint32_t>(arena.writes.size()) - span_start;

@@ -12,11 +12,16 @@
 #include <unordered_map>
 #include <vector>
 
+#include "support/rng.hpp"
 #include "ucvm/interp_detail.hpp"
 #include "ucvm/kernel/bytecode.hpp"
 #include "ucvm/native/native.hpp"
 
 namespace uc::vm::detail::kernel {
+
+// Lanes per block: the executor runs each instruction as one loop over up
+// to this many lanes (a block's lane set is one 64-bit mask).
+inline constexpr int kBlock = 64;
 
 class Engine {
  public:
@@ -114,21 +119,6 @@ class Engine {
     std::size_t n_dims = 0;     // base_dims + n_sets
   };
 
-  // --- per-lane reduction state (at most one live: no nesting) ---
-  struct ReduceState {
-    const LinkedReduce* info = nullptr;
-    Value acc;
-    bool any = false;
-    bool enabled_any = false;
-    bool suppress = false;
-    std::int64_t tuple = 0;
-    std::int64_t parent_vp = 0;
-    std::int64_t vp = 0;
-    std::size_t pos[kMaxReduceSets] = {};
-    std::int64_t elem_vals[kMaxReduceSets] = {};
-    std::int64_t coords[8] = {};
-  };
-
   // --- per-worker arena: reused across statements; it only grows when a
   // statement buffers more writes than any before it ---
   struct ChunkSpan {
@@ -168,19 +158,63 @@ class Engine {
     std::size_t size_ = 0;
     std::size_t cap_ = 0;
   };
+  // One register payload: kInt registers use i, kFloat ones f, and kDyn
+  // ones whichever their per-lane tag says.
+  union Slot {
+    std::int64_t i;
+    double f;
+  };
+  // Per-lane state of the block being run, indexed by block lane.
+  struct BlockLanes {
+    std::int64_t vp[kBlock];
+    const std::int64_t* coords[kBlock];
+    support::SplitMix64 rng[kBlock];
+    // The live reduction (at most one: no nesting).  Its tuple odometer is
+    // uniform — every lane of the block walks the same product — and lives
+    // in ReduceTuple; accumulators, flags and the expanded-geometry VP and
+    // coordinates differ per lane.
+    Slot acc[kBlock];
+    std::uint8_t acc_tag[kBlock];
+    std::uint8_t any[kBlock];
+    std::uint8_t enabled_any[kBlock];
+    std::int64_t rs_vp[kBlock];
+    std::int64_t rs_coords[kBlock][8];
+    // Float conversions of int operands for mixed-type arithmetic.
+    Slot scratch[2][kBlock];
+  };
+  struct ReduceTuple {
+    const LinkedReduce* info = nullptr;
+    RegType acc = kInt;  // the accumulator's static type
+    bool suppress = false;
+    std::int64_t tuple = 0;
+    std::size_t pos[kMaxReduceSets] = {};
+    std::int64_t elem_vals[kMaxReduceSets] = {};
+  };
+  // A pending part of a diverged block: the lanes in `mask` resume at ip.
+  struct SubBlock {
+    std::int32_t ip = 0;
+    std::uint64_t mask = 0;
+  };
+
   struct Arena {
-    std::vector<Value> regs;
-    // Buffered writes of every chunk this worker ran, in chunk order; the
-    // bytecode loop appends, native kernels write their chunk in place.
+    // Register columns: register r of block lane l is regs[r * kBlock + l];
+    // tags[r * kBlock + l] (is_float) is kept only for kDyn registers.
+    // Both grow to the largest kernel run so far and are never shrunk.
+    std::vector<Slot> regs;
+    std::vector<std::uint8_t> tags;
+    // Ancestor lanes per depth: anc[d * kBlock + l].
+    std::vector<std::int64_t> anc;
+    // Buffered writes of every chunk this worker ran, in chunk order;
+    // blocks and native chunks fill their lanes' writes in place.
     WriteLog writes;
     std::vector<ChunkSpan> spans;
     // One slot per kernel member (plain statements use slot 0); fused
     // kernels switch slots at kMemberBoundary so the driver can charge
     // and attribute each member's communication separately.
     std::vector<AccessStats> stats;
-    // Reused across lanes: kReduceBegin reinitialises every field that is
-    // read afterwards, so stale state from a previous lane is never seen.
-    ReduceState rs;
+    std::vector<SubBlock> pending;  // sorted by descending ip
+    BlockLanes lanes;
+    ReduceTuple rt;
   };
 
   // Deepest ancestor-space chain a kernel may reference.
@@ -206,12 +240,25 @@ class Engine {
                         std::uint64_t stmt_id, Value* results);
   // Hands every arena's chunk runs to Impl::commit in lane order.
   void commit_buffered();
-  void run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
-                std::int64_t result_slot, Frame* frame, std::uint64_t stmt_id,
-                Arena& arena, Value* results);
-  void classify_site(const LinkedArray& la, std::int64_t flat,
-                     std::int64_t lane_vp, const std::int64_t* lane_coords,
-                     const ReduceState& rs, AccessStats& stats) const;
+  // Runs active[k0 .. k0+n) (n <= kBlock) as one block: each instruction
+  // is one loop over the block's lanes.  A lane error propagates as the
+  // walk's UcRuntimeError; run_block_or_replay turns an error in a block
+  // of several lanes into a lane-by-lane rerun so the first lane in lane
+  // order raises.
+  void run_block(const Kernel& k, LaneSpace& space,
+                 const std::vector<std::int64_t>& active, std::int64_t k0,
+                 int n, Frame* frame, std::uint64_t stmt_id, Arena& arena,
+                 Value* results);
+  void run_block_or_replay(const Kernel& k, LaneSpace& space,
+                           const std::vector<std::int64_t>& active,
+                           std::int64_t k0, int n, Frame* frame,
+                           std::uint64_t stmt_id, Arena& arena,
+                           Value* results);
+  // Counts one remote access of element `flat` from a lane at `vp` with
+  // lane-geometry coordinates `coords`.
+  void classify_remote(const LinkedArray& la, std::int64_t flat,
+                       std::int64_t vp, const std::int64_t* coords,
+                       AccessStats& stats) const;
 
   Impl& vm_;
   std::unordered_map<const Expr*, std::unique_ptr<Kernel>> cache_;
@@ -227,6 +274,12 @@ class Engine {
   std::vector<LinkedReduce> reduces_;
   std::vector<LaneSpace*> depth_spaces_;  // [0]=statement space, then parents
   std::int32_t max_depth_ = 0;
+  // Register types for this execution: the kernel's own, or link_types_
+  // when a linked scalar or array does not hold its declared kind.
+  const KernelTypes* types_ = nullptr;
+  KernelTypes link_types_;
+  std::vector<std::uint8_t> scalar_dyn_;
+  std::vector<std::uint8_t> array_dyn_;
   std::vector<Arena> arenas_;
   // commit_buffered's chunk runs, sorted by first lane position.
   std::vector<std::pair<std::int64_t, WriteRun>> span_order_;

@@ -36,33 +36,15 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
     return false;
   }
 
-  // Validate the emit-time representation assumptions against the linked
-  // state.  The static types come from sema, so mismatches only happen for
-  // lane-local scalars whose dynamic Value drifted from its declared kind;
-  // those statements run on the bytecode tier (identical results).
-  for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    if (arrays_[i].flt != (prep->array_flt[i] != 0)) {
-      native_->note_assume_failure();
-      ++native_fallbacks_;
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < scalars_.size(); ++i) {
-    const LinkedScalar& ls = scalars_[i];
-    const bool want = prep->scalar_flt[i] != 0;
-    if (ls.home == ScalarHome::kLaneLocal) {
-      for (const Value& v : *ls.store) {
-        if (v.is_float != want) {
-          native_->note_assume_failure();
-          ++native_fallbacks_;
-          return false;
-        }
-      }
-    } else if (ls.value->is_float != want) {
-      native_->note_assume_failure();
-      ++native_fallbacks_;
-      return false;
-    }
+  // The emitted code assumes every scalar and array operand holds its
+  // declared kind, the assumption the kernel's register types were
+  // inferred under.  link() retyped this execution because one does not
+  // (a lane-local scalar whose dynamic Value drifted from its declared
+  // kind), so the statement runs on the bytecode tier (identical results).
+  if (types_ != &k.types) {
+    native_->note_assume_failure();
+    ++native_fallbacks_;
+    return false;
   }
 
   // Link-dependent dispatch tables, mirrored field by field from the
@@ -127,7 +109,7 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
     nr.base_dims = static_cast<std::int64_t>(lr.base_dims);
     nr.suppress = lr.expr->partition_optimized == 1 ? 1 : 0;
   }
-  // Ancestor-lane translation tables, indexed by depth as in run_lane.
+  // Ancestor-lane translation tables, indexed by depth as in run_block.
   const std::int64_t* parent_lanes[kMaxDepth] = {};
   for (std::int32_t d = 1; d <= max_depth_; ++d) {
     parent_lanes[d - 1] =
@@ -157,8 +139,9 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
     args.results = results;
     // The kernel writes its records straight into the arena's log, past
     // the chunks this worker already ran.
-    args.writes = arena.writes.reserve_tail(static_cast<std::size_t>(e - b) *
-                                            prep->max_writes_per_lane);
+    args.writes = arena.writes.reserve_tail(
+        static_cast<std::size_t>(e - b) *
+        static_cast<std::size_t>(k.writes_per_lane));
     args.stats = arena.stats.data();
     args.wheres = reinterpret_cast<const void* const*>(prep->wheres.data());
     args.frame = frame;

@@ -97,7 +97,7 @@ struct NativeArgs {
   // Outputs.  results is the host's Value array indexed by position kk, or
   // null when the host discards the statement's values;
   // writes points into the worker arena's write log, past the chunks the
-  // worker already ran, with room for max_writes_per_lane *
+  // worker already ran, with room for the kernel's writes_per_lane *
   // (k_end - k_begin) records that the kernel fills in place.
   void* results = nullptr;
   void* writes = nullptr;

@@ -2,12 +2,13 @@
 //
 // The bytecode Kernel is the IR: every instruction is emitted as the
 // statically-typed C++ equivalent of the executor's switch arm in
-// kernel/exec.cpp, so the two tiers cannot drift apart semantically.  The
-// executor's dynamically-typed Values become int64/double locals using
-// the registers' inferred static types; anything whose type cannot be
-// pinned down (a register assigned both representations, a float-typed
-// arm folding into an int reduction) makes the emitter decline the kernel
-// and the statement runs on the bytecode tier instead.
+// kernel/exec.cpp, so the two tiers cannot drift apart semantically.
+// Registers become int64/double locals using the kernel's register types
+// (kernel/typing.cpp, shared with the block executor); a kernel with a
+// register or accumulator the typing pass could not pin down (a register
+// assigned both representations, a float-typed arm folding into an int
+// reduction) makes the emitter decline, and the statement runs on the
+// bytecode tier instead.
 //
 // Emitted loops index lanes contiguously over the chunk, keep `st`
 // guards as branches the host compiler converts to selects where
@@ -31,7 +32,11 @@ namespace {
 
 using kernel::Inst;
 using kernel::Kernel;
+using kernel::kFloat;
+using kernel::kInt;
+using kernel::kUnset;
 using kernel::Op;
+using kernel::RegType;
 using lang::BinaryOp;
 using lang::ReduceKind;
 using lang::ScalarKind;
@@ -41,8 +46,6 @@ using lang::UnaryOp;
 // dispatch win and the bytecode tier is the better choice.
 constexpr std::size_t kMaxInsts = 4096;
 constexpr std::size_t kMaxRegs = 2048;
-
-enum RegType : int { kUnset = -1, kInt = 0, kFloat = 1 };
 
 struct ReduceMeta {
   std::size_t n_sets = 0;
@@ -82,7 +85,12 @@ class Emitter {
   // --- static analysis: register types, reduce accumulators, limits ---
 
   bool analyze() {
-    rt_.assign(k_.num_regs, kUnset);
+    // Register types come from the kernel's shared typing pass; a register
+    // or accumulator it could not pin to one representation (a `?:` with
+    // mixed arms, a float arm folding into an int accumulator) declines.
+    const kernel::KernelTypes& types = k_.types;
+    if (!types.all_static) return false;
+    rt_ = types.regs;
     rmeta_.resize(k_.reduces.size());
     for (std::size_t i = 0; i < k_.reduces.size(); ++i) {
       const auto* e = k_.reduces[i].expr;
@@ -90,164 +98,33 @@ class Emitter {
       m.n_sets = e->index_set_syms.size();
       m.flt = e->type.is_float();
       m.op = e->op;
-      // Accumulator representation (matches fold_reduce_value's dynamics
-      // given the arm-type restrictions checked at each kReduceFold):
-      // and/or/xor always fold to ints; everything else follows flt.
-      const bool int_ops = m.op == ReduceKind::kAnd ||
-                           m.op == ReduceKind::kOr || m.op == ReduceKind::kXor;
-      m.acc = (!int_ops && m.flt) ? kFloat : kInt;
+      m.acc = types.acc[i];
       if (m.n_sets > kernel::kMaxReduceSets) return false;
     }
-    for (std::size_t i = 0; i < k_.arrays.size(); ++i) {
-      out_.array_flt.push_back(k_.arrays[i].sym->type.is_float() ? 1 : 0);
-    }
-    for (std::size_t i = 0; i < k_.scalars.size(); ++i) {
-      out_.scalar_flt.push_back(k_.scalars[i].sym->type.is_float() ? 1 : 0);
-    }
 
+    // Structural limits of the emitted loop: a lane's writes must be
+    // bounded (no store inside a reduce loop), and reductions do not nest.
+    if (k_.writes_per_lane < 0) return false;
     int cur_reduce = -1;
     for (const Inst& I : k_.code) {
       switch (I.op) {
-        case Op::kConst:
-          if (!def(I.dst, k_.pool[I.a].is_float ? kFloat : kInt)) return false;
-          break;
-        case Op::kMove: {
-          const RegType t = use(I.a);
-          if (t == kUnset || !def(I.dst, t)) return false;
-          break;
-        }
-        case Op::kBool:
-          if (use(I.a) == kUnset || !def(I.dst, kInt)) return false;
-          break;
-        case Op::kLoadElem:
-        case Op::kLoadReduceElem:
-          if (!def(I.dst, kInt)) return false;
-          break;
-        case Op::kLoadScalar:
-          if (!def(I.dst, out_.scalar_flt[I.a] ? kFloat : kInt)) return false;
-          break;
-        case Op::kStoreScalar:
-          if (use(I.b) == kUnset) return false;
-          if (cur_reduce >= 0) return false;  // stores inside a reduce loop
-          ++out_.max_writes_per_lane;
-          break;
-        case Op::kArrIndex:
-          for (std::uint16_t j = 0; j < I.c; ++j) {
-            if (use(I.b + j) == kUnset) return false;
-          }
-          if (!def(I.dst, kInt)) return false;
-          break;
-        case Op::kArrLoad:
-          if (use(I.b) != kInt) return false;  // flat index is always int
-          if (!def(I.dst, out_.array_flt[I.a] ? kFloat : kInt)) return false;
-          break;
-        case Op::kArrGet:
-          for (std::uint16_t j = 0; j < I.c; ++j) {
-            if (use(I.b + j) == kUnset) return false;
-          }
-          if (!def(I.dst, out_.array_flt[I.a] ? kFloat : kInt)) return false;
-          break;
-        case Op::kClassify:
-          if (use(I.b) != kInt) return false;
-          break;
-        case Op::kBroadcastCheck:
-          break;
-        case Op::kArrStore:
-        case Op::kArrPut:
-          if (use(I.b) != kInt || use(I.c) == kUnset) return false;
-          if (cur_reduce >= 0) return false;
-          ++out_.max_writes_per_lane;
-          break;
-        case Op::kUnary: {
-          const RegType t = use(I.a);
-          if (t == kUnset) return false;
-          const auto u = static_cast<UnaryOp>(I.arg);
-          const RegType d = (u == UnaryOp::kNot || u == UnaryOp::kBitNot)
-                                ? kInt
-                                : t;
-          if (!def(I.dst, d)) return false;
-          break;
-        }
-        case Op::kBinary: {
-          const RegType ta = use(I.a), tb = use(I.b);
-          if (ta == kUnset || tb == kUnset) return false;
-          if (!def(I.dst, binary_type(static_cast<BinaryOp>(I.arg), ta, tb))) {
-            return false;
-          }
-          break;
-        }
-        case Op::kIncDec: {
-          const RegType t = use(I.a);
-          if (t == kUnset || !def(I.dst, t)) return false;
-          break;
-        }
-        case Op::kCoerce: {
-          if (use(I.a) == kUnset) return false;
-          const bool to_f = static_cast<ScalarKind>(I.arg) ==
-                            ScalarKind::kFloat;
-          if (!def(I.dst, to_f ? kFloat : kInt)) return false;
-          break;
-        }
-        case Op::kJump:
-          break;
-        case Op::kJumpIfFalse:
-        case Op::kJumpIfTrue:
-          if (use(I.a) == kUnset) return false;
-          break;
-        case Op::kAbs: {
-          const RegType t = use(I.a);
-          if (t == kUnset || !def(I.dst, t)) return false;
-          break;
-        }
-        case Op::kMinMax: {
-          const RegType ta = use(I.a), tb = use(I.b);
-          if (ta == kUnset || tb == kUnset) return false;
-          if (!def(I.dst, ta == kFloat || tb == kFloat ? kFloat : kInt)) {
-            return false;
-          }
-          break;
-        }
-        case Op::kPower2:
-          if (use(I.a) == kUnset || !def(I.dst, kInt)) return false;
-          break;
-        case Op::kRand:
-          if (!def(I.dst, kInt)) return false;
-          break;
         case Op::kReduceBegin:
-          if (cur_reduce >= 0) return false;  // no nesting
+          if (cur_reduce >= 0) return false;
           cur_reduce = static_cast<int>(I.a);
           break;
-        case Op::kReduceFold: {
-          if (cur_reduce < 0) return false;
-          const RegType tv = use(I.a);
-          if (tv == kUnset) return false;
-          const ReduceMeta& m = rmeta_[static_cast<std::size_t>(cur_reduce)];
-          // A float arm folding into an int accumulator would retype it
-          // dynamically (fold_reduce_value promotes); decline those.
-          const bool truthy_fold =
-              m.op == ReduceKind::kAnd || m.op == ReduceKind::kOr;
-          const bool int_fold = m.op == ReduceKind::kXor;
-          if (!truthy_fold && !int_fold && m.acc == kInt && tv == kFloat) {
-            return false;
-          }
-          break;
-        }
+        case Op::kReduceFold:
         case Op::kReduceSkipOthers:
         case Op::kReduceNext:
           if (cur_reduce < 0) return false;
           break;
-        case Op::kReduceEnd: {
+        case Op::kReduceEnd:
           if (cur_reduce < 0) return false;
-          const ReduceMeta& m = rmeta_[static_cast<std::size_t>(cur_reduce)];
-          if (!def(I.dst, m.flt ? kFloat : m.acc)) return false;
           cur_reduce = -1;
           break;
-        }
         case Op::kMemberBoundary:
           if (cur_reduce >= 0) return false;
           break;
-        case Op::kRet:
-          if (use(I.a) == kUnset) return false;
+        default:
           break;
       }
     }
@@ -264,30 +141,6 @@ class Emitter {
       if (I.jump >= 0) labels_[static_cast<std::size_t>(I.jump)] = true;
     }
     return true;
-  }
-
-  static RegType binary_type(BinaryOp op, RegType a, RegType b) {
-    const bool flt = a == kFloat || b == kFloat;
-    switch (op) {
-      case BinaryOp::kAdd:
-      case BinaryOp::kSub:
-      case BinaryOp::kMul:
-      case BinaryOp::kDiv:
-        return flt ? kFloat : kInt;
-      default:
-        return kInt;  // mod, comparisons, bit ops, shifts
-    }
-  }
-
-  bool def(std::uint16_t r, RegType t) {
-    if (rt_[r] == kUnset) {
-      rt_[r] = t;
-      return true;
-    }
-    return rt_[r] == t;  // e.g. a ternary whose arms disagree: decline
-  }
-  RegType use(std::uint16_t r) const {
-    return static_cast<RegType>(rt_[r]);
   }
 
   // --- text helpers ---
@@ -628,8 +481,13 @@ class Emitter {
       case Op::kUnary:
         switch (static_cast<UnaryOp>(I.arg)) {
           case UnaryOp::kNeg:
-            appendf(src_, "      %s = -%s;\n", R(I.dst).c_str(),
-                    R(I.a).c_str());
+            if (rt_[I.a] == kFloat) {
+              appendf(src_, "      %s = -%s;\n", R(I.dst).c_str(),
+                      R(I.a).c_str());
+            } else {
+              appendf(src_, "      %s = (i64)(0ull - (u64)%s);\n",
+                      R(I.dst).c_str(), R(I.a).c_str());
+            }
             break;
           case UnaryOp::kNot:
             appendf(src_, "      %s = (%s) ? 0 : 1;\n", R(I.dst).c_str(),
@@ -649,8 +507,14 @@ class Emitter {
         emit_binary(I);
         break;
       case Op::kIncDec:
-        appendf(src_, "      %s = %s %s 1;\n", R(I.dst).c_str(),
-                R(I.a).c_str(), (I.arg & 1) != 0 ? "+" : "-");
+        if (rt_[I.a] == kFloat) {
+          appendf(src_, "      %s = %s %s 1;\n", R(I.dst).c_str(),
+                  R(I.a).c_str(), (I.arg & 1) != 0 ? "+" : "-");
+        } else {
+          appendf(src_, "      %s = (i64)((u64)%s %s 1ull);\n",
+                  R(I.dst).c_str(), R(I.a).c_str(),
+                  (I.arg & 1) != 0 ? "+" : "-");
+        }
         break;
       case Op::kCoerce:
         if (static_cast<ScalarKind>(I.arg) == ScalarKind::kFloat) {
@@ -876,6 +740,10 @@ class Emitter {
     if (cmp) {
       appendf(src_, "      %s = (%s %s %s) ? 1 : 0;\n", R(I.dst).c_str(),
               a.c_str(), d, b.c_str());
+    } else if (!flt) {
+      // Two's-complement wrap, as support::wrap_add/sub/mul.
+      appendf(src_, "      %s = (i64)((u64)%s %s (u64)%s);\n",
+              R(I.dst).c_str(), a.c_str(), d, b.c_str());
     } else {
       appendf(src_, "      %s = %s %s %s;\n", R(I.dst).c_str(), a.c_str(), d,
               b.c_str());
@@ -889,11 +757,16 @@ class Emitter {
     const std::string v = m.acc == kFloat ? F(I.a) : I64(I.a);
     switch (m.op) {
       case ReduceKind::kAdd:
-        appendf(src_, "      %s += %s;\n", acc.c_str(), v.c_str());
+      case ReduceKind::kMul: {
+        const char* op = m.op == ReduceKind::kAdd ? "+" : "*";
+        if (m.acc == kFloat) {
+          appendf(src_, "      %s %s= %s;\n", acc.c_str(), op, v.c_str());
+        } else {
+          appendf(src_, "      %s = (i64)((u64)%s %s (u64)%s);\n",
+                  acc.c_str(), acc.c_str(), op, v.c_str());
+        }
         break;
-      case ReduceKind::kMul:
-        appendf(src_, "      %s *= %s;\n", acc.c_str(), v.c_str());
-        break;
+      }
       case ReduceKind::kAnd:
         appendf(src_, "      %s = (%s != 0 && %s) ? 1 : 0;\n", acc.c_str(),
                 acc.c_str(), truthy(I.a).c_str());
@@ -944,7 +817,7 @@ class Emitter {
   Prepared& out_;
   std::string src_;
   bool ok_ = true;
-  std::vector<int> rt_;
+  std::vector<RegType> rt_;
   std::vector<ReduceMeta> rmeta_;
   std::vector<int> inst_reduce_;
   std::vector<bool> labels_;

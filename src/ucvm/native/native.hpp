@@ -26,17 +26,10 @@ struct Prepared {
   EntryFn entry = nullptr;
   std::uint64_t source_hash = 0;
   bool cache_hit = false;  // loaded from disk without recompiling
-  // Emit-time assumptions the host re-validates per dispatch; a mismatch
-  // (e.g. a scalar dynamically holding the other representation) falls
-  // back to bytecode for that execution only.
-  std::vector<std::uint8_t> scalar_flt;  // per kernel scalar slot
-  std::vector<std::uint8_t> array_flt;   // per kernel array slot
   // Inst::where pointers in emission order (indexed by the constants the
   // emitted code passes back); pointers are process-local, so they travel
   // via NativeArgs rather than being baked into the cached .so.
   std::vector<const lang::Expr*> wheres;
-  // Upper bound of buffered writes per lane (count of store instructions).
-  std::size_t max_writes_per_lane = 0;
   std::uint32_t num_members = 1;
 };
 

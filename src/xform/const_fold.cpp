@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "support/wrap.hpp"
 #include "uclang/symbols.hpp"
 
 namespace uc::xform {
@@ -76,7 +77,7 @@ struct Folder {
             if (v->is_float) {
               replace_with_float(e, -v->f);
             } else {
-              replace_with_int(e, -v->i);
+              replace_with_int(e, support::wrap_neg(v->i));
             }
             return;
           case UnaryOp::kNot:
@@ -106,15 +107,15 @@ struct Folder {
         switch (b.op) {
           case BinaryOp::kAdd:
             flt ? replace_with_float(e, l->as_f() + r->as_f())
-                : replace_with_int(e, l->i + r->i);
+                : replace_with_int(e, support::wrap_add(l->i, r->i));
             return;
           case BinaryOp::kSub:
             flt ? replace_with_float(e, l->as_f() - r->as_f())
-                : replace_with_int(e, l->i - r->i);
+                : replace_with_int(e, support::wrap_sub(l->i, r->i));
             return;
           case BinaryOp::kMul:
             flt ? replace_with_float(e, l->as_f() * r->as_f())
-                : replace_with_int(e, l->i * r->i);
+                : replace_with_int(e, support::wrap_mul(l->i, r->i));
             return;
           case BinaryOp::kDiv:
             if (flt) {

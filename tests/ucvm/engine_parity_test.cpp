@@ -23,6 +23,11 @@
 // hold.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -555,6 +560,257 @@ TEST(EngineParity, CommitScalarConflictsAreStillCaught) {
       "  par (I) { int t; par (J) t = j; }\n"
       "}",
       "", conflict_error("6:28", ": values 0 and 1"));
+}
+
+// --- the lane-block executor (docs/VM.md "Linking and execution") ---
+
+std::string fmt_g(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
+
+// Lane counts around the executor's 64-lane block: one lane, one short of
+// a block, exactly one, one past it, and several blocks with a tail.  The
+// second statement's mixed-type ?: (float 1.5 or int i, then / 2) runs on
+// the tagged per-lane loops.
+TEST(EngineParity, BlockLaneCountsAroundTheBlockSize) {
+  for (const int n : {1, 63, 64, 65, 300}) {
+    SCOPED_TRACE("lanes=" + std::to_string(n));
+    const std::string N = std::to_string(n);
+    std::int64_t sum_a = 0;
+    std::int64_t last_a = 0;
+    double sum_f = 0.0;
+    for (int i = 0; i < n; ++i) {
+      last_a = ((i % 3 == 0 && i > 5) || i % 7 == 1) ? i * 2 : -i;
+      sum_a += last_a;
+      sum_f += i % 2 == 0 ? i / 4.0 : (i > 10 ? 0.75 : i / 2);
+    }
+    expect_commit(
+        "index_set I:i = {0.." + std::to_string(n - 1) + "};\n"
+        "int a[" + N + "]; float f[" + N + "];\n"
+        "void main() {\n"
+        "  par (I) a[i] = ((i % 3 == 0 && i > 5) || i % 7 == 1) ? i * 2 : -i;\n"
+        "  par (I) f[i] = i % 2 == 0 ? i / 4.0 : (i > 10 ? 1.5 : i) / 2;\n"
+        "  print($+(I; a[i]), $+(I; f[i]), a[" + std::to_string(n - 1) +
+            "]);\n"
+        "}",
+        std::to_string(sum_a) + " " + fmt_g(sum_f) + " " +
+            std::to_string(last_a) + "\n");
+  }
+}
+
+// &&, || and ?: whose outcome differs between lanes of one block; the
+// lanes that skip a division must not raise its error.
+TEST(EngineParity, BlockDivergentShortCircuitAndTernary) {
+  std::int64_t sum = 0;
+  std::int64_t v[100];
+  for (int i = 0; i < 100; ++i) {
+    v[i] = (i > 0 && 100 / i > 3 ? 1 : 0) +
+           2 * (i == 0 || 50 % i == 0 ? 1 : 0) +
+           4 * (i % 3 == 1 ? 9 / (i % 3) : i % 5);
+    sum += v[i];
+  }
+  expect_commit(
+      "index_set I:i = {0..99};\n"
+      "int a[100];\n"
+      "void main() {\n"
+      "  par (I) a[i] = (i > 0 && 100 / i > 3) + 2 * (i == 0 || 50 % i == 0)\n"
+      "                 + 4 * (i % 3 == 1 ? 9 / (i % 3) : i % 5);\n"
+      "  print($+(I; a[i]), a[0], a[1], a[99]);\n"
+      "}",
+      std::to_string(sum) + " " + std::to_string(v[0]) + " " +
+          std::to_string(v[1]) + " " + std::to_string(v[99]) + "\n");
+}
+
+// Stores that only some lanes of a block reach leave gaps in the block's
+// lane-major write slots; the commit must see exactly the stores made.
+TEST(EngineParity, BlockDivergentStores) {
+  std::int64_t sum_b = 0, sum_c = 0, sum_d = 0;
+  for (int i = 0; i < 100; ++i) {
+    if (i % 3 == 0) sum_b += i * 2;
+    sum_c += (i % 3 == 0 ? i * 2 : 1) + (i % 5 == 0 ? 1 : 0);
+    if (i % 5 == 0) sum_d += 7;
+  }
+  expect_commit(
+      "index_set I:i = {0..99};\n"
+      "int b[100], c[100], d[100];\n"
+      "void main() {\n"
+      "  par (I) c[i] = (i % 3 == 0 ? (b[i] = i * 2) : 1)\n"
+      "                 + (i % 5 == 0 && (d[i] = 7) > 0);\n"
+      "  print($+(I; b[i]), $+(I; c[i]), $+(I; d[i]));\n"
+      "}",
+      std::to_string(sum_b) + " " + std::to_string(sum_c) + " " +
+          std::to_string(sum_d) + "\n");
+}
+
+// st-guarded reductions with an others arm: which tuples fold the arm and
+// which fold others differs from lane to lane inside every block.
+TEST(EngineParity, BlockStGuardedReductionsWithOthers) {
+  std::int64_t sum_a = 0, sum_b = 0, a_last = 0, b_198 = 0;
+  for (int i = 0; i < 200; ++i) {
+    std::int64_t a = 0, b = -(std::int64_t{1} << 40);
+    for (int j = 0; j < 10; ++j) {
+      a += (j < i % 7 && (i + j) % 3 != 0) ? j * 2 : 100;
+      b = std::max<std::int64_t>(b, (i * j) % 5 == 1 ? (i + j) % 17 : -1);
+    }
+    sum_a += a;
+    sum_b += b;
+    if (i == 199) a_last = a;
+    if (i == 198) b_198 = b;
+  }
+  expect_commit(
+      "index_set I:i = {0..199}, J:j = {0..9};\n"
+      "int a[200], b[200];\n"
+      "void main() {\n"
+      "  par (I) a[i] = $+(J st (j < i % 7 && (i + j) % 3 != 0) j * 2\n"
+      "                    others 100);\n"
+      "  par (I) b[i] = $>(J st ((i * j) % 5 == 1) (i + j) % 17 others -1);\n"
+      "  print($+(I; a[i]), $+(I; b[i]), a[199], b[198]);\n"
+      "}",
+      std::to_string(sum_a) + " " + std::to_string(sum_b) + " " +
+          std::to_string(a_last) + " " + std::to_string(b_198) + "\n");
+}
+
+// Two stores per lane, to elements chosen so lane order and instruction
+// order find different conflicts: lanes 0 and 1 write a[0]=1, a[1]=2 and
+// a[1]=3, a[0]=4.  In lane order a[1] first gets 2 and then 3; executed
+// store by store it would get 3 first.
+TEST(EngineParity, BlockWritesCommitInLaneOrder) {
+  expect_commit(
+      "index_set I:i = {0..99};\nint a[100];\n"
+      "void main() { par (I) a[i < 2 ? 1 - i : i] = (a[i] = 2 * i + 1) + 1; }",
+      "", conflict_error("3:47", " to a[1]: values 2 and 3"));
+}
+
+// A store inside a reduction's tuple loop gives a lane no bound on its
+// writes; such kernels run one lane per block and still commit in order.
+TEST(EngineParity, BlockStoresInsideAReduction) {
+  expect_commit(
+      "index_set I:i = {0..99}, J:j = {0..4};\n"
+      "int a[100], b[100];\n"
+      "void main() {\n"
+      "  par (I) a[i] = $+(J; b[i] = i + 1) + i;\n"
+      "  print($+(I; a[i]), $+(I; b[i]), a[99], b[99]);\n"
+      "}",
+      "30200 5050 599 100\n");
+}
+
+// Two rand() draws per lane in one fused body: each lane keeps its own
+// stream, reseeded at the member boundary, whatever the block does.
+TEST(EngineParity, BlockRandStreamsInAFusedBody) {
+  expect_commit(
+      "index_set I:i = {0..199};\n"
+      "int a[200], b[200];\n"
+      "void main() {\n"
+      "  par (I) {\n"
+      "    a[i] = rand() % 1000;\n"
+      "    b[i] = (rand() % 1000) * 1000 + a[i];\n"
+      "  }\n"
+      "  print($+(I; a[i]), $+(I; b[i]), b[0], b[199]);\n"
+      "}",
+      "97716 96899716 452020 697875\n");
+}
+
+// Registers the typing pass cannot pin: a float lane-local that swap()
+// left holding an int (so (t + 1) / 2 divides as ints), and a ?: with an
+// int and a float arm.
+TEST(EngineParity, BlockTaggedRegisters) {
+  double sum_a = 0.0, sum_c = 0.0;
+  for (int i = 0; i < 70; ++i) {
+    sum_a += (i + 1) / 2;
+    sum_c += i % 3 == 0 ? i / 2 : 0.75;
+  }
+  expect_commit(
+      "index_set I:i = {0..69};\n"
+      "float a[70], c[70];\n"
+      "void main() {\n"
+      "  par (I) { float t; int x; x = i; swap(t, x); a[i] = (t + 1) / 2; }\n"
+      "  par (I) c[i] = (i % 3 == 0 ? i : 1.5) / 2;\n"
+      "  print(a[0], a[3], a[69], $+(I; a[i]), $+(I; c[i]));\n"
+      "}",
+      "0 2 35 " + fmt_g(sum_a) + " " + fmt_g(sum_c) + "\n");
+}
+
+// Within one block, an earlier lane's error at a later instruction wins
+// over a later lane's error at an earlier one: the first lane in lane
+// order reports, as when lanes run one at a time.
+TEST(EngineParity, BlockErrorPrecedence) {
+  // Lanes 90 (mod) and 130 (div) sit in different blocks.
+  expect_commit(
+      "index_set I:i = {0..199};\nint a[200];\n"
+      "void main() { par (I) a[i] = 100 / (i - 130) + 7 % (i - 90); }",
+      "", "program.uc:3:48: modulo by zero");
+  // Lane 40 divides by zero before lane 20 reaches its modulo.
+  expect_commit(
+      "index_set I:i = {0..63};\nint a[64];\n"
+      "void main() { par (I) a[i] = 100 / (i - 40) + 7 % (i - 20); }",
+      "", "program.uc:3:47: modulo by zero");
+  // Lane 50's subscript is out of range before lane 47 divides by zero.
+  expect_commit(
+      "index_set I:i = {0..99};\nint a[100], b[100];\n"
+      "void main() { par (I) a[i] = b[i == 50 ? 500 : i] + 10 / (i - 47); }",
+      "", "program.uc:3:53: integer division by zero");
+  expect_commit(
+      "index_set I:i = {0..99};\nint a[100], b[100];\n"
+      "void main() { par (I) a[i] = b[i == 44 ? 500 : i] + 10 / (i - 47); }",
+      "", "program.uc:3:30: array subscript out of range: b[500]");
+}
+
+// --- arrays declared in calls made from lanes ---
+
+// Every lane's call declares an array, which allocates machine storage;
+// those lanes run on the issuing thread.  When pool workers ran them, this
+// program aborted with "double free or corruption" in about one run of 30
+// at 4 host threads.
+TEST(EngineParity, CallLocalArraysOnFourThreads) {
+  const std::string src =
+      "index_set I:i = {0..4095}; int out[4096];\n"
+      "int g(int v) { int t[3]; t[0] = v; t[1] = v + 1; t[2] = v * 2;"
+      " return t[0] + t[1] + t[2]; }\n"
+      "void main() { par (I) out[i] = g(i); print($+(I; out[i])); }\n";
+  for (const auto& c : kEngineConfigs) {
+    SCOPED_TRACE(c.label);
+    cm::MachineOptions mopts;
+    mopts.host_threads = 4;
+    ExecOptions eopts;
+    eopts.engine = c.engine;
+    eopts.fuse = c.fuse;
+    for (int rep = 0; rep < 10; ++rep) {
+      EXPECT_EQ(run_uc(src, mopts, eopts).output(), "33550336\n");
+    }
+  }
+}
+
+// A call's return value belongs to its frame: lanes on different pool
+// workers return from calls at the same time (ThreadSanitizer reported
+// the VM-wide return slot they shared), and a call that executes no
+// return yields 0, not the value of the last call it made.
+TEST(EngineParity, CallsFromLanesOnFourThreads) {
+  expect_commit(
+      "index_set I:i = {0..4095}; int out[4096];\n"
+      "int g(int v) { int s; s = v * 3 + 1; return s; }\n"
+      "int f(int v) { int x; x = g(v); }\n"
+      "void main() { par (I) out[i] = g(i) + f(i); print($+(I; out[i])); }\n",
+      "25163776\n");
+}
+
+// --- int overflow (programs/int_wrap.uc) ---
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(EngineParity, IntOverflowWrapsTwosComplement) {
+  const std::string src = slurp(PROGRAMS_DIR "/int_wrap.uc");
+  const std::string expected = slurp(PROGRAMS_DIR "/int_wrap.expected");
+  ASSERT_FALSE(src.empty());
+  ASSERT_EQ(expected,
+            "18 -24 0 6\n-4611686018427387904 4611686018427387904\n");
+  expect_commit(src, expected);
 }
 
 // --- diagnostics parity: same text, same location, either engine ---

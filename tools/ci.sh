@@ -147,6 +147,17 @@ run_asan() {
   # slice view.
   "$root/build-asan/tests/ucvm/test_ucvm" \
       --gtest_filter='EngineParity*'
+  # Int overflow wraps in two's complement on every engine: the program's
+  # products and negations overflow, and UBSan stops at the first
+  # signed-overflow report.
+  local eng
+  for eng in walk bytecode native; do
+    UBSAN_OPTIONS=halt_on_error=1 "$root/build-asan/tools/ucc" run \
+        "$root/programs/int_wrap.uc" --engine="$eng" |
+      cmp - "$root/programs/int_wrap.expected" || {
+        echo "ci.sh: programs/int_wrap.uc printed other output on $eng" >&2
+        exit 1; }
+  done
   run_profile_smoke "$root/build-asan"
   run_fused_smoke "$root/build-asan"
   run_fault_smoke "$root/build-asan"
@@ -176,7 +187,12 @@ run_tsan() {
   # The EngineParity.Commit* cases run every engine at 4 threads, where
   # each pool worker fills its arena's write log (kernel::Engine::WriteLog)
   # in place, native kernels included, before the issuing thread commits
-  # the logs in lane order.
+  # the logs in lane order.  The EngineParity.Block* cases run the block
+  # executor's per-worker arenas (register columns, block lanes, lane-major
+  # write slots) at 4 threads; EngineParity.CallLocalArraysOnFourThreads
+  # checks that lanes whose calls declare arrays stay off the pool workers,
+  # and EngineParity.CallsFromLanesOnFourThreads that concurrent per-lane
+  # calls keep their return values apart.
   "$root/build-tsan/tests/ucvm/test_ucvm" \
       --gtest_filter='EngineParity*:FaultRecovery.MapRemap*'
 }
