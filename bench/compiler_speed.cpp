@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "codegen/cstar_emit.hpp"
+#include "corpus.hpp"
 #include "support/str.hpp"
-#include "uc/paper_programs.hpp"
 #include "uc/uc.hpp"
 #include "uclang/lexer.hpp"
 #include "uclang/parser.hpp"
@@ -16,22 +16,26 @@
 
 namespace {
 
-std::string corpus() {
+std::string on3_32() {
+  return corpus::source("fig7_shortest_path_on3", {{"N", 32}, {"LOGN", 5}});
+}
+
+std::string all_programs() {
   // Every paper program, concatenated lex/parse-only workload.
   std::string all;
-  all += uc::papers::shortest_path_on2(32);
-  all += uc::papers::shortest_path_on3(32);
-  all += uc::papers::grid_shortest_path(32, 32, true);
-  all += uc::papers::prefix_sums_star_par(64);
-  all += uc::papers::ranksort(64);
-  all += uc::papers::odd_even_sort(64);
-  all += uc::papers::wavefront(32);
-  all += uc::papers::histogram(64);
+  all += corpus::source("fig6_shortest_path_on2", {{"N", 32}});
+  all += on3_32();
+  all += corpus::source("fig8_grid_obstacle", {{"R", 32}, {"C", 32}});
+  all += corpus::source("prefix_sums", {{"N", 64}});
+  all += corpus::source("ranksort", {{"N", 64}});
+  all += corpus::source("odd_even_sort", {{"N", 64}});
+  all += corpus::source("wavefront", {{"N", 32}});
+  all += corpus::source("histogram", {{"N", 64}});
   return all;
 }
 
 void BM_Lex(benchmark::State& state) {
-  const auto src = uc::papers::shortest_path_on3(32);
+  const auto src = on3_32();
   for (auto _ : state) {
     uc::support::SourceFile file("bench.uc", src);
     uc::support::DiagnosticEngine diags(&file);
@@ -44,7 +48,7 @@ void BM_Lex(benchmark::State& state) {
 BENCHMARK(BM_Lex);
 
 void BM_Parse(benchmark::State& state) {
-  const auto src = uc::papers::shortest_path_on3(32);
+  const auto src = on3_32();
   for (auto _ : state) {
     benchmark::DoNotOptimize(uc::lang::parse_only("bench.uc", src));
   }
@@ -54,7 +58,7 @@ void BM_Parse(benchmark::State& state) {
 BENCHMARK(BM_Parse);
 
 void BM_FullFrontEnd(benchmark::State& state) {
-  const auto src = uc::papers::shortest_path_on3(32);
+  const auto src = on3_32();
   for (auto _ : state) {
     benchmark::DoNotOptimize(uc::lang::compile("bench.uc", src));
   }
@@ -64,7 +68,7 @@ void BM_FullFrontEnd(benchmark::State& state) {
 BENCHMARK(BM_FullFrontEnd);
 
 void BM_CompileWithPasses(benchmark::State& state) {
-  const auto src = uc::papers::wavefront(16);
+  const auto src = corpus::source("wavefront", {{"N", 16}});
   uc::CompileOptions opts;
   opts.lower_solve = true;
   for (auto _ : state) {
@@ -74,8 +78,8 @@ void BM_CompileWithPasses(benchmark::State& state) {
 BENCHMARK(BM_CompileWithPasses);
 
 void BM_CstarEmission(benchmark::State& state) {
-  auto program =
-      uc::Program::compile("bench.uc", uc::papers::shortest_path_on2(32));
+  auto program = uc::Program::compile(
+      "bench.uc", corpus::source("fig6_shortest_path_on2", {{"N", 32}}));
   for (auto _ : state) {
     benchmark::DoNotOptimize(program.to_cstar_source());
   }
@@ -83,7 +87,7 @@ void BM_CstarEmission(benchmark::State& state) {
 BENCHMARK(BM_CstarEmission);
 
 void BM_LexParseCorpus(benchmark::State& state) {
-  const auto src = corpus();
+  const auto src = all_programs();
   for (auto _ : state) {
     benchmark::DoNotOptimize(uc::lang::parse_only("corpus.uc", src));
   }
@@ -102,11 +106,11 @@ void report_conciseness() {
   };
   const Row rows[] = {
       {"shortest path O(N^2) (Fig 4 vs Fig 9)",
-       uc::papers::shortest_path_on2(32)},
-      {"shortest path O(N^3) (Fig 5 vs Fig 10)",
-       uc::papers::shortest_path_on3(32)},
-      {"grid obstacle (Fig 11)", uc::papers::grid_shortest_path(32, 32, true)},
-      {"histogram (para 4)", uc::papers::histogram(32)},
+       corpus::source("fig6_shortest_path_on2", {{"N", 32}})},
+      {"shortest path O(N^3) (Fig 5 vs Fig 10)", on3_32()},
+      {"grid obstacle (Fig 11)",
+       corpus::source("fig8_grid_obstacle", {{"R", 32}, {"C", 32}})},
+      {"histogram (para 4)", corpus::source("histogram", {{"N", 32}})},
   };
   std::printf("\n=== E9: conciseness, UC source vs emitted C* ===\n");
   std::printf("%-42s %9s %9s\n", "program", "UC lines", "C* lines");

@@ -6,10 +6,10 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
+#include "corpus.hpp"
 #include "cstar/paths.hpp"
 #include "seqref/seqref.hpp"
 #include "support/rng.hpp"
-#include "uc/paper_programs.hpp"
 #include "uc/uc.hpp"
 
 int main() {
@@ -20,15 +20,15 @@ int main() {
 
   for (std::int64_t n : {4, 8, 12, 16, 20, 24, 28, 32}) {
     // UC program (Fig 4), full pipeline: compile + run.
+    const auto source = corpus::source("fig6_shortest_path_on2", {{"N", n}});
     bench::WallTimer uc_timer;
-    auto program = Program::compile("fig4.uc", papers::shortest_path_on2(n));
+    auto program = Program::compile("fig4.uc", source);
     auto uc_result = program.run();
     const double uc_ms = uc_timer.elapsed_ms();
 
     // C* baseline (Appendix Fig 9) on the same simulated machine model.
     // Same graph: extract it from the UC run via an init-only program.
-    auto init_src = papers::shortest_path_on2(n);
-    init_src = init_src.substr(0, init_src.find("  seq (K)")) + "}\n";
+    const auto init_src = source.substr(0, source.find("  seq (K)")) + "}\n";
     auto graph_result = Program::compile("init.uc", init_src).run();
     std::vector<std::int64_t> graph;
     for (auto& v : graph_result.global_array("d")) graph.push_back(v.as_int());

@@ -15,8 +15,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
+#include "corpus.hpp"
 #include "seqref/seqref.hpp"
-#include "uc/paper_programs.hpp"
 #include "uc/uc.hpp"
 #include "uclang/symbols.hpp"
 
@@ -43,7 +43,8 @@ int main() {
 
     // Parallel UC program (Fig 11).
     auto program = Program::compile(
-        "grid.uc", papers::grid_shortest_path(rows, cols, true));
+        "grid.uc",
+        corpus::source("fig8_grid_obstacle", {{"R", rows}, {"C", cols}}));
     auto result = program.run();
     const double uc_s = bench::sim_seconds(result.stats(), model);
 

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "uc/paper_programs.hpp"
+#include "corpus.hpp"
 #include "uc/uc.hpp"
 
 int main() {
@@ -13,8 +13,9 @@ int main() {
       "Threaded data-parallel host runtime (VM level)",
       "threads   host(ms)   sim cycles     d[0][1]   identical");
 
-  auto program =
-      Program::compile("sp.uc", papers::shortest_path_on2(48, 11));
+  auto program = Program::compile(
+      "sp.uc",
+      corpus::source("fig6_shortest_path_on2", {{"N", 48}, {"SEED", 11}}));
   std::uint64_t ref_cycles = 0;
   std::int64_t ref_value = 0;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {

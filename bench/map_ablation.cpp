@@ -2,22 +2,29 @@
 // programs was improved by a factor of 10, simply by specifying an
 // efficient mapping for the program data."
 //
-// Four kernels, each with and without its map section: shifted access
-// (permute), reversal (permute), folded self-combination (fold) and
+// Four kernels, each run with its map section ignored and applied: shifted
+// access (permute), reversal (permute), folded self-combination (fold) and
 // replicated read (copy).  Results must be identical; only cost moves.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "uc/paper_programs.hpp"
+#include "corpus.hpp"
 #include "uc/uc.hpp"
 
 namespace {
 
-void row(const char* kernel, const std::string& plain_src,
-         const std::string& mapped_src, const char* check_array) {
+// One corpus mapping program at size n for `rounds` rounds, run with its
+// map section ignored (the default mapping) and applied.
+void row(const char* kernel, const char* name, std::int64_t n,
+         std::int64_t rounds, const char* check_array) {
   using namespace uc;
-  auto plain = Program::compile("plain.uc", plain_src).run();
-  auto mapped = Program::compile("mapped.uc", mapped_src).run();
+  auto program = Program::compile(
+      std::string(name) + ".uc",
+      corpus::source(name, {{"N", n}, {"ROUNDS", rounds}}));
+  vm::ExecOptions unmapped;
+  unmapped.apply_mappings = false;
+  auto plain = program.run({}, unmapped);
+  auto mapped = program.run();
   bool agree = plain.global_array(check_array).size() ==
                mapped.global_array(check_array).size();
   if (agree) {
@@ -51,14 +58,10 @@ int main() {
   // modest and needs enough rounds to amortise the relocation sweep — the
   // reversal/fold/copy kernels below are the router-bound cases where the
   // paper's "factor of 10" lives.
-  row("shifted sum (permute)", papers::shifted_sum(n, 128, false),
-      papers::shifted_sum(n, 128, true), "a");
-  row("reversal (permute)", papers::reversal(n, rounds, false),
-      papers::reversal(n, rounds, true), "a");
-  row("fold combine (fold)", papers::fold_combine(n, rounds, false),
-      papers::fold_combine(n, rounds, true), "out");
-  row("row broadcast (copy)", papers::copy_broadcast(24, 12, false),
-      papers::copy_broadcast(24, 12, true), "m");
+  row("shifted sum (permute)", "shifted_sum", n, 128, "a");
+  row("reversal (permute)", "mapping_demo", n, rounds, "a");
+  row("fold combine (fold)", "fold_combine", n, rounds, "out");
+  row("row broadcast (copy)", "copy_broadcast", 24, 12, "m");
 
   std::printf(
       "\nshape check: mappings keep results identical and cut simulated "

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "uc/paper_programs.hpp"
+#include "corpus.hpp"
 #include "uc/uc.hpp"
 
 int main() {
@@ -19,7 +19,8 @@ int main() {
       "     N   naive sim(s)   optimised sim(s)   speedup   agree");
 
   for (std::int64_t n : {1024, 4096, 16384, 65536}) {
-    auto program = Program::compile("hist.uc", papers::histogram(n));
+    auto program = Program::compile("hist.uc",
+                                    corpus::source("histogram", {{"N", n}}));
 
     vm::ExecOptions naive;
     naive.processor_optimization = false;

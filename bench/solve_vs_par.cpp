@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
+#include "corpus.hpp"
 #include "support/str.hpp"
-#include "uc/paper_programs.hpp"
 #include "uc/uc.hpp"
 
 namespace {
@@ -77,11 +77,11 @@ int main() {
       "(wavefront)",
       "     N   built-in sim(s)   lowered sim(s)");
   for (std::int64_t n : {8, 16, 32}) {
-    auto builtin = Program::compile("w.uc", papers::wavefront(n)).run();
+    const auto source = corpus::source("wavefront", {{"N", n}});
+    auto builtin = Program::compile("w.uc", source).run();
     CompileOptions lower;
     lower.lower_solve = true;
-    auto lowered =
-        Program::compile("w.uc", papers::wavefront(n), lower).run();
+    auto lowered = Program::compile("w.uc", source, lower).run();
     std::printf("%6lld %17.5f %15.5f\n", static_cast<long long>(n),
                 bench::sim_seconds(builtin.stats()),
                 bench::sim_seconds(lowered.stats()));

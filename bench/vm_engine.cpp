@@ -25,7 +25,7 @@
 
 #include "bench/bench_util.hpp"
 #include "cm/fault.hpp"
-#include "uc/paper_programs.hpp"
+#include "corpus.hpp"
 #include "uc/uc.hpp"
 
 namespace {
@@ -210,9 +210,13 @@ int main(int argc, char** argv) {
   const std::int64_t fig7_n = smoke ? 8 : 24;
   const std::int64_t fig8_n = smoke ? 8 : 24;
   const std::vector<Workload> workloads = {
-      {"fig6_shortest_path_on2", uc::papers::shortest_path_on2(fig6_n)},
-      {"fig7_shortest_path_on3", uc::papers::shortest_path_on3(fig7_n)},
-      {"fig8_grid_obstacle", uc::papers::grid_shortest_path(fig8_n, fig8_n)},
+      {"fig6_shortest_path_on2",
+       corpus::source("fig6_shortest_path_on2", {{"N", fig6_n}})},
+      {"fig7_shortest_path_on3",
+       corpus::source("fig7_shortest_path_on3",
+                      {{"N", fig7_n}, {"LOGN", corpus::log2_ceil(fig7_n)}})},
+      {"fig8_grid_obstacle",
+       corpus::source("fig8_grid_obstacle", {{"R", fig8_n}, {"C", fig8_n}})},
   };
 
   uc::bench::header("VM engines: tree walk vs bytecode lane kernels",

@@ -3,14 +3,15 @@
 // relaxation.  Renders the distance field as ASCII art.
 #include <cstdio>
 
-#include "uc/paper_programs.hpp"
+#include "corpus.hpp"
 #include "uc/uc.hpp"
 #include "uclang/symbols.hpp"
 
 int main() {
   const std::int64_t rows = 16, cols = 16;
   auto program = uc::Program::compile(
-      "grid.uc", uc::papers::grid_shortest_path(rows, cols, true));
+      "grid.uc",
+      corpus::source("fig8_grid_obstacle", {{"R", rows}, {"C", cols}}));
   auto result = program.run();
 
   std::printf("distance to goal G at (0,0); ## = wall, .. = unreachable\n\n");

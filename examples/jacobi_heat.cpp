@@ -4,12 +4,13 @@
 // the NEWS grid carrying all of the communication.
 #include <cstdio>
 
-#include "uc/paper_programs.hpp"
+#include "corpus.hpp"
 #include "uc/uc.hpp"
 
 int main() {
   const std::int64_t n = 12, iters = 50;
-  auto program = uc::Program::compile("jacobi.uc", uc::papers::jacobi(n, iters));
+  auto program = uc::Program::compile(
+      "jacobi.uc", corpus::source("jacobi", {{"N", n}, {"ITERS", iters}}));
   auto result = program.run();
 
   std::printf("temperature field after %lld Jacobi sweeps (boundary held):\n\n",

@@ -4,7 +4,7 @@
 // simulated costs.  Also shows the C* code the UC compiler would emit.
 #include <cstdio>
 
-#include "uc/paper_programs.hpp"
+#include "corpus.hpp"
 #include "uc/uc.hpp"
 
 namespace {
@@ -29,12 +29,17 @@ int main() {
   std::printf("All-pairs shortest path, N=%lld (same random graph, seed 11)\n\n",
               static_cast<long long>(n));
 
-  run_variant("seq/par  (Fig 4)", uc::papers::shortest_path_on2(n));
-  run_variant("log-round (Fig 5)", uc::papers::shortest_path_on3(n));
-  run_variant("*solve   (3.6)", uc::papers::shortest_path_star_solve(n));
+  run_variant("seq/par  (Fig 4)",
+              corpus::source("fig6_shortest_path_on2", {{"N", n}}));
+  run_variant("log-round (Fig 5)",
+              corpus::source("fig7_shortest_path_on3",
+                             {{"N", n}, {"LOGN", corpus::log2_ceil(n)}}));
+  run_variant("*solve   (3.6)",
+              corpus::source("shortest_path_star_solve", {{"N", n}}));
 
   std::printf("\n--- C* emission of the Fig 4 program (paper 5) ---\n");
-  auto program = uc::Program::compile("sp.uc", uc::papers::shortest_path_on2(8));
+  auto program = uc::Program::compile(
+      "sp.uc", corpus::source("fig6_shortest_path_on2", {{"N", 8}}));
   std::printf("%s", program.to_cstar_source().c_str());
   return 0;
 }

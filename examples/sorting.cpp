@@ -4,8 +4,8 @@
 // rule that guards parallel assignment.
 #include <cstdio>
 
+#include "corpus.hpp"
 #include "support/error.hpp"
-#include "uc/paper_programs.hpp"
 #include "uc/uc.hpp"
 
 namespace {
@@ -27,11 +27,12 @@ void show(const char* label, const uc::vm::RunResult& result,
 int main() {
   const std::int64_t n = 16;
 
-  auto ranksort = uc::Program::compile("rank.uc", uc::papers::ranksort(n));
+  auto ranksort = uc::Program::compile(
+      "rank.uc", corpus::source("ranksort", {{"N", n}}));
   show("ranksort", ranksort.run(), "a");
 
-  auto oddeven =
-      uc::Program::compile("oe.uc", uc::papers::odd_even_sort(n));
+  auto oddeven = uc::Program::compile(
+      "oe.uc", corpus::source("odd_even_sort", {{"N", n}}));
   show("odd-even", oddeven.run(), "x");
 
   // The single-value rule (paper 3.4): assigning different values to one

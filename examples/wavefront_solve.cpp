@@ -3,11 +3,11 @@
 // lowering to a guarded *par and the separable data-mapping story.
 #include <cstdio>
 
-#include "uc/paper_programs.hpp"
+#include "corpus.hpp"
 #include "uc/uc.hpp"
 
 int main() {
-  const auto source = uc::papers::wavefront(8);
+  const auto source = corpus::source("wavefront", {{"N", 8}});
 
   std::printf("--- UC source (declarative equations) ---\n%s\n",
               source.c_str());
@@ -33,11 +33,13 @@ int main() {
               static_cast<unsigned long long>(rl.stats().cycles));
 
   // 3. Mappings are separate from logic: the same shifted-access kernel
-  //    with and without its permute map section (paper 4).
-  auto unmapped = uc::Program::compile(
-      "shift.uc", uc::papers::shifted_sum(64, 8, false)).run();
-  auto mapped = uc::Program::compile(
-      "shift.uc", uc::papers::shifted_sum(64, 8, true)).run();
+  //    with its permute map section ignored and applied (paper 4).
+  auto shift = uc::Program::compile(
+      "shift.uc", corpus::source("shifted_sum", {{"N", 64}, {"ROUNDS", 8}}));
+  uc::vm::ExecOptions no_maps;
+  no_maps.apply_mappings = false;
+  auto unmapped = shift.run({}, no_maps);
+  auto mapped = shift.run();
   std::printf(
       "\nshifted-access kernel, 8 rounds over 64 elements:\n"
       "  default mapping: cycles=%llu news_ops=%llu\n"

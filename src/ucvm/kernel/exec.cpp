@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "ucvm/kernel/kernel.hpp"
 
@@ -1341,15 +1339,7 @@ bool Engine::try_run(const Expr& expr, LaneSpace& space,
                      std::uint64_t stmt_id, Value* results, bool optimize) {
   const Kernel* kern =
       optimize ? compile_optimized_cached(expr) : compile_cached(expr);
-  if (kern == nullptr) {
-    ++fallback_statements_;
-    return false;
-  }
-  if (!link(*kern, space, frame)) {
-    ++fallback_statements_;
-    return false;
-  }
-  ++compiled_statements_;
+  if (kern == nullptr || !link(*kern, space, frame)) return false;
 
   reset_arenas(*kern);
   run_lanes_pooled(*kern, space, active, frame, stmt_id, results);
@@ -1381,8 +1371,6 @@ void Engine::run_group(LaneSpace& space,
                        std::uint64_t first_stmt_id,
                        std::vector<AccessStats>& member_stats) {
   const Kernel& kern = *group_kernel_;
-  compiled_statements_ += kern.num_members;
-  ++fused_groups_;
   reset_arenas(kern);
   run_lanes_pooled(kern, space, active, frame, first_stmt_id,
                    /*results=*/nullptr);
@@ -1400,17 +1388,7 @@ void Engine::commit_group() { commit_buffered(); }
 
 namespace uc::vm::detail {
 
-Impl::~Impl() {
-  if (kernel_engine_ != nullptr && std::getenv("UC_KERNEL_STATS") != nullptr) {
-    std::fprintf(stderr,
-                 "kernel: %llu compiled, %llu fallback, %zu cached\n",
-                 static_cast<unsigned long long>(
-                     kernel_engine_->compiled_statements()),
-                 static_cast<unsigned long long>(
-                     kernel_engine_->fallback_statements()),
-                 kernel_engine_->cache_size());
-  }
-}
+Impl::~Impl() = default;
 
 kernel::Engine& Impl::kernel_engine() {
   if (kernel_engine_ == nullptr) {

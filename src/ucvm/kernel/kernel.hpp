@@ -59,12 +59,6 @@ class Engine {
                  std::vector<AccessStats>& member_stats);
   void commit_group();
 
-  // Introspection for tests and ucc bench.
-  std::uint64_t compiled_statements() const { return compiled_statements_; }
-  std::uint64_t fallback_statements() const { return fallback_statements_; }
-  std::uint64_t fused_groups() const { return fused_groups_; }
-  std::size_t cache_size() const { return cache_.size(); }
-
   // Native tier (engine == kNative): lazily constructed backend, null
   // until the first native dispatch attempt.  native_fallbacks counts
   // statement executions that wanted native but ran on bytecode.
@@ -284,9 +278,6 @@ class Engine {
   // commit_buffered's chunk runs, sorted by first lane position.
   std::vector<std::pair<std::int64_t, WriteRun>> span_order_;
   std::vector<WriteRun> runs_;
-  std::uint64_t compiled_statements_ = 0;
-  std::uint64_t fallback_statements_ = 0;
-  std::uint64_t fused_groups_ = 0;
   std::unique_ptr<native::Backend> native_;
   // Native dispatch tables, mirrored from the linked operand state on
   // every dispatch.  Engine members (not locals) so their heap capacity

@@ -2,14 +2,11 @@
 // and communication-pattern classification (docs/ANALYSIS.md).
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/pass.hpp"
-#include "uc/paper_programs.hpp"
+#include "corpus.hpp"
 #include "uclang/frontend.hpp"
 
 namespace {
@@ -339,31 +336,21 @@ TEST(Report, NoNotesOptionDropsNotes) {
 TEST(Corpus, EveryShippedProgramAnalyzesClean) {
   // The paper's example programs are all correct UC: the analysis must
   // produce no errors and no warnings on any of them (notes are fine).
-  std::size_t seen = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(PROGRAMS_DIR)) {
-    if (entry.path().extension() != ".uc") continue;
-    ++seen;
-    std::ifstream in(entry.path());
-    std::stringstream buf;
-    buf << in.rdbuf();
-    auto unit = uc::lang::compile(entry.path().string(), buf.str());
-    ASSERT_TRUE(unit->ok())
-        << entry.path() << ":\n" << unit->diags.render_all();
+  const auto programs = corpus::programs();
+  for (const auto& path : programs) {
+    auto unit = uc::lang::compile(path.string(), corpus::read(path));
+    ASSERT_TRUE(unit->ok()) << path << ":\n" << unit->diags.render_all();
     auto report = uc::analysis::run_default_analysis(*unit);
-    EXPECT_EQ(report.error_count(), 0u) << entry.path();
+    EXPECT_EQ(report.error_count(), 0u) << path;
     EXPECT_EQ(report.warning_count(), 0u)
-        << entry.path() << ":\n" << report.render(unit->file.get());
+        << path << ":\n" << report.render(unit->file.get());
   }
-  EXPECT_GE(seen, 9u);  // the shipped corpus
+  EXPECT_GE(programs.size(), 9u);  // the shipped corpus
 }
 
 TEST(Corpus, ShortestPathHasZeroWarnings) {
-  std::ifstream in(std::string(PROGRAMS_DIR) + "/shortest_path.uc");
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  auto unit = uc::lang::compile("shortest_path.uc", buf.str());
+  auto unit = uc::lang::compile(
+      "fig6_shortest_path_on2.uc", corpus::source("fig6_shortest_path_on2"));
   ASSERT_TRUE(unit->ok());
   auto report = uc::analysis::run_default_analysis(*unit);
   EXPECT_EQ(report.warning_count(), 0u)
@@ -372,9 +359,10 @@ TEST(Corpus, ShortestPathHasZeroWarnings) {
 
 TEST(Corpus, PaperShortestPathVariantsHaveZeroWarnings) {
   const std::vector<std::pair<const char*, std::string>> variants = {
-      {"on2", uc::papers::shortest_path_on2(16)},
-      {"on3", uc::papers::shortest_path_on3(16)},
-      {"star_solve", uc::papers::shortest_path_star_solve(16)},
+      {"on2", corpus::source("fig6_shortest_path_on2", {{"N", 16}})},
+      {"on3",
+       corpus::source("fig7_shortest_path_on3", {{"N", 16}, {"LOGN", 4}})},
+      {"star_solve", corpus::source("shortest_path_star_solve", {{"N", 16}})},
   };
   for (const auto& [label, source] : variants) {
     auto unit = uc::lang::compile(label, source);

@@ -4,14 +4,12 @@
 // validation contract.  Illegal candidates must be rejected fail-closed.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "analysis/depend.hpp"
 #include "analysis/optmap.hpp"
 #include "analysis/pass.hpp"
+#include "corpus.hpp"
 #include "uc/uc.hpp"
 #include "uclang/frontend.hpp"
 
@@ -43,17 +41,6 @@ const uc::analysis::ArrayDep* dep_of(const DependSummary& dep,
     if (sym->name == name) return &d;
   }
   return nullptr;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-std::string program_path(const char* name) {
-  return std::string(PROGRAMS_DIR) + "/" + name;
 }
 
 // --- dependence pass and legality proofs ---------------------------------
@@ -230,7 +217,7 @@ TEST(Model, SeqLoopMultipliesSiteRepeat) {
 TEST(Plan, Fig6StyleProgramPrefersReplication) {
   // Floyd-Warshall shape: uniform (spread) reads of d inside seq (K);
   // replication turns them local and amortises over the K sweeps.
-  auto m = model_of(slurp(program_path("fig6_shortest_path_on2.uc")));
+  auto m = model_of(corpus::source("fig6_shortest_path_on2"));
   OptimizePlan plan =
       uc::analysis::plan_mappings(*m.unit, m.model, OptimizeOptions{});
   ASSERT_FALSE(plan.ranked.empty());
@@ -292,7 +279,7 @@ bool has_finding(const uc::analysis::Report& r, const char* code) {
 }
 
 TEST(Advice, Fig6GetsA301Note) {
-  auto m = model_of(slurp(program_path("fig6_shortest_path_on2.uc")));
+  auto m = model_of(corpus::source("fig6_shortest_path_on2"));
   auto report = uc::analysis::run_default_analysis(*m.unit);
   EXPECT_TRUE(has_finding(report, "UC-A301"));
   EXPECT_EQ(report.warning_count(), 0u);  // advice is a note, never louder
@@ -345,8 +332,7 @@ TEST(Advice, NoNotesOnProgramsWithNothingToGain) {
 
 TEST(OptimizeMap, Fig6ValidatesWithFewerCyclesAndIdenticalOutput) {
   auto result = uc::optimize_map("fig6.uc",
-                                 slurp(program_path(
-                                     "fig6_shortest_path_on2.uc")));
+                                 corpus::source("fig6_shortest_path_on2"));
   ASSERT_TRUE(result.compiled);
   EXPECT_TRUE(result.improved);
   EXPECT_TRUE(result.validated);
@@ -359,8 +345,7 @@ TEST(OptimizeMap, Fig6ValidatesWithFewerCyclesAndIdenticalOutput) {
   auto again = uc::Program::compile("opt.uc", result.optimized_source);
   auto run = again.run();
   auto base = uc::Program::compile("base.uc",
-                                   slurp(program_path(
-                                       "fig6_shortest_path_on2.uc")))
+                                   corpus::source("fig6_shortest_path_on2"))
                   .run();
   EXPECT_EQ(run.output(), base.output());
   EXPECT_LT(run.stats().cycles, base.stats().cycles);
@@ -391,8 +376,7 @@ TEST(OptimizeMap, FrontEndErrorsReported) {
 
 TEST(OptimizeMap, JsonCarriesDecisionAndCycles) {
   auto result = uc::optimize_map("fig6.uc",
-                                 slurp(program_path(
-                                     "fig6_shortest_path_on2.uc")));
+                                 corpus::source("fig6_shortest_path_on2"));
   ASSERT_TRUE(result.improved);
   const std::string json = result.json();
   EXPECT_NE(json.find("\"improved\": true"), std::string::npos);
@@ -405,7 +389,7 @@ TEST(OptimizeMap, ReplacesExistingMappingWhenBetter) {
   // mapping_demo ships a router-forcing permute; the optimiser must be
   // able to replace it (dropping the old map section for that array).
   auto result = uc::optimize_map("mapping_demo.uc",
-                                 slurp(program_path("mapping_demo.uc")));
+                                 corpus::source("mapping_demo"));
   ASSERT_TRUE(result.compiled);
   EXPECT_TRUE(result.improved);
   EXPECT_TRUE(result.validated);

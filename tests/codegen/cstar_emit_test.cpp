@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "uc/paper_programs.hpp"
+#include "corpus.hpp"
 #include "uclang/frontend.hpp"
 
 namespace uc::codegen {
@@ -38,18 +38,19 @@ TEST(CstarEmit, ParBecomesDomainParallelBlock) {
 }
 
 TEST(CstarEmit, SeqBecomesFrontEndLoop) {
-  auto out = emit(papers::shortest_path_on2(8));
+  auto out = emit(corpus::source("fig6_shortest_path_on2", {{"N", 8}}));
   EXPECT_NE(out.find("for (k = 0; k <= 7; k++)"), std::string::npos) << out;
 }
 
 TEST(CstarEmit, MinReductionBecomesCombineOperator) {
   // The Fig 5 pattern must come out with C*'s <?= operator, as in Fig 10.
-  auto out = emit(papers::shortest_path_on3(8));
+  auto out = emit(
+      corpus::source("fig7_shortest_path_on3", {{"N", 8}, {"LOGN", 3}}));
   EXPECT_NE(out.find("<?="), std::string::npos) << out;
 }
 
 TEST(CstarEmit, StarParBecomesDoWhile) {
-  auto out = emit(papers::prefix_sums_star_par(8));
+  auto out = emit(corpus::source("prefix_sums", {{"N", 8}}));
   EXPECT_NE(out.find("do {"), std::string::npos) << out;
   EXPECT_NE(out.find("} while"), std::string::npos) << out;
 }
@@ -62,20 +63,16 @@ TEST(CstarEmit, OthersBecomesElse) {
 }
 
 TEST(CstarEmit, MapSectionBecomesComment) {
-  auto out = emit(papers::shifted_sum(8, 1, true));
+  auto out = emit(corpus::source("shifted_sum", {{"N", 8}, {"ROUNDS", 1}}));
   EXPECT_NE(out.find("no C* equivalent"), std::string::npos) << out;
 }
 
 TEST(CstarEmit, EmitsForAllPaperPrograms) {
-  // Smoke: emission never crashes and always yields a domain for programs
-  // with arrays.
-  for (const auto& src :
-       {papers::shortest_path_on2(8), papers::shortest_path_on3(8),
-        papers::grid_shortest_path(6, 6, true), papers::ranksort(8),
-        papers::odd_even_sort(8), papers::wavefront(6),
-        papers::histogram(16)}) {
-    auto out = emit(src);
-    EXPECT_NE(out.find("domain"), std::string::npos);
+  // Smoke: emission never crashes and always yields a domain; every
+  // corpus program has arrays.
+  for (const auto& path : corpus::programs()) {
+    auto out = emit(corpus::read(path));
+    EXPECT_NE(out.find("domain"), std::string::npos) << path;
   }
 }
 

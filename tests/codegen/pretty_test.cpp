@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "uc/paper_programs.hpp"
+#include "corpus.hpp"
 #include "uclang/frontend.hpp"
 
 namespace uc::codegen {
@@ -30,18 +30,10 @@ TEST(Pretty, RoundTripSimpleProgram) {
 }
 
 TEST(Pretty, RoundTripPaperPrograms) {
-  round_trip(papers::shortest_path_on2(8));
-  round_trip(papers::shortest_path_on3(8));
-  round_trip(papers::grid_shortest_path(8, 8, true));
-  round_trip(papers::prefix_sums_star_par(8));
-  round_trip(papers::prefix_sums_seq_par(8));
-  round_trip(papers::ranksort(8));
-  round_trip(papers::odd_even_sort(8));
-  round_trip(papers::wavefront(8));
-  round_trip(papers::histogram(8));
-  round_trip(papers::shifted_sum(8, 2, true));
-  round_trip(papers::fold_combine(8, 2, true));
-  round_trip(papers::copy_broadcast(8, 2, true));
+  for (const auto& path : corpus::programs()) {
+    SCOPED_TRACE(path.string());
+    round_trip(corpus::read(path));
+  }
 }
 
 TEST(Pretty, MinimalParenthesisation) {

@@ -8,8 +8,8 @@
 #include <map>
 #include <tuple>
 
+#include "corpus.hpp"
 #include "prof/report.hpp"
-#include "uc/paper_programs.hpp"
 #include "uc/uc.hpp"
 
 namespace uc {
@@ -138,7 +138,8 @@ TEST(Profiler, ProfilingDoesNotChangeOutputOrCycles) {
 }
 
 TEST(Profiler, SumHoldsOnThePaperShortestPath) {
-  const auto source = papers::shortest_path_on2(8, 11);
+  const auto source =
+      corpus::source("fig6_shortest_path_on2", {{"N", 8}, {"SEED", 11}});
   for (auto engine : {vm::ExecEngine::kWalk, vm::ExecEngine::kBytecode}) {
     auto prof = profile_with(engine, source.c_str());
     EXPECT_EQ(sum_sites(prof.sites), prof.run.stats());

@@ -5,10 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
+#include "corpus.hpp"
 #include "uc/uc.hpp"
 
 namespace uc {
@@ -16,27 +17,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string slurp(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-std::vector<fs::path> uc_programs() {
-  std::vector<fs::path> out;
-  for (const auto& entry : fs::directory_iterator(PROGRAMS_DIR)) {
-    if (entry.path().extension() == ".uc") out.push_back(entry.path());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 class GoldenP : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(GoldenP, CompilesAndMatchesExpectedOutput) {
   const fs::path path = GetParam();
-  auto program = Program::compile(path.filename().string(), slurp(path));
+  auto program = Program::compile(path.filename().string(), corpus::read(path));
 
   // Every program must also round-trip through the pretty printer.
   auto again = Program::compile("roundtrip.uc", program.to_uc_source());
@@ -50,13 +35,13 @@ TEST_P(GoldenP, CompilesAndMatchesExpectedOutput) {
   }
   auto result = program.run();
   auto result2 = again.run();
-  EXPECT_EQ(result.output(), slurp(expected)) << path;
+  EXPECT_EQ(result.output(), corpus::read(expected)) << path;
   EXPECT_EQ(result2.output(), result.output()) << "round-trip divergence";
 }
 
 std::vector<std::string> program_names() {
   std::vector<std::string> names;
-  for (const auto& p : uc_programs()) names.push_back(p.string());
+  for (const auto& p : corpus::programs()) names.push_back(p.string());
   return names;
 }
 
@@ -71,7 +56,40 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Golden, SuiteIsNonEmpty) {
-  EXPECT_GE(uc_programs().size(), 8u);
+  EXPECT_GE(corpus::programs().size(), 8u);
+}
+
+// --- corpus::source overrides ---
+
+std::vector<std::string> lines(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
+TEST(Corpus, OverrideReplacesExactlyTheNamedDefines) {
+  const auto base = lines(corpus::source("fig7_shortest_path_on3"));
+  const auto sized = lines(corpus::source("fig7_shortest_path_on3",
+                                          {{"N", 24}, {"LOGN", "5"}}));
+  ASSERT_EQ(base.size(), sized.size());
+  std::vector<std::string> changed;
+  for (std::size_t k = 0; k < base.size(); ++k) {
+    if (base[k] != sized[k]) changed.push_back(sized[k]);
+  }
+  EXPECT_EQ(changed,
+            (std::vector<std::string>{"#define N 24", "#define LOGN 5"}));
+}
+
+TEST(Corpus, OverrideMatchesTheWholeName) {
+  EXPECT_EQ(corpus::define("#define NN 1\n#define N 2\n", {"N", 7}),
+            "#define NN 1\n#define N 7\n");
+}
+
+TEST(Corpus, OverrideOfAnUndefinedNameThrows) {
+  EXPECT_THROW(corpus::source("fig6_shortest_path_on2", {{"LOGN", 4}}),
+               std::invalid_argument);
+  EXPECT_THROW(corpus::source("hello", {{"N", 4}}), std::invalid_argument);
 }
 
 }  // namespace

@@ -14,9 +14,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "corpus.hpp"
 
 namespace {
 
@@ -45,18 +46,11 @@ std::string ucc() { return UCC_BINARY; }
 // Runs ucc from inside programs/, so file names in the output stay
 // relative.
 CommandResult run_in_programs(const std::string& args) {
-  return run_command("cd " + std::string(PROGRAMS_DIR) + " && " + ucc() +
+  return run_command("cd " + corpus::dir().string() + " && " + ucc() +
                      " " + args);
 }
 
 bool updating() { return std::getenv("UC_UPDATE_GOLDENS") != nullptr; }
-
-std::string slurp(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 void check_snapshot(const std::string& snapshot_name,
                     const std::string& actual) {
@@ -69,19 +63,16 @@ void check_snapshot(const std::string& snapshot_name,
   }
   ASSERT_TRUE(fs::exists(golden))
       << golden << " missing; run with UC_UPDATE_GOLDENS=1 to create it";
-  EXPECT_EQ(actual, slurp(golden))
+  EXPECT_EQ(actual, corpus::read(golden))
       << "snapshot drift in " << snapshot_name
       << "; rerun with UC_UPDATE_GOLDENS=1 if the change is intentional";
 }
 
 std::vector<std::string> corpus() {
   std::vector<std::string> names;
-  for (const auto& entry : fs::directory_iterator(PROGRAMS_DIR)) {
-    if (entry.path().extension() == ".uc") {
-      names.push_back(entry.path().filename().string());
-    }
+  for (const auto& p : corpus::programs()) {
+    names.push_back(p.filename().string());
   }
-  std::sort(names.begin(), names.end());
   return names;
 }
 

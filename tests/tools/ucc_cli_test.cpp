@@ -9,6 +9,8 @@
 #include <sstream>
 #include <string>
 
+#include "corpus.hpp"
+
 namespace {
 
 struct CommandResult {
@@ -31,8 +33,9 @@ CommandResult run_command(const std::string& cmd) {
 
 std::string ucc() { return UCC_BINARY; }
 std::string program(const char* name) {
-  return std::string(PROGRAMS_DIR) + "/" + name;
+  return (corpus::dir() / name).string();
 }
+std::string fig6() { return program("fig6_shortest_path_on2.uc"); }
 
 TEST(UccCli, RunsHelloProgram) {
   auto r = run_command(ucc() + " run " + program("hello.uc"));
@@ -48,7 +51,7 @@ TEST(UccCli, StatsFlagPrintsMachineCounters) {
 }
 
 TEST(UccCli, CheckReportsOk) {
-  auto r = run_command(ucc() + " check " + program("shortest_path.uc"));
+  auto r = run_command(ucc() + " check " + fig6());
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find(": ok"), std::string::npos) << r.output;
 }
@@ -68,7 +71,7 @@ TEST(UccCli, CheckReportsDiagnosticsAndFails) {
 }
 
 TEST(UccCli, AnalyzeCleanProgramSummarizes) {
-  auto r = run_command(ucc() + " analyze " + program("shortest_path.uc"));
+  auto r = run_command(ucc() + " analyze " + fig6());
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("communication summary:"), std::string::npos)
       << r.output;
@@ -146,7 +149,7 @@ TEST(UccCli, UsageListsAllSubcommands) {
 }
 
 TEST(UccCli, EmitCstarProducesDomains) {
-  auto r = run_command(ucc() + " emit-cstar " + program("shortest_path.uc"));
+  auto r = run_command(ucc() + " emit-cstar " + fig6());
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("domain"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("[domain"), std::string::npos) << r.output;
@@ -181,10 +184,8 @@ TEST(UccCli, NoMappingsChangesCostNotResults) {
 }
 
 TEST(UccCli, SeedChangesRandomGraph) {
-  auto a = run_command(ucc() + " run " + program("shortest_path.uc") +
-                       " --seed=1");
-  auto b = run_command(ucc() + " run " + program("shortest_path.uc") +
-                       " --seed=2");
+  auto a = run_command(ucc() + " run " + fig6() + " --seed=1");
+  auto b = run_command(ucc() + " run " + fig6() + " --seed=2");
   EXPECT_EQ(a.exit_code, 0);
   EXPECT_EQ(b.exit_code, 0);
   // srand(11) inside the program pins the graph, so seeds agree here —
@@ -290,7 +291,7 @@ TEST(UccCli, UnexpectedExceptionsExitCleanly) {
 }
 
 TEST(UccCli, ProfileCommandPrintsHotSiteTable) {
-  auto r = run_command(ucc() + " profile " + program("shortest_path.uc"));
+  auto r = run_command(ucc() + " profile " + fig6());
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("d[0][N-1] ="), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("self-cycles"), std::string::npos) << r.output;
@@ -321,9 +322,8 @@ TEST(UccCli, ProfileTableIdenticalAcrossEngines) {
   };
   // Fusion/plan caching deliberately lowers bytecode front-end cost, so
   // exact table equality pins --fuse=off on the bytecode leg.
-  auto walk = run_command(ucc() + " profile " + program("shortest_path.uc") +
-                          " --engine=walk");
-  auto bc = run_command(ucc() + " profile " + program("shortest_path.uc") +
+  auto walk = run_command(ucc() + " profile " + fig6() + " --engine=walk");
+  auto bc = run_command(ucc() + " profile " + fig6() +
                         " --engine=bytecode --fuse=off");
   EXPECT_EQ(walk.exit_code, 0);
   EXPECT_EQ(bc.exit_code, 0);
@@ -345,11 +345,9 @@ TEST(UccCli, ProfileTableIdenticalAcrossEngines) {
 TEST(UccCli, RunWithProfileKeepsStdoutIdentical) {
   // The subshell discards stderr (where the profile table goes), so this
   // compares the program's stdout byte for byte.
-  auto plain = run_command("(" + ucc() + " run " +
-                           program("shortest_path.uc") + " 2>/dev/null)");
+  auto plain = run_command("(" + ucc() + " run " + fig6() + " 2>/dev/null)");
   auto prof = run_command("(" + ucc() + " run " +
-                          program("shortest_path.uc") +
-                          " --profile 2>/dev/null)");
+                          fig6() + " --profile 2>/dev/null)");
   EXPECT_EQ(plain.exit_code, 0);
   EXPECT_EQ(prof.exit_code, 0);
   EXPECT_EQ(plain.output, prof.output);
@@ -358,7 +356,7 @@ TEST(UccCli, RunWithProfileKeepsStdoutIdentical) {
 TEST(UccCli, ProfileWritesJsonAndTraceFiles) {
   const std::string json_path = "/tmp/ucc_cli_prof.json";
   const std::string trace_path = "/tmp/ucc_cli_prof_trace.json";
-  auto r = run_command(ucc() + " profile " + program("shortest_path.uc") +
+  auto r = run_command(ucc() + " profile " + fig6() +
                        " --json=" + json_path +
                        " --trace-json=" + trace_path);
   EXPECT_EQ(r.exit_code, 0) << r.output;
@@ -380,8 +378,7 @@ TEST(UccCli, ProfileWritesJsonAndTraceFiles) {
 }
 
 TEST(UccCli, ProfileTopLimitsRows) {
-  auto r = run_command(ucc() + " profile " + program("shortest_path.uc") +
-                       " --top=2");
+  auto r = run_command(ucc() + " profile " + fig6() + " --top=2");
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("cold sites hidden"), std::string::npos)
       << r.output;
@@ -414,20 +411,20 @@ TEST(UccCli, CheckpointDirRequiresCadence) {
 TEST(UccCli, DieAtKillsAndResumeReproducesBitIdentical) {
   const std::string dir = "/tmp/ucc_cli_ck";
   run_command("rm -rf " + dir + " " + dir + "_base");
-  auto base = run_command(ucc() + " run " + program("shortest_path.uc") +
+  auto base = run_command(ucc() + " run " + fig6() +
                           " --checkpoint-every=4 --checkpoint-dir=" + dir +
                           "_base --stats");
   EXPECT_EQ(base.exit_code, 0) << base.output;
   EXPECT_NE(base.output.find("durable_checkpoints="), std::string::npos)
       << base.output;
 
-  auto kill = run_command(ucc() + " run " + program("shortest_path.uc") +
+  auto kill = run_command(ucc() + " run " + fig6() +
                           " --checkpoint-every=4 --checkpoint-dir=" + dir +
                           " --die-at=10");
   // SIGKILL: pclose reports a signal death, not a normal exit.
   EXPECT_NE(kill.exit_code, 0) << kill.output;
 
-  auto res = run_command(ucc() + " run " + program("shortest_path.uc") +
+  auto res = run_command(ucc() + " run " + fig6() +
                          " --checkpoint-every=4 --resume=" + dir +
                          " --stats");
   EXPECT_EQ(res.exit_code, 0) << res.output;

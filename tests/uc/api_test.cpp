@@ -3,10 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus.hpp"
 #include "seqref/seqref.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
-#include "uc/paper_programs.hpp"
 
 namespace uc {
 namespace {
@@ -65,8 +65,9 @@ TEST(Api, FoldConstantsToggle) {
 TEST(Api, SolveLoweringToggleProducesSameAnswers) {
   CompileOptions lower;
   lower.lower_solve = true;
-  auto lowered = Program::compile("w.uc", papers::wavefront(6), lower);
-  auto builtin = Program::compile("w.uc", papers::wavefront(6));
+  const auto source = corpus::source("wavefront", {{"N", 6}});
+  auto lowered = Program::compile("w.uc", source, lower);
+  auto builtin = Program::compile("w.uc", source);
   EXPECT_NE(lowered.to_uc_source().find("*par"), std::string::npos);
   EXPECT_NE(builtin.to_uc_source().find("solve"), std::string::npos);
   auto expect = seqref::wavefront(6);
@@ -86,12 +87,14 @@ TEST(Api, PermuteRewriteToggle) {
   CompileOptions rewrite;
   rewrite.rewrite_permutes = true;
   auto program = Program::compile(
-      "m.uc", papers::shifted_sum(16, 2, /*with_map=*/true), rewrite);
+      "m.uc", corpus::source("shifted_sum", {{"N", 16}, {"ROUNDS", 2}}),
+      rewrite);
   EXPECT_EQ(program.to_uc_source().find("permute"), std::string::npos);
 }
 
 TEST(Api, CstarEmission) {
-  auto program = Program::compile("sp.uc", papers::shortest_path_on2(8));
+  auto program = Program::compile(
+      "sp.uc", corpus::source("fig6_shortest_path_on2", {{"N", 8}}));
   auto cstar = program.to_cstar_source();
   EXPECT_NE(cstar.find("domain"), std::string::npos);
   EXPECT_NE(cstar.find("[domain"), std::string::npos);
@@ -128,8 +131,9 @@ TEST(Api, ProgramIsMovable) {
 
 TEST(Api, ConcisenessClaimUcSmallerThanCstar) {
   // §5/E9: UC programs are more concise than the C* equivalents.
-  for (auto& src : {papers::shortest_path_on2(16),
-                    papers::shortest_path_on3(16)}) {
+  for (auto& src :
+       {corpus::source("fig6_shortest_path_on2", {{"N", 16}}),
+        corpus::source("fig7_shortest_path_on3", {{"N", 16}, {"LOGN", 4}})}) {
     auto program = Program::compile("p.uc", src);
     auto uc_lines = support::count_code_lines(src);
     auto cstar_lines = support::count_code_lines(program.to_cstar_source());

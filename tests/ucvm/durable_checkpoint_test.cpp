@@ -18,12 +18,17 @@
 #include <vector>
 
 #include "cm/fault.hpp"
+#include "corpus.hpp"
 #include "support/error.hpp"
-#include "uc/paper_programs.hpp"
 #include "ucvm/interp.hpp"
 
 namespace uc::vm {
 namespace {
+
+// The Fig 6 shortest-path program at size n (seed 11).
+std::string on2(std::int64_t n) {
+  return corpus::source("fig6_shortest_path_on2", {{"N", n}});
+}
 
 cm::MachineOptions with_faults(const std::string& spec) {
   cm::MachineOptions m;
@@ -92,7 +97,7 @@ class DurableP : public ::testing::TestWithParam<ExecEngine> {};
 // the same output and the same modeled cycles (the snapshot carries the
 // machine statistics, so the forward jump is cycle-neutral).
 TEST_P(DurableP, ResumeRoundTripBitIdentical) {
-  const std::string src = papers::shortest_path_on2(8, 11);
+  const std::string src = on2(8);
   TempDir dir;
   ExecOptions base = with_engine(GetParam(), 4);
   base.checkpoint_dir = dir.path;
@@ -114,7 +119,7 @@ TEST_P(DurableP, ResumeRoundTripBitIdentical) {
 
 // Rotation keeps only `checkpoint_keep` generations on disk.
 TEST_P(DurableP, RotationBoundsTheDirectory) {
-  const std::string src = papers::shortest_path_on2(8, 11);
+  const std::string src = on2(8);
   TempDir dir;
   ExecOptions e = with_engine(GetParam(), 2);
   e.checkpoint_dir = dir.path;
@@ -128,7 +133,7 @@ TEST_P(DurableP, RotationBoundsTheDirectory) {
 // fall back to the next older intact generation with a diagnostic naming
 // the skipped file, and still finish bit-identically.
 TEST_P(DurableP, CorruptNewestGenerationFallsBack) {
-  const std::string src = papers::shortest_path_on2(8, 11);
+  const std::string src = on2(8);
   TempDir dir;
   ExecOptions base = with_engine(GetParam(), 2);
   base.checkpoint_dir = dir.path;
@@ -153,7 +158,7 @@ TEST_P(DurableP, CorruptNewestGenerationFallsBack) {
 // A torn write (truncated tail, as left by a crash mid-write without the
 // atomic rename) is detected by the payload-size check, not the CRC.
 TEST_P(DurableP, TornTailFallsBack) {
-  const std::string src = papers::shortest_path_on2(8, 11);
+  const std::string src = on2(8);
   TempDir dir;
   ExecOptions base = with_engine(GetParam(), 2);
   base.checkpoint_dir = dir.path;
@@ -180,7 +185,7 @@ TEST_P(DurableP, TornTailFallsBack) {
 // the payload CRC, so a single-byte patch produces exactly a version-skewed
 // file.
 TEST(DurableCheckpoint, VersionSkewIsRefused) {
-  const std::string src = papers::shortest_path_on2(8, 11);
+  const std::string src = on2(8);
   for (const unsigned version : {1u, 3u}) {
     SCOPED_TRACE("version " + std::to_string(version));
     TempDir dir;
@@ -207,7 +212,7 @@ TEST(DurableCheckpoint, VersionSkewIsRefused) {
 // Snapshots are bound to the program text: a different program hash means
 // every generation is rejected and the run completes from scratch.
 TEST(DurableCheckpoint, WrongProgramHashRunsFromScratch) {
-  const std::string src = papers::shortest_path_on2(8, 11);
+  const std::string src = on2(8);
   TempDir dir;
   ExecOptions base = with_engine(ExecEngine::kBytecode, 4);
   base.checkpoint_dir = dir.path;
@@ -230,7 +235,7 @@ TEST(DurableCheckpoint, WrongProgramHashRunsFromScratch) {
 // Same program, different execution options (here: the fusion flag, which
 // changes what a mid-run snapshot means) — also rejected.
 TEST(DurableCheckpoint, DifferentOptionsRunFromScratch) {
-  const std::string src = papers::shortest_path_on2(8, 11);
+  const std::string src = on2(8);
   TempDir dir;
   ExecOptions base = with_engine(ExecEngine::kBytecode, 4);
   base.checkpoint_dir = dir.path;
@@ -251,7 +256,7 @@ TEST(DurableCheckpoint, DifferentOptionsRunFromScratch) {
 // Every generation corrupt: the fallback chain is exhausted, the run
 // proceeds from scratch with a diagnostic, and the output is still right.
 TEST(DurableCheckpoint, AllGenerationsCorruptRunsFromScratch) {
-  const std::string src = papers::shortest_path_on2(8, 11);
+  const std::string src = on2(8);
   TempDir dir;
   ExecOptions base = with_engine(ExecEngine::kBytecode, 2);
   base.checkpoint_dir = dir.path;
@@ -274,7 +279,7 @@ TEST(DurableCheckpoint, AllGenerationsCorruptRunsFromScratch) {
 // Stray non-checkpoint files in the directory are ignored by the scan and
 // never deleted by rotation.
 TEST(DurableCheckpoint, StrayFilesSurviveAndAreIgnored) {
-  const std::string src = papers::shortest_path_on2(8, 11);
+  const std::string src = on2(8);
   TempDir dir;
   const std::string stray = dir.path + "/notes.txt";
   { std::ofstream(stray) << "keep me\n"; }
@@ -297,8 +302,7 @@ TEST(DurableCheckpoint, DirWithoutCadenceIsApiError) {
   ExecOptions e;
   e.checkpoint_dir = dir.path;
   e.checkpoint_every = 0;
-  EXPECT_THROW(run_uc(papers::shortest_path_on2(6, 11), {}, e),
-               support::ApiError);
+  EXPECT_THROW(run_uc(on2(6), {}, e), support::ApiError);
 }
 
 // An exhausted in-memory replay budget escalates as EscalatedFault — a
@@ -309,8 +313,7 @@ TEST(DurableCheckpoint, EscalationLeavesSnapshotsBehind) {
   ExecOptions e = with_engine(ExecEngine::kWalk, 4);
   e.checkpoint_dir = dir.path;
   e.max_replays = 2;
-  EXPECT_THROW(run_uc(papers::shortest_path_on2(6, 11),
-                      with_faults("memory:p=1,retries=2"), e),
+  EXPECT_THROW(run_uc(on2(6), with_faults("memory:p=1,retries=2"), e),
                support::EscalatedFault);
   EXPECT_FALSE(generations(dir.path).empty());
 }
@@ -321,7 +324,7 @@ TEST(DurableCheckpoint, EscalationLeavesSnapshotsBehind) {
 // newest snapshot, so the loop makes forward progress and must converge to
 // the clean run's exact output.
 TEST(DurableCheckpoint, RetryLoopWithFreshBudgetConverges) {
-  const std::string src = papers::shortest_path_on2(8, 11);
+  const std::string src = on2(8);
   const RunResult clean =
       run_uc(src, {}, with_engine(ExecEngine::kWalk, 0));
   TempDir dir;

@@ -26,24 +26,24 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cm/fault.hpp"
+#include "corpus.hpp"
 #include "support/error.hpp"
-#include "uc/paper_programs.hpp"
 #include "ucvm/interp.hpp"
 
 namespace uc::vm {
 namespace {
 
 RunResult run_with(const std::string& src, ExecEngine engine,
-                   bool fuse = false, const cm::MachineOptions& mopts = {}) {
+                   bool fuse = false, const cm::MachineOptions& mopts = {},
+                   bool apply_mappings = true) {
   ExecOptions eopts;
   eopts.engine = engine;
   eopts.fuse = fuse;
+  eopts.apply_mappings = apply_mappings;
   return run_uc(src, mopts, eopts);
 }
 
@@ -76,14 +76,19 @@ void expect_globals_equal(const RunResult& a, const RunResult& b,
 
 void expect_parity(const std::string& src,
                    const std::vector<std::string>& globals = {},
-                   const cm::MachineOptions& mopts = {}) {
-  RunResult walk = run_with(src, ExecEngine::kWalk, false, mopts);
-  RunResult byte = run_with(src, ExecEngine::kBytecode, false, mopts);
+                   const cm::MachineOptions& mopts = {},
+                   bool apply_mappings = true) {
+  RunResult walk =
+      run_with(src, ExecEngine::kWalk, false, mopts, apply_mappings);
+  RunResult byte =
+      run_with(src, ExecEngine::kBytecode, false, mopts, apply_mappings);
   EXPECT_EQ(walk.output(), byte.output());
   expect_stats_equal(walk.stats(), byte.stats());
   expect_globals_equal(walk, byte, globals, "walk/bytecode");
 
-  RunResult fused = run_with(src, ExecEngine::kBytecode, /*fuse=*/true, mopts);
+  RunResult fused =
+      run_with(src, ExecEngine::kBytecode, /*fuse=*/true, mopts,
+               apply_mappings);
   EXPECT_EQ(walk.output(), fused.output());
   expect_globals_equal(walk, fused, globals, "walk/fused");
   EXPECT_LE(fused.stats().cycles, byte.stats().cycles);
@@ -91,7 +96,9 @@ void expect_parity(const std::string& src,
   // The native tier replaces the interpreter only; everything the cost
   // model observes is identical, so cycles must equal the fused run's
   // exactly (not merely bound it).
-  RunResult native = run_with(src, ExecEngine::kNative, /*fuse=*/true, mopts);
+  RunResult native =
+      run_with(src, ExecEngine::kNative, /*fuse=*/true, mopts,
+               apply_mappings);
   EXPECT_EQ(walk.output(), native.output());
   expect_globals_equal(walk, native, globals, "walk/native");
   expect_stats_equal(fused.stats(), native.stats());
@@ -134,39 +141,64 @@ void expect_error_parity(const std::string& src) {
   EXPECT_EQ(walk_what, native_what);
 }
 
-TEST(EngineParity, Fig6ShortestPathOn2) {
-  expect_parity(papers::shortest_path_on2(12), {"d"});
+// --- the paper programs (programs/*.uc) ---
+
+// One corpus program at one size.  The unmapped variants run the mapped
+// text with apply_mappings off.
+struct CorpusCase {
+  const char* name;     // test name suffix
+  const char* program;  // programs/<program>.uc
+  std::vector<corpus::Define> defines;
+  std::vector<std::string> globals;  // arrays compared element-wise
+  bool apply_mappings = true;
+};
+void PrintTo(const CorpusCase& c, std::ostream* os) { *os << c.program; }
+
+const std::vector<CorpusCase> kCorpusCases = {
+    {"Fig6ShortestPathOn2", "fig6_shortest_path_on2", {{"N", 12}}, {"d"}},
+    {"Fig7ShortestPathOn3", "fig7_shortest_path_on3",
+     {{"N", 10}, {"LOGN", 4}}, {"d"}},
+    {"ShortestPathStarSolve", "shortest_path_star_solve", {{"N", 10}}, {"d"}},
+    {"Fig8GridObstacle", "fig8_grid_obstacle", {{"R", 10}, {"C", 10}}, {"d"}},
+    {"Fig8GridNoObstacle", "fig8_grid_obstacle",
+     {{"R", 9}, {"C", 11}, {"BAND", -1}}, {"d"}},
+    {"GridDynamicObstacle", "grid_dynamic_obstacle", {{"R", 8}, {"C", 8}},
+     {"d"}},
+    {"PrefixSumsStarPar", "prefix_sums", {{"N", 16}}, {"a"}},
+    {"PrefixSumsSeqPar", "prefix_sums_seq_par", {{"N", 16}, {"LOGN", 4}},
+     {"a"}},
+    {"Ranksort", "ranksort", {{"N", 24}}, {}},
+    {"OddEvenSort", "odd_even_sort", {{"N", 24}}, {}},
+    {"Wavefront", "wavefront", {{"N", 12}}, {}},
+    {"Histogram", "histogram", {{"N", 64}}, {}},
+    {"ShiftedSumMapped", "shifted_sum", {{"N", 16}, {"ROUNDS", 4}}, {}},
+    {"ShiftedSumUnmapped", "shifted_sum", {{"N", 16}, {"ROUNDS", 4}}, {},
+     false},
+    {"ReversalMapped", "mapping_demo", {{"N", 16}, {"ROUNDS", 4}}, {}},
+    {"ReversalUnmapped", "mapping_demo", {{"N", 16}, {"ROUNDS", 4}}, {},
+     false},
+    {"FoldCombineMapped", "fold_combine", {{"N", 16}, {"ROUNDS", 4}}, {}},
+    {"FoldCombineUnmapped", "fold_combine", {{"N", 16}, {"ROUNDS", 4}}, {},
+     false},
+    {"CopyBroadcastMapped", "copy_broadcast", {{"N", 16}, {"ROUNDS", 4}}, {}},
+    {"CopyBroadcastUnmapped", "copy_broadcast", {{"N", 16}, {"ROUNDS", 4}},
+     {}, false},
+    {"Jacobi", "jacobi", {{"N", 12}, {"ITERS", 8}}, {}},
+};
+
+class Corpus : public ::testing::TestWithParam<CorpusCase> {};
+
+TEST_P(Corpus, EnginesAgree) {
+  const CorpusCase& c = GetParam();
+  expect_parity(corpus::source(c.program, c.defines), c.globals, {},
+                c.apply_mappings);
 }
 
-TEST(EngineParity, Fig7ShortestPathOn3) {
-  expect_parity(papers::shortest_path_on3(10), {"d"});
-}
-
-TEST(EngineParity, ShortestPathStarSolve) {
-  expect_parity(papers::shortest_path_star_solve(10), {"d"});
-}
-
-TEST(EngineParity, Fig8GridObstacle) {
-  expect_parity(papers::grid_shortest_path(10, 10, true), {"d"});
-}
-
-TEST(EngineParity, Fig8GridNoObstacle) {
-  expect_parity(papers::grid_shortest_path(9, 11, false), {"d"});
-}
-
-TEST(EngineParity, GridDynamicObstacle) {
-  expect_parity(papers::grid_dynamic_obstacle(8, 8), {"d"});
-}
-
-TEST(EngineParity, PrefixSumsStarPar) {
-  expect_parity(papers::prefix_sums_star_par(16), {"a"});
-}
-
-TEST(EngineParity, PrefixSumsSeqPar) {
-  expect_parity(papers::prefix_sums_seq_par(16), {"a"});
-}
-
-TEST(EngineParity, Ranksort) { expect_parity(papers::ranksort(24)); }
+INSTANTIATE_TEST_SUITE_P(EngineParity, Corpus,
+                         ::testing::ValuesIn(kCorpusCases),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
 
 // Each round of a seq or *solve refills the lane space, lane lists and value
 // buffers of the round before, and pool workers write into them.  At two
@@ -200,46 +232,6 @@ TEST(EngineParity, SeqAndStarSolveRoundsOnTwoThreads) {
   mopts.host_threads = 2;
   expect_parity(src, {"d", "g"}, mopts);
 }
-
-TEST(EngineParity, OddEvenSort) { expect_parity(papers::odd_even_sort(24)); }
-
-TEST(EngineParity, Wavefront) { expect_parity(papers::wavefront(12)); }
-
-TEST(EngineParity, Histogram) { expect_parity(papers::histogram(64)); }
-
-TEST(EngineParity, ShiftedSumMapped) {
-  expect_parity(papers::shifted_sum(16, 4, true));
-}
-
-TEST(EngineParity, ShiftedSumUnmapped) {
-  expect_parity(papers::shifted_sum(16, 4, false));
-}
-
-TEST(EngineParity, ReversalMapped) {
-  expect_parity(papers::reversal(16, 4, true));
-}
-
-TEST(EngineParity, ReversalUnmapped) {
-  expect_parity(papers::reversal(16, 4, false));
-}
-
-TEST(EngineParity, FoldCombineMapped) {
-  expect_parity(papers::fold_combine(16, 4, true));
-}
-
-TEST(EngineParity, FoldCombineUnmapped) {
-  expect_parity(papers::fold_combine(16, 4, false));
-}
-
-TEST(EngineParity, CopyBroadcastMapped) {
-  expect_parity(papers::copy_broadcast(16, 4, true));
-}
-
-TEST(EngineParity, CopyBroadcastUnmapped) {
-  expect_parity(papers::copy_broadcast(16, 4, false));
-}
-
-TEST(EngineParity, Jacobi) { expect_parity(papers::jacobi(12, 8)); }
 
 // --- language-feature parity beyond the paper programs ---
 
@@ -410,18 +402,20 @@ void expect_thread_parity_under_faults(
 }
 
 TEST(EngineParity, Fig6HostThreadsUnderFaultsAndCheckpoints) {
-  expect_thread_parity_under_faults(papers::shortest_path_on2(36),
-                                    kGridFaultSpec, {"d"});
+  expect_thread_parity_under_faults(
+      corpus::source("fig6_shortest_path_on2", {{"N", 36}}), kGridFaultSpec,
+      {"d"});
 }
 
 TEST(EngineParity, Fig8HostThreadsUnderFaultsAndCheckpoints) {
-  expect_thread_parity_under_faults(papers::grid_shortest_path(36, 36, true),
-                                    kGridFaultSpec, {"d"});
+  expect_thread_parity_under_faults(
+      corpus::source("fig8_grid_obstacle", {{"R", 36}, {"C", 36}}),
+      kGridFaultSpec, {"d"});
 }
 
 TEST(EngineParity, RanksortHostThreadsUnderFaultsAndCheckpoints) {
-  expect_thread_parity_under_faults(papers::ranksort(300), kRanksortFaultSpec,
-                                    {"a"});
+  expect_thread_parity_under_faults(corpus::source("ranksort", {{"N", 300}}),
+                                    kRanksortFaultSpec, {"a"});
 }
 
 // --- the lane-ordered commit (docs/VM.md "Linking and execution") ---
@@ -797,16 +791,10 @@ TEST(EngineParity, CallsFromLanesOnFourThreads) {
 
 // --- int overflow (programs/int_wrap.uc) ---
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 TEST(EngineParity, IntOverflowWrapsTwosComplement) {
-  const std::string src = slurp(PROGRAMS_DIR "/int_wrap.uc");
-  const std::string expected = slurp(PROGRAMS_DIR "/int_wrap.expected");
+  const std::string src = corpus::source("int_wrap");
+  const std::string expected =
+      corpus::read(corpus::dir() / "int_wrap.expected");
   ASSERT_FALSE(src.empty());
   ASSERT_EQ(expected,
             "18 -24 0 6\n-4611686018427387904 4611686018427387904\n");

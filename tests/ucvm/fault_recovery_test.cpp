@@ -8,12 +8,21 @@
 #include <vector>
 
 #include "cm/fault.hpp"
+#include "corpus.hpp"
 #include "support/error.hpp"
-#include "uc/paper_programs.hpp"
 #include "ucvm/interp.hpp"
 
 namespace uc::vm {
 namespace {
+
+// The Fig 6 / Fig 7 shortest-path programs at size n (seed 11).
+std::string on2(std::int64_t n) {
+  return corpus::source("fig6_shortest_path_on2", {{"N", n}});
+}
+std::string on3(std::int64_t n) {
+  return corpus::source("fig7_shortest_path_on3",
+                        {{"N", n}, {"LOGN", corpus::log2_ceil(n)}});
+}
 
 std::vector<std::int64_t> ints(const std::vector<Value>& vs) {
   std::vector<std::int64_t> out;
@@ -58,30 +67,28 @@ void expect_bit_identical_under_faults(const std::string& src,
 }
 
 TEST_P(FaultRecoveryP, Fig6ShortestPathOn2BitIdentical) {
-  expect_bit_identical_under_faults(papers::shortest_path_on2(8, 11),
-                                    GetParam());
+  expect_bit_identical_under_faults(on2(8), GetParam());
 }
 
 TEST_P(FaultRecoveryP, Fig7ShortestPathOn3BitIdentical) {
-  expect_bit_identical_under_faults(papers::shortest_path_on3(8, 11),
-                                    GetParam());
+  expect_bit_identical_under_faults(on3(8), GetParam());
 }
 
 TEST_P(FaultRecoveryP, Fig8GridObstacleBitIdentical) {
-  expect_bit_identical_under_faults(papers::grid_shortest_path(8, 8, true),
-                                    GetParam());
+  expect_bit_identical_under_faults(
+      corpus::source("fig8_grid_obstacle", {{"R", 8}, {"C", 8}}), GetParam());
 }
 
 TEST_P(FaultRecoveryP, StarSolveRecoversUnderFaults) {
-  expect_bit_identical_under_faults(papers::shortest_path_star_solve(8, 11),
-                                    GetParam());
+  expect_bit_identical_under_faults(
+      corpus::source("shortest_path_star_solve", {{"N", 8}}), GetParam());
 }
 
 // retries=0 escalates every detected fault straight to TransientFault, so
 // recovery must go through the VM replay path (statement retry or
 // checkpoint restore) rather than instruction re-issue.
 TEST_P(FaultRecoveryP, RollbackPathRecoversWithZeroRetries) {
-  const std::string src = papers::shortest_path_on3(8, 11);
+  const std::string src = on3(8);
   const RunResult clean = run_uc(src, {}, with_engine(GetParam(), 0));
   const RunResult faulted =
       run_uc(src, with_faults("memory:p=2e-3,retries=0,seed=5"),
@@ -94,7 +101,7 @@ TEST_P(FaultRecoveryP, RollbackPathRecoversWithZeroRetries) {
 }
 
 TEST_P(FaultRecoveryP, SameSeedSameScheduleAndStats) {
-  const std::string src = papers::shortest_path_on2(6, 11);
+  const std::string src = on2(6);
   const RunResult a =
       run_uc(src, with_faults(kFaultSpec), with_engine(GetParam(), 8));
   const RunResult b =
@@ -104,7 +111,7 @@ TEST_P(FaultRecoveryP, SameSeedSameScheduleAndStats) {
 }
 
 TEST_P(FaultRecoveryP, CheckpointingAloneChangesNothingButCycles) {
-  const std::string src = papers::shortest_path_on3(6, 11);
+  const std::string src = on3(6);
   const RunResult plain = run_uc(src, {}, with_engine(GetParam(), 0));
   const RunResult ckpt = run_uc(src, {}, with_engine(GetParam(), 4));
   EXPECT_GT(ckpt.stats().checkpoints, 0u);
@@ -132,7 +139,8 @@ INSTANTIATE_TEST_SUITE_P(Engines, FaultRecoveryP,
 // recipes recorded pre-capture under the same epoch number.  Runs at 1 and
 // 4 host threads; 1024 lanes are enough to split across the pool.
 TEST(FaultRecovery, MapRemapUnderFaultsMatchesCleanRun) {
-  const auto src = papers::shifted_sum(1024, 4, true);
+  const auto src =
+      corpus::source("shifted_sum", {{"N", 1024}, {"ROUNDS", 4}});
   ExecOptions clean_opts;
   clean_opts.engine = ExecEngine::kBytecode;
   clean_opts.fuse = true;
@@ -162,8 +170,8 @@ TEST(FaultRecovery, MapRemapUnderFaultsMatchesCleanRun) {
 
 TEST(FaultRecovery, CertainFaultWithoutCheckpointingIsFatal) {
   try {
-    run_uc(papers::shortest_path_on2(6, 11),
-           with_faults("memory:p=1,retries=2"), with_engine(ExecEngine::kWalk, 0));
+    run_uc(on2(6), with_faults("memory:p=1,retries=2"),
+           with_engine(ExecEngine::kWalk, 0));
     FAIL() << "p=1 without checkpointing must be fatal";
   } catch (const support::UcRuntimeError& e) {
     const std::string msg = e.what();
@@ -176,8 +184,7 @@ TEST(FaultRecovery, CertainFaultExhaustsReplayBudget) {
   ExecOptions e = with_engine(ExecEngine::kWalk, 4);
   e.max_replays = 5;
   try {
-    run_uc(papers::shortest_path_on2(6, 11),
-           with_faults("memory:p=1,retries=2"), e);
+    run_uc(on2(6), with_faults("memory:p=1,retries=2"), e);
     FAIL() << "p=1 must exhaust the replay budget";
   } catch (const support::UcRuntimeError& e2) {
     const std::string msg = e2.what();

@@ -4,8 +4,8 @@
 // "experiments in progress").
 #include <gtest/gtest.h>
 
+#include "corpus.hpp"
 #include "seqref/seqref.hpp"
-#include "uc/paper_programs.hpp"
 #include "uc/uc.hpp"
 #include "uclang/symbols.hpp"
 
@@ -67,7 +67,8 @@ TEST(ParisTrace, ClearableAndAppending) {
 TEST(DynamicObstacle, DistancesTrackTheMovedWall) {
   const std::int64_t rows = 12, cols = 12;
   auto program = Program::compile(
-      "dyn.uc", papers::grid_dynamic_obstacle(rows, cols));
+      "dyn.uc",
+      corpus::source("grid_dynamic_obstacle", {{"R", rows}, {"C", cols}}));
   auto result = program.run();
 
   // Final state must match BFS against the *moved* wall (band at i+j==R).
@@ -93,18 +94,21 @@ TEST(DynamicObstacle, DistancesTrackTheMovedWall) {
 }
 
 TEST(DynamicObstacle, SecondRelaxationCostsShowUp) {
-  auto one = Program::compile(
-                 "g.uc", papers::grid_shortest_path(12, 12, true))
+  auto one = Program::compile("g.uc",
+                              corpus::source("fig8_grid_obstacle",
+                                             {{"R", 12}, {"C", 12}}))
                  .run();
-  auto two = Program::compile(
-                 "dyn.uc", papers::grid_dynamic_obstacle(12, 12))
+  auto two = Program::compile("dyn.uc",
+                              corpus::source("grid_dynamic_obstacle",
+                                             {{"R", 12}, {"C", 12}}))
                  .run();
   EXPECT_GT(two.stats().cycles, one.stats().cycles);
 }
 
 TEST(Jacobi, MatchesSequentialReference) {
   const std::int64_t n = 10, iters = 12;
-  auto program = Program::compile("jacobi.uc", papers::jacobi(n, iters));
+  auto program = Program::compile(
+      "jacobi.uc", corpus::source("jacobi", {{"N", n}, {"ITERS", iters}}));
   auto result = program.run();
 
   // Sequential reference with identical IEEE operation order.
@@ -143,7 +147,9 @@ TEST(Jacobi, MatchesSequentialReference) {
 
 TEST(Jacobi, StencilTrafficIsNewsNotRouter) {
   auto result =
-      Program::compile("jacobi.uc", papers::jacobi(16, 4)).run();
+      Program::compile("jacobi.uc",
+                       corpus::source("jacobi", {{"N", 16}, {"ITERS", 4}}))
+          .run();
   EXPECT_GT(result.stats().news_ops, 0u);
   EXPECT_EQ(result.stats().router_messages, 0u);
 }

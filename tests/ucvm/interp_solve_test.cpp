@@ -1,6 +1,8 @@
 // The solve / *solve constructs (paper §3.6).
 #include <gtest/gtest.h>
 
+#include "corpus.hpp"
+#include "seqref/seqref.hpp"
 #include "support/error.hpp"
 #include "ucvm/interp.hpp"
 
@@ -11,27 +13,11 @@ RunResult run(const std::string& src) { return run_uc(src); }
 
 TEST(InterpSolve, WavefrontFromPaper) {
   // a[0][j] = a[i][0] = 1; a[i][j] = a[i-1][j] + a[i-1][j-1] + a[i][j-1].
-  auto r = run(
-      "#define N 6\n"
-      "index_set I:i = {0..N-1}, J:j = I;\n"
-      "int a[N][N];\n"
-      "void main() {\n"
-      "  solve (I, J)\n"
-      "    a[i][j] = (i==0 || j==0) ? 1\n"
-      "      : a[i-1][j] + a[i-1][j-1] + a[i][j-1];\n"
-      "}");
-  // Reference computation.
-  std::int64_t ref[6][6];
+  auto r = run(corpus::source("wavefront", {{"N", 6}}));
+  const auto ref = seqref::wavefront(6);
   for (int i = 0; i < 6; ++i) {
     for (int j = 0; j < 6; ++j) {
-      ref[i][j] = (i == 0 || j == 0)
-                      ? 1
-                      : ref[i - 1][j] + ref[i - 1][j - 1] + ref[i][j - 1];
-    }
-  }
-  for (int i = 0; i < 6; ++i) {
-    for (int j = 0; j < 6; ++j) {
-      EXPECT_EQ(r.global_element("a", {i, j}).as_int(), ref[i][j])
+      EXPECT_EQ(r.global_element("a", {i, j}).as_int(), ref[i * 6 + j])
           << i << "," << j;
     }
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "codegen/pretty.hpp"
+#include "corpus.hpp"
 #include "seqref/seqref.hpp"
 #include "uclang/frontend.hpp"
 #include "ucvm/interp.hpp"
@@ -30,16 +31,7 @@ vm::RunResult lower_and_run(const std::string& src,
 }
 
 TEST(SolveLower, WavefrontMatchesBuiltinSolve) {
-  const char* src =
-      "#define N 6\n"
-      "index_set I:i = {0..N-1}, J:j = I;\n"
-      "int a[N][N];\n"
-      "void main() {\n"
-      "  solve (I, J)\n"
-      "    a[i][j] = (i==0 || j==0) ? 1\n"
-      "      : a[i-1][j] + a[i-1][j-1] + a[i][j-1];\n"
-      "}";
-  auto r = lower_and_run(src);
+  auto r = lower_and_run(corpus::source("wavefront", {{"N", 6}}));
   auto expect = seqref::wavefront(6);
   auto got = r.global_array("a");
   ASSERT_EQ(got.size(), expect.size());
@@ -143,15 +135,7 @@ TEST(SolveLower, ReductionOverTargetIsSkipped) {
 TEST(SolveLower, CostResemblesBuiltinGeneralMethod) {
   // The lowered *par should be in the same cost regime as the VM's
   // built-in general method (both iterate wavefront-depth rounds).
-  const char* src =
-      "#define N 8\n"
-      "index_set I:i = {0..N-1}, J:j = I;\n"
-      "int a[N][N];\n"
-      "void main() {\n"
-      "  solve (I, J)\n"
-      "    a[i][j] = (i==0 || j==0) ? 1\n"
-      "      : a[i-1][j] + a[i-1][j-1] + a[i][j-1];\n"
-      "}";
+  const auto src = corpus::source("wavefront", {{"N", 8}});
   auto builtin = vm::run_uc(src);
   auto lowered = lower_and_run(src);
   EXPECT_GT(lowered.stats().cycles, 0u);

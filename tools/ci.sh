@@ -200,9 +200,10 @@ run_tsan() {
 run_bench_smoke() {
   cmake -B "$root/build-release" -S "$root" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$root/build-release" -j --target vm_engine
-  # vm_engine exits nonzero if any engine disagrees on output, if walk and
-  # unfused bytecode disagree on cycles, or if the fused rows cost more
-  # modeled cycles than unfused on any of fig6/7/8.
+  # vm_engine runs fig6/7/8 from the programs/ corpus and exits nonzero if
+  # any engine disagrees on output, if walk and unfused bytecode disagree
+  # on cycles, or if the fused rows cost more modeled cycles than unfused
+  # on any of them.
   "$root/build-release/bench/vm_engine" --smoke
 }
 

@@ -1,77 +1,7 @@
-// ucc — the UC compiler/runner command-line driver.
-//
-//   ucc run program.uc            compile and execute on a simulated CM-2
-//   ucc profile program.uc        run with per-site attribution and print
-//                                 the hot-site table (docs/PROFILING.md)
-//   ucc bench program.uc          time the program under both VM engines
-//   ucc check program.uc          report diagnostics (+ analysis warnings)
-//   ucc analyze program.uc        static analysis: interference + comm
-//                                 classification (docs/ANALYSIS.md)
-//   ucc optimize-map program.uc   dependence-proved mapping search: pick a
-//                                 `map` section, validate by replay
-//                                 (docs/MAPPING.md)
-//   ucc emit-cstar program.uc     print the C* translation (paper §5)
-//   ucc emit-uc program.uc        print the canonical UC rendering
-//
-// Options:
-//   --stats                 print machine statistics after a run
-//   --trace                 print the Paris-style instruction trace
-//   --engine=<walk|bytecode|native>  VM execution engine (default
-//                           bytecode; native compiles lane kernels to a
-//                           cached .so with the host toolchain)
-//   --native-cache-dir=<dir>  native: compiled-kernel cache directory
-//                           (default $UC_NATIVE_CACHE_DIR or /tmp)
-//   --native-cc=<cc>        native: compiler driver (default
-//                           $UC_NATIVE_CC or c++)
-//   --fuse=<on|off>         statement fusion + communication-plan cache
-//                           on the bytecode engine (default on)
-//   --repeat=<n>            bench: report the median of n timed runs
-//                           after one untimed warmup (default 1, no warmup)
-//   --seed=<n>              machine RNG seed (default 1)
-//   --procs=<n>             physical processors (default 16384)
-//   --threads=<n>           host threads for the data-parallel runtime
-//   --no-mappings           ignore map sections
-//   --no-procopt            disable the §4 processor optimisation
-//   --lower-solve           lower solve to *par at the source level
-//   --rewrite-permutes      apply affine permutes as subscript rewrites
-//   --fold / --no-fold      constant folding (default on)
-//   --no-notes              analyze: drop UC-Axxx notes, keep warnings
-//   --no-summary            analyze: drop the communication summary
-//   --werror                analyze: nonzero exit on any warning
-//   --json=<file>           analyze / optimize-map: machine-readable report
-//   --emit=<file>           optimize-map: write the rewritten program
-//   --beam=<n>              optimize-map: beam width (default 4)
-//   --no-validate           optimize-map: trust the static prediction, skip
-//                           the replay validation
-//   --profile[=out.json]    run: profile; bare prints the table to stderr,
-//                           with a path writes the per-site JSON there
-//   --trace-json=<file>     profile/run --profile: Chrome trace-event JSON
-//   --json=<file>           profile: also write the per-site JSON
-//   --top=<n>               profile: print only the n hottest sites
-//   --no-static             profile: skip the static-analysis join column
-//   --faults=<spec>         inject seeded transient faults, e.g.
-//                           router:p=1e-4;news:p=1e-5,seed=42
-//                           (docs/ROBUSTNESS.md)
-//   --checkpoint-every=<n>  capture recovery checkpoints every n
-//                           statements (0 = off, the default)
-//   --max-replays=<n>       checkpoint replay budget (default 64)
-//   --checkpoint-dir=<dir>  persist every captured checkpoint durably in
-//                           <dir> (atomic write + generation rotation,
-//                           docs/ROBUSTNESS.md); requires
-//                           --checkpoint-every
-//   --checkpoint-keep=<n>   on-disk snapshot generations to keep
-//                           (default 3)
-//   --resume[=<dir>]        restore the newest intact snapshot from <dir>
-//                           (bare form: from --checkpoint-dir) and finish
-//                           the run; corrupt or torn generations are
-//                           skipped with a diagnostic
-//   --die-at=<n>            testing hook: raise SIGKILL just before the
-//                           n-th statement (tools/soak.sh)
-//   --timeout=<secs>        wall-clock watchdog: abort cleanly after this
-//                           many host seconds
-//   --max-field-mb=<n>      cap total CM field memory at n MiB
-//   --max-iterations=<n>    iteration limit for solve/*par/... loops
-//                           (0 = unlimited)
+// ucc — the UC compiler/runner command-line tool: compile a .uc file and
+// run, profile, time, check, analyze, remap or translate it on a simulated
+// CM-2.  `usage()` below lists the commands and options; running ucc with
+// no arguments prints it.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -98,7 +28,8 @@ int usage() {
       "  run         compile and execute on a simulated CM-2\n"
       "  profile     run with per-site attribution; print the hot-site\n"
       "              table (modeled cycles, host ms, op mix, static join)\n"
-      "  bench       time the program under both VM engines\n"
+      "  bench       time the program under walk, bytecode, bytecode-fused\n"
+      "              and bytecode-native\n"
       "  check       report diagnostics (plus analysis warnings)\n"
       "  analyze     static analysis: par-block interference and\n"
       "              communication-pattern classification\n"
