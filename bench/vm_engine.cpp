@@ -1,11 +1,9 @@
-// VM engine comparison: tree-walk vs bytecode lane kernels vs fused
-// bytecode kernels vs native compiled kernels on the paper workloads
-// (Figs 6-8).  Each program runs a few times per engine on fresh
-// simulated machines (best-of-N wall clock, to shrug off scheduler
-// noise); we report host wall-clock and modeled cycles and fail (nonzero
-// exit) if the engines disagree on output in any repetition, if walk and
-// unfused bytecode disagree on cycles, or if fusion ever costs more
-// modeled cycles than it saves.
+// VM engine comparison: tree-walk vs bytecode lane kernels vs native
+// compiled kernels on the paper workloads (Figs 6-8).  Each program runs a
+// few times per engine on fresh simulated machines (best-of-N wall clock,
+// to shrug off scheduler noise); we report host wall-clock and modeled
+// cycles and fail (nonzero exit) if the engines disagree on output or on
+// any CostStats counter: the engine is a host-speed choice only.
 //
 //   vm_engine [--smoke] [--json=PATH] [--only=SUBSTR] [--rows=engines]
 //
@@ -13,9 +11,9 @@
 // JSON array (tools/bench.sh uses this to produce BENCH_vm.json).
 // --only runs just the workloads whose name contains SUBSTR, and
 // --rows=engines keeps only the engine-comparison rows (walk, bytecode,
-// fused, native) — tools/ci.sh combines the two for its native
-// performance gate.  Hosts without a working C++ toolchain skip the
-// native rows with a loud notice instead of failing.
+// native) — tools/ci.sh combines the two for its native performance gate.
+// Hosts without a working C++ toolchain skip the native rows with a loud
+// notice instead of failing.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,24 +33,23 @@ struct Row {
   std::string engine;
   double host_ms = 0.0;
   std::uint64_t cycles = 0;
+  uc::cm::CostStats stats;
   std::string output;
   bool skipped = false;  // native: no working toolchain at runtime
 };
 
 Row run_one(const std::string& name, const std::string& source,
-            uc::vm::ExecEngine engine, bool fuse, int reps) {
+            uc::vm::ExecEngine engine, int reps) {
   auto program = uc::Program::compile(name + ".uc", source);
   Row row;
   row.program = name;
   row.engine = engine == uc::vm::ExecEngine::kWalk     ? "walk"
-               : engine == uc::vm::ExecEngine::kNative ? "bytecode-native"
-               : fuse                                  ? "bytecode-fused"
+               : engine == uc::vm::ExecEngine::kNative ? "native"
                                                        : "bytecode";
   for (int r = 0; r < reps; ++r) {
     uc::cm::Machine machine;
     uc::vm::ExecOptions eopts;
     eopts.engine = engine;
-    eopts.fuse = fuse;
     uc::bench::WallTimer timer;
     auto result = program.run_on(machine, eopts);
     const double ms = timer.elapsed_ms();
@@ -65,7 +62,8 @@ Row run_one(const std::string& name, const std::string& source,
       return row;
     }
     if (r == 0 || ms < row.host_ms) row.host_ms = ms;
-    row.cycles = result.stats().cycles;
+    row.stats = result.stats();
+    row.cycles = row.stats.cycles;
     row.output = result.output();
   }
   return row;
@@ -91,7 +89,6 @@ Row run_one_robust(const std::string& name, const std::string& source,
     uc::cm::Machine machine(mopts);
     uc::vm::ExecOptions eopts;
     eopts.engine = uc::vm::ExecEngine::kBytecode;
-    eopts.fuse = false;  // overhead deltas are against the plain bytecode row
     eopts.checkpoint_every = 8;
     uc::bench::WallTimer timer;
     auto result = program.run_on(machine, eopts);
@@ -121,7 +118,6 @@ Row run_one_durable(const std::string& name, const std::string& source,
     uc::cm::Machine machine;
     uc::vm::ExecOptions eopts;
     eopts.engine = uc::vm::ExecEngine::kBytecode;
-    eopts.fuse = false;  // overhead deltas are against the plain bytecode row
     eopts.checkpoint_every = 8;
     if (dir != nullptr) eopts.checkpoint_dir = dir;
     uc::bench::WallTimer timer;
@@ -147,13 +143,13 @@ Row run_one_profiled(const std::string& name, const std::string& source,
   for (int r = 0; r < reps; ++r) {
     uc::ProfileOptions popts;
     popts.exec.engine = uc::vm::ExecEngine::kBytecode;
-    popts.exec.fuse = false;  // must match the plain bytecode row exactly
     popts.join_static = false;  // time the attribution, not the analysis
     uc::bench::WallTimer timer;
     auto prof = program.profile(popts);
     const double ms = timer.elapsed_ms();
     if (r == 0 || ms < row.host_ms) row.host_ms = ms;
-    row.cycles = prof.run.stats().cycles;
+    row.stats = prof.run.stats();
+    row.cycles = row.stats.cycles;
     row.output = prof.run.output();
   }
   return row;
@@ -169,12 +165,10 @@ Row run_one_optmap(const std::string& name, const std::string& source,
                    int reps) {
   uc::OptimizeMapOptions oopts;
   oopts.exec.engine = uc::vm::ExecEngine::kBytecode;
-  oopts.exec.fuse = false;  // deltas are against the plain bytecode row
   auto opt = uc::optimize_map(name + ".uc", source, oopts);
   const std::string& best =
       opt.improved && opt.validated ? opt.optimized_source : source;
-  Row row = run_one(name, best, uc::vm::ExecEngine::kBytecode,
-                    /*fuse=*/false, reps);
+  Row row = run_one(name, best, uc::vm::ExecEngine::kBytecode, reps);
   row.program = name;
   row.engine = "bytecode-optmap";
   return row;
@@ -229,48 +223,36 @@ int main(int argc, char** argv) {
   bool native_skipped = false;
   for (const auto& w : workloads) {
     if (!only.empty() && w.name.find(only) == std::string::npos) continue;
-    Row walk = run_one(w.name, w.source, uc::vm::ExecEngine::kWalk,
-                       /*fuse=*/false, reps);
-    Row byte = run_one(w.name, w.source, uc::vm::ExecEngine::kBytecode,
-                       /*fuse=*/false, reps);
-    Row fused = run_one(w.name, w.source, uc::vm::ExecEngine::kBytecode,
-                        /*fuse=*/true, reps);
-    // Native compiled kernels (docs/VM.md "Native tier"): must reproduce
-    // the fused run bit for bit — same output, same modeled cycles — with
-    // only host_ms allowed to move.
-    Row native = run_one(w.name, w.source, uc::vm::ExecEngine::kNative,
-                         /*fuse=*/true, reps);
+    Row walk = run_one(w.name, w.source, uc::vm::ExecEngine::kWalk, reps);
+    Row byte = run_one(w.name, w.source, uc::vm::ExecEngine::kBytecode, reps);
+    // Native compiled kernels (docs/VM.md "Native tier"): only host_ms may
+    // move.
+    Row native =
+        run_one(w.name, w.source, uc::vm::ExecEngine::kNative, reps);
     native_skipped = native_skipped || native.skipped;
-    bool agree = walk.output == byte.output && walk.cycles == byte.cycles &&
-                 fused.output == byte.output && fused.cycles <= byte.cycles &&
-                 (native.skipped || (native.output == fused.output &&
-                                     native.cycles == fused.cycles));
+    bool agree = byte.output == walk.output && byte.stats == walk.stats &&
+                 (native.skipped || (native.output == walk.output &&
+                                     native.stats == walk.stats));
     const double speedup = byte.host_ms > 0 ? walk.host_ms / byte.host_ms : 0;
-    const double fspeedup =
-        fused.host_ms > 0 ? byte.host_ms / fused.host_ms : 0;
     std::printf("%-26s %-15s %10.2f %16llu %9s  %s\n", w.name.c_str(),
                 "walk", walk.host_ms,
                 static_cast<unsigned long long>(walk.cycles), "", "");
     std::printf("%-26s %-15s %10.2f %16llu %8.2fx  %s\n", w.name.c_str(),
                 "bytecode", byte.host_ms,
                 static_cast<unsigned long long>(byte.cycles), speedup, "");
-    std::printf("%-26s %-15s %10.2f %16llu %8.2fx  %s\n", w.name.c_str(),
-                "bytecode-fused", fused.host_ms,
-                static_cast<unsigned long long>(fused.cycles), fspeedup, "");
     if (native.skipped) {
       std::printf("%-26s %-15s   (skipped: no native toolchain)\n",
-                  w.name.c_str(), "bytecode-native");
+                  w.name.c_str(), "native");
     } else {
       const double nspeedup =
-          native.host_ms > 0 ? fused.host_ms / native.host_ms : 0;
+          native.host_ms > 0 ? byte.host_ms / native.host_ms : 0;
       std::printf("%-26s %-15s %10.2f %16llu %8.2fx  %s\n", w.name.c_str(),
-                  "bytecode-native", native.host_ms,
+                  "native", native.host_ms,
                   static_cast<unsigned long long>(native.cycles), nspeedup,
                   "");
     }
     rows.push_back(walk);
     rows.push_back(byte);
-    rows.push_back(fused);
     if (!native.skipped) rows.push_back(native);
 
     if (!engines_only) {
@@ -284,7 +266,7 @@ int main(int argc, char** argv) {
       // Checkpoint captures and fault recovery cost extra modeled cycles
       // by design, so those rows are held only to output equality.
       agree = agree && prof.output == byte.output &&
-              prof.cycles == byte.cycles && ckpt.output == byte.output &&
+              prof.stats == byte.stats && ckpt.output == byte.output &&
               // Durable persistence is host-side I/O only: same modeled
               // cycles as the in-memory checkpoint row.
               durable.output == byte.output &&
@@ -318,8 +300,7 @@ int main(int argc, char** argv) {
   if (native_skipped) {
     std::fprintf(stderr,
                  "vm_engine: NOTICE: native tier unavailable on this host "
-                 "(no working C++ toolchain); bytecode-native rows "
-                 "skipped\n");
+                 "(no working C++ toolchain); native rows skipped\n");
   }
 
   if (!json_path.empty()) {
@@ -345,7 +326,7 @@ int main(int argc, char** argv) {
 
   if (!all_agree) {
     std::fprintf(stderr,
-                 "vm_engine: engines disagree on output or modeled cycles\n");
+                 "vm_engine: engines disagree on output or CostStats\n");
     return 1;
   }
   return 0;

@@ -58,8 +58,8 @@ std::string CostStats::to_string(const CostModel& model) const {
     os << " faults=" << faults << " retries=" << retries
        << " rollbacks=" << rollbacks << " checkpoints=" << checkpoints;
   }
-  // Plan-cache counter only when the cache fired, so fuse=off stats render
-  // exactly as before the cache existed.
+  // Plan-cache counter only when the cache fired: a run that repeats no
+  // synchronous statement prints none.
   if (plan_hits != 0) {
     os << " plan_hits=" << plan_hits;
   }

@@ -69,8 +69,8 @@ struct CostStats {
   std::uint64_t rollbacks = 0;    // VM statement/construct replays
   std::uint64_t checkpoints = 0;  // VM state snapshots captured
 
-  // Communication-plan cache (src/cm/plan_cache.hpp).  Zero unless the
-  // fused bytecode engine replays cached issue plans.
+  // Communication-plan cache (src/cm/plan_cache.hpp).  Zero unless some
+  // synchronous statement repeats and replays its cached issue plan.
   std::uint64_t plan_hits = 0;    // statements issued from a cached plan
 
   // Durable checkpoints (docs/ROBUSTNESS.md "Durable checkpoints &

@@ -71,14 +71,15 @@ void Profiler::note_fused() {
   sites_[static_cast<std::size_t>(stack_.back().site)].fused_stmts += 1;
 }
 
-void Profiler::note_engine(bool bytecode) {
+void Profiler::note_engine(Tier tier) {
   if (stack_.empty()) return;
   Site& site = sites_[static_cast<std::size_t>(stack_.back().site)];
-  if (bytecode) {
-    site.bytecode_stmts += 1;
-  } else {
+  if (tier == Tier::kWalk) {
     site.walk_stmts += 1;
+    return;
   }
+  site.bytecode_stmts += 1;
+  if (tier == Tier::kNative) site.native_stmts += 1;
 }
 
 }  // namespace uc::prof

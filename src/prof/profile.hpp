@@ -25,6 +25,9 @@
 
 namespace uc::prof {
 
+// The tier that ran a synchronous statement's lanes.
+enum class Tier : std::uint8_t { kWalk, kBytecode, kNative };
+
 struct SiteId {
   std::int32_t index = -1;
   bool valid() const { return index >= 0; }
@@ -45,10 +48,11 @@ struct Site {
   cm::CostStats self;               // exclusive cost; sums to the aggregate
   std::uint64_t self_wall_ns = 0;   // exclusive host wall time
   std::uint64_t pool_chunks = 0;    // host-pool chunks while on top
-  std::uint64_t bytecode_stmts = 0; // statements run on the bytecode engine
+  std::uint64_t bytecode_stmts = 0; // statements run by a compiled kernel
+  std::uint64_t native_stmts = 0;   // of bytecode_stmts: on the native tier
   std::uint64_t walk_stmts = 0;     // statements run on the tree walk
-  std::uint64_t fused_stmts = 0;    // of bytecode_stmts: ran inside a fused
-                                    // kernel group (docs/VM.md "Fusion")
+  std::uint64_t fused_stmts = 0;    // statements run as members of a
+                                    // group (docs/VM.md "Fusion")
 
   // Filled by the static-vs-dynamic join (uc::Program::profile): the
   // `ucc analyze` communication classes whose accesses fall inside this
@@ -84,12 +88,12 @@ class Profiler {
   void enter(SiteId id, const cm::CostStats& now, std::uint64_t pool_chunks);
   void exit(const cm::CostStats& now, std::uint64_t pool_chunks);
 
-  // Records which engine executed a synchronous statement for the site
+  // Records which tier executed a synchronous statement for the site
   // currently on top of the scope stack (no-op when the stack is empty).
-  void note_engine(bool bytecode);
+  void note_engine(Tier tier);
 
   // Records that the statement on top of the scope stack executed as a
-  // member of a fused kernel group (shows as "fused×N" in ucc profile).
+  // member of a group (shows as "fused×N" in ucc profile).
   void note_fused();
 
   std::size_t depth() const { return stack_.size(); }

@@ -12,11 +12,12 @@ using support::json_escape;
 
 namespace {
 
+// The tier that ran the site's statements; "mixed" when several did.
 std::string engine_mark(const Site& s) {
-  if (s.bytecode_stmts > 0 && s.walk_stmts > 0) return "mixed";
-  if (s.bytecode_stmts > 0) return "bc";
-  if (s.walk_stmts > 0) return "walk";
-  return "-";
+  if (s.bytecode_stmts == 0) return s.walk_stmts > 0 ? "walk" : "-";
+  if (s.walk_stmts > 0) return "mixed";
+  if (s.native_stmts == s.bytecode_stmts) return "native";
+  return s.native_stmts == 0 ? "bc" : "mixed";
 }
 
 // Long directory prefixes crowd out the statement text; keep the tail of
@@ -50,12 +51,10 @@ std::string render_table(const std::vector<Site>& sites,
   // Fault/recovery columns appear only when fault injection or
   // checkpointing actually charged something, so fault-free profiles are
   // byte-identical to what they were before the fault subsystem existed.
+  // The plan-cache column is always there: every engine charges
+  // synchronous statements through the plan cache.  The columns are fixed
+  // width, so plan$ and flt/rty/rb/ck stay aligned either way.
   bool any_faults = false;
-  // Same gating for the plan-cache column: it appears only when some site
-  // actually issued from a cached communication plan, so plain profiles
-  // keep their pre-fusion layout.  Both columns are fixed width, so
-  // flt/rty/rb/ck and plan$ stay aligned whichever combination is shown.
-  bool any_plans = false;
   // And for the durable-checkpoint column: only runs that persisted a
   // snapshot to disk or restored one (`--checkpoint-dir`/`--resume`,
   // docs/ROBUSTNESS.md) show dur/res.
@@ -65,15 +64,14 @@ std::string render_table(const std::vector<Site>& sites,
         s.self.checkpoints != 0) {
       any_faults = true;
     }
-    if (s.self.plan_hits != 0) any_plans = true;
     if (s.self.durable_checkpoints != 0 || s.self.resumes != 0) {
       any_durable = true;
     }
   }
   out += format(
-      "%12s %6s %9s %8s  %-23s %s%s%s%-5s %-12s %s\n", "self-cycles", "%",
-      "host-ms", "entries", "ops v/n/r/sc/go/bc/fe",
-      any_plans ? "plan$    " : "", any_faults ? "flt/rty/rb/ck   " : "",
+      "%12s %6s %9s %8s  %-23s %-9s%s%s%-6s %-12s %s\n", "self-cycles", "%",
+      "host-ms", "entries", "ops v/n/r/sc/go/bc/fe", "plan$",
+      any_faults ? "flt/rty/rb/ck   " : "",
       any_durable ? "dur/res  " : "", "eng",
       opts.show_static ? "static" : "", "site");
 
@@ -111,13 +109,8 @@ std::string render_table(const std::vector<Site>& sites,
     // part that identifies the site — always stay visible.
     const std::string where = left_truncate(
         s.line > 0 ? format("%s:%u", s.file.c_str(), s.line) : s.file, 36);
-    std::string plan_col;
-    if (any_plans) {
-      plan_col = format(
-          "%-9s",
-          format("%llu", static_cast<unsigned long long>(s.self.plan_hits))
-              .c_str());
-    }
+    const std::string plan_col =
+        format("%llu", static_cast<unsigned long long>(s.self.plan_hits));
     std::string fault_mix;
     if (any_faults) {
       fault_mix = format(
@@ -138,15 +131,15 @@ std::string render_table(const std::vector<Site>& sites,
                  static_cast<unsigned long long>(s.self.resumes))
               .c_str());
     }
-    // Sites whose statements ran inside a fused kernel group carry a
-    // fused×N tag (N = member-statement executions, docs/VM.md "Fusion").
+    // Sites whose statements ran as group members carry a fused×N tag
+    // (N = member-statement executions, docs/VM.md "Fusion").
     std::string kind_tag = s.kind;
     if (s.fused_stmts > 0) {
       kind_tag += format(" fused\xc3\x97%llu",
                          static_cast<unsigned long long>(s.fused_stmts));
     }
     out += format(
-        "%12llu %5.1f%% %9.3f %8llu  %-23s %s%s%s%-5s %-12s %s %s | %s\n",
+        "%12llu %5.1f%% %9.3f %8llu  %-23s %-9s%s%s%-6s %-12s %s %s | %s\n",
         static_cast<unsigned long long>(s.self.cycles), pct,
         static_cast<double>(s.self_wall_ns) / 1e6,
         static_cast<unsigned long long>(s.entries), mix.c_str(),
@@ -213,8 +206,8 @@ std::string sites_json(const std::vector<Site>& sites,
         "\"rollbacks\": %llu, \"checkpoints\": %llu, "
         "\"durable_checkpoints\": %llu, \"resumes\": %llu, "
         "\"plan_hits\": %llu, \"pool_chunks\": %llu, "
-        "\"bytecode_stmts\": %llu, \"walk_stmts\": %llu, "
-        "\"fused_stmts\": %llu, \"static\": \"%s\"}",
+        "\"bytecode_stmts\": %llu, \"native_stmts\": %llu, "
+        "\"walk_stmts\": %llu, \"fused_stmts\": %llu, \"static\": \"%s\"}",
         json_escape(s.kind).c_str(), json_escape(s.file).c_str(), s.line,
         s.col, json_escape(s.text).c_str(),
         static_cast<unsigned long long>(s.entries),
@@ -237,6 +230,7 @@ std::string sites_json(const std::vector<Site>& sites,
         static_cast<unsigned long long>(s.self.plan_hits),
         static_cast<unsigned long long>(s.pool_chunks),
         static_cast<unsigned long long>(s.bytecode_stmts),
+        static_cast<unsigned long long>(s.native_stmts),
         static_cast<unsigned long long>(s.walk_stmts),
         static_cast<unsigned long long>(s.fused_stmts),
         json_escape(s.static_classes).c_str());

@@ -4,10 +4,11 @@
 // The static layer ranks dependence-legal mapping assignments; this layer
 // makes them real: it rewrites the program (dropping any existing `map`
 // sections on the chosen arrays and appending the chosen one), re-runs
-// semantic analysis, and replays both versions on the simulated machine.
-// An assignment is accepted only when the replay is bit-identical in
-// output and strictly cheaper in modeled cycles — otherwise the next
-// ranked assignment is tried, and the original program wins by default.
+// semantic analysis, and replays the original and the emitted source on
+// the simulated machine.  An assignment is accepted only when the replay
+// is bit-identical in output and strictly cheaper in modeled cycles —
+// otherwise the next ranked assignment is tried, and the original program
+// wins by default.
 #include <algorithm>
 #include <set>
 
@@ -164,13 +165,15 @@ struct Replay {
   std::uint64_t cycles = 0;
 };
 
-Replay replay(const lang::CompilationUnit& unit,
+// Compiles and runs a program exactly as `ucc run` would under the same
+// options, so the reported replay cycles are ones a user can reproduce.
+Replay replay(const std::string& name, const std::string& source,
               const OptimizeMapOptions& options) {
   Replay r;
   try {
-    cm::Machine machine(options.machine);
-    vm::Interp interp(unit, machine, options.exec);
-    vm::RunResult run = interp.run();
+    const vm::RunResult run =
+        Program::compile(name, source, options.compile)
+            .run(options.machine, options.exec);
     r.ok = true;
     r.output = run.output();
     r.cycles = run.stats().cycles;
@@ -252,7 +255,7 @@ OptimizeMapResult optimize_map(std::string name, std::string source,
 
   Replay base;
   if (options.validate && !tries.empty()) {
-    base = replay(*unit, options);
+    base = replay(name, source, options);
     if (!base.ok) {
       text += "replay of the baseline program failed; keeping current "
               "mappings\n";
@@ -271,8 +274,10 @@ OptimizeMapResult optimize_map(std::string name, std::string source,
       continue;
     }
 
+    const std::string rewritten_source =
+        codegen::print_program(*rewritten->program);
     if (options.validate) {
-      Replay opt_run = replay(*rewritten, options);
+      Replay opt_run = replay(name, rewritten_source, options);
       if (!opt_run.ok) {
         text += support::format("  rejected '%s': replay failed\n",
                                 describe_assignment(*a).c_str());
@@ -315,7 +320,7 @@ OptimizeMapResult optimize_map(std::string name, std::string source,
         result.map_section = codegen::print_stmt(*item.decl);
       }
     }
-    result.optimized_source = codegen::print_program(*rewritten->program);
+    result.optimized_source = rewritten_source;
 
     text += support::format("chosen: %s\n",
                             describe_assignment(*a).c_str());

@@ -69,6 +69,7 @@ AnalyzeResult analyze(std::string name, std::string source,
 // sections, cost-predicted with the communication classifier, validated
 // by replay on the simulated machine.
 struct OptimizeMapOptions {
+  CompileOptions compile;      // the replays compile as Program::compile
   cm::MachineOptions machine;  // cost model + replay machine
   vm::ExecOptions exec;        // replay engine options
   std::size_t beam_width = 4;  // beam over interacting arrays

@@ -37,20 +37,29 @@ void Lexer::skip_whitespace_and_comments() {
     } else if (c == '/' && peek(1) == '/') {
       while (!at_end() && peek() != '\n') advance();
     } else if (c == '/' && peek(1) == '*') {
-      auto begin = loc();
-      advance();
-      advance();
-      while (!at_end() && !(peek() == '*' && peek(1) == '/')) advance();
-      if (at_end()) {
-        diags_.error({begin, loc()}, "unterminated block comment");
-        return;
-      }
-      advance();
-      advance();
+      skip_block_comment();
+      if (at_end()) return;
     } else {
       return;
     }
   }
+}
+
+bool Lexer::skip_block_comment() {
+  auto begin = loc();
+  advance();
+  advance();
+  bool newline = false;
+  while (!at_end() && !(peek() == '*' && peek(1) == '/')) {
+    newline = advance() == '\n' || newline;
+  }
+  if (at_end()) {
+    diags_.error({begin, loc()}, "unterminated block comment");
+    return newline;
+  }
+  advance();
+  advance();
+  return newline;
 }
 
 Token Lexer::make(TokenKind kind, support::SourceLoc begin) {
@@ -241,9 +250,15 @@ void Lexer::handle_directive() {
   for (;;) {
     while (peek() == ' ' || peek() == '\t') advance();
     if (at_end() || peek() == '\n') break;
-    if (peek() == '/' && (peek(1) == '/' || peek(1) == '*')) {
-      skip_whitespace_and_comments();
-      // A block comment may run past the line; treat that as end of macro.
+    // A comment is not part of the replacement, and must not take the
+    // newline that ends the directive with it: a line comment runs to the
+    // newline, and a block comment that runs past the line ends the macro.
+    if (peek() == '/' && peek(1) == '/') {
+      while (!at_end() && peek() != '\n') advance();
+      break;
+    }
+    if (peek() == '/' && peek(1) == '*') {
+      if (skip_block_comment()) break;
       continue;
     }
     replacement.push_back(next_raw());

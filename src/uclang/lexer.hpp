@@ -26,6 +26,9 @@ class Lexer {
  private:
   Token next_raw();  // one token, no macro handling
   void skip_whitespace_and_comments();
+  // Skips the block comment starting at the cursor ("/*"); returns whether
+  // it spanned a newline.
+  bool skip_block_comment();
   Token make(TokenKind kind, support::SourceLoc begin);
   Token lex_number(support::SourceLoc begin);
   Token lex_ident_or_keyword(support::SourceLoc begin);

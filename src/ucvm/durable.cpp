@@ -1,11 +1,11 @@
 // Durable checkpoint serialization, atomic persistence and the resume
 // scan (docs/ROBUSTNESS.md "Durable checkpoints & resume").
 //
-// File format, version 2.  Header (56 bytes, little-endian):
+// File format, version 3.  Header (56 bytes, little-endian):
 //
 //   offset  size  field
 //        0     8  magic "UCCKPT01"
-//        8     4  format version (2)
+//        8     4  format version (3)
 //       12     8  program hash   (FNV-1a over source + compile flags)
 //       20     8  options hash   (options_fingerprint)
 //       28     8  capturing scope ordinal
@@ -38,7 +38,7 @@ namespace uc::vm::detail {
 
 namespace {
 
-constexpr std::uint32_t kFormatVersion = 2;
+constexpr std::uint32_t kFormatVersion = 3;
 constexpr std::uint64_t kMagic = [] {
   const char m[8] = {'U', 'C', 'C', 'K', 'P', 'T', '0', '1'};
   std::uint64_t v = 0;
@@ -410,8 +410,8 @@ std::uint64_t DurableCheckpoints::options_fingerprint(const Impl& vm) {
   auto fold = [&h](std::uint64_t v) { h = fnv1a_u64(v, h); };
   auto fold_f = [&fold](double v) { fold(std::bit_cast<std::uint64_t>(v)); };
   fold(static_cast<std::uint64_t>(o.engine));
-  fold((o.fuse ? 1u : 0u) | (o.common_subexpression_elimination ? 2u : 0u) |
-       (o.processor_optimization ? 4u : 0u) | (o.apply_mappings ? 8u : 0u));
+  fold((o.common_subexpression_elimination ? 1u : 0u) |
+       (o.processor_optimization ? 2u : 0u) | (o.apply_mappings ? 4u : 0u));
   fold(static_cast<std::uint64_t>(o.max_iterations));
   fold(o.checkpoint_every);
   fold(o.max_replays);

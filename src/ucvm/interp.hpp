@@ -39,12 +39,15 @@ namespace detail {
 struct Impl;
 }
 
-// How eval_lanes executes a synchronous statement over its lanes:
+// How eval_lanes executes a synchronous statement over its lanes.  The
+// engine is a host-speed choice only: every engine runs the statement's
+// compiled kernel decisions and charges exactly the same modeled costs
+// (docs/COSTMODEL.md "What an engine may not change").
 //   * kWalk      — re-walk the sema'd expression tree per lane (reference).
 //   * kBytecode  — compile the statement once into lane-kernel bytecode and
-//     run a switch-dispatch loop per lane (docs/VM.md).  Statements the
-//     lowering does not cover transparently fall back to the walk, so the
-//     two engines are observationally identical.
+//     run it over blocks of lanes (docs/VM.md).  Statements the lowering
+//     does not cover transparently fall back to the walk, so the engines
+//     are observationally identical.
 //   * kNative    — lower the bytecode further to C++ source, compile it with
 //     the host toolchain into a cached shared object, and dispatch lanes
 //     through the loaded entry point (docs/VM.md "Native tier").  Statements
@@ -78,17 +81,9 @@ struct ExecOptions {
   // and loop boundaries, so runaway programs stop near — not exactly at —
   // the deadline.
   double timeout_seconds = 0.0;
-  // Lane execution engine (identical results either way; kBytecode is the
-  // fast path, kWalk the reference interpreter).
+  // Lane execution engine (identical results and costs either way;
+  // kBytecode is the fast path, kWalk the reference interpreter).
   ExecEngine engine = ExecEngine::kBytecode;
-  // Statement fusion (docs/VM.md "Fusion"; bytecode engine only, kWalk
-  // ignores it).  Consecutive provably-independent elementwise statements
-  // in a par body compile into one fused kernel (single front-end issue,
-  // single pool dispatch, registers carrying values between statements),
-  // with cross-statement CSE + dead-temporary elimination and cached
-  // communication plans.  Program outputs are bit-identical with fusion on
-  // or off; modeled cycles with fusion on are never higher.
-  bool fuse = true;
   // Per-site execution profiler (docs/PROFILING.md).  When non-null, both
   // engines attribute CostStats deltas and host wall time to source-site
   // scopes on this profiler.  Profiling never changes program output or

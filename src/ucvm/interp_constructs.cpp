@@ -150,6 +150,29 @@ bool calls_array_declarer(const Expr& e) {
   }
 }
 
+namespace {
+
+// Statement-level transactional retry (docs/ROBUSTNESS.md): every charge
+// that can raise a TransientFault happens before the commit on every
+// engine, so catching here leaves all program state exactly as it was at
+// statement entry — re-running the same statement ids is bit-identical to
+// a fault-free execution.  Only active when checkpoint recovery is
+// enabled; otherwise the fault escalates (and aborts the run with a hint).
+template <class F>
+void retry_transient(Impl& vm, F&& attempt) {
+  for (;;) {
+    try {
+      attempt();
+      return;
+    } catch (const support::TransientFault&) {
+      if (!vm.ckpt->enabled() || !vm.ckpt->consume_replay()) throw;
+      vm.machine.note_rollback();
+    }
+  }
+}
+
+}  // namespace
+
 void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
                       const std::vector<std::int64_t>& active, Frame* frame,
                       std::vector<Value>* values) {
@@ -159,100 +182,101 @@ void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
   ++stmt_counter;
   const std::uint64_t stmt_id = stmt_counter;
 
-  // Statement-level attribution scope.  Both engines execute inside it
-  // (the bytecode fast path below and the walk fallback alike), so the
-  // per-site deltas are engine-independent wherever the charges are.
+  // Statement-level attribution scope.  Every engine executes inside it,
+  // so the per-site deltas are engine-independent wherever the charges
+  // are.
   ProfScope prof_scope(*this, &expr, "stmt", expr.range);
 
   if (values != nullptr) values->resize(active.size());
   Value* const results = values != nullptr ? values->data() : nullptr;
 
-  auto attempt = [&]() {
+  LaneRun run;
+  retry_transient(*this, [&]() {
     // Charge the static cost first: this also annotates reductions with the
-    // processor-optimisation decision the evaluator consults.  With fusion
-    // on (bytecode engine only) the charge goes through the
-    // communication-plan cache: a repeat execution of the same statement
-    // signature replays the recorded recipe at the reduced plan issue
-    // overhead instead of re-deriving it.
-    if (opts.fuse && opts.engine != ExecEngine::kWalk) {
-      charge_expr_planned(expr, space, /*rider=*/false);
-    } else {
-      charge_expr(expr, space.geom_size, /*frontend=*/false, &space);
-    }
+    // processor-optimisation decision the evaluator consults.  The charge
+    // goes through the communication-plan cache: a repeat execution of the
+    // same statement signature replays the recorded recipe instead of
+    // re-deriving it.
+    charge_expr_planned(expr, space, /*rider=*/false);
 
-    // Fast path: compile the statement once into lane-kernel bytecode and
-    // run it allocation-free; statements the lowering/link does not cover
-    // fall through to the reference tree walk below (bit-identical results).
-    // The native tier rides this same path: run_lanes_pooled diverts the
-    // lane loop to the compiled .so when it can (docs/VM.md "Native tier").
-    if (opts.engine != ExecEngine::kWalk &&
-        kernel_engine().try_run(expr, space, active, frame, stmt_id, results,
-                                /*optimize=*/opts.fuse)) {
-      if (prof != nullptr) prof->note_engine(/*bytecode=*/true);
-      return;
-    }
-    if (prof != nullptr) prof->note_engine(/*bytecode=*/false);
+    // The statement's kernel (compiled once, linked per execution) fixes
+    // which reads are classified; statements the lowering/link does not
+    // cover run on the walk on every engine.
+    const Expr* const stmts[1] = {&expr};
+    const kernel::Kernel* kern =
+        kernel_engine().prepare(stmts, 1, space, frame);
+    run_lanes(stmts, 1, kern, space, active, frame, stmt_id, results, run);
+    if (prof != nullptr) prof->note_engine(run.tier);
+    charge_dynamic_stats(run.member_stats[0], space.geom_size);
+    commit_lanes(run);
+  });
+}
 
-    const auto n = static_cast<std::int64_t>(active.size());
-    std::vector<std::vector<Write>> writes(static_cast<std::size_t>(n));
-    std::vector<std::string> prints(static_cast<std::size_t>(n));
-    std::vector<AccessStats> stats(static_cast<std::size_t>(n));
+void Impl::run_lanes(const Expr* const* stmts, std::size_t count,
+                     const kernel::Kernel* kern, LaneSpace& space,
+                     const std::vector<std::int64_t>& active, Frame* frame,
+                     std::uint64_t first_stmt_id, Value* results,
+                     LaneRun& run) {
+  if (kern != nullptr && opts.engine != ExecEngine::kWalk) {
+    const bool native = kernel_engine().run(*kern, space, active, frame,
+                                            first_stmt_id, results,
+                                            run.member_stats);
+    run.tier = native ? prof::Tier::kNative : prof::Tier::kBytecode;
+    return;
+  }
+  run.tier = prof::Tier::kWalk;
+  const auto n = static_cast<std::int64_t>(active.size());
+  run.writes.assign(static_cast<std::size_t>(n), {});
+  run.prints.assign(static_cast<std::size_t>(n), {});
+  // Per (lane, member), merged per member below.
+  std::vector<AccessStats> stats(static_cast<std::size_t>(n) * count);
 
-    const auto run_range = [&](std::int64_t b, std::int64_t e_) {
-      for (std::int64_t k = b; k < e_; ++k) {
-        EvalCtx ctx;
-        ctx.vm = this;
-        ctx.space = &space;
-        ctx.lane = active[static_cast<std::size_t>(k)];
-        ctx.frame = frame;
-        ctx.statement_frame = frame;
-        ctx.writes = &writes[static_cast<std::size_t>(k)];
-        ctx.stats = &stats[static_cast<std::size_t>(k)];
-        ctx.print_out = &prints[static_cast<std::size_t>(k)];
-        // Per-lane RNG seeded from the statement id captured above so
-        // all lanes of this statement share one instance id.
-        ctx.rng_seeded = false;
-        ctx.rng.seed(0);
-        // stmt_counter may move under recursion via eval (reductions do
-        // not call eval_lanes, so in practice it is stable); use the
-        // captured id for the seed.
-        const auto vp =
-            static_cast<std::uint64_t>(space.vps[ctx.lane]);
-        ctx.rng.seed(base_seed ^ (stmt_id * 0x9e3779b97f4a7c15ull) ^
+  const auto run_range = [&](std::int64_t b, std::int64_t e_) {
+    for (std::int64_t k = b; k < e_; ++k) {
+      const auto lane = static_cast<std::size_t>(k);
+      EvalCtx ctx;
+      ctx.vm = this;
+      ctx.space = &space;
+      ctx.lane = active[lane];
+      ctx.frame = frame;
+      ctx.statement_frame = frame;
+      ctx.writes = &run.writes[lane];
+      ctx.print_out = &run.prints[lane];
+      ctx.kernel = kern;
+      const auto vp = static_cast<std::uint64_t>(space.vps[ctx.lane]);
+      for (std::size_t m = 0; m < count; ++m) {
+        ctx.stats = &stats[lane * count + m];
+        // Per-lane RNG seeded from the member's statement id, so all lanes
+        // of one statement share one instance id (as the kernels do).
+        ctx.rng.seed(base_seed ^
+                     ((first_stmt_id + m) * 0x9e3779b97f4a7c15ull) ^
                      (vp + 0x5851f42d4c957f2dull));
         ctx.rng_seeded = true;
-        const Value v = eval(expr, ctx);
-        if (results != nullptr) results[k] = v;
+        const Value v = eval(*stmts[m], ctx);
+        if (results != nullptr && m + 1 == count) results[k] = v;
       }
-    };
-    // A grain of n runs every lane on the issuing thread.
-    machine.pool().parallel_for(0, n, run_range,
-                                calls_array_declarer(expr) ? n : 64);
-
-    // Merge dynamic comm stats and charge them on the issuing thread.
-    AccessStats total;
-    for (const auto& s : stats) total.merge(s);
-    charge_dynamic_stats(total, space.geom_size);
-
-    commit_writes(writes);
-    for (auto& p : prints) output += p;
-  };
-
-  // Statement-level transactional retry (docs/ROBUSTNESS.md): every charge
-  // that can raise a TransientFault happens before the commit in both
-  // engines, so catching here leaves all program state exactly as it was at
-  // statement entry — re-running the same stmt_id is bit-identical to a
-  // fault-free execution.  Only active when checkpoint recovery is enabled;
-  // otherwise the fault escalates (and aborts the run with a hint).
-  for (;;) {
-    try {
-      attempt();
-      return;
-    } catch (const support::TransientFault&) {
-      if (!ckpt->enabled() || !ckpt->consume_replay()) throw;
-      machine.note_rollback();
     }
+  };
+  // A grain of n runs every lane on the issuing thread.
+  bool declares = false;
+  for (std::size_t m = 0; m < count; ++m) {
+    declares = declares || calls_array_declarer(*stmts[m]);
   }
+  machine.pool().parallel_for(0, n, run_range, declares ? n : 64);
+
+  run.member_stats.assign(count, AccessStats{});
+  for (std::size_t k = 0; k < stats.size(); ++k) {
+    run.member_stats[k % count].merge(stats[k]);
+  }
+}
+
+void Impl::commit_lanes(const LaneRun& run) {
+  if (run.tier != prof::Tier::kWalk) {
+    kernel_engine().commit();
+    return;
+  }
+  commit_writes(run.writes);
+  for (const auto& p : run.prints) output += p;
 }
 
 void Impl::charge_dynamic_stats(const AccessStats& total,
@@ -380,10 +404,11 @@ bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
     stmts[k] =
         static_cast<const lang::ExprStmt&>(*s.body[begin + k]).expr.get();
   }
-  auto& eng = kernel_engine();
   // Compile (cached) + link.  Touches no interpreter state on failure, so
   // declining here falls back cleanly to statement-at-a-time execution.
-  if (!eng.prepare_group(stmts.data(), count, space, frame)) return false;
+  const kernel::Kernel* kern =
+      kernel_engine().prepare(stmts.data(), count, space, frame);
+  if (kern == nullptr) return false;
 
   check_deadline(nullptr);
   // The group is one transactional unit but still `count` statements for
@@ -393,26 +418,27 @@ bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
   const std::uint64_t first_stmt_id = stmt_counter + 1;
   stmt_counter += count;
 
-  auto attempt = [&]() {
+  LaneRun run;
+  retry_transient(*this, [&]() {
     // Static charges, one per member under its own profiler scope so
     // per-site cycles keep summing to the aggregate.  Member 0 pays (or
     // plan-caches) the full front-end issue; riders share it and charge at
-    // the reduced planned overhead from their first execution.
+    // the planned issue overhead from their first execution.
     for (std::size_t k = 0; k < count; ++k) {
       ProfScope prof_scope(*this, stmts[k], "stmt", stmts[k]->range);
       charge_expr_planned(*stmts[k], space, /*rider=*/k != 0);
     }
-    // One pool dispatch for the whole group; host time lands on member 0.
-    std::vector<AccessStats> member_stats;
+    // One lane run for the whole group; host time lands on member 0.
     {
       ProfScope prof_scope(*this, stmts[0], "stmt", stmts[0]->range);
-      eng.run_group(space, active, frame, first_stmt_id, member_stats);
+      run_lanes(stmts.data(), count, kern, space, active, frame,
+                first_stmt_id, /*results=*/nullptr, run);
     }
     for (std::size_t k = 0; k < count; ++k) {
       ProfScope prof_scope(*this, stmts[k], "stmt", stmts[k]->range);
-      charge_dynamic_stats(member_stats[k], space.geom_size);
+      charge_dynamic_stats(run.member_stats[k], space.geom_size);
       if (prof != nullptr) {
-        prof->note_engine(/*bytecode=*/true);
+        prof->note_engine(run.tier);
         prof->note_fused();
       }
     }
@@ -420,17 +446,9 @@ bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
     // every member in one conflict-checked commit, booked like the lane
     // run to member 0.
     ProfScope prof_scope(*this, stmts[0], "stmt", stmts[0]->range);
-    eng.commit_group();
-  };
-  for (;;) {
-    try {
-      attempt();
-      return true;
-    } catch (const support::TransientFault&) {
-      if (!ckpt->enabled() || !ckpt->consume_replay()) throw;
-      machine.note_rollback();
-    }
-  }
+    commit_lanes(run);
+  });
+  return true;
 }
 
 Impl::CommitArray& Impl::commit_array(ArrayObj& root) {
@@ -600,10 +618,9 @@ void Impl::exec_parallel_stmt(const Stmt& stmt, LaneSpace& space,
     }
     case StmtKind::kCompound: {
       const auto& s = static_cast<const lang::CompoundStmt&>(stmt);
-      if (opts.fuse && opts.engine != ExecEngine::kWalk &&
-          s.body.size() > 1) {
+      if (s.body.size() > 1) {
         // Fusion (docs/VM.md): runs of provably independent expression
-        // statements execute as one kernel; anything the compiler declines
+        // statements execute as one group; anything the compiler declines
         // falls back to statement-at-a-time execution below.
         for (const FusionSeg& seg : fusion_segments(s)) {
           if (seg.fusable &&

@@ -26,6 +26,7 @@ namespace uc::vm::detail {
 
 namespace kernel {
 class Engine;
+struct Kernel;
 }
 
 class DurableCheckpoints;  // durable.hpp
@@ -246,6 +247,12 @@ struct EvalCtx {
   // there are paid for by the send-with-combine charge, not counted again.
   int suppress_comm = 0;
 
+  // The compiled kernel of the statement (or group) being walked, when it
+  // has one: the walk skips classification at the reads its optimiser
+  // elided and takes a forwarded read's value from this lane's buffered
+  // write, so it charges exactly what the kernel engines charge.
+  const kernel::Kernel* kernel = nullptr;
+
   // solve support: reads of undefined target-array elements poison the
   // evaluation instead of failing.
   bool solve_mode = false;
@@ -311,11 +318,11 @@ struct Impl {
     bool fusable = false;  // >= 2 members, all provably independent
   };
   const std::vector<FusionSeg>& fusion_segments(const lang::CompoundStmt& s);
-  // Runs members [begin, begin+count) as one fused kernel: one pool
-  // dispatch, per-member charging under each member's own profiler scope,
-  // and a single merged commit.  Returns false (with no state mutated)
-  // when the group cannot be compiled or linked — the caller then runs the
-  // members unfused.
+  // Runs members [begin, begin+count) as one group: per-member charging
+  // under each member's own profiler scope (riders at the planned issue
+  // overhead), one lane run and a single merged commit.  Returns false
+  // (with no state mutated) when the group kernel cannot be compiled or
+  // linked — the caller then runs the members unfused, on every engine.
   bool exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
                         std::size_t count, LaneSpace& space,
                         const std::vector<std::int64_t>& active,
@@ -356,6 +363,27 @@ struct Impl {
                   const std::vector<std::int64_t>& active, Frame* frame,
                   std::vector<Value>* values = nullptr);
 
+  // One lane run of a statement or group: its tier, each member's merged
+  // comm stats, and, for the walk, the buffered per-lane writes and prints
+  // (a kernel run buffers in the engine's arenas).
+  struct LaneRun {
+    prof::Tier tier = prof::Tier::kWalk;
+    std::vector<AccessStats> member_stats;
+    std::vector<std::vector<Write>> writes;
+    std::vector<std::string> prints;
+  };
+  // Runs the lanes of one statement, or of a prepared group's members
+  // (`kern` is then the group kernel), on the selected engine.  The kernel
+  // engines run `kern`; the walk, and every engine when `kern` is null,
+  // evaluates the members lane by lane in member order, honouring `kern`'s
+  // elided reads.  Charges nothing and commits nothing.
+  void run_lanes(const Expr* const* stmts, std::size_t count,
+                 const kernel::Kernel* kern, LaneSpace& space,
+                 const std::vector<std::int64_t>& active, Frame* frame,
+                 std::uint64_t first_stmt_id, Value* results, LaneRun& run);
+  // Commits a lane run's buffered writes and flushes its prints.
+  void commit_lanes(const LaneRun& run);
+
   // The one commit path of every engine (docs/VM.md "Linking and
   // execution").  `runs` hold one synchronous statement's buffered writes
   // in lane order.  Pass 1 checks them in that order: the first write of
@@ -369,7 +397,8 @@ struct Impl {
   // (order matters for the paris trace: news, router, broadcast, frontend).
   void charge_dynamic_stats(const AccessStats& total, std::int64_t geom_size);
 
-  // Lazily constructed bytecode engine (exec.cpp).
+  // Lazily constructed kernel engine (exec.cpp).  Every engine asks it for
+  // the statement's kernel: its decisions fix what the statement costs.
   kernel::Engine& kernel_engine();
   std::unique_ptr<kernel::Engine> kernel_engine_;
   // Communication-plan cache (src/cm/plan_cache.hpp) and its invalidation
@@ -420,14 +449,15 @@ struct Impl {
   // `record` is non-null every machine charge (and every partition
   // decision) is appended to it so the communication-plan cache can replay
   // the recipe later; `planned` charges vector/reduce issues at the
-  // reduced plan_issue_overhead (fused rider members share their group's
-  // front-end issue).
+  // plan_issue_overhead (rider members of a group share its front-end
+  // issue).
   void charge_expr(const Expr& e, std::int64_t geom_size, bool frontend,
                    const LaneSpace* outer_space = nullptr,
                    cm::Plan* record = nullptr, bool planned = false);
-  // Plan-cached statement charging (fuse=on): on a signature hit the
-  // recorded recipe replays at reduced issue cost; on a miss the statement
-  // charges normally while recording, then the plan is cached.
+  // Plan-cached charging of a synchronous statement, on every engine: on a
+  // signature hit the recorded recipe replays at the plan issue overhead;
+  // on a miss the statement charges normally while recording, then the
+  // plan is cached.
   void charge_expr_planned(const Expr& e, LaneSpace& space,
                            bool rider = false);
   std::uint64_t plan_key(const Expr& e, const LaneSpace& space) const;

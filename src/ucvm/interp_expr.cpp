@@ -7,6 +7,7 @@
 #include "support/str.hpp"
 #include "support/wrap.hpp"
 #include "ucvm/interp_detail.hpp"
+#include "ucvm/kernel/bytecode.hpp"
 
 namespace uc::vm {
 
@@ -428,7 +429,19 @@ Value Impl::eval(const Expr& e, EvalCtx& ctx) {
         ctx.undef = true;
         return Value::of_int(0);
       }
-      classify_access(*arr, target->index, ctx);
+      // A read the statement's kernel elided is not classified, on any
+      // engine (docs/COSTMODEL.md "What an engine may not change").  A
+      // forwarded one reads this lane's buffered write from an earlier
+      // member of the group, as the kernel's register copy does.
+      const kernel::ElidedRead* elided =
+          ctx.kernel != nullptr ? ctx.kernel->elided(&e) : nullptr;
+      if (elided == nullptr) {
+        classify_access(*arr, target->index, ctx);
+      } else if (elided->from != nullptr && ctx.writes != nullptr) {
+        for (auto w = ctx.writes->rbegin(); w != ctx.writes->rend(); ++w) {
+          if (w->where == elided->from) return w->value;
+        }
+      }
       return read_target(*target, ctx);
     }
     case ExprKind::kCall:

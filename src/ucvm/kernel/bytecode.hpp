@@ -10,8 +10,10 @@
 //
 // The compiler (compile.cpp) mirrors the tree-walk evaluator's semantics
 // exactly — evaluation order, coercions, access classification points,
-// error messages — so the two engines are observationally identical; the
-// differential suite tests/ucvm/engine_parity_test.cpp enforces this.
+// error messages — and the walk skips classification at the reads the
+// optimiser elides (Kernel::elided_reads), so the engines are
+// observationally identical, costs included; the differential suite
+// tests/ucvm/engine_parity_test.cpp enforces this.
 #pragma once
 
 #include <cstdint>
@@ -114,6 +116,18 @@ struct KernelTypes {
   bool all_static = true;     // no kDyn register or accumulator
 };
 
+// An rvalue read site the optimiser elided: a value-numbered duplicate of
+// an earlier read of the same element (`from` null), or a read of the
+// element an earlier member of the group wrote in the same lane (`from` is
+// that write's assignment or ++/-- expression).  No engine classifies the
+// access at such a site (docs/COSTMODEL.md "What an engine may not
+// change"); the walk takes a forwarded read's value from its lane's
+// buffered write.
+struct ElidedRead {
+  const lang::Expr* site = nullptr;
+  const lang::Expr* from = nullptr;
+};
+
 struct Kernel {
   std::vector<Inst> code;
   std::vector<Value> pool;
@@ -134,6 +148,16 @@ struct Kernel {
   // Register types with every scalar and array operand of its declared
   // kind (type_kernel at compile time).
   KernelTypes types;
+  // Filled by optimize_kernel, in code order.
+  std::vector<ElidedRead> elided_reads;
+
+  // The elided read at `site`, or null.
+  const ElidedRead* elided(const lang::Expr* site) const {
+    for (const ElidedRead& r : elided_reads) {
+      if (r.site == site) return &r;
+    }
+    return nullptr;
+  }
 };
 
 // The typing pass (typing.cpp): infers each register's representation
@@ -150,21 +174,21 @@ void type_kernel(const Kernel& k, KernelTypes& out,
 // calls, side-effecting builtins, nested reductions, ...).
 bool can_compile_expr(const lang::Expr& e);
 
-// Lowers a statement expression; returns nullptr when can_compile_expr is
-// false.  Pure function of the sema'd AST — safe to cache per Expr*.
-std::unique_ptr<Kernel> compile_expr(const lang::Expr& e);
-
-// Lowers `n` consecutive statement expressions into one fused kernel
-// (docs/VM.md "Fusion") and runs the optimisation pipeline over it:
-// value-numbering CSE, cross-member store-to-load forwarding, and dead
-// temporary elimination.  Every member must satisfy can_compile_expr, and
-// the caller must have proven the members fusion-safe at the AST level
+// Lowers `n` consecutive statement expressions into one kernel and runs
+// the optimisation pipeline over it: value-numbering CSE, cross-member
+// store-to-load forwarding, and dead temporary elimination.  Pure function
+// of the sema'd AST, so safe to cache per Expr*.  Returns nullptr when a
+// member fails can_compile_expr.  A group of n >= 2 (docs/VM.md "Fusion")
+// must have been proven fusion-safe at the AST level
 // (interp_constructs.cpp); the bytecode-level forwarding check is the
-// final authority and returns nullptr when a later member reads an element
-// a prior member wrote through a subscript the optimiser cannot match.
-// With n == 1 this is compile_expr + optimisation and never fails.
+// final authority and also returns nullptr when a later member reads an
+// element a prior member wrote through a subscript the optimiser cannot
+// match.  With n == 1 it fails only when can_compile_expr does.
 std::unique_ptr<Kernel> compile_fused(const lang::Expr* const* stmts,
                                       std::size_t n);
+
+// One statement's kernel: compile_fused(&e, 1).
+std::unique_ptr<Kernel> compile_expr(const lang::Expr& e);
 
 // The optimisation pipeline (optimize.cpp).  Returns false when
 // cross-member store-to-load forwarding finds an unmatchable read (the

@@ -168,20 +168,13 @@ bool same_const(const Value& a, const Value& b) {
 
 class Lowerer {
  public:
-  explicit Lowerer(Kernel& k, bool optimize = false)
-      : k_(k), optimize_(optimize) {}
+  explicit Lowerer(Kernel& k) : k_(k) {}
 
-  void lower(const Expr& root) {
-    const std::uint16_t r = expr(root);
-    emit(Op::kRet, 0, 0, r);
-    k_.num_regs = next_reg_;
-  }
-
-  // Lowers several consecutive statements into one kernel.  Members 1..n-1
-  // are preceded by a kMemberBoundary (a = member index) so the executor
-  // can switch its stats slot and reseed the lane RNG; only the last
-  // member's value is returned.
-  void lower_fused(const Expr* const* stmts, std::size_t n) {
+  // Lowers one statement, or several consecutive ones into one kernel.
+  // Members 1..n-1 are preceded by a kMemberBoundary (a = member index) so
+  // the executor can switch its stats slot and reseed the lane RNG; only
+  // the last member's value is returned.
+  void lower(const Expr* const* stmts, std::size_t n) {
     std::uint16_t r = 0;
     for (std::size_t m = 0; m < n; ++m) {
       if (m != 0) {
@@ -196,7 +189,6 @@ class Lowerer {
 
  private:
   Kernel& k_;
-  bool optimize_ = false;
   std::uint32_t next_reg_ = 0;
   const lang::ReduceExpr* cur_reduce_ = nullptr;
   std::int32_t cur_reduce_slot_ = -1;
@@ -564,24 +556,16 @@ class Lowerer {
     const auto loop_start = static_cast<std::int32_t>(k_.code.size());
     for (const auto& arm : red.arms) {
       if (arm.pred) {
-        if (optimize_) {
-          // Branch-chain lowering: each && conjunct tests-and-exits
-          // directly instead of materialising the boolean, so the
-          // predicate and the value form one extended basic block and the
-          // optimiser's value numbering reaches across them.  Evaluation
-          // order and short-circuiting are unchanged.
-          std::vector<std::size_t> exits;
-          pred_exits(*arm.pred, exits);
-          const std::uint16_t v = expr(*arm.value);
-          emit(Op::kReduceFold, 0, 0, v);
-          for (const std::size_t at : exits) patch(at);
-          continue;
-        }
-        const std::uint16_t p = expr(*arm.pred);
-        const std::size_t skip = emit(Op::kJumpIfFalse, 0, 0, p);
+        // Branch-chain lowering: each && conjunct tests-and-exits directly
+        // instead of materialising the boolean, so the predicate and the
+        // value form one extended basic block and the optimiser's value
+        // numbering reaches across them.  Evaluation order and
+        // short-circuiting are unchanged.
+        std::vector<std::size_t> exits;
+        pred_exits(*arm.pred, exits);
         const std::uint16_t v = expr(*arm.value);
         emit(Op::kReduceFold, 0, 0, v);
-        patch(skip);
+        for (const std::size_t at : exits) patch(at);
       } else {
         const std::uint16_t v = expr(*arm.value);
         emit(Op::kReduceFold, 0, 0, v);
@@ -636,14 +620,6 @@ void finish(Kernel& k) {
 
 bool can_compile_expr(const Expr& e) { return can_compile(e, false); }
 
-std::unique_ptr<Kernel> compile_expr(const Expr& e) {
-  if (!can_compile_expr(e)) return nullptr;
-  auto kernel = std::make_unique<Kernel>();
-  Lowerer(*kernel).lower(e);
-  finish(*kernel);
-  return kernel;
-}
-
 std::unique_ptr<Kernel> compile_fused(const Expr* const* stmts,
                                       std::size_t n) {
   if (n == 0) return nullptr;
@@ -651,13 +627,18 @@ std::unique_ptr<Kernel> compile_fused(const Expr* const* stmts,
     if (stmts[m] == nullptr || !can_compile_expr(*stmts[m])) return nullptr;
   }
   auto kernel = std::make_unique<Kernel>();
-  Lowerer(*kernel, /*optimize=*/true).lower_fused(stmts, n);
+  Lowerer(*kernel).lower(stmts, n);
   // Registers are never reused, so a pathological fusion could overflow
   // the 16-bit register file; decline and let the members run unfused.
   if (kernel->num_regs > 60000) return nullptr;
   if (!optimize_kernel(*kernel)) return nullptr;
   finish(*kernel);
   return kernel;
+}
+
+std::unique_ptr<Kernel> compile_expr(const Expr& e) {
+  const Expr* one[1] = {&e};
+  return compile_fused(one, 1);
 }
 
 }  // namespace uc::vm::detail::kernel

@@ -28,21 +28,16 @@ Engine::Engine(Impl& vm) : vm_(vm) {
   arenas_.resize(vm_.machine.pool().thread_count());
 }
 
-const Kernel* Engine::compile_cached(const Expr& expr) {
-  auto it = cache_.find(&expr);
-  if (it == cache_.end()) {
-    it = cache_.emplace(&expr, compile_expr(expr)).first;
+const Kernel* Engine::prepare(const Expr* const* stmts, std::size_t n,
+                              LaneSpace& space, Frame* frame) {
+  auto& cache = n == 1 ? cache_ : group_cache_;
+  auto it = cache.find(stmts[0]);
+  if (it == cache.end()) {
+    it = cache.emplace(stmts[0], compile_fused(stmts, n)).first;
   }
-  return it->second.get();
-}
-
-const Kernel* Engine::compile_optimized_cached(const Expr& expr) {
-  auto it = opt_cache_.find(&expr);
-  if (it == opt_cache_.end()) {
-    const Expr* one[1] = {&expr};
-    it = opt_cache_.emplace(&expr, compile_fused(one, 1)).first;
-  }
-  return it->second.get();
+  const Kernel* kern = it->second.get();
+  if (kern == nullptr || kern->num_members != n) return nullptr;
+  return link(*kern, space, frame) ? kern : nullptr;
 }
 
 namespace {
@@ -1272,17 +1267,17 @@ void Engine::reset_arenas(const Kernel& k) {
   }
 }
 
-void Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
+bool Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
                               const std::vector<std::int64_t>& active,
                               Frame* frame, std::uint64_t stmt_id,
                               Value* results) {
-  // Native tier: both the plain try_run path and fused groups funnel
-  // through here, so one hook covers every dispatch.  A false return
-  // (emitter declined, toolchain missing, assumption mismatch, runtime
-  // error flagged) leaves the arenas reset and falls through to bytecode.
+  // Native tier: statements and fused groups both funnel through here, so
+  // one hook covers every dispatch.  A false return (emitter declined,
+  // toolchain missing, assumption mismatch, runtime error flagged) leaves
+  // the arenas reset and falls through to bytecode.
   if (vm_.opts.engine == ExecEngine::kNative &&
       run_lanes_native(k, space, active, frame, stmt_id, results)) {
-    return;
+    return true;
   }
   // Register columns and ancestor rows, grown to the high-water mark.
   const std::size_t cols = static_cast<std::size_t>(k.num_regs) * kBlock;
@@ -1314,9 +1309,26 @@ void Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
         if (count > 0) arena.spans.push_back(ChunkSpan{b, span_start, count});
       };
   vm_.machine.pool().parallel_for_indexed(0, n, body, /*min_grain=*/64);
+  return false;
 }
 
-void Engine::commit_buffered() {
+bool Engine::run(const Kernel& k, LaneSpace& space,
+                 const std::vector<std::int64_t>& active, Frame* frame,
+                 std::uint64_t stmt_id, Value* results,
+                 std::vector<AccessStats>& member_stats) {
+  reset_arenas(k);
+  const bool native =
+      run_lanes_pooled(k, space, active, frame, stmt_id, results);
+  member_stats.assign(k.num_members, AccessStats{});
+  for (const auto& a : arenas_) {
+    for (std::uint32_t m = 0; m < k.num_members; ++m) {
+      member_stats[m].merge(a.stats[m]);
+    }
+  }
+  return native;
+}
+
+void Engine::commit() {
   // Chunks are disjoint ascending lane ranges, so sorting the spans by
   // their first active-lane position recovers the walk's lane order for
   // conflict detection (first-seen value wins the error message).
@@ -1333,56 +1345,6 @@ void Engine::commit_buffered() {
   for (const auto& [begin_k, run] : span_order_) runs_.push_back(run);
   vm_.commit(runs_);
 }
-
-bool Engine::try_run(const Expr& expr, LaneSpace& space,
-                     const std::vector<std::int64_t>& active, Frame* frame,
-                     std::uint64_t stmt_id, Value* results, bool optimize) {
-  const Kernel* kern =
-      optimize ? compile_optimized_cached(expr) : compile_cached(expr);
-  if (kern == nullptr || !link(*kern, space, frame)) return false;
-
-  reset_arenas(*kern);
-  run_lanes_pooled(*kern, space, active, frame, stmt_id, results);
-
-  AccessStats total;
-  for (const auto& a : arenas_) total.merge(a.stats[0]);
-  vm_.charge_dynamic_stats(total, space.geom_size);
-
-  commit_buffered();
-  return true;
-}
-
-bool Engine::prepare_group(const Expr* const* stmts, std::size_t n,
-                           LaneSpace& space, Frame* frame) {
-  if (n < 2) return false;
-  auto it = fused_cache_.find(stmts[0]);
-  if (it == fused_cache_.end()) {
-    it = fused_cache_.emplace(stmts[0], compile_fused(stmts, n)).first;
-  }
-  const Kernel* kern = it->second.get();
-  if (kern == nullptr || kern->num_members != n) return false;
-  if (!link(*kern, space, frame)) return false;
-  group_kernel_ = kern;
-  return true;
-}
-
-void Engine::run_group(LaneSpace& space,
-                       const std::vector<std::int64_t>& active, Frame* frame,
-                       std::uint64_t first_stmt_id,
-                       std::vector<AccessStats>& member_stats) {
-  const Kernel& kern = *group_kernel_;
-  reset_arenas(kern);
-  run_lanes_pooled(kern, space, active, frame, first_stmt_id,
-                   /*results=*/nullptr);
-  member_stats.assign(kern.num_members, AccessStats{});
-  for (const auto& a : arenas_) {
-    for (std::uint32_t m = 0; m < kern.num_members; ++m) {
-      member_stats[m].merge(a.stats[m]);
-    }
-  }
-}
-
-void Engine::commit_group() { commit_buffered(); }
 
 }  // namespace uc::vm::detail::kernel
 

@@ -27,37 +27,29 @@ class Engine {
  public:
   explicit Engine(Impl& vm);
 
-  // Runs one synchronous statement expression over the active lanes on the
-  // bytecode engine: merges comm stats, charges dynamic communication,
-  // commits writes with the same lane-order conflict checking as the walk,
-  // and stores the per-lane values in `results` (indexed like `active`;
-  // null when the caller discards them).  Returns false when the
-  // expression cannot be compiled or linked against the current space —
-  // the caller then falls back to the tree walk (which reproduces any error
-  // the link step declined to raise, e.g. an array used before its
-  // declaration).  With optimize set the statement compiles through the
-  // fusion pipeline (CSE + dead-temporary elimination, separate cache);
-  // outputs are identical, dynamic comm stats can only shrink.
-  bool try_run(const Expr& expr, LaneSpace& space,
-               const std::vector<std::int64_t>& active, Frame* frame,
-               std::uint64_t stmt_id, Value* results, bool optimize = false);
-
-  // --- fused statement groups (docs/VM.md "Fusion") ---
-  // Three-phase protocol so the driver can interleave its per-member cost
-  // charging (which may throw a TransientFault) with execution while the
-  // whole group stays one transactional unit:
-  //   1. prepare_group: compile (cached) + link.  No state is touched on
-  //      failure — the caller falls back to running the members unfused.
-  //   2. run_group: execute the lanes, buffering writes in the arenas and
-  //      collecting per-member comm stats; charges nothing itself.
-  //   3. commit_group: conflict-check and apply the buffered writes in
-  //      lane order through Impl::commit, like an unfused statement.
-  bool prepare_group(const Expr* const* stmts, std::size_t n,
-                     LaneSpace& space, Frame* frame);
-  void run_group(LaneSpace& space, const std::vector<std::int64_t>& active,
-                 Frame* frame, std::uint64_t first_stmt_id,
-                 std::vector<AccessStats>& member_stats);
-  void commit_group();
+  // Compiles (cached) and links the kernel of one statement (n == 1) or
+  // of a fusion segment's n members (docs/VM.md "Fusion") against the
+  // current space.  Null when the lowering does not cover a statement,
+  // the optimiser declines the group, or the link declines it (an array
+  // used before its declaration, say): every engine then runs the
+  // statement on the walk, or the members unfused, and the walk raises
+  // any error the link step declined to raise.
+  const Kernel* prepare(const Expr* const* stmts, std::size_t n,
+                        LaneSpace& space, Frame* frame);
+  // Runs the lanes of the kernel prepared last, buffering writes in the
+  // arenas and storing per-lane values in `results` (indexed like
+  // `active`; null when the caller discards them).  member_stats[m] gets
+  // member m's merged comm stats.  Charges nothing, so the caller
+  // interleaves its charging with the run and the commit, and the
+  // statement or group stays one transactional unit.  Returns whether the
+  // lanes went through a native entry point.
+  bool run(const Kernel& k, LaneSpace& space,
+           const std::vector<std::int64_t>& active, Frame* frame,
+           std::uint64_t stmt_id, Value* results,
+           std::vector<AccessStats>& member_stats);
+  // Conflict-checks and applies the last run's buffered writes in lane
+  // order through Impl::commit.
+  void commit();
 
   // Native tier (engine == kNative): lazily constructed backend, null
   // until the first native dispatch attempt.  native_fallbacks counts
@@ -214,11 +206,11 @@ class Engine {
   // Deepest ancestor-space chain a kernel may reference.
   static constexpr std::int32_t kMaxDepth = 32;
 
-  const Kernel* compile_cached(const Expr& expr);
-  const Kernel* compile_optimized_cached(const Expr& expr);
   bool link(const Kernel& k, LaneSpace& space, Frame* frame);
   void reset_arenas(const Kernel& k);
-  void run_lanes_pooled(const Kernel& k, LaneSpace& space,
+  // Runs the lanes natively when it can, else on the pooled block
+  // executor; returns whether the native tier ran them.
+  bool run_lanes_pooled(const Kernel& k, LaneSpace& space,
                         const std::vector<std::int64_t>& active, Frame* frame,
                         std::uint64_t stmt_id, Value* results);
   // Native-tier dispatch (native_exec.cpp): prepares the kernel through the
@@ -232,8 +224,6 @@ class Engine {
   bool run_lanes_native(const Kernel& k, LaneSpace& space,
                         const std::vector<std::int64_t>& active, Frame* frame,
                         std::uint64_t stmt_id, Value* results);
-  // Hands every arena's chunk runs to Impl::commit in lane order.
-  void commit_buffered();
   // Runs active[k0 .. k0+n) (n <= kBlock) as one block: each instruction
   // is one loop over the block's lanes.  A lane error propagates as the
   // walk's UcRuntimeError; run_block_or_replay turns an error in a block
@@ -255,13 +245,10 @@ class Engine {
                        AccessStats& stats) const;
 
   Impl& vm_;
+  // Statement kernels, and group kernels keyed by their first member.
   std::unordered_map<const Expr*, std::unique_ptr<Kernel>> cache_;
-  // Optimised single-statement kernels (fuse=on) and fused group kernels
-  // keyed by their first member's statement expression.
-  std::unordered_map<const Expr*, std::unique_ptr<Kernel>> opt_cache_;
-  std::unordered_map<const Expr*, std::unique_ptr<Kernel>> fused_cache_;
-  const Kernel* group_kernel_ = nullptr;  // linked by prepare_group
-  // Link state, valid for the duration of one try_run call.
+  std::unordered_map<const Expr*, std::unique_ptr<Kernel>> group_cache_;
+  // Link state of the kernel prepared last.
   std::vector<LinkedElem> elems_;
   std::vector<LinkedScalar> scalars_;
   std::vector<LinkedArray> arrays_;
@@ -275,7 +262,7 @@ class Engine {
   std::vector<std::uint8_t> scalar_dyn_;
   std::vector<std::uint8_t> array_dyn_;
   std::vector<Arena> arenas_;
-  // commit_buffered's chunk runs, sorted by first lane position.
+  // commit's chunk runs, sorted by first lane position.
   std::vector<std::pair<std::int64_t, WriteRun>> span_order_;
   std::vector<WriteRun> runs_;
   std::unique_ptr<native::Backend> native_;

@@ -1,7 +1,7 @@
-// Bytecode optimisation pipeline for fused lane kernels (docs/VM.md
-// "Fusion").
+// Bytecode optimisation pipeline for lane kernels (docs/VM.md "Fusion").
 //
-// Three passes over the straight-line code produced by lower_fused:
+// Three passes over the straight-line code the lowering produces for one
+// statement or a fused group:
 //
 //   1. Value numbering with copy propagation.  A linear scan tables pure
 //      expressions (constants, elem/scalar loads, arithmetic, array reads)
@@ -33,9 +33,11 @@
 //
 // The pass never reorders instructions, so evaluation order, error sites
 // and short-circuit behaviour are exactly the unoptimised kernel's; it
-// only elides recomputation, which can shrink the dynamic communication
-// statistics (an elided duplicate read is not re-classified) — modeled
-// cycles only ever decrease.
+// only elides recomputation.  An elided array read is not classified, so
+// every read the first two passes replace is recorded in
+// Kernel::elided_reads: the walk skips classification at the same sites,
+// which keeps the modeled cost engine-independent (docs/COSTMODEL.md
+// "What an engine may not change").
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -168,12 +170,18 @@ class Optimizer {
     std::vector<std::uint64_t> subs;
     std::uint16_t reg = 0;
     std::uint64_t vn = 0;
+    const lang::Expr* where = nullptr;
     bool forwardable = false;
+  };
+  struct Forward {
+    std::uint16_t reg = 0;
+    std::uint64_t vn = 0;
+    const lang::Expr* where = nullptr;  // the forwarded write's expression
   };
   std::vector<PendingPut> pending_puts_;
   std::set<const void*> pending_scalars_;
-  std::map<std::pair<const void*, std::vector<std::uint64_t>>,
-           std::pair<std::uint16_t, std::uint64_t>> forward_;
+  std::map<std::pair<const void*, std::vector<std::uint64_t>>, Forward>
+      forward_;
   std::set<const void*> written_arrays_;
   std::set<const void*> poisoned_arrays_;
   std::set<const void*> written_scalars_;
@@ -295,7 +303,7 @@ class Optimizer {
         poisoned_arrays_.insert(p.sym);
         continue;
       }
-      forward_[{p.sym, p.subs}] = {p.reg, p.vn};
+      forward_[{p.sym, p.subs}] = {p.reg, p.vn, p.where};
     }
     pending_puts_.clear();
     for (const void* s : pending_scalars_) written_scalars_.insert(s);
@@ -417,13 +425,15 @@ class Optimizer {
             if (poisoned_arrays_.count(sym)) return false;
             const auto it = forward_.find({sym, subs});
             if (it == forward_.end()) return false;
-            rewrite_to_move(inst, it->second.first);
-            define(inst.dst, it->second.second, i);
+            k_.elided_reads.push_back({inst.where, it->second.where});
+            rewrite_to_move(inst, it->second.reg);
+            define(inst.dst, it->second.vn, i);
             break;
           }
           std::vector<std::uint64_t> key{kTArrGet, ptr_key(sym)};
           key.insert(key.end(), subs.begin(), subs.end());
           pure(inst, i, std::move(key));
+          if (inst.op == Op::kMove) k_.elided_reads.push_back({inst.where});
           break;
         }
         case Op::kArrLoad: {
@@ -448,6 +458,7 @@ class Optimizer {
           p.sym = sym;
           p.reg = inst.c;
           p.vn = vval;
+          p.where = inst.where;
           p.forwardable = guarded_[i] == 0;
           const auto ad = addr_of_.find(vflat);
           if (ad != addr_of_.end() && ad->second.first == sym) {

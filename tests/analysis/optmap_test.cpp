@@ -385,6 +385,34 @@ TEST(OptimizeMap, JsonCarriesDecisionAndCycles) {
   EXPECT_NE(json.find("copy (I) d"), std::string::npos);
 }
 
+// The replay compiles and runs the program as `ucc run` does under the
+// same options, folding included, so the reported baseline is the cycle
+// count a user reproduces with `ucc run --stats`, on every engine.
+TEST(OptimizeMap, BaselineReplayIsTheRunCycleCount) {
+  for (const char* name : {"fig8_grid_obstacle", "mapping_demo"}) {
+    const std::string src = corpus::source(name);
+    for (const auto engine :
+         {uc::vm::ExecEngine::kWalk, uc::vm::ExecEngine::kBytecode,
+          uc::vm::ExecEngine::kNative}) {
+      SCOPED_TRACE(std::string(name) + " engine " +
+                   std::to_string(static_cast<int>(engine)));
+      uc::OptimizeMapOptions opts;
+      opts.exec.engine = engine;
+      opts.exec.native_cache_dir = ::testing::TempDir() + "uc_optmap_native";
+      const auto result = uc::optimize_map(std::string(name) + ".uc", src,
+                                           opts);
+      ASSERT_TRUE(result.validated);
+      const auto run = uc::Program::compile(std::string(name) + ".uc", src)
+                           .run({}, opts.exec);
+      EXPECT_EQ(result.baseline_cycles, run.stats().cycles);
+      const auto emitted =
+          uc::Program::compile("opt.uc", result.optimized_source)
+              .run({}, opts.exec);
+      EXPECT_EQ(result.optimized_cycles, emitted.stats().cycles);
+    }
+  }
+}
+
 TEST(OptimizeMap, ReplacesExistingMappingWhenBetter) {
   // mapping_demo ships a router-forcing permute; the optimiser must be
   // able to replace it (dropping the old map section for that array).

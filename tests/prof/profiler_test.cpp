@@ -35,15 +35,8 @@ ProfileResult profile_with(vm::ExecEngine engine, const char* source,
   auto program = Program::compile("prof.uc", source);
   ProfileOptions opts;
   opts.exec.engine = engine;
+  opts.exec.native_cache_dir = ::testing::TempDir() + "uc_prof_native";
   opts.capture_trace = capture_trace;
-  return program.profile(opts);
-}
-
-ProfileResult profile_unfused(vm::ExecEngine engine, const char* source) {
-  auto program = Program::compile("prof.uc", source);
-  ProfileOptions opts;
-  opts.exec.engine = engine;
-  opts.exec.fuse = false;
   return program.profile(opts);
 }
 
@@ -66,29 +59,31 @@ TEST(Profiler, SiteSelfCostSumsToAggregateWalk) {
 }
 
 TEST(Profiler, PerSiteCyclesIdenticalAcrossEngines) {
-  // Fusion/plan caching deliberately lowers bytecode front-end cost, so
-  // the exact per-site comparison runs the bytecode engine with fuse off.
-  auto walk = profile_unfused(vm::ExecEngine::kWalk, kMixedProgram);
-  auto bc = profile_unfused(vm::ExecEngine::kBytecode, kMixedProgram);
-  EXPECT_EQ(walk.run.output(), bc.run.output());
-  EXPECT_EQ(walk.run.stats(), bc.run.stats());
+  // Every engine charges what the compiled kernels charge, so the
+  // attribution is engine-independent site by site.
+  auto walk = profile_with(vm::ExecEngine::kWalk, kMixedProgram);
+  for (auto engine : {vm::ExecEngine::kBytecode, vm::ExecEngine::kNative}) {
+    auto other = profile_with(engine, kMixedProgram);
+    EXPECT_EQ(walk.run.output(), other.run.output());
+    EXPECT_EQ(walk.run.stats(), other.run.stats());
 
-  // Same sites in the same interning order with the same self cost; only
-  // host wall time and the engine counters may differ.
-  ASSERT_EQ(walk.sites.size(), bc.sites.size());
-  for (std::size_t k = 0; k < walk.sites.size(); ++k) {
-    EXPECT_EQ(walk.sites[k].kind, bc.sites[k].kind);
-    EXPECT_EQ(walk.sites[k].line, bc.sites[k].line);
-    EXPECT_EQ(walk.sites[k].entries, bc.sites[k].entries);
-    EXPECT_EQ(walk.sites[k].self, bc.sites[k].self)
-        << walk.sites[k].kind << " at line " << walk.sites[k].line;
+    // Same sites in the same interning order with the same self cost; only
+    // host wall time and the engine counters may differ.
+    ASSERT_EQ(walk.sites.size(), other.sites.size());
+    for (std::size_t k = 0; k < walk.sites.size(); ++k) {
+      EXPECT_EQ(walk.sites[k].kind, other.sites[k].kind);
+      EXPECT_EQ(walk.sites[k].line, other.sites[k].line);
+      EXPECT_EQ(walk.sites[k].entries, other.sites[k].entries);
+      EXPECT_EQ(walk.sites[k].self, other.sites[k].self)
+          << walk.sites[k].kind << " at line " << walk.sites[k].line;
+    }
   }
 }
 
-// Fused kernel groups: each member statement keeps its own site, the
-// per-site self costs still sum exactly to the aggregate CostStats, the
-// members are tagged as fused, and the fused run never costs more
-// modeled cycles than the unfused one (docs/VM.md "Fusion").
+// Groups: each member statement keeps its own site, the per-site self
+// costs still sum exactly to the aggregate CostStats, and the members are
+// tagged as fused on every engine, the walk included (docs/VM.md
+// "Fusion").
 TEST(Profiler, FusedGroupsAttributeEveryMemberSite) {
   const char* fusable =
       "index_set I:i = {0..15};\n"
@@ -100,33 +95,60 @@ TEST(Profiler, FusedGroupsAttributeEveryMemberSite) {
       "    c[i] = a[i] + b[i];\n"
       "  }\n"
       "}\n";
-  auto fused = profile_with(vm::ExecEngine::kBytecode, fusable);
-  auto plain = profile_unfused(vm::ExecEngine::kBytecode, fusable);
-  EXPECT_EQ(sum_sites(fused.sites), fused.run.stats());
-  EXPECT_LE(fused.run.stats().cycles, plain.run.stats().cycles);
-
-  std::uint64_t fused_stmts = 0, fused_sites = 0;
-  for (const auto& s : fused.sites) {
-    fused_stmts += s.fused_stmts;
-    fused_sites += s.fused_stmts > 0 ? 1 : 0;
+  auto bc = profile_with(vm::ExecEngine::kBytecode, fusable);
+  auto walk = profile_with(vm::ExecEngine::kWalk, fusable);
+  EXPECT_EQ(walk.run.stats(), bc.run.stats());
+  for (const auto* prof : {&bc, &walk}) {
+    EXPECT_EQ(sum_sites(prof->sites), prof->run.stats());
+    std::uint64_t fused_stmts = 0, fused_sites = 0;
+    for (const auto& s : prof->sites) {
+      fused_stmts += s.fused_stmts;
+      fused_sites += s.fused_stmts > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(fused_sites, 3u);  // every member statement is attributed
+    EXPECT_GT(fused_stmts, 0u);
   }
-  EXPECT_EQ(fused_sites, 3u);  // every member statement is attributed
-  EXPECT_GT(fused_stmts, 0u);
-  for (const auto& s : plain.sites) EXPECT_EQ(s.fused_stmts, 0u);
 }
 
 TEST(Profiler, EngineCountersReflectTheEngine) {
   auto walk = profile_with(vm::ExecEngine::kWalk, kMixedProgram);
   auto bc = profile_with(vm::ExecEngine::kBytecode, kMixedProgram);
-  std::uint64_t walk_bc = 0, walk_walk = 0, bc_bc = 0;
+  std::uint64_t walk_bc = 0, walk_walk = 0, bc_bc = 0, bc_native = 0;
   for (const auto& s : walk.sites) {
     walk_bc += s.bytecode_stmts;
     walk_walk += s.walk_stmts;
   }
-  for (const auto& s : bc.sites) bc_bc += s.bytecode_stmts;
+  for (const auto& s : bc.sites) {
+    bc_bc += s.bytecode_stmts;
+    bc_native += s.native_stmts;
+  }
   EXPECT_EQ(walk_bc, 0u);
   EXPECT_GT(walk_walk, 0u);
   EXPECT_GT(bc_bc, 0u);
+  EXPECT_EQ(bc_native, 0u);
+  EXPECT_EQ(walk.table().find(" bc "), std::string::npos);
+  EXPECT_NE(bc.table().find(" bc "), std::string::npos);
+}
+
+// The native tier labels its sites `native`, not `bc`.  A host without a
+// working toolchain runs the kernels on bytecode, and says so.
+TEST(Profiler, NativeSitesAreLabelledNative) {
+  auto prof = profile_with(vm::ExecEngine::kNative, kMixedProgram);
+  std::uint64_t kernel_stmts = 0, native_stmts = 0;
+  for (const auto& s : prof.sites) {
+    kernel_stmts += s.bytecode_stmts;
+    native_stmts += s.native_stmts;
+  }
+  EXPECT_GT(kernel_stmts, 0u);
+  const std::string table = prof.table();
+  if (prof.run.native_dispatches() == 0) {
+    EXPECT_EQ(native_stmts, 0u);
+    GTEST_SKIP() << "no working native toolchain on this host";
+  }
+  EXPECT_GT(native_stmts, 0u);
+  EXPECT_NE(table.find(" native "), std::string::npos) << table;
+  EXPECT_EQ(table.find(" bc "), std::string::npos) << table;
+  EXPECT_NE(prof.json().find("\"native_stmts\": "), std::string::npos);
 }
 
 TEST(Profiler, ProfilingDoesNotChangeOutputOrCycles) {
@@ -140,7 +162,8 @@ TEST(Profiler, ProfilingDoesNotChangeOutputOrCycles) {
 TEST(Profiler, SumHoldsOnThePaperShortestPath) {
   const auto source =
       corpus::source("fig6_shortest_path_on2", {{"N", 8}, {"SEED", 11}});
-  for (auto engine : {vm::ExecEngine::kWalk, vm::ExecEngine::kBytecode}) {
+  for (auto engine : {vm::ExecEngine::kWalk, vm::ExecEngine::kBytecode,
+                      vm::ExecEngine::kNative}) {
     auto prof = profile_with(engine, source.c_str());
     EXPECT_EQ(sum_sites(prof.sites), prof.run.stats());
     EXPECT_GT(prof.run.stats().cycles, 0u);

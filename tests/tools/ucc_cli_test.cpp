@@ -320,18 +320,17 @@ TEST(UccCli, ProfileTableIdenticalAcrossEngines) {
     }
     return out;
   };
-  // Fusion/plan caching deliberately lowers bytecode front-end cost, so
-  // exact table equality pins --fuse=off on the bytecode leg.
+  // Every engine charges what the compiled kernels charge, so the tables
+  // agree exactly on the default options.
   auto walk = run_command(ucc() + " profile " + fig6() + " --engine=walk");
-  auto bc = run_command(ucc() + " profile " + fig6() +
-                        " --engine=bytecode --fuse=off");
+  auto bc = run_command(ucc() + " profile " + fig6() + " --engine=bytecode");
   EXPECT_EQ(walk.exit_code, 0);
   EXPECT_EQ(bc.exit_code, 0);
   auto w = strip_host_ms(walk.output);
   auto b = strip_host_ms(bc.output);
   // The engine column legitimately differs; neutralize it.
   auto neutral = [](std::string s) {
-    for (const char* eng : {" bc ", " walk ", " mixed "}) {
+    for (const char* eng : {" bc ", " native ", " walk ", " mixed "}) {
       std::size_t pos = 0;
       while ((pos = s.find(eng, pos)) != std::string::npos) {
         s.replace(pos, std::strlen(eng), " ENG ");

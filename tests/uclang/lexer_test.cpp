@@ -199,6 +199,28 @@ TEST(Lexer, ConsecutiveDefines) {
   EXPECT_EQ(toks[1].int_value, 2);
 }
 
+// A comment on a #define line is not part of the replacement and leaves
+// the next line alone: the next directive still starts a line.
+TEST(Lexer, CommentsOnDefineLinesEndAtTheirLine) {
+  for (const char* comment : {"/* size */", "// size"}) {
+    SCOPED_TRACE(comment);
+    auto toks = lex(std::string("#define N 8  ") + comment +
+                    "\n#define M 2\nN M");
+    ASSERT_EQ(toks.size(), 3u);
+    EXPECT_EQ(toks[0].int_value, 8);
+    EXPECT_EQ(toks[1].int_value, 2);
+    EXPECT_EQ(toks[2].kind, TokenKind::kEof);
+  }
+  // A block comment inside the replacement is a separator; one that runs
+  // past the line ends the directive.
+  auto toks = lex("#define P 1 /* a */ + 2\n#define Q 3 /* b\n */ Q P");
+  ASSERT_EQ(toks.size(), 5u);
+  EXPECT_EQ(toks[0].int_value, 3);
+  EXPECT_EQ(toks[1].int_value, 1);
+  EXPECT_EQ(toks[2].kind, TokenKind::kPlus);
+  EXPECT_EQ(toks[3].int_value, 2);
+}
+
 TEST(Lexer, SelfReferentialMacroDoesNotLoop) {
   auto toks = lex("#define X X+1\nX");
   // X -> X + 1 with inner X left alone.

@@ -180,13 +180,13 @@ TEST_P(DurableP, TornTailFallsBack) {
 }
 
 // An older or future format version is refused outright rather than
-// misparsed: version 1 files carry a layout-epoch word that version 2
-// dropped.  The version word sits at byte offset 8 of the header, outside
+// misparsed: version 2 files fingerprint a statement-fusion option that
+// version 3 dropped.  The version word sits at byte offset 8 of the header, outside
 // the payload CRC, so a single-byte patch produces exactly a version-skewed
 // file.
 TEST(DurableCheckpoint, VersionSkewIsRefused) {
   const std::string src = on2(8);
-  for (const unsigned version : {1u, 3u}) {
+  for (const unsigned version : {2u, 4u}) {
     SCOPED_TRACE("version " + std::to_string(version));
     TempDir dir;
     ExecOptions base = with_engine(ExecEngine::kBytecode, 2);
@@ -202,7 +202,7 @@ TEST(DurableCheckpoint, VersionSkewIsRefused) {
     res.log = [&](const std::string& line) { logs.push_back(line); };
     const RunResult second = run_uc(src, {}, res);
     EXPECT_TRUE(logged(logs, "format version " + std::to_string(version) +
-                                 ", expected 2"))
+                                 ", expected 3"))
         << "bad skew msg";
     EXPECT_TRUE(logged(logs, "restoring generation"));
     EXPECT_EQ(first.output(), second.output());
@@ -232,8 +232,9 @@ TEST(DurableCheckpoint, WrongProgramHashRunsFromScratch) {
   EXPECT_EQ(first.output(), second.output());
 }
 
-// Same program, different execution options (here: the fusion flag, which
-// changes what a mid-run snapshot means) — also rejected.
+// Same program, different execution options (here: the processor
+// optimisation, which changes what a mid-run snapshot's prefix cost) —
+// also rejected.
 TEST(DurableCheckpoint, DifferentOptionsRunFromScratch) {
   const std::string src = on2(8);
   TempDir dir;
@@ -245,7 +246,7 @@ TEST(DurableCheckpoint, DifferentOptionsRunFromScratch) {
   std::vector<std::string> logs;
   ExecOptions res = base;
   res.resume = true;
-  res.fuse = !res.fuse;
+  res.processor_optimization = !res.processor_optimization;
   res.log = [&](const std::string& line) { logs.push_back(line); };
   const RunResult second = run_uc(src, {}, res);
   EXPECT_TRUE(logged(logs, "different execution options"));

@@ -1,21 +1,16 @@
 // Differential suite: the tree-walk, bytecode lane-kernel, and native
-// compiled-kernel engines must be observationally identical (docs/VM.md).
-// Every shipped paper program runs under four configurations on fresh
-// machines:
+// compiled-kernel engines must be observationally identical (docs/VM.md),
+// modeled costs included: every engine charges exactly what the
+// statement's compiled kernel charges (docs/COSTMODEL.md "What an engine
+// may not change").  Each program runs on fresh machines under
 //
-//   walk            — the tree-walk reference
-//   bytecode        — lane kernels with fusion/optimisation off; output,
-//                     every cost-model counter, and named global arrays
-//                     must match the walk exactly
-//   bytecode-fused  — fusion, CSE, and plan caching on (the default);
-//                     output and globals must still be bit-identical, and
-//                     modeled cycles must never exceed the unfused run
-//   native          — fused programs dispatched through emitted-and-
-//                     dlopened C++ kernels (docs/VM.md "Native tier");
-//                     output, globals, AND modeled cycles must be
-//                     bit-identical to the fused bytecode run
+//   walk      — the tree-walk reference
+//   bytecode  — lane kernels (the default)
+//   native    — kernels dispatched through emitted-and-dlopened C++
+//               (docs/VM.md "Native tier")
 //
-// Statements the lowering rejects fall back to the walk inside the
+// and output, named global arrays and every CostStats counter must be
+// equal.  Statements the lowering rejects fall back to the walk inside the
 // bytecode engine, and statements the native emitter declines fall back
 // to bytecode, so these tests also cover both fallback seams (solve,
 // print, user calls).  On a host without a working C++ toolchain the
@@ -26,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -34,31 +30,30 @@
 #include "support/error.hpp"
 #include "ucvm/interp.hpp"
 
+namespace uc::cm {
+// Failure messages print the whole stats line.
+void PrintTo(const CostStats& s, std::ostream* os) {
+  *os << s.to_string(CostModel{});
+}
+}  // namespace uc::cm
+
 namespace uc::vm {
 namespace {
 
-RunResult run_with(const std::string& src, ExecEngine engine,
-                   bool fuse = false, const cm::MachineOptions& mopts = {},
-                   bool apply_mappings = true) {
-  ExecOptions eopts;
-  eopts.engine = engine;
-  eopts.fuse = fuse;
-  eopts.apply_mappings = apply_mappings;
-  return run_uc(src, mopts, eopts);
-}
+struct EngineConfig {
+  ExecEngine engine;
+  const char* label;
+};
+constexpr EngineConfig kEngineConfigs[] = {
+    {ExecEngine::kWalk, "walk"},
+    {ExecEngine::kBytecode, "bytecode"},
+    {ExecEngine::kNative, "native"}};
 
-// Field-by-field: CostStats has no operator==, and comparing each counter
-// separately pinpoints which charge diverged.
-void expect_stats_equal(const cm::CostStats& w, const cm::CostStats& b) {
-  EXPECT_EQ(w.cycles, b.cycles);
-  EXPECT_EQ(w.vector_ops, b.vector_ops);
-  EXPECT_EQ(w.news_ops, b.news_ops);
-  EXPECT_EQ(w.router_ops, b.router_ops);
-  EXPECT_EQ(w.router_messages, b.router_messages);
-  EXPECT_EQ(w.reductions, b.reductions);
-  EXPECT_EQ(w.global_ors, b.global_ors);
-  EXPECT_EQ(w.broadcasts, b.broadcasts);
-  EXPECT_EQ(w.frontend_ops, b.frontend_ops);
+RunResult run_with(const std::string& src, ExecEngine engine,
+                   const cm::MachineOptions& mopts = {},
+                   ExecOptions eopts = {}) {
+  eopts.engine = engine;
+  return run_uc(src, mopts, eopts);
 }
 
 void expect_globals_equal(const RunResult& a, const RunResult& b,
@@ -74,71 +69,40 @@ void expect_globals_equal(const RunResult& a, const RunResult& b,
   }
 }
 
+// Every engine against the walk: same output, same named globals, same
+// CostStats.
 void expect_parity(const std::string& src,
                    const std::vector<std::string>& globals = {},
                    const cm::MachineOptions& mopts = {},
-                   bool apply_mappings = true) {
-  RunResult walk =
-      run_with(src, ExecEngine::kWalk, false, mopts, apply_mappings);
-  RunResult byte =
-      run_with(src, ExecEngine::kBytecode, false, mopts, apply_mappings);
-  EXPECT_EQ(walk.output(), byte.output());
-  expect_stats_equal(walk.stats(), byte.stats());
-  expect_globals_equal(walk, byte, globals, "walk/bytecode");
-
-  RunResult fused =
-      run_with(src, ExecEngine::kBytecode, /*fuse=*/true, mopts,
-               apply_mappings);
-  EXPECT_EQ(walk.output(), fused.output());
-  expect_globals_equal(walk, fused, globals, "walk/fused");
-  EXPECT_LE(fused.stats().cycles, byte.stats().cycles);
-
-  // The native tier replaces the interpreter only; everything the cost
-  // model observes is identical, so cycles must equal the fused run's
-  // exactly (not merely bound it).
-  RunResult native =
-      run_with(src, ExecEngine::kNative, /*fuse=*/true, mopts,
-               apply_mappings);
-  EXPECT_EQ(walk.output(), native.output());
-  expect_globals_equal(walk, native, globals, "walk/native");
-  expect_stats_equal(fused.stats(), native.stats());
+                   const ExecOptions& eopts = {}) {
+  const RunResult walk = run_with(src, ExecEngine::kWalk, mopts, eopts);
+  for (const auto& c : kEngineConfigs) {
+    if (c.engine == ExecEngine::kWalk) continue;
+    SCOPED_TRACE(c.label);
+    const RunResult other = run_with(src, c.engine, mopts, eopts);
+    EXPECT_EQ(walk.output(), other.output());
+    EXPECT_EQ(walk.stats(), other.stats());
+    expect_globals_equal(walk, other, globals, c.label);
+  }
 }
 
-// Both engines must raise the same UcRuntimeError text (the bytecode
-// executor reuses the walk's error sites and messages), fused or not.
+// Every engine must raise the same UcRuntimeError text (the bytecode
+// executor reuses the walk's error sites and messages).  A native kernel
+// that hits a runtime error discards its buffered writes and reruns the
+// statement on bytecode, which raises the identical deterministic error
+// with its full message.
 void expect_error_parity(const std::string& src) {
-  std::string walk_what, byte_what, fused_what;
-  try {
-    run_with(src, ExecEngine::kWalk);
-    FAIL() << "walk engine did not throw";
-  } catch (const support::UcRuntimeError& e) {
-    walk_what = e.what();
+  std::string walk_what;
+  for (const auto& c : kEngineConfigs) {
+    SCOPED_TRACE(c.label);
+    try {
+      run_with(src, c.engine);
+      ADD_FAILURE() << "no error raised";
+    } catch (const support::UcRuntimeError& e) {
+      if (c.engine == ExecEngine::kWalk) walk_what = e.what();
+      EXPECT_EQ(walk_what, e.what());
+    }
   }
-  try {
-    run_with(src, ExecEngine::kBytecode);
-    FAIL() << "bytecode engine did not throw";
-  } catch (const support::UcRuntimeError& e) {
-    byte_what = e.what();
-  }
-  try {
-    run_with(src, ExecEngine::kBytecode, /*fuse=*/true);
-    FAIL() << "fused bytecode engine did not throw";
-  } catch (const support::UcRuntimeError& e) {
-    fused_what = e.what();
-  }
-  // A native kernel that hits a runtime error discards its buffered
-  // writes and reruns the statement on bytecode, which raises the
-  // identical deterministic error with its full message.
-  std::string native_what;
-  try {
-    run_with(src, ExecEngine::kNative, /*fuse=*/true);
-    FAIL() << "native engine did not throw";
-  } catch (const support::UcRuntimeError& e) {
-    native_what = e.what();
-  }
-  EXPECT_EQ(walk_what, byte_what);
-  EXPECT_EQ(walk_what, fused_what);
-  EXPECT_EQ(walk_what, native_what);
 }
 
 // --- the paper programs (programs/*.uc) ---
@@ -153,6 +117,11 @@ struct CorpusCase {
   bool apply_mappings = true;
 };
 void PrintTo(const CorpusCase& c, std::ostream* os) { *os << c.program; }
+
+// Seeded router faults with one retry, so some faults escalate to
+// statement rollbacks; rare enough that no corpus program exhausts the
+// replay budget.
+constexpr const char* kCorpusFaultSpec = "router:p=1e-3,seed=3,retries=1";
 
 const std::vector<CorpusCase> kCorpusCases = {
     {"Fig6ShortestPathOn2", "fig6_shortest_path_on2", {{"N", 12}}, {"d"}},
@@ -184,14 +153,36 @@ const std::vector<CorpusCase> kCorpusCases = {
     {"CopyBroadcastUnmapped", "copy_broadcast", {{"N", 16}, {"ROUNDS", 4}},
      {}, false},
     {"Jacobi", "jacobi", {{"N", 12}, {"ITERS", 8}}, {}},
+    {"Hello", "hello", {}, {"a"}},
+    {"IntWrap", "int_wrap", {}, {"big", "p", "q", "r"}},
+    {"Matmul", "matmul", {{"N", 6}}, {"c"}},
+    {"ReductionsTour", "reductions_tour", {}, {"a"}},
+    {"Slices", "slices", {{"N", 6}}, {"m"}},
 };
 
 class Corpus : public ::testing::TestWithParam<CorpusCase> {};
 
+// Each corpus program at 1 and at 4 host threads, plain and under seeded
+// router faults with checkpoint recovery: the fault schedule, the replays
+// and the checkpoints are part of what every engine must agree on.
 TEST_P(Corpus, EnginesAgree) {
   const CorpusCase& c = GetParam();
-  expect_parity(corpus::source(c.program, c.defines), c.globals, {},
-                c.apply_mappings);
+  const std::string src = corpus::source(c.program, c.defines);
+  for (const unsigned threads : {1u, 4u}) {
+    for (const bool faults : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (faults ? " with faults" : ""));
+      cm::MachineOptions mopts;
+      mopts.host_threads = threads;
+      ExecOptions eopts;
+      eopts.apply_mappings = c.apply_mappings;
+      if (faults) {
+        mopts.faults = cm::parse_fault_spec(kCorpusFaultSpec);
+        eopts.checkpoint_every = 8;
+      }
+      expect_parity(src, c.globals, mopts, eopts);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(EngineParity, Corpus,
@@ -340,18 +331,71 @@ TEST(EngineParity, FusionForwardsSameLaneRaw) {
       {"a", "b", "c"});
 }
 
+// Forwarded values come from the member's write as it was buffered: an
+// increment's new value, and a compound assignment's coerced result.
+TEST(EngineParity, FusionForwardsIncDecAndCompoundWrites) {
+  expect_parity(
+      "index_set I:i = {0..7};\n"
+      "int a[8]; float f[8]; int b[8]; float g[8];\n"
+      "void main() {\n"
+      "  par (I) { a[i] = i; f[i] = i * 0.25; }\n"
+      "  par (I) {\n"
+      "    a[i]++;\n"
+      "    f[i] += 0.5;\n"
+      "    b[i] = a[i] * 10 + a[i];\n"
+      "    g[i] = f[i] * 2;\n"
+      "  }\n"
+      "}\n",
+      {"a", "f", "b", "g"});
+}
+
+// A write under a condition cannot be forwarded, so the optimiser declines
+// the group the AST gate admitted; every engine then runs the members
+// unfused, each at its full issue cost.
+TEST(EngineParity, FusionDeclinedByTheOptimizerRunsUnfusedEverywhere) {
+  expect_parity(
+      "index_set I:i = {0..7};\n"
+      "int a[8]; int b[8]; int x[8];\n"
+      "void main() {\n"
+      "  par (I) {\n"
+      "    x[i] = (i % 2 == 0) ? (a[i] = i + 1) : 0;\n"
+      "    b[i] = a[i] * 3;\n"
+      "  }\n"
+      "}\n",
+      {"a", "b", "x"});
+}
+
+// The kernel optimiser computes a repeated read once, so only one of the
+// two identical router reads is classified and charged, on every engine.
+TEST(EngineParity, DuplicateReadsAreClassifiedOnce) {
+  const std::string prelude =
+      "index_set I:i = {0..63};\n"
+      "int a[64]; int p[64]; int b[64];\n"
+      "void main() {\n"
+      "  par (I) { a[i] = i * 3; p[i] = (i * 37) % 64; }\n";
+  const std::string twice =
+      prelude + "  par (I) b[i] = a[p[i]] + a[p[i]];\n}\n";
+  const std::string once = prelude + "  par (I) b[i] = a[p[i]] * 2;\n}\n";
+  expect_parity(twice, {"b"});
+  for (const auto& c : kEngineConfigs) {
+    SCOPED_TRACE(c.label);
+    EXPECT_EQ(run_with(twice, c.engine).stats().router_messages,
+              run_with(once, c.engine).stats().router_messages);
+  }
+}
+
 // --- host threads under faults + checkpoints ---
 
-// Splitting lanes across host threads is a host-only knob: for every
-// engine, a run at 4 host threads must match the 1-thread run exactly —
-// output, named globals, and every CostStats counter, including the fault,
-// retry, rollback, checkpoint and plan-hit counters.  A run that drew a
-// different fault schedule or missed a cached plan is a real bug even when
-// the output happens to match.  The lane counts exceed the pool's inline
-// cutoff (and, for fig6/fig8, the native tier's 1024-lane grain), so lanes
-// are really dispatched across workers.  Fault rates are per unit (VP,
-// message or combine step), so each workload gets rates that draw faults
-// without exhausting the replay budget.
+// Splitting lanes across host threads is a host-only knob, like the
+// engine: every engine at 1 and at 4 host threads must match the 1-thread
+// walk exactly — output, named globals, and every CostStats counter,
+// including the fault, retry, rollback, checkpoint and plan-hit counters.
+// A run that drew a different fault schedule or missed a cached plan is a
+// real bug even when the output happens to match.  The lane counts exceed
+// the pool's inline cutoff (and, for fig6/fig8, the native tier's
+// 1024-lane grain), so lanes are really dispatched across workers.  Fault
+// rates are per unit (VP, message or combine step), so each workload gets
+// rates that draw faults without exhausting the replay budget.
 constexpr const char* kGridFaultSpec =
     "router:p=2e-5;news:p=2e-5;reduce:p=2e-5;memory:p=1e-4,"
     "seed=7,retries=2,backoff=32,detect=16";
@@ -362,42 +406,31 @@ constexpr const char* kRanksortFaultSpec =
     "seed=7,retries=2,backoff=32,detect=16";
 
 RunResult run_threaded(const std::string& src, const char* faults,
-                       ExecEngine engine, bool fuse, unsigned threads) {
+                       ExecEngine engine, unsigned threads) {
   cm::MachineOptions mopts;
   mopts.host_threads = threads;
   mopts.faults = cm::parse_fault_spec(faults);
   ExecOptions eopts;
-  eopts.engine = engine;
-  eopts.fuse = fuse;
   eopts.checkpoint_every = 8;
-  return run_uc(src, mopts, eopts);
+  return run_with(src, engine, mopts, eopts);
 }
-
-// The four engine configurations the host-thread and commit suites sweep.
-struct EngineConfig {
-  ExecEngine engine;
-  bool fuse;
-  const char* label;
-};
-constexpr EngineConfig kEngineConfigs[] = {
-    {ExecEngine::kWalk, false, "walk"},
-    {ExecEngine::kBytecode, false, "bytecode"},
-    {ExecEngine::kBytecode, true, "bytecode-fused"},
-    {ExecEngine::kNative, true, "native"}};
 
 void expect_thread_parity_under_faults(
     const std::string& src, const char* faults,
     const std::vector<std::string>& globals = {}) {
+  const RunResult ref = run_threaded(src, faults, ExecEngine::kWalk, 1);
+  ASSERT_GT(ref.stats().faults, 0u)
+      << "workload drew no faults; raise p so the test means something";
+  ASSERT_GT(ref.stats().checkpoints, 0u);
   for (const auto& c : kEngineConfigs) {
-    SCOPED_TRACE(c.label);
-    const RunResult one = run_threaded(src, faults, c.engine, c.fuse, 1);
-    ASSERT_GT(one.stats().faults, 0u)
-        << "workload drew no faults; raise p so the test means something";
-    ASSERT_GT(one.stats().checkpoints, 0u);
-    const RunResult four = run_threaded(src, faults, c.engine, c.fuse, 4);
-    EXPECT_EQ(one.output(), four.output());
-    EXPECT_EQ(one.stats(), four.stats());
-    expect_globals_equal(one, four, globals, "threads=1/threads=4");
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(c.label) + " threads=" +
+                   std::to_string(threads));
+      const RunResult run = run_threaded(src, faults, c.engine, threads);
+      EXPECT_EQ(ref.output(), run.output());
+      EXPECT_EQ(ref.stats(), run.stats());
+      expect_globals_equal(ref, run, globals, c.label);
+    }
   }
 }
 
@@ -432,7 +465,6 @@ void expect_commit(const std::string& src, const std::string& output,
       mopts.host_threads = threads;
       ExecOptions eopts;
       eopts.engine = c.engine;
-      eopts.fuse = c.fuse;
       try {
         const RunResult r = run_uc(src, mopts, eopts);
         EXPECT_TRUE(error.empty()) << "no error raised";
@@ -769,7 +801,6 @@ TEST(EngineParity, CallLocalArraysOnFourThreads) {
     mopts.host_threads = 4;
     ExecOptions eopts;
     eopts.engine = c.engine;
-    eopts.fuse = c.fuse;
     for (int rep = 0; rep < 10; ++rep) {
       EXPECT_EQ(run_uc(src, mopts, eopts).output(), "33550336\n");
     }

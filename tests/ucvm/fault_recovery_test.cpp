@@ -143,7 +143,6 @@ TEST(FaultRecovery, MapRemapUnderFaultsMatchesCleanRun) {
       corpus::source("shifted_sum", {{"N", 1024}, {"ROUNDS", 4}});
   ExecOptions clean_opts;
   clean_opts.engine = ExecEngine::kBytecode;
-  clean_opts.fuse = true;
   ExecOptions faulty_opts = clean_opts;
   faulty_opts.checkpoint_every = 4;
   for (const unsigned threads : {1u, 4u}) {

@@ -30,7 +30,6 @@ RunResult run_engine(const std::string& src, ExecEngine engine,
                      const std::string& cache_dir) {
   ExecOptions eopts;
   eopts.engine = engine;
-  eopts.fuse = true;
   eopts.native_cache_dir = cache_dir;
   return run_uc(src, {}, eopts);
 }

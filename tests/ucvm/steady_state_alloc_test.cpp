@@ -101,7 +101,6 @@ RunResult run(const std::string& src, ExecEngine engine, unsigned threads,
   mopts.host_threads = threads;
   ExecOptions eopts;
   eopts.engine = engine;
-  eopts.fuse = true;
   eopts.native_cache_dir = cache_dir.string();
   return run_uc(src, mopts, eopts);
 }

@@ -5,9 +5,9 @@
 #   tools/bench.sh --smoke    small sizes (CI), same JSON format
 #
 # The JSON is an array of {program, engine, host_ms, cycles} rows — walk,
-# bytecode (fusion off), bytecode-fused, bytecode-native (compiled lane
-# kernels; omitted on hosts without a working C++ toolchain), and the
-# profiling/robustness variants, one of each per workload (see docs/VM.md).
+# bytecode, native (compiled lane kernels; omitted on hosts without a
+# working C++ toolchain), and the profiling/robustness variants, one of
+# each per workload (see docs/VM.md).  The engine rows carry equal cycles.
 # tools/ci.sh native gates the recorded fig8 native row against
 # regression.
 set -euo pipefail

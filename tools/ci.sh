@@ -50,28 +50,35 @@ run_profile_smoke() {
   rm -rf "$tmp"
 }
 
-# Fusion parity smoke (docs/VM.md "Fusion"): --fuse=on (the bytecode
-# default) must leave program output byte-identical to --fuse=off on the
-# paper workloads — including under injected faults with checkpointing,
-# where a fused group replays as one transactional unit.
-run_fused_smoke() {
+# Engine smoke (docs/COSTMODEL.md "What an engine may not change"): walk,
+# bytecode and native must print identical stdout and identical --stats
+# lines on the paper workloads, plain and under injected faults with
+# checkpointing, where the fault schedule and the replays are part of the
+# cost.
+run_engine_smoke() {
   local dir="$1"
   local ucc="$dir/tools/ucc"
   local faults="memory:p=1e-3;router:p=1e-3;news:p=1e-3,seed=7"
   local tmp; tmp="$(mktemp -d)"
+  local prog flags eng
   for prog in fig6_shortest_path_on2 fig7_shortest_path_on3 \
               fig8_grid_obstacle; do
     local src="$root/programs/$prog.uc"
-    "$ucc" run "$src" --fuse=off >"$tmp/off.txt"
-    "$ucc" run "$src" --fuse=on >"$tmp/on.txt"
-    cmp "$tmp/off.txt" "$tmp/on.txt" || {
-      echo "ci.sh: fusion changed the output of $prog" >&2; exit 1; }
-    "$ucc" run "$src" --fuse=off --faults="$faults" \
-        --checkpoint-every=8 >"$tmp/fault_off.txt"
-    "$ucc" run "$src" --fuse=on --faults="$faults" \
-        --checkpoint-every=8 >"$tmp/fault_on.txt"
-    cmp "$tmp/fault_off.txt" "$tmp/fault_on.txt" || {
-      echo "ci.sh: fusion changed the faulted output of $prog" >&2; exit 1; }
+    for flags in "" "--faults=$faults --checkpoint-every=8"; do
+      for eng in walk bytecode native; do
+        # shellcheck disable=SC2086  # flags is a word list
+        "$ucc" run "$src" --engine="$eng" --stats $flags \
+            >"$tmp/$eng.out" 2>"$tmp/$eng.err"
+        grep '^cycles=' "$tmp/$eng.err" >"$tmp/$eng.stats" || {
+          echo "ci.sh: no --stats line for $prog on $eng" >&2; exit 1; }
+      done
+      for eng in bytecode native; do
+        cmp "$tmp/walk.out" "$tmp/$eng.out" &&
+          cmp "$tmp/walk.stats" "$tmp/$eng.stats" || {
+          echo "ci.sh: $eng differs from walk on $prog ${flags:-(plain)}" >&2
+          exit 1; }
+      done
+    done
   done
   rm -rf "$tmp"
 }
@@ -140,11 +147,10 @@ run_soak_smoke() {
 
 run_asan() {
   run_suite "$root/build-asan" -DUC_SANITIZE="address;undefined"
-  # Engine parity under the sanitizers: every shipped program, walk vs
-  # bytecode (byte-identical output and modeled cycles) vs bytecode-fused
-  # (byte-identical output, cycles never above unfused), and the commit
-  # cases, among them the per-lane slice writes that once read a freed
-  # slice view.
+  # Engine parity under the sanitizers: every shipped program on walk,
+  # bytecode and native (identical output, globals and CostStats), and the
+  # commit cases, among them the per-lane slice writes that once read a
+  # freed slice view.
   "$root/build-asan/tests/ucvm/test_ucvm" \
       --gtest_filter='EngineParity*'
   # Int overflow wraps in two's complement on every engine: the program's
@@ -159,7 +165,7 @@ run_asan() {
         exit 1; }
   done
   run_profile_smoke "$root/build-asan"
-  run_fused_smoke "$root/build-asan"
+  run_engine_smoke "$root/build-asan"
   run_fault_smoke "$root/build-asan"
   run_optmap_smoke "$root/build-asan"
   # Bounded under the sanitizers: one program, one host thread, one kill.
@@ -200,19 +206,17 @@ run_tsan() {
 run_bench_smoke() {
   cmake -B "$root/build-release" -S "$root" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$root/build-release" -j --target vm_engine
-  # vm_engine runs fig6/7/8 from the programs/ corpus and exits nonzero if
-  # any engine disagrees on output, if walk and unfused bytecode disagree
-  # on cycles, or if the fused rows cost more modeled cycles than unfused
-  # on any of them.
+  # vm_engine runs fig6/7/8 from the programs/ corpus and exits nonzero
+  # unless all engine rows carry equal output and equal CostStats, cycles
+  # included.
   "$root/build-release/bench/vm_engine" --smoke
 }
 
 # Native-tier perf gate (docs/VM.md "Native tier"): rerun the fig8 engine
-# rows at full size and compare the bytecode-native row's host time
-# against the checked-in BENCH_vm.json baseline, failing on a >15%
-# regression.  Parity (output + modeled cycles) is already enforced by
-# vm_engine itself, which exits nonzero if the native row deviates from
-# fused bytecode.  A host without a working C++ toolchain records no
+# rows at full size and compare the native row's host time against the
+# checked-in BENCH_vm.json baseline, failing on a >15% regression.  Parity
+# (output + CostStats) is already enforced by vm_engine itself, which
+# exits nonzero if the native row deviates from the walk.  A host without a working C++ toolchain records no
 # native row at all (never bytecode timings passed off as native); the
 # gate then skips, loudly.
 run_native_gate() {
@@ -235,7 +239,7 @@ import json, sys
 def native_ms(path):
     for row in json.load(open(path)):
         if (row["program"] == "fig8_grid_obstacle"
-                and row["engine"] == "bytecode-native"):
+                and row["engine"] == "native"):
             return row["host_ms"]
     return None
 
@@ -246,11 +250,11 @@ if cur is None:
           "skipping the native-tier perf gate", file=sys.stderr)
     sys.exit(0)
 if base is None:
-    print("ci.sh: BENCH_vm.json has no fig8 bytecode-native baseline; "
+    print("ci.sh: BENCH_vm.json has no fig8 native baseline; "
           "rerun tools/bench.sh", file=sys.stderr)
     sys.exit(2)
 limit = base * 1.15
-print(f"ci.sh: native gate: fig8 bytecode-native host_ms {cur:.3f} "
+print(f"ci.sh: native gate: fig8 native host_ms {cur:.3f} "
       f"vs baseline {base:.3f} (limit {limit:.3f})")
 sys.exit(1 if cur > limit else 0)
 PYEOF
@@ -268,7 +272,7 @@ case "$mode" in
   plain)
     run_suite "$root/build"
     run_profile_smoke "$root/build"
-    run_fused_smoke "$root/build"
+    run_engine_smoke "$root/build"
     run_fault_smoke "$root/build"
     run_optmap_smoke "$root/build"
     run_soak_smoke "$root/build"
@@ -280,7 +284,7 @@ case "$mode" in
   all)
     run_suite "$root/build"
     run_profile_smoke "$root/build"
-    run_fused_smoke "$root/build"
+    run_engine_smoke "$root/build"
     run_fault_smoke "$root/build"
     run_optmap_smoke "$root/build"
     run_soak_smoke "$root/build"

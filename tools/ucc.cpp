@@ -28,8 +28,7 @@ int usage() {
       "  run         compile and execute on a simulated CM-2\n"
       "  profile     run with per-site attribution; print the hot-site\n"
       "              table (modeled cycles, host ms, op mix, static join)\n"
-      "  bench       time the program under walk, bytecode, bytecode-fused\n"
-      "              and bytecode-native\n"
+      "  bench       time the program under walk, bytecode and native\n"
       "  check       report diagnostics (plus analysis warnings)\n"
       "  analyze     static analysis: par-block interference and\n"
       "              communication-pattern classification\n"
@@ -48,7 +47,6 @@ int usage() {
       "                        (default $UC_NATIVE_CACHE_DIR or /tmp)\n"
       "  --native-cc=<cc>      native: compiler driver (default\n"
       "                        $UC_NATIVE_CC or c++)\n"
-      "  --fuse=<on|off>       statement fusion + plan cache (default on)\n"
       "  --repeat=<n>          bench: median of n timed runs + warmup\n"
       "  --json=<file>         bench: write the per-engine table as JSON\n"
       "  --seed=<n>            machine RNG seed (default 1)\n"
@@ -198,10 +196,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.exec.engine = uc::vm::ExecEngine::kNative;
     } else if (str_value("--native-cache-dir=", opts.exec.native_cache_dir)) {
     } else if (str_value("--native-cc=", opts.exec.native_cc)) {
-    } else if (arg == "--fuse=on") {
-      opts.exec.fuse = true;
-    } else if (arg == "--fuse=off") {
-      opts.exec.fuse = false;
     } else if (int_value("--repeat=", v)) {
       opts.repeat = v;
     } else if (int_value("--seed=", v, /*allow_zero=*/true)) {
@@ -368,6 +362,7 @@ int main(int argc, char** argv) {
 
     if (opts.command == "optimize-map") {
       uc::OptimizeMapOptions mopts;
+      mopts.compile = opts.compile;
       mopts.machine = opts.machine;
       mopts.exec = opts.exec;
       mopts.beam_width = static_cast<std::size_t>(opts.beam);
@@ -410,28 +405,23 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (opts.command == "bench") {
-      // Time the same program under each engine configuration on fresh
-      // machines.  walk and bytecode (fusion off) must agree on output and
-      // modeled cycles; the fused configuration must reproduce the output
-      // with no more modeled cycles than unfused bytecode.
+      // Time the same program under each engine on fresh machines.  The
+      // engine is a host-speed choice only, so every row must agree on the
+      // output and on every CostStats counter.
       struct Row {
         const char* name;
         uc::vm::ExecEngine engine;
-        bool fuse;
         double ms = 0.0;
-        std::uint64_t cycles = 0;
-        std::string output;
+        uc::cm::CostStats stats{};
+        std::string output{};
         bool skipped = false;  // native: toolchain unavailable
       };
-      Row rows[4] = {
-          {"walk", uc::vm::ExecEngine::kWalk, false},
-          {"bytecode", uc::vm::ExecEngine::kBytecode, false},
-          {"bytecode-fused", uc::vm::ExecEngine::kBytecode, true},
-          {"bytecode-native", uc::vm::ExecEngine::kNative, true}};
+      Row rows[3] = {{"walk", uc::vm::ExecEngine::kWalk},
+                     {"bytecode", uc::vm::ExecEngine::kBytecode},
+                     {"native", uc::vm::ExecEngine::kNative}};
       for (auto& row : rows) {
         uc::vm::ExecOptions eopts = opts.exec;
         eopts.engine = row.engine;
-        eopts.fuse = row.fuse;
         // --repeat=N: one untimed warmup, then the median of N timed runs
         // (every run is a fresh machine; outputs and cycles are
         // deterministic, only host time varies).
@@ -454,7 +444,7 @@ int main(int argc, char** argv) {
           if (r == 0) continue;  // warmup
           times.push_back(
               std::chrono::duration<double, std::milli>(t1 - t0).count());
-          row.cycles = result.stats().cycles;
+          row.stats = result.stats();
           row.output = result.output();
         }
         std::sort(times.begin(), times.end());
@@ -470,7 +460,7 @@ int main(int argc, char** argv) {
           continue;
         }
         std::printf("%-15s %10.3f ms  %12llu cycles\n", row.name, row.ms,
-                    static_cast<unsigned long long>(row.cycles));
+                    static_cast<unsigned long long>(row.stats.cycles));
       }
       if (!opts.sites_json.empty()) {
         std::string json = "[\n";
@@ -482,7 +472,7 @@ int main(int argc, char** argv) {
                         "%s  {\"engine\": \"%s\", \"host_ms\": %.3f, "
                         "\"cycles\": %llu}",
                         first ? "" : ",\n", row.name, row.ms,
-                        static_cast<unsigned long long>(row.cycles));
+                        static_cast<unsigned long long>(row.stats.cycles));
           json += buf;
           first = false;
         }
@@ -493,36 +483,17 @@ int main(int argc, char** argv) {
           return 1;
         }
       }
-      if (rows[0].output != rows[1].output ||
-          rows[0].cycles != rows[1].cycles) {
-        std::fprintf(stderr, "ucc bench: engines disagree (output %s, "
-                             "cycles %s)\n",
-                     rows[0].output == rows[1].output ? "match" : "differ",
-                     rows[0].cycles == rows[1].cycles ? "match" : "differ");
-        return 1;
-      }
-      if (rows[2].output != rows[1].output) {
-        std::fprintf(stderr,
-                     "ucc bench: fused output differs from unfused\n");
-        return 1;
-      }
-      if (rows[2].cycles > rows[1].cycles) {
-        std::fprintf(stderr,
-                     "ucc bench: fused run charged more cycles (%llu) than "
-                     "unfused (%llu)\n",
-                     static_cast<unsigned long long>(rows[2].cycles),
-                     static_cast<unsigned long long>(rows[1].cycles));
-        return 1;
-      }
-      if (!rows[3].skipped &&
-          (rows[3].output != rows[2].output ||
-           rows[3].cycles != rows[2].cycles)) {
-        std::fprintf(stderr,
-                     "ucc bench: native run differs from fused bytecode "
-                     "(output %s, cycles %s)\n",
-                     rows[3].output == rows[2].output ? "match" : "differ",
-                     rows[3].cycles == rows[2].cycles ? "match" : "differ");
-        return 1;
+      for (const auto& row : rows) {
+        if (row.skipped) continue;
+        if (row.output != rows[0].output || !(row.stats == rows[0].stats)) {
+          std::fprintf(stderr,
+                       "ucc bench: %s disagrees with walk (output %s, "
+                       "stats %s)\n",
+                       row.name,
+                       row.output == rows[0].output ? "match" : "differ",
+                       row.stats == rows[0].stats ? "match" : "differ");
+          return 1;
+        }
       }
       return 0;
     }
