@@ -5,42 +5,12 @@
 namespace uc::cm {
 
 CostStats& CostStats::operator+=(const CostStats& o) {
-  cycles += o.cycles;
-  vector_ops += o.vector_ops;
-  news_ops += o.news_ops;
-  router_ops += o.router_ops;
-  router_messages += o.router_messages;
-  reductions += o.reductions;
-  global_ors += o.global_ors;
-  broadcasts += o.broadcasts;
-  frontend_ops += o.frontend_ops;
-  faults += o.faults;
-  retries += o.retries;
-  rollbacks += o.rollbacks;
-  checkpoints += o.checkpoints;
-  plan_hits += o.plan_hits;
-  durable_checkpoints += o.durable_checkpoints;
-  resumes += o.resumes;
+  for (const auto field : kCostStatsFields) this->*field += o.*field;
   return *this;
 }
 
 CostStats& CostStats::operator-=(const CostStats& o) {
-  cycles -= o.cycles;
-  vector_ops -= o.vector_ops;
-  news_ops -= o.news_ops;
-  router_ops -= o.router_ops;
-  router_messages -= o.router_messages;
-  reductions -= o.reductions;
-  global_ors -= o.global_ors;
-  broadcasts -= o.broadcasts;
-  frontend_ops -= o.frontend_ops;
-  faults -= o.faults;
-  retries -= o.retries;
-  rollbacks -= o.rollbacks;
-  checkpoints -= o.checkpoints;
-  plan_hits -= o.plan_hits;
-  durable_checkpoints -= o.durable_checkpoints;
-  resumes -= o.resumes;
+  for (const auto field : kCostStatsFields) this->*field -= o.*field;
   return *this;
 }
 

@@ -92,4 +92,22 @@ struct CostStats {
   std::string to_string(const CostModel& model) const;
 };
 
+// Every CostStats counter, in declaration order: the one list behind
+// += / -= and the stats record of a snapshot payload
+// (src/ucvm/checkpoint.cpp), whose byte order it fixes.
+inline constexpr std::uint64_t CostStats::* kCostStatsFields[] = {
+    &CostStats::cycles,          &CostStats::vector_ops,
+    &CostStats::news_ops,        &CostStats::router_ops,
+    &CostStats::router_messages, &CostStats::reductions,
+    &CostStats::global_ors,      &CostStats::broadcasts,
+    &CostStats::frontend_ops,    &CostStats::faults,
+    &CostStats::retries,         &CostStats::rollbacks,
+    &CostStats::checkpoints,     &CostStats::plan_hits,
+    &CostStats::durable_checkpoints, &CostStats::resumes,
+};
+static_assert(sizeof(CostStats) ==
+                  sizeof(kCostStatsFields) / sizeof(kCostStatsFields[0]) *
+                      sizeof(std::uint64_t),
+              "kCostStatsFields must list every CostStats counter");
+
 }  // namespace uc::cm

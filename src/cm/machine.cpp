@@ -6,14 +6,6 @@
 
 namespace uc::cm {
 
-std::int64_t MachineImage::words() const {
-  std::int64_t total = 0;
-  for (const auto& f : fields) {
-    total += static_cast<std::int64_t>(f.data.size());
-  }
-  return total;
-}
-
 Machine::Machine(MachineOptions options)
     : options_(options),
       pool_(std::make_unique<ThreadPool>(options.host_threads)),
@@ -130,42 +122,6 @@ void Machine::charge_checkpoint(std::int64_t words) {
       options_.cost.vp_ratio(static_cast<std::uint64_t>(words));
   stats_.cycles += options_.cost.issue_overhead +
                    options_.cost.mem_op * slices;
-}
-
-void Machine::snapshot_state(MachineImage& image) const {
-  image.rng_state = rng_.state();
-  std::size_t n = 0;
-  for (std::size_t k = 0; k < fields_.size(); ++k) {
-    const auto& f = fields_[k];
-    if (f == nullptr) continue;
-    if (n == image.fields.size()) image.fields.emplace_back();
-    // Copy-assignment keeps the image's capacity: a same-shaped machine
-    // snapshots into its previous image without allocating.
-    MachineImage::FieldImage& fi = image.fields[n++];
-    fi.slot = static_cast<std::int32_t>(k);
-    fi.data = f->raw();
-    fi.defined = f->defined_raw();
-  }
-  image.fields.resize(n);
-}
-
-void Machine::restore_state(const MachineImage& image) {
-  for (const auto& fi : image.fields) {
-    if (fi.slot < 0 ||
-        static_cast<std::size_t>(fi.slot) >= fields_.size() ||
-        fields_[static_cast<std::size_t>(fi.slot)] == nullptr) {
-      throw support::ApiError(
-          "Machine::restore_state: checkpointed field no longer exists");
-    }
-    Field& f = *fields_[static_cast<std::size_t>(fi.slot)];
-    if (f.raw().size() != fi.data.size()) {
-      throw support::ApiError(
-          "Machine::restore_state: field size changed since capture");
-    }
-    f.raw() = fi.data;
-    f.defined_raw() = fi.defined;
-  }
-  rng_.seed(image.rng_state);
 }
 
 void Machine::charge_frontend(std::uint64_t n_ops) {

@@ -50,21 +50,6 @@ struct MachineOptions {
   std::uint64_t max_field_bytes = 0;
 };
 
-// A restorable snapshot of machine state: every live field's payload and
-// defined flags, plus the machine RNG.  Cost stats and the fault injector
-// are deliberately NOT captured — recovery costs real cycles, and
-// restoring the fault schedule would replay the same fault forever.
-struct MachineImage {
-  struct FieldImage {
-    std::int32_t slot = -1;
-    std::vector<Bits> data;
-    std::vector<std::uint8_t> defined;
-  };
-  std::vector<FieldImage> fields;
-  std::uint64_t rng_state = 0;
-  std::int64_t words() const;  // total payload words captured
-};
-
 class Machine {
  public:
   explicit Machine(MachineOptions options = {});
@@ -141,15 +126,16 @@ class Machine {
   // Bytes currently allocated to fields (payload + defined flags).
   std::uint64_t field_bytes() const { return field_bytes_; }
 
-  // Captures into `image`, reusing its storage.
-  void snapshot_state(MachineImage& image) const;
-  void restore_state(const MachineImage& image);
+  // Field slots in allocation order, for the VM's snapshot codec
+  // (src/ucvm/checkpoint.hpp): field_at(slot) is null for a freed slot.
+  std::size_t field_slots() const { return fields_.size(); }
+  Field* field_at(std::size_t slot) { return fields_[slot].get(); }
 
   // Durable-restore hook: a resumed process re-executes the run prefix
   // deterministically, then jumps machine accounting forward to the
   // captured values (restored stats are always >= the prefix's — the
-  // delta is the skipped window's charges).  Only the durable-checkpoint
-  // layer calls this (docs/ROBUSTNESS.md).
+  // delta is the skipped window's charges).  Only a --resume restore
+  // calls this (docs/ROBUSTNESS.md).
   void set_stats(const CostStats& s) { stats_ = s; }
 
  private:

@@ -1,16 +1,22 @@
-// VM checkpoint/rollback (docs/ROBUSTNESS.md).
+// VM checkpoint/rollback: the one snapshot codec (docs/ROBUSTNESS.md).
 //
-// A Checkpoint is a full snapshot of everything a UC program can observe:
-// machine field payloads + defined flags, the machine RNG, global and
-// frame scalars, the per-lane locals of the live lane-space chain, the
-// output stream position, the statement counter and the front-end RNG.
-// Because lane RNGs are derived from (base seed, statement id, VP),
-// restoring this state makes re-execution bit-exact — which is the whole
-// correctness argument: replay from a snapshot retraces the original run.
+// A checkpoint is an encoded snapshot payload, the same bytes a durable
+// generation stores after its header (durable.hpp).  It holds everything a
+// UC program can observe: machine field payloads + defined flags, the
+// machine RNG, global and frame scalars, the per-lane locals of the live
+// lane-space chain, the output text, the statement counter and the
+// front-end RNG.  Because lane RNGs are derived from (base seed, statement
+// id, VP), restoring this state makes re-execution bit-exact — which is
+// the whole correctness argument: replay from a snapshot retraces the
+// original run.  The payload also carries what only a fresh process needs
+// (cost stats, fault schedule position, plan epoch and cache, capture
+// cadence), so a capture is durable as it stands.
 //
-// Cost stats and the fault injector are NOT restored: recovery costs real
-// cycles, and rewinding the fault schedule would replay the same fault
-// forever.
+// restore() serves both uses and checks the payload's shape against the
+// live state before it mutates anything.  A rollback applies only the
+// program-visible state: recovery costs real cycles, and rewinding the
+// fault schedule would replay the same fault forever.  A --resume also
+// sets the stats, fault schedule, plan state and cadence counters.
 //
 // Snapshots are captured at *safe points* — places where re-entering the
 // enclosing construct from its start, with the captured state, re-executes
@@ -29,17 +35,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <utility>
-#include <vector>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
-#include "cm/machine.hpp"
 #include "support/free_list.hpp"
-#include "ucvm/value.hpp"
-
-namespace uc::lang {
-struct Stmt;
-}
 
 namespace uc::vm::detail {
 
@@ -47,26 +47,75 @@ struct Impl;
 struct Frame;
 struct LaneSpace;
 
-struct Checkpoint {
-  cm::MachineImage machine;
-  std::vector<std::pair<std::size_t, Value>> global_scalars;
-  Frame* frame = nullptr;  // must still be alive at restore (anchor frame)
-  std::vector<std::pair<std::size_t, Value>> frame_scalars;
-  // Per-lane locals of every space on the chain at capture; restore
-  // replaces each map wholesale (clearing locals declared after capture).
-  struct SpaceLocals {
-    LaneSpace* space = nullptr;
-    std::unordered_map<std::int32_t, std::vector<Value>> locals;
-  };
-  std::vector<SpaceLocals> chain;
-  std::size_t output_size = 0;
-  std::uint64_t stmt_counter = 0;
-  std::uint64_t fe_rng_state = 0;
+// A payload or header that does not parse, or does not fit the live state.
+struct SnapshotInvalid : std::runtime_error {
+  using std::runtime_error::runtime_error;
 };
+
+// Little-endian appends to a byte buffer.
+struct ByteWriter {
+  std::string& buf;
+
+  void bytes(const void* p, std::size_t n) {
+    buf.append(static_cast<const char*>(p), n);
+  }
+  void u8(std::uint8_t v) { buf.push_back(static_cast<char>(v)); }
+  void u32(std::uint32_t v) { uint(v, 4); }
+  void u64(std::uint64_t v) { uint(v, 8); }
+  void uint(std::uint64_t v, int n) {
+    char b[8];
+    for (int k = 0; k < n; ++k) b[k] = static_cast<char>(v >> (8 * k));
+    buf.append(b, static_cast<std::size_t>(n));
+  }
+  // Overwrites the u64 written at byte offset `at`.
+  void u64_at(std::size_t at, std::uint64_t v) {
+    for (int k = 0; k < 8; ++k) buf[at + k] = static_cast<char>(v >> (8 * k));
+  }
+};
+
+// Little-endian reads that throw SnapshotInvalid past the end.
+struct ByteReader {
+  std::string_view in;
+  std::size_t pos = 0;
+
+  void need(std::size_t k) const {
+    if (in.size() - pos < k) {
+      throw SnapshotInvalid("payload truncated mid-record");
+    }
+  }
+  const char* bytes(std::size_t k) {
+    need(k);
+    pos += k;
+    return in.data() + pos - k;
+  }
+  std::uint8_t u8() { return static_cast<std::uint8_t>(*bytes(1)); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(uint(4)); }
+  std::uint64_t u64() { return uint(8); }
+  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  std::uint64_t uint(int n) {
+    const char* p = bytes(static_cast<std::size_t>(n));
+    std::uint64_t v = 0;
+    for (int k = 0; k < n; ++k) {
+      v |= std::uint64_t{static_cast<unsigned char>(p[k])} << (8 * k);
+    }
+    return v;
+  }
+  // Element count of a variable-length record: bounded by the remaining
+  // bytes so a corrupt count cannot drive a multi-gigabyte resize.
+  std::uint64_t count(std::size_t min_elem_bytes) {
+    const std::uint64_t c = u64();
+    if (c > (in.size() - pos) / min_elem_bytes) {
+      throw SnapshotInvalid("payload truncated mid-record");
+    }
+    return c;
+  }
+};
+
+enum class RestoreMode : std::uint8_t { kRollback, kResume };
 
 // Per-run bookkeeping: capture cadence (statements since last capture vs
 // ExecOptions::checkpoint_every), how many checkpoints are currently held
-// by live scopes, and the global replay budget.
+// by live scopes, the global replay budget, and the codec itself.
 class CheckpointManager {
  public:
   explicit CheckpointManager(Impl& vm);
@@ -79,45 +128,40 @@ class CheckpointManager {
   bool due() const;
   bool any_checkpoint() const { return live_checkpoints_ > 0; }
 
-  // Captures the current state into `into`, reusing its storage.  `charge`
-  // is false only when re-anchoring state restored from a durable
-  // snapshot: the original run already paid the capture cost, and it is
-  // part of the restored stats.
-  void capture(Checkpoint& into, LaneSpace* space, Frame* frame,
-               bool charge = true);
-  void restore(const Checkpoint& ckpt);
+  // Charges a capture and encodes the current state into `payload`,
+  // reusing its storage.  `space` is the innermost live lane space and
+  // `frame` the anchor frame; both must be the ones passed to restore().
+  void capture(std::string& payload, LaneSpace* space, Frame* frame);
+  // Applies `payload` in `mode` once its shape matches the live state.  On
+  // a mismatch nothing is mutated: a rollback throws UcRuntimeError, a
+  // resume logs the reason and returns false (the run goes on from
+  // scratch).
+  bool restore(std::string_view payload, LaneSpace* space, Frame* frame,
+               RestoreMode mode);
 
   // Consumes one unit of the replay budget; false = budget exhausted and
   // the fault must escalate.
   bool consume_replay();
   std::uint64_t replays() const { return replays_; }
-
-  // Frees the images of recovery scopes that have finished.
-  void clear_spares() { spares_.clear(); }
-
-  // Cadence state, exposed for the durable-checkpoint layer
-  // (docs/ROBUSTNESS.md "Durable checkpoints & resume").
   std::uint64_t statements() const { return stmt_seq_; }
-  std::uint64_t last_capture() const { return last_capture_seq_; }
-  // Jumps the cadence counters and replay budget to a durable snapshot's
-  // captured values, so post-resume pacing matches the uninterrupted run.
-  void restore_durable_counters(std::uint64_t stmt_seq,
-                                std::uint64_t last_capture,
-                                std::uint64_t replays) {
-    stmt_seq_ = stmt_seq;
-    last_capture_seq_ = last_capture;
-    replays_ = replays;
-  }
+
+  // Frees the payloads of recovery scopes that have finished.
+  void clear_spares() { spares_.clear(); }
 
  private:
   friend class RecoveryScope;
+  // One walk over a payload: checks every record against the live state,
+  // and writes it there too when `apply` is set.
+  void decode(std::string_view payload, LaneSpace* space, Frame* frame,
+              RestoreMode mode, bool apply);
+
   Impl& vm_;
   std::uint64_t stmt_seq_ = 0;
   std::uint64_t last_capture_seq_ = 0;
   std::uint64_t live_checkpoints_ = 0;
   std::uint64_t replays_ = 0;
-  // Lets each seq round's scope capture into the previous round's storage.
-  support::FreeList<Checkpoint> spares_;
+  // Lets each seq round's scope capture into the previous round's buffer.
+  support::FreeList<std::string> spares_;
 };
 
 // RAII recovery anchor owned by one construct driver.  The scope's
@@ -125,12 +169,13 @@ class CheckpointManager {
 // try_recover() restores it so the caller can re-dispatch the construct.
 class RecoveryScope {
  public:
-  RecoveryScope(Impl& vm, const lang::Stmt* where);
+  explicit RecoveryScope(Impl& vm);
   ~RecoveryScope();
   RecoveryScope(const RecoveryScope&) = delete;
   RecoveryScope& operator=(const RecoveryScope&) = delete;
 
-  // Declares a safe point of this scope's redo loop.  Captures (replacing
+  // Declares a safe point of this scope's redo loop; every safe point of
+  // one scope passes the same (space, frame) pair.  Captures (replacing
   // any previous checkpoint of this scope) when checkpointing is enabled
   // and the cadence is due, no scope holds a checkpoint yet, or
   // `mandatory` is set (solve, whose statements have no retry net).
@@ -149,10 +194,14 @@ class RecoveryScope {
   std::uint64_t ordinal() const { return ordinal_; }
 
  private:
+  // Takes a buffer for this scope's checkpoint.
+  std::string& hold();
+
   Impl& vm_;
-  const lang::Stmt* where_;
   std::uint64_t ordinal_ = 0;
-  std::optional<support::FreeList<Checkpoint>::Lease> ckpt_;
+  LaneSpace* space_ = nullptr;
+  Frame* frame_ = nullptr;
+  std::optional<support::FreeList<std::string>::Lease> ckpt_;
 };
 
 }  // namespace uc::vm::detail

@@ -384,7 +384,7 @@ RunResult Impl::run() {
   // Outermost recovery net: snapshot after global initialisation so a
   // transient fault that unwinds past every construct can still replay
   // main() from the top instead of aborting the run.
-  RecoveryScope top(*this, nullptr);
+  RecoveryScope top(*this);
   top.safe_point(&root, &dummy_frame);
   for (;;) {
     try {

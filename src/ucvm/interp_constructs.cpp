@@ -150,29 +150,6 @@ bool calls_array_declarer(const Expr& e) {
   }
 }
 
-namespace {
-
-// Statement-level transactional retry (docs/ROBUSTNESS.md): every charge
-// that can raise a TransientFault happens before the commit on every
-// engine, so catching here leaves all program state exactly as it was at
-// statement entry — re-running the same statement ids is bit-identical to
-// a fault-free execution.  Only active when checkpoint recovery is
-// enabled; otherwise the fault escalates (and aborts the run with a hint).
-template <class F>
-void retry_transient(Impl& vm, F&& attempt) {
-  for (;;) {
-    try {
-      attempt();
-      return;
-    } catch (const support::TransientFault&) {
-      if (!vm.ckpt->enabled() || !vm.ckpt->consume_replay()) throw;
-      vm.machine.note_rollback();
-    }
-  }
-}
-
-}  // namespace
-
 void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
                       const std::vector<std::int64_t>& active, Frame* frame,
                       std::vector<Value>* values) {
@@ -783,7 +760,7 @@ void Impl::exec_nested_construct(const UcConstructStmt& stmt,
   // capture at entry: its rounds carry fired-equation bookkeeping that only
   // an entry snapshot can rewind (and its per-equation commits bypass the
   // eval_lanes statement-retry net).
-  RecoveryScope rscope(*this, &stmt);
+  RecoveryScope rscope(*this);
   rscope.safe_point(child != nullptr ? child : &parent, frame,
                     /*mandatory=*/stmt.op == UcOp::kSolve && !stmt.starred);
 

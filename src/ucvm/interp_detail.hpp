@@ -581,4 +581,24 @@ void classify_remote_access(const ArrayObj& arr, std::int64_t flat,
 bool reduction_partitions(const lang::ReduceExpr& e,
                           const LaneSpace& outer_space);
 
+// Statement-level transactional retry (docs/ROBUSTNESS.md): every charge
+// that can raise a TransientFault happens before the commit on every
+// engine, so catching here leaves all program state exactly as it was at
+// statement entry — re-running the same statement ids is bit-identical to
+// a fault-free execution.  A map section retries just its router charge,
+// after the remap it pays for.  Only active when checkpoint recovery is
+// enabled; otherwise the fault escalates (and aborts the run with a hint).
+template <class F>
+void retry_transient(Impl& vm, F&& attempt) {
+  for (;;) {
+    try {
+      attempt();
+      return;
+    } catch (const support::TransientFault&) {
+      if (!vm.ckpt->enabled() || !vm.ckpt->consume_replay()) throw;
+      vm.machine.note_rollback();
+    }
+  }
+}
+
 }  // namespace uc::vm::detail

@@ -287,9 +287,11 @@ void Impl::apply_map_section(const lang::MapSectionStmt& section,
       }
       target->set_replicated(copies);
       // Replication moves size × copies words through the router once.
-      machine.charge_router(
-          target->size() * copies,
-          static_cast<std::uint64_t>(target->size() * copies));
+      retry_transient(*this, [&] {
+        machine.charge_router(
+            target->size() * copies,
+            static_cast<std::uint64_t>(target->size() * copies));
+      });
       continue;
     }
 
@@ -333,8 +335,10 @@ void Impl::apply_map_section(const lang::MapSectionStmt& section,
                         source_owner[static_cast<std::size_t>(src_flat)]);
     }
     // Re-mapping physically relocates the array: one router sweep.
-    machine.charge_router(target->size(),
-                          static_cast<std::uint64_t>(target->size()));
+    retry_transient(*this, [&] {
+      machine.charge_router(target->size(),
+                            static_cast<std::uint64_t>(target->size()));
+    });
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -446,6 +447,87 @@ TEST(UccCli, DieAtKillsAndResumeReproducesBitIdentical) {
   ASSERT_FALSE(cycles(base.output).empty());
   EXPECT_EQ(cycles(base.output), cycles(res.output));
   run_command("rm -rf " + dir + " " + dir + "_base");
+}
+
+// Pins snapshot format version 3.  tests/tools/golden/ckpt-00000005.uck
+// was written by `ucc run` from kGoldenProgram below with
+// --engine=bytecode --checkpoint-every=8; it is the capture at the entry
+// of the *par nested in a par, so it holds fields, scalars, a lane local,
+// output text and cached plans.  The same run must write the same bytes,
+// and resuming from the file alone must finish like the uninterrupted run.
+constexpr const char* kGoldenProgram = R"(#define N 8
+#define T 6
+index_set I:i = {0..N-1}, J:j = I, K:k = {0..T-1};
+int a[N], b[N][N];
+int total;
+void main() {
+  int rounds = 0;
+  par (I) a[i] = i;
+  seq (K) {
+    par (I) a[i] = a[i] + a[(i + 1) % N] % 7;
+    par (I) a[i] = a[i] % 11;
+    rounds = rounds + 1;
+    print("round", k, a[0]);
+  }
+  par (I) {
+    int x = a[i] % 5;
+    *par (J) st (b[i][j] < x + j) b[i][j] = b[i][j] + 1;
+  }
+  total = $+(I, J; b[i][j]);
+  print("total", total, rounds);
+}
+)";
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(UccCli, SnapshotBytesMatchTheGoldenGeneration) {
+  const std::string dir = "/tmp/ucc_cli_golden";
+  run_command("rm -rf " + dir + " && mkdir -p " + dir + "/run " + dir +
+              "/resume");
+  { std::ofstream(dir + "/prog.uc") << kGoldenProgram; }
+  const std::string golden =
+      read_bytes(std::string(UCC_GOLDEN_DIR) + "/ckpt-00000005.uck");
+  ASSERT_FALSE(golden.empty());
+  const std::string run = ucc() + " run " + dir +
+                          "/prog.uc --engine=bytecode --checkpoint-every=8 "
+                          "--stats --checkpoint-keep=100 ";
+
+  auto base = run_command(run + "--checkpoint-dir=" + dir + "/run");
+  ASSERT_EQ(base.exit_code, 0) << base.output;
+  EXPECT_TRUE(read_bytes(dir + "/run/ckpt-00000005.uck") == golden)
+      << "the snapshot payload or header changed for the same run";
+
+  { std::ofstream(dir + "/resume/ckpt-00000005.uck", std::ios::binary)
+        << golden; }
+  auto res = run_command(run + "--resume=" + dir + "/resume");
+  ASSERT_EQ(res.exit_code, 0) << res.output;
+  EXPECT_NE(res.output.find("--resume: restoring generation 5"),
+            std::string::npos)
+      << res.output;
+  EXPECT_NE(res.output.find(" resumes=1"), std::string::npos) << res.output;
+  auto lines = [](const std::string& s, const char* prefix) {
+    std::string out;
+    std::istringstream in(s);
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind(prefix, 0) == 0) out += line + "\n";
+    }
+    return out;
+  };
+  ASSERT_NE(lines(base.output, "total ").size(), 0u) << base.output;
+  EXPECT_EQ(lines(base.output, "round "), lines(res.output, "round "));
+  EXPECT_EQ(lines(base.output, "total "), lines(res.output, "total "));
+  auto cycles = [](const std::string& s) {
+    auto pos = s.find("cycles=");
+    if (pos == std::string::npos) return std::string();
+    return s.substr(pos, s.find(' ', pos) - pos);
+  };
+  ASSERT_FALSE(cycles(base.output).empty());
+  EXPECT_EQ(cycles(base.output), cycles(res.output));
+  run_command("rm -rf " + dir);
 }
 
 // A profiled run that aborts (here: the wall-clock watchdog) must still

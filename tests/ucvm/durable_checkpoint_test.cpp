@@ -12,14 +12,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "cm/fault.hpp"
 #include "corpus.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "ucvm/interp.hpp"
 
 namespace uc::vm {
@@ -304,6 +307,71 @@ TEST(DurableCheckpoint, DirWithoutCadenceIsApiError) {
   e.checkpoint_dir = dir.path;
   e.checkpoint_every = 0;
   EXPECT_THROW(run_uc(on2(6), {}, e), support::ApiError);
+}
+
+std::string read_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void put_le(std::string& bytes, std::size_t at, std::uint64_t v, int n) {
+  for (int k = 0; k < n; ++k) bytes[at + k] = static_cast<char>(v >> (8 * k));
+}
+
+// A payload that passes the CRC but is not what the codec wrote must fail
+// closed.  Two families, each rewritten into the one generation with the
+// header's size and CRC recomputed: every truncation of the payload, and
+// an all-ones 8-byte word at every offset.  Each resume either restores,
+// logs a skip and runs from scratch, or throws UcRuntimeError; a crash, a
+// sanitizer report or any other exception fails the test.
+TEST(DurableCheckpoint, CrcValidGarbageFailsClosed) {
+  const std::string src = on2(8);
+  TempDir dir;
+  ExecOptions base = with_engine(ExecEngine::kBytecode, 4);
+  base.checkpoint_dir = dir.path;
+  base.checkpoint_keep = 1;
+  run_uc(src, {}, base);
+  const auto gens = generations(dir.path);
+  ASSERT_EQ(gens.size(), 1u);
+  constexpr std::size_t kHeaderSize = 56;
+  const std::string file = read_bytes(gens[0]);
+  ASSERT_GT(file.size(), kHeaderSize);
+  const std::string payload = file.substr(kHeaderSize);
+
+  std::vector<std::string> logs;
+  ExecOptions res = base;
+  res.resume = true;
+  res.log = [&](const std::string& line) { logs.push_back(line); };
+  int restored = 0, skipped = 0, thrown = 0;
+  auto resume_from = [&](const std::string& garbage) {
+    std::string bytes = file.substr(0, kHeaderSize) + garbage;
+    put_le(bytes, 44, garbage.size(), 8);
+    put_le(bytes, 52, support::crc32(garbage.data(), garbage.size()), 4);
+    std::filesystem::remove_all(dir.path);
+    std::filesystem::create_directories(dir.path);
+    std::ofstream(gens[0], std::ios::binary) << bytes;
+    logs.clear();
+    try {
+      // Not `resumes`: the overwritten stats may hold any count.
+      run_uc(src, {}, res);
+      ++(logged(logs, "from scratch") ? skipped : restored);
+    } catch (const support::UcRuntimeError&) {
+      ++thrown;
+    }
+  };
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    resume_from(payload.substr(0, n));
+  }
+  for (std::size_t at = 0; at + 8 <= payload.size(); ++at) {
+    std::string garbage = payload;
+    garbage.replace(at, 8, 8, '\xff');
+    resume_from(garbage);
+  }
+  std::printf("garbage resumes: %d restored, %d skipped, %d threw\n",
+              restored, skipped, thrown);
+  // Every truncation is rejected, and so are some overwrites.
+  EXPECT_GT(skipped, static_cast<int>(payload.size()));
 }
 
 // An exhausted in-memory replay budget escalates as EscalatedFault — a

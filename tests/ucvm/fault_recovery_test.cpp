@@ -165,6 +165,23 @@ TEST(FaultRecovery, MapRemapUnderFaultsMatchesCleanRun) {
   }
 }
 
+// A fault in a startup map section strikes before the top-level recovery
+// scope has captured anything.  The remap's router charge retries like a
+// statement, so the run still completes with the clean output.
+TEST(FaultRecovery, StartupMapSectionFaultIsRetried) {
+  const std::string src = corpus::source("copy_broadcast");
+  for (const ExecEngine engine :
+       {ExecEngine::kWalk, ExecEngine::kBytecode, ExecEngine::kNative}) {
+    SCOPED_TRACE("engine " + std::to_string(static_cast<int>(engine)));
+    const RunResult clean = run_uc(src, {}, with_engine(engine, 0));
+    const RunResult faulted =
+        run_uc(src, with_faults("router:p=2e-3,seed=7,retries=1"),
+               with_engine(engine, 8));
+    EXPECT_GT(faulted.stats().rollbacks, 0u);
+    EXPECT_EQ(clean.output(), faulted.output());
+  }
+}
+
 // ---- unrecoverable faults ----
 
 TEST(FaultRecovery, CertainFaultWithoutCheckpointingIsFatal) {

@@ -53,10 +53,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Fig 6 all-pairs shortest path on 64 x 64 lanes; the seq runs `rounds`
-// relaxation rounds (the k index wraps, so every round does real work).
-std::string seq_par_source(int rounds) {
-  return "#define N 64\n"
+// Fig 6 all-pairs shortest path on n x n lanes (64 unless given); the seq
+// runs `rounds` relaxation rounds (the k index wraps, so every round does
+// real work).
+std::string seq_par_source(int rounds, int n = 64) {
+  return "#define N " + std::to_string(n) + "\n"
          "#define R " + std::to_string(rounds) + "\n"
          "index_set I:i = {0..N-1}, J:j = I, K:k = {0..R-1};\n"
          "int d[N][N];\n"
@@ -96,20 +97,22 @@ std::string star_solve_source(int src_row, int src_col) {
 }
 
 RunResult run(const std::string& src, ExecEngine engine, unsigned threads,
-              const fs::path& cache_dir) {
+              const fs::path& cache_dir, std::uint64_t checkpoint_every = 0) {
   cm::MachineOptions mopts;
   mopts.host_threads = threads;
   ExecOptions eopts;
   eopts.engine = engine;
   eopts.native_cache_dir = cache_dir.string();
+  eopts.checkpoint_every = checkpoint_every;
   return run_uc(src, mopts, eopts);
 }
 
 std::uint64_t count_large(const std::string& src, ExecEngine engine,
-                          unsigned threads, const fs::path& cache_dir) {
+                          unsigned threads, const fs::path& cache_dir,
+                          std::uint64_t checkpoint_every) {
   g_large.store(0);
   g_counting.store(true);
-  const RunResult r = run(src, engine, threads, cache_dir);
+  const RunResult r = run(src, engine, threads, cache_dir, checkpoint_every);
   g_counting.store(false);
   EXPECT_NE(r.output().find("sum "), std::string::npos) << r.output();
   return g_large.load();
@@ -158,12 +161,17 @@ class SteadyStateAlloc : public ::testing::Test {
   // worker's write arena grows to the most writes that worker buffered in
   // one statement, which depends on which chunks it happened to take, so
   // the two runs may end a few doublings apart.  A per-round allocation
-  // would add at least R.
+  // would add at least R.  With `checkpoint_every` set, every capture
+  // encodes into the payload buffer of the capture before it.
   void expect_flat(const std::string& fewer, const std::string& more,
-                   ExecEngine engine, unsigned threads) {
-    (void)run(fewer, engine, threads, dir_);  // warm the kernel cache
-    const std::uint64_t a = count_large(fewer, engine, threads, dir_);
-    const std::uint64_t b = count_large(more, engine, threads, dir_);
+                   ExecEngine engine, unsigned threads,
+                   std::uint64_t checkpoint_every = 0) {
+    // Warms the kernel cache.
+    (void)run(fewer, engine, threads, dir_, checkpoint_every);
+    const std::uint64_t a =
+        count_large(fewer, engine, threads, dir_, checkpoint_every);
+    const std::uint64_t b =
+        count_large(more, engine, threads, dir_, checkpoint_every);
     std::printf("large allocations: %llu (R rounds), %llu (2R rounds)\n",
                 static_cast<unsigned long long>(a),
                 static_cast<unsigned long long>(b));
@@ -185,6 +193,12 @@ TEST_F(SteadyStateAlloc, SeqParBytecodeTwoThreads) {
               2);
 }
 
+// At 128 x 128 the captured machine image is 128 KiB, above kLargeBytes.
+TEST_F(SteadyStateAlloc, SeqParBytecodeCheckpointed) {
+  expect_flat(seq_par_source(64, 128), seq_par_source(128, 128),
+              ExecEngine::kBytecode, 1, /*checkpoint_every=*/8);
+}
+
 TEST_F(SteadyStateAlloc, StarSolveBytecode) {
   expect_flat(star_solve_source(32, 32), star_solve_source(0, 0),
               ExecEngine::kBytecode, 1);
@@ -201,6 +215,8 @@ TEST_F(SteadyStateAlloc, SeqParNative) {
               1);
   expect_flat(seq_par_source(64), seq_par_source(128), ExecEngine::kNative,
               2);
+  expect_flat(seq_par_source(64, 128), seq_par_source(128, 128),
+              ExecEngine::kNative, 2, /*checkpoint_every=*/8);
 }
 
 TEST_F(SteadyStateAlloc, StarSolveNative) {

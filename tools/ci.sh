@@ -132,6 +132,18 @@ run_fault_smoke() {
     grep -q "faults=" "$tmp/stats.txt" || {
       echo "ci.sh: $prog drew no faults under injection" >&2; exit 1; }
   done
+  # A router fault in the startup map section, before the first capture.
+  local eng src="$root/programs/copy_broadcast.uc"
+  for eng in walk bytecode native; do
+    "$ucc" run "$src" --engine="$eng" >"$tmp/clean.txt"
+    "$ucc" run "$src" --engine="$eng" \
+        --faults='router:p=2e-3,seed=7,retries=1' --checkpoint-every=8 \
+        >"$tmp/faulted.txt" || {
+      echo "ci.sh: copy_broadcast did not recover on $eng" >&2; exit 1; }
+    cmp "$tmp/clean.txt" "$tmp/faulted.txt" || {
+      echo "ci.sh: a map-section fault changed copy_broadcast on $eng" >&2
+      exit 1; }
+  done
   rm -rf "$tmp"
 }
 
@@ -275,7 +287,7 @@ case "$mode" in
     run_engine_smoke "$root/build"
     run_fault_smoke "$root/build"
     run_optmap_smoke "$root/build"
-    run_soak_smoke "$root/build"
+    run_soak_smoke "$root/build" env SOAK_ENGINES="walk bytecode native"
     ;;
   asan)  run_asan ;;
   tsan)  run_tsan ;;
@@ -287,7 +299,7 @@ case "$mode" in
     run_engine_smoke "$root/build"
     run_fault_smoke "$root/build"
     run_optmap_smoke "$root/build"
-    run_soak_smoke "$root/build"
+    run_soak_smoke "$root/build" env SOAK_ENGINES="walk bytecode native"
     run_asan
     run_tsan
     run_bench_smoke
