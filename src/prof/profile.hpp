@@ -42,7 +42,7 @@ struct Site {
   std::uint32_t col = 0;
   std::uint32_t begin_offset = 0;  // source byte range, for static joins
   std::uint32_t end_offset = 0;
-  std::string text;  // trimmed first source line of the site
+  std::string text;  // the site's own source text, on one line
 
   std::uint64_t entries = 0;
   cm::CostStats self;               // exclusive cost; sums to the aggregate

@@ -20,8 +20,15 @@ std::string engine_mark(const Site& s) {
   return s.native_stmts == 0 ? "bc" : "mixed";
 }
 
+// A site's location, file:line:col (just the file for the program root).
+// The column tells apart sites that share a line, a guard and its body.
+std::string site_where(const Site& s) {
+  return s.line > 0 ? format("%s:%u:%u", s.file.c_str(), s.line, s.col)
+                    : s.file;
+}
+
 // Long directory prefixes crowd out the statement text; keep the tail of
-// the string — the part that still identifies the site as file:line.
+// the string — the part that still identifies the site as file:line:col.
 std::string left_truncate(const std::string& s, std::size_t width) {
   if (s.size() <= width) return s;
   return "..." + s.substr(s.size() - (width - 3));
@@ -105,10 +112,9 @@ std::string render_table(const std::vector<Site>& sites,
         static_cast<unsigned long long>(s.self.global_ors),
         static_cast<unsigned long long>(s.self.broadcasts),
         static_cast<unsigned long long>(s.self.frontend_ops));
-    // Truncate long paths from the LEFT so the file name and line — the
-    // part that identifies the site — always stay visible.
-    const std::string where = left_truncate(
-        s.line > 0 ? format("%s:%u", s.file.c_str(), s.line) : s.file, 36);
+    // Truncate long paths from the LEFT so the file name, line and column —
+    // the part that identifies the site — always stay visible.
+    const std::string where = left_truncate(site_where(s), 36);
     const std::string plan_col =
         format("%llu", static_cast<unsigned long long>(s.self.plan_hits));
     std::string fault_mix;
@@ -256,9 +262,7 @@ std::string trace_json(const std::vector<Site>& sites,
     const TraceEvent& ev = events[k];
     const Site& s = sites[static_cast<std::size_t>(ev.site)];
     const std::string name =
-        s.line > 0 ? format("%s %s:%u", s.kind.c_str(), s.file.c_str(),
-                            s.line)
-                   : s.kind;
+        s.line > 0 ? s.kind + " " + site_where(s) : s.kind;
     out += format(
         "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", "
         "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": 1, "

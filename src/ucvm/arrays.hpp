@@ -109,6 +109,16 @@ class ArrayObj {
       return;
     }
     owner_[static_cast<std::size_t>(flat)] = vp;
+    if (vp != flat) identity_owners_ = false;
+  }
+  // True while the owner table is still the default layout, owner(e) == e
+  // for every element: the engines then classify an access from its flat
+  // index or subscripts instead of loading the table (docs/VM.md "Read
+  // classification").  Cleared for good by the first element a map
+  // section moves; always false for a slice view, whose element e lives
+  // on the root's VP offset + e.
+  bool identity_owners() const {
+    return parent_ == nullptr && identity_owners_;
   }
   bool replicated() const {
     return parent_ ? parent_->replicated() : replicated_;
@@ -154,6 +164,7 @@ class ArrayObj {
   cm::GeomId geom_;
   cm::FieldId field_;
   std::vector<cm::VpIndex> owner_;
+  bool identity_owners_ = true;
   mutable std::vector<std::int64_t> coord_table_;
   bool replicated_ = false;
   std::int64_t replica_count_ = 1;

@@ -61,6 +61,7 @@ Impl::Impl(const lang::CompilationUnit& u, cm::Machine& m, ExecOptions o)
   base_seed = machine.options().seed;
   fe_rng.seed(base_seed);
   root.frontend = true;
+  root.build = new_build();
   root.vps = {0};
   root.parent_lane = {0};
   root.geom_size = 1;

@@ -28,10 +28,20 @@ void Impl::expand(LaneSpace& child, LaneSpace& parent,
                   const std::vector<Symbol*>& sets) {
   // `child` may be a recycled space: every field is rewritten, and the
   // per-lane vectors keep their capacity (a same-sized refill allocates
-  // nothing).
+  // nothing).  The geometry depends only on the parent's geometry, the
+  // sets and the lanes, so a child last built from exactly those is kept.
   child.parent = &parent;
-  child.frontend = false;
   child.locals.clear();
+  if (parent.build != 0 && child.built_from == parent.build &&
+      std::ranges::equal(child.built_sets, sets) &&
+      child.built_active == active) {
+    return;
+  }
+  child.build = new_build();
+  child.built_from = parent.build;
+  child.built_sets.assign(sets.begin(), sets.end());
+  child.built_active.assign(active.begin(), active.end());
+  child.frontend = false;
   child.elems.clear();
   // Geometry: the parent's dims extended by the set sizes (the front end
   // contributes no dims).
@@ -844,6 +854,7 @@ void Impl::exec_seq(const UcConstructStmt& stmt, LaneSpace& parent,
   // binding space is built once: each tuple rewrites only its element
   // values and starts with no lane locals.
   LaneSpace bind;
+  bind.build = new_build();
   bind.parent = &parent;
   bind.frontend = parent.frontend;
   bind.dims = parent.dims;

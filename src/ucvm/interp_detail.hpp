@@ -59,6 +59,16 @@ struct LaneSpace {
   // Per-lane locals declared in this space's statements: slot -> values.
   std::unordered_map<std::int32_t, std::vector<Value>> locals;
 
+  // Geometry build id: a fresh Impl::new_build() each time the root, a
+  // seq binding space or expand() builds dims, vps, coords, parent_lane
+  // and elem_vals.  A space built anywhere else keeps 0, and expand()
+  // never keeps a child of such a parent.  expand() records what it built
+  // this space from, and returns early when asked for the same again.
+  std::uint64_t build = 0;
+  std::uint64_t built_from = 0;  // the parent's build
+  std::vector<const Symbol*> built_sets;
+  std::vector<std::int64_t> built_active;
+
   std::int64_t lane_count() const {
     return static_cast<std::int64_t>(vps.size());
   }
@@ -327,9 +337,15 @@ struct Impl {
                         std::size_t count, LaneSpace& space,
                         const std::vector<std::int64_t>& active,
                         Frame* frame);
+  // Builds `child` as `parent`'s active lanes crossed with `sets`.  A
+  // leased child last built from the same parent build, sets and lanes
+  // (every round of a seq-nested construct) keeps its geometry and only
+  // drops its lane locals.
   void expand(LaneSpace& child, LaneSpace& parent,
               const std::vector<std::int64_t>& active,
               const std::vector<Symbol*>& sets);
+  std::uint64_t new_build() { return ++builds_; }
+  std::uint64_t builds_ = 0;
   // Stores the subset of `candidates` enabled by `pred` in `enabled`.
   void filter_lanes(const Expr& pred, LaneSpace& space,
                     const std::vector<std::int64_t>& candidates, Frame* frame,

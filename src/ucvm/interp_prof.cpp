@@ -18,7 +18,18 @@ prof::SiteId Impl::prof_site(const void* key, const char* kind,
     const auto lc = unit.file->line_col(range.begin);
     line = lc.line;
     col = lc.col;
-    text = std::string(support::trim(unit.file->line_text(lc.line)));
+    // The site's own source range on one line, so a guard and its body on
+    // the same line read as two different rows.
+    const std::string_view src = unit.file->text().substr(
+        range.begin.offset, range.end.offset - range.begin.offset);
+    for (const char c : support::trim(src)) {
+      const bool space = c == ' ' || c == '\t' || c == '\n' || c == '\r';
+      if (!space) {
+        text += c;
+      } else if (!text.empty() && text.back() != ' ') {
+        text += ' ';
+      }
+    }
     if (text.size() > 60) text = text.substr(0, 57) + "...";
   }
   const std::string file =

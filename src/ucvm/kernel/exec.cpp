@@ -216,6 +216,7 @@ bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
     la.rank = static_cast<std::uint32_t>(la.arr->dims().size());
     la.flt = la.arr->is_float();
     la.slice = la.arr->is_slice();
+    la.identity = la.arr->identity_owners();
     // The access mode is a per-statement invariant: mappings only change
     // between statements (map sections are front-end-only).
     if (space.frontend) {
@@ -280,7 +281,7 @@ void Engine::classify_remote(const LinkedArray& la, std::int64_t flat,
   // Inlined classify_remote_access over the linked caches (identical
   // decision order: local, slice->router, NEWS when the geometry matches,
   // router otherwise).
-  const cm::VpIndex owner = la.owners[flat];
+  const cm::VpIndex owner = la.identity ? flat : la.owners[flat];
   if (owner == vp) {
     ++stats.local;
     return;
@@ -507,7 +508,53 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
     const Slot* c = col(r);
     each(S, [&](int l) { flat[l] = c[l].i; });
   };
-  const auto classify = [&](const LinkedArray& la) {
+  // Closed-form classification of a read at subscripts r[I.b .. I.b+I.c)
+  // (docs/VM.md "Read classification").  Under the default layout, with
+  // the lane geometry equal to the array shape, the owner's coordinates are
+  // the subscripts and the lane's VP is its own coordinates flattened, so
+  // the owner is the lane exactly when every subscript equals the lane's
+  // coordinate; one differing axis is a NEWS candidate.  No table loads.
+  const auto classify_closed = [&](const Inst& I, const LinkedArray& la,
+                                   AccessStats& acc) {
+    const std::int64_t* lc[kBlock];
+    int diff[kBlock];
+    std::uint64_t hops[kBlock];
+    each(S, [&](int l) {
+      lc[l] = la.reduce >= 0 ? bl.rs_coords[l] : bl.coords[l];
+      diff[l] = 0;
+      hops[l] = 0;
+    });
+    for (std::uint16_t j = 0; j < I.c; ++j) {
+      const auto r = static_cast<std::uint16_t>(I.b + j);
+      const auto axis = [&](int l, std::int64_t ix) {
+        const std::int64_t c = lc[l][j];
+        if (ix != c) {
+          ++diff[l];
+          hops[l] = static_cast<std::uint64_t>(ix < c ? c - ix : ix - c);
+        }
+      };
+      if (T[r] == kInt) {
+        const Slot* x = col(r);
+        each(S, [&](int l) { axis(l, x[l].i); });
+      } else {
+        each(S, [&](int l) { axis(l, as_int(r, l)); });
+      }
+    }
+    const cm::CostModel& cost = vm_.machine.cost_model();
+    each(S, [&](int l) {
+      if (diff[l] == 0) {
+        ++acc.local;
+      } else if (diff[l] == 1 && hops[l] * cost.news_op <= cost.router_op) {
+        ++acc.news;
+        acc.news_max_hops = std::max(acc.news_max_hops, hops[l]);
+      } else {
+        ++acc.router;
+      }
+    });
+  };
+  // `read` is the kArrGet whose subscripts allow the closed form; flat-only
+  // sites pass null.
+  const auto classify = [&](const LinkedArray& la, const Inst* read) {
     // Inside a partition-optimised reduction accesses are already paid for
     // by the send-with-combine charge (walk: suppress_comm).
     if (la.reduce >= 0 && rt.suppress) return;
@@ -520,7 +567,9 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         return;
       case AccMode::kRemote: {
         AccessStats acc;
-        if (la.reduce >= 0) {
+        if (read != nullptr && la.identity && la.geom_matches) {
+          classify_closed(*read, la, acc);
+        } else if (la.reduce >= 0) {
           each(S, [&](int l) {
             classify_remote(la, flat[l], bl.rs_vp[l], bl.rs_coords[l], acc);
           });
@@ -764,13 +813,13 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         // unfused sequence exactly.
         const LinkedArray& la = arrays[I.a];
         index(I, la);
-        classify(la);
+        classify(la, &I);
         load(I, la);
         break;
       }
       case Op::kClassify:
         flat_from(I.b);
-        classify(arrays[I.a]);
+        classify(arrays[I.a], nullptr);
         break;
       case Op::kBroadcastCheck:
         // Walk: writes to a replicated array broadcast, independent of the
@@ -787,7 +836,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         // Fused kClassify (+ kBroadcastCheck when arg bit0) + kArrStore.
         const LinkedArray& la = arrays[I.a];
         flat_from(I.b);
-        classify(la);
+        classify(la, nullptr);
         if ((I.arg & 1) != 0 && la.arr->replicated()) {
           st->broadcast += static_cast<std::uint64_t>(S.n);
         }

@@ -81,6 +81,7 @@ class Engine {
     ArrayPtr keepalive;  // owning handle for the statement's duration
     AccMode mode = AccMode::kRemote;
     bool geom_matches = false;  // lane dims == array dims (and rank <= 8)
+    bool identity = false;      // arr->identity_owners(): owner(e) == e
     std::int32_t reduce = -1;
     // Hot-loop caches (valid for the statement: no allocation happens
     // while lanes run, so the pointers stay stable).
@@ -239,7 +240,8 @@ class Engine {
                            std::uint64_t stmt_id, Arena& arena,
                            Value* results);
   // Counts one remote access of element `flat` from a lane at `vp` with
-  // lane-geometry coordinates `coords`.
+  // lane-geometry coordinates `coords` (the owner is `flat` itself under
+  // the default layout, else read from the owner table).
   void classify_remote(const LinkedArray& la, std::int64_t flat,
                        std::int64_t vp, const std::int64_t* coords,
                        AccessStats& stats) const;

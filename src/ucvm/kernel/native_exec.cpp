@@ -96,6 +96,7 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
     na.geom_matches = la.geom_matches ? 1 : 0;
     na.slice = la.slice ? 1 : 0;
     na.replicated = la.arr->replicated() ? 1 : 0;
+    na.identity = la.identity ? 1 : 0;
   }
   nreduces_.resize(reduces_.size());
   for (std::size_t i = 0; i < reduces_.size(); ++i) {

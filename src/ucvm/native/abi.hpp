@@ -25,7 +25,7 @@
 namespace uc::vm::detail::native {
 
 // Bump whenever NativeArgs / the mirrored host structs change shape.
-inline constexpr std::uint32_t kAbiVersion = 1;
+inline constexpr std::uint32_t kAbiVersion = 2;
 
 // Mirror of kernel::Engine's LinkedElem (resolved per execution).
 struct NElem {
@@ -62,6 +62,7 @@ struct NArray {
   std::uint8_t geom_matches = 0;
   std::uint8_t slice = 0;
   std::uint8_t replicated = 0;
+  std::uint8_t identity = 0;  // default layout: owners[e] == e
 };
 
 // Mirror of LinkedReduce (value pointers + sizes are link-dependent; the

@@ -174,6 +174,25 @@ class Emitter {
               flat.c_str());
     }
   }
+  // A read's classification (docs/VM.md "Read classification"): inline
+  // from the subscripts r[base .. base+n) when the linked array keeps the
+  // default layout and matches the lane geometry, else the table walk.
+  void classify_read(std::uint16_t site, std::uint16_t base,
+                     std::uint16_t n) {
+    const bool red = k_.arrays[site].reduce >= 0;
+    src_ += "      if (a_.mode == 2 && a_.identity && a_.geom_matches) {\n";
+    if (red) src_ += "        if (!rs_suppress) {\n";
+    src_ += "        int diff = 0; i64 hops = 0;\n";
+    for (std::uint16_t j = 0; j < n; ++j) {
+      appendf(src_, "        uc_axis(%s, %s[%u], diff, hops);\n",
+              I64(base + j).c_str(), red ? "rs_coords" : "lane_coords", j);
+    }
+    src_ += "        uc_tally(A, diff, hops, st);\n";
+    if (red) src_ += "        }\n";
+    src_ += "      } else {\n";
+    classify_call(site, "flat");
+    src_ += "      }\n";
+  }
   void emit_value_store(const char* dst, std::uint16_t reg) {
     if (rt_[reg] == kFloat) {
       appendf(src_, "      %s.flt = true; %s.i = 0; %s.f = %s;\n", dst, dst,
@@ -240,7 +259,8 @@ class Emitter {
         "  const i64* vp_coords; const i64* adims; const i64* astrides;\n"
         "  void* obj; i64 rank; unsigned char mode; unsigned char "
         "geom_matches;\n"
-        "  unsigned char slice; unsigned char replicated; };\n"
+        "  unsigned char slice; unsigned char replicated;\n"
+        "  unsigned char identity; };\n"
         "struct NReduce { const i64* values[4]; i64 sizes[4]; i64 prod;\n"
         "  i64 base_dims; unsigned char suppress; };\n"
         "struct NArgs {\n"
@@ -278,7 +298,7 @@ class Emitter {
         "  if (in_reduce && suppress) return;\n"
         "  if (a.mode == 0) { ++st->frontend; return; }\n"
         "  if (a.mode == 1) { ++st->local; return; }\n"
-        "  const i64 owner = a.owners[flat];\n"
+        "  const i64 owner = a.identity ? flat : a.owners[flat];\n"
         "  if (owner == vp) { ++st->local; return; }\n"
         "  if (a.slice) { ++st->router; return; }\n"
         "  if (a.geom_matches) {\n"
@@ -295,6 +315,23 @@ class Emitter {
         "(u64)hops;\n"
         "      return;\n"
         "    }\n"
+        "  }\n"
+        "  ++st->router;\n"
+        "}\n"
+        // The closed form kArrGet inlines under the default layout: one
+        // subscript against the lane's coordinate per axis, then the same
+        // local / NEWS / router decision from the differing axes.
+        "static inline void uc_axis(i64 x, i64 c, int& diff, i64& hops) {\n"
+        "  if (x != c) { ++diff; hops = x < c ? c - x : x - c; }\n"
+        "}\n"
+        "static inline void uc_tally(const NArgs* A, int diff, i64 hops,\n"
+        "    NStats* st) {\n"
+        "  if (diff == 0) { ++st->local; return; }\n"
+        "  if (diff == 1 && (u64)hops * A->news_op <= A->router_op) {\n"
+        "    ++st->news;\n"
+        "    if ((u64)hops > st->news_max_hops) st->news_max_hops = "
+        "(u64)hops;\n"
+        "    return;\n"
         "  }\n"
         "  ++st->router;\n"
         "}\n";
@@ -437,7 +474,7 @@ class Emitter {
       case Op::kArrGet:
         appendf(src_, "      const NArray& a_ = A->arrays[%u];\n", I.a);
         emit_bounds(I.a, I.b, I.c);
-        classify_call(I.a, "flat");
+        classify_read(I.a, I.b, I.c);
         appendf(src_, "      %s = %s(a_.data[flat]);\n", R(I.dst).c_str(),
                 rt_[I.dst] == kFloat ? "uc_bits_f" : "uc_bits_i");
         break;

@@ -241,6 +241,42 @@ TEST(Profiler, TraceJsonIsChromeShaped) {
   EXPECT_NE(json.find("\"cycles\":"), std::string::npos);
 }
 
+// A guard and its body on one line are two sites: each is labelled with
+// its own column and its own source text, in the table, the JSON and the
+// trace, so the two rows no longer read alike.
+TEST(Profiler, SitesSharingALineHaveTheirOwnColumnAndText) {
+  auto prof = profile_with(
+      vm::ExecEngine::kBytecode,
+      "index_set I:i = {0..7}, J:j = I;\n"
+      "int d[8][8];\n"
+      "void main() {\n"
+      "  par (I, J) st (i == j) d[i][j] = 0;\n"
+      "    others d[i][j] = 1;\n"
+      "}\n",
+      true);
+  std::map<std::string, std::tuple<std::uint32_t, std::uint32_t>> where;
+  for (const auto& s : prof.sites) where[s.text] = {s.line, s.col};
+  EXPECT_EQ(where["i == j"], std::make_tuple(4u, 18u));
+  EXPECT_EQ(where["d[i][j] = 0"], std::make_tuple(4u, 26u));
+  EXPECT_EQ(where["d[i][j] = 1"], std::make_tuple(5u, 12u));
+  // The construct's range spans two lines and prints as one.
+  EXPECT_EQ(where.count(
+                "par (I, J) st (i == j) d[i][j] = 0; others d[i][j] = 1;"),
+            1u);
+  const std::string table = prof.table();
+  EXPECT_NE(table.find("prof.uc:4:18 stmt | i == j\n"), std::string::npos)
+      << table;
+  EXPECT_NE(table.find("prof.uc:4:26 stmt | d[i][j] = 0\n"), std::string::npos)
+      << table;
+  EXPECT_NE(prof.json().find("\"line\": 4, \"col\": 18, \"text\": \"i == j\""),
+            std::string::npos);
+  const std::string trace = prof.trace();
+  EXPECT_NE(trace.find("\"name\": \"stmt prof.uc:4:18\""), std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("\"name\": \"stmt prof.uc:4:26\""), std::string::npos)
+      << trace;
+}
+
 // Direct unit coverage of the scope stack: nested enters attribute the
 // parent's cost up to the child entry, and exits restore the parent.
 TEST(Profiler, ScopeStackAttributesExclusively) {

@@ -820,6 +820,251 @@ TEST(EngineParity, CallsFromLanesOnFourThreads) {
       "25163776\n");
 }
 
+// --- read classification (docs/VM.md "Read classification") ---
+//
+// Under the default layout the compiled engines classify a read from its
+// subscripts against the lane's coordinates; the walk keeps the owner
+// table.  Every program here must charge the same on every engine, and
+// print the output and cycles the table-only classifier produced.
+
+// Every engine against the walk, then the walk's own output and cycles.
+void expect_parity_and(const std::string& src, const std::string& output,
+                       std::uint64_t cycles,
+                       const std::vector<std::string>& globals = {},
+                       const cm::MachineOptions& mopts = {},
+                       const ExecOptions& eopts = {}) {
+  expect_parity(src, globals, mopts, eopts);
+  const RunResult walk = run_with(src, ExecEngine::kWalk, mopts, eopts);
+  EXPECT_EQ(walk.output(), output);
+  EXPECT_EQ(walk.stats().cycles, cycles);
+}
+
+// Lane coordinates are positions in the index set, subscripts are its
+// values: {3, 0, 2, 1} puts value 3 at position 0.
+TEST(EngineParity, ReadClassificationValuesDifferFromPositions) {
+  expect_parity_and(
+      "index_set P:p = {3, 0, 2, 1};\n"
+      "int a[4], b[4];\n"
+      "void main() {\n"
+      "  par (P) a[p] = p * 10;\n"
+      "  par (P) b[p] = a[p] + a[(p + 1) % 4];\n"
+      "  print(b[0], b[1], b[2], b[3]);\n"
+      "}\n",
+      "10 30 50 30\n", 212, {"a", "b"});
+}
+
+// A single-axis read `hops` away takes NEWS while hops * news_op <=
+// router_op, and the router one hop further.
+TEST(EngineParity, ReadClassificationNewsRouterThreshold) {
+  const cm::CostModel cost;
+  const auto limit = static_cast<std::int64_t>(cost.router_op / cost.news_op);
+  const std::int64_t n = 2 * limit + 8;
+  for (const std::int64_t hops : {limit, limit + 1}) {
+    SCOPED_TRACE("hops=" + std::to_string(hops));
+    const std::string src =
+        "#define N " + std::to_string(n) + "\n#define H " +
+        std::to_string(hops) +
+        "\n"
+        "index_set I:i = {0..N-1};\n"
+        "int a[N], b[N], c[N];\n"
+        "void main() {\n"
+        "  par (I) a[i] = i;\n"
+        "  par (I) st (i + H < N) b[i] = a[i + H];\n"
+        "  par (I) st (i >= H) c[i] = a[i - H];\n"
+        "  print($+(I; b[i] - c[i]));\n"
+        "}\n";
+    expect_parity(src, {"b", "c"});
+    for (const auto& c : kEngineConfigs) {
+      SCOPED_TRACE(c.label);
+      const cm::CostStats st = run_with(src, c.engine).stats();
+      if (hops == limit) {
+        EXPECT_EQ(st.router_messages, 0u);
+        EXPECT_EQ(st.news_ops, 2u);
+      } else {
+        EXPECT_EQ(st.router_messages, static_cast<std::uint64_t>(2 * (n - hops)));
+        EXPECT_EQ(st.news_ops, 0u);
+      }
+    }
+  }
+}
+
+// Local, one differing axis (each of the three) and two differing axes.
+TEST(EngineParity, ReadClassificationThreeDimensions) {
+  expect_parity_and(
+      "index_set I:i = {0..3}, J:j = {0..4}, K:k = {0..5};\n"
+      "int a[4][5][6], b[4][5][6];\n"
+      "void main() {\n"
+      "  par (I, J, K) a[i][j][k] = i * 100 + j * 10 + k;\n"
+      "  par (I, J, K) b[i][j][k] = a[i][j][k] + a[(i + 1) % 4][j][k] +\n"
+      "      a[i][(j + 2) % 5][k] + a[i][j][(k + 5) % 6] +\n"
+      "      a[(i + 1) % 4][(j + 1) % 5][k];\n"
+      "  print($+(I, J, K; b[i][j][k]));\n"
+      "}\n",
+      "103500\n", 1092, {"b"});
+}
+
+// Reduce sites: c's shape is the lane dims [4] plus the reduce set [16],
+// so the arm's reads are classified against the expanded coordinates.  The
+// second reduction is partition-optimised (paper §4): its reads are paid
+// for by the send-with-combine and not classified at all.
+TEST(EngineParity, ReadClassificationAtReduceSites) {
+  expect_parity_and(
+      "index_set I:i = {0..3}, J:j = {0..15};\n"
+      "int c[4][16], r[4], q[4];\n"
+      "void main() {\n"
+      "  par (I, J) c[i][j] = i * 16 + j;\n"
+      "  par (I) r[i] = $+(J; c[i][j] + c[(i + 1) % 4][j] +\n"
+      "      c[i][(j + 3) % 16] + c[(i + 2) % 4][(j + 1) % 16]);\n"
+      "  par (I) q[i] = $+(J st (j % 4 == i) c[0][j]);\n"
+      "  print(r[0], r[1], r[2], r[3], q[0], q[1], q[2], q[3]);\n"
+      "}\n",
+      "1248 2272 2272 2272 24 28 32 36\n", 1852, {"r", "q"});
+}
+
+// Arrays off the default layout take the owner table: a permuted and a
+// folded array (map sections move elements), and a slice view, whose
+// element e lives on its root's VP offset + e.
+TEST(EngineParity, ReadClassificationMappedArraysAndSlicesUseTheTable) {
+  expect_parity_and(
+      "#define N 16\n"
+      "index_set I:i = {0..N-1}, H:h = {0..N/2-1};\n"
+      "int a[N], b[N], f[N], s[N];\n"
+      "map (I) { permute (I) b[N-1-i] :- a[i]; }\n"
+      "map (H) { fold (H) f[N-1-h] :- f[h]; }\n"
+      "void main() {\n"
+      "  par (I) { a[i] = i; b[i] = 2 * i; f[i] = 3 * i; }\n"
+      "  par (I) s[i] = b[N-1-i] + b[i] + f[N-1-i] + f[i];\n"
+      "  print($+(I; s[i]));\n"
+      "}\n",
+      "1200\n", 2072, {"s"});
+  expect_parity_and(
+      "#define N 8\n"
+      "index_set I:i = {0..N-1}, J:j = I;\n"
+      "int m[N][N];\n"
+      "void bump(int v[]) { par (J) v[j] = v[j] + v[(j + 1) % N]; }\n"
+      "void main() {\n"
+      "  par (I, J) m[i][j] = i * N + j;\n"
+      "  bump(m[3]);\n"
+      "  print($+(I, J; m[i][j]), m[3][0], m[3][7]);\n"
+      "}\n",
+      "2236 49 55\n", 954, {"m"});
+}
+
+// --- expansion reuse (docs/VM.md "Linking and execution") ---
+//
+// A nested construct keeps its expanded lane space across rounds when it
+// was last built from the same parent build, index sets and lanes.  The
+// expected output and cycles are those of a run that rebuilt every round.
+
+// Lane-locals declared in the body start from their declaration again
+// every round.
+TEST(EngineParity, ExpansionReuseSeqNestedParWithLaneLocals) {
+  expect_parity_and(
+      "index_set K:k = {0..5}, I:i = {0..15};\n"
+      "int a[16];\n"
+      "void main() {\n"
+      "  par (I) a[i] = i;\n"
+      "  seq (K)\n"
+      "    par (I) {\n"
+      "      int t = a[i] * 2 + k;\n"
+      "      int u;\n"
+      "      if (i % 3 == k % 3) u = 100;\n"
+      "      a[i] = (t + u) % 97;\n"
+      "    }\n"
+      "  print($+(I; a[i] * (i + 1)), a[0], a[15]);\n"
+      "}\n",
+      "6578 68 58\n", 1010, {"a"});
+}
+
+// A par nested in a *par sweep, whose enabled lanes shrink from sweep to
+// sweep; a *solve, a par and a reduction in each seq round, one after
+// another in the same leased space.
+TEST(EngineParity, ExpansionReuseAcrossStarParSweepsAndSolveRounds) {
+  expect_parity_and(
+      "#define N 6\n"
+      "index_set K:k = {0..2}, I:i = {0..N-1}, J:j = I, D:dir = {0..1};\n"
+      "int g[N][N], a[N], c[N][N];\n"
+      "void main() {\n"
+      "  par (I) a[i] = i % 4;\n"
+      "  par (I, J) c[i][j] = 0;\n"
+      "  *par (I) st (a[i] < 5) {\n"
+      "    par (J) c[i][j] = c[i][j] + a[i] * (j + 1);\n"
+      "    a[i] = a[i] + 1;\n"
+      "  }\n"
+      "  seq (K) {\n"
+      "    par (I, J) st (i == 0 && j == 0) g[i][j] = k;\n"
+      "      others g[i][j] = 1000;\n"
+      "    *solve (I, J)\n"
+      "      st (!(i == 0 && j == 0))\n"
+      "        g[i][j] = min(1000, 1 + $<(D st (i - dir >= 0 &&\n"
+      "                                         j - (1 - dir) >= 0)\n"
+      "                                     g[i - dir][j - (1 - dir)]));\n"
+      "    par (I) a[i] = a[i] + g[i][N - 1];\n"
+      "  }\n"
+      "  print($+(I, J; c[i][j]), $+(I, J; g[i][j]), $+(I; a[i]));\n"
+      "}\n",
+      "1176 252 183\n", 35492, {"a", "c", "g"});
+}
+
+// seq -> par -> seq -> par: the inner par's parent is a fresh binding
+// space on every outer round.  And two nested par (J) whose parents have
+// the same lane count but different shapes, [6] and [2][3], lease the same
+// space one after the other.
+TEST(EngineParity, ExpansionReuseChainsParentBuilds) {
+  expect_parity_and(
+      "index_set K:k = {0..2}, I:i = {0..3}, L:l = {0..1}, J:j = {0..4};\n"
+      "int a[4][5];\n"
+      "void main() {\n"
+      "  par (I, J) a[i][j] = i + j;\n"
+      "  seq (K)\n"
+      "    par (I)\n"
+      "      seq (L)\n"
+      "        par (J) a[i][j] = a[i][j] * 3 % 101 + k * 10 + l +\n"
+      "            a[(i + 1) % 4][j] % 7;\n"
+      "  print($+(I, J; a[i][j] * (i * 5 + j + 1)));\n"
+      "}\n",
+      "16533\n", 1062, {"a"});
+  expect_parity_and(
+      "index_set I:i = {0..5}, A:x = {0..1}, B:y = {0..2}, J:j = {0..3},\n"
+      "          K:k = {0..1};\n"
+      "int p[6][4], q[2][3][4];\n"
+      "void main() {\n"
+      "  seq (K) {\n"
+      "    par (I) par (J) p[i][j] = i * 4 + j + k;\n"
+      "    par (A, B) par (J)\n"
+      "      q[x][y][j] = p[x * 3 + y][(j + 1) % 4] + q[x][(y + 1) % 3][j];\n"
+      "  }\n"
+      "  print($+(A, B, J; q[x][y][j]));\n"
+      "}\n",
+      "576\n", 1708, {"p", "q"});
+}
+
+// Router faults escalate to rollbacks in the middle of the seq rounds; the
+// replayed rounds reuse the expansion they were restored into.
+TEST(EngineParity, ExpansionReuseUnderRollbacksMidSeq) {
+  const std::string src =
+      "#define N 56\n"
+      "index_set I:i = {0..N-1}, J:j = I, K:k = I;\n"
+      "int d[N][N];\n"
+      "void main() {\n"
+      "  par (I, J) st (i == j) d[i][j] = 0;\n"
+      "    others d[i][j] = (i * 7 + j * 13) % 31 + 1;\n"
+      "  seq (K)\n"
+      "    par (I, J)\n"
+      "      st (d[i][k] + d[k][j] < d[i][j])\n"
+      "        d[i][j] = d[i][k] + d[k][j];\n"
+      "  print(\"checksum\", $+(I, J; d[i][j] * (i + 1)));\n"
+      "}\n";
+  expect_parity_and(src, "checksum 404609\n", 53358, {"d"});
+  cm::MachineOptions mopts;
+  mopts.faults = cm::parse_fault_spec("router:p=2e-3,seed=7,retries=1");
+  ExecOptions eopts;
+  eopts.checkpoint_every = 8;
+  expect_parity_and(src, "checksum 404609\n", 67490, {"d"}, mopts, eopts);
+  EXPECT_GT(run_with(src, ExecEngine::kWalk, mopts, eopts).stats().rollbacks,
+            0u);
+}
+
 // --- int overflow (programs/int_wrap.uc) ---
 
 TEST(EngineParity, IntOverflowWrapsTwosComplement) {

@@ -61,8 +61,10 @@ run_engine_smoke() {
   local faults="memory:p=1e-3;router:p=1e-3;news:p=1e-3,seed=7"
   local tmp; tmp="$(mktemp -d)"
   local prog flags eng
+  # mapping_demo (a permuted array) and slices take the owner table;
+  # jacobi's default-layout stencil reads take the closed form.
   for prog in fig6_shortest_path_on2 fig7_shortest_path_on3 \
-              fig8_grid_obstacle; do
+              fig8_grid_obstacle mapping_demo slices jacobi; do
     local src="$root/programs/$prog.uc"
     for flags in "" "--faults=$faults --checkpoint-every=8"; do
       for eng in walk bytecode native; do
