@@ -4,6 +4,7 @@
 #include "codegen/cstar_emit.hpp"
 #include "codegen/pretty.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "xform/const_fold.hpp"
 #include "xform/map_rewrite.hpp"
 #include "xform/solve_lower.hpp"
@@ -23,6 +24,13 @@ Program Program::compile(std::string name, std::string source,
   if (!unit->ok()) {
     throw support::UcCompileError(unit->diags.render_all());
   }
+  // The transforms change what a snapshot's state means, so they are part
+  // of the program's identity (docs/ROBUSTNESS.md).
+  const std::string_view text = unit->file->text();
+  unit->identity = support::fnv1a_u64(
+      (options.lower_solve ? 1u : 0u) | (options.rewrite_permutes ? 2u : 0u) |
+          (options.fold_constants ? 4u : 0u),
+      support::fnv1a(text.data(), text.size()));
   bool changed = false;
   if (options.fold_constants) {
     changed |= xform::fold_constants(*unit->program) > 0;
@@ -95,54 +103,61 @@ ProfileResult Program::profile(const ProfileOptions& options) const {
   vm::ExecOptions exec = options.exec;
   exec.profiler = &profiler;
 
-  ProfileResult result;
+  vm::RunResult run;
+  std::string error;
   try {
-    result.run = run_on(machine, exec);
-    result.stats = result.run.stats();
+    run = run_on(machine, exec);
   } catch (const support::UcRuntimeError& e) {
     // A timeout, memory-cap hit or escalated fault mid-profile: keep the
     // attribution gathered so far so the caller can still print the table
     // alongside the machine's partial statistics (docs/ROBUSTNESS.md).
-    result.aborted = true;
-    result.error = e.what();
-    result.stats = machine.stats();
+    error = e.what();
   }
-  result.model = machine.cost_model();
+  ProfileResult result = attribute(profiler, machine, options.join_static);
+  result.run = std::move(run);
+  result.aborted = !error.empty();
+  result.error = std::move(error);
+  return result;
+}
 
+ProfileResult Program::attribute(const prof::Profiler& profiler,
+                                 cm::Machine& machine,
+                                 bool join_static) const {
+  ProfileResult result;
+  result.stats = machine.stats();
+  result.model = machine.cost_model();
   result.pool.threads = machine.pool().thread_count();
   result.pool.jobs = machine.pool().jobs_executed();
   result.pool.chunks = machine.pool().chunks_per_worker();
-
-  if (options.join_static) {
-    // Static-vs-dynamic join: classify every parallel access with the
-    // `ucc analyze` passes and annotate each dynamic site whose source
-    // range covers the access.  The analysis runs on the same (possibly
-    // transformed) unit the VM executed, so offsets line up exactly.
-    analysis::AnalysisOptions aopts;
-    aopts.cost = options.machine.cost;
-    analysis::Report report = analysis::run_default_analysis(*unit_, aopts);
-    for (auto& site : profiler.sites()) {
-      if (site.end_offset <= site.begin_offset) continue;
-      bool seen[4] = {false, false, false, false};
-      for (const auto& fn : report.functions) {
-        for (const auto& access : fn.accesses) {
-          const auto at = access.range.begin.offset;
-          if (at < site.begin_offset || at >= site.end_offset) continue;
-          seen[static_cast<std::size_t>(access.cls)] = true;
-        }
-      }
-      std::string classes;
-      for (std::size_t c = 0; c < 4; ++c) {
-        if (!seen[c]) continue;
-        if (!classes.empty()) classes += '+';
-        classes += analysis::comm_class_name(static_cast<analysis::CommClass>(c));
-      }
-      site.static_classes = std::move(classes);
-    }
-  }
-
   result.sites = profiler.sites();
   result.events = profiler.events();
+  if (!join_static) return result;
+
+  // Static-vs-dynamic join: classify every parallel access with the
+  // `ucc analyze` passes and annotate each dynamic site whose source range
+  // covers the access.  The analysis runs on the same (possibly
+  // transformed) unit the VM executed, so offsets line up exactly.
+  analysis::AnalysisOptions aopts;
+  aopts.cost = result.model;
+  analysis::Report report = analysis::run_default_analysis(*unit_, aopts);
+  for (auto& site : result.sites) {
+    if (site.end_offset <= site.begin_offset) continue;
+    bool seen[4] = {false, false, false, false};
+    for (const auto& fn : report.functions) {
+      for (const auto& access : fn.accesses) {
+        const auto at = access.range.begin.offset;
+        if (at < site.begin_offset || at >= site.end_offset) continue;
+        seen[static_cast<std::size_t>(access.cls)] = true;
+      }
+    }
+    std::string classes;
+    for (std::size_t c = 0; c < 4; ++c) {
+      if (!seen[c]) continue;
+      if (!classes.empty()) classes += '+';
+      classes += analysis::comm_class_name(static_cast<analysis::CommClass>(c));
+    }
+    site.static_classes = std::move(classes);
+  }
   return result;
 }
 

@@ -176,6 +176,12 @@ class Program {
   // (optionally) joins the static `ucc analyze` communication classes onto
   // the dynamic sites.  Output and modeled cycles are identical to run().
   ProfileResult profile(const ProfileOptions& options = {}) const;
+  // The attribution half of profile(), for callers that run the program
+  // themselves with ExecOptions::profiler set: the per-site result of what
+  // `profiler` observed on `machine`, however the run ended.  `run`,
+  // `aborted` and `error` are left for the caller.
+  ProfileResult attribute(const prof::Profiler& profiler,
+                          cm::Machine& machine, bool join_static) const;
 
   // The canonical UC rendering of the (possibly transformed) program.
   std::string to_uc_source() const;

@@ -1,5 +1,6 @@
 #include "uclang/frontend.hpp"
 
+#include "support/hash.hpp"
 #include "uclang/lexer.hpp"
 #include "uclang/parser.hpp"
 
@@ -10,6 +11,9 @@ std::unique_ptr<CompilationUnit> parse_only(std::string name,
   auto unit = std::make_unique<CompilationUnit>();
   unit->file = std::make_unique<support::SourceFile>(std::move(name),
                                                      std::move(source));
+  const std::string_view text = unit->file->text();
+  unit->identity =
+      support::fnv1a_u64(0, support::fnv1a(text.data(), text.size()));
   unit->diags.attach(unit->file.get());
   Lexer lexer(*unit->file, unit->diags);
   Parser parser(lexer.lex_all(), unit->diags);

@@ -3,6 +3,7 @@
 // code generator and the test suite.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -20,6 +21,11 @@ struct CompilationUnit {
   support::DiagnosticEngine diags;
   std::unique_ptr<Program> program;
   SemaResult sema;
+  // The program's identity: fnv1a_u64(flag bits, fnv1a(source text)), where
+  // the bits are the source-level transforms uc::Program::compile applied
+  // (0 for a unit from compile() alone).  Durable snapshots are stamped with
+  // it, so a resume never restores another program's state.
+  std::uint64_t identity = 0;
 
   bool ok() const { return !diags.has_errors(); }
 };

@@ -6,7 +6,7 @@
 //   offset  size  field
 //        0     8  magic "UCCKPT01"
 //        8     4  format version (3)
-//       12     8  program hash   (FNV-1a over source + compile flags)
+//       12     8  program hash   (lang::CompilationUnit::identity)
 //       20     8  options hash   (options_fingerprint)
 //       28     8  capturing scope ordinal
 //       36     8  generation number
@@ -230,9 +230,9 @@ DurableCheckpoints::DurableCheckpoints(Impl& vm)
             support::format("format version %u, expected %u", version,
                             kFormatVersion));
       }
-      if (head.u64() != vm_.opts.program_hash) {
+      if (head.u64() != vm_.unit.identity) {
         throw SnapshotInvalid(
-            "written by a different program (source hash mismatch)");
+            "written by a different program (source or compile flags differ)");
       }
       if (head.u64() != options_fingerprint(vm_)) {
         throw SnapshotInvalid("written under different execution options");
@@ -279,7 +279,7 @@ void DurableCheckpoints::write(std::string_view payload,
   ByteWriter out{header};
   out.u64(kMagic);
   out.u32(kFormatVersion);
-  out.u64(vm_.opts.program_hash);
+  out.u64(vm_.unit.identity);
   out.u64(options_fingerprint(vm_));
   out.u64(ordinal);
   out.u64(gen);

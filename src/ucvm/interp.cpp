@@ -322,10 +322,15 @@ RunResult Impl::run() {
   ProfScope prof_scope(*this, unit.program.get(), "program",
                        support::SourceRange{});
   if (opts.timeout_seconds > 0.0) {
-    has_deadline = true;
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(opts.timeout_seconds));
+    // A limit past the clock's range (inf, 1e300 s) is no deadline at all;
+    // converting it would overflow.
+    using Clock = std::chrono::steady_clock;
+    const std::chrono::duration<double> limit(opts.timeout_seconds);
+    const auto now = Clock::now();
+    if (limit < Clock::time_point::max() - now) {
+      has_deadline = true;
+      deadline = now + std::chrono::duration_cast<Clock::duration>(limit);
+    }
   }
   // Materialise globals and run top-level declarations in program order.
   globals.assign(static_cast<std::size_t>(unit.sema.global_slots) + 1,

@@ -77,9 +77,9 @@ struct ExecOptions {
   // high that replays never make progress).
   std::uint64_t max_replays = 64;
   // Wall-clock watchdog: abort with a UcRuntimeError once execution has
-  // taken this many host seconds (0 = no timeout).  Checked at statement
-  // and loop boundaries, so runaway programs stop near — not exactly at —
-  // the deadline.
+  // taken this many host seconds (0, or a limit past steady_clock's range,
+  // = no timeout).  Checked at statement and loop boundaries, so runaway
+  // programs stop near — not exactly at — the deadline.
   double timeout_seconds = 0.0;
   // Lane execution engine (identical results and costs either way;
   // kBytecode is the fast path, kWalk the reference interpreter).
@@ -106,10 +106,6 @@ struct ExecOptions {
   // skipped (with a `log` diagnostic) in favour of older ones, and with no
   // intact generation the run simply executes from scratch.
   bool resume = false;
-  // Identity of the compiled program (hash of source + compile flags),
-  // stamped into snapshot headers so a resume never restores a different
-  // program's state.  0 = unchecked (single-process library use).
-  std::uint64_t program_hash = 0;
   // On resume, reset the replay budget to zero used instead of restoring
   // the captured count.  The escalated-fault retry path sets this so a
   // budget-exhausted run restored from disk does not re-escalate on its

@@ -56,7 +56,7 @@ class Backend {
   bool toolchain_ok() const { return toolchain_ok_; }
   const std::string& cache_dir() const { return cache_dir_; }
 
-  // Counters for tests, ucc bench and RunResult introspection.
+  // Counters for tests, bench/vm_engine and RunResult introspection.
   std::uint64_t kernels_compiled() const { return kernels_compiled_; }
   std::uint64_t cache_hits() const { return cache_hits_; }
   std::uint64_t emit_declined() const { return emit_declined_; }

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "corpus.hpp"
 
@@ -249,16 +250,90 @@ TEST(UccCli, UsageOnBadCommand) {
 }
 
 TEST(UccCli, NumericOptionsRejectGarbage) {
-  for (const char* bad : {"--seed=12x", "--procs=abc", "--procs=0",
-                          "--threads=0", "--threads=-2", "--top=0"}) {
+  // Values that are not numbers, out of range, not finite, or that do not
+  // fit their field (after the MiB scaling for --max-field-mb).
+  for (const char* bad :
+       {"--seed=12x", "--procs=abc", "--procs=0", "--threads=0",
+        "--threads=-2", "--top=0", "--timeout=inf", "--timeout=nan",
+        "--timeout=-1", "--max-field-mb=17592186044416",
+        "--threads=4294967297", "--max-iterations=9223372036854775808"}) {
     auto r = run_command(ucc() + " run " + program("hello.uc") + " " + bad);
     EXPECT_EQ(r.exit_code, 2) << bad;
     EXPECT_NE(r.output.find("invalid value"), std::string::npos)
         << bad << "\n" << r.output;
   }
-  // Zero stays valid where it means something (seed 0 is a real seed).
-  auto ok = run_command(ucc() + " run " + program("hello.uc") + " --seed=0");
-  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  // Zero stays valid where it means something (seed 0 is a real seed), and
+  // a finite timeout past the clock's range means no deadline.
+  for (const char* good : {"--seed=0", "--timeout=1e300"}) {
+    auto ok = run_command(ucc() + " run " + program("hello.uc") + " " + good);
+    EXPECT_EQ(ok.exit_code, 0) << good << "\n" << ok.output;
+    EXPECT_NE(ok.output.find("sum of 1..100 = 5050"), std::string::npos)
+        << good << "\n" << ok.output;
+  }
+}
+
+// Each command refuses an option it does not read, naming both.
+TEST(UccCli, ForeignOptionsAreRefused) {
+  const std::string hello = program("hello.uc");
+  for (const auto& [command, option] :
+       {std::pair<const char*, const char*>{"run", "--beam=8"},
+        {"check", "--faults=router:p=0.5"},
+        {"analyze", "--engine=walk"},
+        {"optimize-map", "--top=2"},
+        {"emit-uc", "--stats"},
+        {"emit-cstar", "--checkpoint-every=8"}}) {
+    auto r = run_command(ucc() + " " + command + " " + hello + " " + option);
+    EXPECT_EQ(r.exit_code, 2) << command << " " << option;
+    const std::string name = std::string(option).substr(
+        0, std::string(option).find('='));
+    EXPECT_NE(r.output.find("'" + name + "'"), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find(std::string("'ucc ") + command + "'"),
+              std::string::npos)
+        << r.output;
+  }
+}
+
+// The flags that perfbench/run.py, tools/ci.sh, tools/soak.sh and the
+// tests pass are still accepted by the commands they pass them to; the
+// cases below also cover every other option once.
+TEST(UccCli, FlagsInUseAreAccepted) {
+  const std::string dir = "/tmp/ucc_cli_flags";
+  run_command("rm -rf " + dir + " && mkdir -p " + dir);
+  const std::string hello = program("hello.uc");
+  for (const std::string& args : {
+           // perfbench/run.py
+           "run " + hello + " --engine=native --threads=2"
+               " --checkpoint-every=8 --faults=router:p=1e-4,seed=42"
+               " --stats --native-cache-dir=" + dir + "/nc",
+           // tools/ci.sh
+           "run " + hello + " --engine=walk --profile --trace",
+           "run " + hello + " --engine=bytecode --json=" + dir + "/a.json",
+           "profile " + hello + " --json=" + dir + "/b.json",
+           "optimize-map " + fig6() + " --emit=" + dir + "/opt.uc",
+           // tools/soak.sh
+           "run " + hello + " --engine=bytecode --threads=1"
+               " --checkpoint-every=4 --checkpoint-dir=" + dir + "/ck"
+               " --stats --die-at=100000",
+           "run " + hello + " --checkpoint-every=4 --resume=" + dir + "/ck",
+           // the tests, and the other options
+           "run " + hello + " --seed=1 --no-mappings --no-procopt"
+               " --procs=1024 --max-iterations=0 --timeout=60"
+               " --max-field-mb=64 --max-replays=8 --checkpoint-keep=100"
+               " --lower-solve --rewrite-permutes --no-fold",
+           "profile " + hello + " --top=2 --no-static --trace-json=" + dir +
+               "/t.json --engine=walk --native-cc=c++",
+           "analyze " + hello + " --werror --no-notes --no-summary"
+               " --procs=64 --json=" + dir + "/an.json",
+           "check " + hello + " --procs=64",
+           "optimize-map " + hello + " --beam=2 --no-validate --json=" + dir +
+               "/om.json",
+           "emit-uc " + hello + " --no-fold --lower-solve",
+           "emit-cstar " + hello + " --rewrite-permutes",
+       }) {
+    auto r = run_command(ucc() + " " + args);
+    EXPECT_EQ(r.exit_code, 0) << args << "\n" << r.output;
+  }
+  run_command("rm -rf " + dir);
 }
 
 TEST(UccCli, IntLiteralOverflowIsACompileError) {
@@ -377,11 +452,46 @@ TEST(UccCli, ProfileWritesJsonAndTraceFiles) {
   std::remove(trace_path.c_str());
 }
 
+// The hot-site rows of a profile table: the lines naming a source site.
+std::size_t site_rows(const std::string& s) {
+  std::size_t rows = 0;
+  std::istringstream in(s);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find(" | ") != std::string::npos) ++rows;
+  }
+  return rows;
+}
+
 TEST(UccCli, ProfileTopLimitsRows) {
   auto r = run_command(ucc() + " profile " + fig6() + " --top=2");
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("cold sites hidden"), std::string::npos)
       << r.output;
+  EXPECT_EQ(site_rows(r.output), 2u) << r.output;
+
+  // The same rows whether the table comes from `profile` or `run --profile`.
+  auto run = run_command(ucc() + " run " + fig6() + " --profile --top=2");
+  EXPECT_EQ(run.exit_code, 0);
+  EXPECT_EQ(site_rows(run.output), 2u) << run.output;
+}
+
+// The Paris trace prints on stderr under profiling too, and leaves the
+// program's stdout alone (`profile` adds only its table there).
+TEST(UccCli, ProfiledRunsHonourTrace) {
+  const std::string hello = program("hello.uc");
+  auto plain = run_command("(" + ucc() + " run " + hello + " 2>/dev/null)");
+  ASSERT_EQ(plain.exit_code, 0);
+  const std::string run = ucc() + " run " + hello + " --profile --trace";
+  const std::string profile = ucc() + " profile " + hello + " --trace";
+  for (const std::string& cmd : {run, profile}) {
+    auto err = run_command("(" + cmd + " 2>&1 >/dev/null)");
+    EXPECT_EQ(err.exit_code, 0) << cmd;
+    EXPECT_NE(err.output.find("cm:alu"), std::string::npos) << err.output;
+    auto out = run_command("(" + cmd + " 2>/dev/null)");
+    EXPECT_EQ(out.output.rfind(plain.output, 0), 0u) << out.output;
+    EXPECT_EQ(out.output.find("cm:"), std::string::npos) << out.output;
+  }
+  EXPECT_EQ(run_command("(" + run + " 2>/dev/null)").output, plain.output);
 }
 
 // ---- durable checkpoints & resume (docs/ROBUSTNESS.md) ----
@@ -447,6 +557,67 @@ TEST(UccCli, DieAtKillsAndResumeReproducesBitIdentical) {
   ASSERT_FALSE(cycles(base.output).empty());
   EXPECT_EQ(cycles(base.output), cycles(res.output));
   run_command("rm -rf " + dir + " " + dir + "_base");
+}
+
+// An escalated fault (the in-memory replay budget is spent) restores from
+// the durable checkpoints in a fresh machine, up to three times, and then
+// reports the abort; a profiled run takes the same path and still flushes
+// its table.
+TEST(UccCli, EscalatedFaultRetriesFromDurableCheckpoints) {
+  const std::string dir = "/tmp/ucc_cli_retry";
+  for (const char* extra : {"", " --profile"}) {
+    run_command("rm -rf " + dir);
+    auto r = run_command(ucc() + " run " + fig6() +
+                         " --faults=memory:p=1,retries=0 --checkpoint-every=4"
+                         " --max-replays=1 --stats --checkpoint-dir=" + dir +
+                         extra);
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    for (int attempt = 1; attempt <= 3; ++attempt) {
+      EXPECT_NE(r.output.find("restoring from durable checkpoints in '" +
+                              dir + "' (attempt " + std::to_string(attempt) +
+                              " of 3)"),
+                std::string::npos)
+          << extra << "\n" << r.output;
+    }
+    EXPECT_EQ(r.output.find("(attempt 4"), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("--resume: restoring generation"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("partial statistics"), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("self-cycles") != std::string::npos, *extra != 0)
+        << extra << "\n" << r.output;
+  }
+  run_command("rm -rf " + dir);
+}
+
+// A snapshot's program identity covers the compile flags: generations
+// written under the default flags are refused under --no-fold, and the
+// run completes from scratch.
+TEST(UccCli, SnapshotRefusedUnderOtherCompileFlags) {
+  const std::string dir = "/tmp/ucc_cli_flags_ck";
+  run_command("rm -rf " + dir);
+  const std::string run = ucc() + " run " + fig6() + " --checkpoint-every=4 ";
+  auto base = run_command(run + "--checkpoint-dir=" + dir);
+  ASSERT_EQ(base.exit_code, 0) << base.output;
+
+  auto same = run_command(run + "--resume=" + dir);
+  EXPECT_EQ(same.exit_code, 0) << same.output;
+  EXPECT_NE(same.output.find("--resume: restoring generation"),
+            std::string::npos)
+      << same.output;
+
+  run_command("rm -rf " + dir);
+  ASSERT_EQ(run_command(run + "--checkpoint-dir=" + dir).exit_code, 0);
+  auto other = run_command(run + "--no-fold --resume=" + dir);
+  EXPECT_EQ(other.exit_code, 0) << other.output;
+  EXPECT_NE(other.output.find("different program"), std::string::npos)
+      << other.output;
+  EXPECT_NE(other.output.find("no intact checkpoint"), std::string::npos)
+      << other.output;
+  EXPECT_NE(other.output.find("d[0][N-1] ="), std::string::npos)
+      << other.output;
+  run_command("rm -rf " + dir);
 }
 
 // Pins snapshot format version 3.  tests/tools/golden/ckpt-00000005.uck

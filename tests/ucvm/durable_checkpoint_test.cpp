@@ -212,27 +212,27 @@ TEST(DurableCheckpoint, VersionSkewIsRefused) {
   }
 }
 
-// Snapshots are bound to the program text: a different program hash means
-// every generation is rejected and the run completes from scratch.
+// Snapshots are bound to the program: the compiled unit's identity hashes
+// its source, so resuming program A's generations with program B rejects
+// every one and B runs from scratch.  No caller supplies the identity.
 TEST(DurableCheckpoint, WrongProgramHashRunsFromScratch) {
-  const std::string src = on2(8);
   TempDir dir;
   ExecOptions base = with_engine(ExecEngine::kBytecode, 4);
   base.checkpoint_dir = dir.path;
-  base.program_hash = 11;
-  const RunResult first = run_uc(src, {}, base);
+  run_uc(on2(8), {}, base);
   ASSERT_FALSE(generations(dir.path).empty());
 
+  const std::string other = on2(6);
   std::vector<std::string> logs;
   ExecOptions res = base;
   res.resume = true;
-  res.program_hash = 22;
   res.log = [&](const std::string& line) { logs.push_back(line); };
-  const RunResult second = run_uc(src, {}, res);
+  const RunResult second = run_uc(other, {}, res);
   EXPECT_TRUE(logged(logs, "different program"));
   EXPECT_TRUE(logged(logs, "no intact checkpoint"));
   EXPECT_EQ(second.stats().resumes, 0u);
-  EXPECT_EQ(first.output(), second.output());
+  EXPECT_EQ(run_uc(other, {}, with_engine(ExecEngine::kBytecode, 4)).output(),
+            second.output());
 }
 
 // Same program, different execution options (here: the processor

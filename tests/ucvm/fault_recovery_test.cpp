@@ -4,6 +4,7 @@
 // Detection is modeled as perfect, so faults may only cost cycles.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -228,6 +229,19 @@ TEST(FaultRecovery, TimeoutWatchdogStopsRunawayLoops) {
   } catch (const support::UcRuntimeError& err) {
     const std::string msg = err.what();
     EXPECT_NE(msg.find("--timeout"), std::string::npos) << msg;
+  }
+}
+
+// A limit past steady_clock's range is no deadline: the conversion to a
+// clock duration used to overflow and fire the watchdog at once.
+TEST(FaultRecovery, HugeTimeoutRunsToCompletion) {
+  for (const double secs : {1e300, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::max()}) {
+    ExecOptions e;
+    e.timeout_seconds = secs;
+    const RunResult r = run_uc(corpus::source("hello"), {}, e);
+    EXPECT_NE(r.output().find("sum of 1..100 = 5050"), std::string::npos)
+        << secs;
   }
 }
 

@@ -26,8 +26,10 @@ run_suite() {
 }
 
 # Profiling smoke on the paper workloads (docs/PROFILING.md): a profiled
-# run must leave the program output bit-identical, and the hot-site table
-# must account for every modeled cycle (no ** MISMATCH ** marker).
+# or traced run must leave the program output bit-identical, `ucc profile`
+# and `ucc run --profile` must attribute the same cycles to every site, and
+# the hot-site table must account for every modeled cycle (no ** MISMATCH
+# ** marker).
 run_profile_smoke() {
   local dir="$1"
   local ucc="$dir/tools/ucc"
@@ -36,10 +38,20 @@ run_profile_smoke() {
               fig8_grid_obstacle; do
     local src="$root/programs/$prog.uc"
     "$ucc" run "$src" >"$tmp/off.txt"
-    "$ucc" run "$src" --profile >"$tmp/on.txt" 2>/dev/null
+    "$ucc" run "$src" --profile --json="$tmp/a.json" >"$tmp/on.txt" 2>/dev/null
     cmp "$tmp/off.txt" "$tmp/on.txt" || {
       echo "ci.sh: profiling changed the output of $prog" >&2; exit 1; }
-    "$ucc" profile "$src" >"$tmp/table.txt"
+    "$ucc" run "$src" --profile --trace >"$tmp/traced.txt" 2>/dev/null
+    cmp "$tmp/off.txt" "$tmp/traced.txt" || {
+      echo "ci.sh: a traced profile changed the output of $prog" >&2; exit 1; }
+    "$ucc" profile "$src" --json="$tmp/b.json" >"$tmp/table.txt"
+    # Host time is the only field the two runs may disagree on.
+    local json
+    for json in a b; do
+      sed 's/"host_ms": [0-9.]*, //' "$tmp/$json.json" >"$tmp/$json.sites"
+    done
+    cmp "$tmp/a.sites" "$tmp/b.sites" || {
+      echo "ci.sh: run --profile and profile disagree on $prog" >&2; exit 1; }
     grep -q "sum of sites" "$tmp/table.txt" || {
       echo "ci.sh: no profile table for $prog" >&2; exit 1; }
     if grep -q "MISMATCH" "$tmp/table.txt"; then

@@ -1,96 +1,388 @@
 // ucc — the UC compiler/runner command-line tool: compile a .uc file and
-// run, profile, time, check, analyze, remap or translate it on a simulated
-// CM-2.  `usage()` below lists the commands and options; running ucc with
-// no arguments prints it.
+// run, profile, check, analyze, remap or translate it on a simulated CM-2.
+// kCommands and kOptions below are the whole interface: the parser, the
+// per-command check and the help text (ucc with no arguments) read them.
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
-#include <chrono>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
-#include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "support/error.hpp"
-#include "support/hash.hpp"
+#include "support/str.hpp"
 #include "uc/uc.hpp"
 
 namespace {
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: ucc <command> <file.uc> [options]\n"
-      "\n"
-      "commands:\n"
-      "  run         compile and execute on a simulated CM-2\n"
-      "  profile     run with per-site attribution; print the hot-site\n"
-      "              table (modeled cycles, host ms, op mix, static join)\n"
-      "  bench       time the program under walk, bytecode and native\n"
-      "  check       report diagnostics (plus analysis warnings)\n"
-      "  analyze     static analysis: par-block interference and\n"
-      "              communication-pattern classification\n"
-      "  optimize-map  dependence-proved mapping search; validates the\n"
-      "              chosen map section by replay (docs/MAPPING.md)\n"
-      "  emit-cstar  print the C* translation\n"
-      "  emit-uc     print the canonical UC rendering\n"
-      "\n"
-      "options:\n"
-      "  --stats               print machine statistics after a run\n"
-      "  --trace               print the Paris-style instruction trace\n"
-      "  --engine=<walk|bytecode|native>  VM execution engine (default\n"
-      "                        bytecode; native compiles lane kernels to a\n"
-      "                        cached .so with the host toolchain)\n"
-      "  --native-cache-dir=<dir>  native: compiled-kernel cache directory\n"
-      "                        (default $UC_NATIVE_CACHE_DIR or /tmp)\n"
-      "  --native-cc=<cc>      native: compiler driver (default\n"
-      "                        $UC_NATIVE_CC or c++)\n"
-      "  --repeat=<n>          bench: median of n timed runs + warmup\n"
-      "  --json=<file>         bench: write the per-engine table as JSON\n"
-      "  --seed=<n>            machine RNG seed (default 1)\n"
-      "  --procs=<n>           physical processors (default 16384)\n"
-      "  --threads=<n>         host threads for the runtime\n"
-      "  --no-mappings         ignore map sections\n"
-      "  --no-procopt          disable the processor optimisation\n"
-      "  --lower-solve         lower solve to *par at the source level\n"
-      "  --rewrite-permutes    apply affine permutes as subscript rewrites\n"
-      "  --fold / --no-fold    constant folding (default on)\n"
-      "  --no-notes            analyze: drop UC-Axxx notes\n"
-      "  --no-summary          analyze: drop the communication summary\n"
-      "  --werror              analyze: nonzero exit on any warning\n"
-      "  --emit=<file>         optimize-map: write the rewritten program\n"
-      "  --beam=<n>            optimize-map: beam width (default 4)\n"
-      "  --no-validate         optimize-map: skip the replay validation\n"
-      "  --profile[=out.json]  run: profile; bare prints the table to\n"
-      "                        stderr, a path writes the per-site JSON\n"
-      "  --trace-json=<file>   write Chrome trace-event JSON\n"
-      "  --json=<file>         profile: also write the per-site JSON\n"
-      "  --top=<n>             profile: print only the n hottest sites\n"
-      "  --no-static           profile: skip the static-analysis join\n"
-      "  --faults=<spec>       inject seeded transient faults (e.g.\n"
-      "                        router:p=1e-4;news:p=1e-5,seed=42)\n"
-      "  --checkpoint-every=<n>  capture recovery checkpoints every n\n"
-      "                        statements (0 = off)\n"
-      "  --max-replays=<n>     checkpoint replay budget (default 64)\n"
-      "  --checkpoint-dir=<dir>  persist checkpoints durably in <dir>\n"
-      "                        (requires --checkpoint-every)\n"
-      "  --checkpoint-keep=<n> on-disk generations to keep (default 3)\n"
-      "  --resume[=<dir>]      restore the newest intact snapshot and\n"
-      "                        finish the run (skips corrupt generations)\n"
-      "  --die-at=<n>          testing: SIGKILL before the n-th statement\n"
-      "  --timeout=<secs>      wall-clock watchdog (abort cleanly)\n"
-      "  --max-field-mb=<n>    cap total CM field memory at n MiB\n"
-      "  --max-iterations=<n>  loop iteration limit (0 = unlimited)\n");
-  return 2;
+using uc::support::format;
+
+// Everything the command line sets.
+struct Options {
+  std::string command;
+  std::string file;
+  bool stats = false;
+  bool werror = false;
+  bool profile = false;      // print the hot-site table
+  bool join_static = true;   // the table's static-analysis column
+  std::string json;          // this command's JSON report
+  std::string trace_json;    // Chrome trace events of a profiled run
+  std::string emit_path;     // optimize-map's rewritten program
+  bool validate = true;      // optimize-map's replay validation
+  std::uint64_t beam = 4;    // optimize-map's beam width
+  std::uint64_t top = 0;     // table rows, 0 = every hot site
+  uc::cm::MachineOptions machine;
+  uc::vm::ExecOptions exec;
+  uc::CompileOptions compile;
+  uc::AnalyzeOptions analyze;
+};
+
+enum : unsigned {
+  kRun = 1u << 0,
+  kProfile = 1u << 1,
+  kCheck = 1u << 2,
+  kAnalyze = 1u << 3,
+  kOptimizeMap = 1u << 4,
+  kEmitCstar = 1u << 5,
+  kEmitUc = 1u << 6,
+};
+
+struct Command {
+  const char* name;
+  unsigned bit;
+  const char* help;
+};
+
+constexpr Command kCommands[] = {
+    {"run", kRun, "compile and execute on a simulated CM-2"},
+    {"profile", kProfile, "run with the hot-site table on stdout"},
+    {"check", kCheck, "report diagnostics (plus analysis warnings)"},
+    {"analyze", kAnalyze, "par-block interference and communication classes"},
+    {"optimize-map", kOptimizeMap,
+     "dependence-proved mapping search, replay-validated"},
+    {"emit-cstar", kEmitCstar, "print the C* translation"},
+    {"emit-uc", kEmitUc, "print the canonical UC rendering"},
+};
+
+// Which commands read which options.  run and profile execute the program
+// and optimize-map replays it, so all three read the machine, execution
+// and compile options; the emitters read only the compile options, and
+// check and analyze only the cost model.
+constexpr unsigned kRuns = kRun | kProfile;
+constexpr unsigned kExecutes = kRuns | kOptimizeMap;
+constexpr unsigned kCompiles = kExecutes | kEmitCstar | kEmitUc;
+constexpr unsigned kCosts = kExecutes | kCheck | kAnalyze;
+
+enum class Kind : std::uint8_t {
+  kFlag,       // --name
+  kCount,      // --name=<n>, an integer in [min, max]
+  kSeconds,    // --name=<secs>, a finite number >= 0
+  kText,       // --name=<value>, not empty
+  kMaybeText,  // --name, or --name=<value>
+};
+
+// A parsed value: `n` for counts, `x` for seconds, `s` for text.
+struct Value {
+  std::uint64_t n = 0;
+  double x = 0.0;
+  std::string s;
+};
+
+struct Option {
+  const char* name;  // spelled with a leading "--"
+  Kind kind;
+  const char* value;  // the value's placeholder in the help
+  std::uint64_t min, max;
+  unsigned commands;
+  const char* help;
+  void (*set)(Options&, const Value&);  // throws on a value it refuses
+};
+
+constexpr std::uint64_t kAny = UINT64_MAX;
+
+// Named because the cross-option checks in parse_args cite them.
+constexpr const char* kCheckpointEvery = "--checkpoint-every";
+constexpr const char* kCheckpointDir = "--checkpoint-dir";
+constexpr const char* kResume = "--resume";
+
+constexpr Option kOptions[] = {
+    {"--profile", Kind::kFlag, "", 0, 0, kRun,
+     "attribute cycles to source sites; table on stderr",
+     [](Options& o, const Value&) { o.profile = true; }},
+    {"--stats", Kind::kFlag, "", 0, 0, kRuns,
+     "print machine statistics after the run",
+     [](Options& o, const Value&) { o.stats = true; }},
+    {"--trace", Kind::kFlag, "", 0, 0, kRuns,
+     "print the Paris-style instruction trace",
+     [](Options& o, const Value&) { o.machine.record_paris_trace = true; }},
+    {"--top", Kind::kCount, "<n>", 1, kAny, kRuns,
+     "profile table: only the n hottest sites",
+     [](Options& o, const Value& v) { o.top = v.n; }},
+    {"--no-static", Kind::kFlag, "", 0, 0, kRuns,
+     "profile table: skip the static-analysis join",
+     [](Options& o, const Value&) { o.join_static = false; }},
+    {"--trace-json", Kind::kText, "<file>", 0, 0, kRuns,
+     "profile and write Chrome trace-event JSON",
+     [](Options& o, const Value& v) { o.trace_json = v.s; }},
+    {"--json", Kind::kText, "<file>", 0, 0,
+     kRuns | kAnalyze | kOptimizeMap,
+     "write the command's JSON (run: per-site profile)",
+     [](Options& o, const Value& v) { o.json = v.s; }},
+    {"--no-notes", Kind::kFlag, "", 0, 0, kAnalyze, "drop UC-Axxx notes",
+     [](Options& o, const Value&) { o.analyze.include_notes = false; }},
+    {"--no-summary", Kind::kFlag, "", 0, 0, kAnalyze,
+     "drop the communication summary",
+     [](Options& o, const Value&) { o.analyze.include_summary = false; }},
+    {"--werror", Kind::kFlag, "", 0, 0, kAnalyze,
+     "nonzero exit on any warning",
+     [](Options& o, const Value&) { o.werror = true; }},
+    {"--emit", Kind::kText, "<file>", 0, 0, kOptimizeMap,
+     "write the rewritten program",
+     [](Options& o, const Value& v) { o.emit_path = v.s; }},
+    {"--beam", Kind::kCount, "<n>", 1, SIZE_MAX, kOptimizeMap,
+     "beam width (default 4)",
+     [](Options& o, const Value& v) { o.beam = v.n; }},
+    {"--no-validate", Kind::kFlag, "", 0, 0, kOptimizeMap,
+     "skip the replay validation",
+     [](Options& o, const Value&) { o.validate = false; }},
+    {"--procs", Kind::kCount, "<n>", 1, kAny, kCosts,
+     "physical processors (default 16384)",
+     [](Options& o, const Value& v) {
+       o.machine.cost.physical_processors = v.n;
+     }},
+    {"--lower-solve", Kind::kFlag, "", 0, 0, kCompiles,
+     "lower solve to *par at the source level",
+     [](Options& o, const Value&) { o.compile.lower_solve = true; }},
+    {"--rewrite-permutes", Kind::kFlag, "", 0, 0, kCompiles,
+     "apply affine permutes as subscript rewrites",
+     [](Options& o, const Value&) { o.compile.rewrite_permutes = true; }},
+    {"--no-fold", Kind::kFlag, "", 0, 0, kCompiles, "no constant folding",
+     [](Options& o, const Value&) { o.compile.fold_constants = false; }},
+    {"--engine", Kind::kText, "<walk|bytecode|native>", 0, 0, kExecutes,
+     "lane execution engine (default bytecode)",
+     [](Options& o, const Value& v) {
+       using uc::vm::ExecEngine;
+       if (v.s == "walk") {
+         o.exec.engine = ExecEngine::kWalk;
+       } else if (v.s == "bytecode") {
+         o.exec.engine = ExecEngine::kBytecode;
+       } else if (v.s == "native") {
+         o.exec.engine = ExecEngine::kNative;
+       } else {
+         throw std::invalid_argument("expected walk, bytecode or native");
+       }
+     }},
+    {"--native-cache-dir", Kind::kText, "<dir>", 0, 0, kExecutes,
+     "native: kernel cache (default $UC_NATIVE_CACHE_DIR)",
+     [](Options& o, const Value& v) { o.exec.native_cache_dir = v.s; }},
+    {"--native-cc", Kind::kText, "<cc>", 0, 0, kExecutes,
+     "native: compiler (default $UC_NATIVE_CC or c++)",
+     [](Options& o, const Value& v) { o.exec.native_cc = v.s; }},
+    {"--seed", Kind::kCount, "<n>", 0, kAny, kExecutes,
+     "machine RNG seed (default 1)",
+     [](Options& o, const Value& v) { o.machine.seed = v.n; }},
+    {"--threads", Kind::kCount, "<n>", 1, UINT_MAX, kExecutes,
+     "host threads for the runtime (default 1)",
+     [](Options& o, const Value& v) {
+       o.machine.host_threads = static_cast<unsigned>(v.n);
+     }},
+    {"--max-field-mb", Kind::kCount, "<n>", 1, kAny >> 20, kExecutes,
+     "cap total CM field memory at n MiB",
+     [](Options& o, const Value& v) { o.machine.max_field_bytes = v.n << 20; }},
+    {"--max-iterations", Kind::kCount, "<n>", 0, INT64_MAX, kExecutes,
+     "loop iteration limit (0 = unlimited)",
+     [](Options& o, const Value& v) {
+       o.exec.max_iterations = static_cast<std::int64_t>(v.n);
+     }},
+    {"--timeout", Kind::kSeconds, "<secs>", 0, 0, kExecutes,
+     "wall-clock watchdog (abort cleanly)",
+     [](Options& o, const Value& v) { o.exec.timeout_seconds = v.x; }},
+    {"--no-mappings", Kind::kFlag, "", 0, 0, kExecutes, "ignore map sections",
+     [](Options& o, const Value&) { o.exec.apply_mappings = false; }},
+    {"--no-procopt", Kind::kFlag, "", 0, 0, kExecutes,
+     "disable the processor optimisation",
+     [](Options& o, const Value&) {
+       o.exec.processor_optimization = false;
+     }},
+    {"--faults", Kind::kText, "<spec>", 0, 0, kExecutes,
+     "seeded transient faults, e.g. router:p=1e-4,seed=42",
+     [](Options& o, const Value& v) {
+       o.machine.faults = uc::cm::parse_fault_spec(v.s);
+     }},
+    {kCheckpointEvery, Kind::kCount, "<n>", 0, kAny, kExecutes,
+     "recovery checkpoint every n statements (0 = off)",
+     [](Options& o, const Value& v) { o.exec.checkpoint_every = v.n; }},
+    {"--max-replays", Kind::kCount, "<n>", 1, kAny, kExecutes,
+     "checkpoint replay budget (default 64)",
+     [](Options& o, const Value& v) { o.exec.max_replays = v.n; }},
+    {kCheckpointDir, Kind::kText, "<dir>", 0, 0, kExecutes,
+     "persist checkpoints durably in <dir>",
+     [](Options& o, const Value& v) { o.exec.checkpoint_dir = v.s; }},
+    {"--checkpoint-keep", Kind::kCount, "<n>", 1, kAny, kExecutes,
+     "on-disk generations to keep (default 3)",
+     [](Options& o, const Value& v) { o.exec.checkpoint_keep = v.n; }},
+    {kResume, Kind::kMaybeText, "<dir>", 0, 0, kExecutes,
+     "finish from the newest intact snapshot",
+     [](Options& o, const Value& v) {
+       o.exec.resume = true;
+       if (!v.s.empty()) o.exec.checkpoint_dir = v.s;
+     }},
+    {"--die-at", Kind::kCount, "<n>", 1, kAny, kExecutes,
+     "testing: SIGKILL before the n-th statement",
+     [](Options& o, const Value& v) { o.exec.die_at_statement = v.n; }},
+};
+
+std::string command_names(unsigned commands) {
+  std::string names;
+  for (const auto& c : kCommands) {
+    if ((commands & c.bit) == 0) continue;
+    if (!names.empty()) names += ", ";
+    names += c.name;
+  }
+  return names;
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
+void help() {
+  std::string text = "usage: ucc <command> <file.uc> [options]\n\ncommands:\n";
+  for (const auto& c : kCommands) {
+    text += format("  %-14s%s\n", c.name, c.help);
+  }
+  // One group per set of commands that read the same options.
+  std::vector<unsigned> groups;
+  for (const auto& o : kOptions) {
+    if (std::find(groups.begin(), groups.end(), o.commands) == groups.end()) {
+      groups.push_back(o.commands);
+    }
+  }
+  for (const unsigned g : groups) {
+    text += "\noptions of " + command_names(g) + ":\n";
+    for (const auto& o : kOptions) {
+      if (o.commands != g) continue;
+      std::string spelling = o.name;
+      if (o.kind == Kind::kMaybeText) {
+        spelling += format("[=%s]", o.value);
+      } else if (o.kind != Kind::kFlag) {
+        spelling += format("=%s", o.value);
+      }
+      if (spelling.size() > 23) spelling += "\n" + std::string(26, ' ');
+      text += format("  %-24s%s\n", spelling.c_str(), o.help);
+    }
+  }
+  std::fputs(text.c_str(), stderr);
+}
+
+// Parses `text` as one option's value; returns the complaint, or "".
+std::string parse_value(const Option& o, const std::string& text, Value& v) {
+  const char* s = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  switch (o.kind) {
+    case Kind::kFlag:
+      return "takes no value";
+    case Kind::kCount:
+      v.n = std::strtoull(s, &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(*s)) || *end != '\0' ||
+          errno == ERANGE || v.n < o.min || v.n > o.max) {
+        return format("expected an integer from %llu to %llu",
+                      static_cast<unsigned long long>(o.min),
+                      static_cast<unsigned long long>(o.max));
+      }
+      return "";
+    case Kind::kSeconds:
+      v.x = std::strtod(s, &end);
+      if (*s == '\0' || *end != '\0' || errno == ERANGE ||
+          !std::isfinite(v.x) || v.x < 0.0) {
+        return "expected a finite number >= 0";
+      }
+      return "";
+    case Kind::kText:
+    case Kind::kMaybeText:
+      v.s = text;
+      return text.empty() ? "expected a value" : "";
+  }
+  return "";
+}
+
+// Reads argv into `opts`; prints why and returns false on a bad command
+// line (the help, when the command itself is missing or unknown).
+bool parse_args(int argc, char** argv, Options& opts) {
+  if (argc < 3) {
+    help();
+    return false;
+  }
+  opts.command = argv[1];
+  opts.file = argv[2];
+  const auto* command =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&](const Command& c) { return opts.command == c.name; });
+  if (command == std::end(kCommands)) {
+    std::fprintf(stderr, "ucc: unknown command '%s'\n", argv[1]);
+    help();
+    return false;
+  }
+  if (command->bit == kProfile) opts.profile = true;
+  for (int k = 3; k < argc; ++k) {
+    const std::string arg = argv[k];
+    const auto eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const auto* o =
+        std::find_if(std::begin(kOptions), std::end(kOptions),
+                     [&](const Option& row) { return name == row.name; });
+    if (o == std::end(kOptions)) {
+      std::fprintf(stderr, "ucc: unknown option '%s'\n", arg.c_str());
+      return false;
+    }
+    if ((o->commands & command->bit) == 0) {
+      std::fprintf(stderr, "ucc: option '%s' is not read by 'ucc %s' (only "
+                   "by %s)\n", o->name, command->name,
+                   command_names(o->commands).c_str());
+      return false;
+    }
+    Value v;
+    std::string complaint;
+    if (eq != std::string::npos) {
+      complaint = parse_value(*o, arg.substr(eq + 1), v);
+    } else if (o->kind != Kind::kFlag && o->kind != Kind::kMaybeText) {
+      complaint = "expected a value";
+    }
+    if (complaint.empty()) {
+      try {
+        o->set(opts, v);
+      } catch (const std::exception& e) {
+        complaint = e.what();
+      }
+    }
+    if (!complaint.empty()) {
+      std::fprintf(stderr, "ucc: invalid value in '%s' (%s)\n", arg.c_str(),
+                   complaint.c_str());
+      return false;
+    }
+  }
+  // Durable-checkpoint option consistency is checked here, where the
+  // message can name the options, rather than deep in the VM where only
+  // the ExecOptions fields are visible (docs/ROBUSTNESS.md).
+  if (opts.exec.resume && opts.exec.checkpoint_dir.empty()) {
+    std::fprintf(stderr,
+                 "ucc: %s needs a checkpoint directory; pass %s=<dir> or "
+                 "add %s=<dir>\n",
+                 kResume, kResume, kCheckpointDir);
+    return false;
+  }
+  if (!opts.exec.checkpoint_dir.empty() && opts.exec.checkpoint_every == 0) {
+    std::fprintf(stderr,
+                 "ucc: %s requires %s=<n> with n > 0 (durable snapshots are "
+                 "written at in-memory capture points, docs/ROBUSTNESS.md)\n",
+                 kCheckpointDir, kCheckpointEvery);
+    return false;
+  }
+  return true;
 }
 
 bool read_file(const std::string& path, std::string& out) {
@@ -102,217 +394,91 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
-struct Options {
-  std::string command;
-  std::string file;
-  bool stats = false;
-  bool trace = false;
-  bool werror = false;
-  bool profile = false;          // run --profile (table to stderr)
-  bool join_static = true;       // --no-static turns the join column off
-  std::string profile_json;      // --profile=<out.json>
-  std::string sites_json;        // --json=<file> (profile/analyze/opt-map)
-  std::string trace_json;        // --trace-json=<file>
-  std::string emit_path;         // --emit=<file> (optimize-map)
-  bool validate = true;          // --no-validate (optimize-map)
-  std::uint64_t beam = 4;        // --beam=<n> (optimize-map)
-  std::uint64_t top = 0;         // --top=<n>, 0 = all hot sites
-  std::uint64_t repeat = 1;      // bench: timed runs per row
-  uc::cm::MachineOptions machine;
-  uc::vm::ExecOptions exec;
-  uc::CompileOptions compile;
-  uc::AnalyzeOptions analyze;
-};
+// Writes `content` to `path` unless the path is empty; false (after
+// saying so) when the write fails.
+bool write_report(const std::string& path, const std::string& content) {
+  if (path.empty()) return true;
+  std::ofstream out(path, std::ios::binary);
+  out << content;
+  if (out) return true;
+  std::fprintf(stderr, "ucc: cannot write '%s'\n", path.c_str());
+  return false;
+}
 
-bool parse_args(int argc, char** argv, Options& opts) {
-  if (argc < 3) return false;
-  opts.command = argv[1];
-  opts.file = argv[2];
-  bool bad_value = false;
-  for (int k = 3; k < argc; ++k) {
-    std::string arg = argv[k];
-    // Parses `<prefix><n>`, rejecting empty, non-numeric, trailing-garbage
-    // and out-of-range values; zero is rejected unless `allow_zero` (a
-    // machine with 0 processors or a runtime with 0 threads is an error the
-    // simulator would otherwise hit much later, far from the typo).
-    auto int_value = [&](const char* prefix, std::uint64_t& out,
-                         bool allow_zero = false) {
-      if (arg.rfind(prefix, 0) != 0) return false;
-      const char* s = arg.c_str() + std::strlen(prefix);
-      char* end = nullptr;
-      errno = 0;
-      const std::uint64_t parsed = std::strtoull(s, &end, 10);
-      if (*s == '\0' || end == nullptr || *end != '\0' || errno == ERANGE ||
-          *s == '-' || (!allow_zero && parsed == 0)) {
+// Executes the program: plain, profiled or traced.  With a durable
+// checkpoint directory, an escalated transient fault (the in-memory replay
+// budget is exhausted) retries from the newest intact on-disk snapshot in
+// a fresh machine before giving up (docs/ROBUSTNESS.md).
+int run(const uc::Program& program, const Options& opts) {
+  const bool profiled =
+      opts.profile || !opts.json.empty() || !opts.trace_json.empty();
+  uc::vm::ExecOptions exec = opts.exec;
+  for (int attempt = 1;; ++attempt) {
+    uc::cm::Machine machine(opts.machine);
+    uc::prof::Profiler profiler(!opts.trace_json.empty());
+    exec.profiler = profiled ? &profiler : nullptr;
+    std::string error;
+    try {
+      std::fputs(program.run_on(machine, exec).output().c_str(), stdout);
+    } catch (const uc::support::EscalatedFault& e) {
+      if (!exec.checkpoint_dir.empty() && attempt <= 3) {
+        std::fprintf(stderr, "runtime error: %s\n", e.what());
         std::fprintf(stderr,
-                     "ucc: invalid value in '%s' (expected a %s integer)\n",
-                     arg.c_str(), allow_zero ? "non-negative" : "positive");
-        bad_value = true;
-        return true;  // the prefix matched; stop the option search
+                     "ucc: in-memory replay budget exhausted; restoring "
+                     "from durable checkpoints in '%s' (attempt %d of 3)\n",
+                     exec.checkpoint_dir.c_str(), attempt);
+        exec.resume = true;
+        exec.fresh_replay_budget = true;
+        continue;
       }
-      out = parsed;
-      return true;
-    };
-    auto str_value = [&](const char* prefix, std::string& out) {
-      if (arg.rfind(prefix, 0) != 0) return false;
-      out = arg.substr(std::strlen(prefix));
-      if (out.empty()) {
-        std::fprintf(stderr, "ucc: missing path in '%s'\n", arg.c_str());
-        bad_value = true;
-      }
-      return true;
-    };
-    // Parses `<prefix><x>` as a non-negative floating-point value.
-    auto float_value = [&](const char* prefix, double& out) {
-      if (arg.rfind(prefix, 0) != 0) return false;
-      const char* s = arg.c_str() + std::strlen(prefix);
-      char* end = nullptr;
-      errno = 0;
-      const double parsed = std::strtod(s, &end);
-      if (*s == '\0' || end == nullptr || *end != '\0' || errno == ERANGE ||
-          parsed < 0.0) {
-        std::fprintf(stderr,
-                     "ucc: invalid value in '%s' (expected a non-negative "
-                     "number)\n",
-                     arg.c_str());
-        bad_value = true;
-        return true;
-      }
-      out = parsed;
-      return true;
-    };
-    std::uint64_t v = 0;
-    std::string sv;
-    if (arg == "--stats") {
-      opts.stats = true;
-    } else if (arg == "--trace") {
-      opts.trace = true;
-      opts.machine.record_paris_trace = true;
-    } else if (arg == "--engine=walk") {
-      opts.exec.engine = uc::vm::ExecEngine::kWalk;
-    } else if (arg == "--engine=bytecode") {
-      opts.exec.engine = uc::vm::ExecEngine::kBytecode;
-    } else if (arg == "--engine=native") {
-      opts.exec.engine = uc::vm::ExecEngine::kNative;
-    } else if (str_value("--native-cache-dir=", opts.exec.native_cache_dir)) {
-    } else if (str_value("--native-cc=", opts.exec.native_cc)) {
-    } else if (int_value("--repeat=", v)) {
-      opts.repeat = v;
-    } else if (int_value("--seed=", v, /*allow_zero=*/true)) {
-      opts.machine.seed = v;
-    } else if (int_value("--procs=", v)) {
-      opts.machine.cost.physical_processors = v;
-    } else if (int_value("--threads=", v)) {
-      opts.machine.host_threads = static_cast<unsigned>(v);
-    } else if (str_value("--faults=", sv)) {
-      try {
-        opts.machine.faults = uc::cm::parse_fault_spec(sv);
-      } catch (const uc::support::ApiError& e) {
-        std::fprintf(stderr, "ucc: %s\n", e.what());
-        bad_value = true;
-      }
-    } else if (int_value("--checkpoint-every=", v, /*allow_zero=*/true)) {
-      opts.exec.checkpoint_every = v;
-    } else if (int_value("--max-replays=", v)) {
-      opts.exec.max_replays = v;
-    } else if (str_value("--checkpoint-dir=", sv)) {
-      opts.exec.checkpoint_dir = sv;
-    } else if (int_value("--checkpoint-keep=", v)) {
-      opts.exec.checkpoint_keep = v;
-    } else if (arg == "--resume") {
-      opts.exec.resume = true;
-    } else if (str_value("--resume=", sv)) {
-      opts.exec.resume = true;
-      opts.exec.checkpoint_dir = sv;
-    } else if (int_value("--die-at=", v)) {
-      opts.exec.die_at_statement = v;
-    } else if (float_value("--timeout=", opts.exec.timeout_seconds)) {
-    } else if (int_value("--max-field-mb=", v)) {
-      opts.machine.max_field_bytes = v << 20;
-    } else if (int_value("--max-iterations=", v, /*allow_zero=*/true)) {
-      opts.exec.max_iterations = static_cast<std::int64_t>(v);
-    } else if (arg == "--profile") {
-      opts.profile = true;
-    } else if (str_value("--profile=", opts.profile_json)) {
-      opts.profile = true;
-    } else if (str_value("--trace-json=", opts.trace_json)) {
-    } else if (str_value("--json=", opts.sites_json)) {
-    } else if (str_value("--emit=", opts.emit_path)) {
-    } else if (arg == "--no-validate") {
-      opts.validate = false;
-    } else if (int_value("--beam=", v)) {
-      opts.beam = v;
-    } else if (int_value("--top=", v)) {
-      opts.top = v;
-    } else if (arg == "--no-static") {
-      opts.join_static = false;
-    } else if (arg == "--no-mappings") {
-      opts.exec.apply_mappings = false;
-    } else if (arg == "--no-procopt") {
-      opts.exec.processor_optimization = false;
-    } else if (arg == "--lower-solve") {
-      opts.compile.lower_solve = true;
-    } else if (arg == "--rewrite-permutes") {
-      opts.compile.rewrite_permutes = true;
-    } else if (arg == "--fold") {
-      opts.compile.fold_constants = true;
-    } else if (arg == "--no-fold") {
-      opts.compile.fold_constants = false;
-    } else if (arg == "--no-notes") {
-      opts.analyze.include_notes = false;
-    } else if (arg == "--no-summary") {
-      opts.analyze.include_summary = false;
-    } else if (arg == "--werror") {
-      opts.werror = true;
-    } else {
-      std::fprintf(stderr, "ucc: unknown option '%s'\n", arg.c_str());
-      return false;
+      error = e.what();
+    } catch (const uc::support::UcRuntimeError& e) {
+      error = e.what();
     }
-    if (bad_value) return false;
+    // A watchdog timeout, memory-cap hit or unrecovered fault still
+    // reports what the machine did up to the abort: the trace, the hot
+    // sites and the partial statistics make hangs, OOMs and fault storms
+    // diagnosable (docs/ROBUSTNESS.md).
+    const bool aborted = !error.empty();
+    if (aborted) std::fprintf(stderr, "runtime error: %s\n", error.c_str());
+    if (opts.machine.record_paris_trace) {
+      for (const auto& line : machine.paris_trace()) {
+        std::fprintf(stderr, "%s\n", line.c_str());
+      }
+    }
+    if (profiled) {
+      const auto prof = program.attribute(profiler, machine, opts.join_static);
+      uc::prof::TableOptions table;
+      table.max_rows = static_cast<std::size_t>(opts.top);
+      table.show_static = opts.join_static;
+      if (opts.profile || aborted) {
+        const bool to_stdout = opts.command == "profile" && !aborted;
+        std::fputs(prof.table(table).c_str(), to_stdout ? stdout : stderr);
+      }
+      if (!aborted && (!write_report(opts.json, prof.json()) ||
+                       !write_report(opts.trace_json, prof.trace()))) {
+        return 2;
+      }
+    }
+    if (opts.stats) {
+      std::fprintf(stderr, "%s%s\n",
+                   aborted ? "partial statistics (run aborted):\n" : "",
+                   machine.stats().to_string(opts.machine.cost).c_str());
+    }
+    return aborted ? 1 : 0;
   }
-  // Durable-checkpoint option consistency is checked here, where the
-  // message can name the flags, rather than deep in the VM where only the
-  // ExecOptions fields are visible (docs/ROBUSTNESS.md).
-  if (opts.exec.resume && opts.exec.checkpoint_dir.empty()) {
-    std::fprintf(stderr,
-                 "ucc: --resume needs a checkpoint directory; pass "
-                 "--resume=<dir> or add --checkpoint-dir=<dir>\n");
-    return false;
-  }
-  if (!opts.exec.checkpoint_dir.empty() &&
-      opts.exec.checkpoint_every == 0) {
-    std::fprintf(stderr,
-                 "ucc: --checkpoint-dir requires --checkpoint-every=<n> "
-                 "with n > 0 (durable snapshots are written at in-memory "
-                 "capture points, docs/ROBUSTNESS.md)\n");
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opts;
-  if (!parse_args(argc, argv, opts)) return usage();
+  if (!parse_args(argc, argv, opts)) return 2;
 
   std::string source;
   if (!read_file(opts.file, source)) {
     std::fprintf(stderr, "ucc: cannot read '%s'\n", opts.file.c_str());
     return 2;
-  }
-
-  // Durable checkpoints refuse to resume a snapshot written by a different
-  // program or under different source-level compilation flags; the hash
-  // binds the snapshot to this exact input (docs/ROBUSTNESS.md).
-  {
-    std::uint64_t h = uc::support::fnv1a(source);
-    h = uc::support::fnv1a_u64(
-        (opts.compile.lower_solve ? 1ull : 0ull) |
-            (opts.compile.rewrite_permutes ? 2ull : 0ull) |
-            (opts.compile.fold_constants ? 4ull : 0ull),
-        h);
-    opts.exec.program_hash = h;
   }
   if (!opts.exec.checkpoint_dir.empty()) {
     opts.exec.log = [](const std::string& line) {
@@ -328,7 +494,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       // Surface analysis warnings (not notes) without failing the check.
-      uc::AnalyzeOptions aopts = opts.analyze;
+      uc::AnalyzeOptions aopts;
       aopts.include_notes = false;
       aopts.include_summary = false;
       aopts.machine = opts.machine;
@@ -349,12 +515,7 @@ int main(int argc, char** argv) {
       std::fputs(analysis.text.c_str(), stdout);
       std::printf("%zu errors, %zu warnings, %zu notes\n", analysis.errors,
                   analysis.warnings, analysis.notes);
-      if (!opts.sites_json.empty() &&
-          !write_file(opts.sites_json, analysis.json)) {
-        std::fprintf(stderr, "ucc: cannot write '%s'\n",
-                     opts.sites_json.c_str());
-        return 2;
-      }
+      if (!write_report(opts.json, analysis.json)) return 2;
       if (analysis.errors > 0) return 1;
       if (opts.werror && analysis.warnings > 0) return 1;
       return 0;
@@ -373,25 +534,13 @@ int main(int argc, char** argv) {
         return 1;
       }
       std::fputs(result.text.c_str(), stdout);
-      if (!opts.sites_json.empty() &&
-          !write_file(opts.sites_json, result.json())) {
-        std::fprintf(stderr, "ucc: cannot write '%s'\n",
-                     opts.sites_json.c_str());
-        return 2;
+      if (!write_report(opts.json, result.json())) return 2;
+      if (!opts.emit_path.empty() && result.optimized_source.empty()) {
+        std::fprintf(stderr,
+                     "ucc: no improving mapping found; nothing to emit\n");
+        return 1;
       }
-      if (!opts.emit_path.empty()) {
-        if (result.optimized_source.empty()) {
-          std::fprintf(stderr,
-                       "ucc: no improving mapping found; nothing to emit\n");
-          return 1;
-        }
-        if (!write_file(opts.emit_path, result.optimized_source)) {
-          std::fprintf(stderr, "ucc: cannot write '%s'\n",
-                       opts.emit_path.c_str());
-          return 2;
-        }
-      }
-      return 0;
+      return write_report(opts.emit_path, result.optimized_source) ? 0 : 2;
     }
 
     auto program =
@@ -404,231 +553,7 @@ int main(int argc, char** argv) {
       std::fputs(program.to_uc_source().c_str(), stdout);
       return 0;
     }
-    if (opts.command == "bench") {
-      // Time the same program under each engine on fresh machines.  The
-      // engine is a host-speed choice only, so every row must agree on the
-      // output and on every CostStats counter.
-      struct Row {
-        const char* name;
-        uc::vm::ExecEngine engine;
-        double ms = 0.0;
-        uc::cm::CostStats stats{};
-        std::string output{};
-        bool skipped = false;  // native: toolchain unavailable
-      };
-      Row rows[3] = {{"walk", uc::vm::ExecEngine::kWalk},
-                     {"bytecode", uc::vm::ExecEngine::kBytecode},
-                     {"native", uc::vm::ExecEngine::kNative}};
-      for (auto& row : rows) {
-        uc::vm::ExecOptions eopts = opts.exec;
-        eopts.engine = row.engine;
-        // --repeat=N: one untimed warmup, then the median of N timed runs
-        // (every run is a fresh machine; outputs and cycles are
-        // deterministic, only host time varies).
-        const std::uint64_t runs = opts.repeat;
-        std::vector<double> times;
-        times.reserve(static_cast<std::size_t>(runs));
-        for (std::uint64_t r = (runs > 1 ? 0 : 1); r <= runs; ++r) {
-          uc::cm::Machine machine(opts.machine);
-          const auto t0 = std::chrono::steady_clock::now();
-          auto result = program.run_on(machine, eopts);
-          const auto t1 = std::chrono::steady_clock::now();
-          if (row.engine == uc::vm::ExecEngine::kNative &&
-              result.native_dispatches() == 0) {
-            // Nothing actually ran natively (no working toolchain, or the
-            // emitter declined every statement): report the row as skipped
-            // rather than passing off bytecode timings as native.
-            row.skipped = true;
-            break;
-          }
-          if (r == 0) continue;  // warmup
-          times.push_back(
-              std::chrono::duration<double, std::milli>(t1 - t0).count());
-          row.stats = result.stats();
-          row.output = result.output();
-        }
-        std::sort(times.begin(), times.end());
-        const std::size_t n = times.size();
-        if (n > 0) {
-          row.ms = (n % 2 != 0) ? times[n / 2]
-                                : 0.5 * (times[n / 2 - 1] + times[n / 2]);
-        }
-      }
-      for (const auto& row : rows) {
-        if (row.skipped) {
-          std::printf("%-15s    (skipped: no native toolchain)\n", row.name);
-          continue;
-        }
-        std::printf("%-15s %10.3f ms  %12llu cycles\n", row.name, row.ms,
-                    static_cast<unsigned long long>(row.stats.cycles));
-      }
-      if (!opts.sites_json.empty()) {
-        std::string json = "[\n";
-        bool first = true;
-        for (const auto& row : rows) {
-          if (row.skipped) continue;
-          char buf[160];
-          std::snprintf(buf, sizeof buf,
-                        "%s  {\"engine\": \"%s\", \"host_ms\": %.3f, "
-                        "\"cycles\": %llu}",
-                        first ? "" : ",\n", row.name, row.ms,
-                        static_cast<unsigned long long>(row.stats.cycles));
-          json += buf;
-          first = false;
-        }
-        json += "\n]\n";
-        if (!write_file(opts.sites_json, json)) {
-          std::fprintf(stderr, "ucc bench: cannot write '%s'\n",
-                       opts.sites_json.c_str());
-          return 1;
-        }
-      }
-      for (const auto& row : rows) {
-        if (row.skipped) continue;
-        if (row.output != rows[0].output || !(row.stats == rows[0].stats)) {
-          std::fprintf(stderr,
-                       "ucc bench: %s disagrees with walk (output %s, "
-                       "stats %s)\n",
-                       row.name,
-                       row.output == rows[0].output ? "match" : "differ",
-                       row.stats == rows[0].stats ? "match" : "differ");
-          return 1;
-        }
-      }
-      return 0;
-    }
-    if (opts.command == "profile") {
-      uc::ProfileOptions popts;
-      popts.machine = opts.machine;
-      popts.exec = opts.exec;
-      popts.capture_trace = !opts.trace_json.empty();
-      popts.join_static = opts.join_static;
-      auto prof = program.profile(popts);
-      std::fputs(prof.run.output().c_str(), stdout);
-      uc::prof::TableOptions topts;
-      topts.max_rows = static_cast<std::size_t>(opts.top);
-      topts.show_static = opts.join_static;
-      if (prof.aborted) {
-        // A timeout or escalated fault mid-profile still flushes the
-        // per-site table — the hot sites up to the abort are exactly what
-        // a hang or fault storm needs diagnosed (docs/ROBUSTNESS.md).
-        std::fprintf(stderr, "runtime error: %s\n", prof.error.c_str());
-        std::fputs(prof.table(topts).c_str(), stderr);
-        std::fprintf(stderr, "partial statistics (run aborted):\n%s\n",
-                     prof.stats.to_string(opts.machine.cost).c_str());
-        return 1;
-      }
-      std::fputs(prof.table(topts).c_str(), stdout);
-      if (!opts.sites_json.empty() &&
-          !write_file(opts.sites_json, prof.json())) {
-        std::fprintf(stderr, "ucc: cannot write '%s'\n",
-                     opts.sites_json.c_str());
-        return 2;
-      }
-      if (!opts.trace_json.empty() &&
-          !write_file(opts.trace_json, prof.trace())) {
-        std::fprintf(stderr, "ucc: cannot write '%s'\n",
-                     opts.trace_json.c_str());
-        return 2;
-      }
-      return 0;
-    }
-    if (opts.command != "run") return usage();
-
-    if (opts.profile || !opts.trace_json.empty()) {
-      // Profiled run: same output and modeled cycles, plus attribution.
-      uc::ProfileOptions popts;
-      popts.machine = opts.machine;
-      popts.exec = opts.exec;
-      popts.capture_trace = !opts.trace_json.empty();
-      popts.join_static = opts.join_static;
-      auto prof = program.profile(popts);
-      std::fputs(prof.run.output().c_str(), stdout);
-      if (prof.aborted) {
-        // Same contract as the plain run's partial statistics: an aborted
-        // profiled run still surfaces the table it attributed so far.
-        std::fprintf(stderr, "runtime error: %s\n", prof.error.c_str());
-        std::fputs(prof.table().c_str(), stderr);
-        if (opts.stats) {
-          std::fprintf(stderr, "partial statistics (run aborted):\n%s\n",
-                       prof.stats.to_string(opts.machine.cost).c_str());
-        }
-        return 1;
-      }
-      if (opts.profile && opts.profile_json.empty()) {
-        std::fputs(prof.table().c_str(), stderr);
-      } else if (!opts.profile_json.empty() &&
-                 !write_file(opts.profile_json, prof.json())) {
-        std::fprintf(stderr, "ucc: cannot write '%s'\n",
-                     opts.profile_json.c_str());
-        return 2;
-      }
-      if (!opts.trace_json.empty() &&
-          !write_file(opts.trace_json, prof.trace())) {
-        std::fprintf(stderr, "ucc: cannot write '%s'\n",
-                     opts.trace_json.c_str());
-        return 2;
-      }
-      if (opts.stats) {
-        std::fprintf(stderr, "%s\n",
-                     prof.stats.to_string(opts.machine.cost).c_str());
-      }
-      return 0;
-    }
-
-    // Plain run.  With a durable checkpoint directory, an escalated
-    // transient fault (the in-memory replay budget is exhausted) retries
-    // from the newest intact on-disk snapshot in a fresh machine before
-    // giving up (docs/ROBUSTNESS.md).
-    uc::vm::ExecOptions exec = opts.exec;
-    for (int attempt = 0;; ++attempt) {
-      uc::cm::Machine machine(opts.machine);
-      auto abort_run = [&](const uc::support::UcRuntimeError& e) {
-        // A watchdog timeout, memory-cap hit or unrecovered fault still
-        // reports what the machine did up to the abort (partial stats make
-        // hangs and OOMs diagnosable, docs/ROBUSTNESS.md).
-        std::fprintf(stderr, "runtime error: %s\n", e.what());
-        if (opts.trace) {
-          for (const auto& line : machine.paris_trace()) {
-            std::fprintf(stderr, "%s\n", line.c_str());
-          }
-        }
-        if (opts.stats) {
-          std::fprintf(stderr, "partial statistics (run aborted):\n%s\n",
-                       machine.stats().to_string(opts.machine.cost).c_str());
-        }
-        return 1;
-      };
-      try {
-        auto result = program.run_on(machine, exec);
-        std::fputs(result.output().c_str(), stdout);
-        if (opts.trace) {
-          for (const auto& line : machine.paris_trace()) {
-            std::fprintf(stderr, "%s\n", line.c_str());
-          }
-        }
-        if (opts.stats) {
-          std::fprintf(stderr, "%s\n",
-                       result.stats()
-                           .to_string(opts.machine.cost)
-                           .c_str());
-        }
-        return 0;
-      } catch (const uc::support::EscalatedFault& e) {
-        if (exec.checkpoint_dir.empty() || attempt >= 3) {
-          return abort_run(e);
-        }
-        std::fprintf(stderr, "runtime error: %s\n", e.what());
-        std::fprintf(stderr,
-                     "ucc: in-memory replay budget exhausted; restoring "
-                     "from durable checkpoints in '%s' (attempt %d of 3)\n",
-                     exec.checkpoint_dir.c_str(), attempt + 1);
-        exec.resume = true;
-        exec.fresh_replay_budget = true;
-      } catch (const uc::support::UcRuntimeError& e) {
-        return abort_run(e);
-      }
-    }
+    return run(program, opts);
   } catch (const uc::support::UcCompileError& e) {
     std::fputs(e.what(), stderr);
     return 1;
