@@ -2,11 +2,13 @@
 //
 // A Kernel is the compiled form of one synchronous statement expression:
 // straight-line code with explicit jumps (short-circuit &&/||, ?:, and the
-// reduction tuple loop), a constant pool, and symbolic operand tables that
-// are resolved ("linked") against the current lane space once per
-// execution.  Instructions reference virtual registers; registers are
-// allocated monotonically during lowering and never reused, so every read
-// is dominated by a write on all control paths by construction.
+// tuple loop of a reduction too large to unroll), a constant pool, and
+// symbolic operand tables that are resolved ("linked") against the current
+// lane space once per execution.  Instructions reference virtual
+// registers; registers are allocated monotonically during lowering and
+// never reused, so every read is dominated by a write on all control paths
+// by construction.  (Unrolling renames a copied loop body's registers, so
+// that still holds.)
 //
 // The compiler (compile.cpp) mirrors the tree-walk evaluator's semantics
 // exactly — evaluation order, coercions, access classification points,
@@ -32,6 +34,16 @@ inline constexpr std::size_t kMaxReduceSets = 4;
 // At most this many subscripts per array access (matches the walk's
 // 8-coordinate flatten buffers).
 inline constexpr std::size_t kMaxSubscripts = 8;
+// A reduction whose index sets' product is at most this many tuples
+// lowers as that many straight-line copies of its arms, one per tuple
+// (docs/VM.md "Reduction unrolling"); larger products keep the loop.
+inline constexpr std::int64_t kMaxUnrolledTuples = 8;
+// Unrolling never grows a kernel past this many instructions, which keeps
+// it well inside the native emitter's size limit.
+inline constexpr std::size_t kMaxUnrolledCode = 2048;
+// Registers are 16-bit and never reused, so a kernel past this many
+// (a pathological fusion, say) is declined.
+inline constexpr std::size_t kMaxKernelRegs = 60000;
 
 enum class Op : std::uint8_t {
   kConst,           // r[dst] = pool[a]
@@ -59,10 +71,12 @@ enum class Op : std::uint8_t {
   kMinMax,          // r[dst] = min/max(r[a], r[b]) (arg bit0: min)
   kPower2,          // r[dst] = 1 << r[a]; range-checked
   kRand,            // r[dst] = lane rng next() >> 33
-  kReduceBegin,     // start reduces[a]; empty product jumps straight out
+  kReduceBegin,     // start reduces[a] at tuple 0; empty product jumps
+                    // straight out (arg 1: unrolled, never empty)
   kReduceFold,      // fold r[a] into the live reduction's accumulator
   kReduceSkipOthers,  // if (enabled_any) ip = jump (skip the others arm)
   kReduceNext,      // advance the tuple odometer; more tuples => ip = jump
+  kReduceTuple,     // unrolled reduces[a]: enter tuple b (row-major)
   kReduceEnd,       // r[dst] = final accumulator (float-coerced)
   kMemberBoundary,  // fused kernels: entering member a (stats slot + RNG)
   kRet,             // kernel result = r[a]
@@ -160,6 +174,10 @@ struct Kernel {
   }
 };
 
+// Index of `v` in k.pool, appending it if no bit-identical constant is
+// there yet.
+std::uint16_t pool_const(Kernel& k, const Value& v);
+
 // The typing pass (typing.cpp): infers each register's representation
 // over all control paths.  scalar_dyn / array_dyn (nullable, indexed by
 // operand slot) mark operands whose linked value is not of the declared
@@ -175,8 +193,7 @@ void type_kernel(const Kernel& k, KernelTypes& out,
 bool can_compile_expr(const lang::Expr& e);
 
 // Lowers `n` consecutive statement expressions into one kernel and runs
-// the optimisation pipeline over it: value-numbering CSE, cross-member
-// store-to-load forwarding, and dead temporary elimination.  Pure function
+// the optimisation pipeline over it (optimize_kernel).  Pure function
 // of the sema'd AST, so safe to cache per Expr*.  Returns nullptr when a
 // member fails can_compile_expr.  A group of n >= 2 (docs/VM.md "Fusion")
 // must have been proven fusion-safe at the AST level
@@ -190,7 +207,9 @@ std::unique_ptr<Kernel> compile_fused(const lang::Expr* const* stmts,
 // One statement's kernel: compile_fused(&e, 1).
 std::unique_ptr<Kernel> compile_expr(const lang::Expr& e);
 
-// The optimisation pipeline (optimize.cpp).  Returns false when
+// The optimisation pipeline (optimize.cpp): value numbering, forwarding
+// and dead temporary elimination, then reduction unrolling and constant
+// folding over the copies.  Returns false when
 // cross-member store-to-load forwarding finds an unmatchable read (the
 // kernel is then left in an unspecified state and must be discarded).
 bool optimize_kernel(Kernel& k);

@@ -158,14 +158,6 @@ bool can_compile(const Expr& e, bool in_reduce) {
   return false;
 }
 
-// Bit-identical Value comparison for constant pooling (Value::operator==
-// compares across representations, which would merge of_int(1) with
-// of_float(1.0)).
-bool same_const(const Value& a, const Value& b) {
-  return a.is_float == b.is_float && a.i == b.i &&
-         std::bit_cast<std::uint64_t>(a.f) == std::bit_cast<std::uint64_t>(b.f);
-}
-
 class Lowerer {
  public:
   explicit Lowerer(Kernel& k) : k_(k) {}
@@ -216,11 +208,7 @@ class Lowerer {
   }
 
   std::uint16_t pool_const(const Value& v) {
-    for (std::size_t i = 0; i < k_.pool.size(); ++i) {
-      if (same_const(k_.pool[i], v)) return static_cast<std::uint16_t>(i);
-    }
-    k_.pool.push_back(v);
-    return static_cast<std::uint16_t>(k_.pool.size() - 1);
+    return kernel::pool_const(k_, v);
   }
 
   std::uint16_t elem_slot(const Symbol* sym) {
@@ -589,14 +577,15 @@ class Lowerer {
 };
 
 // Kernel-static facts the executor and the native emitter read: register
-// types and the per-lane write bound.
+// types and the per-lane write bound (finite unless a store sits in a
+// reduction's tuple loop).
 void finish(Kernel& k) {
   type_kernel(k, k.types);
   bool in_reduce = false;
   for (const Inst& i : k.code) {
     switch (i.op) {
       case Op::kReduceBegin:
-        in_reduce = true;
+        in_reduce = i.arg == 0;  // an unrolled reduction is straight-line
         break;
       case Op::kReduceEnd:
         in_reduce = false;
@@ -618,6 +607,20 @@ void finish(Kernel& k) {
 
 }  // namespace
 
+// Bit-identical Value comparison (Value::operator== compares across
+// representations, which would merge of_int(1) with of_float(1.0)).
+std::uint16_t pool_const(Kernel& k, const Value& v) {
+  for (std::size_t i = 0; i < k.pool.size(); ++i) {
+    const Value& p = k.pool[i];
+    const auto bits = [](double f) { return std::bit_cast<std::uint64_t>(f); };
+    if (p.is_float == v.is_float && p.i == v.i && bits(p.f) == bits(v.f)) {
+      return static_cast<std::uint16_t>(i);
+    }
+  }
+  k.pool.push_back(v);
+  return static_cast<std::uint16_t>(k.pool.size() - 1);
+}
+
 bool can_compile_expr(const Expr& e) { return can_compile(e, false); }
 
 std::unique_ptr<Kernel> compile_fused(const Expr* const* stmts,
@@ -630,7 +633,7 @@ std::unique_ptr<Kernel> compile_fused(const Expr* const* stmts,
   Lowerer(*kernel).lower(stmts, n);
   // Registers are never reused, so a pathological fusion could overflow
   // the 16-bit register file; decline and let the members run unfused.
-  if (kernel->num_regs > 60000) return nullptr;
+  if (kernel->num_regs > kMaxKernelRegs) return nullptr;
   if (!optimize_kernel(*kernel)) return nullptr;
   finish(*kernel);
   return kernel;

@@ -552,8 +552,8 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
       }
     });
   };
-  // `read` is the kArrGet whose subscripts allow the closed form; flat-only
-  // sites pass null.
+  // `read` is the kArrGet whose subscripts allow the geometry-matched
+  // closed form; flat-only sites pass null.
   const auto classify = [&](const LinkedArray& la, const Inst* read) {
     // Inside a partition-optimised reduction accesses are already paid for
     // by the send-with-combine charge (walk: suppress_comm).
@@ -567,7 +567,17 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         return;
       case AccMode::kRemote: {
         AccessStats acc;
-        if (read != nullptr && la.identity && la.geom_matches) {
+        if (la.identity && !la.geom_matches) {
+          // Default layout, lane geometry off the array shape (a reduce
+          // site's expanded geometry, say): element e lives on VP e and NEWS
+          // is impossible, so the access is local exactly when the element
+          // is the lane's own VP, and routes otherwise.
+          const std::int64_t* vp = la.reduce >= 0 ? bl.rs_vp : bl.vp;
+          std::uint64_t local = 0;
+          each(S, [&](int l) { local += flat[l] == vp[l] ? 1 : 0; });
+          acc.local = local;
+          acc.router = static_cast<std::uint64_t>(S.n) - local;
+        } else if (read != nullptr && la.identity) {
           classify_closed(*read, la, acc);
         } else if (la.reduce >= 0) {
           each(S, [&](int l) {
@@ -1084,8 +1094,21 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         rt.tuple = 0;
         rt.suppress = R.expr->partition_optimized == 1;
         const Value id = reduce_identity_value(R.op, R.flt);
+        Slot* acc = bl.acc;
+        switch (rt.acc) {
+          case kInt:
+            each(S, [&](int l) { acc[l].i = id.i; });
+            break;
+          case kFloat: {
+            const double f = id.as_float();
+            each(S, [&](int l) { acc[l].f = f; });
+            break;
+          }
+          default:
+            each(S, [&](int l) { acc_put(l, id); });
+            break;
+        }
         each(S, [&](int l) {
-          acc_put(l, id);
           bl.any[l] = 0;
           bl.enabled_any[l] = 0;
         });
@@ -1230,8 +1253,37 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         next = I.jump;
         break;
       }
-      case Op::kReduceEnd:
-        if (rt.info->flt) {
+      case Op::kReduceTuple: {
+        // Entering tuple I.b of an unrolled reduction: the per-lane state
+        // kReduceNext sets, for a tuple fixed at lowering.  The copy's set
+        // elements are constants, so the odometer has nothing to do.
+        const LinkedReduce& R = *rt.info;
+        std::int64_t pos[kMaxReduceSets];
+        std::int64_t t = I.b;
+        for (std::size_t s = R.n_sets; s-- > 0;) {
+          pos[s] = t % R.sizes[s];
+          t /= R.sizes[s];
+        }
+        each(S, [&](int l) {
+          bl.enabled_any[l] = 0;
+          for (std::size_t s = 0; s < R.n_sets; ++s) {
+            bl.rs_coords[l][R.base_dims + s] = pos[s];
+          }
+          bl.rs_vp[l] = bl.vp[l] * R.prod + I.b;
+        });
+        break;
+      }
+      case Op::kReduceEnd: {
+        Slot* d = col(I.dst);
+        const Slot* acc = bl.acc;
+        const bool flt = rt.info->flt;
+        if (T[I.dst] == kFloat && rt.acc == kFloat) {
+          each(S, [&](int l) { d[l].f = acc[l].f; });
+        } else if (T[I.dst] == kFloat && rt.acc == kInt && flt) {
+          each(S, [&](int l) { d[l].f = static_cast<double>(acc[l].i); });
+        } else if (T[I.dst] == kInt && rt.acc == kInt && !flt) {
+          each(S, [&](int l) { d[l].i = acc[l].i; });
+        } else if (flt) {
           each(S, [&](int l) {
             put(I.dst, l, Value::of_float(acc_get(l).as_float()));
           });
@@ -1239,6 +1291,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
           each(S, [&](int l) { put(I.dst, l, acc_get(l)); });
         }
         break;
+      }
       case Op::kMemberBoundary:
         // Entering member I.a of a fused group: its stats land in their
         // own slot, and the lane RNG is reseeded with the member's own

@@ -31,6 +31,22 @@
 //      checks) are roots.  Jump targets are then remapped onto the
 //      compacted code.
 //
+//   4. Reduction unrolling (docs/VM.md "Reduction unrolling").  A
+//      reduction whose index sets' product is 1..kMaxUnrolledTuples
+//      becomes one straight-line copy of its loop body per tuple, with the
+//      body's registers renamed per copy and each set element a constant.
+//      It runs after value numbering on purpose: Kernel::elided_reads is
+//      per AST site, so the copies must elide exactly the reads the loop
+//      body elides.  Nothing merges a read of one copy into another, and a
+//      read that does not depend on the elements is still classified once
+//      per tuple.
+//   5. Constant folding over the unrolled copies: int arithmetic and
+//      comparisons of constants fold, adding or subtracting 0 and
+//      multiplying by 1 drop out when the other operand is an int on every
+//      path, and the resulting register copies propagate, so
+//      `i + (dir==0) - (dir==1)` is `i + 1` in the copy for dir = 0.  Dead
+//      temporary elimination then runs again.
+//
 // The pass never reorders instructions, so evaluation order, error sites
 // and short-circuit behaviour are exactly the unoptimised kernel's; it
 // only elides recomputation.  An elided array read is not classified, so
@@ -41,10 +57,13 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "support/wrap.hpp"
+#include "uclang/symbols.hpp"
 #include "ucvm/kernel/bytecode.hpp"
 
 namespace uc::vm::detail::kernel {
@@ -124,6 +143,59 @@ bool deletable(const Inst& i) {
   }
 }
 
+// Calls f(reg, block) for every register operand `i` reads: block is 0
+// for a plain operand, else reg starts a contiguous subscript block of
+// that many registers, which must be read in place.
+template <class F>
+void for_each_use(Inst& i, F&& f) {
+  switch (i.op) {
+    case Op::kMove:
+    case Op::kBool:
+    case Op::kUnary:
+    case Op::kAbs:
+    case Op::kIncDec:
+    case Op::kCoerce:
+    case Op::kPower2:
+    case Op::kJumpIfFalse:
+    case Op::kJumpIfTrue:
+    case Op::kReduceFold:
+    case Op::kRet:
+      f(i.a, std::uint16_t{0});
+      break;
+    case Op::kBinary:
+    case Op::kMinMax:
+      f(i.a, std::uint16_t{0});
+      f(i.b, std::uint16_t{0});
+      break;
+    case Op::kArrIndex:
+    case Op::kArrGet:
+      if (i.c != 0) f(i.b, i.c);
+      break;
+    case Op::kArrLoad:
+    case Op::kClassify:
+    case Op::kStoreScalar:
+      f(i.b, std::uint16_t{0});
+      break;
+    case Op::kArrStore:
+    case Op::kArrPut:
+      f(i.b, std::uint16_t{0});
+      f(i.c, std::uint16_t{0});
+      break;
+    default:
+      break;
+  }
+}
+
+// Tuples in the product of a reduction's index sets.  Sema fills every
+// set's values, so the count is a property of the AST.
+std::int64_t tuple_count(const lang::ReduceExpr& e) {
+  std::int64_t prod = 1;
+  for (const lang::Symbol* s : e.index_set_syms) {
+    prod *= static_cast<std::int64_t>(s->index_set->values.size());
+  }
+  return prod;
+}
+
 std::uint64_t ptr_key(const void* p) {
   return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p));
 }
@@ -147,6 +219,10 @@ class Optimizer {
     analyze();
     if (!value_number()) return false;
     eliminate_dead();
+    if (unroll_reductions()) {
+      fold_constants();
+      eliminate_dead();
+    }
     return true;
   }
 
@@ -476,6 +552,7 @@ class Optimizer {
         case Op::kReduceBegin:
         case Op::kReduceSkipOthers:
         case Op::kReduceNext:
+        case Op::kReduceTuple:
           break;
         case Op::kJumpIfFalse:
         case Op::kJumpIfTrue:
@@ -491,45 +568,13 @@ class Optimizer {
     return true;
   }
 
-  void mark_uses(const Inst& inst, std::vector<std::uint8_t>& needed) {
-    switch (inst.op) {
-      case Op::kMove:
-      case Op::kBool:
-      case Op::kUnary:
-      case Op::kAbs:
-      case Op::kIncDec:
-      case Op::kCoerce:
-      case Op::kPower2:
-      case Op::kJumpIfFalse:
-      case Op::kJumpIfTrue:
-      case Op::kReduceFold:
-      case Op::kRet:
-        needed[inst.a] = 1;
-        break;
-      case Op::kBinary:
-      case Op::kMinMax:
-        needed[inst.a] = 1;
-        needed[inst.b] = 1;
-        break;
-      case Op::kArrIndex:
-      case Op::kArrGet:
-        for (std::uint16_t j = 0; j < inst.c; ++j) {
-          needed[static_cast<std::uint16_t>(inst.b + j)] = 1;
-        }
-        break;
-      case Op::kArrLoad:
-      case Op::kClassify:
-      case Op::kStoreScalar:
-        needed[inst.b] = 1;
-        break;
-      case Op::kArrStore:
-      case Op::kArrPut:
-        needed[inst.b] = 1;
-        needed[inst.c] = 1;
-        break;
-      default:
-        break;
-    }
+  static void mark_uses(Inst& inst, std::vector<std::uint8_t>& needed) {
+    for_each_use(inst, [&](std::uint16_t r, std::uint16_t block) {
+      const std::uint16_t n = block == 0 ? 1 : block;
+      for (std::uint16_t j = 0; j < n; ++j) {
+        needed[static_cast<std::uint16_t>(r + j)] = 1;
+      }
+    });
   }
 
   void eliminate_dead() {
@@ -537,7 +582,7 @@ class Optimizer {
     std::vector<std::uint8_t> needed(k_.num_regs, 0);
     std::vector<std::uint8_t> keep(n, 0);
     for (std::size_t i = n; i-- > 0;) {
-      const Inst& inst = k_.code[i];
+      Inst& inst = k_.code[i];
       // Definitions linearly precede uses, and every static write of a
       // needed register is kept (join registers have several), so one
       // reverse sweep suffices.
@@ -563,6 +608,264 @@ class Optimizer {
       out.push_back(inst);
     }
     k_.code = std::move(out);
+  }
+
+  // --- pass 4: reduction unrolling ---
+
+  // Whether the reduction starting at code[begin] unrolls, given the
+  // kernel's size and register count with the reductions unrolled so far;
+  // if so `next` is its kReduceNext, `prod` its tuple count, and the body
+  // writes registers [lo, lo + span).
+  bool unrollable(std::size_t begin, std::size_t size, std::size_t regs,
+                  std::size_t& next, std::int64_t& prod, std::size_t& lo,
+                  std::size_t& span) const {
+    const std::vector<Inst>& code = k_.code;
+    next = begin + 1;
+    while (next < code.size() && code[next].op != Op::kReduceNext) ++next;
+    if (next + 1 >= code.size() || code[next + 1].op != Op::kReduceEnd) {
+      return false;
+    }
+    prod = tuple_count(*k_.reduces[code[begin].a].expr);
+    if (prod < 1 || prod > kMaxUnrolledTuples) return false;
+    const std::size_t body = next - begin - 1;
+    if (size + body * static_cast<std::size_t>(prod - 1) > kMaxUnrolledCode) {
+      return false;
+    }
+    // The body's own registers, renamed per copy by one offset so subscript
+    // blocks stay contiguous; its jumps stay inside it.
+    std::size_t hi = 0;
+    lo = std::numeric_limits<std::size_t>::max();
+    for (std::size_t j = begin + 1; j < next; ++j) {
+      const Inst& inst = code[j];
+      if (inst.jump >= 0 && (inst.jump <= static_cast<std::int32_t>(begin) ||
+                             inst.jump > static_cast<std::int32_t>(next))) {
+        return false;
+      }
+      if (!writes_dst(inst.op)) continue;
+      lo = std::min<std::size_t>(lo, inst.dst);
+      hi = std::max<std::size_t>(hi, inst.dst + std::size_t{1});
+    }
+    span = hi > lo ? hi - lo : 0;
+    return regs + span * static_cast<std::size_t>(prod - 1) <= kMaxKernelRegs;
+  }
+
+  // Element of set `s` at tuple `t` of `red` (row-major: the last set
+  // varies fastest, as the loop's odometer does).
+  static std::int64_t tuple_elem(const lang::ReduceExpr& red, std::size_t s,
+                                 std::int64_t t) {
+    const auto& sets = red.index_set_syms;
+    for (std::size_t q = sets.size(); q-- > s + 1;) {
+      t /= static_cast<std::int64_t>(sets[q]->index_set->values.size());
+    }
+    const auto& vals = sets[s]->index_set->values;
+    return vals[static_cast<std::size_t>(
+        t % static_cast<std::int64_t>(vals.size()))];
+  }
+
+  // Rewrites every small reduction as kReduceBegin (arg 1), copy 0, then
+  // kReduceTuple t and copy t for t = 1 .. prod-1, then kReduceEnd.
+  // Returns whether any reduction unrolled.
+  bool unroll_reductions() {
+    const std::vector<Inst>& code = k_.code;
+    const std::size_t n = code.size();
+    std::vector<Inst> out;
+    std::vector<std::int32_t> new_idx(n + 1, 0);
+    std::vector<std::size_t> remap;  // out positions holding old jump targets
+    std::size_t regs = k_.num_regs;
+    bool any = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      new_idx[i] = static_cast<std::int32_t>(out.size());
+      std::size_t next = 0, lo = 0, span = 0;
+      std::int64_t prod = 0;
+      if (code[i].op != Op::kReduceBegin ||
+          !unrollable(i, n + out.size() - i, regs, next, prod, lo, span)) {
+        out.push_back(code[i]);
+        if (code[i].jump >= 0) remap.push_back(out.size() - 1);
+        continue;
+      }
+      any = true;
+      const lang::ReduceExpr& red = *k_.reduces[code[i].a].expr;
+      Inst begin = code[i];
+      begin.arg = 1;
+      begin.jump = -1;
+      out.push_back(begin);
+      for (std::int64_t t = 0; t < prod; ++t) {
+        if (t != 0) {
+          Inst tuple;
+          tuple.op = Op::kReduceTuple;
+          tuple.a = begin.a;
+          tuple.b = static_cast<std::uint16_t>(t);
+          out.push_back(tuple);
+        }
+        const std::size_t start = out.size();
+        const std::size_t base = regs + span * static_cast<std::size_t>(t - 1);
+        const auto rename = [&](std::uint16_t& r) {
+          if (t != 0 && r >= lo && r < lo + span) {
+            r = static_cast<std::uint16_t>(base + (r - lo));
+          }
+        };
+        for (std::size_t j = i + 1; j < next; ++j) {
+          Inst inst = code[j];
+          if (writes_dst(inst.op)) rename(inst.dst);
+          for_each_use(inst,
+                       [&](std::uint16_t& r, std::uint16_t) { rename(r); });
+          if (inst.op == Op::kLoadReduceElem) {
+            inst.op = Op::kConst;
+            inst.a = pool_const(k_, Value::of_int(tuple_elem(red, inst.b, t)));
+            inst.b = 0;
+          }
+          // Body jumps land inside the copy; the loop's kReduceNext, which
+          // the arms' exits reach, is the next copy's entry.
+          if (inst.jump >= 0) {
+            inst.jump = static_cast<std::int32_t>(
+                start + static_cast<std::size_t>(inst.jump) - (i + 1));
+          }
+          out.push_back(inst);
+        }
+      }
+      regs += span * static_cast<std::size_t>(prod - 1);
+      i = next;  // kReduceNext is gone; kReduceEnd follows the last copy
+    }
+    if (!any) return false;
+    new_idx[n] = static_cast<std::int32_t>(out.size());
+    for (const std::size_t p : remap) {
+      out[p].jump = new_idx[static_cast<std::size_t>(out[p].jump)];
+    }
+    k_.code = std::move(out);
+    k_.num_regs = static_cast<std::uint32_t>(regs);
+    return true;
+  }
+
+  // --- pass 5: constant folding and copy propagation ---
+
+  void fold_constants() {
+    const std::size_t nregs = k_.num_regs;
+    std::vector<std::uint8_t> writes(nregs, 0);
+    for (const Inst& i : k_.code) {
+      if (writes_dst(i.op) && writes[i.dst] < 2) ++writes[i.dst];
+    }
+    // Facts about single-write registers, whose one definition dominates
+    // every read: a known int constant, an int on every path, a copy of an
+    // earlier single-write register.
+    std::vector<std::uint8_t> known(nregs, 0);
+    std::vector<std::int64_t> val(nregs, 0);
+    std::vector<std::uint8_t> sure_int(nregs, 0);
+    std::vector<std::uint16_t> alias(nregs);
+    std::iota(alias.begin(), alias.end(), std::uint16_t{0});
+    const auto to_const = [&](Inst& inst, std::int64_t v) {
+      rewrite_to_move(inst, 0);
+      inst.op = Op::kConst;
+      inst.a = pool_const(k_, Value::of_int(v));
+      known[inst.dst] = 1;
+      val[inst.dst] = v;
+      sure_int[inst.dst] = 1;
+    };
+    const auto to_copy = [&](Inst& inst, std::uint16_t src) {
+      rewrite_to_move(inst, src);
+      if (writes[src] == 1) alias[inst.dst] = src;
+      sure_int[inst.dst] = 1;
+    };
+    for (Inst& inst : k_.code) {
+      for_each_use(inst, [&](std::uint16_t& r, std::uint16_t block) {
+        if (block == 0) r = alias[r];
+      });
+      if (!writes_dst(inst.op) || writes[inst.dst] != 1) continue;
+      const std::uint16_t d = inst.dst;
+      switch (inst.op) {
+        case Op::kConst:
+          if (!k_.pool[inst.a].is_float) {
+            known[d] = 1;
+            val[d] = k_.pool[inst.a].i;
+            sure_int[d] = 1;
+          }
+          break;
+        case Op::kMove:
+          known[d] = known[inst.a];
+          val[d] = val[inst.a];
+          sure_int[d] = sure_int[inst.a];
+          if (writes[inst.a] == 1) alias[d] = inst.a;
+          break;
+        case Op::kBool:
+        case Op::kLoadElem:
+        case Op::kLoadReduceElem:
+        case Op::kArrIndex:
+        case Op::kPower2:
+        case Op::kRand:
+          sure_int[d] = 1;
+          break;
+        case Op::kUnary: {
+          const auto op = static_cast<lang::UnaryOp>(inst.arg);
+          if (known[inst.a] && op == lang::UnaryOp::kNot) {
+            to_const(inst, val[inst.a] == 0 ? 1 : 0);
+          } else if (known[inst.a] && op == lang::UnaryOp::kNeg) {
+            to_const(inst, support::wrap_neg(val[inst.a]));
+          } else {
+            sure_int[d] = op == lang::UnaryOp::kNot ||
+                          op == lang::UnaryOp::kBitNot ||
+                          (op == lang::UnaryOp::kNeg && sure_int[inst.a]);
+          }
+          break;
+        }
+        case Op::kBinary:
+          fold_binary(inst, known, val, sure_int, to_const, to_copy);
+          break;
+        default:
+          break;
+      }
+    }
+  }
+
+  template <class ToConst, class ToCopy>
+  static void fold_binary(Inst& inst, const std::vector<std::uint8_t>& known,
+                          const std::vector<std::int64_t>& val,
+                          std::vector<std::uint8_t>& sure_int,
+                          ToConst&& to_const, ToCopy&& to_copy) {
+    using lang::BinaryOp;
+    const auto op = static_cast<BinaryOp>(inst.arg);
+    const std::uint16_t a = inst.a;
+    const std::uint16_t b = inst.b;
+    if (known[a] && known[b]) {
+      const std::int64_t x = val[a];
+      const std::int64_t y = val[b];
+      switch (op) {
+        case BinaryOp::kAdd: return to_const(inst, support::wrap_add(x, y));
+        case BinaryOp::kSub: return to_const(inst, support::wrap_sub(x, y));
+        case BinaryOp::kMul: return to_const(inst, support::wrap_mul(x, y));
+        case BinaryOp::kEq: return to_const(inst, x == y ? 1 : 0);
+        case BinaryOp::kNe: return to_const(inst, x != y ? 1 : 0);
+        case BinaryOp::kLt: return to_const(inst, x < y ? 1 : 0);
+        case BinaryOp::kGt: return to_const(inst, x > y ? 1 : 0);
+        case BinaryOp::kLe: return to_const(inst, x <= y ? 1 : 0);
+        case BinaryOp::kGe: return to_const(inst, x >= y ? 1 : 0);
+        default: break;  // div/mod keep their error site; bit ops are rare
+      }
+    }
+    const bool ints = sure_int[a] && sure_int[b];
+    // Identities hold only on ints: -0.0 + 0 is +0.0.
+    if (ints && op == BinaryOp::kAdd && known[a] && val[a] == 0) {
+      return to_copy(inst, b);
+    }
+    if (ints && (op == BinaryOp::kAdd || op == BinaryOp::kSub) && known[b] &&
+        val[b] == 0) {
+      return to_copy(inst, a);
+    }
+    if (ints && op == BinaryOp::kMul && known[a] && val[a] == 1) {
+      return to_copy(inst, b);
+    }
+    if (ints && op == BinaryOp::kMul && known[b] && val[b] == 1) {
+      return to_copy(inst, a);
+    }
+    switch (op) {
+      case BinaryOp::kAdd:
+      case BinaryOp::kSub:
+      case BinaryOp::kMul:
+      case BinaryOp::kDiv:
+        sure_int[inst.dst] = ints;
+        break;
+      default:
+        sure_int[inst.dst] = 1;  // mod, comparisons, bit ops and shifts
+        break;
+    }
   }
 };
 

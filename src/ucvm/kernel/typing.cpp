@@ -167,6 +167,7 @@ void type_kernel(const Kernel& k, KernelTypes& out,
         case Op::kJumpIfTrue:
         case Op::kReduceSkipOthers:
         case Op::kReduceNext:
+        case Op::kReduceTuple:
         case Op::kMemberBoundary:
         case Op::kRet:
           break;

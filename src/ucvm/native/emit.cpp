@@ -14,7 +14,13 @@
 // guards as branches the host compiler converts to selects where
 // profitable, and never bake process-local pointers into the text: all
 // link-dependent state arrives through NativeArgs, which is what lets
-// the compiled .so be cached on disk across processes.
+// the compiled .so be cached on disk across processes.  A prologue copies
+// every descriptor the kernel uses into const locals before the lane loop,
+// and the access counters live in one local NStats per member that is
+// added into the host's stats once per chunk, so no store in the loop can
+// make the host compiler reload a descriptor field (docs/VM.md "Native
+// tier").
+#include <algorithm>
 #include <cstdarg>
 #include <cstddef>
 #include <cstdint>
@@ -52,6 +58,9 @@ struct ReduceMeta {
   bool flt = false;
   ReduceKind op = ReduceKind::kAdd;
   RegType acc = kInt;
+  bool unrolled = false;
+  std::int64_t sizes[kernel::kMaxReduceSets] = {};  // unrolled: set sizes
+  std::int64_t prod = 1;                            // unrolled: tuple count
 };
 
 void appendf(std::string& s, const char* fmt, ...) {
@@ -100,6 +109,11 @@ class Emitter {
       m.op = e->op;
       m.acc = types.acc[i];
       if (m.n_sets > kernel::kMaxReduceSets) return false;
+      for (std::size_t s = 0; s < m.n_sets; ++s) {
+        m.sizes[s] = static_cast<std::int64_t>(
+            e->index_set_syms[s]->index_set->values.size());
+        m.prod *= m.sizes[s];
+      }
     }
 
     // Structural limits of the emitted loop: a lane's writes must be
@@ -111,10 +125,12 @@ class Emitter {
         case Op::kReduceBegin:
           if (cur_reduce >= 0) return false;
           cur_reduce = static_cast<int>(I.a);
+          rmeta_[I.a].unrolled = I.arg == 1;
           break;
         case Op::kReduceFold:
         case Op::kReduceSkipOthers:
         case Op::kReduceNext:
+        case Op::kReduceTuple:
           if (cur_reduce < 0) return false;
           break;
         case Op::kReduceEnd:
@@ -129,9 +145,13 @@ class Emitter {
       }
     }
     // Map each instruction to its live reduce (for classify call sites and
-    // fold emission), and collect jump-target labels.
+    // fold emission), collect jump-target labels, and note the operand
+    // slots the prologue loads and the subscripts each array takes.
     inst_reduce_.assign(k_.code.size(), -1);
     labels_.assign(k_.code.size(), false);
+    used_elems_.assign(k_.elems.size(), false);
+    used_scalars_.assign(k_.scalars.size(), false);
+    array_subs_.assign(k_.arrays.size(), -1);
     cur_reduce = -1;
     for (std::size_t ip = 0; ip < k_.code.size(); ++ip) {
       const Inst& I = k_.code[ip];
@@ -139,6 +159,28 @@ class Emitter {
       inst_reduce_[ip] = cur_reduce;
       if (I.op == Op::kReduceEnd) cur_reduce = -1;
       if (I.jump >= 0) labels_[static_cast<std::size_t>(I.jump)] = true;
+      switch (I.op) {
+        case Op::kLoadElem:
+          used_elems_[I.a] = true;
+          break;
+        case Op::kLoadScalar:
+        case Op::kStoreScalar:
+          used_scalars_[I.a] = true;
+          break;
+        case Op::kArrIndex:
+        case Op::kArrGet:
+          array_subs_[I.a] = std::max<int>(array_subs_[I.a], I.c);
+          break;
+        case Op::kArrLoad:
+        case Op::kClassify:
+        case Op::kBroadcastCheck:
+        case Op::kArrStore:
+        case Op::kArrPut:
+          array_subs_[I.a] = std::max(array_subs_[I.a], 0);
+          break;
+        default:
+          break;
+      }
     }
     return true;
   }
@@ -160,38 +202,52 @@ class Emitter {
     out_.wheres.push_back(w);
     return out_.wheres.size() - 1;
   }
-  void classify_call(std::uint16_t site, const std::string& flat) {
-    const std::int32_t red = k_.arrays[site].reduce;
-    if (red >= 0) {
-      appendf(src_,
-              "      uc_classify(A, a_, 1, %s, rs_vp, rs_coords, "
-              "rs_suppress, st);\n",
-              flat.c_str());
-    } else {
-      appendf(src_,
-              "      uc_classify(A, a_, 0, %s, lane_vp, lane_coords, "
-              "false, st);\n",
-              flat.c_str());
-    }
+  std::string A(std::uint16_t site) const {
+    return "a" + std::to_string(site);
   }
-  // A read's classification (docs/VM.md "Read classification"): inline
-  // from the subscripts r[base .. base+n) when the linked array keeps the
-  // default layout and matches the lane geometry, else the table walk.
-  void classify_read(std::uint16_t site, std::uint16_t base,
-                     std::uint16_t n) {
-    const bool red = k_.arrays[site].reduce >= 0;
-    src_ += "      if (a_.mode == 2 && a_.identity && a_.geom_matches) {\n";
-    if (red) src_ += "        if (!rs_suppress) {\n";
-    src_ += "        int diff = 0; i64 hops = 0;\n";
-    for (std::uint16_t j = 0; j < n; ++j) {
-      appendf(src_, "        uc_axis(%s, %s[%u], diff, hops);\n",
-              I64(base + j).c_str(), red ? "rs_coords" : "lane_coords", j);
+  std::string ST() const { return "st" + std::to_string(member_); }
+  // Classification of an access to element `flat` of arrays[site]
+  // (docs/VM.md "Read classification"): uc_classify, whose default-layout
+  // case off the lane geometry is one compare against the lane's VP.  A
+  // read at a plain site whose array also matches the lane geometry
+  // compares its subscripts r[base .. base+n) with the lane's coordinates
+  // inline instead.  A flat-only site (a write or compound read) passes
+  // n = 0.  Reduce sites take uc_classify only: their expanded geometry
+  // rarely matches an array, and each unrolled copy would repeat the
+  // inline form.
+  void classify(std::uint16_t site, const std::string& flat,
+                std::uint16_t base = 0, std::uint16_t n = 0) {
+    const std::int32_t red = k_.arrays[site].reduce;
+    const std::string a = A(site);
+    const std::string st = ST();
+    const std::string call =
+        "uc_classify(" + a + ", " + flat + ", " +
+        (red >= 0 ? "rs_vp, rs_coords" : "lane_vp, lane_coords") +
+        ", news_op, router_op, " + st + ");\n";
+    if (red >= 0) {
+      // Inside a partition-optimised reduction the send-with-combine
+      // charge already paid for the access.
+      appendf(src_, "      if (!R%d.suppress) %s", red, call.c_str());
+      return;
     }
-    src_ += "        uc_tally(A, diff, hops, st);\n";
-    if (red) src_ += "        }\n";
-    src_ += "      } else {\n";
-    classify_call(site, "flat");
-    src_ += "      }\n";
+    if (n == 0) {
+      src_ += "      " + call;
+      return;
+    }
+    appendf(src_,
+            "      if (%s.mode == 2 && %s.identity && %s.geom_matches) {\n"
+            "        int diff = 0; i64 hops = 0;\n",
+            a.c_str(), a.c_str(), a.c_str());
+    for (std::uint16_t j = 0; j < n; ++j) {
+      appendf(src_, "        uc_axis(%s, lane_coords[%u], diff, hops);\n",
+              I64(base + j).c_str(), j);
+    }
+    appendf(src_,
+            "        uc_tally(diff, hops, news_op, router_op, %s);\n"
+            "      } else {\n"
+            "        %s"
+            "      }\n",
+            st.c_str(), call.c_str());
   }
   void emit_value_store(const char* dst, std::uint16_t reg) {
     if (rt_[reg] == kFloat) {
@@ -202,18 +258,21 @@ class Emitter {
               dst, R(reg).c_str(), dst);
     }
   }
+  // flat = the element at subscripts r[base .. base+n) of arrays[site];
+  // a rank mismatch or a subscript out of range raises.
   void emit_bounds(std::uint16_t site, std::uint16_t base, std::uint16_t n) {
-    appendf(src_, "      i64 flat = (%u == a_.rank) ? 0 : (i64)-1;\n",
-            static_cast<unsigned>(n));
+    const std::string a = A(site);
+    appendf(src_,
+            "      if (%s.rank != %u) goto uc_error;\n"
+            "      i64 flat = 0;\n",
+            a.c_str(), static_cast<unsigned>(n));
     for (std::uint16_t j = 0; j < n; ++j) {
       appendf(src_,
-              "      if (flat >= 0) { const i64 ix = %s;\n"
-              "        if (ix < 0 || ix >= a_.adims[%u]) flat = -1;\n"
-              "        else flat += ix * a_.astrides[%u]; }\n",
-              I64(base + j).c_str(), j, j);
+              "      { const i64 ix = %s;\n"
+              "        if ((u64)ix >= (u64)%s_dim%u) goto uc_error;\n"
+              "        flat += ix * %s_stride%u; }\n",
+              I64(base + j).c_str(), a.c_str(), j, a.c_str(), j);
     }
-    src_ += "      if (flat < 0) goto uc_error;\n";
-    (void)site;
   }
 
   // --- prelude: mirrored host structs + helpers ---
@@ -291,16 +350,16 @@ class Emitter {
         "  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;\n"
         "  return z ^ (z >> 31);\n"
         "}\n"
-        // Mirror of kernel::Engine::classify_site, decision for decision.
-        "static inline void uc_classify(const NArgs* A, const NArray& a,\n"
-        "    int in_reduce, i64 flat, i64 vp, const i64* coords,\n"
-        "    bool suppress, NStats* st) {\n"
-        "  if (in_reduce && suppress) return;\n"
-        "  if (a.mode == 0) { ++st->frontend; return; }\n"
-        "  if (a.mode == 1) { ++st->local; return; }\n"
+        // Mirror of kernel::Engine's classification, decision for
+        // decision.  The owner-table walk is out of line: arrays under the
+        // default layout never take it, and every access site would
+        // otherwise repeat it.
+        "__attribute__((noinline)) static void uc_walk(const NArray& a,\n"
+        "    i64 flat, i64 vp, const i64* coords, u64 news_op, u64 router_op,\n"
+        "    NStats& st) {\n"
         "  const i64 owner = a.identity ? flat : a.owners[flat];\n"
-        "  if (owner == vp) { ++st->local; return; }\n"
-        "  if (a.slice) { ++st->router; return; }\n"
+        "  if (owner == vp) { ++st.local; return; }\n"
+        "  if (a.slice) { ++st.router; return; }\n"
         "  if (a.geom_matches) {\n"
         "    const i64* oc = a.vp_coords + (u64)owner * (u64)a.rank;\n"
         "    int diff = 0; i64 hops = 0;\n"
@@ -309,14 +368,26 @@ class Emitter {
         "        hops = oc[d] < coords[d] ? coords[d] - oc[d] : oc[d] - "
         "coords[d]; }\n"
         "    }\n"
-        "    if (diff == 1 && (u64)hops * A->news_op <= A->router_op) {\n"
-        "      ++st->news;\n"
-        "      if ((u64)hops > st->news_max_hops) st->news_max_hops = "
+        "    if (diff == 1 && (u64)hops * news_op <= router_op) {\n"
+        "      ++st.news;\n"
+        "      if ((u64)hops > st.news_max_hops) st.news_max_hops = "
         "(u64)hops;\n"
         "      return;\n"
         "    }\n"
         "  }\n"
-        "  ++st->router;\n"
+        "  ++st.router;\n"
+        "}\n"
+        // Default layout off the lane geometry: element e lives on VP e
+        // and NEWS is impossible, so one compare decides.
+        "static inline void uc_classify(const NArray& a, i64 flat, i64 vp,\n"
+        "    const i64* coords, u64 news_op, u64 router_op, NStats& st) {\n"
+        "  if (a.mode == 0) { ++st.frontend; return; }\n"
+        "  if (a.mode == 1) { ++st.local; return; }\n"
+        "  if (a.identity && !a.geom_matches) {\n"
+        "    if (flat == vp) ++st.local; else ++st.router;\n"
+        "    return;\n"
+        "  }\n"
+        "  uc_walk(a, flat, vp, coords, news_op, router_op, st);\n"
         "}\n"
         // The closed form kArrGet inlines under the default layout: one
         // subscript against the lane's coordinate per axis, then the same
@@ -324,16 +395,23 @@ class Emitter {
         "static inline void uc_axis(i64 x, i64 c, int& diff, i64& hops) {\n"
         "  if (x != c) { ++diff; hops = x < c ? c - x : x - c; }\n"
         "}\n"
-        "static inline void uc_tally(const NArgs* A, int diff, i64 hops,\n"
-        "    NStats* st) {\n"
-        "  if (diff == 0) { ++st->local; return; }\n"
-        "  if (diff == 1 && (u64)hops * A->news_op <= A->router_op) {\n"
-        "    ++st->news;\n"
-        "    if ((u64)hops > st->news_max_hops) st->news_max_hops = "
+        "static inline void uc_tally(int diff, i64 hops, u64 news_op,\n"
+        "    u64 router_op, NStats& st) {\n"
+        "  if (diff == 0) { ++st.local; return; }\n"
+        "  if (diff == 1 && (u64)hops * news_op <= router_op) {\n"
+        "    ++st.news;\n"
+        "    if ((u64)hops > st.news_max_hops) st.news_max_hops = "
         "(u64)hops;\n"
         "    return;\n"
         "  }\n"
-        "  ++st->router;\n"
+        "  ++st.router;\n"
+        "}\n"
+        // AccessStats::merge: a chunk's local counters into the host's.
+        "static inline void uc_merge(NStats* d, const NStats& s) {\n"
+        "  d->local += s.local; d->news += s.news; d->router += s.router;\n"
+        "  d->frontend += s.frontend; d->broadcast += s.broadcast;\n"
+        "  if (s.news_max_hops > d->news_max_hops) "
+        "d->news_max_hops = s.news_max_hops;\n"
         "}\n";
   }
 
@@ -342,34 +420,32 @@ class Emitter {
   void emit_entry() {
     src_ +=
         "#define UC_EXPORT __attribute__((visibility(\"default\")))\n"
-        "extern \"C\" UC_EXPORT void uc_native_entry(NArgs* A) {\n"
-        "  NVal* results = (NVal*)A->results;\n"
-        "  NWrite* WQ = (NWrite*)A->writes;\n"
-        "  NStats* stats0 = (NStats*)A->stats;\n"
+        "extern \"C\" UC_EXPORT void uc_native_entry(NArgs* A) {\n";
+    emit_prologue();
+    src_ +=
         "  i64 wn = 0;\n"
-        "  for (i64 kk = A->k_begin; kk < A->k_end; ++kk) {\n"
-        "    const i64 lane = A->active[kk];\n"
+        "  for (i64 kk = k_begin; kk < k_end; ++kk) {\n"
+        "    const i64 lane = active[kk];\n"
         "    i64 L[32]; L[0] = lane;\n"
-        "    for (int d = 1; d <= A->max_depth; ++d)\n"
-        "      L[d] = A->parent_lanes[d - 1][L[d - 1]];\n"
-        "    const i64 lane_vp = A->vps[lane];\n"
+        "    for (int d = 1; d <= max_depth; ++d)\n"
+        "      L[d] = parent_lanes[d - 1][L[d - 1]];\n"
+        "    const i64 lane_vp = vps[lane];\n"
         "    const i64* lane_coords =\n"
-        "        A->n_dims ? A->coords + (u64)lane * (u64)A->n_dims : "
-        "(const i64*)0;\n"
-        "    NStats* st = stats0;\n";
+        "        n_dims ? coords + (u64)lane * (u64)n_dims : (const i64*)0;\n";
     if (k_.uses_rand) {
       src_ +=
-          "    u64 rng = A->base_seed ^ (A->stmt_id * "
-          "0x9e3779b97f4a7c15ull) ^ ((u64)lane_vp + "
-          "0x5851f42d4c957f2dull);\n";
+          "    u64 rng = base_seed ^ (stmt_id * 0x9e3779b97f4a7c15ull) ^ "
+          "((u64)lane_vp + 0x5851f42d4c957f2dull);\n";
     }
     if (!k_.reduces.empty()) {
-      src_ +=
-          "    u64 rs_pos[4] = {}; i64 rs_elem[4] = {}; i64 rs_coords[8] = "
-          "{};\n"
-          "    i64 rs_vp = 0, rs_parent_vp = 0, rs_tuple = 0;\n"
-          "    bool rs_any = false, rs_enabled_any = false, rs_suppress = "
-          "false;\n";
+      src_ += "    i64 rs_coords[8] = {}; i64 rs_vp = 0;\n"
+              "    bool rs_any = false, rs_enabled_any = false;\n";
+      bool loop = false;
+      for (const ReduceMeta& m : rmeta_) loop |= !m.unrolled;
+      if (loop) {
+        src_ +=
+            "    u64 rs_pos[4] = {}; i64 rs_elem[4] = {}; i64 rs_tuple = 0;\n";
+      }
       for (std::size_t i = 0; i < rmeta_.size(); ++i) {
         appendf(src_, "    %s acc%zu = 0;\n",
                 rmeta_[i].acc == kFloat ? "double" : "i64", i);
@@ -380,21 +456,76 @@ class Emitter {
       appendf(src_, "    %s r%u = 0;\n", rt_[r] == kFloat ? "double" : "i64",
               r);
     }
+    member_ = 0;
     for (std::size_t ip = 0; ip < k_.code.size(); ++ip) emit_inst(ip);
-    src_ +=
-        "  uc_lane_done:;\n"
-        "  }\n"
-        "  A->writes_count = wn;\n"
-        "  return;\n"
-        "uc_error:\n"
-        "  A->error = 1;\n"
-        "}\n";
+    src_ += "  uc_lane_done:;\n  }\n";
+    emit_flush();
+    src_ += "  return;\nuc_error:\n  A->error = 1;\n";
+    emit_flush();
+    src_ += "}\n";
     appendf(src_,
             "extern \"C\" { struct NInfo { unsigned abi_version; "
             "unsigned sizeof_args; u64 source_hash; };\n"
             "UC_EXPORT extern const NInfo uc_native_info = {%uu, %zuu, "
             "UC_SOURCE_HASH}; }\n",
             kAbiVersion, sizeof(NativeArgs));
+  }
+
+  // Every NativeArgs field and operand descriptor the kernel reads, as
+  // const locals: the lane loop then loads nothing it could have to reload.
+  void emit_prologue() {
+    src_ +=
+        "  const i64 k_begin = A->k_begin, k_end = A->k_end;\n"
+        "  const i64* const active = A->active;\n"
+        "  const i64* const vps = A->vps;\n"
+        "  const i64* const coords = A->coords;\n"
+        "  const i64 n_dims = A->n_dims;\n"
+        "  const i64* const* const parent_lanes = A->parent_lanes;\n"
+        "  const int max_depth = A->max_depth;\n"
+        "  const u64 news_op = A->news_op, router_op = A->router_op;\n"
+        "  const void* const* const wheres = A->wheres;\n"
+        "  void* const frame = A->frame;\n"
+        "  NVal* const results = (NVal*)A->results;\n"
+        "  NWrite* const WQ = (NWrite*)A->writes;\n";
+    if (k_.uses_rand) {
+      src_ += "  const u64 stmt_id = A->stmt_id, base_seed = A->base_seed;\n";
+    }
+    for (std::size_t i = 0; i < used_elems_.size(); ++i) {
+      if (used_elems_[i]) {
+        appendf(src_, "  const NElem e%zu = A->elems[%zu];\n", i, i);
+      }
+    }
+    for (std::size_t i = 0; i < used_scalars_.size(); ++i) {
+      if (used_scalars_[i]) {
+        appendf(src_, "  const NScalar s%zu = A->scalars[%zu];\n", i, i);
+      }
+    }
+    for (std::size_t i = 0; i < array_subs_.size(); ++i) {
+      if (array_subs_[i] < 0) continue;
+      appendf(src_, "  const NArray a%zu = A->arrays[%zu];\n", i, i);
+      for (int j = 0; j < array_subs_[i]; ++j) {
+        appendf(src_,
+                "  const i64 a%zu_dim%d = "
+                "a%zu.rank > %d ? a%zu.adims[%d] : 0;\n"
+                "  const i64 a%zu_stride%d = "
+                "a%zu.rank > %d ? a%zu.astrides[%d] : 0;\n",
+                i, j, i, j, i, j, i, j, i, j, i, j);
+      }
+    }
+    for (std::size_t i = 0; i < rmeta_.size(); ++i) {
+      appendf(src_, "  const NReduce R%zu = A->reduces[%zu];\n", i, i);
+    }
+    for (std::uint32_t m = 0; m < k_.num_members; ++m) {
+      appendf(src_, "  NStats st%u = {};\n", m);
+    }
+  }
+
+  // Adds each member's local counters into the host's stats slot.
+  void emit_flush() {
+    for (std::uint32_t m = 0; m < k_.num_members; ++m) {
+      appendf(src_, "  uc_merge((NStats*)A->stats + %u, st%u);\n", m, m);
+    }
+    src_ += "  A->writes_count = wn;\n";
   }
 
   void emit_inst(std::size_t ip) {
@@ -423,96 +554,83 @@ class Emitter {
         break;
       case Op::kLoadElem:
         appendf(src_,
-                "      const NElem& le = A->elems[%u];\n"
-                "      %s = le.vals[(u64)L[le.depth] * (u64)le.width + "
-                "(u64)le.k];\n",
-                I.a, R(I.dst).c_str());
+                "      %s = e%u.vals[(u64)L[e%u.depth] * (u64)e%u.width + "
+                "(u64)e%u.k];\n",
+                R(I.dst).c_str(), I.a, I.a, I.a, I.a);
         break;
       case Op::kLoadReduceElem:
         appendf(src_, "      %s = rs_elem[%u];\n", R(I.dst).c_str(), I.b);
         break;
-      case Op::kLoadScalar:
-        appendf(src_, "      const NScalar& ls = A->scalars[%u];\n", I.a);
-        if (rt_[I.dst] == kFloat) {
-          appendf(src_,
-                  "      %s = ls.home == 2 ? ((const NVal*)ls.store)"
-                  "[L[ls.depth]].f : ls.f;\n",
-                  R(I.dst).c_str());
-        } else {
-          appendf(src_,
-                  "      %s = ls.home == 2 ? ((const NVal*)ls.store)"
-                  "[L[ls.depth]].i : ls.i;\n",
-                  R(I.dst).c_str());
-        }
+      case Op::kLoadScalar: {
+        const char* f = rt_[I.dst] == kFloat ? "f" : "i";
+        appendf(src_,
+                "      %s = s%u.home == 2 ? ((const NVal*)s%u.store)"
+                "[L[s%u.depth]].%s : s%u.%s;\n",
+                R(I.dst).c_str(), I.a, I.a, I.a, f, I.a, f);
         break;
+      }
       case Op::kStoreScalar: {
         const std::size_t widx = where_index(I.where);
         appendf(src_,
-                "      const NScalar& ls = A->scalars[%u];\n"
+                "      const NScalar& ls = s%u;\n"
                 "      NWrite& w = WQ[wn++];\n"
                 "      w.target.kind = (unsigned char)(ls.home + 1);\n"
                 "      w.target.obj = ls.home == 0 ? (void*)0\n"
-                "          : (ls.home == 1 ? A->frame : ls.owner);\n"
+                "          : (ls.home == 1 ? frame : ls.owner);\n"
                 "      w.target.index = ls.slot;\n"
                 "      w.target.lane = ls.home == 2 ? L[ls.depth] : 0;\n",
                 I.a);
         emit_value_store("w.value", I.b);
-        appendf(src_, "      w.where = A->wheres[%zu];\n", widx);
+        appendf(src_, "      w.where = wheres[%zu];\n", widx);
         break;
       }
       case Op::kArrIndex:
-        appendf(src_, "      const NArray& a_ = A->arrays[%u];\n", I.a);
         emit_bounds(I.a, I.b, I.c);
         appendf(src_, "      %s = flat;\n", R(I.dst).c_str());
         break;
       case Op::kArrLoad:
-        appendf(src_, "      const NArray& a_ = A->arrays[%u];\n", I.a);
-        appendf(src_, "      %s = %s(a_.data[%s]);\n", R(I.dst).c_str(),
-                rt_[I.dst] == kFloat ? "uc_bits_f" : "uc_bits_i",
+        appendf(src_, "      %s = %s(a%u.data[%s]);\n", R(I.dst).c_str(),
+                rt_[I.dst] == kFloat ? "uc_bits_f" : "uc_bits_i", I.a,
                 R(I.b).c_str());
         break;
       case Op::kArrGet:
-        appendf(src_, "      const NArray& a_ = A->arrays[%u];\n", I.a);
         emit_bounds(I.a, I.b, I.c);
-        classify_read(I.a, I.b, I.c);
-        appendf(src_, "      %s = %s(a_.data[flat]);\n", R(I.dst).c_str(),
-                rt_[I.dst] == kFloat ? "uc_bits_f" : "uc_bits_i");
+        classify(I.a, "flat", I.b, I.c);
+        appendf(src_, "      %s = %s(a%u.data[flat]);\n", R(I.dst).c_str(),
+                rt_[I.dst] == kFloat ? "uc_bits_f" : "uc_bits_i", I.a);
         break;
       case Op::kClassify:
-        appendf(src_, "      const NArray& a_ = A->arrays[%u];\n", I.a);
-        classify_call(I.a, R(I.b));
+        classify(I.a, R(I.b));
         break;
       case Op::kBroadcastCheck:
-        appendf(src_,
-                "      if (A->arrays[%u].replicated) ++st->broadcast;\n",
-                I.a);
+        appendf(src_, "      if (a%u.replicated) ++%s.broadcast;\n", I.a,
+                ST().c_str());
         break;
       case Op::kArrStore: {
         const std::size_t widx = where_index(I.where);
         appendf(src_,
-                "      const NArray& a_ = A->arrays[%u];\n"
                 "      NWrite& w = WQ[wn++];\n"
-                "      w.target.kind = 0; w.target.obj = a_.obj;\n"
+                "      w.target.kind = 0; w.target.obj = a%u.obj;\n"
                 "      w.target.index = %s; w.target.lane = 0;\n",
                 I.a, R(I.b).c_str());
         emit_value_store("w.value", I.c);
-        appendf(src_, "      w.where = A->wheres[%zu];\n", widx);
+        appendf(src_, "      w.where = wheres[%zu];\n", widx);
         break;
       }
       case Op::kArrPut: {
         const std::size_t widx = where_index(I.where);
-        appendf(src_, "      const NArray& a_ = A->arrays[%u];\n", I.a);
-        classify_call(I.a, R(I.b));
+        classify(I.a, R(I.b));
         if ((I.arg & 1) != 0) {
-          src_ += "      if (a_.replicated) ++st->broadcast;\n";
+          appendf(src_, "      if (a%u.replicated) ++%s.broadcast;\n", I.a,
+                  ST().c_str());
         }
         appendf(src_,
                 "      NWrite& w = WQ[wn++];\n"
-                "      w.target.kind = 0; w.target.obj = a_.obj;\n"
+                "      w.target.kind = 0; w.target.obj = a%u.obj;\n"
                 "      w.target.index = %s; w.target.lane = 0;\n",
-                R(I.b).c_str());
+                I.a, R(I.b).c_str());
         emit_value_store("w.value", I.c);
-        appendf(src_, "      w.where = A->wheres[%zu];\n", widx);
+        appendf(src_, "      w.where = wheres[%zu];\n", widx);
         break;
       }
       case Op::kUnary:
@@ -614,23 +732,34 @@ class Emitter {
         const std::size_t ri = I.a;
         const ReduceMeta& m = rmeta_[ri];
         appendf(src_,
-                "      const NReduce& Rd = A->reduces[%zu];\n"
-                "      rs_suppress = Rd.suppress != 0;\n"
-                "      rs_any = false; rs_enabled_any = false; rs_tuple = "
-                "0;\n"
-                "      rs_parent_vp = lane_vp;\n"
-                "      acc%zu = %s;\n"
-                "      if (Rd.prod == 0) goto L%d;\n"
-                "      for (i64 d = 0; d < Rd.base_dims; ++d) rs_coords[d] = "
-                "lane_coords[d];\n",
-                ri, ri, identity_text(m).c_str(), I.jump);
-        for (std::size_t s = 0; s < m.n_sets; ++s) {
+                "      rs_any = false; rs_enabled_any = false;\n"
+                "      acc%zu = %s;\n",
+                ri, identity_text(m).c_str());
+        if (!m.unrolled) {
           appendf(src_,
-                  "      rs_pos[%zu] = 0; rs_elem[%zu] = Rd.values[%zu][0];\n"
-                  "      rs_coords[Rd.base_dims + %zu] = 0;\n",
-                  s, s, s, s);
+                  "      rs_tuple = 0;\n"
+                  "      if (R%zu.prod == 0) goto L%d;\n",
+                  ri, I.jump);
+          for (std::size_t s = 0; s < m.n_sets; ++s) {
+            appendf(src_,
+                    "      rs_pos[%zu] = 0; rs_elem[%zu] = "
+                    "R%zu.values[%zu][0];\n",
+                    s, s, ri, s);
+          }
         }
-        src_ += "      rs_vp = rs_parent_vp * Rd.prod;\n";
+        appendf(src_,
+                "      for (i64 d = 0; d < R%zu.base_dims; ++d) rs_coords[d] = "
+                "lane_coords[d];\n",
+                ri);
+        for (std::size_t s = 0; s < m.n_sets; ++s) {
+          appendf(src_, "      rs_coords[R%zu.base_dims + %zu] = 0;\n", ri, s);
+        }
+        if (m.unrolled) {
+          appendf(src_, "      rs_vp = lane_vp * %lld;\n",
+                  static_cast<long long>(m.prod));
+        } else {
+          appendf(src_, "      rs_vp = lane_vp * R%zu.prod;\n", ri);
+        }
         break;
       }
       case Op::kReduceFold:
@@ -640,36 +769,51 @@ class Emitter {
         appendf(src_, "      if (rs_enabled_any) goto L%d;\n", I.jump);
         break;
       case Op::kReduceNext: {
-        const auto ri =
-            static_cast<std::size_t>(inst_reduce_[ip]);
+        const auto ri = static_cast<std::size_t>(inst_reduce_[ip]);
         const ReduceMeta& m = rmeta_[ri];
         appendf(src_,
-                "      const NReduce& Rd = A->reduces[%zu];\n"
                 "      rs_enabled_any = false;\n"
-                "      if (++rs_tuple < Rd.prod) {\n"
+                "      if (++rs_tuple < R%zu.prod) {\n"
                 "        do {\n",
                 ri);
         for (std::size_t s = m.n_sets; s-- > 0;) {
           appendf(src_,
-                  "          if (++rs_pos[%zu] < (u64)Rd.sizes[%zu]) break;\n"
+                  "          if (++rs_pos[%zu] < (u64)R%zu.sizes[%zu]) break;\n"
                   "          rs_pos[%zu] = 0;\n",
-                  s, s, s);
+                  s, ri, s, s);
         }
         src_ +=
             "        } while (0);\n"
             "        i64 tf = 0;\n";
         for (std::size_t s = 0; s < m.n_sets; ++s) {
           appendf(src_,
-                  "        rs_elem[%zu] = Rd.values[%zu][rs_pos[%zu]];\n"
-                  "        rs_coords[Rd.base_dims + %zu] = (i64)rs_pos[%zu];\n"
-                  "        tf = tf * Rd.sizes[%zu] + (i64)rs_pos[%zu];\n",
-                  s, s, s, s, s, s, s);
+                  "        rs_elem[%zu] = R%zu.values[%zu][rs_pos[%zu]];\n"
+                  "        rs_coords[R%zu.base_dims + %zu] = "
+                  "(i64)rs_pos[%zu];\n"
+                  "        tf = tf * R%zu.sizes[%zu] + (i64)rs_pos[%zu];\n",
+                  s, ri, s, s, ri, s, s, ri, s, s);
         }
         appendf(src_,
-                "        rs_vp = rs_parent_vp * Rd.prod + tf;\n"
+                "        rs_vp = lane_vp * R%zu.prod + tf;\n"
                 "        goto L%d;\n"
                 "      }\n",
-                I.jump);
+                ri, I.jump);
+        break;
+      }
+      case Op::kReduceTuple: {
+        // The tuple of an unrolled copy is fixed at lowering, and so are
+        // its expanded-geometry coordinates.
+        const auto ri = static_cast<std::size_t>(inst_reduce_[ip]);
+        const ReduceMeta& m = rmeta_[ri];
+        src_ += "      rs_enabled_any = false;\n";
+        std::int64_t t = I.b;
+        for (std::size_t s = m.n_sets; s-- > 0;) {
+          appendf(src_, "      rs_coords[R%zu.base_dims + %zu] = %lld;\n", ri,
+                  s, static_cast<long long>(t % m.sizes[s]));
+          t /= m.sizes[s];
+        }
+        appendf(src_, "      rs_vp = lane_vp * %lld + %u;\n",
+                static_cast<long long>(m.prod), I.b);
         break;
       }
       case Op::kReduceEnd: {
@@ -684,10 +828,10 @@ class Emitter {
         break;
       }
       case Op::kMemberBoundary:
-        appendf(src_, "      st = stats0 + %u;\n", I.a);
+        member_ = I.a;
         if (k_.uses_rand) {
           appendf(src_,
-                  "      rng = A->base_seed ^ ((A->stmt_id + %uull) * "
+                  "      rng = base_seed ^ ((stmt_id + %uull) * "
                   "0x9e3779b97f4a7c15ull) ^ ((u64)lane_vp + "
                   "0x5851f42d4c957f2dull);\n",
                   I.a);
@@ -858,6 +1002,12 @@ class Emitter {
   std::vector<ReduceMeta> rmeta_;
   std::vector<int> inst_reduce_;
   std::vector<bool> labels_;
+  // Operand slots the kernel uses, for the prologue; array_subs_ is the
+  // most subscripts an access of the array takes, -1 when unused.
+  std::vector<bool> used_elems_;
+  std::vector<bool> used_scalars_;
+  std::vector<int> array_subs_;
+  std::uint32_t member_ = 0;  // the member being emitted
 };
 
 }  // namespace

@@ -90,8 +90,9 @@ void expect_parity(const std::string& src,
 // executor reuses the walk's error sites and messages).  A native kernel
 // that hits a runtime error discards its buffered writes and reruns the
 // statement on bytecode, which raises the identical deterministic error
-// with its full message.
-void expect_error_parity(const std::string& src) {
+// with its full message.  A non-empty `what` pins the walk's text too.
+void expect_error_parity(const std::string& src,
+                         const std::string& what = {}) {
   std::string walk_what;
   for (const auto& c : kEngineConfigs) {
     SCOPED_TRACE(c.label);
@@ -102,6 +103,9 @@ void expect_error_parity(const std::string& src) {
       if (c.engine == ExecEngine::kWalk) walk_what = e.what();
       EXPECT_EQ(walk_what, e.what());
     }
+  }
+  if (!what.empty()) {
+    EXPECT_EQ(walk_what, what);
   }
 }
 
@@ -709,17 +713,22 @@ TEST(EngineParity, BlockWritesCommitInLaneOrder) {
       "", conflict_error("3:47", " to a[1]: values 2 and 3"));
 }
 
-// A store inside a reduction's tuple loop gives a lane no bound on its
-// writes; such kernels run one lane per block and still commit in order.
+// A store inside a reduction's tuple loop (nine tuples) gives a lane no
+// bound on its writes; such kernels run one lane per block and still
+// commit in order.  Unrolled (five tuples), the copies' stores are
+// bounded again and the lanes run in full blocks.
 TEST(EngineParity, BlockStoresInsideAReduction) {
-  expect_commit(
-      "index_set I:i = {0..99}, J:j = {0..4};\n"
-      "int a[100], b[100];\n"
-      "void main() {\n"
-      "  par (I) a[i] = $+(J; b[i] = i + 1) + i;\n"
-      "  print($+(I; a[i]), $+(I; b[i]), a[99], b[99]);\n"
-      "}",
-      "30200 5050 599 100\n");
+  const auto src = [](const char* last) {
+    return std::string("index_set I:i = {0..99}, J:j = {0..") + last +
+           "};\n"
+           "int a[100], b[100];\n"
+           "void main() {\n"
+           "  par (I) a[i] = $+(J; b[i] = i + 1) + i;\n"
+           "  print($+(I; a[i]), $+(I; b[i]), a[99], b[99]);\n"
+           "}";
+  };
+  expect_commit(src("8"), "50400 5050 999 100\n");
+  expect_commit(src("4"), "30200 5050 599 100\n");
 }
 
 // Two rand() draws per lane in one fused body: each lane keeps its own
@@ -1075,6 +1084,166 @@ TEST(EngineParity, IntOverflowWrapsTwosComplement) {
   ASSERT_EQ(expected,
             "18 -24 0 6\n-4611686018427387904 4611686018427387904\n");
   expect_commit(src, expected);
+}
+
+// --- reduction unrolling (docs/VM.md "Reduction unrolling") ---
+//
+// A reduction over at most kMaxUnrolledTuples tuples runs as one
+// straight-line copy of its arms per tuple.  The cases use 2048 lanes, so
+// four host threads really split the lanes on every engine, native
+// included (its grain is 1024 lanes), and pin the router and NEWS counts:
+// a copy entering the wrong tuple, a read merged across copies or NEWS
+// taken on a geometry mismatch each moves them.
+
+// Every engine at 1 and at 4 host threads against the 1-thread walk, and
+// the walk's output against `output`.  Returns the walk's stats.
+cm::CostStats expect_unrolled_parity(const std::string& src,
+                                     const std::string& output) {
+  const RunResult ref = run_with(src, ExecEngine::kWalk);
+  EXPECT_EQ(ref.output(), output);
+  for (const auto& c : kEngineConfigs) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(c.label) + " threads=" +
+                   std::to_string(threads));
+      cm::MachineOptions mopts;
+      mopts.host_threads = threads;
+      const RunResult run = run_with(src, c.engine, mopts);
+      EXPECT_EQ(ref.output(), run.output());
+      EXPECT_EQ(ref.stats(), run.stats());
+    }
+  }
+  return ref.stats();
+}
+
+// One, eight (unrolled) and nine (the loop) tuples.  c is 1-D, so no
+// reduction's expanded geometry matches it: c[i * 8 + q] is the tuple's
+// own VP (local) and c[i * 8 + (q + 1) % 8] routes, 8 messages a lane.
+TEST(EngineParity, UnrolledTupleCounts) {
+  const cm::CostStats st = expect_unrolled_parity(
+      "#define N 2048\n"
+      "index_set I:i = {0..N-1}, K:k = {0..9*N-1};\n"
+      "index_set P:p = {5}, Q:q = {0..7}, U:u = {0..8};\n"
+      "int c[9*N], r[N];\n"
+      "void main() {\n"
+      "  par (K) c[k] = (k * 7) % 13;\n"
+      "  par (I) r[i] = $+(P; c[i] * p) +\n"
+      "                 $+(Q; c[i * 8 + q] * q + c[i * 8 + (q + 1) % 8]) +\n"
+      "                 $+(U; c[i * 9 + u] - u);\n"
+      "  print($+(I; r[i]), r[0], r[N-1]);\n"
+      "}\n",
+      "540535 222 226\n");
+  EXPECT_EQ(st.router_messages, 8u * 2048u);
+  EXPECT_EQ(st.news_ops, 0u);
+}
+
+// Two sets (2 x 4 tuples) and a set whose values are not its positions:
+// the copies bind values, the expanded coordinates are positions.  m's
+// shape is the expanded geometry, so m[i][a][b] is local where b's value
+// is its position (2) and one NEWS axis away elsewhere, and m[i][a][bp[b]]
+// (bp maps a value to its position) is always local.  w, v and bp do not
+// match it, so their accesses are local or routed, never NEWS.
+TEST(EngineParity, UnrolledTwoSetsAndScatteredValues) {
+  const cm::CostStats st = expect_unrolled_parity(
+      "#define N 2048\n"
+      "index_set I:i = {0..N-1}, K:k = {0..8*N-1};\n"
+      "index_set A:a = {0..1}, B:b = {3, 0, 2, 1};\n"
+      "int m[N][2][4], w[8*N], v[N][8], bp[4], r[N];\n"
+      "void main() {\n"
+      "  bp[3] = 0; bp[0] = 1; bp[2] = 2; bp[1] = 3;\n"
+      "  par (I, A, B) m[i][a][b] = i + 10 * a + b;\n"
+      "  par (K) w[k] = k % 5;\n"
+      "  par (I, A, B) v[i][a * 4 + b] = a - b;\n"
+      "  par (I) r[i] = $+(A, B; m[i][a][b] * (b + 1) +\n"
+      "                         w[i * 8 + a * 4 + b] + v[i][a * 4 + b] +\n"
+      "                         m[i][a][bp[b]]);\n"
+      "  print($+(I; r[i]), r[0], r[N-1]);\n"
+      "}\n",
+      "59101182 197 57516\n");
+  // w and v, read in the reduction, and v written from the (I, A, B)
+  // lanes: local only where b's value is its position, 2 of 8 tuples.
+  // bp[b]: local only at lane 0's tuple (0, position 2).
+  EXPECT_EQ(st.router_messages, 3u * 6u * 2048u + 8u * 2048u - 1u);
+}
+
+// `others`, a guarded `$,` (first enabled tuple), and the logical
+// reductions, each a copy per tuple with its per-tuple enabled state.
+TEST(EngineParity, UnrolledOthersFirstEnabledAndLogical) {
+  expect_unrolled_parity(
+      "#define N 2048\n"
+      "index_set I:i = {0..N-1}, D:dir = {0..3};\n"
+      "int a[N], r[N], f[N], x[N];\n"
+      "void main() {\n"
+      "  par (I) a[i] = (i * 37) % 101;\n"
+      "  par (I) r[i] = $+(D st (dir % 2 == i % 2) a[(i + dir) % N]\n"
+      "                    st (dir == 3) 100\n"
+      "                    others 0 - dir);\n"
+      "  par (I) f[i] = $,(D st (a[(i + dir) % N] > 50) dir * 1000 + a[i]);\n"
+      "  par (I) x[i] = $&&(D; a[(i + dir) % N] > 5) +\n"
+      "                 2 * $||(D; a[(i + dir) % N] > 97) +\n"
+      "                 4 * $^(D; a[(i * dir) % N]);\n"
+      "  print($+(I; r[i]), $+(I; f[i]), $+(I; x[i]), f[0], x[1]);\n"
+      "}\n",
+      "406424 1422361 539360 2000 405\n");
+}
+
+// Float accumulators through -0.0 (1 / s[0] and 1 / p[3] print the sign),
+// and a partition-optimised $+ whose reads the send-with-combine pays for.
+TEST(EngineParity, UnrolledFloatAndPartitionOptimised) {
+  expect_unrolled_parity(
+      "#define N 2048\n"
+      "index_set I:i = {0..N-1}, D:dir = {0..3};\n"
+      "float g[N], s[N], p[N];\n"
+      "int c[N], q[N];\n"
+      "void main() {\n"
+      "  par (I) g[i] = i % 3 == 0 ? -0.0 : (i % 5) * 0.5 - 1.0;\n"
+      "  par (I) c[i] = i % 7;\n"
+      "  par (I) s[i] = $+(D; dir == 0 ? -0.0 : g[i] * g[(i + dir) % N]);\n"
+      "  par (I) p[i] = $*(D; g[(i + dir) % N] - 0.25 * dir);\n"
+      "  par (I) q[i] = $+(D st (dir == i % 4) c[dir] * 2);\n"
+      "  print($+(I; s[i]), $+(I; p[i]), $+(I; q[i]), 1.0 / s[0],\n"
+      "        1.0 / p[3]);\n"
+      "}\n",
+      "-511.5 -74.7656 6144 inf -inf\n");
+}
+
+// a[i] and a[p[i]] do not depend on the element, so every copy computes
+// the same values, but each tuple still reads (and routes) them, as the
+// loop does: 3 reads x 4 tuples x 2048 lanes, less the three local reads
+// of lane 0's first tuple (p[0], a[p[0]] = a[0] and a[0]).
+TEST(EngineParity, UnrolledLoopInvariantReadsStayPerTuple) {
+  const cm::CostStats st = expect_unrolled_parity(
+      "#define N 2048\n"
+      "index_set I:i = {0..N-1}, D:dir = {0..3};\n"
+      "int a[N], p[N], r[N];\n"
+      "void main() {\n"
+      "  par (I) { a[i] = i % 9; p[i] = (i * 37) % N; }\n"
+      "  par (I) r[i] = $+(D; a[p[i]] * dir + a[i]);\n"
+      "  print($+(I; r[i]));\n"
+      "}\n",
+      "81820\n");
+  EXPECT_EQ(st.router_messages, 3u * 4u * 2048u - 3u);
+}
+
+// Errors raised in the fourth copy carry the walk's text and site.
+TEST(EngineParity, UnrolledCopyErrorsMatch) {
+  expect_error_parity(
+      "index_set I:i = {0..3}, D:dir = {0..3};\n"
+      "int a[4][8], z[4];\n"
+      "void main() {\n"
+      "  par (I) a[i][i] = i;\n"
+      "  par (I)\n"
+      "    z[i] = $+(D; a[0][2 * dir + 2 * (dir == 3)]);\n"
+      "}\n",
+      "program.uc:6:18: array subscript out of range: a[0][8]");
+  expect_error_parity(
+      "index_set I:i = {0..3}, D:dir = {0..3};\n"
+      "int z[4];\n"
+      "void main() {\n"
+      "  par (I) z[i] = i;\n"
+      "  par (I)\n"
+      "    z[i] = $+(D; (i + 12) / (3 - dir));\n"
+      "}\n",
+      "program.uc:6:19: integer division by zero");
 }
 
 // --- diagnostics parity: same text, same location, either engine ---

@@ -98,10 +98,12 @@ TEST(KernelCompiler, ConstantsArePooled) {
   EXPECT_EQ(k->pool.size(), 1u);
 }
 
+// Nine tuples is one more than unrolling takes, so the reduction keeps
+// its tuple loop.
 TEST(KernelCompiler, ReductionLoopIsWired) {
   auto unit = analyse(
-      "index_set I:i = {0..7}, K:k = I;\n"
-      "int d[8]; int r[8];\n"
+      "index_set I:i = {0..7}, K:k = {0..8};\n"
+      "int d[9]; int r[8];\n"
       "void main() { par (I) r[i] = $<(K; d[k] + i); }\n");
   const auto* e = first_construct_expr(*unit);
   ASSERT_NE(e, nullptr);
@@ -125,6 +127,69 @@ TEST(KernelCompiler, ReductionLoopIsWired) {
   // The set element inside the arm reads the live tuple, not an outer
   // binding.
   EXPECT_EQ(count_ops(*k, Op::kLoadReduceElem), 1);
+}
+
+// Four tuples unroll into four copies of the arm: no loop, no odometer,
+// and each copy's element is a constant that folds, so the subscript is
+// i + 1, i - 1, i and i (docs/VM.md "Reduction unrolling").
+TEST(KernelCompiler, SmallReductionIsUnrolledAndFolded) {
+  auto unit = analyse(
+      "index_set I:i = {0..7}, D:dir = {0..3};\n"
+      "int d[8]; int r[8];\n"
+      "void main() { par (I) r[i] = $<(D; d[i + (dir==0) - (dir==1)]); }\n");
+  const auto* e = first_construct_expr(*unit);
+  ASSERT_NE(e, nullptr);
+  auto k = compile_expr(*e);
+  ASSERT_NE(k, nullptr);
+  EXPECT_EQ(count_ops(*k, Op::kReduceBegin), 1);
+  EXPECT_EQ(count_ops(*k, Op::kReduceNext), 0);
+  EXPECT_EQ(count_ops(*k, Op::kReduceTuple), 3);
+  EXPECT_EQ(count_ops(*k, Op::kReduceFold), 4);
+  EXPECT_EQ(count_ops(*k, Op::kArrGet), 4);
+  EXPECT_EQ(count_ops(*k, Op::kLoadReduceElem), 0);
+  EXPECT_EQ(count_ops(*k, Op::kBinary), 2);
+  for (const auto& inst : k->code) {
+    if (inst.op == Op::kReduceBegin) {
+      EXPECT_EQ(inst.arg, 1);
+    }
+  }
+}
+
+// A read that does not depend on the element is the same value in every
+// copy, but each copy still reads (and classifies) it: value numbering ran
+// on the loop body, where it is one read per tuple.
+TEST(KernelCompiler, UnrolledCopiesDoNotShareReads) {
+  auto unit = analyse(
+      "index_set I:i = {0..7}, D:dir = {0..3};\n"
+      "int a[8]; int r[8];\n"
+      "void main() { par (I) r[i] = $+(D; a[i] * dir + a[i]); }\n");
+  const auto* e = first_construct_expr(*unit);
+  ASSERT_NE(e, nullptr);
+  auto k = compile_expr(*e);
+  ASSERT_NE(k, nullptr);
+  EXPECT_EQ(count_ops(*k, Op::kArrGet), 4);
+  // The second a[i] of each copy is the loop body's elided duplicate.
+  ASSERT_EQ(k->elided_reads.size(), 1u);
+}
+
+// Eight copies of a long arm would pass kMaxUnrolledCode instructions,
+// so the reduction keeps its loop.
+TEST(KernelCompiler, LongReductionBodyKeepsTheLoop) {
+  std::string arm = "a[(i + q) % 8]";
+  for (int t = 1; t < 80; ++t) {
+    arm += " + a[(i + q + " + std::to_string(t) + ") % 8]";
+  }
+  auto unit = analyse(
+      "index_set I:i = {0..7}, Q:q = {0..7};\n"
+      "int a[8]; int r[8];\n"
+      "void main() { par (I) r[i] = $+(Q; " + arm + "); }\n");
+  const auto* e = first_construct_expr(*unit);
+  ASSERT_NE(e, nullptr);
+  auto k = compile_expr(*e);
+  ASSERT_NE(k, nullptr);
+  EXPECT_EQ(count_ops(*k, Op::kReduceNext), 1);
+  EXPECT_EQ(count_ops(*k, Op::kReduceTuple), 0);
+  EXPECT_LE(k->code.size(), kMaxUnrolledCode);
 }
 
 TEST(KernelCompiler, RejectsPrint) {

@@ -74,9 +74,12 @@ run_engine_smoke() {
   local tmp; tmp="$(mktemp -d)"
   local prog flags eng
   # mapping_demo (a permuted array) and slices take the owner table;
-  # jacobi's default-layout stencil reads take the closed form.
+  # jacobi's default-layout stencil reads take the closed form; the last
+  # five reduce over small (unrolled) and large (looped) index sets.
   for prog in fig6_shortest_path_on2 fig7_shortest_path_on3 \
-              fig8_grid_obstacle mapping_demo slices jacobi; do
+              fig8_grid_obstacle mapping_demo slices jacobi \
+              reductions_tour histogram matmul grid_dynamic_obstacle \
+              shortest_path_star_solve; do
     local src="$root/programs/$prog.uc"
     for flags in "" "--faults=$faults --checkpoint-every=8"; do
       for eng in walk bytecode native; do
