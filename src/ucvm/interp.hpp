@@ -152,10 +152,11 @@ class RunResult {
   std::vector<Value> global_array(const std::string& name) const;
 
   // Native-tier introspection (all zero unless engine == kNative): how many
-  // kernels were compiled this run vs loaded from the on-disk cache, how
-  // many chunk dispatches went through native entry points, and how many
-  // statements fell back to the bytecode tier (emitter declined, toolchain
-  // missing, or a per-dispatch assumption failed).
+  // objects were compiled this run vs loaded from the on-disk cache
+  // (kernels with the same emitted source share one), how many chunk
+  // dispatches went through native entry points, and how many statements
+  // fell back to the bytecode tier (emitter declined, toolchain missing,
+  // or a per-dispatch assumption failed).
   std::uint64_t native_kernels_compiled() const {
     return native_kernels_compiled_;
   }

@@ -341,6 +341,17 @@ bool pair_fusable(const lang::AccessSet& i, const lang::AccessSet& j) {
   return true;
 }
 
+// The expressions of members [begin, begin+count) of a fusion segment.
+std::vector<const Expr*> member_exprs(const lang::CompoundStmt& s,
+                                      std::size_t begin, std::size_t count) {
+  std::vector<const Expr*> stmts(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    stmts[k] =
+        static_cast<const lang::ExprStmt&>(*s.body[begin + k]).expr.get();
+  }
+  return stmts;
+}
+
 }  // namespace
 
 const std::vector<Impl::FusionSeg>& Impl::fusion_segments(
@@ -386,11 +397,7 @@ bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
                             std::size_t count, LaneSpace& space,
                             const std::vector<std::int64_t>& active,
                             Frame* frame) {
-  std::vector<const Expr*> stmts(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    stmts[k] =
-        static_cast<const lang::ExprStmt&>(*s.body[begin + k]).expr.get();
-  }
+  const std::vector<const Expr*> stmts = member_exprs(s, begin, count);
   // Compile (cached) + link.  Touches no interpreter state on failure, so
   // declining here falls back cleanly to statement-at-a-time execution.
   const kernel::Kernel* kern =
@@ -436,6 +443,111 @@ bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
     commit_lanes(run);
   });
   return true;
+}
+
+namespace {
+
+// The walk behind Impl::lane_kernels.  `lanes` says whether a statement
+// runs on an expanded lane space: statements in a function body run on
+// the front end, a seq binds on its parent's space, and every other
+// construct expands one.
+struct KernelWalk {
+  Impl& vm;
+  std::vector<const kernel::Kernel*> found;
+
+  bool add(const Expr* const* stmts, std::size_t n) {
+    const kernel::Kernel* k = vm.kernel_engine().kernel_for(stmts, n);
+    if (k != nullptr) found.push_back(k);
+    return k != nullptr;
+  }
+  void add(const Expr* e) {
+    if (e != nullptr) add(&e, 1);
+  }
+
+  // Mirrors exec_parallel_stmt, and on the front end exec_scalar_stmt.
+  void stmt(const Stmt& s, bool lanes) {
+    switch (s.kind) {
+      case StmtKind::kExpr:
+        if (lanes) add(static_cast<const lang::ExprStmt&>(s).expr.get());
+        return;
+      case StmtKind::kCompound: {
+        const auto& c = static_cast<const lang::CompoundStmt&>(s);
+        if (!lanes || c.body.size() <= 1) {
+          for (const auto& child : c.body) stmt(*child, lanes);
+          return;
+        }
+        // Mirrors the fusion loop: a group that does not compile runs
+        // its members one at a time.
+        for (const Impl::FusionSeg& seg : vm.fusion_segments(c)) {
+          if (seg.fusable &&
+              add(member_exprs(c, seg.begin, seg.count).data(), seg.count)) {
+            continue;
+          }
+          for (std::size_t k = 0; k < seg.count; ++k) {
+            stmt(*c.body[seg.begin + k], lanes);
+          }
+        }
+        return;
+      }
+      case StmtKind::kVarDecl:
+        if (!lanes) return;
+        for (const auto& d : static_cast<const lang::VarDeclStmt&>(s)
+                                 .declarators) {
+          if (d.symbol != nullptr) add(d.init.get());
+        }
+        return;
+      case StmtKind::kIf: {
+        const auto& i = static_cast<const lang::IfStmt&>(s);
+        if (lanes) add(i.cond.get());
+        stmt(*i.then_stmt, lanes);
+        if (i.else_stmt) stmt(*i.else_stmt, lanes);
+        return;
+      }
+      case StmtKind::kWhile: {
+        const auto& w = static_cast<const lang::WhileStmt&>(s);
+        if (lanes) add(w.cond.get());
+        stmt(*w.body, lanes);
+        return;
+      }
+      case StmtKind::kFor: {
+        const auto& f = static_cast<const lang::ForStmt&>(s);
+        if (f.init) stmt(*f.init, lanes);
+        if (lanes) {
+          add(f.cond.get());
+          add(f.step.get());
+        }
+        stmt(*f.body, lanes);
+        return;
+      }
+      case StmtKind::kUcConstruct:
+        construct(static_cast<const UcConstructStmt&>(s), lanes);
+        return;
+      default:
+        return;
+    }
+  }
+
+  // Mirrors exec_nested_construct.  A plain solve evaluates its
+  // equations on the walk.
+  void construct(const UcConstructStmt& s, bool lanes) {
+    if (s.op == UcOp::kSolve && !s.starred) return;
+    lanes = lanes || s.op != UcOp::kSeq;
+    for (const auto& block : s.blocks) {
+      if (lanes) add(block.pred.get());
+      stmt(*block.body, lanes);
+    }
+    if (s.others) stmt(*s.others, lanes);
+  }
+};
+
+}  // namespace
+
+std::vector<const kernel::Kernel*> Impl::lane_kernels() {
+  KernelWalk walk{*this, {}};
+  for (const auto& item : unit.program->items) {
+    if (item.func && item.func->body) walk.stmt(*item.func->body, false);
+  }
+  return std::move(walk.found);
 }
 
 Impl::CommitArray& Impl::commit_array(ArrayObj& root) {

@@ -413,6 +413,14 @@ struct Impl {
   // (order matters for the paris trace: news, router, broadcast, frontend).
   void charge_dynamic_stats(const AccessStats& total, std::int64_t geom_size);
 
+  // Every kernel the program can dispatch on lanes, found by walking its
+  // functions the way the constructs run them (docs/VM.md "Native
+  // tier"): block predicates, bodies and `others` arms of every construct
+  // that expands a lane space, fusion groups (or the members of a group
+  // that does not compile), conditions, steps and initialisers.  Only
+  // statements on the front end are left out: they never run natively.
+  std::vector<const kernel::Kernel*> lane_kernels();
+
   // Lazily constructed kernel engine (exec.cpp).  Every engine asks it for
   // the statement's kernel: its decisions fix what the statement costs.
   kernel::Engine& kernel_engine();

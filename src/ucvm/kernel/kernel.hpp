@@ -27,6 +27,10 @@ class Engine {
  public:
   explicit Engine(Impl& vm);
 
+  // The compiled kernel of one statement (n == 1) or of a fusion
+  // segment's n members, cached per first member; null when the lowering
+  // or the optimiser declines it.
+  const Kernel* kernel_for(const Expr* const* stmts, std::size_t n);
   // Compiles (cached) and links the kernel of one statement (n == 1) or
   // of a fusion segment's n members (docs/VM.md "Fusion") against the
   // current space.  Null when the lowering does not cover a statement,
@@ -52,7 +56,8 @@ class Engine {
   void commit();
 
   // Native tier (engine == kNative): lazily constructed backend, null
-  // until the first native dispatch attempt.  native_fallbacks counts
+  // until the first native dispatch attempt, which prepares every kernel
+  // of Impl::lane_kernels in one batch.  native_fallbacks counts
   // statement executions that wanted native but ran on bytecode.
   const native::Backend* native_backend() const { return native_.get(); }
   std::uint64_t native_fallbacks() const { return native_fallbacks_; }

@@ -25,7 +25,6 @@ struct Prepared {
   using EntryFn = void (*)(NativeArgs*);
   EntryFn entry = nullptr;
   std::uint64_t source_hash = 0;
-  bool cache_hit = false;  // loaded from disk without recompiling
   // Inst::where pointers in emission order (indexed by the constants the
   // emitted code passes back); pointers are process-local, so they travel
   // via NativeArgs rather than being baked into the cached .so.
@@ -46,34 +45,52 @@ class Backend {
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
 
-  // Emit + compile + load `k`, cached per Kernel pointer (kernels are
-  // owned by the Engine's caches, so the pointer is stable).  Returns
-  // nullptr when the emitter declines the kernel or the toolchain is
-  // unavailable/broken — the caller then runs the kernel on the bytecode
-  // tier.  Negative results are cached too.
+  // Emits, loads or compiles every kernel of `ks` not prepared yet, cached
+  // per Kernel pointer (kernels are owned by the Engine's caches, so the
+  // pointer is stable).  The cache misses compile together: one toolchain
+  // process per distinct object, at most as many at once as the process
+  // has CPUs, and kernels whose sources hash the same share one object.
+  // A kernel the emitter declines, or one left unbuilt by a missing or
+  // broken toolchain, gets a negative entry.
+  void prepare(const std::vector<const kernel::Kernel*>& ks);
+  // The prepared entry of `k`, prepared alone (a batch of one) when no
+  // batch covered it; nullptr when the caller must run the kernel on the
+  // bytecode tier.
   const Prepared* prepare(const kernel::Kernel& k);
 
   bool toolchain_ok() const { return toolchain_ok_; }
   const std::string& cache_dir() const { return cache_dir_; }
 
   // Counters for tests, bench/vm_engine and RunResult introspection.
+  // kernels_compiled and cache_hits count objects: kernels that share an
+  // object count once.
   std::uint64_t kernels_compiled() const { return kernels_compiled_; }
   std::uint64_t cache_hits() const { return cache_hits_; }
   std::uint64_t emit_declined() const { return emit_declined_; }
   std::uint64_t dispatches() const { return dispatches_; }
   std::uint64_t assume_failures() const { return assume_failures_; }
+  // Batches that started at least one toolchain process.
+  std::uint64_t compile_batches() const { return compile_batches_; }
   void note_dispatch() { ++dispatches_; }
   void note_assume_failure() { ++assume_failures_; }
 
  private:
-  struct Loaded {
-    void* handle = nullptr;
-    Prepared::EntryFn entry = nullptr;
-    bool cache_hit = false;
+  // One toolchain run: the sh -c command line and what became of it.
+  struct Compile {
+    std::uint64_t hash = 0;
+    std::string source;
+    std::string so_path;
+    std::string src_path;
+    std::string tmp_path;
+    std::string err_path;
+    std::string command;  // the last command run
+    std::string errors;   // its stderr, when it failed
+    bool ok = false;
   };
-  Loaded load_or_compile(const std::string& source, std::uint64_t hash);
-  bool compile_to(const std::string& src_path, const std::string& so_path,
-                  std::uint64_t hash);
+  Prepared::EntryFn load(const std::string& so_path, std::uint64_t hash,
+                         bool expect_valid);
+  void compile_all(std::vector<Compile>& jobs);
+  void run_compile(Compile& job) const;
   void note(const std::string& msg) const;
 
   std::string cache_dir_;
@@ -84,12 +101,15 @@ class Backend {
   bool toolchain_ok_ = true;       // until a compile fails structurally
   bool warned_toolchain_ = false;  // loud notice printed once
   std::unordered_map<const kernel::Kernel*, std::unique_ptr<Prepared>> cache_;
+  // Entry points of the objects loaded so far, by source hash.
+  std::unordered_map<std::uint64_t, Prepared::EntryFn> objects_;
   std::vector<void*> handles_;  // dlclosed on destruction
   std::uint64_t kernels_compiled_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t emit_declined_ = 0;
   std::uint64_t dispatches_ = 0;
   std::uint64_t assume_failures_ = 0;
+  std::uint64_t compile_batches_ = 0;
 };
 
 // Lowers `k` to a self-contained C++ translation unit implementing

@@ -52,6 +52,60 @@ TEST(UccCli, StatsFlagPrintsMachineCounters) {
   EXPECT_NE(r.output.find("cycles="), std::string::npos) << r.output;
 }
 
+// On the native engine --stats adds one line of native-tier counters; the
+// cycles= line stays byte-identical to the other engines'.
+TEST(UccCli, NativeStatsLineCountsCompilesAndHits) {
+  const std::string dir = "/tmp/ucc_cli_native_stats";
+  run_command("rm -rf " + dir);
+  const std::string run = ucc() + " run " + fig6() + " --stats ";
+  const std::string native =
+      run + "--engine=native --native-cache-dir=" + dir;
+  // The line of `out` that starts with `head`, or "".
+  const auto line = [](const std::string& out, const std::string& head) {
+    std::istringstream lines(out);
+    for (std::string l; std::getline(lines, l);) {
+      if (l.rfind(head, 0) == 0) return l;
+    }
+    return std::string();
+  };
+  struct Counters {
+    unsigned long long compiled = 0, hits = 0, dispatches = 0, fallbacks = 0;
+  };
+  const auto counters = [&line](const std::string& out) {
+    Counters c;
+    EXPECT_EQ(std::sscanf(line(out, "native: ").c_str(),
+                          "native: compiled=%llu cache_hits=%llu "
+                          "dispatches=%llu fallbacks=%llu",
+                          &c.compiled, &c.hits, &c.dispatches, &c.fallbacks),
+              4)
+        << out;
+    return c;
+  };
+
+  const auto bytecode = run_command(run + "--engine=bytecode");
+  const auto cold = run_command(native);
+  const auto warm = run_command(native);
+  ASSERT_EQ(bytecode.exit_code, 0) << bytecode.output;
+  ASSERT_EQ(cold.exit_code, 0) << cold.output;
+  ASSERT_EQ(warm.exit_code, 0) << warm.output;
+  EXPECT_EQ(line(bytecode.output, "native: "), "");
+  const std::string cycles = line(bytecode.output, "cycles=");
+  ASSERT_FALSE(cycles.empty()) << bytecode.output;
+  EXPECT_EQ(line(cold.output, "cycles="), cycles);
+  EXPECT_EQ(line(warm.output, "cycles="), cycles);
+
+  const Counters c = counters(cold.output);
+  const Counters w = counters(warm.output);
+  if (c.dispatches == 0) GTEST_SKIP() << "no working native toolchain";
+  EXPECT_GT(c.compiled, 0u);
+  EXPECT_EQ(c.hits, 0u);
+  EXPECT_EQ(w.compiled, 0u);
+  EXPECT_EQ(w.hits, c.compiled);
+  EXPECT_EQ(w.dispatches, c.dispatches);
+  EXPECT_EQ(w.fallbacks, c.fallbacks);
+  run_command("rm -rf " + dir);
+}
+
 TEST(UccCli, CheckReportsOk) {
   auto r = run_command(ucc() + " check " + fig6());
   EXPECT_EQ(r.exit_code, 0);

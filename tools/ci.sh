@@ -66,13 +66,14 @@ run_profile_smoke() {
 # bytecode and native must print identical stdout and identical --stats
 # lines on the paper workloads, plain and under injected faults with
 # checkpointing, where the fault schedule and the replays are part of the
-# cost.
+# cost.  Each program's native runs share a fresh kernel cache: the plain
+# run builds every kernel cold, and the faulted run must compile none.
 run_engine_smoke() {
   local dir="$1"
   local ucc="$dir/tools/ucc"
   local faults="memory:p=1e-3;router:p=1e-3;news:p=1e-3,seed=7"
   local tmp; tmp="$(mktemp -d)"
-  local prog flags eng
+  local prog flags eng cache
   # mapping_demo (a permuted array) and slices take the owner table;
   # jacobi's default-layout stencil reads take the closed form; the last
   # five reduce over small (unrolled) and large (looped) index sets.
@@ -81,14 +82,20 @@ run_engine_smoke() {
               reductions_tour histogram matmul grid_dynamic_obstacle \
               shortest_path_star_solve; do
     local src="$root/programs/$prog.uc"
+    cache="--native-cache-dir=$tmp/cache-$prog"
     for flags in "" "--faults=$faults --checkpoint-every=8"; do
       for eng in walk bytecode native; do
         # shellcheck disable=SC2086  # flags is a word list
-        "$ucc" run "$src" --engine="$eng" --stats $flags \
+        "$ucc" run "$src" --engine="$eng" --stats $flags "$cache" \
             >"$tmp/$eng.out" 2>"$tmp/$eng.err"
         grep '^cycles=' "$tmp/$eng.err" >"$tmp/$eng.stats" || {
           echo "ci.sh: no --stats line for $prog on $eng" >&2; exit 1; }
       done
+      if [ -n "$flags" ] && ! grep -q '^native: compiled=0 ' "$tmp/native.err"
+      then
+        echo "ci.sh: the warm native run of $prog compiled kernels" >&2
+        exit 1
+      fi
       for eng in bytecode native; do
         cmp "$tmp/walk.out" "$tmp/$eng.out" &&
           cmp "$tmp/walk.stats" "$tmp/$eng.stats" || {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -117,7 +118,7 @@ constexpr Option kOptions[] = {
      "attribute cycles to source sites; table on stderr",
      [](Options& o, const Value&) { o.profile = true; }},
     {"--stats", Kind::kFlag, "", 0, 0, kRuns,
-     "print machine statistics after the run",
+     "print machine statistics (and native-tier counters) after the run",
      [](Options& o, const Value&) { o.stats = true; }},
     {"--trace", Kind::kFlag, "", 0, 0, kRuns,
      "print the Paris-style instruction trace",
@@ -418,8 +419,10 @@ int run(const uc::Program& program, const Options& opts) {
     uc::prof::Profiler profiler(!opts.trace_json.empty());
     exec.profiler = profiled ? &profiler : nullptr;
     std::string error;
+    std::optional<uc::vm::RunResult> result;
     try {
-      std::fputs(program.run_on(machine, exec).output().c_str(), stdout);
+      result = program.run_on(machine, exec);
+      std::fputs(result->output().c_str(), stdout);
     } catch (const uc::support::EscalatedFault& e) {
       if (!exec.checkpoint_dir.empty() && attempt <= 3) {
         std::fprintf(stderr, "runtime error: %s\n", e.what());
@@ -464,6 +467,16 @@ int run(const uc::Program& program, const Options& opts) {
       std::fprintf(stderr, "%s%s\n",
                    aborted ? "partial statistics (run aborted):\n" : "",
                    machine.stats().to_string(opts.machine.cost).c_str());
+      if (result && exec.engine == uc::vm::ExecEngine::kNative) {
+        std::fprintf(
+            stderr,
+            "native: compiled=%llu cache_hits=%llu dispatches=%llu "
+            "fallbacks=%llu\n",
+            static_cast<unsigned long long>(result->native_kernels_compiled()),
+            static_cast<unsigned long long>(result->native_cache_hits()),
+            static_cast<unsigned long long>(result->native_dispatches()),
+            static_cast<unsigned long long>(result->native_fallbacks()));
+      }
     }
     return aborted ? 1 : 0;
   }
