@@ -15,8 +15,14 @@ struct Rig {
   GeomId geom;
   FieldId a, b;
 
+  static MachineOptions with_threads(unsigned threads) {
+    MachineOptions options;
+    options.host_threads = threads;
+    return options;
+  }
+
   explicit Rig(std::int64_t n, unsigned threads = 1)
-      : machine(MachineOptions{CostModel{}, threads}),
+      : machine(with_threads(threads)),
         geom(machine.create_geometry({n})),
         a(machine.allocate_field(geom, "a", ElemType::kInt)),
         b(machine.allocate_field(geom, "b", ElemType::kInt)) {

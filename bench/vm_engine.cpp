@@ -159,15 +159,14 @@ Row run_one_profiled(const std::string& name, const std::string& source,
 // once, then execute the rewritten program (or the original, when the search
 // finds nothing better at this problem size) on the plain bytecode engine.
 // The row must keep the output byte-identical to the bytecode row and never
-// charge more modeled cycles — the optimiser's own replay validation promises
-// exactly that.
+// charge more modeled cycles — the optimiser keeps only replayed candidates
+// that promise exactly that.
 Row run_one_optmap(const std::string& name, const std::string& source,
                    int reps) {
   uc::OptimizeMapOptions oopts;
   oopts.exec.engine = uc::vm::ExecEngine::kBytecode;
   auto opt = uc::optimize_map(name + ".uc", source, oopts);
-  const std::string& best =
-      opt.improved && opt.validated ? opt.optimized_source : source;
+  const std::string& best = opt.improved ? opt.optimized_source : source;
   Row row = run_one(name, best, uc::vm::ExecEngine::kBytecode, reps);
   row.program = name;
   row.engine = "bytecode-optmap";

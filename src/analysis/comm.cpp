@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/comm.hpp"
 #include "analysis/pass.hpp"
 
 namespace uc::analysis {
@@ -22,14 +21,12 @@ namespace {
 
 using lang::Symbol;
 
-std::uint64_t ceil_log2(std::uint64_t n) {
-  std::uint64_t bits = 0;
-  while ((std::uint64_t{1} << bits) < n) ++bits;
-  return bits;
-}
+struct CommDecision {
+  CommClass cls = CommClass::kLocal;
+  std::string detail;  // why the access landed in this class
+};
 
-}  // namespace
-
+// Classifies one access's per-dimension views against the site's lanes.
 CommDecision classify_views(const ParSite& site,
                             const std::vector<DimView>& views) {
   for (const auto& v : views) {
@@ -91,25 +88,6 @@ CommDecision classify_views(const ParSite& site,
   return {CommClass::kLocal, ""};
 }
 
-std::uint64_t estimate_comm_cycles(const cm::CostModel& cost, CommClass cls,
-                                   std::uint64_t space) {
-  std::uint64_t vp = cost.vp_ratio(space);
-  switch (cls) {
-    case CommClass::kLocal:
-      return cost.mem_op * vp;
-    case CommClass::kNews:
-      return cost.news_op * vp;
-    case CommClass::kScan:
-      return cost.scan_step * std::max<std::uint64_t>(1, ceil_log2(space)) *
-             vp;
-    case CommClass::kRouter:
-      return cost.router_op * vp;
-  }
-  return cost.mem_op * vp;
-}
-
-namespace {
-
 class CommPass : public Pass {
  public:
   const char* name() const override { return "comm"; }
@@ -151,7 +129,6 @@ class CommPass : public Pass {
         ca.detail = c.detail;
         ca.range = sa.access.site->range;
         ca.lanes = space;
-        ca.est_cycles = estimate_comm_cycles(ctx.options.cost, c.cls, space);
 
         std::string fn =
             site.function != nullptr ? site.function->name : "<global>";

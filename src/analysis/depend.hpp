@@ -71,7 +71,7 @@ DependSummary summarize_dependences(const ProgramModel& model);
 
 // Outcome of one legality proof.  When `legal`, `proof` states why the
 // candidate preserves the model; otherwise `blocker` names the dependence
-// that rejected it (the UC-A302 message body).
+// that rejected it (the text `ucc optimize-map` lists it blocked with).
 struct Legality {
   bool legal = false;
   std::string proof;

@@ -214,9 +214,7 @@ class Builder {
       case StmtKind::kWhile: {
         const auto& w = static_cast<const WhileStmt&>(s);
         seq_expr(*w.cond);
-        repeat_ *= kLoopRepeatGuess;
         seq_stmt(*w.body);
-        repeat_ /= kLoopRepeatGuess;
         return;
       }
       case StmtKind::kFor: {
@@ -224,9 +222,7 @@ class Builder {
         if (f.init) seq_stmt(*f.init);
         if (f.cond) seq_expr(*f.cond);
         if (f.step) seq_expr(*f.step);
-        repeat_ *= kLoopRepeatGuess;
         seq_stmt(*f.body);
-        repeat_ /= kLoopRepeatGuess;
         return;
       }
       case StmtKind::kReturn: {
@@ -264,7 +260,6 @@ class Builder {
         site.reduce = a.reduce;
         site.function = fn_;
         site.lanes = lane_stack_;
-        site.repeat = repeat_;
         site.guards.push_back(Guard{});
         model_.sites.push_back(std::move(site));
       }
@@ -288,14 +283,10 @@ class Builder {
         return;
       }
       case StmtKind::kWhile:
-        repeat_ *= kLoopRepeatGuess;
         nested_scan(*static_cast<const WhileStmt&>(s).body);
-        repeat_ /= kLoopRepeatGuess;
         return;
       case StmtKind::kFor:
-        repeat_ *= kLoopRepeatGuess;
         nested_scan(*static_cast<const ForStmt&>(s).body);
-        repeat_ /= kLoopRepeatGuess;
         return;
       case StmtKind::kUcConstruct:
         construct(static_cast<const UcConstructStmt&>(s));
@@ -344,22 +335,12 @@ class Builder {
 
   void construct(const UcConstructStmt& u) {
     if (u.op == UcOp::kSeq && lane_stack_.empty()) {
-      // Pure sequential iteration: the elements are uniform values, and
-      // the body executes once per tuple of the seq sets.
-      std::uint64_t iters = 1;
-      for (const auto* set : u.index_set_syms) {
-        if (set != nullptr && set->index_set != nullptr &&
-            !set->index_set->values.empty()) {
-          iters *= set->index_set->values.size();
-        }
-      }
-      repeat_ *= iters;
+      // Pure sequential iteration: the elements are uniform values.
       for (const auto& block : u.blocks) {
         if (block.pred) seq_expr(*block.pred);
         seq_stmt(*block.body);
       }
       if (u.others) seq_stmt(*u.others);
-      repeat_ /= iters;
       return;
     }
 
@@ -369,7 +350,6 @@ class Builder {
     site.op = u.op;
     site.starred = u.starred;
     site.lanes = lane_stack_;
-    site.repeat = repeat_;
     if (u.op != UcOp::kSeq) {
       for (const auto* set : u.index_set_syms) {
         site.lanes.push_back(lane_from(set));
@@ -463,16 +443,10 @@ class Builder {
     }
   }
 
-  // A for/while loop's trip count is not statically known; this nominal
-  // factor just makes "inside a loop" outweigh "straight-line" when the
-  // optimiser amortises relocation sweeps.
-  static constexpr std::uint64_t kLoopRepeatGuess = 4;
-
   const CompilationUnit& unit_;
   ProgramModel model_;
   std::vector<LaneElem> lane_stack_;
   const FuncDecl* fn_ = nullptr;
-  std::uint64_t repeat_ = 1;
 };
 
 std::string canonical_uniform_key(

@@ -80,11 +80,6 @@ struct ParSite {
   // Scalars declared inside the body: per-lane state, not shared.
   std::unordered_set<const lang::Symbol*> per_lane;
   bool has_user_call = false;
-  // Static execution-count estimate: the product of enclosing sequential
-  // `seq` set sizes, times a nominal factor per enclosing for/while loop.
-  // The mapping optimiser uses it to amortise one-time relocation sweeps
-  // against per-execution communication savings (docs/MAPPING.md).
-  std::uint64_t repeat = 1;
 
   std::uint64_t lane_count() const;
   bool is_lane_elem(const lang::Symbol* elem) const;

@@ -1,15 +1,15 @@
-// Mapping optimiser: candidate generation, cost prediction under candidate
-// placements (via the shared communication classifier), beam search, and
-// the UC-A301/UC-A302 advice pass.  docs/MAPPING.md documents the search
-// space and the legality proofs (src/analysis/depend.cpp).
+// Mapping optimiser candidates: per array, the identity (when a map
+// section already targets it), the permutes that align some access with
+// the lanes, a fold, and a copy, each proved legal or blocked by the
+// dependence pass; and the source rewrite that applies chosen candidates.
+// docs/MAPPING.md documents the search space and the legality proofs
+// (src/analysis/depend.cpp).
 #include "analysis/optmap.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <map>
-#include <unordered_map>
+#include <memory>
+#include <set>
 
-#include "analysis/comm.hpp"
 #include "support/str.hpp"
 
 namespace uc::analysis {
@@ -17,160 +17,6 @@ namespace uc::analysis {
 namespace {
 
 using lang::Symbol;
-
-const MapChoice* choice_for(const std::vector<MapChoice>& choices,
-                            const Symbol* array) {
-  for (const auto& c : choices) {
-    if (c.array == array) return &c;
-  }
-  return nullptr;
-}
-
-// Evaluation-space size of one access (lanes times any reduce sweep).
-std::uint64_t access_space(const ParSite& site, const SiteAccess& sa) {
-  std::uint64_t space = site.lane_count();
-  const lang::ReduceExpr* reduce =
-      sa.access.reduce != nullptr ? sa.access.reduce : site.reduce;
-  if (reduce != nullptr) {
-    for (const auto* set : reduce->index_set_syms) {
-      if (set != nullptr && set->index_set != nullptr &&
-          !set->index_set->values.empty()) {
-        space *= set->index_set->values.size();
-      }
-    }
-  }
-  return space;
-}
-
-// Value range of one dimension view (elem range scaled by the view's
-// affine form).  False when the view has no statically bounded range.
-bool view_value_range(const ParSite& site, const DimView& v,
-                      std::int64_t& lo, std::int64_t& hi) {
-  if (!v.uniform_key.empty()) return false;
-  if (v.kind == DimKind::kUniform) {
-    lo = hi = v.offset;
-    return true;
-  }
-  if (v.kind != DimKind::kIdent && v.kind != DimKind::kOffset &&
-      v.kind != DimKind::kScaled && v.kind != DimKind::kScan) {
-    return false;
-  }
-  std::int64_t elo = 0, ehi = -1, size = 0;
-  const LaneElem* lane = site.lane_of(v.elem);
-  if (lane != nullptr) {
-    elo = lane->min_value;
-    ehi = lane->max_value;
-  } else if (!elem_value_range(v.elem, elo, ehi, size)) {
-    return false;
-  }
-  const std::int64_t a = v.coeff * elo + v.offset;
-  const std::int64_t b = v.coeff * ehi + v.offset;
-  lo = std::min(a, b);
-  hi = std::max(a, b);
-  return true;
-}
-
-// Re-derives a view's kind after its affine form changed.
-void rederive_kind(DimView& v) {
-  if (v.kind == DimKind::kUniform || v.kind == DimKind::kScan ||
-      v.kind == DimKind::kMulti || v.kind == DimKind::kUnknown) {
-    return;
-  }
-  if (v.coeff == 1 && v.uniform_key.empty()) {
-    v.kind = v.offset == 0 ? DimKind::kIdent : DimKind::kOffset;
-  } else {
-    v.kind = DimKind::kScaled;
-  }
-}
-
-// Composes a candidate placement into a raw (element-space) view, exactly
-// mirroring how subscript_views composes a map section's placement.
-DimView compose_choice(const ParSite& site, const DimView& raw,
-                       const MapChoice& choice) {
-  DimView v = raw;
-  switch (choice.kind) {
-    case MapChoiceKind::kIdentity:
-    case MapChoiceKind::kCopy:
-      return v;
-    case MapChoiceKind::kPermute:
-      if (v.kind == DimKind::kUnknown || v.kind == DimKind::kMulti) return v;
-      v.coeff = choice.coeff * v.coeff;
-      v.offset = choice.coeff * v.offset + choice.offset;
-      rederive_kind(v);
-      return v;
-    case MapChoiceKind::kFold: {
-      // Piecewise placement: pos = w below the fold, extent-1-w above it.
-      // Only exact when the access provably stays within one half.
-      std::int64_t lo = 0, hi = 0;
-      if (!view_value_range(site, raw, lo, hi)) {
-        v.kind = DimKind::kUnknown;
-        return v;
-      }
-      const std::int64_t half = choice.extent / 2;
-      if (lo >= 0 && hi < half) return v;  // low half: position = element
-      if (lo >= half && hi < choice.extent) {
-        v.coeff = -v.coeff;
-        v.offset = choice.extent - 1 - v.offset;
-        rederive_kind(v);
-        return v;
-      }
-      v.kind = DimKind::kUnknown;
-      return v;
-    }
-  }
-  return v;
-}
-
-std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
-  return b == 0 ? a : (a + b - 1) / b;
-}
-
-std::uint64_t array_size(const Symbol* array) {
-  std::uint64_t n = 1;
-  for (const auto d : array->type.dims) {
-    n *= static_cast<std::uint64_t>(d);
-  }
-  return n;
-}
-
-// One-time router sweep that applying a mapping costs at run time.
-std::uint64_t relocation_cycles(const cm::CostModel& cost,
-                                const MapChoice& choice) {
-  if (choice.kind == MapChoiceKind::kIdentity || choice.array == nullptr) {
-    return 0;
-  }
-  std::uint64_t msgs = array_size(choice.array);
-  if (choice.kind == MapChoiceKind::kCopy && choice.set != nullptr &&
-      choice.set->index_set != nullptr) {
-    msgs *= choice.set->index_set->values.size();
-  }
-  return cost.router_op *
-         std::max<std::uint64_t>(1,
-                                 ceil_div(msgs, cost.physical_processors));
-}
-
-// Relocation already paid by the program's existing map sections, keyed by
-// target array (dropping a mapping saves its sweep).
-std::map<const Symbol*, std::uint64_t> existing_relocation(
-    const ProgramModel& model, const cm::CostModel& cost) {
-  std::map<const Symbol*, std::uint64_t> out;
-  for (const auto& ref : model.mappings) {
-    if (ref.target == nullptr) continue;
-    std::uint64_t msgs = array_size(ref.target);
-    if (ref.mapping->kind == lang::MapKind::kCopy) {
-      for (const auto* set : ref.mapping->index_set_syms) {
-        if (set != nullptr && set->index_set != nullptr) {
-          msgs *= set->index_set->values.size();
-        }
-      }
-    }
-    out[ref.target] +=
-        cost.router_op *
-        std::max<std::uint64_t>(1,
-                                ceil_div(msgs, cost.physical_processors));
-  }
-  return out;
-}
 
 // Index set whose values are exactly {0 .. n-1}.
 bool covers_iota(const Symbol* set, std::int64_t n) {
@@ -243,7 +89,135 @@ std::string render_choice_text(const MapChoice& c) {
   return "identity";
 }
 
+lang::ExprPtr make_ident(const std::string& name) {
+  auto e = std::make_unique<lang::IdentExpr>();
+  e->name = name;
+  return e;
+}
+
+lang::ExprPtr make_int(std::int64_t value) {
+  auto e = std::make_unique<lang::IntLitExpr>();
+  e->value = value;
+  return e;
+}
+
+lang::ExprPtr make_binary(lang::BinaryOp op, lang::ExprPtr lhs,
+                          lang::ExprPtr rhs) {
+  auto e = std::make_unique<lang::BinaryExpr>();
+  e->op = op;
+  e->lhs = std::move(lhs);
+  e->rhs = std::move(rhs);
+  return e;
+}
+
+std::string elem_name_of(const MapChoice& c) {
+  if (c.set != nullptr && c.set->index_set != nullptr &&
+      c.set->index_set->elem != nullptr) {
+    return c.set->index_set->elem->name;
+  }
+  return "i";
+}
+
+// Target subscript of `permute (S) T[g(i)] :- T[i]` realising placement
+// pos(v) = coeff*v + offset: g(i) = coeff*i - coeff*offset.
+lang::ExprPtr permute_target_subscript(const MapChoice& c,
+                                       const std::string& elem) {
+  if (c.coeff == 1) {
+    if (c.offset == 0) return make_ident(elem);
+    if (c.offset > 0) {
+      return make_binary(lang::BinaryOp::kSub, make_ident(elem),
+                         make_int(c.offset));
+    }
+    return make_binary(lang::BinaryOp::kAdd, make_ident(elem),
+                       make_int(-c.offset));
+  }
+  // coeff == -1: g(i) = offset - i.
+  return make_binary(lang::BinaryOp::kSub, make_int(c.offset),
+                     make_ident(elem));
+}
+
+// Builds the chosen `map` section as an AST statement (names only; sema
+// re-resolves them in the rewritten unit).
+std::unique_ptr<lang::MapSectionStmt> build_map_section(
+    const std::vector<MapChoice>& choices) {
+  auto section = std::make_unique<lang::MapSectionStmt>();
+  std::set<std::string> header;
+  for (const auto& c : choices) {
+    if (c.kind == MapChoiceKind::kIdentity || c.array == nullptr ||
+        c.set == nullptr) {
+      continue;
+    }
+    const std::string elem = elem_name_of(c);
+    lang::Mapping m;
+    m.index_sets = {c.set->name};
+    m.target_array = c.array->name;
+    switch (c.kind) {
+      case MapChoiceKind::kCopy:
+        m.kind = lang::MapKind::kCopy;
+        break;
+      case MapChoiceKind::kPermute:
+        m.kind = lang::MapKind::kPermute;
+        m.target_subscripts.push_back(permute_target_subscript(c, elem));
+        m.source_array = c.array->name;
+        m.source_subscripts.push_back(make_ident(elem));
+        break;
+      case MapChoiceKind::kFold:
+        m.kind = lang::MapKind::kFold;
+        m.target_subscripts.push_back(make_binary(lang::BinaryOp::kSub,
+                                                  make_int(c.extent - 1),
+                                                  make_ident(elem)));
+        m.source_array = c.array->name;
+        m.source_subscripts.push_back(make_ident(elem));
+        break;
+      case MapChoiceKind::kIdentity:
+        continue;
+    }
+    header.insert(c.set->name);
+    section->mappings.push_back(std::move(m));
+  }
+  if (section->mappings.empty()) return nullptr;
+  section->index_sets.assign(header.begin(), header.end());
+  return section;
+}
+
 }  // namespace
+
+bool apply_choices(lang::CompilationUnit& unit,
+                   const std::vector<MapChoice>& choices) {
+  std::set<std::string> chosen;
+  for (const auto& c : choices) {
+    if (c.array != nullptr) chosen.insert(c.array->name);
+  }
+
+  auto& items = unit.program->items;
+  for (auto it = items.begin(); it != items.end();) {
+    auto* section =
+        it->decl != nullptr && it->decl->kind == lang::StmtKind::kMapSection
+            ? static_cast<lang::MapSectionStmt*>(it->decl.get())
+            : nullptr;
+    if (section == nullptr) {
+      ++it;
+      continue;
+    }
+    auto& maps = section->mappings;
+    maps.erase(std::remove_if(maps.begin(), maps.end(),
+                              [&](const lang::Mapping& m) {
+                                return chosen.count(m.target_array) != 0;
+                              }),
+               maps.end());
+    it = maps.empty() ? items.erase(it) : it + 1;
+  }
+
+  auto section = build_map_section(choices);
+  if (section != nullptr) {
+    lang::TopLevel item;
+    item.decl = std::move(section);
+    items.push_back(std::move(item));
+  }
+
+  lang::reanalyze(unit);
+  return unit.ok();
+}
 
 const char* map_choice_kind_name(MapChoiceKind k) {
   switch (k) {
@@ -259,74 +233,13 @@ const char* map_choice_kind_name(MapChoiceKind k) {
   return "identity";
 }
 
-std::uint64_t predict_comm_cycles(const ProgramModel& model,
-                                  const cm::CostModel& cost,
-                                  const std::vector<MapChoice>& choices) {
-  std::uint64_t total = 0;
-  for (const auto& site : model.sites) {
-    for (const auto& sa : site.accesses) {
-      if (sa.access.subscript == nullptr) continue;
-      const Symbol* base = sa.access.base;
-      if (base == nullptr || site.per_lane.count(base) != 0) continue;
-
-      const MapChoice* choice = choice_for(choices, base);
-      const std::uint64_t space = access_space(site, sa);
-      std::uint64_t est = 0;
-      if (choice != nullptr && choice->kind == MapChoiceKind::kCopy) {
-        // Replicated: reads are served locally; writes add a broadcast to
-        // keep every copy coherent (the VM charges exactly this shape).
-        est = cost.mem_op * cost.vp_ratio(space);
-        if (sa.access.is_write) {
-          est += cost.broadcast_op * cost.vp_ratio(space);
-        }
-      } else {
-        std::vector<DimView> views;
-        if (choice != nullptr) {
-          views = subscript_views(site, sa, model,
-                                  /*apply_placement=*/false);
-          if (views.size() == 1) {
-            views[0] = compose_choice(site, views[0], *choice);
-          }
-        } else {
-          views = subscript_views(site, sa, model,
-                                  /*apply_placement=*/true);
-        }
-        CommDecision d = classify_views(site, views);
-        est = estimate_comm_cycles(cost, d.cls, space);
-      }
-      total += est * site.repeat;
-    }
-  }
-  return total;
-}
-
 OptimizePlan plan_mappings(const lang::CompilationUnit& unit,
-                           const ProgramModel& model,
-                           const OptimizeOptions& options) {
+                           const ProgramModel& model) {
   OptimizePlan plan;
   const DependSummary dep = summarize_dependences(model);
   const auto sets = index_sets_of(unit);
-  const auto existing_reloc = existing_relocation(model, options.cost);
-
-  std::uint64_t existing_reloc_total = 0;
-  for (const auto& [sym, cycles] : existing_reloc) {
-    (void)sym;
-    existing_reloc_total += cycles;
-  }
-  plan.baseline_cycles =
-      predict_comm_cycles(model, options.cost, {}) + existing_reloc_total;
-
-  // Predicted total for a full assignment: comm estimate under the choices
-  // plus their relocation sweeps, keeping the sweeps of mappings we leave
-  // in place (a choice replaces the array's existing mapping).
-  auto score = [&](const std::vector<MapChoice>& choices) {
-    std::uint64_t total = predict_comm_cycles(model, options.cost, choices);
-    for (const auto& c : choices) total += relocation_cycles(options.cost, c);
-    for (const auto& [sym, cycles] : existing_reloc) {
-      if (choice_for(choices, sym) == nullptr) total += cycles;
-    }
-    return total;
-  };
+  std::set<const Symbol*> mapped;
+  for (const auto& ref : model.mappings) mapped.insert(ref.target);
 
   // Arrays with parallel accesses, in name order for determinism.
   std::vector<const ArrayDep*> arrays;
@@ -352,15 +265,13 @@ OptimizePlan plan_mappings(const lang::CompilationUnit& unit,
       cand.legal = legality.legal;
       cand.blocker = legality.blocker;
       cand.blocked_at = legality.blocked_at;
-      cand.relocation_cycles = relocation_cycles(options.cost, cand.choice);
-      cand.predicted_cycles = score({cand.choice});
       ++plan.candidates_considered;
       if (!cand.legal) ++plan.candidates_blocked;
       ap.candidates.push_back(std::move(cand));
     };
 
-    // Identity: drop any existing mapping, keep the default placement.
-    {
+    // Identity: drop the existing mapping, keep the default placement.
+    if (mapped.count(d->array) != 0) {
       MapChoice id;
       id.kind = MapChoiceKind::kIdentity;
       id.array = d->array;
@@ -388,7 +299,7 @@ OptimizePlan plan_mappings(const lang::CompilationUnit& unit,
           if (!w.exact || (w.coeff != 1 && w.coeff != -1)) continue;
           const std::int64_t a = w.coeff;
           const std::int64_t b = -w.coeff * w.offset;
-          if (a == 1 && b == 0) continue;  // identity already present
+          if (a == 1 && b == 0) continue;  // the default placement
           wanted.emplace_back(a, b);
         }
         std::sort(wanted.begin(), wanted.end());
@@ -454,126 +365,7 @@ OptimizePlan plan_mappings(const lang::CompilationUnit& unit,
     plan.arrays.push_back(std::move(ap));
   }
 
-  // Beam search over interacting arrays: each state is a partial
-  // assignment; extending by an array either keeps its current mapping or
-  // applies one of its legal candidates.
-  std::vector<Assignment> beam;
-  Assignment keep_all;
-  keep_all.predicted_cycles = plan.baseline_cycles;
-  beam.push_back(keep_all);
-  for (const auto& ap : plan.arrays) {
-    std::vector<Assignment> next;
-    for (const auto& state : beam) {
-      next.push_back(state);  // keep this array's current mapping
-      for (const auto& cand : ap.candidates) {
-        if (!cand.legal) continue;
-        if (cand.choice.kind == MapChoiceKind::kIdentity &&
-            existing_reloc.count(ap.array) == 0) {
-          continue;  // no mapping to drop: identical to keeping
-        }
-        Assignment ext = state;
-        ext.choices.push_back(cand.choice);
-        ext.predicted_cycles = score(ext.choices);
-        next.push_back(std::move(ext));
-      }
-    }
-    std::stable_sort(next.begin(), next.end(),
-                     [](const Assignment& a, const Assignment& b) {
-                       if (a.predicted_cycles != b.predicted_cycles) {
-                         return a.predicted_cycles < b.predicted_cycles;
-                       }
-                       return a.choices.size() < b.choices.size();
-                     });
-    if (next.size() > options.beam_width) next.resize(options.beam_width);
-    beam = std::move(next);
-  }
-
-  bool has_keep = false;
-  for (const auto& state : beam) {
-    if (state.choices.empty()) has_keep = true;
-  }
-  if (!has_keep) beam.push_back(keep_all);
-  plan.ranked = std::move(beam);
   return plan;
-}
-
-namespace {
-
-class MappingAdvicePass : public Pass {
- public:
-  const char* name() const override { return "mapping-advice"; }
-
-  void run(PassContext& ctx) override {
-    OptimizeOptions options;
-    options.cost = ctx.options.cost;
-    const OptimizePlan plan = plan_mappings(ctx.unit, ctx.model, options);
-
-    // UC-A301: the beam found a dependence-legal assignment that beats the
-    // program's current mappings by the reporting threshold.
-    if (!plan.ranked.empty()) {
-      const Assignment& best = plan.ranked.front();
-      const double gain =
-          plan.baseline_cycles > 0
-              ? 1.0 - static_cast<double>(best.predicted_cycles) /
-                          static_cast<double>(plan.baseline_cycles)
-              : 0.0;
-      if (!best.choices.empty() && gain >= options.min_gain) {
-        for (const auto& choice : best.choices) {
-          std::string msg = support::format(
-              "mapping of '%s' is provably suboptimal: '%s' is "
-              "dependence-legal and cuts the predicted communication "
-              "cycles from %llu to %llu; run `ucc optimize-map` to apply "
-              "and replay-validate it",
-              choice.array->name.c_str(), choice.text.c_str(),
-              static_cast<unsigned long long>(plan.baseline_cycles),
-              static_cast<unsigned long long>(best.predicted_cycles));
-          ctx.report.add("UC-A301", support::Severity::kNote,
-                         choice.array->def_range, std::move(msg));
-        }
-      }
-    }
-
-    // UC-A302: a candidate that would beat every legal option for its
-    // array was rejected by the dependence pass.
-    for (const auto& ap : plan.arrays) {
-      std::uint64_t legal_best = ~std::uint64_t{0};
-      for (const auto& cand : ap.candidates) {
-        if (cand.legal) {
-          legal_best = std::min(legal_best, cand.predicted_cycles);
-        }
-      }
-      const Candidate* blocked = nullptr;
-      for (const auto& cand : ap.candidates) {
-        if (cand.legal || cand.predicted_cycles >= legal_best) continue;
-        if (blocked == nullptr ||
-            cand.predicted_cycles < blocked->predicted_cycles) {
-          blocked = &cand;
-        }
-      }
-      if (blocked == nullptr) continue;
-      std::string msg = support::format(
-          "candidate remapping of '%s' ('%s') would cut the predicted "
-          "communication cycles from %llu to %llu but is blocked by a "
-          "dependence: %s",
-          ap.array->name.c_str(), blocked->choice.text.c_str(),
-          static_cast<unsigned long long>(legal_best),
-          static_cast<unsigned long long>(blocked->predicted_cycles),
-          blocked->blocker.c_str());
-      const support::SourceRange at =
-          blocked->blocked_at.begin.offset != 0 ||
-                  blocked->blocked_at.end.offset != 0
-              ? blocked->blocked_at
-              : ap.array->def_range;
-      ctx.report.add("UC-A302", support::Severity::kNote, at,
-                     std::move(msg));
-    }
-  }
-};
-
-}  // namespace
-
-std::unique_ptr<Pass> make_mapping_advice_pass() {
-  return std::make_unique<MappingAdvicePass>();
 }
 
 }  // namespace uc::analysis

@@ -1,22 +1,19 @@
-// The static mapping optimiser (docs/MAPPING.md): enumerates candidate
-// `map` sections (affine permutes, folds, copies), proves each legal with
-// the dependence pass, predicts its cost by re-running the communication
-// classifier under the candidate placement, and beam-searches assignments
-// over interacting arrays.
+// Candidate generation for the mapping optimiser (docs/MAPPING.md):
+// enumerates candidate `map` sections (affine permutes, folds, copies) per
+// array, proves each legal or blocked with the dependence pass, and
+// rewrites a unit to carry chosen candidates.
 //
-// This layer is purely static: `uc::optimize_map` (the `ucc optimize-map`
-// subcommand) sits above it and adds the emitter + replay validator.  The
-// mapping-advice pass surfaces the same results as UC-A301/UC-A302 notes
-// from `ucc analyze`.
+// This layer ranks nothing: `uc::optimize_map` (the `ucc optimize-map`
+// subcommand) sits above it and replays each legal candidate on the
+// simulated machine, so the VM's charge path is the only cost model a
+// mapping is chosen by.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/depend.hpp"
 #include "analysis/model.hpp"
-#include "analysis/pass.hpp"
 
 namespace uc::analysis {
 
@@ -43,51 +40,30 @@ struct Candidate {
   bool legal = false;
   std::string blocker;              // dependence that rejected it
   support::SourceRange blocked_at;  // interfering access, when known
-  // Whole-program weighted communication estimate with only this array
-  // remapped (relocation sweep included), for per-array comparisons.
-  std::uint64_t predicted_cycles = 0;
-  std::uint64_t relocation_cycles = 0;
 };
 
 struct ArrayPlan {
   const lang::Symbol* array = nullptr;
-  std::vector<Candidate> candidates;  // identity first, then alternatives
-};
-
-// One beam-search state: the non-keep choices plus the whole-program
-// prediction under them.
-struct Assignment {
-  std::vector<MapChoice> choices;
-  std::uint64_t predicted_cycles = 0;
+  // Identity first (only when a map section targets the array: dropping
+  // it is then a real alternative), then permutes, fold, copy.
+  std::vector<Candidate> candidates;
 };
 
 struct OptimizePlan {
-  std::vector<ArrayPlan> arrays;      // sorted by array name
-  std::uint64_t baseline_cycles = 0;  // prediction under current mappings
-  std::vector<Assignment> ranked;     // beam results, best first
+  std::vector<ArrayPlan> arrays;  // sorted by array name
   std::size_t candidates_considered = 0;
   std::size_t candidates_blocked = 0;  // rejected by the dependence pass
 };
 
-struct OptimizeOptions {
-  cm::CostModel cost;
-  std::size_t beam_width = 4;
-  // UC-A301 fires only when the best legal assignment improves the
-  // predicted communication cycles by at least this fraction.
-  double min_gain = 0.10;
-};
-
 OptimizePlan plan_mappings(const lang::CompilationUnit& unit,
-                           const ProgramModel& model,
-                           const OptimizeOptions& options);
+                           const ProgramModel& model);
 
-// Whole-program weighted communication estimate with the given choices
-// overriding the arrays' current placements (choices may be empty).
-std::uint64_t predict_comm_cycles(const ProgramModel& model,
-                                  const cm::CostModel& cost,
-                                  const std::vector<MapChoice>& choices);
-
-// The UC-A301 / UC-A302 advice pass (runs in the default pipeline).
-std::unique_ptr<Pass> make_mapping_advice_pass();
+// Rewrites a freshly compiled unit to carry `choices`: existing top-level
+// map sections lose every mapping that targets a chosen array (the choice
+// replaces them), and the chosen section is appended as the last top-level
+// item so startup applies it after all declarations.  Re-runs semantic
+// analysis; false when the rewrite does not pass it.
+bool apply_choices(lang::CompilationUnit& unit,
+                   const std::vector<MapChoice>& choices);
 
 }  // namespace uc::analysis

@@ -12,20 +12,18 @@ void PassManager::add(std::unique_ptr<Pass> pass) {
 }
 
 void PassManager::run(const lang::CompilationUnit& unit,
-                      const AnalysisOptions& options, Report& report) const {
+                      Report& report) const {
   ProgramModel model = build_model(unit);
-  PassContext ctx{unit, model, options, report};
+  PassContext ctx{unit, model, report};
   for (const auto& pass : passes_) pass->run(ctx);
 }
 
-Report run_default_analysis(const lang::CompilationUnit& unit,
-                            const AnalysisOptions& options) {
+Report run_default_analysis(const lang::CompilationUnit& unit) {
   PassManager pm;
   pm.add(make_interference_pass());
   pm.add(make_comm_pass());
-  pm.add(make_mapping_advice_pass());
   Report report;
-  pm.run(unit, options, report);
+  pm.run(unit, report);
   return report;
 }
 

@@ -12,19 +12,13 @@
 
 #include "analysis/model.hpp"
 #include "analysis/report.hpp"
-#include "cm/cost.hpp"
 #include "uclang/frontend.hpp"
 
 namespace uc::analysis {
 
-struct AnalysisOptions {
-  cm::CostModel cost;
-};
-
 struct PassContext {
   const lang::CompilationUnit& unit;
   const ProgramModel& model;
-  const AnalysisOptions& options;
   Report& report;
 
   // Line number of a source location (0 when no file is attached).
@@ -42,8 +36,7 @@ class PassManager {
  public:
   void add(std::unique_ptr<Pass> pass);
   // Builds the model from `unit` and runs every pass into `report`.
-  void run(const lang::CompilationUnit& unit, const AnalysisOptions& options,
-           Report& report) const;
+  void run(const lang::CompilationUnit& unit, Report& report) const;
 
  private:
   std::vector<std::unique_ptr<Pass>> passes_;
@@ -52,11 +45,8 @@ class PassManager {
 // Factories for the built-in passes.
 std::unique_ptr<Pass> make_interference_pass();
 std::unique_ptr<Pass> make_comm_pass();
-std::unique_ptr<Pass> make_mapping_advice_pass();
 
-// Runs the default pipeline (interference + communication classifier +
-// mapping advice).
-Report run_default_analysis(const lang::CompilationUnit& unit,
-                            const AnalysisOptions& options = {});
+// Runs the default pipeline (interference + communication classifier).
+Report run_default_analysis(const lang::CompilationUnit& unit);
 
 }  // namespace uc::analysis

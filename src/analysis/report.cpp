@@ -30,12 +30,6 @@ std::size_t FunctionComm::count(CommClass c) const {
   return n;
 }
 
-std::uint64_t FunctionComm::est_cycles() const {
-  std::uint64_t total = 0;
-  for (const auto& a : accesses) total += a.est_cycles;
-  return total;
-}
-
 std::size_t Report::error_count() const {
   std::size_t n = 0;
   for (const auto& f : findings) {
@@ -72,8 +66,11 @@ std::string Report::render(const support::SourceFile* file,
     if (!opts.include_notes && f.severity == support::Severity::kNote) {
       continue;
     }
-    engine.report(f.severity, f.range,
-                  "[" + std::string(f.code) + "] " + f.message);
+    std::string text = "[";
+    text += f.code;
+    text += "] ";
+    text += f.message;
+    engine.report(f.severity, f.range, text);
   }
   std::string out = engine.render_all();
 
@@ -85,8 +82,7 @@ std::string Report::render(const support::SourceFile* file,
          << " local=" << fn.count(CommClass::kLocal)
          << " news=" << fn.count(CommClass::kNews)
          << " scan=" << fn.count(CommClass::kScan)
-         << " router=" << fn.count(CommClass::kRouter)
-         << "  est_cycles=" << fn.est_cycles() << '\n';
+         << " router=" << fn.count(CommClass::kRouter) << '\n';
       for (const auto& a : fn.accesses) {
         os << "    ";
         if (file != nullptr) {
@@ -95,7 +91,7 @@ std::string Report::render(const support::SourceFile* file,
         os << (a.is_write ? "write " : "read ") << a.array << " -> "
            << comm_class_name(a.cls);
         if (!a.detail.empty()) os << " (" << a.detail << ")";
-        os << " [" << a.lanes << " lanes, ~" << a.est_cycles << " cycles]\n";
+        os << " [" << a.lanes << " lanes]\n";
       }
     }
     out += os.str();
@@ -133,22 +129,19 @@ std::string Report::json(const support::SourceFile* file) const {
     const FunctionComm& fn = functions[i];
     out += support::format(
         "    {\"function\": \"%s\", \"local\": %zu, \"news\": %zu, "
-        "\"scan\": %zu, \"router\": %zu, \"est_cycles\": %llu,\n",
+        "\"scan\": %zu, \"router\": %zu,\n",
         json_escape(fn.function).c_str(), fn.count(CommClass::kLocal),
         fn.count(CommClass::kNews), fn.count(CommClass::kScan),
-        fn.count(CommClass::kRouter),
-        static_cast<unsigned long long>(fn.est_cycles()));
+        fn.count(CommClass::kRouter));
     out += "     \"accesses\": [\n";
     for (std::size_t k = 0; k < fn.accesses.size(); ++k) {
       const CommAccess& a = fn.accesses[k];
       out += support::format(
           "       {\"array\": \"%s\", \"op\": \"%s\", \"class\": \"%s\", "
-          "\"line\": %u, \"lanes\": %llu, \"est_cycles\": %llu, "
-          "\"detail\": \"%s\"}%s\n",
+          "\"line\": %u, \"lanes\": %llu, \"detail\": \"%s\"}%s\n",
           json_escape(a.array).c_str(), a.is_write ? "write" : "read",
           comm_class_name(a.cls), line_of(a.range.begin),
           static_cast<unsigned long long>(a.lanes),
-          static_cast<unsigned long long>(a.est_cycles),
           json_escape(a.detail).c_str(),
           k + 1 < fn.accesses.size() ? "," : "");
     }

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "cm/cost.hpp"
 #include "support/diag.hpp"
 #include "support/source.hpp"
 
@@ -48,8 +47,7 @@ struct CommAccess {
   std::string array;
   std::string detail;  // why it landed in this class
   support::SourceRange range;
-  std::uint64_t lanes = 1;       // evaluation-space size
-  std::uint64_t est_cycles = 0;  // cost-model estimate for one execution
+  std::uint64_t lanes = 1;  // evaluation-space size
 };
 
 struct FunctionComm {
@@ -57,7 +55,6 @@ struct FunctionComm {
   std::vector<CommAccess> accesses;
 
   std::size_t count(CommClass c) const;
-  std::uint64_t est_cycles() const;
 };
 
 struct RenderOptions {

@@ -34,6 +34,13 @@ int prec_of(BinaryOp op) {
 
 class Printer {
  public:
+  // Appends `[e]`.
+  void bracket(std::string& out, const Expr& e) {
+    out += '[';
+    out += expr(e);
+    out += ']';
+  }
+
   std::string expr(const Expr& e, int parent_prec = 0) {
     switch (e.kind) {
       case ExprKind::kIntLit:
@@ -66,9 +73,7 @@ class Printer {
       case ExprKind::kSubscript: {
         const auto& s = static_cast<const SubscriptExpr&>(e);
         std::string out = expr(*s.base, 11);
-        for (const auto& idx : s.indices) {
-          out += "[" + expr(*idx) + "]";
-        }
+        for (const auto& idx : s.indices) bracket(out, *idx);
         return out;
       }
       case ExprKind::kCall: {
@@ -220,8 +225,11 @@ class Printer {
           if (!def.alias.empty()) {
             out += def.alias;
           } else if (def.range_lo) {
-            out += "{" + expr(*def.range_lo) + ".." + expr(*def.range_hi) +
-                   "}";
+            out += '{';
+            out += expr(*def.range_lo);
+            out += "..";
+            out += expr(*def.range_hi);
+            out += '}';
           } else {
             out += "{";
             for (std::size_t m = 0; m < def.listed.size(); ++m) {
@@ -276,12 +284,12 @@ class Printer {
           }
           out += ") " + mapping.target_array;
           for (const auto& sub : mapping.target_subscripts) {
-            out += "[" + expr(*sub) + "]";
+            bracket(out, *sub);
           }
           if (mapping.kind != MapKind::kCopy) {
             out += " :- " + mapping.source_array;
             for (const auto& sub : mapping.source_subscripts) {
-              out += "[" + expr(*sub) + "]";
+              bracket(out, *sub);
             }
           }
           line(indent + 1, out + ";");
@@ -300,9 +308,7 @@ class Printer {
       const auto& dec = d.declarators[k];
       if (k != 0) out += ", ";
       out += dec.name;
-      for (const auto& dim : dec.dim_exprs) {
-        out += "[" + expr(*dim) + "]";
-      }
+      for (const auto& dim : dec.dim_exprs) bracket(out, *dim);
       if (dec.init) out += " = " + expr(*dec.init);
     }
     return out + ";";

@@ -72,6 +72,17 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
+std::string element_name(std::string_view name,
+                         std::span<const std::int64_t> index) {
+  std::string out(name);
+  for (const std::int64_t i : index) {
+    out += '[';
+    out += std::to_string(i);
+    out += ']';
+  }
+  return out;
+}
+
 std::size_t count_code_lines(std::string_view source) {
   std::size_t n = 0;
   bool in_block_comment = false;

@@ -1,6 +1,8 @@
 // Small string helpers used by the front end and the test suite.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,6 +22,11 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 // backslash, \n and \t get their short escapes, other control bytes
 // become \u00XX, and every other byte (UTF-8 included) passes through.
 std::string json_escape(std::string_view s);
+
+// Renders an array element as `name[i][j]...`, the form runtime errors
+// quote.
+std::string element_name(std::string_view name,
+                         std::span<const std::int64_t> index);
 
 // Counts non-blank, non-comment lines — used by the conciseness experiment
 // (E9 in DESIGN.md) to compare UC and C* program sizes.

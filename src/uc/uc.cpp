@@ -69,9 +69,7 @@ AnalyzeResult analyze(std::string name, std::string source,
   }
   result.compiled = true;
 
-  analysis::AnalysisOptions opts;
-  opts.cost = options.machine.cost;
-  analysis::Report report = analysis::run_default_analysis(*unit, opts);
+  analysis::Report report = analysis::run_default_analysis(*unit);
 
   analysis::RenderOptions render;
   render.include_notes = options.include_notes;
@@ -137,9 +135,7 @@ ProfileResult Program::attribute(const prof::Profiler& profiler,
   // `ucc analyze` passes and annotate each dynamic site whose source range
   // covers the access.  The analysis runs on the same (possibly
   // transformed) unit the VM executed, so offsets line up exactly.
-  analysis::AnalysisOptions aopts;
-  aopts.cost = result.model;
-  analysis::Report report = analysis::run_default_analysis(*unit_, aopts);
+  analysis::Report report = analysis::run_default_analysis(*unit_);
   for (auto& site : result.sites) {
     if (site.end_offset <= site.begin_offset) continue;
     bool seen[4] = {false, false, false, false};

@@ -44,7 +44,6 @@ struct CompileOptions {
 struct AnalyzeOptions {
   bool include_notes = true;    // UC-Axxx notes in the rendered text
   bool include_summary = true;  // per-function communication summary
-  cm::MachineOptions machine;   // cost model for the comm estimates
 };
 
 // Result of running the analysis passes over one source file.
@@ -64,20 +63,13 @@ struct AnalyzeResult {
 AnalyzeResult analyze(std::string name, std::string source,
                       const AnalyzeOptions& options = {});
 
-// Options for the static mapping optimiser (`ucc optimize-map`,
-// docs/MAPPING.md): dependence-proved search over candidate `map`
-// sections, cost-predicted with the communication classifier, validated
-// by replay on the simulated machine.
+// Options for the mapping optimiser (`ucc optimize-map`,
+// docs/MAPPING.md): dependence-proved candidate `map` sections, each
+// ranked by replaying it on the simulated machine.
 struct OptimizeMapOptions {
   CompileOptions compile;      // the replays compile as Program::compile
-  cm::MachineOptions machine;  // cost model + replay machine
+  cm::MachineOptions machine;  // replay machine
   vm::ExecOptions exec;        // replay engine options
-  std::size_t beam_width = 4;  // beam over interacting arrays
-  // Replay-validate: the optimized program must produce bit-identical
-  // output with strictly fewer modeled cycles, or the candidate is
-  // rejected and the next ranked assignment is tried.
-  bool validate = true;
-  std::size_t max_validation_tries = 4;
 };
 
 // One accepted remapping decision, for reporting.
@@ -89,17 +81,14 @@ struct OptimizeMapChoice {
 };
 
 struct OptimizeMapResult {
-  bool compiled = false;   // front end succeeded; the search ran
-  bool improved = false;   // an assignment was accepted
-  bool validated = false;  // ...and replay confirmed it (when validating)
-  std::string text;        // human-readable report, or front-end diags
+  bool compiled = false;  // front end succeeded; the search ran
+  bool improved = false;  // a replay kept at least one candidate
+  std::string text;       // human-readable report, or front-end diags
   std::string map_section;      // chosen `map` section UC text ("" if none)
   std::string optimized_source; // full rewritten program ("" if none)
   std::vector<OptimizeMapChoice> choices;
-  std::uint64_t predicted_baseline = 0;   // static estimate, current maps
-  std::uint64_t predicted_optimized = 0;  // static estimate, chosen maps
-  std::uint64_t baseline_cycles = 0;      // replay (when validating)
-  std::uint64_t optimized_cycles = 0;     // replay (when validating)
+  std::uint64_t baseline_cycles = 0;   // replay of the program as written
+  std::uint64_t optimized_cycles = 0;  // chosen rewrite (= baseline if none)
   std::size_t candidates_considered = 0;
   std::size_t candidates_blocked = 0;  // rejected by the dependence pass
 
@@ -108,10 +97,11 @@ struct OptimizeMapResult {
   std::string json() const;
 };
 
-// Runs the mapping optimiser: dependence pass, candidate generation, cost
-// prediction, beam search, then emission + replay validation of the best
-// assignment.  The input program is never modified; the rewritten source
-// is returned in `optimized_source`.
+// Runs the mapping optimiser: dependence pass and candidate generation,
+// then a greedy replay over the arrays in name order, keeping a candidate
+// only when its output is bit-identical and its modeled cycles strictly
+// fewer.  The input program is never modified; the rewritten source is
+// returned in `optimized_source`.
 OptimizeMapResult optimize_map(std::string name, std::string source,
                                const OptimizeMapOptions& options = {});
 

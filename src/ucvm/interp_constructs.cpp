@@ -577,15 +577,14 @@ void Impl::commit_conflict(const Write& first, const Write& w) {
     ArrayObj& arr = view->root();
     std::int64_t coords[8];
     arr.unflatten(w.target.index + view->root_offset(), coords);
-    what += " to " + arr.name();
-    for (std::size_t d = 0; d < arr.dims().size(); ++d) {
-      what += "[" + std::to_string(coords[d]) + "]";
-    }
+    what += " to ";
+    what += support::element_name(arr.name(), {coords, arr.dims().size()});
   }
-  what += ": values " + first.value.to_string() + " and " +
-          w.value.to_string() +
-          " (each variable may be assigned at most one value, "
-          "paper §3.4)";
+  what += ": values ";
+  what += first.value.to_string();
+  what += " and ";
+  what += w.value.to_string();
+  what += " (each variable may be assigned at most one value, paper §3.4)";
   runtime_error(w.where, what);
 }
 

@@ -295,11 +295,9 @@ std::optional<WriteTarget> Impl::resolve_lvalue(const Expr& e, EvalCtx& ctx) {
     }
     std::int64_t flat = arr->flatten(idx, n);
     if (flat < 0) {
-      std::string what = arr->name();
-      for (std::size_t k = 0; k < n; ++k) {
-        what += "[" + std::to_string(idx[k]) + "]";
-      }
-      runtime_error(&e, "array subscript out of range: " + what);
+      std::string what = "array subscript out of range: ";
+      what += support::element_name(arr->name(), {idx, n});
+      runtime_error(&e, what);
     }
     WriteTarget t;
     t.kind = WriteTarget::Kind::kArray;

@@ -8,10 +8,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <vector>
 
 #include "ucvm/kernel/kernel.hpp"
 
 #include "support/error.hpp"
+#include "support/str.hpp"
 #include "support/wrap.hpp"
 #include "uclang/symbols.hpp"
 #include "ucvm/durable.hpp"  // complete type for ~Impl's unique_ptr member
@@ -91,6 +93,30 @@ inline void each(const Sel& s, F&& f) {
   } else {
     for (int j = 0; j < s.n; ++j) f(static_cast<int>(s.idx[j]));
   }
+}
+
+// Raises the walk's error for the first lane of `s` whose subscripts
+// sub(l, 0) .. sub(l, I.c-1) fall outside `la`.  Out of line and cold:
+// run_block inlines its subscript check at every array access, and this
+// keeps the error path out of all those copies.
+template <class LinkedArray, class Sub>
+[[gnu::cold, gnu::noinline]] void raise_out_of_range(Impl& vm, const Inst& I,
+                                                    const LinkedArray& la,
+                                                    const Sel& s,
+                                                    const Sub& sub) {
+  each(s, [&](int l) {
+    bool out = I.c != la.rank;
+    for (std::uint16_t j = 0; !out && j < I.c; ++j) {
+      const std::int64_t ix = sub(l, j);
+      out = ix < 0 || ix >= la.adims[j];
+    }
+    if (!out) return;
+    std::vector<std::int64_t> index(I.c);
+    for (std::uint16_t j = 0; j < I.c; ++j) index[j] = sub(l, j);
+    std::string what = "array subscript out of range: ";
+    what += support::element_name(la.arr->name(), index);
+    vm.runtime_error(I.where, what);
+  });
 }
 
 }  // namespace
@@ -492,20 +518,8 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
       }
     }
     if (!bad) return;
-    each(S, [&](int l) {
-      bool out = I.c != la.rank;
-      for (std::uint16_t j = 0; !out && j < I.c; ++j) {
-        const std::int64_t ix = as_int(static_cast<std::uint16_t>(I.b + j), l);
-        out = ix < 0 || ix >= la.adims[j];
-      }
-      if (!out) return;
-      std::string what = la.arr->name();
-      for (std::uint16_t j = 0; j < I.c; ++j) {
-        what += "[" +
-                std::to_string(as_int(static_cast<std::uint16_t>(I.b + j), l)) +
-                "]";
-      }
-      vm_.runtime_error(I.where, "array subscript out of range: " + what);
+    raise_out_of_range(vm_, I, la, S, [&](int l, std::uint16_t j) {
+      return as_int(static_cast<std::uint16_t>(I.b + j), l);
     });
   };
   const auto flat_from = [&](std::uint16_t r) {

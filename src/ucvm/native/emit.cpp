@@ -186,11 +186,14 @@ class Emitter {
   }
 
   // --- text helpers ---
+  // Built with append: GCC 12's -Wrestrict misfires on `"r" + string`.
 
-  std::string R(std::uint16_t r) const { return "r" + std::to_string(r); }
+  std::string R(std::uint16_t r) const {
+    return std::string("r").append(std::to_string(r));
+  }
   // Register as double (as_float) / as int64 (as_int).
   std::string F(std::uint16_t r) const {
-    return rt_[r] == kFloat ? R(r) : "(double)" + R(r);
+    return rt_[r] == kFloat ? R(r) : std::string("(double)").append(R(r));
   }
   std::string I64(std::uint16_t r) const {
     return rt_[r] == kInt ? R(r) : "(i64)" + R(r);
@@ -203,7 +206,7 @@ class Emitter {
     return out_.wheres.size() - 1;
   }
   std::string A(std::uint16_t site) const {
-    return "a" + std::to_string(site);
+    return std::string("a").append(std::to_string(site));
   }
   std::string ST() const { return "st" + std::to_string(member_); }
   // Classification of an access to element `flat` of arrays[site]

@@ -330,9 +330,11 @@ TEST(UccCli, NumericOptionsRejectGarbage) {
 TEST(UccCli, ForeignOptionsAreRefused) {
   const std::string hello = program("hello.uc");
   for (const auto& [command, option] :
-       {std::pair<const char*, const char*>{"run", "--beam=8"},
+       {std::pair<const char*, const char*>{"run", "--emit=x.uc"},
         {"check", "--faults=router:p=0.5"},
+        {"check", "--procs=64"},
         {"analyze", "--engine=walk"},
+        {"analyze", "--procs=64"},
         {"optimize-map", "--top=2"},
         {"emit-uc", "--stats"},
         {"emit-cstar", "--checkpoint-every=8"}}) {
@@ -343,6 +345,18 @@ TEST(UccCli, ForeignOptionsAreRefused) {
     EXPECT_NE(r.output.find("'" + name + "'"), std::string::npos) << r.output;
     EXPECT_NE(r.output.find(std::string("'ucc ") + command + "'"),
               std::string::npos)
+        << r.output;
+  }
+}
+
+// optimize-map ranks by replay alone: the beam width and the switch that
+// skipped the replay are gone, so no command accepts them.
+TEST(UccCli, RemovedOptimizeMapOptionsAreUnknown) {
+  for (const char* option : {"--beam=2", "--no-validate"}) {
+    auto r = run_command(ucc() + " optimize-map " + program("hello.uc") +
+                         " " + option);
+    EXPECT_EQ(r.exit_code, 2) << option << "\n" << r.output;
+    EXPECT_NE(r.output.find("unknown option"), std::string::npos)
         << r.output;
   }
 }
@@ -377,9 +391,9 @@ TEST(UccCli, FlagsInUseAreAccepted) {
            "profile " + hello + " --top=2 --no-static --trace-json=" + dir +
                "/t.json --engine=walk --native-cc=c++",
            "analyze " + hello + " --werror --no-notes --no-summary"
-               " --procs=64 --json=" + dir + "/an.json",
-           "check " + hello + " --procs=64",
-           "optimize-map " + hello + " --beam=2 --no-validate --json=" + dir +
+               " --json=" + dir + "/an.json",
+           "check " + hello,
+           "optimize-map " + hello + " --procs=64 --json=" + dir +
                "/om.json",
            "emit-uc " + hello + " --no-fold --lower-solve",
            "emit-cstar " + hello + " --rewrite-permutes",

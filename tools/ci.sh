@@ -5,7 +5,7 @@
 #   tools/ci.sh plain    plain RelWithDebInfo build + ctest only
 #   tools/ci.sh asan     ASan/UBSan build + ctest only
 #   tools/ci.sh tsan     ThreadSanitizer build + concurrency suites
-#   tools/ci.sh bench    Release build + vm_engine --smoke only
+#   tools/ci.sh bench    warning-free Release build + vm_engine --smoke only
 #   tools/ci.sh native   Release build + native-tier fig8 perf gate only
 #
 # The asan configuration re-runs the engine parity suite explicitly (the
@@ -67,7 +67,9 @@ run_profile_smoke() {
 # lines on the paper workloads, plain and under injected faults with
 # checkpointing, where the fault schedule and the replays are part of the
 # cost.  Each program's native runs share a fresh kernel cache: the plain
-# run builds every kernel cold, and the faulted run must compile none.
+# run builds every kernel cold and must dispatch at least one native kernel
+# (a program that runs wholly on the front end checks no lane kernel), and
+# the faulted run must compile none.
 run_engine_smoke() {
   local dir="$1"
   local ucc="$dir/tools/ucc"
@@ -79,7 +81,7 @@ run_engine_smoke() {
   # five reduce over small (unrolled) and large (looped) index sets.
   for prog in fig6_shortest_path_on2 fig7_shortest_path_on3 \
               fig8_grid_obstacle mapping_demo slices jacobi \
-              reductions_tour histogram matmul grid_dynamic_obstacle \
+              prefix_sums histogram matmul grid_dynamic_obstacle \
               shortest_path_star_solve; do
     local src="$root/programs/$prog.uc"
     cache="--native-cache-dir=$tmp/cache-$prog"
@@ -96,6 +98,11 @@ run_engine_smoke() {
         echo "ci.sh: the warm native run of $prog compiled kernels" >&2
         exit 1
       fi
+      if [ -z "$flags" ] &&
+          ! grep -q '^native: .* dispatches=[1-9]' "$tmp/native.err"; then
+        echo "ci.sh: the native run of $prog dispatched no kernel" >&2
+        exit 1
+      fi
       for eng in bytecode native; do
         cmp "$tmp/walk.out" "$tmp/$eng.out" &&
           cmp "$tmp/walk.stats" "$tmp/$eng.stats" || {
@@ -108,7 +115,7 @@ run_engine_smoke() {
 }
 
 # Mapping-optimiser smoke (docs/MAPPING.md): `ucc optimize-map` on the
-# Fig 6 workload must find a validated mapping — the rewritten program's
+# Fig 6 workload must keep a replayed mapping — the rewritten program's
 # replay must be bit-identical in output and strictly cheaper in modeled
 # cycles — and the emitted program must reproduce both when run standalone.
 run_optmap_smoke() {
@@ -239,9 +246,21 @@ run_tsan() {
       --gtest_filter='EngineParity*:FaultRecovery.MapRemap*'
 }
 
+# The Release lane rebuilds the library, ucc and the engine bench from
+# scratch and fails on any compiler warning: every translation unit it
+# compiles is the repository's own, so a warning printed from a system
+# header was still raised by this code.
 run_bench_smoke() {
   cmake -B "$root/build-release" -S "$root" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$root/build-release" -j --target vm_engine
+  local log; log="$(mktemp)"
+  cmake --build "$root/build-release" -j --clean-first \
+      --target vm_engine ucc 2>&1 | tee "$log"
+  if grep -q 'warning:' "$log"; then
+    echo "ci.sh: the Release build printed compiler warnings" >&2
+    rm -f "$log"
+    exit 1
+  fi
+  rm -f "$log"
   # vm_engine runs fig6/7/8 from the programs/ corpus and exits nonzero
   # unless all engine rows carry equal output and equal CostStats, cycles
   # included.

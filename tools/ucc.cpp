@@ -36,8 +36,6 @@ struct Options {
   std::string json;          // this command's JSON report
   std::string trace_json;    // Chrome trace events of a profiled run
   std::string emit_path;     // optimize-map's rewritten program
-  bool validate = true;      // optimize-map's replay validation
-  std::uint64_t beam = 4;    // optimize-map's beam width
   std::uint64_t top = 0;     // table rows, 0 = every hot site
   uc::cm::MachineOptions machine;
   uc::vm::ExecOptions exec;
@@ -67,19 +65,17 @@ constexpr Command kCommands[] = {
     {"check", kCheck, "report diagnostics (plus analysis warnings)"},
     {"analyze", kAnalyze, "par-block interference and communication classes"},
     {"optimize-map", kOptimizeMap,
-     "dependence-proved mapping search, replay-validated"},
+     "dependence-proved mapping candidates, ranked by replay"},
     {"emit-cstar", kEmitCstar, "print the C* translation"},
     {"emit-uc", kEmitUc, "print the canonical UC rendering"},
 };
 
 // Which commands read which options.  run and profile execute the program
 // and optimize-map replays it, so all three read the machine, execution
-// and compile options; the emitters read only the compile options, and
-// check and analyze only the cost model.
+// and compile options; the emitters read only the compile options.
 constexpr unsigned kRuns = kRun | kProfile;
 constexpr unsigned kExecutes = kRuns | kOptimizeMap;
 constexpr unsigned kCompiles = kExecutes | kEmitCstar | kEmitUc;
-constexpr unsigned kCosts = kExecutes | kCheck | kAnalyze;
 
 enum class Kind : std::uint8_t {
   kFlag,       // --name
@@ -147,13 +143,7 @@ constexpr Option kOptions[] = {
     {"--emit", Kind::kText, "<file>", 0, 0, kOptimizeMap,
      "write the rewritten program",
      [](Options& o, const Value& v) { o.emit_path = v.s; }},
-    {"--beam", Kind::kCount, "<n>", 1, SIZE_MAX, kOptimizeMap,
-     "beam width (default 4)",
-     [](Options& o, const Value& v) { o.beam = v.n; }},
-    {"--no-validate", Kind::kFlag, "", 0, 0, kOptimizeMap,
-     "skip the replay validation",
-     [](Options& o, const Value&) { o.validate = false; }},
-    {"--procs", Kind::kCount, "<n>", 1, kAny, kCosts,
+    {"--procs", Kind::kCount, "<n>", 1, kAny, kExecutes,
      "physical processors (default 16384)",
      [](Options& o, const Value& v) {
        o.machine.cost.physical_processors = v.n;
@@ -510,7 +500,6 @@ int main(int argc, char** argv) {
       uc::AnalyzeOptions aopts;
       aopts.include_notes = false;
       aopts.include_summary = false;
-      aopts.machine = opts.machine;
       auto analysis = uc::analyze(opts.file, source, aopts);
       if (analysis.warnings > 0) std::fputs(analysis.text.c_str(), stderr);
       std::printf("%s: ok\n", opts.file.c_str());
@@ -518,9 +507,7 @@ int main(int argc, char** argv) {
     }
 
     if (opts.command == "analyze") {
-      uc::AnalyzeOptions aopts = opts.analyze;
-      aopts.machine = opts.machine;
-      auto analysis = uc::analyze(opts.file, std::move(source), aopts);
+      auto analysis = uc::analyze(opts.file, std::move(source), opts.analyze);
       if (!analysis.compiled) {
         std::fputs(analysis.text.c_str(), stderr);
         return 1;
@@ -539,8 +526,6 @@ int main(int argc, char** argv) {
       mopts.compile = opts.compile;
       mopts.machine = opts.machine;
       mopts.exec = opts.exec;
-      mopts.beam_width = static_cast<std::size_t>(opts.beam);
-      mopts.validate = opts.validate;
       auto result = uc::optimize_map(opts.file, std::move(source), mopts);
       if (!result.compiled) {
         std::fputs(result.text.c_str(), stderr);
