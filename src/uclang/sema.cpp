@@ -139,10 +139,10 @@ std::optional<std::int64_t> Sema::const_eval_int(const Expr& e) {
         case BinaryOp::kMul: return support::wrap_mul(*l, *r);
         case BinaryOp::kDiv:
           if (*r == 0) return std::nullopt;
-          return *l / *r;
+          return support::wrap_div(*l, *r);
         case BinaryOp::kMod:
           if (*r == 0) return std::nullopt;
-          return *l % *r;
+          return support::wrap_mod(*l, *r);
         case BinaryOp::kEq: return *l == *r ? 1 : 0;
         case BinaryOp::kNe: return *l != *r ? 1 : 0;
         case BinaryOp::kLt: return *l < *r ? 1 : 0;
@@ -1005,6 +1005,13 @@ Type Sema::analyze_call(CallExpr& e) {
                      "argument for array parameter '" + p.name +
                          "' must be an array or array slice of rank " +
                          std::to_string(p.array_rank));
+      } else if (base_sym->type.scalar != p.scalar) {
+        // C: passing `int *` for `float *` is a constraint violation.
+        diags_.error(e.args[i]->range,
+                     std::string("argument for array parameter '") + p.name +
+                         "' must have element type " +
+                         scalar_kind_name(p.scalar) + ", not " +
+                         scalar_kind_name(base_sym->type.scalar));
       } else {
         // Annotate the argument with its view type.
         arg.type.scalar = base_sym->type.scalar;

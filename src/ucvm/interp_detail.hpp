@@ -580,15 +580,13 @@ class ProfScope {
 bool calls_array_declarer(const Expr& e);
 
 // Shared between the tree walk and the bytecode engine (definitions in
-// interp_expr.cpp) so arithmetic, reduction folding and remote-access
+// interp_expr.cpp) so arithmetic, reduction identities and remote-access
 // classification cannot drift apart.
 Value eval_binary_op(Impl& vm, lang::BinaryOp op, const Value& a,
                      const Value& b, const Expr& where);
 Value eval_unary_op(lang::UnaryOp op, const Value& v);
 Value eval_incdec(const Value& v, bool increment);
 Value eval_abs(const Value& v);
-Value eval_minmax(const Value& a, const Value& b, bool take_min);
-Value fold_reduce_value(lang::ReduceKind op, const Value& acc, const Value& v);
 Value reduce_identity_value(lang::ReduceKind op, bool flt);
 // Classifies an access to a non-replicated array from a lane that is not on
 // the front end: local when the lane's VP owns the element, NEWS for a

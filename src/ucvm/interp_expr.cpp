@@ -45,10 +45,10 @@ Value eval_binary_op(Impl& vm, BinaryOp op, const Value& a, const Value& b,
     case BinaryOp::kDiv:
       if (flt) return Value::of_float(a.as_float() / b.as_float());
       if (b.i == 0) vm.runtime_error(&where, "integer division by zero");
-      return Value::of_int(a.i / b.i);
+      return Value::of_int(support::wrap_div(a.i, b.i));
     case BinaryOp::kMod:
       if (b.as_int() == 0) vm.runtime_error(&where, "modulo by zero");
-      return Value::of_int(a.as_int() % b.as_int());
+      return Value::of_int(support::wrap_mod(a.as_int(), b.as_int()));
     case BinaryOp::kEq:
       return Value::of_bool(flt ? a.as_float() == b.as_float() : a.i == b.i);
     case BinaryOp::kNe:
@@ -105,6 +105,8 @@ Value eval_abs(const Value& v) {
                     : Value::of_int(v.i < 0 ? -v.i : v.i);
 }
 
+namespace {
+
 Value eval_minmax(const Value& a, const Value& b, bool take_min) {
   if (a.is_float || b.is_float) {
     return Value::of_float(take_min ? std::min(a.as_float(), b.as_float())
@@ -144,6 +146,8 @@ Value fold_reduce_value(ReduceKind op, const Value& acc, const Value& v) {
   }
   return acc;
 }
+
+}  // namespace
 
 Value reduce_identity_value(ReduceKind op, bool flt) {
   switch (op) {
@@ -514,7 +518,10 @@ Value Impl::eval(const Expr& e, EvalCtx& ctx) {
       const auto& t = static_cast<const lang::TernaryExpr&>(e);
       Value c = eval(*t.cond, ctx);
       if (ctx.undef) return c;
-      return eval(c.truthy() ? *t.then_expr : *t.else_expr, ctx);
+      // The arm taken converts to the ternary's type (the usual
+      // arithmetic conversions), whichever arm it is.
+      return eval(c.truthy() ? *t.then_expr : *t.else_expr, ctx)
+          .coerce(t.type.scalar);
     }
     case ExprKind::kReduce:
       return eval_reduce(static_cast<const lang::ReduceExpr&>(e), ctx);
@@ -716,8 +723,10 @@ Value Impl::eval_call(const lang::CallExpr& e, EvalCtx& ctx) {
         if (tb->kind == WriteTarget::Kind::kArray) {
           classify_access(*static_cast<ArrayObj*>(tb->obj), tb->index, ctx);
         }
-        write_value(*ta, vb, e, ctx);
-        write_value(*tb, va, e, ctx);
+        // Each operand takes the other's value converted to its own
+        // type, as assignment converts.
+        write_value(*ta, vb.coerce(e.args[0]->type.scalar), e, ctx);
+        write_value(*tb, va.coerce(e.args[1]->type.scalar), e, ctx);
         return Value::of_int(0);
       }
       case BuiltinId::kPrint: {

@@ -82,6 +82,33 @@ enum class Op : std::uint8_t {
   kRet,             // kernel result = r[a]
 };
 
+// True for the instructions that write register dst.
+inline bool writes_dst(Op op) {
+  switch (op) {
+    case Op::kConst:
+    case Op::kMove:
+    case Op::kBool:
+    case Op::kLoadElem:
+    case Op::kLoadReduceElem:
+    case Op::kLoadScalar:
+    case Op::kArrIndex:
+    case Op::kArrLoad:
+    case Op::kArrGet:
+    case Op::kUnary:
+    case Op::kBinary:
+    case Op::kIncDec:
+    case Op::kCoerce:
+    case Op::kAbs:
+    case Op::kMinMax:
+    case Op::kPower2:
+    case Op::kRand:
+    case Op::kReduceEnd:
+      return true;
+    default:
+      return false;
+  }
+}
+
 struct Inst {
   Op op = Op::kRet;
   std::uint8_t arg = 0;  // BinaryOp / UnaryOp / ScalarKind / flag, per op
@@ -117,17 +144,14 @@ struct ReduceRef {
   const lang::ReduceExpr* expr = nullptr;
 };
 
-// Static representation of a register (or reduction accumulator) on every
-// path through the kernel: kInt/kFloat registers hold that payload in
-// every lane; kDyn ones may hold either, so they carry a per-lane tag and
-// follow the tree walk's Value semantics; kUnset registers are never
-// written.
-enum RegType : std::uint8_t { kUnset, kInt, kFloat, kDyn };
+// Static representation of a register (or reduction accumulator): kInt
+// and kFloat registers hold that payload in every lane on every path;
+// kUnset registers are never written.
+enum RegType : std::uint8_t { kUnset, kInt, kFloat };
 
 struct KernelTypes {
   std::vector<RegType> regs;  // per virtual register
   std::vector<RegType> acc;   // per reduction: its accumulator
-  bool all_static = true;     // no kDyn register or accumulator
 };
 
 // An rvalue read site the optimiser elided: a value-numbered duplicate of
@@ -159,8 +183,7 @@ struct Kernel {
   // writes.  -1 when a store sits inside a reduction's tuple loop, where
   // the count grows with the product.
   std::int32_t writes_per_lane = 0;
-  // Register types with every scalar and array operand of its declared
-  // kind (type_kernel at compile time).
+  // Register types (type_kernel at compile time).
   KernelTypes types;
   // Filled by optimize_kernel, in code order.
   std::vector<ElidedRead> elided_reads;
@@ -179,13 +202,11 @@ struct Kernel {
 std::uint16_t pool_const(Kernel& k, const Value& v);
 
 // The typing pass (typing.cpp): infers each register's representation
-// over all control paths.  scalar_dyn / array_dyn (nullable, indexed by
-// operand slot) mark operands whose linked value is not of the declared
-// kind — e.g. a float lane-local that swap() left holding an int — whose
-// loads then type as kDyn.
-void type_kernel(const Kernel& k, KernelTypes& out,
-                 const std::uint8_t* scalar_dyn = nullptr,
-                 const std::uint8_t* array_dyn = nullptr);
+// over all control paths.  Every operand holds its declared type and every
+// conversion is an explicit kCoerce, so a register that is int on one path
+// and float on another (or a float folding into an int accumulator) is a
+// lowering bug: type_kernel then returns false and the kernel is declined.
+bool type_kernel(const Kernel& k, KernelTypes& out);
 
 // True when the lowering covers this expression tree; false means the
 // statement runs on the tree-walk engine (solve bodies, user function
@@ -200,7 +221,8 @@ bool can_compile_expr(const lang::Expr& e);
 // (interp_constructs.cpp); the bytecode-level forwarding check is the
 // final authority and also returns nullptr when a later member reads an
 // element a prior member wrote through a subscript the optimiser cannot
-// match.  With n == 1 it fails only when can_compile_expr does.
+// match.  With n == 1 it fails only when can_compile_expr does or the
+// registers do not type (type_kernel), and the statement runs on the walk.
 std::unique_ptr<Kernel> compile_fused(const lang::Expr* const* stmts,
                                       std::size_t n);
 

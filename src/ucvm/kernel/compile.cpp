@@ -373,12 +373,10 @@ class Lowerer {
         const std::uint16_t dst = alloc();
         const std::uint16_t c = expr(*t.cond);
         const std::size_t to_else = emit(Op::kJumpIfFalse, 0, 0, c);
-        const std::uint16_t tv = expr(*t.then_expr);
-        emit(Op::kMove, 0, dst, tv);
+        arm_into(*t.then_expr, t.type, dst);
         const std::size_t done = emit(Op::kJump);
         patch(to_else);
-        const std::uint16_t ev = expr(*t.else_expr);
-        emit(Op::kMove, 0, dst, ev);
+        arm_into(*t.else_expr, t.type, dst);
         patch(done);
         return dst;
       }
@@ -392,6 +390,17 @@ class Lowerer {
     const std::uint16_t r = alloc();
     emit(Op::kConst, 0, r, pool_const(Value::of_int(0)));
     return r;
+  }
+
+  // A ?: arm into the ternary's register, converted to the ternary's
+  // type (the walk's coercion) when its own type differs.
+  void arm_into(const Expr& arm, const lang::Type& type, std::uint16_t dst) {
+    const std::uint16_t v = expr(arm);
+    if (arm.type.is_float() == type.is_float()) {
+      emit(Op::kMove, 0, dst, v);
+    } else {
+      emit(Op::kCoerce, static_cast<std::uint8_t>(type.scalar), dst, v);
+    }
   }
 
   std::uint16_t assign(const lang::AssignExpr& a) {
@@ -578,9 +587,9 @@ class Lowerer {
 
 // Kernel-static facts the executor and the native emitter read: register
 // types and the per-lane write bound (finite unless a store sits in a
-// reduction's tuple loop).
-void finish(Kernel& k) {
-  type_kernel(k, k.types);
+// reduction's tuple loop).  False when the registers do not type.
+bool finish(Kernel& k) {
+  if (!type_kernel(k, k.types)) return false;
   bool in_reduce = false;
   for (const Inst& i : k.code) {
     switch (i.op) {
@@ -595,7 +604,7 @@ void finish(Kernel& k) {
       case Op::kArrPut:
         if (in_reduce) {
           k.writes_per_lane = -1;
-          return;
+          return true;
         }
         ++k.writes_per_lane;
         break;
@@ -603,6 +612,7 @@ void finish(Kernel& k) {
         break;
     }
   }
+  return true;
 }
 
 }  // namespace
@@ -634,8 +644,7 @@ std::unique_ptr<Kernel> compile_fused(const Expr* const* stmts,
   // Registers are never reused, so a pathological fusion could overflow
   // the 16-bit register file; decline and let the members run unfused.
   if (kernel->num_regs > kMaxKernelRegs) return nullptr;
-  if (!optimize_kernel(*kernel)) return nullptr;
-  finish(*kernel);
+  if (!optimize_kernel(*kernel) || !finish(*kernel)) return nullptr;
   return kernel;
 }
 

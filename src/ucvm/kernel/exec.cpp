@@ -269,39 +269,6 @@ bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
     }
     if (la.geom_matches) la.vp_coords = la.arr->coord_table();
   }
-
-  // The kernel's register types assume every operand holds its declared
-  // kind.  One that does not (a float lane-local that swap() left holding
-  // an int) retypes this execution: its loads, and what they flow into,
-  // take the tagged per-lane loops.
-  bool drift = false;
-  scalar_dyn_.assign(k.scalars.size(), 0);
-  for (std::size_t i = 0; i < k.scalars.size(); ++i) {
-    const bool want = k.scalars[i].sym->type.is_float();
-    const LinkedScalar& ls = scalars_[i];
-    if (ls.home == ScalarHome::kLaneLocal) {
-      for (const Value& v : *ls.store) {
-        if (v.is_float != want) {
-          scalar_dyn_[i] = 1;
-          break;
-        }
-      }
-    } else {
-      scalar_dyn_[i] = ls.value->is_float != want ? 1 : 0;
-    }
-    drift |= scalar_dyn_[i] != 0;
-  }
-  array_dyn_.assign(k.arrays.size(), 0);
-  for (std::size_t i = 0; i < k.arrays.size(); ++i) {
-    array_dyn_[i] = arrays_[i].flt != k.arrays[i].sym->type.is_float();
-    drift |= array_dyn_[i] != 0;
-  }
-  types_ = &k.types;
-  if (drift) {
-    type_kernel(k, link_types_, scalar_dyn_.data(), array_dyn_.data());
-    types_ = &link_types_;
-  }
-
   return max_depth_ < kMaxDepth;
 }
 
@@ -351,9 +318,8 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
                        const std::vector<std::int64_t>& active,
                        std::int64_t k0, int n, Frame* frame,
                        std::uint64_t stmt_id, Arena& arena, Value* results) {
-  const RegType* T = types_->regs.data();
+  const RegType* T = k.types.regs.data();
   Slot* const regs = arena.regs.data();
-  std::uint8_t* const tags = arena.tags.data();
   BlockLanes& bl = arena.lanes;
   ReduceTuple& rt = arena.rt;
   const LinkedElem* elems = elems_.data();
@@ -365,33 +331,19 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
   const auto col = [&](std::uint16_t r) {
     return regs + static_cast<std::size_t>(r) * kBlock;
   };
-  const auto tag = [&](std::uint16_t r) {
-    return tags + static_cast<std::size_t>(r) * kBlock;
-  };
   const auto get = [&](std::uint16_t r, int l) {
     const Slot s = col(r)[l];
-    switch (T[r]) {
-      case kFloat:
-        return Value::of_float(s.f);
-      case kDyn:
-        return tag(r)[l] != 0 ? Value::of_float(s.f) : Value::of_int(s.i);
-      default:
-        return Value::of_int(s.i);
-    }
+    return T[r] == kFloat ? Value::of_float(s.f) : Value::of_int(s.i);
   };
   const auto put = [&](std::uint16_t r, int l, const Value& v) {
-    if (T[r] == kDyn) tag(r)[l] = v.is_float ? 1 : 0;
-    if (v.is_float) {
-      col(r)[l].f = v.f;
+    if (T[r] == kFloat) {
+      col(r)[l].f = v.as_float();
     } else {
-      col(r)[l].i = v.i;
+      col(r)[l].i = v.as_int();
     }
   };
   const auto as_int = [&](std::uint16_t r, int l) {
     return get(r, l).as_int();
-  };
-  const auto truthy = [&](std::uint16_t r, int l) {
-    return get(r, l).truthy();
   };
 
   // --- block lanes: ancestor chain, VP, coordinates, RNG ---
@@ -452,14 +404,14 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
   };
   const auto lanes_where = [&](std::uint16_t r, bool want) {
     std::uint64_t m = 0;
-    if (T[r] == kInt) {
-      const Slot* c = col(r);
+    const Slot* c = col(r);
+    if (T[r] == kFloat) {
       each(S, [&](int l) {
-        m |= static_cast<std::uint64_t>((c[l].i != 0) == want) << l;
+        m |= static_cast<std::uint64_t>((c[l].f != 0.0) == want) << l;
       });
     } else {
       each(S, [&](int l) {
-        m |= static_cast<std::uint64_t>(truthy(r, l) == want) << l;
+        m |= static_cast<std::uint64_t>((c[l].i != 0) == want) << l;
       });
     }
     return m;
@@ -614,11 +566,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
   const auto load = [&](const Inst& I, const LinkedArray& la) {
     Slot* d = col(I.dst);
     const cm::Bits* data = la.data;
-    if (T[I.dst] == kDyn) {
-      each(S, [&](int l) {
-        put(I.dst, l, Value::from_bits(data[flat[l]], la.flt));
-      });
-    } else if (la.flt) {
+    if (la.flt) {
       each(S, [&](int l) { d[l].f = cm::as_float(data[flat[l]]); });
     } else {
       each(S, [&](int l) { d[l].i = cm::as_int(data[flat[l]]); });
@@ -630,32 +578,17 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
     t.kind = WriteTarget::Kind::kArray;
     t.obj = la.arr;
     const Slot* v = col(value);
-    switch (T[value]) {
-      case kInt:
-        each(S, [&](int l) {
-          t.index = flat[l];
-          push_write(l, t, Value::of_int(v[l].i), I.where);
-        });
-        break;
-      case kFloat:
-        each(S, [&](int l) {
-          t.index = flat[l];
-          push_write(l, t, Value::of_float(v[l].f), I.where);
-        });
-        break;
-      default:
-        each(S, [&](int l) {
-          t.index = flat[l];
-          push_write(l, t, get(value, l), I.where);
-        });
-        break;
+    if (T[value] == kFloat) {
+      each(S, [&](int l) {
+        t.index = flat[l];
+        push_write(l, t, Value::of_float(v[l].f), I.where);
+      });
+    } else {
+      each(S, [&](int l) {
+        t.index = flat[l];
+        push_write(l, t, Value::of_int(v[l].i), I.where);
+      });
     }
-  };
-  // After a typed loop wrote r's payloads: a kDyn r records their kind.
-  const auto mark = [&](std::uint16_t r, bool flt) {
-    if (T[r] != kDyn) return;
-    std::uint8_t* t = tag(r);
-    each(S, [&](int l) { t[l] = flt ? 1 : 0; });
   };
   // r's payloads as doubles: its own column when kFloat, else converted
   // into a scratch column (r must be kInt or kFloat).
@@ -665,36 +598,6 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
     const Slot* in = col(r);
     each(S, [&](int l) { out[l].f = static_cast<double>(in[l].i); });
     return out;
-  };
-  // Accumulator of the live reduction, per its static type.
-  const auto acc_get = [&](int l) {
-    switch (rt.acc) {
-      case kFloat:
-        return Value::of_float(bl.acc[l].f);
-      case kDyn:
-        return bl.acc_tag[l] != 0 ? Value::of_float(bl.acc[l].f)
-                                  : Value::of_int(bl.acc[l].i);
-      default:
-        return Value::of_int(bl.acc[l].i);
-    }
-  };
-  const auto acc_put = [&](int l, const Value& v) {
-    switch (rt.acc) {
-      case kFloat:
-        bl.acc[l].f = v.as_float();
-        return;
-      case kDyn:
-        bl.acc_tag[l] = v.is_float ? 1 : 0;
-        if (v.is_float) {
-          bl.acc[l].f = v.f;
-        } else {
-          bl.acc[l].i = v.i;
-        }
-        return;
-      default:
-        bl.acc[l].i = v.i;
-        return;
-    }
   };
   // Int division and modulo: the walk's error if any lane's divisor
   // (kInt register r) is zero.
@@ -722,39 +625,22 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         }
         Slot* d = col(I.dst);
         each(S, [&](int l) { d[l] = s; });
-        mark(I.dst, v.is_float);
         break;
       }
       case Op::kMove: {
         Slot* d = col(I.dst);
         const Slot* a = col(I.a);
         each(S, [&](int l) { d[l] = a[l]; });
-        if (T[I.dst] == kDyn) {
-          if (T[I.a] == kDyn) {
-            std::uint8_t* td = tag(I.dst);
-            const std::uint8_t* ta = tag(I.a);
-            each(S, [&](int l) { td[l] = ta[l]; });
-          } else {
-            mark(I.dst, T[I.a] == kFloat);
-          }
-        }
         break;
       }
       case Op::kBool: {
         Slot* d = col(I.dst);
         const Slot* a = col(I.a);
-        switch (T[I.a]) {
-          case kInt:
-            each(S, [&](int l) { d[l].i = a[l].i != 0 ? 1 : 0; });
-            break;
-          case kFloat:
-            each(S, [&](int l) { d[l].i = a[l].f != 0.0 ? 1 : 0; });
-            break;
-          default:
-            each(S, [&](int l) { d[l].i = truthy(I.a, l) ? 1 : 0; });
-            break;
+        if (T[I.a] == kFloat) {
+          each(S, [&](int l) { d[l].i = a[l].f != 0.0 ? 1 : 0; });
+        } else {
+          each(S, [&](int l) { d[l].i = a[l].i != 0 ? 1 : 0; });
         }
-        mark(I.dst, false);
         break;
       }
       case Op::kLoadElem: {
@@ -765,14 +651,12 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         each(S, [&](int l) {
           d[l].i = le.vals[static_cast<std::size_t>(L[l]) * le.width + le.k];
         });
-        mark(I.dst, false);
         break;
       }
       case Op::kLoadReduceElem: {
         const std::int64_t v = rt.elem_vals[I.b];
         Slot* d = col(I.dst);
         each(S, [&](int l) { d[l].i = v; });
-        mark(I.dst, false);
         break;
       }
       case Op::kLoadScalar: {
@@ -782,16 +666,10 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
           const Value* src = ls.store->data();
           const std::int64_t* L =
               anc + static_cast<std::size_t>(ls.depth) * kBlock;
-          switch (T[I.dst]) {
-            case kFloat:
-              each(S, [&](int l) { d[l].f = src[L[l]].f; });
-              break;
-            case kInt:
-              each(S, [&](int l) { d[l].i = src[L[l]].i; });
-              break;
-            default:
-              each(S, [&](int l) { put(I.dst, l, src[L[l]]); });
-              break;
+          if (T[I.dst] == kFloat) {
+            each(S, [&](int l) { d[l].f = src[L[l]].f; });
+          } else {
+            each(S, [&](int l) { d[l].i = src[L[l]].i; });
           }
         } else {
           const Value v = *ls.value;
@@ -828,7 +706,6 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         index(I, arrays[I.a]);
         Slot* d = col(I.dst);
         each(S, [&](int l) { d[l].i = flat[l]; });
-        mark(I.dst, false);
         break;
       }
       case Op::kArrLoad:
@@ -878,8 +755,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         const RegType ta = T[I.a];
         Slot* d = col(I.dst);
         const Slot* a = col(I.a);
-        if (ta == kDyn || T[I.dst] == kDyn ||
-            (op != UnaryOp::kNeg && op != UnaryOp::kNot)) {
+        if (op != UnaryOp::kNeg && op != UnaryOp::kNot) {
           each(S, [&](int l) {
             put(I.dst, l, eval_unary_op(op, get(I.a, l)));
           });
@@ -899,13 +775,6 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         const RegType ta = T[I.a];
         const RegType tb = T[I.b];
         Slot* d = col(I.dst);
-        if (ta == kDyn || tb == kDyn || T[I.dst] == kDyn) {
-          each(S, [&](int l) {
-            put(I.dst, l,
-                eval_binary_op(vm_, op, get(I.a, l), get(I.b, l), *I.where));
-          });
-          break;
-        }
         if (ta == kInt && tb == kInt) {
           const Slot* a = col(I.a);
           const Slot* b = col(I.b);
@@ -927,11 +796,15 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
               break;
             case BinaryOp::kDiv:
               zero_check(I.b, I, "integer division by zero");
-              each(S, [&](int l) { d[l].i = a[l].i / b[l].i; });
+              each(S, [&](int l) {
+                d[l].i = support::wrap_div(a[l].i, b[l].i);
+              });
               break;
             case BinaryOp::kMod:
               zero_check(I.b, I, "modulo by zero");
-              each(S, [&](int l) { d[l].i = a[l].i % b[l].i; });
+              each(S, [&](int l) {
+                d[l].i = support::wrap_mod(a[l].i, b[l].i);
+              });
               break;
             case BinaryOp::kEq:
               each(S, [&](int l) { d[l].i = a[l].i == b[l].i ? 1 : 0; });
@@ -1033,9 +906,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         const bool to_float = kind == ScalarKind::kFloat;
         Slot* d = col(I.dst);
         const Slot* a = col(I.a);
-        if (T[I.dst] == kDyn || T[I.a] == kDyn) {
-          each(S, [&](int l) { put(I.dst, l, get(I.a, l).coerce(kind)); });
-        } else if (to_float == (T[I.a] == kFloat)) {
+        if (to_float == (T[I.a] == kFloat)) {
           each(S, [&](int l) { d[l] = a[l]; });
         } else if (to_float) {
           each(S, [&](int l) { d[l].f = static_cast<double>(a[l].i); });
@@ -1061,11 +932,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         const RegType ta = T[I.a];
         const RegType tb = T[I.b];
         Slot* d = col(I.dst);
-        if (ta == kDyn || tb == kDyn || T[I.dst] == kDyn) {
-          each(S, [&](int l) {
-            put(I.dst, l, eval_minmax(get(I.a, l), get(I.b, l), take_min));
-          });
-        } else if (ta == kInt && tb == kInt) {
+        if (ta == kInt && tb == kInt) {
           const Slot* a = col(I.a);
           const Slot* b = col(I.b);
           each(S, [&](int l) {
@@ -1092,7 +959,6 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
           }
           d[l].i = std::int64_t{1} << kk;
         });
-        mark(I.dst, false);
         break;
       }
       case Op::kRand: {
@@ -1102,29 +968,21 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
               use_fe_rng ? vm_.fe_rng.next() : bl.rng[l].next();
           d[l].i = static_cast<std::int64_t>(x >> 33);
         });
-        mark(I.dst, false);
         break;
       }
       case Op::kReduceBegin: {
         const LinkedReduce& R = reduces[I.a];
         rt.info = &R;
-        rt.acc = types_->acc[I.a];
+        rt.acc = k.types.acc[I.a];
         rt.tuple = 0;
         rt.suppress = R.expr->partition_optimized == 1;
         const Value id = reduce_identity_value(R.op, R.flt);
         Slot* acc = bl.acc;
-        switch (rt.acc) {
-          case kInt:
-            each(S, [&](int l) { acc[l].i = id.i; });
-            break;
-          case kFloat: {
-            const double f = id.as_float();
-            each(S, [&](int l) { acc[l].f = f; });
-            break;
-          }
-          default:
-            each(S, [&](int l) { acc_put(l, id); });
-            break;
+        if (rt.acc == kFloat) {
+          const double f = id.as_float();
+          each(S, [&](int l) { acc[l].f = f; });
+        } else {
+          each(S, [&](int l) { acc[l].i = id.i; });
         }
         each(S, [&](int l) {
           bl.any[l] = 0;
@@ -1151,11 +1009,44 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         break;
       }
       case Op::kReduceFold: {
+        // Typing guarantees the accumulator's static type: float for a
+        // float reduction, whose int arms convert; int otherwise, where only
+        // and/or (whose result is a truth value) may fold a float arm.
         const ReduceKind op = rt.info->op;
-        const RegType tv = T[I.a];
         Slot* acc = bl.acc;
-        bool typed = true;
-        if (rt.acc == kInt && tv == kInt) {
+        if (rt.acc == kFloat) {
+          const Slot* v = fcol(I.a, 0);
+          switch (op) {
+            case ReduceKind::kAdd:
+              each(S, [&](int l) { acc[l].f = acc[l].f + v[l].f; });
+              break;
+            case ReduceKind::kMul:
+              each(S, [&](int l) { acc[l].f = acc[l].f * v[l].f; });
+              break;
+            case ReduceKind::kMax:
+              each(S, [&](int l) { acc[l].f = std::max(acc[l].f, v[l].f); });
+              break;
+            case ReduceKind::kMin:
+              each(S, [&](int l) { acc[l].f = std::min(acc[l].f, v[l].f); });
+              break;
+            default:  // kArb: keep the first enabled operand
+              each(S, [&](int l) {
+                if (bl.any[l] == 0) acc[l].f = v[l].f;
+              });
+              break;
+          }
+        } else if (T[I.a] == kFloat) {
+          const Slot* v = col(I.a);
+          if (op == ReduceKind::kAnd) {
+            each(S, [&](int l) {
+              acc[l].i = acc[l].i != 0 && v[l].f != 0.0 ? 1 : 0;
+            });
+          } else {
+            each(S, [&](int l) {
+              acc[l].i = acc[l].i != 0 || v[l].f != 0.0 ? 1 : 0;
+            });
+          }
+        } else {
           const Slot* v = col(I.a);
           switch (op) {
             case ReduceKind::kAdd:
@@ -1193,42 +1084,6 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
               });
               break;
           }
-        } else if (rt.acc == kFloat && tv != kDyn &&
-                   op != ReduceKind::kAnd && op != ReduceKind::kOr &&
-                   op != ReduceKind::kXor) {
-          const Slot* v = fcol(I.a, 0);
-          switch (op) {
-            case ReduceKind::kAdd:
-              each(S, [&](int l) { acc[l].f = acc[l].f + v[l].f; });
-              break;
-            case ReduceKind::kMul:
-              each(S, [&](int l) { acc[l].f = acc[l].f * v[l].f; });
-              break;
-            case ReduceKind::kMax:
-              each(S, [&](int l) { acc[l].f = std::max(acc[l].f, v[l].f); });
-              break;
-            case ReduceKind::kMin:
-              each(S, [&](int l) { acc[l].f = std::min(acc[l].f, v[l].f); });
-              break;
-            default:  // kArb: keep the first enabled operand
-              each(S, [&](int l) {
-                if (bl.any[l] == 0) acc[l].f = v[l].f;
-              });
-              break;
-          }
-        } else {
-          typed = false;
-        }
-        if (!typed) {
-          each(S, [&](int l) {
-            const Value a = acc_get(l);
-            const Value v = get(I.a, l);
-            if (op == ReduceKind::kArb) {
-              acc_put(l, bl.any[l] != 0 ? a : v);
-            } else {
-              acc_put(l, fold_reduce_value(op, a, v));
-            }
-          });
         }
         each(S, [&](int l) {
           bl.any[l] = 1;
@@ -1292,22 +1147,11 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         break;
       }
       case Op::kReduceEnd: {
+        // The result has the accumulator's representation (typing), so the
+        // payloads copy as they are.
         Slot* d = col(I.dst);
         const Slot* acc = bl.acc;
-        const bool flt = rt.info->flt;
-        if (T[I.dst] == kFloat && rt.acc == kFloat) {
-          each(S, [&](int l) { d[l].f = acc[l].f; });
-        } else if (T[I.dst] == kFloat && rt.acc == kInt && flt) {
-          each(S, [&](int l) { d[l].f = static_cast<double>(acc[l].i); });
-        } else if (T[I.dst] == kInt && rt.acc == kInt && !flt) {
-          each(S, [&](int l) { d[l].i = acc[l].i; });
-        } else if (flt) {
-          each(S, [&](int l) {
-            put(I.dst, l, Value::of_float(acc_get(l).as_float()));
-          });
-        } else {
-          each(S, [&](int l) { put(I.dst, l, acc_get(l)); });
-        }
+        each(S, [&](int l) { d[l] = acc[l]; });
         break;
       }
       case Op::kMemberBoundary:
@@ -1393,7 +1237,7 @@ bool Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
                               Value* results) {
   // Native tier: statements and fused groups both funnel through here, so
   // one hook covers every dispatch.  A false return (emitter declined,
-  // toolchain missing, assumption mismatch, runtime error flagged) leaves
+  // toolchain missing, runtime error flagged) leaves
   // the arenas reset and falls through to bytecode.
   if (vm_.opts.engine == ExecEngine::kNative &&
       run_lanes_native(k, space, active, frame, stmt_id, results)) {
@@ -1403,10 +1247,7 @@ bool Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
   const std::size_t cols = static_cast<std::size_t>(k.num_regs) * kBlock;
   const std::size_t rows = static_cast<std::size_t>(max_depth_ + 1) * kBlock;
   for (auto& a : arenas_) {
-    if (a.regs.size() < cols) {
-      a.regs.resize(cols);
-      a.tags.resize(cols);
-    }
+    if (a.regs.size() < cols) a.regs.resize(cols);
     if (a.anc.size() < rows) a.anc.resize(rows);
   }
   // One-lane blocks where instruction-major order would be visible: the

@@ -150,8 +150,7 @@ class Engine {
     std::size_t size_ = 0;
     std::size_t cap_ = 0;
   };
-  // One register payload: kInt registers use i, kFloat ones f, and kDyn
-  // ones whichever their per-lane tag says.
+  // One register payload: kInt registers use i, kFloat ones f.
   union Slot {
     std::int64_t i;
     double f;
@@ -166,7 +165,6 @@ class Engine {
     // in ReduceTuple; accumulators, flags and the expanded-geometry VP and
     // coordinates differ per lane.
     Slot acc[kBlock];
-    std::uint8_t acc_tag[kBlock];
     std::uint8_t any[kBlock];
     std::uint8_t enabled_any[kBlock];
     std::int64_t rs_vp[kBlock];
@@ -189,11 +187,9 @@ class Engine {
   };
 
   struct Arena {
-    // Register columns: register r of block lane l is regs[r * kBlock + l];
-    // tags[r * kBlock + l] (is_float) is kept only for kDyn registers.
-    // Both grow to the largest kernel run so far and are never shrunk.
+    // Register columns: register r of block lane l is regs[r * kBlock + l].
+    // They grow to the largest kernel run so far and are never shrunk.
     std::vector<Slot> regs;
-    std::vector<std::uint8_t> tags;
     // Ancestor lanes per depth: anc[d * kBlock + l].
     std::vector<std::int64_t> anc;
     // Buffered writes of every chunk this worker ran, in chunk order;
@@ -220,13 +216,11 @@ class Engine {
                         const std::vector<std::int64_t>& active, Frame* frame,
                         std::uint64_t stmt_id, Value* results);
   // Native-tier dispatch (native_exec.cpp): prepares the kernel through the
-  // backend, validates the emit-time representation assumptions against the
-  // linked state, and runs the lanes through the compiled entry point with
-  // the same chunking as the pooled bytecode path.  Returns false
-  // (with the arenas reset) when the statement must run on bytecode
-  // instead — not prepared, assumptions failed, or the kernel flagged a
-  // runtime error that the deterministic bytecode rerun will re-raise with
-  // its full message.
+  // backend and runs the lanes through the compiled entry point with the
+  // same chunking as the pooled bytecode path.  Returns false (with the
+  // arenas reset) when the statement must run on bytecode instead — not
+  // prepared, or the kernel flagged a runtime error that the deterministic
+  // bytecode rerun will re-raise with its full message.
   bool run_lanes_native(const Kernel& k, LaneSpace& space,
                         const std::vector<std::int64_t>& active, Frame* frame,
                         std::uint64_t stmt_id, Value* results);
@@ -262,12 +256,6 @@ class Engine {
   std::vector<LinkedReduce> reduces_;
   std::vector<LaneSpace*> depth_spaces_;  // [0]=statement space, then parents
   std::int32_t max_depth_ = 0;
-  // Register types for this execution: the kernel's own, or link_types_
-  // when a linked scalar or array does not hold its declared kind.
-  const KernelTypes* types_ = nullptr;
-  KernelTypes link_types_;
-  std::vector<std::uint8_t> scalar_dyn_;
-  std::vector<std::uint8_t> array_dyn_;
   std::vector<Arena> arenas_;
   // commit's chunk runs, sorted by first lane position.
   std::vector<std::pair<std::int64_t, WriteRun>> span_order_;

@@ -39,17 +39,6 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
     return false;
   }
 
-  // The emitted code assumes every scalar and array operand holds its
-  // declared kind, the assumption the kernel's register types were
-  // inferred under.  link() retyped this execution because one does not
-  // (a lane-local scalar whose dynamic Value drifted from its declared
-  // kind), so the statement runs on the bytecode tier (identical results).
-  if (types_ != &k.types) {
-    native_->note_assume_failure();
-    ++native_fallbacks_;
-    return false;
-  }
-
   // Link-dependent dispatch tables, mirrored field by field from the
   // engine's linked operand state into member vectors whose capacity
   // persists across statements.

@@ -91,32 +91,6 @@ enum Tag : std::uint64_t {
   kTArrLoad,
 };
 
-bool writes_dst(Op op) {
-  switch (op) {
-    case Op::kConst:
-    case Op::kMove:
-    case Op::kBool:
-    case Op::kLoadElem:
-    case Op::kLoadReduceElem:
-    case Op::kLoadScalar:
-    case Op::kArrIndex:
-    case Op::kArrLoad:
-    case Op::kArrGet:
-    case Op::kUnary:
-    case Op::kBinary:
-    case Op::kIncDec:
-    case Op::kCoerce:
-    case Op::kAbs:
-    case Op::kMinMax:
-    case Op::kPower2:
-    case Op::kRand:
-    case Op::kReduceEnd:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool is_div_or_mod(std::uint8_t arg) {
   const auto op = static_cast<lang::BinaryOp>(arg);
   return op == lang::BinaryOp::kDiv || op == lang::BinaryOp::kMod;

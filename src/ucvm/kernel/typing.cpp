@@ -15,23 +15,14 @@ using lang::UnaryOp;
 
 namespace {
 
-RegType join(RegType a, RegType b) {
-  if (a == kUnset) return b;
-  if (b == kUnset || a == b) return a;
-  return kDyn;
-}
-
-// add/sub/mul/div and min/max: any float operand makes the result float,
-// whatever the other one holds.
+// add/sub/mul/div and min/max: any float operand makes the result float.
 RegType arith(RegType a, RegType b) {
   if (a == kFloat || b == kFloat) return kFloat;
   if (a == kUnset || b == kUnset) return kUnset;
-  return (a == kDyn || b == kDyn) ? kDyn : kInt;
+  return kInt;
 }
 
-RegType declared(const lang::Symbol* sym, const std::uint8_t* dyn,
-                 std::size_t slot) {
-  if (dyn != nullptr && dyn[slot] != 0) return kDyn;
+RegType declared(const lang::Symbol* sym) {
   return sym->type.is_float() ? kFloat : kInt;
 }
 
@@ -47,26 +38,23 @@ RegType initial_acc(const lang::ReduceExpr& e) {
 
 }  // namespace
 
-void type_kernel(const Kernel& k, KernelTypes& out,
-                 const std::uint8_t* scalar_dyn,
-                 const std::uint8_t* array_dyn) {
+bool type_kernel(const Kernel& k, KernelTypes& out) {
   out.regs.assign(k.num_regs, kUnset);
   out.acc.resize(k.reduces.size());
   for (std::size_t i = 0; i < k.reduces.size(); ++i) {
     out.acc[i] = initial_acc(*k.reduces[i].expr);
   }
-  // Types only move up the lattice unset -> int|float -> dyn, so the
-  // passes stop; one pass suffices unless a use precedes a definition in
-  // code order.
+  // Types only move from unset to int or float, so the passes stop; one
+  // pass suffices unless a use precedes a definition in code order.
   bool changed = true;
-  while (changed) {
+  bool conflict = false;
+  while (changed && !conflict) {
     changed = false;
     const auto def = [&](std::uint16_t r, RegType t) {
-      const RegType j = join(out.regs[r], t);
-      if (j != out.regs[r]) {
-        out.regs[r] = j;
-        changed = true;
-      }
+      if (out.regs[r] == t) return;
+      conflict |= out.regs[r] != kUnset;
+      out.regs[r] = t;
+      changed = true;
     };
     std::int32_t cur_reduce = -1;
     for (const Inst& I : k.code) {
@@ -89,11 +77,11 @@ void type_kernel(const Kernel& k, KernelTypes& out,
           def(I.dst, kInt);
           break;
         case Op::kLoadScalar:
-          def(I.dst, declared(k.scalars[I.a].sym, scalar_dyn, I.a));
+          def(I.dst, declared(k.scalars[I.a].sym));
           break;
         case Op::kArrLoad:
         case Op::kArrGet:
-          def(I.dst, declared(k.arrays[I.a].sym, array_dyn, I.a));
+          def(I.dst, declared(k.arrays[I.a].sym));
           break;
         case Op::kUnary: {
           const auto u = static_cast<UnaryOp>(I.arg);
@@ -134,20 +122,15 @@ void type_kernel(const Kernel& k, KernelTypes& out,
           break;
         case Op::kReduceFold: {
           if (cur_reduce < 0) break;
-          RegType& acc = out.acc[static_cast<std::size_t>(cur_reduce)];
-          const ReduceKind op = k.reduces[static_cast<std::size_t>(cur_reduce)]
-                                    .expr->op;
-          // and/or/xor always leave an int; the others adopt a float
-          // operand's representation, so an int accumulator meeting a
-          // float (or untyped) arm changes type from lane to lane.
+          const auto ri = static_cast<std::size_t>(cur_reduce);
+          // and/or/xor always leave an int; the others take the arm's
+          // representation, and sema types a reduction with a float arm
+          // float, so an int accumulator never meets a float arm.
+          const ReduceKind op = k.reduces[ri].expr->op;
           const bool keeps_int = op == ReduceKind::kAnd ||
                                  op == ReduceKind::kOr ||
                                  op == ReduceKind::kXor;
-          const RegType tv = reg(I.a);
-          if (!keeps_int && acc == kInt && (tv == kFloat || tv == kDyn)) {
-            acc = kDyn;
-            changed = true;
-          }
+          conflict |= !keeps_int && out.acc[ri] == kInt && reg(I.a) == kFloat;
           break;
         }
         case Op::kReduceEnd: {
@@ -174,9 +157,7 @@ void type_kernel(const Kernel& k, KernelTypes& out,
       }
     }
   }
-  out.all_static = true;
-  for (const RegType t : out.regs) out.all_static &= t != kDyn;
-  for (const RegType t : out.acc) out.all_static &= t != kDyn;
+  return !conflict;
 }
 
 }  // namespace uc::vm::detail::kernel

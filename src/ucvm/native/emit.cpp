@@ -4,11 +4,7 @@
 // statically-typed C++ equivalent of the executor's switch arm in
 // kernel/exec.cpp, so the two tiers cannot drift apart semantically.
 // Registers become int64/double locals using the kernel's register types
-// (kernel/typing.cpp, shared with the block executor); a kernel with a
-// register or accumulator the typing pass could not pin down (a register
-// assigned both representations, a float-typed arm folding into an int
-// reduction) makes the emitter decline, and the statement runs on the
-// bytecode tier instead.
+// (kernel/typing.cpp, shared with the block executor).
 //
 // Emitted loops index lanes contiguously over the chunk, keep `st`
 // guards as branches the host compiler converts to selects where
@@ -55,7 +51,6 @@ constexpr std::size_t kMaxRegs = 2048;
 
 struct ReduceMeta {
   std::size_t n_sets = 0;
-  bool flt = false;
   ReduceKind op = ReduceKind::kAdd;
   RegType acc = kInt;
   bool unrolled = false;
@@ -94,18 +89,14 @@ class Emitter {
   // --- static analysis: register types, reduce accumulators, limits ---
 
   bool analyze() {
-    // Register types come from the kernel's shared typing pass; a register
-    // or accumulator it could not pin to one representation (a `?:` with
-    // mixed arms, a float arm folding into an int accumulator) declines.
+    // Register types come from the kernel's shared typing pass.
     const kernel::KernelTypes& types = k_.types;
-    if (!types.all_static) return false;
     rt_ = types.regs;
     rmeta_.resize(k_.reduces.size());
     for (std::size_t i = 0; i < k_.reduces.size(); ++i) {
       const auto* e = k_.reduces[i].expr;
       ReduceMeta& m = rmeta_[i];
       m.n_sets = e->index_set_syms.size();
-      m.flt = e->type.is_float();
       m.op = e->op;
       m.acc = types.acc[i];
       if (m.n_sets > kernel::kMaxReduceSets) return false;
@@ -143,6 +134,16 @@ class Emitter {
         default:
           break;
       }
+    }
+    // Divisors that cannot overflow: registers whose one definition is an
+    // int constant other than -1.
+    std::vector<std::uint32_t> writes(k_.num_regs, 0);
+    safe_divisor_.assign(k_.num_regs, false);
+    for (const Inst& I : k_.code) {
+      if (!kernel::writes_dst(I.op)) continue;
+      ++writes[I.dst];
+      safe_divisor_[I.dst] = writes[I.dst] == 1 && I.op == Op::kConst &&
+                             !k_.pool[I.a].is_float && k_.pool[I.a].i != -1;
     }
     // Map each instruction to its live reduce (for classify call sites and
     // fold emission), collect jump-target labels, and note the operand
@@ -822,12 +823,8 @@ class Emitter {
       case Op::kReduceEnd: {
         const auto ri =
             static_cast<std::size_t>(inst_reduce_[ip]);
-        const ReduceMeta& m = rmeta_[ri];
-        if (m.flt && m.acc == kInt) {
-          appendf(src_, "      %s = (double)acc%zu;\n", R(I.dst).c_str(), ri);
-        } else {
-          appendf(src_, "      %s = acc%zu;\n", R(I.dst).c_str(), ri);
-        }
+        // The result has the accumulator's type (typing).
+        appendf(src_, "      %s = acc%zu;\n", R(I.dst).c_str(), ri);
         break;
       }
       case Op::kMemberBoundary:
@@ -874,19 +871,29 @@ class Emitter {
         if (flt) {
           appendf(src_, "      %s = %s / %s;\n", R(I.dst).c_str(), a.c_str(),
                   b.c_str());
-        } else {
+        } else if (safe_divisor_[I.b]) {
           appendf(src_,
                   "      if (%s == 0) goto uc_error;\n"
                   "      %s = %s / %s;\n",
                   R(I.b).c_str(), R(I.dst).c_str(), a.c_str(), b.c_str());
+        } else {
+          // support::wrap_div: INT64_MIN / -1 wraps to INT64_MIN.
+          appendf(src_,
+                  "      if (%s == 0) goto uc_error;\n"
+                  "      %s = %s == -1 ? (i64)(0ull - (u64)%s) : %s / %s;\n",
+                  R(I.b).c_str(), R(I.dst).c_str(), b.c_str(), a.c_str(),
+                  a.c_str(), b.c_str());
         }
         return;
       case BinaryOp::kMod:
+        // support::wrap_mod: any value % -1 is 0.
         appendf(src_,
                 "      const i64 bb = %s;\n"
                 "      if (bb == 0) goto uc_error;\n"
-                "      %s = %s %% bb;\n",
-                I64(I.b).c_str(), R(I.dst).c_str(), I64(I.a).c_str());
+                "      %s = %s%s %% bb;\n",
+                I64(I.b).c_str(), R(I.dst).c_str(),
+                safe_divisor_[I.b] ? "" : "bb == -1 ? 0 : ",
+                I64(I.a).c_str());
         return;
       case BinaryOp::kEq: d = "=="; break;
       case BinaryOp::kNe: d = "!="; break;
@@ -1004,6 +1011,7 @@ class Emitter {
   std::vector<RegType> rt_;
   std::vector<ReduceMeta> rmeta_;
   std::vector<int> inst_reduce_;
+  std::vector<bool> safe_divisor_;
   std::vector<bool> labels_;
   // Operand slots the kernel uses, for the prologue; array_subs_ is the
   // most subscripts an access of the array takes, -1 when unused.

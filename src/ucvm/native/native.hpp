@@ -20,7 +20,7 @@
 namespace uc::vm::detail::native {
 
 // A kernel lowered, compiled and loaded: the entry point plus the
-// kernel-static metadata the host needs to validate and dispatch.
+// kernel-static metadata the host needs to dispatch.
 struct Prepared {
   using EntryFn = void (*)(NativeArgs*);
   EntryFn entry = nullptr;
@@ -68,11 +68,9 @@ class Backend {
   std::uint64_t cache_hits() const { return cache_hits_; }
   std::uint64_t emit_declined() const { return emit_declined_; }
   std::uint64_t dispatches() const { return dispatches_; }
-  std::uint64_t assume_failures() const { return assume_failures_; }
   // Batches that started at least one toolchain process.
   std::uint64_t compile_batches() const { return compile_batches_; }
   void note_dispatch() { ++dispatches_; }
-  void note_assume_failure() { ++assume_failures_; }
 
  private:
   // One toolchain run: the sh -c command line and what became of it.
@@ -108,16 +106,15 @@ class Backend {
   std::uint64_t cache_hits_ = 0;
   std::uint64_t emit_declined_ = 0;
   std::uint64_t dispatches_ = 0;
-  std::uint64_t assume_failures_ = 0;
   std::uint64_t compile_batches_ = 0;
 };
 
 // Lowers `k` to a self-contained C++ translation unit implementing
 // uc_native_entry/uc_native_info, filling the kernel-static metadata in
-// `out`.  Returns an empty string when the kernel uses a feature the
-// emitter does not cover (register type conflicts, float-typed arms in an
-// int reduction, ...) — the caller falls back to bytecode.  The source
-// text is a pure function of the kernel, so its hash keys the .so cache.
+// `out`.  Returns an empty string when the kernel is past the emitter's
+// size limits or has a store inside a reduction's tuple loop — the caller
+// falls back to bytecode.  The source text is a pure function of the
+// kernel, so its hash keys the .so cache.
 std::string emit_source(const kernel::Kernel& k, Prepared& out);
 
 }  // namespace uc::vm::detail::native

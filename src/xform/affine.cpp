@@ -1,5 +1,6 @@
 #include "xform/affine.hpp"
 
+#include "support/wrap.hpp"
 #include "uclang/symbols.hpp"
 
 namespace uc::xform {
@@ -118,12 +119,12 @@ LinearForm linearize(const Expr& e) {
           return inexact();
         case BinaryOp::kDiv:
           if (l.is_constant() && r.is_constant() && r.constant != 0) {
-            return constant_form(l.constant / r.constant);
+            return constant_form(support::wrap_div(l.constant, r.constant));
           }
           return inexact();
         case BinaryOp::kMod:
           if (l.is_constant() && r.is_constant() && r.constant != 0) {
-            return constant_form(l.constant % r.constant);
+            return constant_form(support::wrap_mod(l.constant, r.constant));
           }
           return inexact();
         default:

@@ -121,11 +121,13 @@ struct Folder {
             if (flt) {
               if (r->as_f() != 0.0) replace_with_float(e, l->as_f() / r->as_f());
             } else if (r->i != 0) {
-              replace_with_int(e, l->i / r->i);
+              replace_with_int(e, support::wrap_div(l->i, r->i));
             }
             return;
           case BinaryOp::kMod:
-            if (!flt && r->i != 0) replace_with_int(e, l->i % r->i);
+            if (!flt && r->i != 0) {
+              replace_with_int(e, support::wrap_mod(l->i, r->i));
+            }
             return;
           case BinaryOp::kEq:
             replace_with_int(e, l->as_f() == r->as_f() ? 1 : 0);
@@ -181,14 +183,23 @@ struct Folder {
         fold(t.cond);
         fold(t.then_expr);
         fold(t.else_expr);
-        if (auto c = constant_of(*t.cond)) {
-          // Detach the surviving branch before the ternary node (and with
-          // it the other branch) is destroyed by the assignment to e.
-          ExprPtr taken = c->as_f() != 0.0 ? std::move(t.then_expr)
-                                           : std::move(t.else_expr);
-          e = std::move(taken);
-          ++replaced;
+        auto c = constant_of(*t.cond);
+        if (!c) return;
+        // The surviving arm replaces the ternary only with the ternary's
+        // type (the usual arithmetic conversions): a literal converts, and
+        // any other arm must already have it.
+        ExprPtr& arm = c->as_f() != 0.0 ? t.then_expr : t.else_expr;
+        const bool flt = t.type.is_float();
+        if (auto v = constant_of(*arm)) {
+          flt ? replace_with_float(e, v->as_f()) : replace_with_int(e, v->i);
+          return;
         }
+        if (arm->type.is_float() != flt) return;
+        // Detach the surviving arm before the ternary node (and with it
+        // the other arm) is destroyed by the assignment to e.
+        ExprPtr taken = std::move(arm);
+        e = std::move(taken);
+        ++replaced;
         return;
       }
       case ExprKind::kReduce: {

@@ -108,6 +108,24 @@ TEST(NegativeCorpus, MalformedConstructsReportNotCrash) {
       << unit->diags.render_all();
 }
 
+// An array argument whose element type differs from the parameter's
+// (whole array or slice) is a located error, not a run that reinterprets
+// the elements.
+TEST(NegativeCorpus, ArrayArgumentOfAnotherElementType) {
+  const std::string fn = "int first(int v[2]) { return v[0]; }\n";
+  auto whole = expect_errors(fn + "float a[2];\nvoid main() { first(a); }");
+  EXPECT_NE(whole.find("hostile.uc:3:21: error: argument for array "
+                       "parameter 'v' must have element type int, not float"),
+            std::string::npos)
+      << whole;
+  auto slice =
+      expect_errors(fn + "float m[3][2];\nvoid main() { first(m[2]); }");
+  EXPECT_NE(slice.find("hostile.uc:3:21: error: argument for array "
+                       "parameter 'v' must have element type int, not float"),
+            std::string::npos)
+      << slice;
+}
+
 TEST(NegativeCorpus, ManyErrorsDoNotCascadeForever) {
   // 2000 bad statements: the engine must report a bounded, per-statement
   // diagnostic stream and terminate (no error-recovery livelock).

@@ -143,6 +143,20 @@ TEST(Sema, ArrayArgumentRankMismatch) {
       "rank 2");
 }
 
+// C: passing an `int *` for a `float *` parameter is a constraint
+// violation, for a whole array and for a slice alike.  The error sits on
+// the argument.
+TEST(Sema, ArrayArgumentElementTypeMismatch) {
+  const std::string fn = "float half(float v[4]) { return v[0] / 2; }\n";
+  sema_err(fn + "int a[4];\nvoid main() { half(a); }",
+           "test.uc:3:20: error: argument for array parameter 'v' must have "
+           "element type float, not int");
+  sema_err(fn + "int m[2][4];\nvoid main() { half(m[0]); }",
+           "test.uc:3:20: error: argument for array parameter 'v' must have "
+           "element type float, not int");
+  sema_ok(fn + "float a[4], m[2][4];\nvoid main() { half(a); half(m[1]); }");
+}
+
 TEST(Sema, BuiltinArgChecks) {
   sema_ok("void main() { int x; x = power2(3) + abs(-2) + rand() % 5; }");
   sema_err("void main() { power2(); }", "expects 1 argument");

@@ -28,6 +28,7 @@
 #include "cm/fault.hpp"
 #include "corpus.hpp"
 #include "support/error.hpp"
+#include "uc/uc.hpp"
 #include "ucvm/interp.hpp"
 
 namespace uc::cm {
@@ -459,8 +460,12 @@ TEST(EngineParity, RanksortHostThreadsUnderFaultsAndCheckpoints) {
 
 // Every engine configuration at 1 and at 4 host threads: the program
 // prints `output`, or, when `error` is non-empty, raises exactly `error`.
+// Every engine at 1 and 4 host threads: the given output (or error), and
+// the walk's CostStats at 1 thread.  `fold` compiles through uc::Program,
+// whose constant folder runs first.
 void expect_commit(const std::string& src, const std::string& output,
-                   const std::string& error = {}) {
+                   const std::string& error = {}, bool fold = false) {
+  cm::CostStats walk_stats;
   for (const auto& c : kEngineConfigs) {
     for (const unsigned threads : {1u, 4u}) {
       SCOPED_TRACE(std::string(c.label) + " threads=" +
@@ -470,9 +475,15 @@ void expect_commit(const std::string& src, const std::string& output,
       ExecOptions eopts;
       eopts.engine = c.engine;
       try {
-        const RunResult r = run_uc(src, mopts, eopts);
+        const RunResult r =
+            fold ? uc::Program::compile("program.uc", src).run(mopts, eopts)
+                 : run_uc(src, mopts, eopts);
         EXPECT_TRUE(error.empty()) << "no error raised";
         EXPECT_EQ(r.output(), output);
+        if (c.engine == ExecEngine::kWalk && threads == 1) {
+          walk_stats = r.stats();
+        }
+        EXPECT_EQ(walk_stats, r.stats());
       } catch (const support::UcRuntimeError& e) {
         EXPECT_EQ(e.what(), error);
       }
@@ -528,7 +539,9 @@ TEST(EngineParity, CommitCalleeLocalArrayAppliesImmediately) {
 
 // Value equality decides a conflict, before the store coerces: an int
 // element written with 1 and 1.0 is legal, with 1 and 1.5 it is not.
-// swap() buffers the float uncoerced; the float-array cases compile.
+// swap() converts to the target's type as assignment does, so swapping
+// 2.5 into the int a[0] writes 2; the float-array cases compile.  The ?:
+// arms convert to float, so c[0] gets 1.0 and 1.5.
 constexpr const char* kMixedPrelude =
     "index_set I:i = {0..3};\n"
     "int a[1]; float b[4], c[1];\n"
@@ -550,8 +563,8 @@ TEST(EngineParity, CommitMixedIntFloatSameValueIsLegal) {
 
 TEST(EngineParity, CommitIntVersusFractionalFloatConflicts) {
   expect_commit(std::string(kMixedPrelude) +
-                    "void main() { par (I) b[i] = 1.5; par (I) put(a, b, i); }",
-                "", conflict_error("4:34", " to a[0]: values 1 and 1.5"));
+                    "void main() { par (I) b[i] = 2.5; par (I) put(a, b, i); }",
+                "", conflict_error("4:34", " to a[0]: values 1 and 2"));
   expect_commit(std::string(kMixedPrelude) +
                     "void main() { par (I) c[0] = (i < 2) ? 1 : 1.5; }",
                 "", conflict_error("7:23", " to c[0]: values 1 and 1.5"));
@@ -602,8 +615,8 @@ std::string fmt_g(double v) {
 
 // Lane counts around the executor's 64-lane block: one lane, one short of
 // a block, exactly one, one past it, and several blocks with a tail.  The
-// second statement's mixed-type ?: (float 1.5 or int i, then / 2) runs on
-// the tagged per-lane loops.
+// second statement's mixed-type ?: (float 1.5 or int i) converts i to
+// float, so the / 2 that follows divides doubles.
 TEST(EngineParity, BlockLaneCountsAroundTheBlockSize) {
   for (const int n : {1, 63, 64, 65, 300}) {
     SCOPED_TRACE("lanes=" + std::to_string(n));
@@ -614,7 +627,7 @@ TEST(EngineParity, BlockLaneCountsAroundTheBlockSize) {
     for (int i = 0; i < n; ++i) {
       last_a = ((i % 3 == 0 && i > 5) || i % 7 == 1) ? i * 2 : -i;
       sum_a += last_a;
-      sum_f += i % 2 == 0 ? i / 4.0 : (i > 10 ? 0.75 : i / 2);
+      sum_f += i % 2 == 0 ? i / 4.0 : (i > 10 ? 1.5 : double(i)) / 2;
     }
     expect_commit(
         "index_set I:i = {0.." + std::to_string(n - 1) + "};\n"
@@ -747,24 +760,71 @@ TEST(EngineParity, BlockRandStreamsInAFusedBody) {
       "97716 96899716 452020 697875\n");
 }
 
-// Registers the typing pass cannot pin: a float lane-local that swap()
-// left holding an int (so (t + 1) / 2 divides as ints), and a ?: with an
-// int and a float arm.
-TEST(EngineParity, BlockTaggedRegisters) {
-  double sum_a = 0.0, sum_c = 0.0;
+// C's conversions (docs/LANGUAGE.md "Conversions"): a ?: converts the arm
+// it takes to the ternary's type, and swap() converts each value to the
+// other operand's type, on the front end, in lanes and in a reduction
+// arm.  Every engine computes what C computes, charged the same.
+TEST(EngineParity, ConversionsAtTernaryAndSwap) {
+  double sum_a = 0.0, sum_c = 0.0, sum_r = 0.0;
   for (int i = 0; i < 70; ++i) {
-    sum_a += (i + 1) / 2;
-    sum_c += i % 3 == 0 ? i / 2 : 0.75;
+    const double t = i;  // float t = (float)i after swap(t, x)
+    sum_a += (t + 1) / 2;
+    sum_c += (i % 3 == 0 ? double(i) : 1.5) / 2;
+    sum_r += i % 2 == 0 ? double(i) : 0.5;
   }
   expect_commit(
       "index_set I:i = {0..69};\n"
-      "float a[70], c[70];\n"
+      "float a[70], c[70]; int y[70];\n"
       "void main() {\n"
-      "  par (I) { float t; int x; x = i; swap(t, x); a[i] = (t + 1) / 2; }\n"
+      "  int k = 1; float x = 1.5; int z = 7;\n"
+      "  print((k ? 7 : 2.0) / 2);\n"
+      "  swap(x, z);\n"
+      "  print(x / 2, z);\n"
+      "  par (I) { float t; int x; x = i; swap(t, x); a[i] = (t + 1) / 2;"
+      " y[i] = x; }\n"
       "  par (I) c[i] = (i % 3 == 0 ? i : 1.5) / 2;\n"
-      "  print(a[0], a[3], a[69], $+(I; a[i]), $+(I; c[i]));\n"
+      "  print(a[0], a[3], a[69], $+(I; a[i]), $+(I; c[i]), $+(I; y[i]));\n"
+      "  print($+(I; i % 2 == 0 ? i : 0.5));\n"
       "}",
-      "0 2 35 " + fmt_g(sum_a) + " " + fmt_g(sum_c) + "\n");
+      "3.5\n3.5 1\n0.5 2 35 " + fmt_g(sum_a) + " " + fmt_g(sum_c) +
+          " 0\n" + fmt_g(sum_r) + "\n");
+}
+
+// The constant folder keeps a ?: whose surviving arm has another type, or
+// rewrites a literal arm in the ternary's type: (1 ? 7 : 2.0) is 7.0.
+TEST(EngineParity, ConstantFoldedTernaryConverts) {
+  const std::string src =
+      "int k;\n"
+      "void main() { float y = 2.5; k = 1;\n"
+      "  print((1 ? 7 : 2.0) / 2, (0 ? 2.0 : k) / 2, (1 ? k : y) / 2); }";
+  expect_commit(src, "3.5 0.5 0.5\n", {}, /*fold=*/true);
+  expect_commit(src, "3.5 0.5 0.5\n");
+}
+
+// INT64_MIN / -1 overflows in C and traps on x86; UC wraps it like
+// INT64_MIN * -1 (support::wrap_div), and % -1 gives 0, on the front end,
+// in lanes (constant and register divisors), through /= and %=, and in
+// the constant folder.
+TEST(EngineParity, Int64MinDividedByMinusOneWraps) {
+  const std::string src =
+      "index_set I:i = {0..69};\n"
+      "int q[70], r[70], s[70], t[70];\n"
+      "void main() {\n"
+      "  int lo = 0 - 9223372036854775807 - 1; int m = 0 - 1;\n"
+      "  print(lo / m, lo % m);\n"
+      "  print((0 - 9223372036854775807 - 1) / (0 - 1),\n"
+      "        (0 - 9223372036854775807 - 1) % (0 - 1));\n"
+      "  int c = lo; c /= m; int d = lo; d %= m; print(c, d);\n"
+      "  par (I) { q[i] = lo; r[i] = lo; }\n"
+      "  par (I) { s[i] = q[i] / (i - i - 1); t[i] = q[i] % (0 - 1); }\n"
+      "  par (I) { q[i] /= (i - i - 1); r[i] %= m; }\n"
+      "  print(s[0], s[69], t[7], q[3], r[5]);\n"
+      "}";
+  const std::string lo = "-9223372036854775808";
+  const std::string out = lo + " 0\n" + lo + " 0\n" + lo + " 0\n" + lo +
+                          " " + lo + " 0 " + lo + " 0\n";
+  expect_commit(src, out);
+  expect_commit(src, out, {}, /*fold=*/true);
 }
 
 // Within one block, an earlier lane's error at a later instruction wins

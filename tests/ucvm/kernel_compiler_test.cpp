@@ -256,5 +256,44 @@ TEST(KernelCompiler, RandMarksKernel) {
   EXPECT_FALSE(without->uses_rand);
 }
 
+// A ?: converts only the arm whose type differs from the ternary's: one
+// kCoerce for the int arm of a float ternary, none when the arms agree.
+TEST(KernelCompiler, TernaryCoercesOnlyTheMismatchedArm) {
+  const auto coerces = [](const char* rhs) {
+    auto unit = analyse(std::string("index_set I:i = {0..7};\n"
+                                    "float a[8];\n"
+                                    "void main() { par (I) a[i] = ") +
+                        rhs + "; }\n");
+    const auto* e = first_construct_expr(*unit);
+    EXPECT_NE(e, nullptr);
+    auto k = compile_expr(*e);
+    EXPECT_NE(k, nullptr);
+    // The assignment's own conversion to the float element is the other.
+    return count_ops(*k, Op::kCoerce) - 1;
+  };
+  EXPECT_EQ(coerces("i % 2 == 0 ? i : 2.5"), 1);
+  EXPECT_EQ(coerces("i % 2 == 0 ? 1.5 : 2.5"), 0);
+  EXPECT_EQ(coerces("i % 2 == 0 ? i : 2"), 0);
+}
+
+// A register written as an int on one path and a float on another is a
+// lowering bug the typing pass refuses, as is a float folding into an int
+// accumulator; compile_fused then declines the kernel.
+TEST(KernelCompiler, TypingRejectsARegisterOfTwoTypes) {
+  Kernel k;
+  k.num_regs = 1;
+  k.code.resize(3);
+  k.code[0].op = Op::kConst;
+  k.code[0].a = pool_const(k, Value::of_int(1));
+  k.code[1].op = Op::kConst;
+  k.code[1].a = pool_const(k, Value::of_float(1.5));
+  k.code[2].op = Op::kRet;
+  KernelTypes types;
+  EXPECT_FALSE(type_kernel(k, types));
+  k.code[1].a = k.code[0].a;
+  EXPECT_TRUE(type_kernel(k, types));
+  EXPECT_EQ(types.regs[0], kInt);
+}
+
 }  // namespace
 }  // namespace uc::vm::detail::kernel

@@ -67,9 +67,10 @@ run_profile_smoke() {
 # lines on the paper workloads, plain and under injected faults with
 # checkpointing, where the fault schedule and the replays are part of the
 # cost.  Each program's native runs share a fresh kernel cache: the plain
-# run builds every kernel cold and must dispatch at least one native kernel
-# (a program that runs wholly on the front end checks no lane kernel), and
-# the faulted run must compile none.
+# run builds every kernel cold, must dispatch at least one native kernel
+# (a program that runs wholly on the front end checks no lane kernel) and
+# must fall back to bytecode on none, and the faulted run must compile
+# none.
 run_engine_smoke() {
   local dir="$1"
   local ucc="$dir/tools/ucc"
@@ -77,12 +78,14 @@ run_engine_smoke() {
   local tmp; tmp="$(mktemp -d)"
   local prog flags eng cache
   # mapping_demo (a permuted array) and slices take the owner table;
-  # jacobi's default-layout stencil reads take the closed form; the last
-  # five reduce over small (unrolled) and large (looped) index sets.
+  # jacobi's default-layout stencil reads take the closed form; the next
+  # five reduce over small (unrolled) and large (looped) index sets;
+  # mixed_types converts ?: arms and swap() operands (docs/LANGUAGE.md
+  # "Conversions").
   for prog in fig6_shortest_path_on2 fig7_shortest_path_on3 \
               fig8_grid_obstacle mapping_demo slices jacobi \
               prefix_sums histogram matmul grid_dynamic_obstacle \
-              shortest_path_star_solve; do
+              shortest_path_star_solve mixed_types; do
     local src="$root/programs/$prog.uc"
     cache="--native-cache-dir=$tmp/cache-$prog"
     for flags in "" "--faults=$faults --checkpoint-every=8"; do
@@ -101,6 +104,11 @@ run_engine_smoke() {
       if [ -z "$flags" ] &&
           ! grep -q '^native: .* dispatches=[1-9]' "$tmp/native.err"; then
         echo "ci.sh: the native run of $prog dispatched no kernel" >&2
+        exit 1
+      fi
+      if [ -z "$flags" ] &&
+          ! grep -q '^native: .* fallbacks=0$' "$tmp/native.err"; then
+        echo "ci.sh: the native run of $prog fell back to bytecode" >&2
         exit 1
       fi
       for eng in bytecode native; do
