@@ -239,7 +239,11 @@ OptimizePlan plan_mappings(const lang::CompilationUnit& unit,
   const DependSummary dep = summarize_dependences(model);
   const auto sets = index_sets_of(unit);
   std::set<const Symbol*> mapped;
-  for (const auto& ref : model.mappings) mapped.insert(ref.target);
+  std::set<const Symbol*> copied;
+  for (const auto& ref : model.mappings) {
+    mapped.insert(ref.target);
+    if (ref.mapping->kind == lang::MapKind::kCopy) copied.insert(ref.target);
+  }
 
   // Arrays with parallel accesses, in name order for determinism.
   std::vector<const ArrayDep*> arrays;
@@ -314,6 +318,10 @@ OptimizePlan plan_mappings(const lang::CompilationUnit& unit,
           c.offset = b;
           c.extent = extent;
           add(std::move(c), prove_permute(*d, extent, a, b));
+          const auto placed = model.placements.find(d->array);
+          ap.candidates.back().current =
+              placed != model.placements.end() && placed->second.affine &&
+              placed->second.coeff == a && placed->second.offset == b;
         }
       }
 
@@ -360,6 +368,7 @@ OptimizePlan plan_mappings(const lang::CompilationUnit& unit,
       c.array = d->array;
       c.set = smallest;
       add(std::move(c), prove_copy(*d));
+      ap.candidates.back().current = copied.count(d->array) != 0;
     }
 
     plan.arrays.push_back(std::move(ap));

@@ -38,6 +38,10 @@ struct MapChoice {
 struct Candidate {
   MapChoice choice;
   bool legal = false;
+  // The array's existing mapping already places it so: a copy when a map
+  // section copies it (replicated reads are local whatever the set), a
+  // permute with the existing affine placement.  Nothing to replay.
+  bool current = false;
   std::string blocker;              // dependence that rejected it
   support::SourceRange blocked_at;  // interfering access, when known
 };

@@ -1,5 +1,6 @@
 #include "codegen/pretty.hpp"
 
+#include <limits>
 #include <sstream>
 
 #include "support/str.hpp"
@@ -43,8 +44,14 @@ class Printer {
 
   std::string expr(const Expr& e, int parent_prec = 0) {
     switch (e.kind) {
-      case ExprKind::kIntLit:
-        return std::to_string(static_cast<const IntLitExpr&>(e).value);
+      case ExprKind::kIntLit: {
+        const std::int64_t v = static_cast<const IntLitExpr&>(e).value;
+        // INT64_MIN has no literal: its magnitude does not fit an int64.
+        if (v == std::numeric_limits<std::int64_t>::min()) {
+          return "(-9223372036854775807 - 1)";
+        }
+        return std::to_string(v);
+      }
       case ExprKind::kFloatLit: {
         auto s = support::format(
             "%g", static_cast<const FloatLitExpr&>(e).value);

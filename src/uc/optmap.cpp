@@ -10,7 +10,8 @@
 // analysis, and runs the rewrite.  A candidate is kept only when its
 // output is bit-identical to the baseline's and its modeled cycles are
 // strictly fewer than the best run so far, so the VM's charge path is the
-// only cost model a mapping is chosen by.
+// only cost model a mapping is chosen by.  A candidate that is the array's
+// current mapping is reported as such and not replayed.
 #include "analysis/optmap.hpp"
 #include "codegen/pretty.hpp"
 #include "support/str.hpp"
@@ -116,6 +117,11 @@ OptimizeMapResult optimize_map(std::string name, std::string source,
         text += support::format("  %s: %s: blocked by a dependence%s: %s\n",
                                 array, what, where.c_str(),
                                 cand.blocker.c_str());
+        continue;
+      }
+      if (cand.current) {
+        text += support::format("  %s: %s: the current mapping\n", array,
+                                what);
         continue;
       }
       std::vector<MapChoice> trial = kept;

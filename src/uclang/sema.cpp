@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "support/wrap.hpp"
+#include "uclang/arith.hpp"
 
 namespace uc::lang {
 
@@ -120,44 +120,17 @@ std::optional<std::int64_t> Sema::const_eval_int(const Expr& e) {
       const auto& u = static_cast<const UnaryExpr&>(e);
       auto v = const_eval_int(*u.operand);
       if (!v) return std::nullopt;
-      switch (u.op) {
-        case UnaryOp::kNeg: return support::wrap_neg(*v);
-        case UnaryOp::kNot: return *v == 0 ? 1 : 0;
-        case UnaryOp::kBitNot: return ~*v;
-        case UnaryOp::kPlus: return *v;
-      }
-      return std::nullopt;
+      return arith::unary(u.op, arith::Num::of_int(*v)).i;
     }
     case ExprKind::kBinary: {
       const auto& b = static_cast<const BinaryExpr&>(e);
       auto l = const_eval_int(*b.lhs);
       auto r = const_eval_int(*b.rhs);
       if (!l || !r) return std::nullopt;
-      switch (b.op) {
-        case BinaryOp::kAdd: return support::wrap_add(*l, *r);
-        case BinaryOp::kSub: return support::wrap_sub(*l, *r);
-        case BinaryOp::kMul: return support::wrap_mul(*l, *r);
-        case BinaryOp::kDiv:
-          if (*r == 0) return std::nullopt;
-          return support::wrap_div(*l, *r);
-        case BinaryOp::kMod:
-          if (*r == 0) return std::nullopt;
-          return support::wrap_mod(*l, *r);
-        case BinaryOp::kEq: return *l == *r ? 1 : 0;
-        case BinaryOp::kNe: return *l != *r ? 1 : 0;
-        case BinaryOp::kLt: return *l < *r ? 1 : 0;
-        case BinaryOp::kGt: return *l > *r ? 1 : 0;
-        case BinaryOp::kLe: return *l <= *r ? 1 : 0;
-        case BinaryOp::kGe: return *l >= *r ? 1 : 0;
-        case BinaryOp::kLogAnd: return (*l != 0 && *r != 0) ? 1 : 0;
-        case BinaryOp::kLogOr: return (*l != 0 || *r != 0) ? 1 : 0;
-        case BinaryOp::kBitAnd: return *l & *r;
-        case BinaryOp::kBitOr: return *l | *r;
-        case BinaryOp::kBitXor: return *l ^ *r;
-        case BinaryOp::kShl: return *l << (*r & 63);
-        case BinaryOp::kShr: return *l >> (*r & 63);
-      }
-      return std::nullopt;
+      auto v = arith::binary(b.op, arith::Num::of_int(*l),
+                             arith::Num::of_int(*r));
+      if (!v) return std::nullopt;  // zero divisor
+      return v->i;
     }
     case ExprKind::kTernary: {
       const auto& t = static_cast<const TernaryExpr&>(e);

@@ -579,15 +579,10 @@ class ProfScope {
 // issuing thread (interp_constructs.cpp).
 bool calls_array_declarer(const Expr& e);
 
-// Shared between the tree walk and the bytecode engine (definitions in
-// interp_expr.cpp) so arithmetic, reduction identities and remote-access
-// classification cannot drift apart.
-Value eval_binary_op(Impl& vm, lang::BinaryOp op, const Value& a,
-                     const Value& b, const Expr& where);
-Value eval_unary_op(lang::UnaryOp op, const Value& v);
-Value eval_incdec(const Value& v, bool increment);
-Value eval_abs(const Value& v);
-Value reduce_identity_value(lang::ReduceKind op, bool flt);
+// Shared between the tree walk and the bytecode engine (definition in
+// interp_expr.cpp) so remote-access classification cannot drift apart;
+// operator values come from uclang/arith.hpp.
+//
 // Classifies an access to a non-replicated array from a lane that is not on
 // the front end: local when the lane's VP owns the element, NEWS for a
 // short single-axis offset when the lane geometry matches the array shape

@@ -1,11 +1,10 @@
 // Per-lane expression evaluation, lvalue resolution, builtin functions,
 // access classification and static cost charging.
 #include <algorithm>
-#include <cmath>
 
 #include "support/error.hpp"
 #include "support/str.hpp"
-#include "support/wrap.hpp"
+#include "uclang/arith.hpp"
 #include "ucvm/interp_detail.hpp"
 #include "ucvm/kernel/bytecode.hpp"
 
@@ -27,151 +26,19 @@ using lang::ExprKind;
 using lang::ReduceKind;
 using lang::ScalarKind;
 using lang::SymbolKind;
-using lang::UnaryOp;
-
-Value eval_binary_op(Impl& vm, BinaryOp op, const Value& a, const Value& b,
-                     const Expr& where) {
-  const bool flt = a.is_float || b.is_float;
-  switch (op) {
-    case BinaryOp::kAdd:
-      return flt ? Value::of_float(a.as_float() + b.as_float())
-                 : Value::of_int(support::wrap_add(a.i, b.i));
-    case BinaryOp::kSub:
-      return flt ? Value::of_float(a.as_float() - b.as_float())
-                 : Value::of_int(support::wrap_sub(a.i, b.i));
-    case BinaryOp::kMul:
-      return flt ? Value::of_float(a.as_float() * b.as_float())
-                 : Value::of_int(support::wrap_mul(a.i, b.i));
-    case BinaryOp::kDiv:
-      if (flt) return Value::of_float(a.as_float() / b.as_float());
-      if (b.i == 0) vm.runtime_error(&where, "integer division by zero");
-      return Value::of_int(support::wrap_div(a.i, b.i));
-    case BinaryOp::kMod:
-      if (b.as_int() == 0) vm.runtime_error(&where, "modulo by zero");
-      return Value::of_int(support::wrap_mod(a.as_int(), b.as_int()));
-    case BinaryOp::kEq:
-      return Value::of_bool(flt ? a.as_float() == b.as_float() : a.i == b.i);
-    case BinaryOp::kNe:
-      return Value::of_bool(flt ? a.as_float() != b.as_float() : a.i != b.i);
-    case BinaryOp::kLt:
-      return Value::of_bool(flt ? a.as_float() < b.as_float() : a.i < b.i);
-    case BinaryOp::kGt:
-      return Value::of_bool(flt ? a.as_float() > b.as_float() : a.i > b.i);
-    case BinaryOp::kLe:
-      return Value::of_bool(flt ? a.as_float() <= b.as_float() : a.i <= b.i);
-    case BinaryOp::kGe:
-      return Value::of_bool(flt ? a.as_float() >= b.as_float() : a.i >= b.i);
-    case BinaryOp::kBitAnd:
-      return Value::of_int(a.as_int() & b.as_int());
-    case BinaryOp::kBitOr:
-      return Value::of_int(a.as_int() | b.as_int());
-    case BinaryOp::kBitXor:
-      return Value::of_int(a.as_int() ^ b.as_int());
-    case BinaryOp::kShl:
-      return Value::of_int(a.as_int() << (b.as_int() & 63));
-    case BinaryOp::kShr:
-      return Value::of_int(a.as_int() >> (b.as_int() & 63));
-    case BinaryOp::kLogAnd:
-    case BinaryOp::kLogOr:
-      // Handled with short-circuit in eval(); unreachable here.
-      return Value::of_bool(false);
-  }
-  return Value::of_int(0);
-}
-
-Value eval_unary_op(UnaryOp op, const Value& v) {
-  switch (op) {
-    case UnaryOp::kNeg:
-      return v.is_float ? Value::of_float(-v.f)
-                        : Value::of_int(support::wrap_neg(v.i));
-    case UnaryOp::kNot:
-      return Value::of_bool(!v.truthy());
-    case UnaryOp::kBitNot:
-      return Value::of_int(~v.as_int());
-    case UnaryOp::kPlus:
-      return v;
-  }
-  return v;
-}
-
-Value eval_incdec(const Value& v, bool increment) {
-  const std::int64_t delta = increment ? 1 : -1;
-  return v.is_float ? Value::of_float(v.f + static_cast<double>(delta))
-                    : Value::of_int(support::wrap_add(v.i, delta));
-}
-
-Value eval_abs(const Value& v) {
-  return v.is_float ? Value::of_float(std::fabs(v.f))
-                    : Value::of_int(v.i < 0 ? -v.i : v.i);
-}
+namespace arith = lang::arith;
 
 namespace {
 
-Value eval_minmax(const Value& a, const Value& b, bool take_min) {
-  if (a.is_float || b.is_float) {
-    return Value::of_float(take_min ? std::min(a.as_float(), b.as_float())
-                                    : std::max(a.as_float(), b.as_float()));
-  }
-  return Value::of_int(take_min ? std::min(a.i, b.i) : std::max(a.i, b.i));
-}
-
-// Combines two values with a reduction operator.
-Value fold_reduce_value(ReduceKind op, const Value& acc, const Value& v) {
-  const bool flt = acc.is_float || v.is_float;
-  switch (op) {
-    case ReduceKind::kAdd:
-      return flt ? Value::of_float(acc.as_float() + v.as_float())
-                 : Value::of_int(support::wrap_add(acc.i, v.i));
-    case ReduceKind::kMul:
-      return flt ? Value::of_float(acc.as_float() * v.as_float())
-                 : Value::of_int(support::wrap_mul(acc.i, v.i));
-    case ReduceKind::kAnd:
-      return Value::of_bool(acc.truthy() && v.truthy());
-    case ReduceKind::kOr:
-      return Value::of_bool(acc.truthy() || v.truthy());
-    case ReduceKind::kXor:
-      return Value::of_int(acc.as_int() ^ v.as_int());
-    case ReduceKind::kMax:
-      if (flt) {
-        return Value::of_float(std::max(acc.as_float(), v.as_float()));
-      }
-      return Value::of_int(std::max(acc.i, v.i));
-    case ReduceKind::kMin:
-      if (flt) {
-        return Value::of_float(std::min(acc.as_float(), v.as_float()));
-      }
-      return Value::of_int(std::min(acc.i, v.i));
-    case ReduceKind::kArb:
-      return acc;  // arbitrary: keep the first enabled operand
-  }
-  return acc;
+// a op b, raising the engines' shared error for a zero int divisor.
+Value binary_or_raise(Impl& vm, BinaryOp op, const Value& a, const Value& b,
+                      const Expr& where) {
+  if (auto v = arith::binary(op, a, b)) return *v;
+  vm.runtime_error(&where, op == BinaryOp::kDiv ? "integer division by zero"
+                                                : "modulo by zero");
 }
 
 }  // namespace
-
-Value reduce_identity_value(ReduceKind op, bool flt) {
-  switch (op) {
-    case ReduceKind::kAdd:
-      return flt ? Value::of_float(0.0) : Value::of_int(0);
-    case ReduceKind::kMul:
-      return flt ? Value::of_float(1.0) : Value::of_int(1);
-    case ReduceKind::kAnd:
-      return Value::of_int(1);
-    case ReduceKind::kOr:
-      return Value::of_int(0);
-    case ReduceKind::kXor:
-      return Value::of_int(0);
-    case ReduceKind::kMax:
-      return flt ? Value::of_float(-static_cast<double>(lang::kUcInf))
-                 : Value::of_int(-lang::kUcInf);
-    case ReduceKind::kMin:
-      return flt ? Value::of_float(static_cast<double>(lang::kUcInf))
-                 : Value::of_int(lang::kUcInf);
-    case ReduceKind::kArb:
-      return Value::of_int(0);
-  }
-  return Value::of_int(0);
-}
 
 // ---------------------------------------------------------------------------
 // Arrays & access classification
@@ -452,7 +319,7 @@ Value Impl::eval(const Expr& e, EvalCtx& ctx) {
       const auto& u = static_cast<const lang::UnaryExpr&>(e);
       Value v = eval(*u.operand, ctx);
       if (ctx.undef) return v;
-      return eval_unary_op(u.op, v);
+      return arith::unary(u.op, v);
     }
     case ExprKind::kBinary: {
       const auto& b = static_cast<const lang::BinaryExpr&>(e);
@@ -474,7 +341,7 @@ Value Impl::eval(const Expr& e, EvalCtx& ctx) {
       if (ctx.undef) return l;
       Value r = eval(*b.rhs, ctx);
       if (ctx.undef) return r;
-      return eval_binary_op(*this, b.op, l, r, e);
+      return binary_or_raise(*this, b.op, l, r, e);
     }
     case ExprKind::kAssign: {
       const auto& a = static_cast<const lang::AssignExpr&>(e);
@@ -492,16 +359,8 @@ Value Impl::eval(const Expr& e, EvalCtx& ctx) {
           classify_access(*static_cast<ArrayObj*>(target->obj),
                           target->index, ctx);
         }
-        BinaryOp op = BinaryOp::kAdd;
-        switch (a.op) {
-          case AssignOp::kAdd: op = BinaryOp::kAdd; break;
-          case AssignOp::kSub: op = BinaryOp::kSub; break;
-          case AssignOp::kMul: op = BinaryOp::kMul; break;
-          case AssignOp::kDiv: op = BinaryOp::kDiv; break;
-          case AssignOp::kMod: op = BinaryOp::kMod; break;
-          case AssignOp::kAssign: break;
-        }
-        result = eval_binary_op(*this, op, old, rhs, e);
+        result =
+            binary_or_raise(*this, arith::compound_op(a.op), old, rhs, e);
       }
       result = result.coerce(a.lhs->type.scalar);
       if (target->kind == WriteTarget::Kind::kArray) {
@@ -533,7 +392,8 @@ Value Impl::eval(const Expr& e, EvalCtx& ctx) {
         return Value::of_int(0);
       }
       Value old = read_target(*target, ctx);
-      Value next = eval_incdec(old, i.is_increment);
+      Value next = i.is_increment ? arith::apply(arith::Inc{}, old)
+                                  : arith::apply(arith::Dec{}, old);
       if (target->kind == WriteTarget::Kind::kArray) {
         classify_access(*static_cast<ArrayObj*>(target->obj), target->index,
                         ctx);
@@ -558,7 +418,7 @@ Value Impl::eval_reduce(const lang::ReduceExpr& e, EvalCtx& ctx) {
     prod *= static_cast<std::int64_t>(s->index_set->values.size());
   }
   const bool flt = e.type.is_float();
-  Value acc = reduce_identity_value(e.op, flt);
+  Value acc = arith::reduce_identity<Value>(e.op, flt);
   bool any = false;
 
   // A one-lane child space per tuple.  Like a par expansion, the reduction
@@ -642,7 +502,7 @@ Value Impl::eval_reduce(const lang::ReduceExpr& e, EvalCtx& ctx) {
       if (e.op == lang::ReduceKind::kArb) {
         if (!any) acc = v;
       } else {
-        acc = fold_reduce_value(e.op, acc, v);
+        acc = arith::reduce_fold(e.op, acc, v);
       }
       any = true;
     }
@@ -656,7 +516,7 @@ Value Impl::eval_reduce(const lang::ReduceExpr& e, EvalCtx& ctx) {
       if (e.op == lang::ReduceKind::kArb) {
         if (!any) acc = v;
       } else {
-        acc = fold_reduce_value(e.op, acc, v);
+        acc = arith::reduce_fold(e.op, acc, v);
       }
       any = true;
     }
@@ -701,15 +561,16 @@ Value Impl::eval_call(const lang::CallExpr& e, EvalCtx& ctx) {
       case BuiltinId::kAbs: {
         Value v = eval(*e.args[0], ctx);
         if (ctx.undef) return v;
-        return eval_abs(v);
+        return arith::apply(arith::Abs{}, v);
       }
       case BuiltinId::kMin2:
       case BuiltinId::kMax2: {
         Value a = eval(*e.args[0], ctx);
         Value b = eval(*e.args[1], ctx);
         if (ctx.undef) return a;
-        return eval_minmax(
-            a, b, static_cast<BuiltinId>(sym->builtin_id) == BuiltinId::kMin2);
+        return static_cast<BuiltinId>(sym->builtin_id) == BuiltinId::kMin2
+                   ? *arith::apply(arith::Min{}, a, b)
+                   : *arith::apply(arith::Max{}, a, b);
       }
       case BuiltinId::kSwap: {
         auto ta = resolve_lvalue(*e.args[0], ctx);

@@ -9,6 +9,7 @@
 
 #include "ucvm/kernel/bytecode.hpp"
 
+#include "uclang/arith.hpp"
 #include "uclang/symbols.hpp"
 
 namespace uc::vm::detail::kernel {
@@ -409,16 +410,8 @@ class Lowerer {
     // write-side classification (+ broadcast for replicated arrays), and
     // finally the buffered store.
     std::uint16_t result = expr(*a.rhs);
-    BinaryOp op = BinaryOp::kAdd;
-    bool compound = a.op != AssignOp::kAssign;
-    switch (a.op) {
-      case AssignOp::kAdd: op = BinaryOp::kAdd; break;
-      case AssignOp::kSub: op = BinaryOp::kSub; break;
-      case AssignOp::kMul: op = BinaryOp::kMul; break;
-      case AssignOp::kDiv: op = BinaryOp::kDiv; break;
-      case AssignOp::kMod: op = BinaryOp::kMod; break;
-      case AssignOp::kAssign: break;
-    }
+    const BinaryOp op = lang::arith::compound_op(a.op);
+    const bool compound = a.op != AssignOp::kAssign;
     const auto scalar = static_cast<std::uint8_t>(a.lhs->type.scalar);
     if (a.lhs->kind == ExprKind::kIdent) {
       const auto& id = static_cast<const lang::IdentExpr&>(*a.lhs);

@@ -7,14 +7,14 @@
 // engine_parity test suite holds the engines to byte identity.
 #include <algorithm>
 #include <bit>
-#include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "ucvm/kernel/kernel.hpp"
 
 #include "support/error.hpp"
 #include "support/str.hpp"
-#include "support/wrap.hpp"
+#include "uclang/arith.hpp"
 #include "uclang/symbols.hpp"
 #include "ucvm/durable.hpp"  // complete type for ~Impl's unique_ptr member
 
@@ -25,6 +25,7 @@ using lang::ReduceKind;
 using lang::ScalarKind;
 using lang::SymbolKind;
 using lang::UnaryOp;
+namespace arith = lang::arith;
 
 Engine::Engine(Impl& vm) : vm_(vm) {
   arenas_.resize(vm_.machine.pool().thread_count());
@@ -590,23 +591,70 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
       });
     }
   };
-  // r's payloads as doubles: its own column when kFloat, else converted
-  // into a scratch column (r must be kInt or kFloat).
-  const auto fcol = [&](std::uint16_t r, int which) -> const Slot* {
-    if (T[r] == kFloat) return col(r);
+  // Column c of register type t as doubles, or truncated to int64: c
+  // itself when t already is that, else converted into scratch `which`.
+  const auto dcol = [&](const Slot* c, RegType t, int which) -> const Slot* {
+    if (t == kFloat) return c;
     Slot* out = bl.scratch[which];
-    const Slot* in = col(r);
-    each(S, [&](int l) { out[l].f = static_cast<double>(in[l].i); });
+    each(S, [&](int l) { out[l].f = static_cast<double>(c[l].i); });
     return out;
   };
-  // Int division and modulo: the walk's error if any lane's divisor
-  // (kInt register r) is zero.
-  const auto zero_check = [&](std::uint16_t r, const Inst& I,
-                              const char* msg) {
-    const Slot* c = col(r);
-    bool zero = false;
-    each(S, [&](int l) { zero |= c[l].i == 0; });
-    if (zero) vm_.runtime_error(I.where, msg);
+  const auto icol = [&](const Slot* c, RegType t, int which) -> const Slot* {
+    if (t != kFloat) return c;
+    Slot* out = bl.scratch[which];
+    each(S, [&](int l) { out[l].i = static_cast<std::int64_t>(c[l].f); });
+    return out;
+  };
+  const auto set = [](Slot& d, auto v) {
+    if constexpr (std::is_same_v<decltype(v), double>) {
+      d.f = v;
+    } else {
+      d.i = v;
+    }
+  };
+  // The typed loops: the instruction picks operator o (uclang/arith.hpp)
+  // once, and one loop applies it to every lane by the operand rule.  A
+  // zero int divisor in any lane raises the walk's error before any lane
+  // runs.
+  const auto binary_loop = [&](auto o, Slot* d, const Slot* a, RegType ta,
+                               const Slot* b, RegType tb, const Inst& I) {
+    using O = decltype(o);
+    if constexpr (!O::kTruncates) {
+      if (ta == kFloat || tb == kFloat) {
+        a = dcol(a, ta, 0);
+        b = dcol(b, tb, 1);
+        each(S, [&](int l) { set(d[l], O::on(a[l].f, b[l].f)); });
+        return;
+      }
+    }
+    a = icol(a, ta, 0);
+    b = icol(b, tb, 1);
+    if constexpr (O::kDivides) {
+      bool zero = false;
+      each(S, [&](int l) { zero |= b[l].i == 0; });
+      if (zero) {
+        vm_.runtime_error(I.where, std::is_same_v<O, arith::Div>
+                                       ? "integer division by zero"
+                                       : "modulo by zero");
+      }
+    }
+    each(S, [&](int l) { set(d[l], O::on(a[l].i, b[l].i)); });
+  };
+  const auto unary_loop = [&](auto o, const Inst& I) {
+    using O = decltype(o);
+    Slot* d = col(I.dst);
+    const Slot* a = col(I.a);
+    if constexpr (!O::kTruncates) {
+      if (T[I.a] == kFloat) {
+        each(S, [&](int l) { set(d[l], O::on(a[l].f)); });
+        return;
+      }
+    }
+    a = icol(a, T[I.a], 0);
+    each(S, [&](int l) { set(d[l], O::on(a[l].i)); });
+  };
+  const auto binary_inst = [&](auto o, const Inst& I) {
+    binary_loop(o, col(I.dst), col(I.a), T[I.a], col(I.b), T[I.b], I);
   };
 
   const Inst* code = k.code.data();
@@ -748,158 +796,20 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         store(I, la, I.c);
         break;
       }
-      case Op::kUnary: {
-        // Negation and ! have typed loops (! guards fig8's *solve rounds);
-        // ~ and unary + are rare and share the walk's Value arithmetic.
-        const auto op = static_cast<UnaryOp>(I.arg);
-        const RegType ta = T[I.a];
-        Slot* d = col(I.dst);
-        const Slot* a = col(I.a);
-        if (op != UnaryOp::kNeg && op != UnaryOp::kNot) {
-          each(S, [&](int l) {
-            put(I.dst, l, eval_unary_op(op, get(I.a, l)));
-          });
-        } else if (op == UnaryOp::kNeg && ta == kFloat) {
-          each(S, [&](int l) { d[l].f = -a[l].f; });
-        } else if (op == UnaryOp::kNeg) {
-          each(S, [&](int l) { d[l].i = support::wrap_neg(a[l].i); });
-        } else if (ta == kFloat) {
-          each(S, [&](int l) { d[l].i = a[l].f != 0.0 ? 0 : 1; });
-        } else {
-          each(S, [&](int l) { d[l].i = a[l].i != 0 ? 0 : 1; });
-        }
+      case Op::kUnary:
+        arith::visit(static_cast<UnaryOp>(I.arg),
+                     [&](auto o) { unary_loop(o, I); });
         break;
-      }
-      case Op::kBinary: {
-        const auto op = static_cast<BinaryOp>(I.arg);
-        const RegType ta = T[I.a];
-        const RegType tb = T[I.b];
-        Slot* d = col(I.dst);
-        if (ta == kInt && tb == kInt) {
-          const Slot* a = col(I.a);
-          const Slot* b = col(I.b);
-          switch (op) {
-            case BinaryOp::kAdd:
-              each(S, [&](int l) {
-                d[l].i = support::wrap_add(a[l].i, b[l].i);
-              });
-              break;
-            case BinaryOp::kSub:
-              each(S, [&](int l) {
-                d[l].i = support::wrap_sub(a[l].i, b[l].i);
-              });
-              break;
-            case BinaryOp::kMul:
-              each(S, [&](int l) {
-                d[l].i = support::wrap_mul(a[l].i, b[l].i);
-              });
-              break;
-            case BinaryOp::kDiv:
-              zero_check(I.b, I, "integer division by zero");
-              each(S, [&](int l) {
-                d[l].i = support::wrap_div(a[l].i, b[l].i);
-              });
-              break;
-            case BinaryOp::kMod:
-              zero_check(I.b, I, "modulo by zero");
-              each(S, [&](int l) {
-                d[l].i = support::wrap_mod(a[l].i, b[l].i);
-              });
-              break;
-            case BinaryOp::kEq:
-              each(S, [&](int l) { d[l].i = a[l].i == b[l].i ? 1 : 0; });
-              break;
-            case BinaryOp::kNe:
-              each(S, [&](int l) { d[l].i = a[l].i != b[l].i ? 1 : 0; });
-              break;
-            case BinaryOp::kLt:
-              each(S, [&](int l) { d[l].i = a[l].i < b[l].i ? 1 : 0; });
-              break;
-            case BinaryOp::kGt:
-              each(S, [&](int l) { d[l].i = a[l].i > b[l].i ? 1 : 0; });
-              break;
-            case BinaryOp::kLe:
-              each(S, [&](int l) { d[l].i = a[l].i <= b[l].i ? 1 : 0; });
-              break;
-            case BinaryOp::kGe:
-              each(S, [&](int l) { d[l].i = a[l].i >= b[l].i ? 1 : 0; });
-              break;
-            default:
-              // Bit operations and shifts: rare, the walk's arithmetic.
-              each(S, [&](int l) {
-                put(I.dst, l,
-                    eval_binary_op(vm_, op, get(I.a, l), get(I.b, l),
-                                   *I.where));
-              });
-              break;
-          }
-          break;
-        }
-        // At least one float operand: arithmetic and comparisons run on
-        // doubles; mod and the bit operations truncate both operands.
-        switch (op) {
-          case BinaryOp::kAdd:
-          case BinaryOp::kSub:
-          case BinaryOp::kMul:
-          case BinaryOp::kDiv:
-          case BinaryOp::kEq:
-          case BinaryOp::kNe:
-          case BinaryOp::kLt:
-          case BinaryOp::kGt:
-          case BinaryOp::kLe:
-          case BinaryOp::kGe: {
-            const Slot* a = fcol(I.a, 0);
-            const Slot* b = fcol(I.b, 1);
-            switch (op) {
-              case BinaryOp::kAdd:
-                each(S, [&](int l) { d[l].f = a[l].f + b[l].f; });
-                break;
-              case BinaryOp::kSub:
-                each(S, [&](int l) { d[l].f = a[l].f - b[l].f; });
-                break;
-              case BinaryOp::kMul:
-                each(S, [&](int l) { d[l].f = a[l].f * b[l].f; });
-                break;
-              case BinaryOp::kDiv:
-                each(S, [&](int l) { d[l].f = a[l].f / b[l].f; });
-                break;
-              case BinaryOp::kEq:
-                each(S, [&](int l) { d[l].i = a[l].f == b[l].f ? 1 : 0; });
-                break;
-              case BinaryOp::kNe:
-                each(S, [&](int l) { d[l].i = a[l].f != b[l].f ? 1 : 0; });
-                break;
-              case BinaryOp::kLt:
-                each(S, [&](int l) { d[l].i = a[l].f < b[l].f ? 1 : 0; });
-                break;
-              case BinaryOp::kGt:
-                each(S, [&](int l) { d[l].i = a[l].f > b[l].f ? 1 : 0; });
-                break;
-              case BinaryOp::kLe:
-                each(S, [&](int l) { d[l].i = a[l].f <= b[l].f ? 1 : 0; });
-                break;
-              default:
-                each(S, [&](int l) { d[l].i = a[l].f >= b[l].f ? 1 : 0; });
-                break;
-            }
-            break;
-          }
-          default:
-            // mod, bit operations and shifts: rare on floats, so they share
-            // the walk's arithmetic (which raises "modulo by zero").
-            each(S, [&](int l) {
-              put(I.dst, l,
-                  eval_binary_op(vm_, op, get(I.a, l), get(I.b, l), *I.where));
-            });
-            break;
-        }
+      case Op::kBinary:
+        arith::visit(static_cast<BinaryOp>(I.arg),
+                     [&](auto o) { binary_inst(o, I); });
         break;
-      }
       case Op::kIncDec:
-        // Rare in lane code: the walk's Value arithmetic.
-        each(S, [&](int l) {
-          put(I.dst, l, eval_incdec(get(I.a, l), (I.arg & 1) != 0));
-        });
+        if ((I.arg & 1) != 0) {
+          unary_loop(arith::Inc{}, I);
+        } else {
+          unary_loop(arith::Dec{}, I);
+        }
         break;
       case Op::kCoerce: {
         const auto kind = static_cast<ScalarKind>(I.arg);
@@ -925,30 +835,15 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         branch(lanes_where(I.a, true), I.jump, next);
         break;
       case Op::kAbs:
-        each(S, [&](int l) { put(I.dst, l, eval_abs(get(I.a, l))); });
+        unary_loop(arith::Abs{}, I);
         break;
-      case Op::kMinMax: {
-        const bool take_min = (I.arg & 1) != 0;
-        const RegType ta = T[I.a];
-        const RegType tb = T[I.b];
-        Slot* d = col(I.dst);
-        if (ta == kInt && tb == kInt) {
-          const Slot* a = col(I.a);
-          const Slot* b = col(I.b);
-          each(S, [&](int l) {
-            d[l].i = take_min ? std::min(a[l].i, b[l].i)
-                              : std::max(a[l].i, b[l].i);
-          });
+      case Op::kMinMax:
+        if ((I.arg & 1) != 0) {
+          binary_inst(arith::Min{}, I);
         } else {
-          const Slot* a = fcol(I.a, 0);
-          const Slot* b = fcol(I.b, 1);
-          each(S, [&](int l) {
-            d[l].f = take_min ? std::min(a[l].f, b[l].f)
-                              : std::max(a[l].f, b[l].f);
-          });
+          binary_inst(arith::Max{}, I);
         }
         break;
-      }
       case Op::kPower2: {
         Slot* d = col(I.dst);
         each(S, [&](int l) {
@@ -976,7 +871,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         rt.acc = k.types.acc[I.a];
         rt.tuple = 0;
         rt.suppress = R.expr->partition_optimized == 1;
-        const Value id = reduce_identity_value(R.op, R.flt);
+        const Value id = arith::reduce_identity<Value>(R.op, R.flt);
         Slot* acc = bl.acc;
         if (rt.acc == kFloat) {
           const double f = id.as_float();
@@ -1014,76 +909,16 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         // and/or (whose result is a truth value) may fold a float arm.
         const ReduceKind op = rt.info->op;
         Slot* acc = bl.acc;
-        if (rt.acc == kFloat) {
-          const Slot* v = fcol(I.a, 0);
-          switch (op) {
-            case ReduceKind::kAdd:
-              each(S, [&](int l) { acc[l].f = acc[l].f + v[l].f; });
-              break;
-            case ReduceKind::kMul:
-              each(S, [&](int l) { acc[l].f = acc[l].f * v[l].f; });
-              break;
-            case ReduceKind::kMax:
-              each(S, [&](int l) { acc[l].f = std::max(acc[l].f, v[l].f); });
-              break;
-            case ReduceKind::kMin:
-              each(S, [&](int l) { acc[l].f = std::min(acc[l].f, v[l].f); });
-              break;
-            default:  // kArb: keep the first enabled operand
-              each(S, [&](int l) {
-                if (bl.any[l] == 0) acc[l].f = v[l].f;
-              });
-              break;
-          }
-        } else if (T[I.a] == kFloat) {
-          const Slot* v = col(I.a);
-          if (op == ReduceKind::kAnd) {
-            each(S, [&](int l) {
-              acc[l].i = acc[l].i != 0 && v[l].f != 0.0 ? 1 : 0;
-            });
-          } else {
-            each(S, [&](int l) {
-              acc[l].i = acc[l].i != 0 || v[l].f != 0.0 ? 1 : 0;
-            });
-          }
+        if (op == ReduceKind::kArb) {  // keep the first enabled operand
+          const Slot* v = rt.acc == kFloat ? dcol(col(I.a), T[I.a], 0)
+                                           : col(I.a);
+          each(S, [&](int l) {
+            if (bl.any[l] == 0) acc[l] = v[l];
+          });
         } else {
-          const Slot* v = col(I.a);
-          switch (op) {
-            case ReduceKind::kAdd:
-              each(S, [&](int l) {
-                acc[l].i = support::wrap_add(acc[l].i, v[l].i);
-              });
-              break;
-            case ReduceKind::kMul:
-              each(S, [&](int l) {
-                acc[l].i = support::wrap_mul(acc[l].i, v[l].i);
-              });
-              break;
-            case ReduceKind::kMax:
-              each(S, [&](int l) { acc[l].i = std::max(acc[l].i, v[l].i); });
-              break;
-            case ReduceKind::kMin:
-              each(S, [&](int l) { acc[l].i = std::min(acc[l].i, v[l].i); });
-              break;
-            case ReduceKind::kAnd:
-              each(S, [&](int l) {
-                acc[l].i = acc[l].i != 0 && v[l].i != 0 ? 1 : 0;
-              });
-              break;
-            case ReduceKind::kOr:
-              each(S, [&](int l) {
-                acc[l].i = acc[l].i != 0 || v[l].i != 0 ? 1 : 0;
-              });
-              break;
-            case ReduceKind::kXor:
-              each(S, [&](int l) { acc[l].i ^= v[l].i; });
-              break;
-            case ReduceKind::kArb:
-              each(S, [&](int l) {
-                if (bl.any[l] == 0) acc[l].i = v[l].i;
-              });
-              break;
-          }
+          arith::visit(op, [&](auto o) {
+            binary_loop(o, acc, acc, rt.acc, col(I.a), T[I.a], I);
+          });
         }
         each(S, [&](int l) {
           bl.any[l] = 1;

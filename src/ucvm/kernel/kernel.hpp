@@ -169,7 +169,7 @@ class Engine {
     std::uint8_t enabled_any[kBlock];
     std::int64_t rs_vp[kBlock];
     std::int64_t rs_coords[kBlock][8];
-    // Float conversions of int operands for mixed-type arithmetic.
+    // Operands converted to the representation an operator runs on.
     Slot scratch[2][kBlock];
   };
   struct ReduceTuple {

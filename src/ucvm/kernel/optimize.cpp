@@ -40,10 +40,11 @@
 //      body elides.  Nothing merges a read of one copy into another, and a
 //      read that does not depend on the elements is still classified once
 //      per tuple.
-//   5. Constant folding over the unrolled copies: int arithmetic and
-//      comparisons of constants fold, adding or subtracting 0 and
-//      multiplying by 1 drop out when the other operand is an int on every
-//      path, and the resulting register copies propagate, so
+//   5. Constant folding over the unrolled copies: int operators of
+//      constants fold (uclang/arith.hpp; a zero divisor keeps its error
+//      site), adding or subtracting 0 and multiplying by 1 drop out when
+//      the other operand is an int on every path, and the resulting
+//      register copies propagate, so
 //      `i + (dir==0) - (dir==1)` is `i + 1` in the copy for dir = 0.  Dead
 //      temporary elimination then runs again.
 //
@@ -62,7 +63,7 @@
 #include <utility>
 #include <vector>
 
-#include "support/wrap.hpp"
+#include "uclang/arith.hpp"
 #include "uclang/symbols.hpp"
 #include "ucvm/kernel/bytecode.hpp"
 
@@ -769,10 +770,10 @@ class Optimizer {
           break;
         case Op::kUnary: {
           const auto op = static_cast<lang::UnaryOp>(inst.arg);
-          if (known[inst.a] && op == lang::UnaryOp::kNot) {
-            to_const(inst, val[inst.a] == 0 ? 1 : 0);
-          } else if (known[inst.a] && op == lang::UnaryOp::kNeg) {
-            to_const(inst, support::wrap_neg(val[inst.a]));
+          if (known[inst.a]) {
+            to_const(inst, lang::arith::unary(
+                               op, lang::arith::Num::of_int(val[inst.a]))
+                               .i);
           } else {
             sure_int[d] = op == lang::UnaryOp::kNot ||
                           op == lang::UnaryOp::kBitNot ||
@@ -799,19 +800,10 @@ class Optimizer {
     const std::uint16_t a = inst.a;
     const std::uint16_t b = inst.b;
     if (known[a] && known[b]) {
-      const std::int64_t x = val[a];
-      const std::int64_t y = val[b];
-      switch (op) {
-        case BinaryOp::kAdd: return to_const(inst, support::wrap_add(x, y));
-        case BinaryOp::kSub: return to_const(inst, support::wrap_sub(x, y));
-        case BinaryOp::kMul: return to_const(inst, support::wrap_mul(x, y));
-        case BinaryOp::kEq: return to_const(inst, x == y ? 1 : 0);
-        case BinaryOp::kNe: return to_const(inst, x != y ? 1 : 0);
-        case BinaryOp::kLt: return to_const(inst, x < y ? 1 : 0);
-        case BinaryOp::kGt: return to_const(inst, x > y ? 1 : 0);
-        case BinaryOp::kLe: return to_const(inst, x <= y ? 1 : 0);
-        case BinaryOp::kGe: return to_const(inst, x >= y ? 1 : 0);
-        default: break;  // div/mod keep their error site; bit ops are rare
+      using lang::arith::Num;
+      if (auto v = lang::arith::binary(op, Num::of_int(val[a]),
+                                       Num::of_int(val[b]))) {
+        return to_const(inst, v->i);
       }
     }
     const bool ints = sure_int[a] && sure_int[b];

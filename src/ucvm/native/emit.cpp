@@ -700,8 +700,10 @@ class Emitter {
           appendf(src_, "      %s = __builtin_fabs(%s);\n", R(I.dst).c_str(),
                   R(I.a).c_str());
         } else {
-          appendf(src_, "      %s = %s < 0 ? -%s : %s;\n", R(I.dst).c_str(),
-                  R(I.a).c_str(), R(I.a).c_str(), R(I.a).c_str());
+          // arith::Abs: abs(INT64_MIN) wraps to INT64_MIN.
+          appendf(src_, "      %s = %s < 0 ? (i64)(0ull - (u64)%s) : %s;\n",
+                  R(I.dst).c_str(), R(I.a).c_str(), R(I.a).c_str(),
+                  R(I.a).c_str());
         }
         break;
       case Op::kMinMax: {
@@ -877,7 +879,7 @@ class Emitter {
                   "      %s = %s / %s;\n",
                   R(I.b).c_str(), R(I.dst).c_str(), a.c_str(), b.c_str());
         } else {
-          // support::wrap_div: INT64_MIN / -1 wraps to INT64_MIN.
+          // arith::Div: INT64_MIN / -1 wraps to INT64_MIN.
           appendf(src_,
                   "      if (%s == 0) goto uc_error;\n"
                   "      %s = %s == -1 ? (i64)(0ull - (u64)%s) : %s / %s;\n",
@@ -886,7 +888,7 @@ class Emitter {
         }
         return;
       case BinaryOp::kMod:
-        // support::wrap_mod: any value % -1 is 0.
+        // arith::Mod: any value % -1 is 0.
         appendf(src_,
                 "      const i64 bb = %s;\n"
                 "      if (bb == 0) goto uc_error;\n"
@@ -914,8 +916,9 @@ class Emitter {
                 I64(I.a).c_str(), I64(I.b).c_str());
         return;
       case BinaryOp::kShl:
-        appendf(src_, "      %s = %s << (%s & 63);\n", R(I.dst).c_str(),
-                I64(I.a).c_str(), I64(I.b).c_str());
+        // arith::Shl: shift the bits, so a negative value is defined.
+        appendf(src_, "      %s = (i64)((u64)%s << (%s & 63));\n",
+                R(I.dst).c_str(), I64(I.a).c_str(), I64(I.b).c_str());
         return;
       case BinaryOp::kShr:
         appendf(src_, "      %s = %s >> (%s & 63);\n", R(I.dst).c_str(),
@@ -932,7 +935,7 @@ class Emitter {
       appendf(src_, "      %s = (%s %s %s) ? 1 : 0;\n", R(I.dst).c_str(),
               a.c_str(), d, b.c_str());
     } else if (!flt) {
-      // Two's-complement wrap, as support::wrap_add/sub/mul.
+      // Two's-complement wrap, as arith::Add/Sub/Mul.
       appendf(src_, "      %s = (i64)((u64)%s %s (u64)%s);\n",
               R(I.dst).c_str(), a.c_str(), d, b.c_str());
     } else {

@@ -1,6 +1,6 @@
 #include "xform/affine.hpp"
 
-#include "support/wrap.hpp"
+#include "uclang/arith.hpp"
 #include "uclang/symbols.hpp"
 
 namespace uc::xform {
@@ -22,7 +22,7 @@ void add_term(LinearForm& f, const Symbol* sym, std::int64_t coeff) {
   if (coeff == 0) return;
   for (auto& t : f.terms) {
     if (t.sym == sym) {
-      t.coeff += coeff;
+      t.coeff = arith::Add::on(t.coeff, coeff);
       if (t.coeff == 0) {
         t = f.terms.back();
         f.terms.pop_back();
@@ -37,8 +37,10 @@ LinearForm combine(const LinearForm& a, const LinearForm& b,
                    std::int64_t b_sign) {
   if (!a.exact || !b.exact) return inexact();
   LinearForm f = a;
-  f.constant += b_sign * b.constant;
-  for (const auto& t : b.terms) add_term(f, t.sym, b_sign * t.coeff);
+  f.constant = arith::Add::on(f.constant, arith::Mul::on(b_sign, b.constant));
+  for (const auto& t : b.terms) {
+    add_term(f, t.sym, arith::Mul::on(b_sign, t.coeff));
+  }
   return f;
 }
 
@@ -46,8 +48,10 @@ LinearForm scale(const LinearForm& a, std::int64_t k) {
   if (!a.exact) return inexact();
   LinearForm f;
   f.exact = true;
-  f.constant = a.constant * k;
-  for (const auto& t : a.terms) add_term(f, t.sym, t.coeff * k);
+  f.constant = arith::Mul::on(a.constant, k);
+  for (const auto& t : a.terms) {
+    add_term(f, t.sym, arith::Mul::on(t.coeff, k));
+  }
   return f;
 }
 
@@ -118,13 +122,12 @@ LinearForm linearize(const Expr& e) {
           if (r.is_constant()) return scale(l, r.constant);
           return inexact();
         case BinaryOp::kDiv:
-          if (l.is_constant() && r.is_constant() && r.constant != 0) {
-            return constant_form(support::wrap_div(l.constant, r.constant));
-          }
-          return inexact();
         case BinaryOp::kMod:
-          if (l.is_constant() && r.is_constant() && r.constant != 0) {
-            return constant_form(support::wrap_mod(l.constant, r.constant));
+          if (l.is_constant() && r.is_constant()) {
+            if (auto q = arith::binary(b.op, arith::Num::of_int(l.constant),
+                                       arith::Num::of_int(r.constant))) {
+              return constant_form(q->i);
+            }
           }
           return inexact();
         default:

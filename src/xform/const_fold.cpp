@@ -1,8 +1,9 @@
 #include "xform/const_fold.hpp"
 
+#include <cmath>
 #include <optional>
 
-#include "support/wrap.hpp"
+#include "uclang/arith.hpp"
 #include "uclang/symbols.hpp"
 
 namespace uc::xform {
@@ -14,35 +15,33 @@ namespace {
 struct Folder {
   std::size_t replaced = 0;
 
-  // A known scalar constant, either int or float.
-  struct Const {
-    bool is_float = false;
-    std::int64_t i = 0;
-    double f = 0.0;
-    double as_f() const { return is_float ? f : static_cast<double>(i); }
-  };
+  using Const = arith::Num;
 
   std::optional<Const> constant_of(const Expr& e) {
     if (e.kind == ExprKind::kIntLit) {
-      return Const{false, static_cast<const IntLitExpr&>(e).value, 0.0};
+      return Const::of_int(static_cast<const IntLitExpr&>(e).value);
     }
     if (e.kind == ExprKind::kFloatLit) {
-      return Const{true, 0, static_cast<const FloatLitExpr&>(e).value};
+      return Const::of_float(static_cast<const FloatLitExpr&>(e).value);
     }
     return std::nullopt;
   }
 
-  void replace_with_int(ExprPtr& e, std::int64_t v) {
-    auto lit = std::make_unique<IntLitExpr>();
-    lit->value = v;
-    lit->range = e->range;
-    e = std::move(lit);
-    ++replaced;
-  }
-
-  void replace_with_float(ExprPtr& e, double v) {
-    auto lit = std::make_unique<FloatLitExpr>();
-    lit->value = v;
+  // Replaces e by the literal v.  A non-finite float (a division by zero,
+  // a NaN) is left unfolded: its literal would not print back through
+  // codegen/pretty.
+  void replace_with(ExprPtr& e, const Const& v) {
+    if (v.is_float && !std::isfinite(v.f)) return;
+    ExprPtr lit;
+    if (v.is_float) {
+      auto fl = std::make_unique<FloatLitExpr>();
+      fl->value = v.f;
+      lit = std::move(fl);
+    } else {
+      auto il = std::make_unique<IntLitExpr>();
+      il->value = v.i;
+      lit = std::move(il);
+    }
     lit->range = e->range;
     e = std::move(lit);
     ++replaced;
@@ -53,7 +52,7 @@ struct Folder {
       case ExprKind::kIdent: {
         auto& id = static_cast<IdentExpr&>(*e);
         if (id.symbol != nullptr && id.symbol->has_const_value) {
-          replace_with_int(e, id.symbol->const_value);
+          replace_with(e, Const::of_int(id.symbol->const_value));
         }
         return;
       }
@@ -70,29 +69,8 @@ struct Folder {
       case ExprKind::kUnary: {
         auto& u = static_cast<UnaryExpr&>(*e);
         fold(u.operand);
-        auto v = constant_of(*u.operand);
-        if (!v) return;
-        switch (u.op) {
-          case UnaryOp::kNeg:
-            if (v->is_float) {
-              replace_with_float(e, -v->f);
-            } else {
-              replace_with_int(e, support::wrap_neg(v->i));
-            }
-            return;
-          case UnaryOp::kNot:
-            replace_with_int(e, v->as_f() == 0.0 ? 1 : 0);
-            return;
-          case UnaryOp::kBitNot:
-            if (!v->is_float) replace_with_int(e, ~v->i);
-            return;
-          case UnaryOp::kPlus:
-            if (v->is_float) {
-              replace_with_float(e, v->f);
-            } else {
-              replace_with_int(e, v->i);
-            }
-            return;
+        if (auto v = constant_of(*u.operand)) {
+          replace_with(e, arith::unary(u.op, *v));
         }
         return;
       }
@@ -103,72 +81,8 @@ struct Folder {
         auto l = constant_of(*b.lhs);
         auto r = constant_of(*b.rhs);
         if (!l || !r) return;
-        const bool flt = l->is_float || r->is_float;
-        switch (b.op) {
-          case BinaryOp::kAdd:
-            flt ? replace_with_float(e, l->as_f() + r->as_f())
-                : replace_with_int(e, support::wrap_add(l->i, r->i));
-            return;
-          case BinaryOp::kSub:
-            flt ? replace_with_float(e, l->as_f() - r->as_f())
-                : replace_with_int(e, support::wrap_sub(l->i, r->i));
-            return;
-          case BinaryOp::kMul:
-            flt ? replace_with_float(e, l->as_f() * r->as_f())
-                : replace_with_int(e, support::wrap_mul(l->i, r->i));
-            return;
-          case BinaryOp::kDiv:
-            if (flt) {
-              if (r->as_f() != 0.0) replace_with_float(e, l->as_f() / r->as_f());
-            } else if (r->i != 0) {
-              replace_with_int(e, support::wrap_div(l->i, r->i));
-            }
-            return;
-          case BinaryOp::kMod:
-            if (!flt && r->i != 0) {
-              replace_with_int(e, support::wrap_mod(l->i, r->i));
-            }
-            return;
-          case BinaryOp::kEq:
-            replace_with_int(e, l->as_f() == r->as_f() ? 1 : 0);
-            return;
-          case BinaryOp::kNe:
-            replace_with_int(e, l->as_f() != r->as_f() ? 1 : 0);
-            return;
-          case BinaryOp::kLt:
-            replace_with_int(e, l->as_f() < r->as_f() ? 1 : 0);
-            return;
-          case BinaryOp::kGt:
-            replace_with_int(e, l->as_f() > r->as_f() ? 1 : 0);
-            return;
-          case BinaryOp::kLe:
-            replace_with_int(e, l->as_f() <= r->as_f() ? 1 : 0);
-            return;
-          case BinaryOp::kGe:
-            replace_with_int(e, l->as_f() >= r->as_f() ? 1 : 0);
-            return;
-          case BinaryOp::kLogAnd:
-            replace_with_int(e, l->as_f() != 0.0 && r->as_f() != 0.0 ? 1 : 0);
-            return;
-          case BinaryOp::kLogOr:
-            replace_with_int(e, l->as_f() != 0.0 || r->as_f() != 0.0 ? 1 : 0);
-            return;
-          case BinaryOp::kBitAnd:
-            if (!flt) replace_with_int(e, l->i & r->i);
-            return;
-          case BinaryOp::kBitOr:
-            if (!flt) replace_with_int(e, l->i | r->i);
-            return;
-          case BinaryOp::kBitXor:
-            if (!flt) replace_with_int(e, l->i ^ r->i);
-            return;
-          case BinaryOp::kShl:
-            if (!flt) replace_with_int(e, l->i << (r->i & 63));
-            return;
-          case BinaryOp::kShr:
-            if (!flt) replace_with_int(e, l->i >> (r->i & 63));
-            return;
-        }
+        // A zero int divisor keeps its runtime error.
+        if (auto v = arith::binary(b.op, *l, *r)) replace_with(e, *v);
         return;
       }
       case ExprKind::kAssign: {
@@ -188,10 +102,11 @@ struct Folder {
         // The surviving arm replaces the ternary only with the ternary's
         // type (the usual arithmetic conversions): a literal converts, and
         // any other arm must already have it.
-        ExprPtr& arm = c->as_f() != 0.0 ? t.then_expr : t.else_expr;
+        ExprPtr& arm = c->as_float() != 0.0 ? t.then_expr : t.else_expr;
         const bool flt = t.type.is_float();
         if (auto v = constant_of(*arm)) {
-          flt ? replace_with_float(e, v->as_f()) : replace_with_int(e, v->i);
+          replace_with(e, flt ? Const::of_float(v->as_float())
+                              : Const::of_int(v->as_int()));
           return;
         }
         if (arm->type.is_float() != flt) return;

@@ -159,7 +159,8 @@ const std::vector<CorpusCase> kCorpusCases = {
      {}, false},
     {"Jacobi", "jacobi", {{"N", 12}, {"ITERS", 8}}, {}},
     {"Hello", "hello", {}, {"a"}},
-    {"IntWrap", "int_wrap", {}, {"big", "p", "q", "r"}},
+    {"IntWrap", "int_wrap", {},
+     {"big", "p", "q", "r", "lo", "neg", "a", "shl", "shr", "dm"}},
     {"Matmul", "matmul", {{"N", 6}}, {"c"}},
     {"ReductionsTour", "reductions_tour", {}, {"a"}},
     {"Slices", "slices", {{"N", 6}}, {"m"}},
@@ -1142,8 +1143,12 @@ TEST(EngineParity, IntOverflowWrapsTwosComplement) {
       corpus::read(corpus::dir() / "int_wrap.expected");
   ASSERT_FALSE(src.empty());
   ASSERT_EQ(expected,
-            "18 -24 0 6\n-4611686018427387904 4611686018427387904\n");
+            "18 -24 0 6\n-4611686018427387904 4611686018427387904\n"
+            "-9223372036854775808 9223372036854775807 -20 -32 -3 -4 "
+            "-9223372036854775808 9223372036854775807\n"
+            "-9223372036854775808 0\neq 0 gt 1\n");
   expect_commit(src, expected);
+  expect_commit(src, expected, {}, /*fold=*/true);
 }
 
 // --- reduction unrolling (docs/VM.md "Reduction unrolling") ---

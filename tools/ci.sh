@@ -205,16 +205,28 @@ run_asan() {
   "$root/build-asan/tests/ucvm/test_ucvm" \
       --gtest_filter='EngineParity*'
   # Int overflow wraps in two's complement on every engine: the program's
-  # products and negations overflow, and UBSan stops at the first
-  # signed-overflow report.
-  local eng
+  # products, negations, abs, left shifts of negative values and
+  # INT64_MIN / -1 overflow, and UBSan stops at the first report.  The
+  # native leg builds its kernels with UBSan too, as C++17, where a left
+  # shift of a negative value is undefined; the compiler command is part
+  # of the cache key, and the leg must dispatch its kernels, not fall back.
+  local eng tmp; tmp="$(mktemp -d)"
+  local ubsan_cc='c++ -fsanitize=undefined -fno-sanitize-recover=undefined'
   for eng in walk bytecode native; do
     UBSAN_OPTIONS=halt_on_error=1 "$root/build-asan/tools/ucc" run \
-        "$root/programs/int_wrap.uc" --engine="$eng" |
+        "$root/programs/int_wrap.uc" --engine="$eng" --stats \
+        --native-cc="$ubsan_cc" --native-cache-dir="$tmp/cache" \
+        2>"$tmp/$eng.err" |
       cmp - "$root/programs/int_wrap.expected" || {
+        cat "$tmp/$eng.err" >&2
         echo "ci.sh: programs/int_wrap.uc printed other output on $eng" >&2
         exit 1; }
   done
+  grep -q '^native: .* dispatches=[1-9].* fallbacks=0$' "$tmp/native.err" || {
+    cat "$tmp/native.err" >&2
+    echo "ci.sh: the UBSan-built native kernels of int_wrap did not run" >&2
+    exit 1; }
+  rm -rf "$tmp"
   run_profile_smoke "$root/build-asan"
   run_engine_smoke "$root/build-asan"
   run_fault_smoke "$root/build-asan"
