@@ -1,9 +1,9 @@
 #include "codegen/pretty.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <limits>
 #include <sstream>
-
-#include "support/str.hpp"
 
 namespace uc::codegen {
 
@@ -33,6 +33,18 @@ int prec_of(BinaryOp op) {
   }
 }
 
+// The shortest text that reads back as exactly `v` (std::to_chars) and
+// still lexes as a float.  Infinities and NaN have no literal: they print
+// as the quotients that fold back to them.
+std::string float_literal(double v) {
+  if (std::isnan(v)) return "(0.0 / 0.0)";
+  if (std::isinf(v)) return v > 0 ? "(1.0 / 0.0)" : "(-1.0 / 0.0)";
+  char buf[32];
+  std::string s(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  if (s.find_first_of(".e") == std::string::npos) s += ".0";  // "-0", "10"
+  return s;
+}
+
 class Printer {
  public:
   // Appends `[e]`.
@@ -52,16 +64,8 @@ class Printer {
         }
         return std::to_string(v);
       }
-      case ExprKind::kFloatLit: {
-        auto s = support::format(
-            "%g", static_cast<const FloatLitExpr&>(e).value);
-        if (s.find('.') == std::string::npos &&
-            s.find('e') == std::string::npos &&
-            s.find("inf") == std::string::npos) {
-          s += ".0";
-        }
-        return s;
-      }
+      case ExprKind::kFloatLit:
+        return float_literal(static_cast<const FloatLitExpr&>(e).value);
       case ExprKind::kStringLit: {
         std::string out = "\"";
         for (char c : static_cast<const StringLitExpr&>(e).value) {

@@ -164,6 +164,53 @@ struct ReduceExpr : Expr {
   ReduceExpr() : Expr(ExprKind::kReduce) {}
 };
 
+// Calls fn on each direct subexpression of `e`, in evaluation order (a
+// reduction's arms, each predicate before its value, then `others`).
+template <class F>
+void for_each_child(const Expr& e, F&& fn) {
+  switch (e.kind) {
+    case ExprKind::kSubscript:
+      fn(*static_cast<const SubscriptExpr&>(e).base);
+      for (const auto& x : static_cast<const SubscriptExpr&>(e).indices) fn(*x);
+      return;
+    case ExprKind::kCall:
+      for (const auto& x : static_cast<const CallExpr&>(e).args) fn(*x);
+      return;
+    case ExprKind::kUnary:
+      fn(*static_cast<const UnaryExpr&>(e).operand);
+      return;
+    case ExprKind::kBinary:
+      fn(*static_cast<const BinaryExpr&>(e).lhs);
+      fn(*static_cast<const BinaryExpr&>(e).rhs);
+      return;
+    case ExprKind::kAssign:
+      fn(*static_cast<const AssignExpr&>(e).lhs);
+      fn(*static_cast<const AssignExpr&>(e).rhs);
+      return;
+    case ExprKind::kTernary: {
+      const auto& t = static_cast<const TernaryExpr&>(e);
+      fn(*t.cond);
+      fn(*t.then_expr);
+      fn(*t.else_expr);
+      return;
+    }
+    case ExprKind::kReduce: {
+      const auto& r = static_cast<const ReduceExpr&>(e);
+      for (const auto& arm : r.arms) {
+        if (arm.pred) fn(*arm.pred);
+        fn(*arm.value);
+      }
+      if (r.others) fn(*r.others);
+      return;
+    }
+    case ExprKind::kIncDec:
+      fn(*static_cast<const IncDecExpr&>(e).operand);
+      return;
+    default:
+      return;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Statements
 // ---------------------------------------------------------------------------

@@ -67,6 +67,7 @@ Impl::Impl(const lang::CompilationUnit& u, cm::Machine& m, ExecOptions o)
   root.geom_size = 1;
   ckpt = std::make_unique<CheckpointManager>(*this);
   build_node_ids();
+  build_lane_plan();
   if (!opts.checkpoint_dir.empty()) {
     if (opts.checkpoint_every == 0) {
       throw support::ApiError(

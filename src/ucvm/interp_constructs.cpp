@@ -108,56 +108,18 @@ void Impl::expand(LaneSpace& child, LaneSpace& parent,
 // ---------------------------------------------------------------------------
 
 bool calls_array_declarer(const Expr& e) {
-  const auto any = [](const auto& exprs) {
-    for (const auto& x : exprs) {
-      if (x && calls_array_declarer(*x)) return true;
+  if (e.kind == lang::ExprKind::kCall) {
+    const Symbol* callee = static_cast<const lang::CallExpr&>(e).symbol;
+    if (callee != nullptr && callee->func != nullptr &&
+        callee->func->declares_array) {
+      return true;
     }
-    return false;
-  };
-  switch (e.kind) {
-    case lang::ExprKind::kCall: {
-      const auto& c = static_cast<const lang::CallExpr&>(e);
-      if (c.symbol != nullptr && c.symbol->func != nullptr &&
-          c.symbol->func->declares_array) {
-        return true;
-      }
-      return any(c.args);
-    }
-    case lang::ExprKind::kSubscript:
-      return any(static_cast<const lang::SubscriptExpr&>(e).indices);
-    case lang::ExprKind::kUnary:
-      return calls_array_declarer(
-          *static_cast<const lang::UnaryExpr&>(e).operand);
-    case lang::ExprKind::kBinary: {
-      const auto& b = static_cast<const lang::BinaryExpr&>(e);
-      return calls_array_declarer(*b.lhs) || calls_array_declarer(*b.rhs);
-    }
-    case lang::ExprKind::kAssign: {
-      const auto& a = static_cast<const lang::AssignExpr&>(e);
-      return calls_array_declarer(*a.lhs) || calls_array_declarer(*a.rhs);
-    }
-    case lang::ExprKind::kTernary: {
-      const auto& t = static_cast<const lang::TernaryExpr&>(e);
-      return calls_array_declarer(*t.cond) ||
-             calls_array_declarer(*t.then_expr) ||
-             calls_array_declarer(*t.else_expr);
-    }
-    case lang::ExprKind::kReduce: {
-      const auto& r = static_cast<const lang::ReduceExpr&>(e);
-      for (const auto& arm : r.arms) {
-        if ((arm.pred && calls_array_declarer(*arm.pred)) ||
-            calls_array_declarer(*arm.value)) {
-          return true;
-        }
-      }
-      return r.others && calls_array_declarer(*r.others);
-    }
-    case lang::ExprKind::kIncDec:
-      return calls_array_declarer(
-          *static_cast<const lang::IncDecExpr&>(e).operand);
-    default:
-      return false;
   }
+  bool declares = false;
+  lang::for_each_child(e, [&declares](const Expr& child) {
+    declares = declares || calls_array_declarer(child);
+  });
+  return declares;
 }
 
 void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
@@ -173,6 +135,7 @@ void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
   // so the per-site deltas are engine-independent wherever the charges
   // are.
   ProfScope prof_scope(*this, &expr, "stmt", expr.range);
+  const LaneSite& site = lane_site(expr, space);
 
   if (values != nullptr) values->resize(active.size());
   Value* const results = values != nullptr ? values->data() : nullptr;
@@ -186,13 +149,14 @@ void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
     // re-deriving it.
     charge_expr_planned(expr, space, /*rider=*/false);
 
-    // The statement's kernel (compiled once, linked per execution) fixes
-    // which reads are classified; statements the lowering/link does not
+    // The statement's planned kernel, linked per execution, fixes which
+    // reads are classified; statements the lowering or the link does not
     // cover run on the walk on every engine.
     const Expr* const stmts[1] = {&expr};
     const kernel::Kernel* kern =
-        kernel_engine().prepare(stmts, 1, space, frame);
-    run_lanes(stmts, 1, kern, space, active, frame, stmt_id, results, run);
+        kernel_engine().prepare(site.kernel, space, frame);
+    run_lanes(stmts, 1, kern, site.declares, space, active, frame, stmt_id,
+              results, run);
     if (prof != nullptr) prof->note_engine(run.tier);
     charge_dynamic_stats(run.member_stats[0], space.geom_size);
     commit_lanes(run);
@@ -200,7 +164,8 @@ void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
 }
 
 void Impl::run_lanes(const Expr* const* stmts, std::size_t count,
-                     const kernel::Kernel* kern, LaneSpace& space,
+                     const kernel::Kernel* kern, bool declares,
+                     LaneSpace& space,
                      const std::vector<std::int64_t>& active, Frame* frame,
                      std::uint64_t first_stmt_id, Value* results,
                      LaneRun& run) {
@@ -245,10 +210,6 @@ void Impl::run_lanes(const Expr* const* stmts, std::size_t count,
     }
   };
   // A grain of n runs every lane on the issuing thread.
-  bool declares = false;
-  for (std::size_t m = 0; m < count; ++m) {
-    declares = declares || calls_array_declarer(*stmts[m]);
-  }
   machine.pool().parallel_for(0, n, run_range, declares ? n : 64);
 
   run.member_stats.assign(count, AccessStats{});
@@ -275,7 +236,7 @@ void Impl::charge_dynamic_stats(const AccessStats& total,
 }
 
 // ---------------------------------------------------------------------------
-// Statement fusion (docs/VM.md "Fusion")
+// The lane plan and statement fusion (docs/VM.md "Lane plan", "Fusion")
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -341,24 +302,9 @@ bool pair_fusable(const lang::AccessSet& i, const lang::AccessSet& j) {
   return true;
 }
 
-// The expressions of members [begin, begin+count) of a fusion segment.
-std::vector<const Expr*> member_exprs(const lang::CompoundStmt& s,
-                                      std::size_t begin, std::size_t count) {
-  std::vector<const Expr*> stmts(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    stmts[k] =
-        static_cast<const lang::ExprStmt&>(*s.body[begin + k]).expr.get();
-  }
-  return stmts;
-}
-
-}  // namespace
-
-const std::vector<Impl::FusionSeg>& Impl::fusion_segments(
-    const lang::CompoundStmt& s) {
-  auto it = fusion_segments_.find(&s);
-  if (it != fusion_segments_.end()) return it->second;
-
+// Partition of a compound body into maximal runs of consecutive fusable
+// expression statements (the AST-level gate of docs/VM.md "Fusion").
+std::vector<Impl::FusionSeg> fusion_segments(const lang::CompoundStmt& s) {
   const std::size_t n = s.body.size();
   std::vector<lang::AccessSet> acc(n);
   std::vector<bool> ok(n, false);
@@ -368,18 +314,13 @@ const std::vector<Impl::FusionSeg>& Impl::fusion_segments(
     ok[k] = member_fusable(acc[k]);
   }
 
-  std::vector<FusionSeg> segs;
+  std::vector<Impl::FusionSeg> segs;
   std::size_t k = 0;
   while (k < n) {
-    if (!ok[k]) {
-      segs.push_back({k, 1, false});
-      ++k;
-      continue;
-    }
     // Greedy: extend while the next statement is safe against every member
     // already in the group.
     std::size_t end = k + 1;
-    while (end < n && ok[end]) {
+    while (ok[k] && end < n && ok[end]) {
       bool safe = true;
       for (std::size_t i = k; i < end && safe; ++i) {
         safe = pair_fusable(acc[i], acc[end]);
@@ -387,21 +328,29 @@ const std::vector<Impl::FusionSeg>& Impl::fusion_segments(
       if (!safe) break;
       ++end;
     }
-    segs.push_back({k, end - k, end - k >= 2});
+    Impl::FusionSeg& seg = segs.emplace_back();
+    seg.begin = k;
+    seg.count = end - k;
+    for (std::size_t m = k; seg.count >= 2 && m < end; ++m) {
+      seg.members.push_back(
+          static_cast<const lang::ExprStmt&>(*s.body[m]).expr.get());
+    }
     k = end;
   }
-  return fusion_segments_[&s] = std::move(segs);
+  return segs;
 }
 
-bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
-                            std::size_t count, LaneSpace& space,
+}  // namespace
+
+bool Impl::exec_fused_group(const FusionSeg& seg, LaneSpace& space,
                             const std::vector<std::int64_t>& active,
                             Frame* frame) {
-  const std::vector<const Expr*> stmts = member_exprs(s, begin, count);
-  // Compile (cached) + link.  Touches no interpreter state on failure, so
-  // declining here falls back cleanly to statement-at-a-time execution.
+  const std::size_t count = seg.count;
+  const std::vector<const Expr*>& stmts = seg.members;
+  // Link.  Touches no interpreter state on failure, so declining here falls
+  // back cleanly to statement-at-a-time execution.
   const kernel::Kernel* kern =
-      kernel_engine().prepare(stmts.data(), count, space, frame);
+      kernel_engine().prepare(seg.group.kernel, space, frame);
   if (kern == nullptr) return false;
 
   check_deadline(nullptr);
@@ -425,8 +374,8 @@ bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
     // One lane run for the whole group; host time lands on member 0.
     {
       ProfScope prof_scope(*this, stmts[0], "stmt", stmts[0]->range);
-      run_lanes(stmts.data(), count, kern, space, active, frame,
-                first_stmt_id, /*results=*/nullptr, run);
+      run_lanes(stmts.data(), count, kern, seg.group.declares, space, active,
+                frame, first_stmt_id, /*results=*/nullptr, run);
     }
     for (std::size_t k = 0; k < count; ++k) {
       ProfScope prof_scope(*this, stmts[k], "stmt", stmts[k]->range);
@@ -447,107 +396,131 @@ bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
 
 namespace {
 
-// The walk behind Impl::lane_kernels.  `lanes` says whether a statement
-// runs on an expanded lane space: statements in a function body run on
-// the front end, a seq binds on its parent's space, and every other
-// construct expands one.
-struct KernelWalk {
-  Impl& vm;
-  std::vector<const kernel::Kernel*> found;
+// Where a statement runs: in a function body outside every construct (on
+// the front end, not through eval_lanes), on the front end's lane space (a
+// seq binds on its parent's space), or on a space a construct expanded.
+enum class Where : std::uint8_t { kScalar, kFrontend, kExpanded };
 
-  bool add(const Expr* const* stmts, std::size_t n) {
-    const kernel::Kernel* k = vm.kernel_engine().kernel_for(stmts, n);
-    if (k != nullptr) found.push_back(k);
-    return k != nullptr;
+// The walk behind Impl::build_lane_plan, the one place that decides each
+// lane site's kernel.  It follows exec_scalar_stmt, exec_parallel_stmt
+// and exec_nested_construct, which then only look their sites up.
+struct Planner {
+  Impl::LanePlan& plan;
+
+  Impl::LaneSite compile(const Expr* const* stmts, std::size_t n, Where w,
+                         bool grouped) {
+    Impl::LaneSite site;
+    site.expanded = w == Where::kExpanded;
+    for (std::size_t m = 0; m < n; ++m) {
+      site.declares = site.declares || calls_array_declarer(*stmts[m]);
+    }
+    if (auto k = kernel::compile_fused(stmts, n)) {
+      site.kernel = plan.kernels.emplace_back(std::move(k)).get();
+      if (site.expanded && !grouped) plan.expanded.push_back(site.kernel);
+    }
+    return site;
   }
-  void add(const Expr* e) {
-    if (e != nullptr) add(&e, 1);
+  void add(const Expr* e, Where w, bool grouped = false) {
+    if (e != nullptr && w != Where::kScalar) {
+      plan.stmts.emplace(e, compile(&e, 1, w, grouped));
+    }
   }
 
-  // Mirrors exec_parallel_stmt, and on the front end exec_scalar_stmt.
-  void stmt(const Stmt& s, bool lanes) {
+  void stmt(const Stmt& s, Where w) {
     switch (s.kind) {
       case StmtKind::kExpr:
-        if (lanes) add(static_cast<const lang::ExprStmt&>(s).expr.get());
+        add(static_cast<const lang::ExprStmt&>(s).expr.get(), w);
         return;
       case StmtKind::kCompound: {
         const auto& c = static_cast<const lang::CompoundStmt&>(s);
-        if (!lanes || c.body.size() <= 1) {
-          for (const auto& child : c.body) stmt(*child, lanes);
+        if (w == Where::kScalar) {
+          for (const auto& child : c.body) stmt(*child, w);
           return;
         }
-        // Mirrors the fusion loop: a group that does not compile runs
-        // its members one at a time.
-        for (const Impl::FusionSeg& seg : vm.fusion_segments(c)) {
-          if (seg.fusable &&
-              add(member_exprs(c, seg.begin, seg.count).data(), seg.count)) {
+        // Every member of a group gets its own kernel too: it runs alone
+        // when the group's link declines.
+        std::vector<Impl::FusionSeg> segs = fusion_segments(c);
+        for (Impl::FusionSeg& seg : segs) {
+          if (seg.count == 1) {
+            stmt(*c.body[seg.begin], w);
             continue;
           }
-          for (std::size_t k = 0; k < seg.count; ++k) {
-            stmt(*c.body[seg.begin + k], lanes);
+          seg.group = compile(seg.members.data(), seg.count, w, false);
+          for (const Expr* e : seg.members) {
+            add(e, w, seg.group.kernel != nullptr);
           }
         }
+        plan.bodies.emplace(&c, std::move(segs));
         return;
       }
       case StmtKind::kVarDecl:
-        if (!lanes) return;
         for (const auto& d : static_cast<const lang::VarDeclStmt&>(s)
                                  .declarators) {
-          if (d.symbol != nullptr) add(d.init.get());
+          if (d.symbol != nullptr) add(d.init.get(), w);
         }
         return;
       case StmtKind::kIf: {
         const auto& i = static_cast<const lang::IfStmt&>(s);
-        if (lanes) add(i.cond.get());
-        stmt(*i.then_stmt, lanes);
-        if (i.else_stmt) stmt(*i.else_stmt, lanes);
+        add(i.cond.get(), w);
+        stmt(*i.then_stmt, w);
+        if (i.else_stmt) stmt(*i.else_stmt, w);
         return;
       }
       case StmtKind::kWhile: {
-        const auto& w = static_cast<const lang::WhileStmt&>(s);
-        if (lanes) add(w.cond.get());
-        stmt(*w.body, lanes);
+        const auto& wh = static_cast<const lang::WhileStmt&>(s);
+        add(wh.cond.get(), w);
+        stmt(*wh.body, w);
         return;
       }
       case StmtKind::kFor: {
         const auto& f = static_cast<const lang::ForStmt&>(s);
-        if (f.init) stmt(*f.init, lanes);
-        if (lanes) {
-          add(f.cond.get());
-          add(f.step.get());
-        }
-        stmt(*f.body, lanes);
+        if (f.init) stmt(*f.init, w);
+        add(f.cond.get(), w);
+        add(f.step.get(), w);
+        stmt(*f.body, w);
         return;
       }
-      case StmtKind::kUcConstruct:
-        construct(static_cast<const UcConstructStmt&>(s), lanes);
+      case StmtKind::kUcConstruct: {
+        // A plain solve evaluates its equations on the walk.
+        const auto& u = static_cast<const UcConstructStmt&>(s);
+        if (u.op == UcOp::kSolve && !u.starred) return;
+        if (u.op != UcOp::kSeq) {
+          w = Where::kExpanded;
+        } else if (w == Where::kScalar) {
+          w = Where::kFrontend;
+        }
+        for (const auto& block : u.blocks) {
+          add(block.pred.get(), w);
+          stmt(*block.body, w);
+        }
+        if (u.others) stmt(*u.others, w);
         return;
+      }
       default:
         return;
     }
-  }
-
-  // Mirrors exec_nested_construct.  A plain solve evaluates its
-  // equations on the walk.
-  void construct(const UcConstructStmt& s, bool lanes) {
-    if (s.op == UcOp::kSolve && !s.starred) return;
-    lanes = lanes || s.op != UcOp::kSeq;
-    for (const auto& block : s.blocks) {
-      if (lanes) add(block.pred.get());
-      stmt(*block.body, lanes);
-    }
-    if (s.others) stmt(*s.others, lanes);
   }
 };
 
 }  // namespace
 
-std::vector<const kernel::Kernel*> Impl::lane_kernels() {
-  KernelWalk walk{*this, {}};
+void Impl::build_lane_plan() {
+  Planner planner{lane_plan_};
   for (const auto& item : unit.program->items) {
-    if (item.func && item.func->body) walk.stmt(*item.func->body, false);
+    if (item.func && item.func->body) {
+      planner.stmt(*item.func->body, Where::kScalar);
+    }
   }
-  return std::move(walk.found);
+}
+
+const Impl::LaneSite& Impl::lane_site(const Expr& e, const LaneSpace& space) {
+  auto it = lane_plan_.stmts.find(&e);
+  if (it == lane_plan_.stmts.end() ||
+      it->second.expanded == space.frontend) {
+    runtime_error(&e, "internal error: the lane plan has no entry for this "
+                      "statement on this lane space");
+  }
+  return it->second;
 }
 
 Impl::CommitArray& Impl::commit_array(ArrayObj& root) {
@@ -716,24 +689,21 @@ void Impl::exec_parallel_stmt(const Stmt& stmt, LaneSpace& space,
     }
     case StmtKind::kCompound: {
       const auto& s = static_cast<const lang::CompoundStmt&>(stmt);
-      if (s.body.size() > 1) {
-        // Fusion (docs/VM.md): runs of provably independent expression
-        // statements execute as one group; anything the compiler declines
-        // falls back to statement-at-a-time execution below.
-        for (const FusionSeg& seg : fusion_segments(s)) {
-          if (seg.fusable &&
-              exec_fused_group(s, seg.begin, seg.count, space, active,
-                               frame)) {
-            continue;
-          }
-          for (std::size_t k = 0; k < seg.count; ++k) {
-            exec_parallel_stmt(*s.body[seg.begin + k], space, active, frame);
-          }
-        }
-        return;
+      // Fusion (docs/VM.md): the plan's compiled groups run as one; a
+      // group whose link declines runs its members one at a time.
+      const auto it = lane_plan_.bodies.find(&s);
+      if (it == lane_plan_.bodies.end()) {
+        runtime_error(&stmt, "internal error: the lane plan has no entry "
+                             "for this compound statement");
       }
-      for (const auto& child : s.body) {
-        exec_parallel_stmt(*child, space, active, frame);
+      for (const FusionSeg& seg : it->second) {
+        if (seg.group.kernel != nullptr &&
+            exec_fused_group(seg, space, active, frame)) {
+          continue;
+        }
+        for (std::size_t k = 0; k < seg.count; ++k) {
+          exec_parallel_stmt(*s.body[seg.begin + k], space, active, frame);
+        }
       }
       return;
     }

@@ -318,23 +318,47 @@ struct Impl {
                           const std::vector<std::int64_t>& active,
                           Frame* frame);
 
-  // --- statement fusion (docs/VM.md "Fusion") ---
-  // Partition of a compound par body into maximal runs of consecutive
-  // fusable expression statements.  Depends only on the AST, so it is
-  // computed once per CompoundStmt.
+  // --- the lane plan (docs/VM.md "Lane plan") ---
+  // One site eval_lanes or exec_fused_group runs: a statement, or a fusion
+  // group of a compound body's consecutive members.
+  struct LaneSite {
+    const kernel::Kernel* kernel = nullptr;  // null: runs on the walk
+    bool expanded = false;  // on an expanded lane space, not the front end
+    bool declares = false;  // calls_array_declarer: walk on one thread
+  };
+  // A maximal run of consecutive fusable expression statements of a
+  // compound body; a run of one is an ordinary statement.
   struct FusionSeg {
     std::size_t begin = 0;
     std::size_t count = 1;
-    bool fusable = false;  // >= 2 members, all provably independent
+    LaneSite group;  // count >= 2 and compiled: the group's kernel
+    std::vector<const Expr*> members;  // count >= 2: their expressions
   };
-  const std::vector<FusionSeg>& fusion_segments(const lang::CompoundStmt& s);
-  // Runs members [begin, begin+count) as one group: per-member charging
-  // under each member's own profiler scope (riders at the planned issue
+  // Built once, by build_lane_plan, when the Impl is constructed: every
+  // lane site of every function with its kernel, and every compound body a
+  // parallel context runs with its fusion segments.  The executor only
+  // links what it finds here; a site it reaches that is not here is an
+  // internal error, never a lazy compile.
+  struct LanePlan {
+    std::unordered_map<const Expr*, LaneSite> stmts;
+    std::unordered_map<const lang::CompoundStmt*, std::vector<FusionSeg>>
+        bodies;
+    // The native tier's batch, in program order: the kernels of the
+    // expanded-space statements and groups, less the members of compiled
+    // groups, which run only when their group's link declines.
+    std::vector<const kernel::Kernel*> expanded;
+    std::vector<std::unique_ptr<kernel::Kernel>> kernels;  // owns them all
+  };
+  LanePlan lane_plan_;
+  void build_lane_plan();
+  // The plan's entry for `e` run on `space`; an internal error if none.
+  const LaneSite& lane_site(const Expr& e, const LaneSpace& space);
+  // Runs a compiled group's members as one: per-member charging under
+  // each member's own profiler scope (riders at the planned issue
   // overhead), one lane run and a single merged commit.  Returns false
-  // (with no state mutated) when the group kernel cannot be compiled or
-  // linked — the caller then runs the members unfused, on every engine.
-  bool exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
-                        std::size_t count, LaneSpace& space,
+  // (with no state mutated) when the link declines the group kernel: the
+  // caller then runs the members unfused, on every engine.
+  bool exec_fused_group(const FusionSeg& seg, LaneSpace& space,
                         const std::vector<std::int64_t>& active,
                         Frame* frame);
   // Builds `child` as `parent`'s active lanes crossed with `sets`.  A
@@ -388,13 +412,14 @@ struct Impl {
     std::vector<std::vector<Write>> writes;
     std::vector<std::string> prints;
   };
-  // Runs the lanes of one statement, or of a prepared group's members
+  // Runs the lanes of one statement, or of a linked group's members
   // (`kern` is then the group kernel), on the selected engine.  The kernel
   // engines run `kern`; the walk, and every engine when `kern` is null,
   // evaluates the members lane by lane in member order, honouring `kern`'s
-  // elided reads.  Charges nothing and commits nothing.
+  // elided reads, on the issuing thread alone when `declares`.  Charges
+  // nothing and commits nothing.
   void run_lanes(const Expr* const* stmts, std::size_t count,
-                 const kernel::Kernel* kern, LaneSpace& space,
+                 const kernel::Kernel* kern, bool declares, LaneSpace& space,
                  const std::vector<std::int64_t>& active, Frame* frame,
                  std::uint64_t first_stmt_id, Value* results, LaneRun& run);
   // Commits a lane run's buffered writes and flushes its prints.
@@ -413,16 +438,9 @@ struct Impl {
   // (order matters for the paris trace: news, router, broadcast, frontend).
   void charge_dynamic_stats(const AccessStats& total, std::int64_t geom_size);
 
-  // Every kernel the program can dispatch on lanes, found by walking its
-  // functions the way the constructs run them (docs/VM.md "Native
-  // tier"): block predicates, bodies and `others` arms of every construct
-  // that expands a lane space, fusion groups (or the members of a group
-  // that does not compile), conditions, steps and initialisers.  Only
-  // statements on the front end are left out: they never run natively.
-  std::vector<const kernel::Kernel*> lane_kernels();
-
-  // Lazily constructed kernel engine (exec.cpp).  Every engine asks it for
-  // the statement's kernel: its decisions fix what the statement costs.
+  // Lazily constructed kernel engine (exec.cpp).  Every engine links the
+  // statement's planned kernel through it: the kernel, or its absence,
+  // fixes what the statement costs.
   kernel::Engine& kernel_engine();
   std::unique_ptr<kernel::Engine> kernel_engine_;
   // Communication-plan cache (src/cm/plan_cache.hpp) and its invalidation
@@ -430,7 +448,6 @@ struct Impl {
   // cached plans bake in mapping- and shape-dependent decisions.
   cm::PlanCache plan_cache_;
   std::uint64_t plan_epoch_ = 0;
-  std::unordered_map<const Stmt*, std::vector<FusionSeg>> fusion_segments_;
   // Commit state (see commit()).  An array target's entry in
   // commit_arrays_ resolves its root field and marks once per commit.
   struct CommitArray {

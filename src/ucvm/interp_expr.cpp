@@ -868,51 +868,17 @@ std::uint64_t Impl::expr_weight_cse(const Expr& e) {
 
 namespace {
 
-// Calls fn on every ReduceExpr in the tree (pre-order).
+// Calls fn on every ReduceExpr in the tree (pre-order), not descending
+// into one.
 void for_each_reduce(const Expr& e,
                      const std::function<void(const lang::ReduceExpr&)>& fn) {
-  switch (e.kind) {
-    case ExprKind::kSubscript: {
-      const auto& s = static_cast<const lang::SubscriptExpr&>(e);
-      for (const auto& idx : s.indices) for_each_reduce(*idx, fn);
-      return;
-    }
-    case ExprKind::kCall: {
-      const auto& c = static_cast<const lang::CallExpr&>(e);
-      for (const auto& a : c.args) for_each_reduce(*a, fn);
-      return;
-    }
-    case ExprKind::kUnary:
-      for_each_reduce(*static_cast<const lang::UnaryExpr&>(e).operand, fn);
-      return;
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const lang::BinaryExpr&>(e);
-      for_each_reduce(*b.lhs, fn);
-      for_each_reduce(*b.rhs, fn);
-      return;
-    }
-    case ExprKind::kAssign: {
-      const auto& a = static_cast<const lang::AssignExpr&>(e);
-      for_each_reduce(*a.lhs, fn);
-      for_each_reduce(*a.rhs, fn);
-      return;
-    }
-    case ExprKind::kTernary: {
-      const auto& t = static_cast<const lang::TernaryExpr&>(e);
-      for_each_reduce(*t.cond, fn);
-      for_each_reduce(*t.then_expr, fn);
-      for_each_reduce(*t.else_expr, fn);
-      return;
-    }
-    case ExprKind::kReduce:
-      fn(static_cast<const lang::ReduceExpr&>(e));
-      return;
-    case ExprKind::kIncDec:
-      for_each_reduce(*static_cast<const lang::IncDecExpr&>(e).operand, fn);
-      return;
-    default:
-      return;
+  if (e.kind == ExprKind::kReduce) {
+    fn(static_cast<const lang::ReduceExpr&>(e));
+    return;
   }
+  lang::for_each_child(e, [&fn](const Expr& child) {
+    for_each_reduce(child, fn);
+  });
 }
 
 // True when the expression mentions only the given elements (and constants,

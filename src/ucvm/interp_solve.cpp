@@ -25,11 +25,12 @@ using lang::UcConstructStmt;
 
 namespace {
 
-// Collects the assignment statements of a solve body in order, each with
-// the predicate of the sc-block it came from.
+// One assignment statement of a solve body, with the predicate of the
+// sc-block it came from.
 struct SolveAssign {
   const Expr* pred = nullptr;  // block predicate (may be null)
   const lang::AssignExpr* assign = nullptr;
+  bool declares = false;  // calls_array_declarer(rhs)
 };
 
 void collect_assigns(const Stmt& stmt, const Expr* pred,
@@ -38,8 +39,8 @@ void collect_assigns(const Stmt& stmt, const Expr* pred,
     case StmtKind::kExpr: {
       const auto& es = static_cast<const lang::ExprStmt&>(stmt);
       if (es.expr->kind == ExprKind::kAssign) {
-        out.push_back(SolveAssign{
-            pred, static_cast<const lang::AssignExpr*>(es.expr.get())});
+        const auto* a = static_cast<const lang::AssignExpr*>(es.expr.get());
+        out.push_back(SolveAssign{pred, a, calls_array_declarer(*a->rhs)});
       }
       return;
     }
@@ -53,15 +54,21 @@ void collect_assigns(const Stmt& stmt, const Expr* pred,
   }
 }
 
-}  // namespace
-
-void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
-                      Frame* frame) {
+// The assignments of a solve's blocks and `others` arm, in order.
+std::vector<SolveAssign> solve_assigns(const UcConstructStmt& stmt) {
   std::vector<SolveAssign> assigns;
   for (const auto& block : stmt.blocks) {
     collect_assigns(*block.body, block.pred.get(), assigns);
   }
   if (stmt.others) collect_assigns(*stmt.others, nullptr, assigns);
+  return assigns;
+}
+
+}  // namespace
+
+void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
+                      Frame* frame) {
+  const std::vector<SolveAssign> assigns = solve_assigns(stmt);
   if (assigns.empty()) return;
 
   const auto lane_count = space.lane_count();
@@ -168,7 +175,7 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
             }
           },
           // A grain of n runs every lane on the issuing thread.
-          calls_array_declarer(*assigns[a].assign->rhs) ? n : 64);
+          assigns[a].declares ? n : 64);
 
       // Charge one *par-style round for this assignment.
       charge_expr(*assigns[a].assign, space.geom_size, /*frontend=*/false,
@@ -213,16 +220,10 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
 void Impl::exec_star_solve(const UcConstructStmt& stmt, LaneSpace& space,
                            Frame* frame, RecoveryScope& rscope) {
   // Arrays written anywhere in the body are the fixed-point state.
-  std::vector<SolveAssign> assigns;
-  for (const auto& block : stmt.blocks) {
-    collect_assigns(*block.body, block.pred.get(), assigns);
-  }
-  if (stmt.others) collect_assigns(*stmt.others, nullptr, assigns);
-
   std::vector<ArrayObj*> targets;
   {
     std::unordered_set<ArrayObj*> seen;
-    for (const auto& a : assigns) {
+    for (const auto& a : solve_assigns(stmt)) {
       const auto& sub =
           static_cast<const lang::SubscriptExpr&>(*a.assign->lhs);
       const auto& id = static_cast<const lang::IdentExpr&>(*sub.base);

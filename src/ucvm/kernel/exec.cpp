@@ -31,20 +31,9 @@ Engine::Engine(Impl& vm) : vm_(vm) {
   arenas_.resize(vm_.machine.pool().thread_count());
 }
 
-const Kernel* Engine::kernel_for(const Expr* const* stmts, std::size_t n) {
-  auto& cache = n == 1 ? cache_ : group_cache_;
-  auto it = cache.find(stmts[0]);
-  if (it == cache.end()) {
-    it = cache.emplace(stmts[0], compile_fused(stmts, n)).first;
-  }
-  const Kernel* kern = it->second.get();
-  return kern != nullptr && kern->num_members == n ? kern : nullptr;
-}
-
-const Kernel* Engine::prepare(const Expr* const* stmts, std::size_t n,
-                              LaneSpace& space, Frame* frame) {
-  const Kernel* kern = kernel_for(stmts, n);
-  return kern != nullptr && link(*kern, space, frame) ? kern : nullptr;
+const Kernel* Engine::prepare(const Kernel* k, LaneSpace& space,
+                              Frame* frame) {
+  return k != nullptr && link(*k, space, frame) ? k : nullptr;
 }
 
 namespace {

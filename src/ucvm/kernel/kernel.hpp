@@ -1,7 +1,7 @@
-// The lane-kernel engine: compile-once-per-statement bytecode execution
+// The lane-kernel engine: bytecode execution of the lane plan's kernels
 // for eval_lanes (docs/VM.md).  One Engine lives inside each vm Impl; it
-// owns the kernel cache (keyed by Expr*), the per-execution link tables,
-// and the per-worker arenas the lane loop runs in without allocating.
+// owns the per-execution link tables and the per-worker arenas the lane
+// loop runs in without allocating.  The kernels belong to Impl::LanePlan.
 // Lane spaces, lane lists and result buffers belong to the Impl, which
 // reuses them from round to round (docs/VM.md "Linking and execution").
 #pragma once
@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -27,19 +26,13 @@ class Engine {
  public:
   explicit Engine(Impl& vm);
 
-  // The compiled kernel of one statement (n == 1) or of a fusion
-  // segment's n members, cached per first member; null when the lowering
-  // or the optimiser declines it.
-  const Kernel* kernel_for(const Expr* const* stmts, std::size_t n);
-  // Compiles (cached) and links the kernel of one statement (n == 1) or
-  // of a fusion segment's n members (docs/VM.md "Fusion") against the
-  // current space.  Null when the lowering does not cover a statement,
-  // the optimiser declines the group, or the link declines it (an array
-  // used before its declaration, say): every engine then runs the
-  // statement on the walk, or the members unfused, and the walk raises
-  // any error the link step declined to raise.
-  const Kernel* prepare(const Expr* const* stmts, std::size_t n,
-                        LaneSpace& space, Frame* frame);
+  // Links a site's planned kernel (docs/VM.md "Lane plan") against the
+  // current space.  Null when `k` is (the plan runs the site on the walk)
+  // or when the link declines it (a reduction's coordinates past eight
+  // dimensions, say): every engine then runs the statement on the walk,
+  // or a group's members unfused, and the walk raises any error the link
+  // step declined to raise.
+  const Kernel* prepare(const Kernel* k, LaneSpace& space, Frame* frame);
   // Runs the lanes of the kernel prepared last, buffering writes in the
   // arenas and storing per-lane values in `results` (indexed like
   // `active`; null when the caller discards them).  member_stats[m] gets
@@ -56,8 +49,8 @@ class Engine {
   void commit();
 
   // Native tier (engine == kNative): lazily constructed backend, null
-  // until the first native dispatch attempt, which prepares every kernel
-  // of Impl::lane_kernels in one batch.  native_fallbacks counts
+  // until the first native dispatch attempt, which prepares the lane
+  // plan's expanded-space kernels in one batch.  native_fallbacks counts
   // statement executions that wanted native but ran on bytecode.
   const native::Backend* native_backend() const { return native_.get(); }
   std::uint64_t native_fallbacks() const { return native_fallbacks_; }
@@ -246,9 +239,6 @@ class Engine {
                        AccessStats& stats) const;
 
   Impl& vm_;
-  // Statement kernels, and group kernels keyed by their first member.
-  std::unordered_map<const Expr*, std::unique_ptr<Kernel>> cache_;
-  std::unordered_map<const Expr*, std::unique_ptr<Kernel>> group_cache_;
   // Link state of the kernel prepared last.
   std::vector<LinkedElem> elems_;
   std::vector<LinkedScalar> scalars_;

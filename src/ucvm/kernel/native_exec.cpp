@@ -24,9 +24,9 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
     bopts.cc = vm_.opts.native_cc;
     bopts.log = vm_.opts.log;
     native_ = std::make_unique<native::Backend>(std::move(bopts));
-    // Build the whole program's kernels at once; a kernel the walk missed
-    // is prepared alone below.
-    native_->prepare(vm_.lane_kernels());
+    // Build the whole plan's lane kernels at once; a group member that runs
+    // because its group's link declined is prepared alone below.
+    native_->prepare(vm_.lane_plan_.expanded);
   }
   const native::Prepared* prep = native_->prepare(k);
   if (prep == nullptr) {

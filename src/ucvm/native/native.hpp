@@ -46,7 +46,7 @@ class Backend {
   Backend& operator=(const Backend&) = delete;
 
   // Emits, loads or compiles every kernel of `ks` not prepared yet, cached
-  // per Kernel pointer (kernels are owned by the Engine's caches, so the
+  // per Kernel pointer (kernels are owned by the VM's lane plan, so the
   // pointer is stable).  The cache misses compile together: one toolchain
   // process per distinct object, at most as many at once as the process
   // has CPUs, and kernels whose sources hash the same share one object.

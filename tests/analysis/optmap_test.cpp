@@ -274,6 +274,28 @@ TEST(Replay, AnalyzeGivesNoMappingAdvice) {
   EXPECT_EQ(fig6.text.find("UC-A3"), std::string::npos) << fig6.text;
 }
 
+// The replay runs the printed rewrite, so a float constant the printer
+// rounded would change the output: both copy candidates are judged on
+// cycles alone, never rejected for output.
+TEST(Replay, PreciseFloatConstantSurvivesThePrintedRewrite) {
+  auto result = uc::optimize_map("pi.uc", R"(
+    index_set I:i = {0..15}, J:j = {0..15};
+    float v[16];
+    float m[16][16];
+    void main() {
+      par (I) v[i] = i * 3.14159265358979;
+      par (I, J) m[i][j] = m[i][j] + v[j];
+      print(m[0][15] * 1000000 - 47123889);
+    }
+  )");
+  ASSERT_TRUE(result.compiled);
+  EXPECT_EQ(result.text.find("output differs"), std::string::npos)
+      << result.text;
+  for (const char* cand : {"m: copy (I) m: ", "v: copy (I) v: "}) {
+    EXPECT_NE(result.text.find(cand), std::string::npos) << result.text;
+  }
+}
+
 TEST(Replay, NothingToGainListsNothingBlocked) {
   auto result = uc::optimize_map("one.uc", R"(
     const int N = 8;

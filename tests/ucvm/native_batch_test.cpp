@@ -1,8 +1,8 @@
 // Native-tier batch build (docs/VM.md "Native tier"): the first native
-// dispatch of a run walks the program, finds every kernel it can dispatch
-// on lanes, and builds the cache misses in one concurrent batch.  Pinned
-// here: the walk misses no kernel of the corpus (a cold run starts no
-// toolchain process after its first batch, and a warm run compiles
+// dispatch of a run hands the backend every expanded-space kernel of the
+// lane plan, and it builds the cache misses in one concurrent batch.
+// Pinned here: the plan misses no kernel of the corpus (a cold run starts
+// no toolchain process after its first batch, and a warm run compiles
 // nothing), kernels with the same source share one object, and a missing
 // or failing toolchain degrades to bytecode with one sourced notice and
 // nothing left behind in the cache directory.
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -27,12 +28,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// A run on the native engine, with the backend's batch count and the
-// notices it logged.
+// A run on the native engine, with the backend's batch count, the
+// notices it logged and the fusion groups its lane plan compiled.
 struct NativeRun {
   RunResult result;
   std::uint64_t batches = 0;
   std::vector<std::string> notices;
+  std::size_t groups = 0;
 };
 
 NativeRun run_native(const std::string& src, const fs::path& cache_dir) {
@@ -48,6 +50,10 @@ NativeRun run_native(const std::string& src, const fs::path& cache_dir) {
   NativeRun run{vm.run(), 0, std::move(notices)};
   if (const auto* nb = vm.kernel_engine().native_backend()) {
     run.batches = nb->compile_batches();
+  }
+  for (const auto& [body, segs] : vm.lane_plan_.bodies) {
+    run.groups += static_cast<std::size_t>(std::ranges::count_if(
+        segs, [](const auto& seg) { return seg.group.kernel != nullptr; }));
   }
   return run;
 }
@@ -149,7 +155,7 @@ TEST_F(NativeBatch, BrokenToolchainFallsBackWithOneSourcedNotice) {
   }
 }
 
-// The walk finds every kernel a corpus program dispatches: a cold run
+// The plan holds every kernel a corpus program dispatches: a cold run
 // builds them all in its first batch, and a warm run loads every object
 // the cold run built.
 TEST_F(NativeBatch, CorpusColdRunBuildsEveryKernelInOneBatch) {
@@ -181,18 +187,25 @@ TEST_F(NativeBatch, CorpusColdRunBuildsEveryKernelInOneBatch) {
   EXPECT_GE(native_programs, 10);
 }
 
-// One of every site the walk collects: initialisers, if/while/for
+// One of every site the plan holds: initialisers, if/while/for
 // conditions and steps, predicates and `others` arms, a seq under an
-// expanding construct, *par, oneof, and a construct in a function that
-// main calls.
-TEST_F(NativeBatch, WalkCoversEveryDispatchSite) {
+// expanding construct, *par, oneof, a construct in a function that main
+// calls, a fusable pair under a seq that binds on the front end (planned,
+// never native), and a fusion group whose link declines (its reductions
+// need nine coordinates, the link's cap is eight), so its members run
+// unfused, on the walk.  Every engine matches bytecode.
+TEST_F(NativeBatch, PlanCoversEveryDispatchSite) {
   if (!toolchain_available()) GTEST_SKIP() << "no working native toolchain";
   const std::string src =
       "index_set I:i = {0..63};\n"
       "index_set K:k = {0..3};\n"
+      "index_set P:p = {0..1}, Q:q = {0..1}, R:r = {0..1}, U:u = {0..1};\n"
+      "index_set V:v = {0..1}, W:w = {0..1}, X:x = {0..1}, Y:y = {0..1};\n"
+      "index_set Z:z = {0..1};\n"
       "int a[64];\n"
       "int b[64];\n"
       "int c[64];\n"
+      "int s[4];\n"
       "void fill() { par (I) c[i] = i % 5; }\n"
       "void main() {\n"
       "  fill();\n"
@@ -212,16 +225,28 @@ TEST_F(NativeBatch, WalkCoversEveryDispatchSite) {
       "  par (I) seq (K) a[i] = a[i] + k;\n"
       "  *par (I) st (a[i] > 40) a[i] = a[i] - 7;\n"
       "  oneof (I) st (i < 8) b[i] = 9; others b[i] = b[i] + 1;\n"
-      "  print(a[63], b[5], b[40], c[7]);\n"
+      "  seq (K) { s[k] = a[k] + k; c[k] = c[k] * 2; }\n"
+      "  par (P, Q, R, U, V) {\n"
+      "    a[p * 16 + q * 8 + r * 4 + u * 2 + v] = $+(W, X, Y, Z; w + x * p);\n"
+      "    b[p * 16 + q * 8 + r * 4 + u * 2 + v] = $+(W, X, Y, Z; y * q + z);\n"
+      "  }\n"
+      "  print(a[63], b[5], b[40], c[7], s[3], a[31], b[6]);\n"
       "}\n";
   ExecOptions bytecode;
   bytecode.engine = ExecEngine::kBytecode;
   const RunResult want = run_uc(src, {}, bytecode);
+  ExecOptions walk;
+  walk.engine = ExecEngine::kWalk;
+  const RunResult walked = run_uc(src, {}, walk);
+  EXPECT_EQ(want.output(), walked.output());
+  EXPECT_EQ(want.stats(), walked.stats());
   const NativeRun cold = run_native(src, dir_);
   EXPECT_EQ(want.output(), cold.result.output());
   EXPECT_EQ(want.stats(), cold.result.stats());
   EXPECT_GT(cold.result.native_dispatches(), 10u);
+  EXPECT_EQ(cold.result.native_fallbacks(), 0u);
   EXPECT_EQ(cold.batches, 1u);
+  EXPECT_EQ(cold.groups, 2u);
   EXPECT_TRUE(cold.notices.empty());
 }
 

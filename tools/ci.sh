@@ -148,6 +148,19 @@ run_optmap_smoke() {
     echo "ci.sh: optimized fig6 charged $opt_cycles cycles," \
          "baseline $base_cycles — no improvement" >&2
     exit 1; }
+  # optimize-map replays printed programs, so the printer must round-trip:
+  # every corpus program run from its emit-uc text prints the same output
+  # and the same --stats as the program itself.
+  local prog
+  for prog in "$root"/programs/*.uc; do
+    "$ucc" run "$prog" --stats >"$tmp/direct.txt" 2>"$tmp/direct_stats.txt"
+    "$ucc" emit-uc "$prog" | "$ucc" run /dev/stdin --stats \
+        >"$tmp/printed.txt" 2>"$tmp/printed_stats.txt"
+    cmp "$tmp/direct.txt" "$tmp/printed.txt" &&
+        cmp "$tmp/direct_stats.txt" "$tmp/printed_stats.txt" || {
+      echo "ci.sh: $(basename "$prog") run from its emit-uc text differs" >&2
+      exit 1; }
+  done
   rm -rf "$tmp"
 }
 
