@@ -87,11 +87,11 @@ void Machine::faultable(FaultKind k, std::uint64_t units,
     stats_.faults += 1;
     stats_.cycles += injector_.backoff(failures);
     if (failures > options_.faults.max_retries) {
-      trace(support::format("cm:fault         kind=%s attempts=%llu "
-                            "units=%llu UNRECOVERED",
-                            fault_kind_name(k),
-                            static_cast<unsigned long long>(failures),
-                            static_cast<unsigned long long>(units)));
+      trace("cm:fault         kind=%s attempts=%llu "
+            "units=%llu UNRECOVERED",
+            fault_kind_name(k),
+            static_cast<unsigned long long>(failures),
+            static_cast<unsigned long long>(units));
       throw support::TransientFault(
           fault_kind_name(k), failures,
           support::format(
@@ -107,16 +107,15 @@ void Machine::faultable(FaultKind k, std::uint64_t units,
     // Re-issue: the instruction runs again in full, plus its checksum.
     stats_.retries += 1;
     stats_.cycles += attempt_cycles + options_.faults.detect_cycles;
-    trace(support::format("cm:retry         kind=%s attempt=%llu units=%llu",
-                          fault_kind_name(k),
-                          static_cast<unsigned long long>(failures + 1),
-                          static_cast<unsigned long long>(units)));
+    trace("cm:retry         kind=%s attempt=%llu units=%llu",
+          fault_kind_name(k),
+          static_cast<unsigned long long>(failures + 1),
+          static_cast<unsigned long long>(units));
   }
 }
 
 void Machine::charge_checkpoint(std::int64_t words) {
-  trace(support::format("cm:checkpoint    words=%lld",
-                        static_cast<long long>(words)));
+  trace("cm:checkpoint    words=%lld", static_cast<long long>(words));
   stats_.checkpoints += 1;
   const auto slices =
       options_.cost.vp_ratio(static_cast<std::uint64_t>(words));
@@ -125,18 +124,17 @@ void Machine::charge_checkpoint(std::int64_t words) {
 }
 
 void Machine::charge_frontend(std::uint64_t n_ops) {
-  trace(support::format("fe-op            count=%llu",
-                        static_cast<unsigned long long>(n_ops)));
+  trace("fe-op            count=%llu", static_cast<unsigned long long>(n_ops));
   stats_.frontend_ops += n_ops;
   stats_.cycles += options_.cost.frontend_op * n_ops;
 }
 
 void Machine::charge_vector_op(std::int64_t vp_set_size, std::uint64_t n_ops,
                                bool planned) {
-  trace(support::format("cm:alu           vp-set=%lld ops=%llu%s",
-                        static_cast<long long>(vp_set_size),
-                        static_cast<unsigned long long>(n_ops),
-                        planned ? " plan$" : ""));
+  trace("cm:alu           vp-set=%lld ops=%llu%s",
+        static_cast<long long>(vp_set_size),
+        static_cast<unsigned long long>(n_ops),
+        planned ? " plan$" : "");
   const auto vpr = options_.cost.vp_ratio(static_cast<std::uint64_t>(vp_set_size));
   stats_.vector_ops += 1;
   const auto issue = planned ? options_.cost.plan_issue_overhead
@@ -149,9 +147,9 @@ void Machine::charge_vector_op(std::int64_t vp_set_size, std::uint64_t n_ops,
 }
 
 void Machine::charge_news(std::int64_t vp_set_size, std::uint64_t hops) {
-  trace(support::format("cm:get-news      vp-set=%lld hops=%llu",
-                        static_cast<long long>(vp_set_size),
-                        static_cast<unsigned long long>(hops)));
+  trace("cm:get-news      vp-set=%lld hops=%llu",
+        static_cast<long long>(vp_set_size),
+        static_cast<unsigned long long>(hops));
   const auto vpr = options_.cost.vp_ratio(static_cast<std::uint64_t>(vp_set_size));
   stats_.news_ops += 1;
   const auto attempt = options_.cost.news_op * (hops == 0 ? 1 : hops) * vpr;
@@ -162,9 +160,9 @@ void Machine::charge_news(std::int64_t vp_set_size, std::uint64_t hops) {
 
 void Machine::charge_router(std::int64_t vp_set_size,
                             std::uint64_t n_messages) {
-  trace(support::format("cm:send-general  vp-set=%lld msgs=%llu",
-                        static_cast<long long>(vp_set_size),
-                        static_cast<unsigned long long>(n_messages)));
+  trace("cm:send-general  vp-set=%lld msgs=%llu",
+        static_cast<long long>(vp_set_size),
+        static_cast<unsigned long long>(n_messages));
   (void)vp_set_size;
   stats_.router_ops += 1;
   stats_.router_messages += n_messages;
@@ -182,10 +180,10 @@ void Machine::charge_router(std::int64_t vp_set_size,
 
 void Machine::charge_reduce(std::int64_t vp_set_size, std::int64_t n_elems,
                             bool planned) {
-  trace(support::format("cm:scan          vp-set=%lld elems=%lld%s",
-                        static_cast<long long>(vp_set_size),
-                        static_cast<long long>(n_elems),
-                        planned ? " plan$" : ""));
+  trace("cm:scan          vp-set=%lld elems=%lld%s",
+        static_cast<long long>(vp_set_size),
+        static_cast<long long>(n_elems),
+        planned ? " plan$" : "");
   const auto vpr = options_.cost.vp_ratio(static_cast<std::uint64_t>(vp_set_size));
   stats_.reductions += 1;
   std::uint64_t depth = 1;
@@ -208,11 +206,18 @@ void Machine::charge_global_or() {
 }
 
 void Machine::charge_broadcast(std::int64_t vp_set_size) {
-  trace(support::format("cm:broadcast     vp-set=%lld",
-                        static_cast<long long>(vp_set_size)));
+  trace("cm:broadcast     vp-set=%lld", static_cast<long long>(vp_set_size));
   const auto vpr = options_.cost.vp_ratio(static_cast<std::uint64_t>(vp_set_size));
   stats_.broadcasts += 1;
   stats_.cycles += options_.cost.broadcast_op * vpr;
+}
+
+void Machine::trace(const char* fmt, ...) {
+  if (!options_.record_paris_trace) return;
+  va_list args;
+  va_start(args, fmt);
+  trace_.push_back(support::vformat(fmt, args));
+  va_end(args);
 }
 
 }  // namespace uc::cm

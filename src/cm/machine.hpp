@@ -156,9 +156,9 @@ class Machine {
   std::uint64_t field_bytes_ = 0;
   CostStats stats_;
   std::vector<std::string> trace_;
-  void trace(std::string line) {
-    if (options_.record_paris_trace) trace_.push_back(std::move(line));
-  }
+  // Appends a printf-formatted line to the Paris trace; formats nothing
+  // unless options.record_paris_trace is set.
+  void trace(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 };
 
 }  // namespace uc::cm

@@ -59,6 +59,12 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
+  std::string out = vformat(fmt, args);
+  va_end(args);
+  return out;
+}
+
+std::string vformat(const char* fmt, std::va_list args) {
   va_list copy;
   va_copy(copy, args);
   int needed = std::vsnprintf(nullptr, 0, fmt, copy);
@@ -68,7 +74,6 @@ std::string format(const char* fmt, ...) {
     out.resize(static_cast<std::size_t>(needed));
     std::vsnprintf(out.data(), out.size() + 1, fmt, args);
   }
-  va_end(args);
   return out;
 }
 

@@ -1,6 +1,7 @@
 // Small string helpers used by the front end and the test suite.
 #pragma once
 
+#include <cstdarg>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -17,6 +18,8 @@ bool starts_with(std::string_view s, std::string_view prefix);
 
 // printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+std::string vformat(const char* fmt, std::va_list args)
+    __attribute__((format(printf, 1, 0)));
 
 // Escapes a string for use inside a JSON string literal: quote,
 // backslash, \n and \t get their short escapes, other control bytes

@@ -122,14 +122,17 @@ bool calls_array_declarer(const Expr& e) {
   return declares;
 }
 
-void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
-                      const std::vector<std::int64_t>& active, Frame* frame,
-                      std::vector<Value>* values) {
+std::uint64_t Impl::begin_statement() {
   check_deadline(nullptr);
   ckpt->note_statement();
   maybe_die();  // deterministic pre-statement kill point (tools/soak.sh)
-  ++stmt_counter;
-  const std::uint64_t stmt_id = stmt_counter;
+  return ++stmt_counter;
+}
+
+void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
+                      const std::vector<std::int64_t>& active, Frame* frame,
+                      std::vector<Value>* values, const LaneRun* ran) {
+  const std::uint64_t stmt_id = begin_statement();
 
   // Statement-level attribution scope.  Every engine executes inside it,
   // so the per-site deltas are engine-independent wherever the charges
@@ -140,7 +143,8 @@ void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
   if (values != nullptr) values->resize(active.size());
   Value* const results = values != nullptr ? values->data() : nullptr;
 
-  LaneRun run;
+  LaneRun own;
+  const LaneRun& run = ran != nullptr ? *ran : own;
   retry_transient(*this, [&]() {
     // Charge the static cost first: this also annotates reductions with the
     // processor-optimisation decision the evaluator consults.  The charge
@@ -152,11 +156,13 @@ void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
     // The statement's planned kernel, linked per execution, fixes which
     // reads are classified; statements the lowering or the link does not
     // cover run on the walk on every engine.
-    const Expr* const stmts[1] = {&expr};
-    const kernel::Kernel* kern =
-        kernel_engine().prepare(site.kernel, space, frame);
-    run_lanes(stmts, 1, kern, site.declares, space, active, frame, stmt_id,
-              results, run);
+    if (ran == nullptr) {
+      const Expr* const stmts[1] = {&expr};
+      const kernel::Kernel* kern =
+          kernel_engine().prepare(site.kernel, space, frame);
+      run_lanes(stmts, 1, kern, site.declares, space, active, frame, stmt_id,
+                results, own);
+    }
     if (prof != nullptr) prof->note_engine(run.tier);
     charge_dynamic_stats(run.member_stats[0], space.geom_size);
     commit_lanes(run);
@@ -344,14 +350,16 @@ std::vector<Impl::FusionSeg> fusion_segments(const lang::CompoundStmt& s) {
 
 bool Impl::exec_fused_group(const FusionSeg& seg, LaneSpace& space,
                             const std::vector<std::int64_t>& active,
-                            Frame* frame) {
+                            Frame* frame, const LaneRun* ran) {
   const std::size_t count = seg.count;
   const std::vector<const Expr*>& stmts = seg.members;
   // Link.  Touches no interpreter state on failure, so declining here falls
   // back cleanly to statement-at-a-time execution.
-  const kernel::Kernel* kern =
-      kernel_engine().prepare(seg.group.kernel, space, frame);
-  if (kern == nullptr) return false;
+  const kernel::Kernel* kern = nullptr;
+  if (ran == nullptr) {
+    kern = kernel_engine().prepare(seg.group.kernel, space, frame);
+    if (kern == nullptr) return false;
+  }
 
   check_deadline(nullptr);
   // The group is one transactional unit but still `count` statements for
@@ -361,7 +369,8 @@ bool Impl::exec_fused_group(const FusionSeg& seg, LaneSpace& space,
   const std::uint64_t first_stmt_id = stmt_counter + 1;
   stmt_counter += count;
 
-  LaneRun run;
+  LaneRun own;
+  const LaneRun& run = ran != nullptr ? *ran : own;
   retry_transient(*this, [&]() {
     // Static charges, one per member under its own profiler scope so
     // per-site cycles keep summing to the aggregate.  Member 0 pays (or
@@ -374,8 +383,10 @@ bool Impl::exec_fused_group(const FusionSeg& seg, LaneSpace& space,
     // One lane run for the whole group; host time lands on member 0.
     {
       ProfScope prof_scope(*this, stmts[0], "stmt", stmts[0]->range);
-      run_lanes(stmts.data(), count, kern, seg.group.declares, space, active,
-                frame, first_stmt_id, /*results=*/nullptr, run);
+      if (ran == nullptr) {
+        run_lanes(stmts.data(), count, kern, seg.group.declares, space,
+                  active, frame, first_stmt_id, /*results=*/nullptr, own);
+      }
     }
     for (std::size_t k = 0; k < count; ++k) {
       ProfScope prof_scope(*this, stmts[k], "stmt", stmts[k]->range);
@@ -406,6 +417,23 @@ enum class Where : std::uint8_t { kScalar, kFrontend, kExpanded };
 // and exec_nested_construct, which then only look their sites up.
 struct Planner {
   Impl::LanePlan& plan;
+  bool select = false;   // merge selection blocks (the kernel engines)
+  std::size_t dims = 0;  // lane coordinates of the space being planned
+
+  // Whether the link declines `k` on every space of `dims` coordinates: a
+  // reduction whose expanded coordinates overflow the link's buffer.
+  bool link_declines(const kernel::Kernel& k) const {
+    return std::ranges::any_of(k.reduces, [this](const auto& r) {
+      return dims + r.expr->index_set_syms.size() > kernel::kMaxLaneCoords;
+    });
+  }
+  const kernel::Kernel* keep(std::unique_ptr<kernel::Kernel> k,
+                             bool expanded) {
+    if (k == nullptr || link_declines(*k)) return nullptr;
+    const kernel::Kernel* kept = plan.kernels.emplace_back(std::move(k)).get();
+    if (expanded) plan.expanded.push_back(kept);
+    return kept;
+  }
 
   Impl::LaneSite compile(const Expr* const* stmts, std::size_t n, Where w,
                          bool grouped) {
@@ -414,10 +442,8 @@ struct Planner {
     for (std::size_t m = 0; m < n; ++m) {
       site.declares = site.declares || calls_array_declarer(*stmts[m]);
     }
-    if (auto k = kernel::compile_fused(stmts, n)) {
-      site.kernel = plan.kernels.emplace_back(std::move(k)).get();
-      if (site.expanded && !grouped) plan.expanded.push_back(site.kernel);
-    }
+    site.kernel =
+        keep(kernel::compile_fused(stmts, n), site.expanded && !grouped);
     return site;
   }
   void add(const Expr* e, Where w, bool grouped = false) {
@@ -484,28 +510,66 @@ struct Planner {
         // A plain solve evaluates its equations on the walk.
         const auto& u = static_cast<const UcConstructStmt&>(s);
         if (u.op == UcOp::kSolve && !u.starred) return;
+        const std::size_t outer_dims = dims;
         if (u.op != UcOp::kSeq) {
           w = Where::kExpanded;
+          dims += u.index_set_syms.size();
         } else if (w == Where::kScalar) {
           w = Where::kFrontend;
         }
+        // The blocks exec_selection runs (docs/VM.md "Selection blocks").
+        const bool merges =
+            select && !u.others &&
+            ((u.op == UcOp::kPar && (!u.starred || u.blocks.size() == 1)) ||
+             (u.op == UcOp::kSolve && u.starred));
         for (const auto& block : u.blocks) {
           add(block.pred.get(), w);
           stmt(*block.body, w);
+          if (merges && block.pred) selection(block);
         }
         if (u.others) stmt(*u.others, w);
+        dims = outer_dims;
         return;
       }
       default:
         return;
     }
   }
+
+  // Plans `block` as one kernel when its guard and body both compiled and
+  // the body is one expression statement or one fused group.  The merged
+  // kernel replaces theirs in the native batch; theirs stay in the plan
+  // for the runs it declines.
+  void selection(const lang::ScBlock& block) {
+    Impl::SelectionBlock sel;
+    const kernel::Kernel* body = nullptr;
+    if (block.body->kind == StmtKind::kExpr) {
+      sel.body = static_cast<const lang::ExprStmt&>(*block.body).expr.get();
+      body = plan.stmts.at(sel.body).kernel;
+    } else if (block.body->kind == StmtKind::kCompound) {
+      const auto& segs = plan.bodies.at(
+          static_cast<const lang::CompoundStmt*>(block.body.get()));
+      if (segs.size() != 1) return;
+      sel.group = &segs[0];
+      body = sel.group->group.kernel;
+    }
+    const kernel::Kernel* guard = plan.stmts.at(block.pred.get()).kernel;
+    if (guard == nullptr || body == nullptr) return;
+    const auto members = sel.members();
+    sel.kernel = keep(kernel::compile_selection(*block.pred, members.data(),
+                                                members.size()),
+                      /*expanded=*/true);
+    if (sel.kernel == nullptr) return;
+    std::erase(plan.expanded, guard);
+    std::erase(plan.expanded, body);
+    plan.selections.emplace(&block, sel);
+  }
 };
 
 }  // namespace
 
 void Impl::build_lane_plan() {
-  Planner planner{lane_plan_};
+  Planner planner{lane_plan_, opts.engine != ExecEngine::kWalk};
   for (const auto& item : unit.program->items) {
     if (item.func && item.func->body) {
       planner.stmt(*item.func->body, Where::kScalar);
@@ -629,16 +693,27 @@ void Impl::commit_writes(const std::vector<std::vector<Write>>& per_lane) {
   commit(commit_runs_);
 }
 
+namespace {
+
+// The candidates whose predicate value is true, in order.
+void keep_truthy(const std::vector<Value>& vals,
+                 const std::vector<std::int64_t>& candidates,
+                 std::vector<std::int64_t>& enabled) {
+  enabled.clear();
+  enabled.reserve(candidates.size());
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    if (vals[k].truthy()) enabled.push_back(candidates[k]);
+  }
+}
+
+}  // namespace
+
 void Impl::filter_lanes(const Expr& pred, LaneSpace& space,
                         const std::vector<std::int64_t>& candidates,
                         Frame* frame, std::vector<std::int64_t>& enabled) {
   ValueList vals(value_lists_);
   eval_lanes(pred, space, candidates, frame, &*vals);
-  enabled.clear();
-  enabled.reserve(candidates.size());
-  for (std::size_t k = 0; k < candidates.size(); ++k) {
-    if ((*vals)[k].truthy()) enabled.push_back(candidates[k]);
-  }
+  keep_truthy(*vals, candidates, enabled);
 }
 
 std::vector<const std::vector<std::int64_t>*> Impl::filter_blocks(
@@ -1028,12 +1103,95 @@ void Impl::exec_seq(const UcConstructStmt& stmt, LaneSpace& parent,
   }
 }
 
+const Impl::SelectionBlock* Impl::selection(const ScBlock& block) const {
+  const auto it = lane_plan_.selections.find(&block);
+  return it != lane_plan_.selections.end() ? &it->second : nullptr;
+}
+
+bool Impl::exec_selection(const ScBlock& block, const SelectionBlock& sel,
+                          LaneSpace& space, Frame* frame) {
+  const Expr& guard = *block.pred;
+  const std::vector<std::int64_t>& all = space.all_lanes();
+  // The guard's statement, as eval_lanes makes it, with the merged
+  // kernel's lane run for its own.
+  const std::uint64_t guard_id = begin_statement();
+  LaneRun run;
+  bool merged = false;
+  ValueList vals(value_lists_);
+  {
+    ProfScope prof_scope(*this, &guard, "stmt", guard.range);
+    bool ran = false;
+    retry_transient(*this, [&]() {
+      charge_expr_planned(guard, space, /*rider=*/false);
+      // Lane runs charge nothing, so a retry charges again without
+      // running the lanes again.
+      if (!ran) {
+        ran = true;
+        merged = run_selection(sel, space, frame, guard_id, run);
+        if (!merged) {
+          const Expr* const stmts[1] = {&guard};
+          const LaneSite& site = lane_site(guard, space);
+          vals->resize(all.size());
+          run_lanes(stmts, 1,
+                    kernel_engine().prepare(site.kernel, space, frame),
+                    site.declares, space, all, frame, guard_id, vals->data(),
+                    run);
+        }
+      }
+      if (prof != nullptr) prof->note_engine(run.tier);
+      charge_dynamic_stats(run.member_stats[0], space.geom_size);
+      if (!merged) commit_lanes(run);
+    });
+  }
+  if (!merged) {
+    // The unmerged block: the body over the lanes the guard enabled.
+    LaneList enabled(lane_lists_);
+    keep_truthy(*vals, all, *enabled);
+    if (enabled->empty()) return false;
+    exec_parallel_stmt(*block.body, space, *enabled, frame);
+    return true;
+  }
+  if (kernel_engine().enabled_lanes() == 0) return false;
+  // The body's statements charge and commit the merged run.
+  run.member_stats.erase(run.member_stats.begin());
+  if (sel.group != nullptr) {
+    exec_fused_group(*sel.group, space, all, frame, &run);
+  } else {
+    eval_lanes(*sel.body, space, all, frame, /*values=*/nullptr, &run);
+  }
+  return true;
+}
+
+bool Impl::run_selection(const SelectionBlock& sel, LaneSpace& space,
+                         Frame* frame, std::uint64_t guard_id, LaneRun& run) {
+  // The link and the run read the body's partition decisions, which its
+  // charges set only after the run.
+  for (const Expr* m : sel.members()) annotate_partitions(*m, space);
+  const kernel::Kernel* kern = kernel_engine().prepare(sel.kernel, space, frame);
+  if (kern == nullptr) return false;
+  try {
+    const bool native =
+        kernel_engine().run(*kern, space, space.all_lanes(), frame, guard_id,
+                            /*results=*/nullptr, run.member_stats);
+    run.tier = native ? prof::Tier::kNative : prof::Tier::kBytecode;
+    return true;
+  } catch (const support::UcRuntimeError&) {
+    // Run unmerged, the block raises the same error from the same lane,
+    // or a later lane's guard error before an earlier lane's body error.
+    return false;
+  }
+}
+
 void Impl::run_blocks(const UcConstructStmt& stmt, LaneSpace& space,
                       Frame* frame) {
   const auto& all = space.all_lanes();
   LaneList enabled(lane_lists_);
   std::vector<bool> covered(stmt.others ? all.size() : 0, false);
   for (const auto& block : stmt.blocks) {
+    if (const SelectionBlock* sel = selection(block)) {
+      exec_selection(block, *sel, space, frame);
+      continue;
+    }
     const std::vector<std::int64_t>* lanes = &all;
     if (block.pred) {
       filter_lanes(*block.pred, space, all, frame, *enabled);
@@ -1049,6 +1207,12 @@ void Impl::run_blocks(const UcConstructStmt& stmt, LaneSpace& space,
 
 bool Impl::run_blocks_once_if_enabled(const UcConstructStmt& stmt,
                                       LaneSpace& space, Frame* frame) {
+  // A single block's guard runs before its body either way.
+  if (stmt.blocks.size() == 1) {
+    if (const SelectionBlock* sel = selection(stmt.blocks[0])) {
+      return exec_selection(stmt.blocks[0], *sel, space, frame);
+    }
+  }
   // Evaluate all predicates first: iteration continues only while at least
   // one lane is enabled for some block (paper §3.3).
   std::vector<LaneList> leases;

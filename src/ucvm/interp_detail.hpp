@@ -334,18 +334,35 @@ struct Impl {
     LaneSite group;  // count >= 2 and compiled: the group's kernel
     std::vector<const Expr*> members;  // count >= 2: their expressions
   };
+  // A guarded sc-block of a par, a *solve or a single-block *par without
+  // `others` whose guard and body run as one kernel (docs/VM.md
+  // "Selection blocks").  The body is one expression statement, or a
+  // compound statement that fuses into the one group `group`.
+  struct SelectionBlock {
+    const kernel::Kernel* kernel = nullptr;  // guard, kSelect, body
+    const Expr* body = nullptr;  // null when the body is `group`
+    const FusionSeg* group = nullptr;
+    // The body's statements, the kernel's members 1..n.
+    std::span<const Expr* const> members() const {
+      return group != nullptr ? std::span<const Expr* const>(group->members)
+                              : std::span<const Expr* const>(&body, 1);
+    }
+  };
   // Built once, by build_lane_plan, when the Impl is constructed: every
-  // lane site of every function with its kernel, and every compound body a
-  // parallel context runs with its fusion segments.  The executor only
-  // links what it finds here; a site it reaches that is not here is an
-  // internal error, never a lazy compile.
+  // lane site of every function with its kernel, every compound body a
+  // parallel context runs with its fusion segments, and every selection
+  // block the kernel engines run merged.  The executor only links what it
+  // finds here; a site it reaches that is not here is an internal error,
+  // never a lazy compile.
   struct LanePlan {
     std::unordered_map<const Expr*, LaneSite> stmts;
     std::unordered_map<const lang::CompoundStmt*, std::vector<FusionSeg>>
         bodies;
+    std::unordered_map<const lang::ScBlock*, SelectionBlock> selections;
     // The native tier's batch, in program order: the kernels of the
-    // expanded-space statements and groups, less the members of compiled
-    // groups, which run only when their group's link declines.
+    // expanded-space statements, groups and selection blocks, less the
+    // members of compiled groups and the guards and bodies of selection
+    // blocks, which run only when the kernel that covers them declines.
     std::vector<const kernel::Kernel*> expanded;
     std::vector<std::unique_ptr<kernel::Kernel>> kernels;  // owns them all
   };
@@ -357,10 +374,31 @@ struct Impl {
   // each member's own profiler scope (riders at the planned issue
   // overhead), one lane run and a single merged commit.  Returns false
   // (with no state mutated) when the link declines the group kernel: the
-  // caller then runs the members unfused, on every engine.
+  // caller then runs the members unfused, on every engine.  A selection
+  // block passes the lane run its kernel already made as `ran`.
+  struct LaneRun;
   bool exec_fused_group(const FusionSeg& seg, LaneSpace& space,
-                        const std::vector<std::int64_t>& active,
-                        Frame* frame);
+                        const std::vector<std::int64_t>& active, Frame* frame,
+                        const LaneRun* ran = nullptr);
+  // Runs one selection block: the guard's statement and charges, the
+  // merged kernel's one lane run, and, when it enabled a lane, the body's
+  // statements, charges and commit, in the order the unmerged block makes
+  // them.  A merged kernel the link declines, or one with a lane that
+  // raises, is discarded and the block runs unmerged.  Returns whether a
+  // lane was enabled.
+  bool exec_selection(const lang::ScBlock& block, const SelectionBlock& sel,
+                      LaneSpace& space, Frame* frame);
+  // The merged kernel's lane run for exec_selection: false, with nothing
+  // but the body's partition decisions changed, when the link declines
+  // the kernel or a lane raises.
+  bool run_selection(const SelectionBlock& sel, LaneSpace& space,
+                     Frame* frame, std::uint64_t guard_id, LaneRun& run);
+  // The selection block `block` runs as, or null (the walk, or a block
+  // the plan does not merge).
+  const SelectionBlock* selection(const lang::ScBlock& block) const;
+  // The bookkeeping that opens every lane statement: the deadline, the
+  // checkpoint count, the kill point.  Returns the statement's id.
+  std::uint64_t begin_statement();
   // Builds `child` as `parent`'s active lanes crossed with `sets`.  A
   // leased child last built from the same parent build, sets and lanes
   // (every round of a seq-nested construct) keeps its geometry and only
@@ -399,9 +437,12 @@ struct Impl {
   // Stores the per-lane values, indexed like `active`, in `values` when it
   // is given; expression statements discard theirs, so those are never
   // produced.
+  // A selection block passes the lane run its kernel already made as
+  // `ran`; the statement then charges and commits that run.
   void eval_lanes(const Expr& expr, LaneSpace& space,
                   const std::vector<std::int64_t>& active, Frame* frame,
-                  std::vector<Value>* values = nullptr);
+                  std::vector<Value>* values = nullptr,
+                  const LaneRun* ran = nullptr);
 
   // One lane run of a statement or group: its tier, each member's merged
   // comm stats, and, for the walk, the buffered per-lane writes and prints
@@ -501,6 +542,13 @@ struct Impl {
   // plan is cached.
   void charge_expr_planned(const Expr& e, LaneSpace& space,
                            bool rider = false);
+  // Sets the processor-optimisation decision of each reduction of `e` as
+  // charge_expr_planned would, without charging or counting a plan hit:
+  // a selection kernel runs before its body charges.
+  void annotate_partitions(const Expr& e, const LaneSpace& space);
+  // charge_expr's decision for one reduction.
+  bool partition_decision(const lang::ReduceExpr& red,
+                          const LaneSpace* outer_space) const;
   std::uint64_t plan_key(const Expr& e, const LaneSpace& space) const;
   static std::uint64_t expr_weight(const Expr& e);
   // Like expr_weight, but repeated pure subexpressions count once — the

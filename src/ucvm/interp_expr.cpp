@@ -1030,9 +1030,8 @@ void Impl::charge_expr(const Expr& e, std::int64_t geom_size, bool frontend,
     // send-with-combine — instead of lanes x prod VPs each re-reading the
     // inputs.  The annotation also tells the evaluator not to double-count
     // the (now nonexistent) per-lane remote reads.
-    const bool optimised = !frontend && opts.processor_optimization &&
-                           outer_space != nullptr &&
-                           reduction_partitions(red, *outer_space);
+    const bool optimised =
+        !frontend && partition_decision(red, outer_space);
     const_cast<lang::ReduceExpr&>(red).partition_optimized =
         optimised ? 1 : 0;
     if (record != nullptr) {
@@ -1106,16 +1105,40 @@ std::uint64_t Impl::plan_key(const Expr& e, const LaneSpace& space) const {
   return h;
 }
 
+namespace {
+
+// Re-applies a plan's recorded partition decisions, so the evaluator
+// classifies accesses exactly as it did when recording.
+void apply_annotations(const cm::Plan& plan) {
+  for (const auto& a : plan.annotations) {
+    const_cast<lang::ReduceExpr*>(static_cast<const lang::ReduceExpr*>(a.site))
+        ->partition_optimized = a.optimized ? 1 : 0;
+  }
+}
+
+}  // namespace
+
+bool Impl::partition_decision(const lang::ReduceExpr& red,
+                              const LaneSpace* outer_space) const {
+  return opts.processor_optimization && outer_space != nullptr &&
+         reduction_partitions(red, *outer_space);
+}
+
+void Impl::annotate_partitions(const Expr& e, const LaneSpace& space) {
+  if (const cm::Plan* plan = plan_cache_.find(plan_key(e, space))) {
+    apply_annotations(*plan);
+    return;
+  }
+  for_each_reduce(e, [&](const lang::ReduceExpr& red) {
+    const_cast<lang::ReduceExpr&>(red).partition_optimized =
+        partition_decision(red, &space) ? 1 : 0;
+  });
+}
+
 void Impl::charge_expr_planned(const Expr& e, LaneSpace& space, bool rider) {
   const std::uint64_t key = plan_key(e, space);
   if (cm::Plan* plan = plan_cache_.find(key)) {
-    // Re-apply the recorded partition decisions before replaying so the
-    // evaluator classifies accesses exactly as it did when recording.
-    for (const auto& a : plan->annotations) {
-      const_cast<lang::ReduceExpr*>(
-          static_cast<const lang::ReduceExpr*>(a.site))
-          ->partition_optimized = a.optimized ? 1 : 0;
-    }
+    apply_annotations(*plan);
     cm::PlanCache::replay(machine, *plan);
     return;
   }

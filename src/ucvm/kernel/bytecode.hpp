@@ -34,6 +34,10 @@ inline constexpr std::size_t kMaxReduceSets = 4;
 // At most this many subscripts per array access (matches the walk's
 // 8-coordinate flatten buffers).
 inline constexpr std::size_t kMaxSubscripts = 8;
+// A reduction's expanded lane coordinates (the statement space's dims
+// plus the reduction's sets) fit in this many; the link declines a kernel
+// with a reduction that needs more, so the lane plan compiles none.
+inline constexpr std::size_t kMaxLaneCoords = 8;
 // A reduction whose index sets' product is at most this many tuples
 // lowers as that many straight-line copies of its arms, one per tuple
 // (docs/VM.md "Reduction unrolling"); larger products keep the loop.
@@ -79,6 +83,8 @@ enum class Op : std::uint8_t {
   kReduceTuple,     // unrolled reduces[a]: enter tuple b (row-major)
   kReduceEnd,       // r[dst] = final accumulator (float-coerced)
   kMemberBoundary,  // fused kernels: entering member a (stats slot + RNG)
+  kSelect,          // selection kernels: lanes with !r[a].truthy() go to
+                    // jump (the kRet); the rest count as enabled
   kRet,             // kernel result = r[a]
 };
 
@@ -177,6 +183,7 @@ struct Kernel {
   // Fused kernels cover several consecutive statements of one par body;
   // kMemberBoundary instructions mark the entry to members 1..n-1 (member 0
   // starts at code[0]).  Plain statement kernels have num_members == 1.
+  // A selection kernel's member 0 is its block's guard, ended by kSelect.
   std::uint32_t num_members = 1;
   bool uses_rand = false;  // seed the per-lane RNG only when needed
   // Store instructions one lane can execute: the bound on its buffered
@@ -228,6 +235,17 @@ std::unique_ptr<Kernel> compile_fused(const lang::Expr* const* stmts,
 
 // One statement's kernel: compile_fused(&e, 1).
 std::unique_ptr<Kernel> compile_expr(const lang::Expr& e);
+
+// A selection block's kernel (docs/VM.md "Selection blocks"): the guard
+// as member 0, then kSelect, which ends the lanes whose guard is false and
+// counts the others as enabled, then the `n` body statements as members
+// 1..n, fused as compile_fused fuses them.  Value numbering starts afresh
+// at kSelect, so the kernel elides exactly the reads the guard's and the
+// body's own kernels elide.  Returns nullptr when either part does not
+// compile or the guard stores anything.
+std::unique_ptr<Kernel> compile_selection(const lang::Expr& guard,
+                                          const lang::Expr* const* body,
+                                          std::size_t n);
 
 // The optimisation pipeline (optimize.cpp): value numbering, forwarding
 // and dead temporary elimination, then reduction unrolling and constant

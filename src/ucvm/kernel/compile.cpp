@@ -6,6 +6,7 @@
 // observationally identical to the tree walk.  Anything the lowering does
 // not cover is rejected by can_compile_expr and runs on the walk engine.
 #include <bit>
+#include <vector>
 
 #include "ucvm/kernel/bytecode.hpp"
 
@@ -166,15 +167,20 @@ class Lowerer {
   // Lowers one statement, or several consecutive ones into one kernel.
   // Members 1..n-1 are preceded by a kMemberBoundary (a = member index) so
   // the executor can switch its stats slot and reseed the lane RNG; only
-  // the last member's value is returned.
-  void lower(const Expr* const* stmts, std::size_t n) {
+  // the last member's value is returned.  With `select`, member 0 is a
+  // selection block's guard: a kSelect on its value sends the lanes it
+  // disables straight to the kRet.
+  void lower(const Expr* const* stmts, std::size_t n, bool select) {
     std::uint16_t r = 0;
+    std::size_t exit = 0;
     for (std::size_t m = 0; m < n; ++m) {
       if (m != 0) {
         emit(Op::kMemberBoundary, 0, 0, static_cast<std::uint16_t>(m));
       }
       r = expr(*stmts[m]);
+      if (m == 0 && select) exit = emit(Op::kSelect, 0, 0, r);
     }
+    if (select) patch(exit);
     emit(Op::kRet, 0, 0, r);
     k_.num_members = static_cast<std::uint32_t>(n);
     k_.num_regs = next_reg_;
@@ -626,14 +632,16 @@ std::uint16_t pool_const(Kernel& k, const Value& v) {
 
 bool can_compile_expr(const Expr& e) { return can_compile(e, false); }
 
-std::unique_ptr<Kernel> compile_fused(const Expr* const* stmts,
-                                      std::size_t n) {
+namespace {
+
+std::unique_ptr<Kernel> compile(const Expr* const* stmts, std::size_t n,
+                                bool select) {
   if (n == 0) return nullptr;
   for (std::size_t m = 0; m < n; ++m) {
     if (stmts[m] == nullptr || !can_compile_expr(*stmts[m])) return nullptr;
   }
   auto kernel = std::make_unique<Kernel>();
-  Lowerer(*kernel).lower(stmts, n);
+  Lowerer(*kernel).lower(stmts, n, select);
   // Registers are never reused, so a pathological fusion could overflow
   // the 16-bit register file; decline and let the members run unfused.
   if (kernel->num_regs > kMaxKernelRegs) return nullptr;
@@ -641,9 +649,33 @@ std::unique_ptr<Kernel> compile_fused(const Expr* const* stmts,
   return kernel;
 }
 
+}  // namespace
+
+std::unique_ptr<Kernel> compile_fused(const Expr* const* stmts,
+                                      std::size_t n) {
+  return compile(stmts, n, /*select=*/false);
+}
+
 std::unique_ptr<Kernel> compile_expr(const Expr& e) {
   const Expr* one[1] = {&e};
   return compile_fused(one, 1);
+}
+
+std::unique_ptr<Kernel> compile_selection(const Expr& guard,
+                                          const Expr* const* body,
+                                          std::size_t n) {
+  std::vector<const Expr*> stmts{&guard};
+  stmts.insert(stmts.end(), body, body + n);
+  auto kernel = compile(stmts.data(), stmts.size(), /*select=*/true);
+  if (kernel == nullptr) return nullptr;
+  for (const Inst& i : kernel->code) {
+    if (i.op == Op::kSelect) break;
+    if (i.op == Op::kStoreScalar || i.op == Op::kArrStore ||
+        i.op == Op::kArrPut) {
+      return nullptr;  // the guard has a side effect
+    }
+  }
+  return kernel;
 }
 
 }  // namespace uc::vm::detail::kernel

@@ -208,7 +208,8 @@ bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
     lr.op = expr->op;
     lr.base_dims = space.frontend ? 0 : space.dims.size();
     lr.n_dims = lr.base_dims + lr.n_sets;
-    if (lr.n_dims > 8) return false;  // coords buffer; fall back to the walk
+    // The coords buffer; the lane plan compiles no kernel this declines.
+    if (lr.n_dims > kMaxLaneCoords) return false;
   }
 
   arrays_.resize(k.arrays.size());
@@ -407,23 +408,29 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
     return m;
   };
 
-  // --- writes: lane l's j-th write goes to slot l * W + j of the space
-  // reserved at the log's tail, so the block's writes come out lane-major
-  // however the instructions interleave them.  A kernel whose lanes have
+  // --- writes: lane l's j-th write goes to slot base[l] + j of the space
+  // reserved at the log's tail, base[l] = l * W, so the block's writes
+  // come out lane-major however the instructions interleave them.  kSelect
+  // renumbers the bases over the lanes it enables, so the lanes a guard
+  // disables leave no gaps for kRet to close.  A kernel whose lanes have
   // no bound W runs one-lane blocks that append in order. ---
   const std::int32_t W = k.writes_per_lane;
   Write* slots = W > 0 ? arena.writes.reserve_tail(
                              static_cast<std::size_t>(n) *
                              static_cast<std::size_t>(W))
                        : nullptr;
+  std::int32_t base[kBlock];
   std::int32_t written[kBlock];
-  std::fill_n(written, n, 0);
+  for (int l = 0; l < n; ++l) {
+    base[l] = l * W;
+    written[l] = 0;
+  }
   const auto push_write = [&](int l, const WriteTarget& t, const Value& v,
                               const Expr* where) {
     if (slots == nullptr) {
       arena.writes.push_back(Write{t, v, where});
     } else {
-      slots[l * W + written[l]++] = Write{t, v, where};
+      slots[base[l] + written[l]++] = Write{t, v, where};
     }
   };
 
@@ -823,6 +830,19 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
       case Op::kJumpIfTrue:
         branch(lanes_where(I.a, true), I.jump, next);
         break;
+      case Op::kSelect: {
+        // Every lane of the block is here: the guard stores nothing and
+        // its branches rejoin at this instruction.
+        const std::uint64_t off = lanes_where(I.a, false);
+        std::int32_t at = 0;
+        for (std::uint64_t on = mask & ~off; on != 0; on &= on - 1) {
+          base[std::countr_zero(on)] = at;
+          at += W;
+          ++arena.enabled;
+        }
+        branch(off, I.jump, next);
+        break;
+      }
       case Op::kAbs:
         unary_loop(arith::Abs{}, I);
         break;
@@ -996,7 +1016,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
           // Close the gaps lanes left by skipping stores.
           std::size_t kept = 0;
           for (int l = 0; l < n; ++l) {
-            const Write* from = slots + static_cast<std::size_t>(l) * W;
+            const Write* from = slots + base[l];
             if (from != slots + kept) {
               std::copy(from, from + written[l], slots + kept);
             }
@@ -1052,7 +1072,14 @@ void Engine::reset_arenas(const Kernel& k) {
     a.writes.clear();
     a.spans.clear();
     a.stats.assign(k.num_members, AccessStats{});
+    a.enabled = 0;
   }
+}
+
+std::int64_t Engine::enabled_lanes() const {
+  std::int64_t n = 0;
+  for (const auto& a : arenas_) n += a.enabled;
+  return n;
 }
 
 bool Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,

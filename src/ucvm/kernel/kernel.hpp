@@ -47,6 +47,9 @@ class Engine {
   // Conflict-checks and applies the last run's buffered writes in lane
   // order through Impl::commit.
   void commit();
+  // The lanes the last run's kSelect enabled (docs/VM.md "Selection
+  // blocks"); 0 for a kernel without one.
+  std::int64_t enabled_lanes() const;
 
   // Native tier (engine == kNative): lazily constructed backend, null
   // until the first native dispatch attempt, which prepares the lane
@@ -196,6 +199,7 @@ class Engine {
     std::vector<SubBlock> pending;  // sorted by descending ip
     BlockLanes lanes;
     ReduceTuple rt;
+    std::int64_t enabled = 0;  // lanes past kSelect
   };
 
   // Deepest ancestor-space chain a kernel may reference.

@@ -147,6 +147,7 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
       failed.store(true, std::memory_order_relaxed);
       return;
     }
+    arena.enabled += args.enabled;
     if (args.writes_count > 0) {
       arena.writes.append_reserved(
           static_cast<std::size_t>(args.writes_count));

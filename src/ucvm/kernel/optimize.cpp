@@ -14,7 +14,10 @@
 //      kReduceEnd makes the whole loop body a dropped region at its exit,
 //      and in-body entries are re-defined every iteration before reuse.
 //      Registers with more than one static write (short-circuit and
-//      ternary join registers) are never tabled.
+//      ternary join registers) are never tabled.  A selection kernel's
+//      kSelect empties the table: the body's reads are numbered as in the
+//      body's own kernel, never against the guard's, so the kernel elides
+//      exactly the reads the two separate kernels elide.
 //   2. Cross-member store-to-load forwarding.  Writes are buffered until
 //      the fused group commits, so a later member's read of an element an
 //      earlier member wrote must be satisfied from the buffered value: at
@@ -133,6 +136,7 @@ void for_each_use(Inst& i, F&& f) {
     case Op::kPower2:
     case Op::kJumpIfFalse:
     case Op::kJumpIfTrue:
+    case Op::kSelect:
     case Op::kReduceFold:
     case Op::kRet:
       f(i.a, std::uint16_t{0});
@@ -252,8 +256,11 @@ class Optimizer {
       if (t <= n && s < earliest_[t]) earliest_[t] = s;
       // Forward jumps make (s, t) a conditionally-skipped span.  Backward
       // jumps (the reduction odometer) add nothing: the loop body is
-      // already spanned by kReduceBegin's forward jump to kReduceEnd.
-      if (t > s + 1) {
+      // already spanned by kReduceBegin's forward jump to kReduceEnd.  Nor
+      // does kSelect: a lane it disables skips every member after it, so
+      // a member's unconditional store still reaches every later member
+      // of the lane.
+      if (t > s + 1 && k_.code[s].op != Op::kSelect) {
         diff[s + 1] += 1;
         diff[t] -= 1;
       }
@@ -534,6 +541,11 @@ class Optimizer {
         case Op::kReduceFold:
         case Op::kRet:
           use(inst.a);
+          break;
+        case Op::kSelect:
+          use(inst.a);
+          table_.clear();
+          canon_.clear();
           break;
         case Op::kReduceEnd:
           fresh(inst.dst, i);

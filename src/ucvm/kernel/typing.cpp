@@ -152,6 +152,7 @@ bool type_kernel(const Kernel& k, KernelTypes& out) {
         case Op::kReduceNext:
         case Op::kReduceTuple:
         case Op::kMemberBoundary:
+        case Op::kSelect:
         case Op::kRet:
           break;
       }

@@ -25,7 +25,7 @@
 namespace uc::vm::detail::native {
 
 // Bump whenever NativeArgs / the mirrored host structs change shape.
-inline constexpr std::uint32_t kAbiVersion = 2;
+inline constexpr std::uint32_t kAbiVersion = 3;
 
 // Mirror of kernel::Engine's LinkedElem (resolved per execution).
 struct NElem {
@@ -104,6 +104,7 @@ struct NativeArgs {
   void* writes = nullptr;
   std::int64_t writes_count = 0;  // out: records actually appended
   void* stats = nullptr;          // AccessStats[num_members]
+  std::int64_t enabled = 0;       // out: lanes past kSelect
 
   // Error-site table: Inst::where pointers, indexed by emit-time constant.
   const void* const* wheres = nullptr;

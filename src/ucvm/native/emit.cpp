@@ -333,6 +333,7 @@ class Emitter {
         "  const NElem* elems; const NScalar* scalars;\n"
         "  const NArray* arrays; const NReduce* reduces;\n"
         "  void* results; void* writes; i64 writes_count; void* stats;\n"
+        "  i64 enabled;\n"
         "  const void* const* wheres; void* frame;\n"
         "  u64 stmt_id, base_seed, news_op, router_op;\n"
         "  i64 error;\n"
@@ -427,7 +428,7 @@ class Emitter {
         "extern \"C\" UC_EXPORT void uc_native_entry(NArgs* A) {\n";
     emit_prologue();
     src_ +=
-        "  i64 wn = 0;\n"
+        "  i64 wn = 0, en = 0;\n"
         "  for (i64 kk = k_begin; kk < k_end; ++kk) {\n"
         "    const i64 lane = active[kk];\n"
         "    i64 L[32]; L[0] = lane;\n"
@@ -529,7 +530,7 @@ class Emitter {
     for (std::uint32_t m = 0; m < k_.num_members; ++m) {
       appendf(src_, "  uc_merge((NStats*)A->stats + %u, st%u);\n", m, m);
     }
-    src_ += "  A->writes_count = wn;\n";
+    src_ += "  A->writes_count = wn;\n  A->enabled = en;\n";
   }
 
   void emit_inst(std::size_t ip) {
@@ -829,6 +830,10 @@ class Emitter {
         appendf(src_, "      %s = acc%zu;\n", R(I.dst).c_str(), ri);
         break;
       }
+      case Op::kSelect:
+        appendf(src_, "      if (!(%s)) goto L%d;\n      ++en;\n",
+                truthy(I.a).c_str(), I.jump);
+        break;
       case Op::kMemberBoundary:
         member_ = I.a;
         if (k_.uses_rand) {

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "corpus.hpp"
@@ -457,8 +458,9 @@ TEST(UccCli, ProfileTableIdenticalAcrossEngines) {
       std::string col;
       int k = 0;
       while (cols >> col) {
-        if (++k == 3 && line.rfind("total:", 0) != 0) col = "-";
-        out += col + " ";
+        const bool host_ms = ++k == 3 && line.rfind("total:", 0) != 0;
+        out += host_ms ? std::string_view("-") : std::string_view(col);
+        out += ' ';
       }
       out += "\n";
     }
@@ -488,9 +490,9 @@ TEST(UccCli, ProfileTableIdenticalAcrossEngines) {
 TEST(UccCli, RunWithProfileKeepsStdoutIdentical) {
   // The subshell discards stderr (where the profile table goes), so this
   // compares the program's stdout byte for byte.
-  auto plain = run_command("(" + ucc() + " run " + fig6() + " 2>/dev/null)");
-  auto prof = run_command("(" + ucc() + " run " +
-                          fig6() + " --profile 2>/dev/null)");
+  const std::string run = ucc() + " run " + fig6();
+  auto plain = run_command("(" + run + " 2>/dev/null)");
+  auto prof = run_command("(" + run + " --profile 2>/dev/null)");
   EXPECT_EQ(plain.exit_code, 0);
   EXPECT_EQ(prof.exit_code, 0);
   EXPECT_EQ(plain.output, prof.output);
@@ -547,9 +549,10 @@ TEST(UccCli, ProfileTopLimitsRows) {
 // program's stdout alone (`profile` adds only its table there).
 TEST(UccCli, ProfiledRunsHonourTrace) {
   const std::string hello = program("hello.uc");
-  auto plain = run_command("(" + ucc() + " run " + hello + " 2>/dev/null)");
+  const std::string run_hello = ucc() + " run " + hello;
+  auto plain = run_command("(" + run_hello + " 2>/dev/null)");
   ASSERT_EQ(plain.exit_code, 0);
-  const std::string run = ucc() + " run " + hello + " --profile --trace";
+  const std::string run = run_hello + " --profile --trace";
   const std::string profile = ucc() + " profile " + hello + " --trace";
   for (const std::string& cmd : {run, profile}) {
     auto err = run_command("(" + cmd + " 2>&1 >/dev/null)");

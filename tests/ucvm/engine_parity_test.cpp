@@ -17,10 +17,14 @@
 // native run transparently degrades to bytecode and the assertions still
 // hold.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -29,7 +33,9 @@
 #include "corpus.hpp"
 #include "support/error.hpp"
 #include "uc/uc.hpp"
+#include "uclang/frontend.hpp"
 #include "ucvm/interp.hpp"
+#include "ucvm/interp_detail.hpp"
 
 namespace uc::cm {
 // Failure messages print the whole stats line.
@@ -851,6 +857,26 @@ TEST(EngineParity, BlockErrorPrecedence) {
       "index_set I:i = {0..99};\nint a[100], b[100];\n"
       "void main() { par (I) a[i] = b[i == 44 ? 500 : i] + 10 / (i - 47); }",
       "", "program.uc:3:30: array subscript out of range: b[500]");
+  // Selection blocks (docs/VM.md "Selection blocks"): a guard runs over
+  // every lane before its body runs, so lane 50's guard error wins over
+  // lane 20's body error, although the block's merged kernel reaches
+  // lane 20's body first.
+  expect_commit(
+      "index_set I:i = {0..63};\nint a[64];\n"
+      "void main() { par (I) st (100 / (i - 50) > -1000) a[i] = 7 % (i - 20); }",
+      "", "program.uc:3:27: integer division by zero");
+  // The same in a single-block *par, with the two lanes in different
+  // blocks of 64.
+  expect_commit(
+      "index_set I:i = {0..199};\nint a[200];\n"
+      "void main() { *par (I) st (a[i] == 0 && 100 / (i - 130) > -1000) "
+      "a[i] = 7 % (i - 20) + 1; }",
+      "", "program.uc:3:41: integer division by zero");
+  // Without a guard error, the body's error stands.
+  expect_commit(
+      "index_set I:i = {0..63};\nint a[64];\n"
+      "void main() { par (I) st (100 / (i + 1) > -1000) a[i] = 7 % (i - 20); }",
+      "", "program.uc:3:57: modulo by zero");
 }
 
 // --- arrays declared in calls made from lanes ---
@@ -1335,6 +1361,226 @@ TEST(EngineParity, Power2RangeErrorMatches) {
   expect_error_parity(
       "index_set I:i = {0..3};\n"
       "int a[4];\nvoid main() { par (I) a[i] = power2(63 + i); }");
+}
+
+// --- selection blocks (docs/VM.md "Selection blocks") ---
+
+// The selection blocks the kernel engines' lane plan merges in `src`.
+std::size_t merged_blocks(const std::string& src) {
+  auto unit = lang::compile("program.uc", src);
+  EXPECT_TRUE(unit->ok()) << unit->diags.render_all();
+  cm::Machine machine;
+  detail::Impl vm(*unit, machine, ExecOptions{});
+  return vm.lane_plan_.selections.size();
+}
+
+// What a run shows: its output and CostStats, or its error text.
+struct Outcome {
+  std::string text;
+  cm::CostStats stats;
+};
+
+Outcome outcome(const std::string& src, const cm::MachineOptions& mopts,
+                const ExecOptions& eopts) {
+  try {
+    const RunResult r = run_uc(src, mopts, eopts);
+    return {r.output(), r.stats()};
+  } catch (const support::UcRuntimeError& e) {
+    return {std::string("error: ") + e.what(), {}};
+  }
+}
+
+// Every engine at 1 and 4 host threads shows what the walk shows at 1
+// thread, which is returned.
+Outcome expect_selection_parity(const std::string& src,
+                                cm::MachineOptions mopts = {},
+                                ExecOptions eopts = {}) {
+  Outcome ref;
+  for (const auto& c : kEngineConfigs) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(c.label) + " threads=" +
+                   std::to_string(threads));
+      mopts.host_threads = threads;
+      eopts.engine = c.engine;
+      Outcome got = outcome(src, mopts, eopts);
+      if (c.engine == ExecEngine::kWalk && threads == 1) {
+        ref = std::move(got);
+        continue;
+      }
+      EXPECT_EQ(ref.text, got.text);
+      EXPECT_EQ(ref.stats, got.stats);
+    }
+  }
+  return ref;
+}
+
+// rand() in a guard and in its body: the merged kernel reseeds each
+// lane's stream at the body with the body's statement id, as the body's
+// own run would.
+TEST(EngineParity, SelectionRandInGuardAndBody) {
+  const std::string src =
+      "index_set I:i = {0..199};\n"
+      "int a[200], b[200];\n"
+      "void main() {\n"
+      "  par (I) st (rand() % 3 != 0) a[i] = rand() % 1000;\n"
+      "  par (I) st (rand() % 2 == 0) {\n"
+      "    a[i] = a[i] + rand() % 7;\n"
+      "    b[i] = rand() % 5;\n"
+      "  }\n"
+      "  print($+(I; a[i]), $+(I; b[i]));\n"
+      "}\n";
+  EXPECT_EQ(merged_blocks(src), 2u);
+  expect_selection_parity(src);
+}
+
+// A body whose reduction partitions its inputs (paper §4): its first
+// execution's merged run already honours the partition decision, which
+// the body's charge would set only after the run.
+TEST(EngineParity, SelectionBodyReductionPartitions) {
+  const std::string src =
+      "index_set I:i = {0..15}, J:j = {0..199};\n"
+      "int v[200], h[16];\n"
+      "void main() {\n"
+      "  par (J) v[j] = (j * 7) % 16;\n"
+      "  par (I) st (i % 3 != 1) h[i] = $+(J st (v[j] == i) 1);\n"
+      "  print($+(I; h[i] * i));\n"
+      "}\n";
+  EXPECT_EQ(merged_blocks(src), 1u);
+  expect_selection_parity(src);
+}
+
+// A single-block *par and a *solve whose guard enables no lane: the body
+// is neither charged nor committed, and the *par stops.
+TEST(EngineParity, SelectionGuardEnablesNoLane) {
+  const std::string src =
+      "index_set I:i = {0..99};\n"
+      "int a[100];\n"
+      "void main() {\n"
+      "  par (I) a[i] = i;\n"
+      "  *par (I) st (a[i] > 500) a[i] = a[i] - 1;\n"
+      "  *solve (I) st (a[i] > 1000) a[i] = 0;\n"
+      "  *par (I) st (a[i] > 90) a[i] = a[i] - 1;\n"
+      "  print($+(I; a[i]));\n"
+      "}\n";
+  EXPECT_EQ(merged_blocks(src), 3u);
+  const Outcome ref = expect_selection_parity(src);
+  EXPECT_EQ(ref.text, "4905\n");
+}
+
+// A guard with a side effect, a body holding a nested construct, an
+// `others` arm, a multi-block *par and oneof stay unmerged, and run as
+// before on every engine.
+TEST(EngineParity, SelectionOnlyWhereTheGuardIsAMask) {
+  const std::string src =
+      "index_set I:i = {0..15}, J:j = {0..3};\n"
+      "int a[16], b[16], m[16][4];\n"
+      "void main() {\n"
+      "  par (I) st ((b[i] = i % 3) > 0) a[i] = 1;\n"
+      "  par (I) st (i % 2 == 0) { par (J) m[i][j] = i + j; }\n"
+      "  par (I) st (i > 3) seq (J) m[i][j] = m[i][j] + j;\n"
+      "  par (I) st (i > 7) a[i] = 2; others a[i] = 3;\n"
+      "  *par (I) st (a[i] > 2) a[i] = a[i] - 1; st (b[i] > 1) b[i] = 0;\n"
+      "  oneof (I) st (i < 4) b[i] = 9;\n"
+      "  print($+(I; a[i]), $+(I; b[i]), $+(I, J; m[i][j]));\n"
+      "}\n";
+  EXPECT_EQ(merged_blocks(src), 0u);
+  expect_selection_parity(src);
+}
+
+// A Fig 6 style guarded update through the router and a fused *solve
+// body under router and NEWS faults with retries and checkpoints: the
+// guard's and the body's charges each retry and roll back on their own,
+// and a retry charges again without rerunning the lanes.
+const char* kSelectionFaultSpec =
+    "router:p=1e-3;news:p=1e-3,seed=7,retries=1";
+
+std::string selection_fault_src() {
+  return "#define N 24\n"
+         "index_set I:i = {0..N-1}, J:j = I, K:k = I;\n"
+         "int d[N][N], g[N][N];\n"
+         "void main() {\n"
+         "  par (I, J) st (i == j) d[i][j] = 0;\n"
+         "    others d[i][j] = (i * 7 + j * 13) % 31 + 1;\n"
+         "  seq (K)\n"
+         "    par (I, J)\n"
+         "      st (d[j][k] + d[k][i] < d[i][j])\n"
+         "        d[i][j] = d[j][k] + d[k][i];\n"
+         "  par (I, J) g[i][j] = INF;\n"
+         "  *solve (I, J)\n"
+         "    st (i + j > 0) {\n"
+         "      g[i][j] = min(INF, d[i][j] + g[(i + N - 1) % N][j]);\n"
+         "      d[i][j] = min(d[i][j], d[j][i]);\n"
+         "    }\n"
+         "  print($+(I, J; d[i][j]), $+(I, J; g[i][j] % 1000));\n"
+         "}\n";
+}
+
+TEST(EngineParity, SelectionRetriesUnderFaultsAndCheckpoints) {
+  const std::string src = selection_fault_src();
+  EXPECT_EQ(merged_blocks(src), 2u);
+  cm::MachineOptions mopts;
+  mopts.faults = cm::parse_fault_spec(kSelectionFaultSpec);
+  ExecOptions eopts;
+  eopts.checkpoint_every = 8;
+  const Outcome ref = expect_selection_parity(src, mopts, eopts);
+  EXPECT_GT(ref.stats.retries, 0u);
+  EXPECT_GT(ref.stats.rollbacks, 0u);
+  EXPECT_GT(ref.stats.checkpoints, 0u);
+}
+
+// Runs `src` in a child process that the VM kills before statement
+// `die_at`, leaving durable snapshots in eopts.checkpoint_dir.
+void run_killed(const std::string& src, const cm::MachineOptions& mopts,
+                ExecOptions eopts, std::uint64_t die_at) {
+  eopts.die_at_statement = die_at;
+  const pid_t pid = ::fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    try {
+      run_uc(src, mopts, eopts);
+    } catch (...) {
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+}
+
+// The same program killed mid-run and resumed from its newest durable
+// snapshot: every engine at 1 and 4 threads resumes to the output and
+// cycles of the uninterrupted run, and to the walk's resumed CostStats.
+TEST(EngineParity, SelectionDieAtAndResume) {
+  const std::string src = selection_fault_src();
+  cm::MachineOptions mopts;
+  mopts.faults = cm::parse_fault_spec(kSelectionFaultSpec);
+  ExecOptions eopts;
+  eopts.checkpoint_every = 8;
+  const RunResult whole = run_uc(src, mopts, eopts);
+  cm::CostStats ref;
+  for (const auto& c : kEngineConfigs) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(c.label) + " threads=" +
+                   std::to_string(threads));
+      char dir[] = "/tmp/uc-selection-XXXXXX";
+      ASSERT_NE(::mkdtemp(dir), nullptr);
+      mopts.host_threads = threads;
+      ExecOptions e = eopts;
+      e.engine = c.engine;
+      e.checkpoint_dir = dir;
+      run_killed(src, mopts, e, 30);
+      e.resume = true;
+      const RunResult resumed = run_uc(src, mopts, e);
+      std::filesystem::remove_all(dir);
+      EXPECT_EQ(resumed.stats().resumes, 1u);
+      EXPECT_EQ(whole.output(), resumed.output());
+      EXPECT_EQ(whole.stats().cycles, resumed.stats().cycles);
+      if (c.engine == ExecEngine::kWalk && threads == 1) {
+        ref = resumed.stats();
+      }
+      EXPECT_EQ(ref, resumed.stats());
+    }
+  }
 }
 
 }  // namespace

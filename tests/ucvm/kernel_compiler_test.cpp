@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "uclang/frontend.hpp"
 #include "ucvm/kernel/bytecode.hpp"
@@ -293,6 +294,79 @@ TEST(KernelCompiler, TypingRejectsARegisterOfTwoTypes) {
   k.code[1].a = k.code[0].a;
   EXPECT_TRUE(type_kernel(k, types));
   EXPECT_EQ(types.regs[0], kInt);
+}
+
+// The first sc-block of the first construct in the unit.
+const lang::ScBlock& first_block(const lang::CompilationUnit& unit) {
+  for (const auto& top : unit.program->items) {
+    if (top.func == nullptr) continue;
+    for (const auto& s : top.func->body->body) {
+      if (s->kind == StmtKind::kUcConstruct) {
+        return static_cast<const lang::UcConstructStmt&>(*s).blocks.front();
+      }
+    }
+  }
+  ADD_FAILURE() << "no construct";
+  static const lang::ScBlock none;
+  return none;
+}
+
+// A selection kernel is the guard, kSelect and the body, and it elides
+// exactly the reads the guard's and the body's own kernels elide: the
+// body's reads of the elements the guard read are classified again, so
+// every engine charges the block as two statements (docs/COSTMODEL.md
+// "What an engine may not change").
+TEST(KernelCompiler, SelectionElidesTheUnionOfItsPartsReads) {
+  auto unit = analyse(
+      "index_set I:i = {0..7}, J:j = I;\n"
+      "int d[8][8];\n"
+      "void main() {\n"
+      "  par (I, J) st (d[i][0] + d[0][j] < d[i][j] + d[i][0])\n"
+      "    d[i][j] = d[i][0] + d[0][j] + d[0][j];\n"
+      "}\n");
+  const lang::ScBlock& block = first_block(*unit);
+  ASSERT_NE(block.pred, nullptr);
+  ASSERT_EQ(block.body->kind, StmtKind::kExpr);
+  const lang::Expr* body =
+      static_cast<const lang::ExprStmt&>(*block.body).expr.get();
+  const auto guard_k = compile_expr(*block.pred);
+  const auto body_k = compile_expr(*body);
+  const auto merged = compile_selection(*block.pred, &body, 1);
+  ASSERT_NE(guard_k, nullptr);
+  ASSERT_NE(body_k, nullptr);
+  ASSERT_NE(merged, nullptr);
+  // Each part elides its own repeated read, d[i][0] and d[0][j].
+  ASSERT_EQ(guard_k->elided_reads.size(), 1u);
+  ASSERT_EQ(body_k->elided_reads.size(), 1u);
+  std::vector<ElidedRead> both = guard_k->elided_reads;
+  both.insert(both.end(), body_k->elided_reads.begin(),
+              body_k->elided_reads.end());
+  ASSERT_EQ(merged->elided_reads.size(), both.size());
+  for (std::size_t r = 0; r < both.size(); ++r) {
+    EXPECT_EQ(merged->elided_reads[r].site, both[r].site) << r;
+    EXPECT_EQ(merged->elided_reads[r].from, both[r].from) << r;
+  }
+  // The body's reads of the guard's elements are still reads.
+  EXPECT_EQ(count_ops(*merged, Op::kArrGet),
+            count_ops(*guard_k, Op::kArrGet) + count_ops(*body_k, Op::kArrGet));
+  EXPECT_EQ(count_ops(*merged, Op::kSelect), 1);
+  EXPECT_EQ(merged->num_members, 2u);
+  EXPECT_EQ(merged->writes_per_lane, body_k->writes_per_lane);
+}
+
+// A guard that stores has a side effect a lane mask cannot keep, so it
+// gets no selection kernel.
+TEST(KernelCompiler, SelectionRejectsAGuardThatStores) {
+  auto unit = analyse(
+      "index_set I:i = {0..7};\n"
+      "int a[8], b[8];\n"
+      "void main() { par (I) st ((b[i] = i % 3) > 0) a[i] = 1; }\n");
+  const lang::ScBlock& block = first_block(*unit);
+  ASSERT_NE(block.pred, nullptr);
+  const lang::Expr* body =
+      static_cast<const lang::ExprStmt&>(*block.body).expr.get();
+  EXPECT_NE(compile_expr(*block.pred), nullptr);
+  EXPECT_EQ(compile_selection(*block.pred, &body, 1), nullptr);
 }
 
 }  // namespace

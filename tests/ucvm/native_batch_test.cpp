@@ -191,9 +191,10 @@ TEST_F(NativeBatch, CorpusColdRunBuildsEveryKernelInOneBatch) {
 // conditions and steps, predicates and `others` arms, a seq under an
 // expanding construct, *par, oneof, a construct in a function that main
 // calls, a fusable pair under a seq that binds on the front end (planned,
-// never native), and a fusion group whose link declines (its reductions
-// need nine coordinates, the link's cap is eight), so its members run
-// unfused, on the walk.  Every engine matches bytecode.
+// never native), and a fusable pair whose reductions need nine
+// coordinates (the link's cap is eight), so the plan compiles neither the
+// group nor its members and they run unfused, on the walk.  Every engine
+// matches bytecode.
 TEST_F(NativeBatch, PlanCoversEveryDispatchSite) {
   if (!toolchain_available()) GTEST_SKIP() << "no working native toolchain";
   const std::string src =
@@ -246,8 +247,38 @@ TEST_F(NativeBatch, PlanCoversEveryDispatchSite) {
   EXPECT_GT(cold.result.native_dispatches(), 10u);
   EXPECT_EQ(cold.result.native_fallbacks(), 0u);
   EXPECT_EQ(cold.batches, 1u);
-  EXPECT_EQ(cold.groups, 2u);
+  EXPECT_EQ(cold.groups, 1u);
   EXPECT_TRUE(cold.notices.empty());
+}
+
+// A kernel whose link always declines is known from the index sets: the
+// plan compiles none, so the batch builds only what dispatches.
+TEST_F(NativeBatch, KernelsTheLinkDeclinesAreNotBuilt) {
+  if (!toolchain_available()) GTEST_SKIP() << "no working native toolchain";
+  const std::string src =
+      "index_set I:i = {0..63};\n"
+      "index_set P:p = {0..1}, Q:q = {0..1}, R:r = {0..1}, U:u = {0..1};\n"
+      "index_set V:v = {0..1}, W:w = {0..1}, X:x = {0..1}, Y:y = {0..1};\n"
+      "index_set Z:z = {0..1};\n"
+      "int a[64], b[64];\n"
+      "void main() {\n"
+      "  par (P, Q, R, U, V) {\n"
+      "    a[p * 16 + q * 8 + r * 4 + u * 2 + v] = $+(W, X, Y, Z; w + x * p);\n"
+      "    b[p * 16 + q * 8 + r * 4 + u * 2 + v] = $+(W, X, Y, Z; y * q + z);\n"
+      "  }\n"
+      "  par (I) a[i] = a[i] + b[i];\n"
+      "  print(a[31], a[5]);\n"
+      "}\n";
+  ExecOptions bytecode;
+  bytecode.engine = ExecEngine::kBytecode;
+  const RunResult want = run_uc(src, {}, bytecode);
+  const NativeRun cold = run_native(src, dir_);
+  EXPECT_EQ(want.output(), cold.result.output());
+  EXPECT_EQ(want.stats(), cold.result.stats());
+  EXPECT_EQ(cold.result.native_kernels_compiled(), 1u);
+  EXPECT_EQ(cold.result.native_dispatches(), 1u);
+  EXPECT_EQ(cold.result.native_fallbacks(), 0u);
+  EXPECT_EQ(cold.groups, 0u);
 }
 
 TEST_F(NativeBatch, IdenticalStatementsShareOneObject) {
