@@ -587,9 +587,8 @@ const Impl::LaneSite& Impl::lane_site(const Expr& e, const LaneSpace& space) {
   return it->second;
 }
 
-Impl::CommitArray& Impl::commit_array(ArrayObj& root) {
+Impl::CommitArray& Impl::open_commit_array(ArrayObj& root) {
   WriteMarks& wm = root.write_marks();
-  if (wm.commit == commit_ordinal_) return commit_arrays_[wm.slot];
   const auto n = static_cast<std::size_t>(root.size());
   if (wm.marks.size() != n) {
     wm.marks.assign(n, WriteMarks::Mark{});
@@ -631,7 +630,9 @@ void Impl::commit(std::span<const WriteRun> runs) {
   commit_seen_.begin();
 
   // Pass 1: conflict check in lane order.  Consecutive writes usually hit
-  // the same array, so its commit entry is looked up once per change.
+  // the same array, so its commit entry is looked up once per change, and
+  // an array this commit has seen already (a lane writing two arrays in
+  // turn) finds its entry through its marks without a call.
   const void* last = nullptr;
   CommitArray* ca = nullptr;
   std::int64_t offset = 0;
@@ -646,7 +647,9 @@ void Impl::commit(std::span<const WriteRun> runs) {
       }
       if (w.target.obj != last) {
         auto* view = static_cast<ArrayObj*>(w.target.obj);
-        ca = &commit_array(view->root());
+        const WriteMarks& wm = view->write_marks();
+        ca = wm.commit == commit_ordinal_ ? &commit_arrays_[wm.slot]
+                                          : &open_commit_array(view->root());
         offset = view->root_offset();
         last = view;
       }

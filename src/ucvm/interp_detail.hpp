@@ -500,7 +500,8 @@ struct Impl {
     std::uint32_t stamp = 0;
     bool flt = false;
   };
-  CommitArray& commit_array(ArrayObj& root);
+  // Adds root's entry, the first time this commit writes the array.
+  CommitArray& open_commit_array(ArrayObj& root);
   [[noreturn]] void commit_conflict(const Write& first, const Write& w);
   std::uint64_t commit_ordinal_ = 0;
   std::vector<CommitArray> commit_arrays_;

@@ -172,6 +172,19 @@ struct ElidedRead {
   const lang::Expr* from = nullptr;
 };
 
+// A classifying site (kArrGet, kArrPut, kClassify) whose subscript on
+// each axis j is index element elems[elem[j]] plus the int constant
+// off[j], every element's index set being an ascending run of
+// consecutive ints.  Such a site may be lane-relative: the link decides
+// from the lane space whether every lane of it classifies alike
+// (docs/VM.md "Lane-relative sites").
+struct LaneRelativeSite {
+  std::uint32_t ip = 0;    // the classifying instruction
+  std::uint16_t rank = 0;  // subscripts
+  std::uint16_t elem[kMaxSubscripts] = {};
+  std::int64_t off[kMaxSubscripts] = {};
+};
+
 struct Kernel {
   std::vector<Inst> code;
   std::vector<Value> pool;
@@ -194,6 +207,7 @@ struct Kernel {
   KernelTypes types;
   // Filled by optimize_kernel, in code order.
   std::vector<ElidedRead> elided_reads;
+  std::vector<LaneRelativeSite> lane_relative;
 
   // The elided read at `site`, or null.
   const ElidedRead* elided(const lang::Expr* site) const {
@@ -249,7 +263,8 @@ std::unique_ptr<Kernel> compile_selection(const lang::Expr& guard,
 
 // The optimisation pipeline (optimize.cpp): value numbering, forwarding
 // and dead temporary elimination, then reduction unrolling and constant
-// folding over the copies.  Returns false when
+// folding over the copies, and last the lane-relative site table
+// (Kernel::lane_relative).  Returns false when
 // cross-member store-to-load forwarding finds an unmatchable read (the
 // kernel is then left in an unspecified state and must be discarded).
 bool optimize_kernel(Kernel& k);

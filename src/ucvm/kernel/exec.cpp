@@ -260,7 +260,69 @@ bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
     }
     if (la.geom_matches) la.vp_coords = la.arr->coord_table();
   }
+
+  sites_.assign(k.code.size(), LinkedSite{});
+  for (const LaneRelativeSite& rel : k.lane_relative) {
+    sites_[rel.ip] = link_site(k, rel);
+  }
   return max_depth_ < kMaxDepth;
+}
+
+Engine::LinkedSite Engine::link_site(const Kernel& k,
+                                     const LaneRelativeSite& rel) const {
+  // The closed form's preconditions (docs/VM.md "Read classification"):
+  // the owner of an element is its own flat index, and the lane geometry
+  // is the array's shape, so a lane is the owner of the element at its
+  // own coordinates.
+  const LinkedArray& la = arrays_[k.code[rel.ip].a];
+  if (la.mode != AccMode::kRemote || !la.identity || !la.geom_matches ||
+      la.slice || la.reduce >= 0 || rel.rank != la.rank) {
+    return {};
+  }
+  int moved = 0;
+  std::uint64_t hops = 0;
+  for (std::uint16_t j = 0; j < rel.rank; ++j) {
+    const LinkedElem& le = elems_[rel.elem[j]];
+    // The element's space must add one lane axis per element it binds,
+    // after its parent's, as expand builds it: element k is then on axis
+    // parent_dims + k, and a lane's coordinate there is its position in
+    // the element's set.  Every space below keeps its parent's
+    // coordinates as a prefix, so the same holds in the statement space.
+    // A seq binding space binds elements but adds no axis.
+    const LaneSpace& s = *depth_spaces_[static_cast<std::size_t>(le.depth)];
+    const LaneSpace* p = s.parent;
+    const std::size_t parent_dims =
+        p == nullptr || p->frontend ? 0 : p->dims.size();
+    if (s.dims.size() != parent_dims + s.elems.size() ||
+        parent_dims + le.k != j) {
+      return {};
+    }
+    // Position t binds v0 + t (the set is a consecutive run), so the lane
+    // reads v0 + t + off[j] at coordinate t: every lane in range is
+    // v0 + off[j] away on this axis.  A distance of the axis's extent or
+    // more leaves no lane in range, and the bounds check raises first.
+    const lang::Symbol* set = k.elems[rel.elem[j]].sym->elem_of_set;
+    const std::int64_t off =
+        arith::Add::on(set->index_set->values.front(), rel.off[j]);
+    if (off == 0) continue;
+    const std::uint64_t dist = off < 0 ? 0 - static_cast<std::uint64_t>(off)
+                                       : static_cast<std::uint64_t>(off);
+    if (dist >= static_cast<std::uint64_t>(la.adims[j])) return {};
+    ++moved;
+    hops = dist;
+  }
+  // The closed form's rule, once for the site.
+  if (moved == 0) return {SiteClass::kLocal, 0};
+  const cm::CostModel& cost = vm_.machine.cost_model();
+  if (moved == 1 && hops * cost.news_op <= cost.router_op) {
+    return {SiteClass::kNews, hops};
+  }
+  return {SiteClass::kRouter, 0};
+}
+
+std::size_t Engine::static_sites() const {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      sites_, [](const LinkedSite& s) { return s.cls != SiteClass::kPerLane; }));
 }
 
 void Engine::classify_remote(const LinkedArray& la, std::int64_t flat,
@@ -317,6 +379,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
   const LinkedScalar* scalars = scalars_.data();
   const LinkedArray* arrays = arrays_.data();
   const LinkedReduce* reduces = reduces_.data();
+  const LinkedSite* sites = sites_.data();
 
   // --- register access ---
   const auto col = [&](std::uint16_t r) {
@@ -520,17 +583,34 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
     });
   };
   // `read` is the kArrGet whose subscripts allow the geometry-matched
-  // closed form; flat-only sites pass null.
-  const auto classify = [&](const LinkedArray& la, const Inst* read) {
+  // closed form; flat-only sites pass null.  `site` is the instruction's
+  // linked class: a lane-relative site counts all its lanes at once.
+  const auto classify = [&](const LinkedArray& la, const Inst* read,
+                            const LinkedSite& site) {
     // Inside a partition-optimised reduction accesses are already paid for
     // by the send-with-combine charge (walk: suppress_comm).
     if (la.reduce >= 0 && rt.suppress) return;
+    const auto lanes = static_cast<std::uint64_t>(S.n);
+    switch (site.cls) {
+      case SiteClass::kPerLane:
+        break;
+      case SiteClass::kLocal:
+        st->local += lanes;
+        return;
+      case SiteClass::kNews:
+        st->news += lanes;
+        st->news_max_hops = std::max(st->news_max_hops, site.hops);
+        return;
+      case SiteClass::kRouter:
+        st->router += lanes;
+        return;
+    }
     switch (la.mode) {
       case AccMode::kFrontend:
-        st->frontend += static_cast<std::uint64_t>(S.n);
+        st->frontend += lanes;
         return;
       case AccMode::kLocalReplicated:
-        st->local += static_cast<std::uint64_t>(S.n);
+        st->local += lanes;
         return;
       case AccMode::kRemote: {
         AccessStats acc;
@@ -543,7 +623,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
           std::uint64_t local = 0;
           each(S, [&](int l) { local += flat[l] == vp[l] ? 1 : 0; });
           acc.local = local;
-          acc.router = static_cast<std::uint64_t>(S.n) - local;
+          acc.router = lanes - local;
         } else if (read != nullptr && la.identity) {
           classify_closed(*read, la, acc);
         } else if (la.reduce >= 0) {
@@ -762,13 +842,13 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         // unfused sequence exactly.
         const LinkedArray& la = arrays[I.a];
         index(I, la);
-        classify(la, &I);
+        classify(la, &I, sites[ip]);
         load(I, la);
         break;
       }
       case Op::kClassify:
         flat_from(I.b);
-        classify(arrays[I.a], nullptr);
+        classify(arrays[I.a], nullptr, sites[ip]);
         break;
       case Op::kBroadcastCheck:
         // Walk: writes to a replicated array broadcast, independent of the
@@ -785,7 +865,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         // Fused kClassify (+ kBroadcastCheck when arg bit0) + kArrStore.
         const LinkedArray& la = arrays[I.a];
         flat_from(I.b);
-        classify(la, nullptr);
+        classify(la, nullptr, sites[ip]);
         if ((I.arg & 1) != 0 && la.arr->replicated()) {
           st->broadcast += static_cast<std::uint64_t>(S.n);
         }

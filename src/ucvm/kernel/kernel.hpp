@@ -50,6 +50,9 @@ class Engine {
   // The lanes the last run's kSelect enabled (docs/VM.md "Selection
   // blocks"); 0 for a kernel without one.
   std::int64_t enabled_lanes() const;
+  // The sites of the kernel prepared last whose class the link fixed for
+  // every lane (docs/VM.md "Lane-relative sites").
+  std::size_t static_sites() const;
 
   // Native tier (engine == kNative): lazily constructed backend, null
   // until the first native dispatch attempt, which prepares the lane
@@ -94,6 +97,13 @@ class Engine {
     std::uint32_t rank = 0;
     bool flt = false;
     bool slice = false;
+  };
+  // The class every lane of a site shares, fixed at link for a
+  // lane-relative site; kPerLane at every other site.
+  enum class SiteClass : std::uint8_t { kPerLane, kLocal, kNews, kRouter };
+  struct LinkedSite {
+    SiteClass cls = SiteClass::kPerLane;
+    std::uint64_t hops = 0;  // kNews: the one moved axis's distance
   };
   struct LinkedReduce {
     const lang::ReduceExpr* expr = nullptr;
@@ -206,6 +216,8 @@ class Engine {
   static constexpr std::int32_t kMaxDepth = 32;
 
   bool link(const Kernel& k, LaneSpace& space, Frame* frame);
+  // The class of a lane-relative site under the operands link resolved.
+  LinkedSite link_site(const Kernel& k, const LaneRelativeSite& rel) const;
   void reset_arenas(const Kernel& k);
   // Runs the lanes natively when it can, else on the pooled block
   // executor; returns whether the native tier ran them.
@@ -248,6 +260,7 @@ class Engine {
   std::vector<LinkedScalar> scalars_;
   std::vector<LinkedArray> arrays_;
   std::vector<LinkedReduce> reduces_;
+  std::vector<LinkedSite> sites_;  // per instruction
   std::vector<LaneSpace*> depth_spaces_;  // [0]=statement space, then parents
   std::int32_t max_depth_ = 0;
   std::vector<Arena> arenas_;

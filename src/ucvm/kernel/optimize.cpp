@@ -1,6 +1,6 @@
 // Bytecode optimisation pipeline for lane kernels (docs/VM.md "Fusion").
 //
-// Three passes over the straight-line code the lowering produces for one
+// Six passes over the straight-line code the lowering produces for one
 // statement or a fused group:
 //
 //   1. Value numbering with copy propagation.  A linear scan tables pure
@@ -50,6 +50,11 @@
 //      register copies propagate, so
 //      `i + (dir==0) - (dir==1)` is `i + 1` in the copy for dir = 0.  Dead
 //      temporary elimination then runs again.
+//   6. Lane-relative sites (docs/VM.md "Lane-relative sites").  A last
+//      scan, which changes no instruction, records every array access
+//      site whose subscripts are index elements plus int constants
+//      (Kernel::lane_relative), so the link can classify such a site once
+//      instead of once per lane.
 //
 // The pass never reorders instructions, so evaluation order, error sites
 // and short-circuit behaviour are exactly the unoptimised kernel's; it
@@ -202,6 +207,7 @@ class Optimizer {
       fold_constants();
       eliminate_dead();
     }
+    mark_lane_relative();
     return true;
   }
 
@@ -843,6 +849,101 @@ class Optimizer {
       default:
         sure_int[inst.dst] = 1;  // mod, comparisons, bit ops and shifts
         break;
+    }
+  }
+
+  // --- pass 6: lane-relative sites ---
+
+  // Records in Kernel::lane_relative every classifying site whose
+  // subscripts are each an index element `e`, `e ± c` or `c + e`, with `c`
+  // an int constant and e's index set an ascending run of consecutive
+  // ints.  A register counts only through its one static write, which
+  // dominates every read of it; register copies are followed to their
+  // source.  The code does not change, so neither does the native text.
+  void mark_lane_relative() {
+    const std::vector<Inst>& code = k_.code;
+    std::vector<std::uint8_t> writes(k_.num_regs, 0);
+    std::vector<std::size_t> def(k_.num_regs, kNoSource);
+    for (std::size_t i = 0; i < code.size(); ++i) {
+      const Inst& inst = code[i];
+      if (!writes_dst(inst.op)) continue;
+      if (writes[inst.dst] < 2) ++writes[inst.dst];
+      def[inst.dst] = i;
+    }
+    // The one instruction that gives r its value, or null.
+    const auto source = [&](std::uint16_t r) -> const Inst* {
+      for (;;) {
+        if (writes[r] != 1) return nullptr;
+        const Inst& inst = code[def[r]];
+        if (inst.op != Op::kMove) return &inst;
+        r = inst.a;
+      }
+    };
+    const auto elem = [&](std::uint16_t r, std::uint16_t& slot) {
+      const Inst* d = source(r);
+      if (d == nullptr || d->op != Op::kLoadElem) return false;
+      slot = d->a;
+      return true;
+    };
+    const auto int_const = [&](std::uint16_t r, std::int64_t& c) {
+      const Inst* d = source(r);
+      if (d == nullptr || d->op != Op::kConst || k_.pool[d->a].is_float) {
+        return false;
+      }
+      c = k_.pool[d->a].i;
+      return true;
+    };
+    const auto consecutive = [&](std::uint16_t slot) {
+      const std::vector<std::int64_t>& v =
+          k_.elems[slot].sym->elem_of_set->index_set->values;
+      for (std::size_t t = 1; t < v.size(); ++t) {
+        if (v[t - 1] == std::numeric_limits<std::int64_t>::max() ||
+            v[t] != v[t - 1] + 1) {
+          return false;
+        }
+      }
+      return !v.empty();
+    };
+    // Subscript register r as element slot + off.
+    const auto axis = [&](std::uint16_t r, std::uint16_t& slot,
+                          std::int64_t& off) {
+      off = 0;
+      const Inst* d = source(r);
+      if (d == nullptr) return false;
+      if (d->op == Op::kBinary) {
+        const auto op = static_cast<lang::BinaryOp>(d->arg);
+        std::int64_t c = 0;
+        if ((op == lang::BinaryOp::kAdd || op == lang::BinaryOp::kSub) &&
+            elem(d->a, slot) && int_const(d->b, c)) {
+          off = op == lang::BinaryOp::kSub ? lang::arith::Neg::on(c) : c;
+        } else if (!(op == lang::BinaryOp::kAdd && int_const(d->a, off) &&
+                     elem(d->b, slot))) {
+          return false;
+        }
+      } else if (!elem(r, slot)) {
+        return false;
+      }
+      return consecutive(slot);
+    };
+    for (std::size_t i = 0; i < code.size(); ++i) {
+      const Inst& inst = code[i];
+      const Inst* index = &inst;  // the instruction holding the subscripts
+      if (inst.op == Op::kArrPut || inst.op == Op::kClassify) {
+        index = source(inst.b);
+        if (index == nullptr || index->op != Op::kArrIndex) continue;
+      } else if (inst.op != Op::kArrGet) {
+        continue;
+      }
+      if (index->c == 0 || index->c > kMaxSubscripts) continue;
+      LaneRelativeSite site;
+      site.ip = static_cast<std::uint32_t>(i);
+      site.rank = index->c;
+      bool relative = true;
+      for (std::uint16_t j = 0; relative && j < index->c; ++j) {
+        relative = axis(static_cast<std::uint16_t>(index->b + j),
+                        site.elem[j], site.off[j]);
+      }
+      if (relative) k_.lane_relative.push_back(site);
     }
   }
 };

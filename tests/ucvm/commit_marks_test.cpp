@@ -66,5 +66,45 @@ TEST(CommitMarks, SurviveStampWraparound) {
   }
 }
 
+// A lane that writes two arrays in turn finds each array's commit entry
+// through its marks.  A conflict in the second array is still reported at
+// its first-seen value, and nothing is applied.
+TEST(CommitMarks, ConflictInTheSecondOfTwoAlternatingArrays) {
+  auto unit = lang::compile("t.uc", "void main() {}");
+  ASSERT_TRUE(unit->ok());
+  cm::Machine machine;
+  Impl vm(*unit, machine, ExecOptions{});
+  ArrayObj a(machine, "a", lang::ScalarKind::kInt, {4});
+  ArrayObj b(machine, "b", lang::ScalarKind::kInt, {4});
+  const std::vector<Write> lane0 = {int_write(a, 0, 1), int_write(b, 0, 1)};
+  const std::vector<Write> lane1 = {int_write(a, 1, 2), int_write(b, 1, 2)};
+  const std::vector<Write> lane2 = {int_write(a, 2, 3), int_write(b, 0, 5),
+                                    int_write(a, 3, 4), int_write(b, 0, 6)};
+  const WriteRun runs[] = {WriteRun(lane0), WriteRun(lane1), WriteRun(lane2)};
+  try {
+    vm.commit(runs);
+    ADD_FAILURE() << "conflict not reported";
+  } catch (const support::UcRuntimeError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "conflicting parallel assignment to b[0]: values 1 and 5 "
+              "(each variable may be assigned at most one value, paper "
+              "§3.4)");
+  }
+  for (std::int64_t e = 0; e < 4; ++e) {
+    EXPECT_EQ(a.load(e).as_int(), 0) << e;
+    EXPECT_EQ(b.load(e).as_int(), 0) << e;
+  }
+
+  // Without the conflict both arrays commit, in lane order.
+  const std::vector<Write> ok = {int_write(a, 0, 1), int_write(b, 0, 1),
+                                 int_write(a, 1, 2), int_write(b, 1, 2),
+                                 int_write(a, 1, 2), int_write(b, 3, 7)};
+  const WriteRun run(ok);
+  vm.commit(std::span<const WriteRun>(&run, 1));
+  EXPECT_EQ(a.load(1).as_int(), 2);
+  EXPECT_EQ(b.load(1).as_int(), 2);
+  EXPECT_EQ(b.load(3).as_int(), 7);
+}
+
 }  // namespace
 }  // namespace uc::vm::detail

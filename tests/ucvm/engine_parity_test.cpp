@@ -164,6 +164,7 @@ const std::vector<CorpusCase> kCorpusCases = {
     {"CopyBroadcastUnmapped", "copy_broadcast", {{"N", 16}, {"ROUNDS", 4}},
      {}, false},
     {"Jacobi", "jacobi", {{"N", 12}, {"ITERS", 8}}, {}},
+    {"StencilOffsets", "stencil_offsets", {}, {"h", "t", "far", "acc"}},
     {"Hello", "hello", {}, {"a"}},
     {"IntWrap", "int_wrap", {},
      {"big", "p", "q", "r", "lo", "neg", "a", "shl", "shr", "dm"}},
@@ -1044,6 +1045,223 @@ TEST(EngineParity, ReadClassificationMappedArraysAndSlicesUseTheTable) {
       "  print($+(I, J; m[i][j]), m[3][0], m[3][7]);\n"
       "}\n",
       "2236 49 55\n", 954, {"m"});
+}
+
+// --- lane-relative sites (docs/VM.md "Lane-relative sites") ---
+//
+// A site whose subscripts are index elements plus constants is classified
+// once at link when the lane space proves every lane alike.  Each program
+// mixes such sites with ones the link must leave per lane, and must charge
+// the walk's cycles on every engine at one and at four host threads.
+
+void expect_lane_relative(const std::string& src, const std::string& output,
+                          std::uint64_t cycles,
+                          const std::vector<std::string>& globals = {}) {
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    cm::MachineOptions mopts;
+    mopts.host_threads = threads;
+    expect_parity_and(src, output, cycles, globals, mopts);
+  }
+}
+
+// The statement space of a `seq` nested in a `par` is the seq's binding
+// space: its dims are the par's [8] and its one element is j, which is on
+// no lane axis.  a[j] is a per-lane read (NEWS from all lanes but one);
+// b[i], bound one level up on axis 0, is local.  A `seq` over a `par`
+// binds j above the par's space, again on no axis.
+TEST(EngineParity, ReadClassificationSeqBindingStaysPerLane) {
+  expect_lane_relative(
+      "#define N 8\n"
+      "index_set I:i = {0..N-1}, J:j = I;\n"
+      "int a[N], b[N];\n"
+      "void main() {\n"
+      "  par (I) a[i] = i * i;\n"
+      "  par (I) seq (J) b[i] = b[i] + a[j];\n"
+      "  print($+(I; b[i]), b[0], b[7]);\n"
+      "}\n",
+      "1120 140 140\n", 978, {"a", "b"});
+  expect_lane_relative(
+      "#define N 8\n"
+      "index_set I:i = {0..N-1}, J:j = I;\n"
+      "int a[N], b[N];\n"
+      "void main() {\n"
+      "  par (I) a[i] = i * i;\n"
+      "  seq (J) par (I) b[i] = b[i] + a[j] * (i + 1);\n"
+      "  print($+(I; b[i]), b[0], b[7]);\n"
+      "}\n",
+      "5040 140 1120\n", 1074, {"a", "b"});
+}
+
+// Lane position t of {1..N} binds t + 1, so a[i-1] is the lane's own
+// element and a[i] is one hop away.
+TEST(EngineParity, ReadClassificationOneBasedSet) {
+  expect_lane_relative(
+      "#define N 16\n"
+      "index_set I:i = {1..N}, K:k = {0..N-1};\n"
+      "int a[N], b[N], c[N];\n"
+      "void main() {\n"
+      "  par (K) a[k] = k * 3;\n"
+      "  par (I) b[i-1] = a[i-1] * 2;\n"
+      "  par (I) st (i < N) c[i] = a[i] + a[i-1];\n"
+      "  print($+(K; b[k]), $+(K; c[k]), c[1], c[15]);\n"
+      "}\n",
+      "720 675 3 87\n", 536, {"b", "c"});
+}
+
+// u[j][i] has bare elements for subscripts, but on the wrong axes: the
+// link leaves it per lane, as it does the transposed store w[j][i].
+TEST(EngineParity, ReadClassificationTransposed) {
+  expect_lane_relative(
+      "#define N 16\n"
+      "index_set I:i = {0..N-1}, J:j = I;\n"
+      "int u[N][N], t[N][N], w[N][N];\n"
+      "void main() {\n"
+      "  par (I, J) u[i][j] = i * N + j;\n"
+      "  par (I, J) t[i][j] = u[j][i];\n"
+      "  par (I, J) st (i > 0) w[j][i] = u[j][i-1] + t[i][j];\n"
+      "  print($+(I, J; t[i][j] * (i + 1)), $+(I, J; w[i][j]), t[1][2],\n"
+      "        w[3][4]);\n"
+      "}\n",
+      "282880 61200 33 103\n", 1924, {"t", "w"});
+}
+
+// Offsets at the NEWS limit and one past it, read on either axis and
+// stored, all through the lane-relative path; two moved axes route.
+TEST(EngineParity, ReadClassificationLaneRelativeNewsRouterLimit) {
+  const cm::CostModel cost;
+  const auto limit = static_cast<std::int64_t>(cost.router_op / cost.news_op);
+  const std::int64_t n = limit + 6;
+  for (const std::int64_t hops : {limit, limit + 1}) {
+    SCOPED_TRACE("hops=" + std::to_string(hops));
+    const std::string src =
+        "#define N " + std::to_string(n) + "\n#define H " +
+        std::to_string(hops) +
+        "\n"
+        "index_set I:i = {0..N-1}, J:j = I;\n"
+        "int u[N][N], a[N][N], b[N][N], c[N][N];\n"
+        "void main() {\n"
+        "  par (I, J) u[i][j] = i * N + j;\n"
+        "  par (I, J) st (i + H < N) a[i][j] = u[i + H][j];\n"
+        "  par (I, J) st (j >= H) b[i][j - H] = u[i][j];\n"
+        "  par (I, J) st (i >= H && j + 1 < N) c[i][j] = u[i - H][j + 1];\n"
+        "  print($+(I, J; a[i][j] + b[i][j] + c[i][j]));\n"
+        "}\n";
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      cm::MachineOptions mopts;
+      mopts.host_threads = threads;
+      expect_parity(src, {"a", "b", "c"}, mopts);
+    }
+    const std::uint64_t moved = static_cast<std::uint64_t>(n * (n - hops));
+    const std::uint64_t diagonal =
+        static_cast<std::uint64_t>((n - hops) * (n - 1));
+    for (const auto& c : kEngineConfigs) {
+      SCOPED_TRACE(c.label);
+      const cm::CostStats st = run_with(src, c.engine).stats();
+      if (hops == limit) {
+        EXPECT_EQ(st.news_ops, 2u);
+        EXPECT_EQ(st.router_messages, diagonal);
+      } else {
+        EXPECT_EQ(st.news_ops, 0u);
+        EXPECT_EQ(st.router_messages, 2 * moved + diagonal);
+      }
+    }
+  }
+}
+
+// i is bound one level up, on the inner space's axis 0.  Under
+// par (J) par (I) the axes swap, and w[i][j] is per lane.
+TEST(EngineParity, ReadClassificationNestedPar) {
+  expect_lane_relative(
+      "#define N 16\n"
+      "index_set I:i = {0..N-1}, J:j = I;\n"
+      "int u[N][N], v[N][N], w[N][N];\n"
+      "void main() {\n"
+      "  par (I) par (J) u[i][j] = i * N + j;\n"
+      "  par (I) par (J) st (i > 0 && j < N-2) v[i][j] = u[i-1][j] + u[i][j+2];\n"
+      "  par (J) par (I) w[i][j] = u[i][j] + 1;\n"
+      "  print($+(I, J; v[i][j]), $+(I, J; w[i][j]), v[1][0], w[2][3]);\n"
+      "}\n",
+      "53550 32896 18 36\n", 1360, {"v", "w"});
+}
+
+// A set that is not a consecutive run binds values unrelated to the lane
+// positions: p - 1 and p + 1 stay per lane.
+TEST(EngineParity, ReadClassificationPermutedSet) {
+  expect_lane_relative(
+      "index_set P:p = {3, 0, 2, 1};\n"
+      "int a[4], b[4], c[4];\n"
+      "void main() {\n"
+      "  par (P) a[p] = p * 10 + 1;\n"
+      "  par (P) st (p > 0) b[p] = a[p - 1];\n"
+      "  par (P) st (p < 3) c[p + 1] = a[p] + 1;\n"
+      "  print(b[1], b[2], b[3], c[1], c[2], c[3]);\n"
+      "}\n",
+      "1 11 21 2 12 22\n", 372, {"a", "b", "c"});
+}
+
+// A permuted array and a slice take the owner table whatever their
+// subscripts.
+TEST(EngineParity, ReadClassificationLaneRelativeSubscriptsOnTables) {
+  expect_lane_relative(
+      "#define N 16\n"
+      "index_set I:i = {0..N-1}, J:j = I;\n"
+      "int a[N], b[N], s[N];\n"
+      "int m[N][N];\n"
+      "map (I) { permute (I) b[N-1-i] :- a[i]; }\n"
+      "void bump(int v[]) { par (J) st (j < N-1) v[j] = v[j] + v[j + 1]; }\n"
+      "void main() {\n"
+      "  par (I) { a[i] = i; b[i] = 2 * i; }\n"
+      "  par (I) st (i > 0) s[i] = b[i - 1] + b[i];\n"
+      "  par (I) st (i < N-1) b[i + 1] = s[i];\n"
+      "  par (I, J) m[i][j] = i * N + j;\n"
+      "  bump(m[3]);\n"
+      "  print($+(I; s[i]), $+(I; b[i]), $+(I, J; m[i][j]), m[3][0]);\n"
+      "}\n",
+      "450 392 33480 97\n", 2732, {"s", "b", "m"});
+}
+
+// The last lane of the read a[i + 1] and the first of the store
+// a[i - 1] are out of range: every engine raises the walk's error for
+// that lane.
+TEST(EngineParity, ReadClassificationLaneRelativeEdgeLaneErrors) {
+  expect_error_parity(
+      "#define N 8\n"
+      "index_set I:i = {0..N-1};\n"
+      "int a[N], b[N];\n"
+      "void main() {\n"
+      "  par (I) a[i] = i;\n"
+      "  par (I) b[i] = a[i + 1];\n"
+      "}\n",
+      "program.uc:6:18: array subscript out of range: a[8]");
+  expect_error_parity(
+      "#define N 8\n"
+      "index_set I:i = {0..N-1};\n"
+      "int a[N];\n"
+      "void main() { par (I) a[i - 1] = i; }\n",
+      "program.uc:4:23: array subscript out of range: a[-1]");
+}
+
+// Offsets add in two's complement.  Lane t of W binds INT64_MIN + 1 + t,
+// so w - INT64_MAX wraps to t + 2 (two hops) and w + INT64_MAX is t; the
+// same constant on {0..7} puts every lane out of range.
+TEST(EngineParity, ReadClassificationOffsetWraps) {
+  expect_lane_relative(
+      "index_set W:w = {-9223372036854775807..-9223372036854775800};\n"
+      "int a[8], b[8];\n"
+      "void main() {\n"
+      "  par (W) a[w + 9223372036854775807] = (w + 9223372036854775807) * 5;\n"
+      "  par (W) st (w < -9223372036854775801)\n"
+      "    b[w + 9223372036854775807] = a[w - 9223372036854775807];\n"
+      "  print(b[0], b[1], b[5], b[6]);\n"
+      "}\n",
+      "10 15 35 0\n", 206, {"a", "b"});
+  expect_error_parity(
+      "index_set I:i = {0..7};\n"
+      "int a[8], b[8];\n"
+      "void main() { par (I) b[i] = a[i + 9223372036854775807]; }\n",
+      "program.uc:3:30: array subscript out of range: a[9223372036854775807]");
 }
 
 // --- expansion reuse (docs/VM.md "Linking and execution") ---

@@ -8,8 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "cm/machine.hpp"
 #include "uclang/frontend.hpp"
-#include "ucvm/kernel/bytecode.hpp"
+#include "ucvm/interp_detail.hpp"
+#include "ucvm/kernel/kernel.hpp"
 
 namespace uc::vm::detail::kernel {
 namespace {
@@ -367,6 +369,141 @@ TEST(KernelCompiler, SelectionRejectsAGuardThatStores) {
       static_cast<const lang::ExprStmt&>(*block.body).expr.get();
   EXPECT_NE(compile_expr(*block.pred), nullptr);
   EXPECT_EQ(compile_selection(*block.pred, &body, 1), nullptr);
+}
+
+// --- lane-relative sites (docs/VM.md "Lane-relative sites") ---
+
+// The Kernel::lane_relative entry of the instruction at `ip`, or null.
+const LaneRelativeSite* lane_relative_at(const Kernel& k, std::size_t ip) {
+  for (const LaneRelativeSite& s : k.lane_relative) {
+    if (s.ip == ip) return &s;
+  }
+  return nullptr;
+}
+
+// The Jacobi body: the four stencil reads and both stores are index
+// elements plus constants.  The read of v[i][j] is forwarded from the
+// first member's store, so it is no site at all.
+TEST(KernelCompiler, LaneRelativeMarksStencilReadsAndTheForwardedStore) {
+  auto unit = analyse(
+      "index_set I:i = {0..7}, J:j = I;\n"
+      "float u[8][8], v[8][8];\n"
+      "void main() {\n"
+      "  par (I, J) st (i > 0 && i < 7 && j > 0 && j < 7) {\n"
+      "    v[i][j] = 0.25 * (u[i-1][j] + u[i+1][j] + u[i][j-1] + u[i][j+1]);\n"
+      "    u[i][j] = v[i][j];\n"
+      "  }\n"
+      "}\n");
+  const lang::ScBlock& block = first_block(*unit);
+  ASSERT_EQ(block.body->kind, StmtKind::kCompound);
+  std::vector<const lang::Expr*> body;
+  for (const auto& st :
+       static_cast<const lang::CompoundStmt&>(*block.body).body) {
+    body.push_back(static_cast<const lang::ExprStmt&>(*st).expr.get());
+  }
+  const auto k = compile_fused(body.data(), body.size());
+  ASSERT_NE(k, nullptr);
+  ASSERT_EQ(k->elided_reads.size(), 1u);
+  EXPECT_EQ(count_ops(*k, Op::kArrGet), 4);
+  EXPECT_EQ(count_ops(*k, Op::kArrPut), 2);
+  ASSERT_EQ(k->lane_relative.size(), 6u);
+  const auto name = [&](std::uint16_t slot) {
+    return k->elems[slot].sym->name;
+  };
+  const std::int64_t offsets[4][2] = {{-1, 0}, {1, 0}, {0, -1}, {0, 1}};
+  int reads = 0;
+  const LaneRelativeSite* last_put = nullptr;
+  for (std::size_t ip = 0; ip < k->code.size(); ++ip) {
+    const Op op = k->code[ip].op;
+    if (op != Op::kArrGet && op != Op::kArrPut) continue;
+    const LaneRelativeSite* site = lane_relative_at(*k, ip);
+    ASSERT_NE(site, nullptr) << ip;
+    ASSERT_EQ(site->rank, 2u);
+    EXPECT_EQ(name(site->elem[0]), "i");
+    EXPECT_EQ(name(site->elem[1]), "j");
+    if (op == Op::kArrGet) {
+      EXPECT_EQ(site->off[0], offsets[reads][0]) << "read " << reads;
+      EXPECT_EQ(site->off[1], offsets[reads][1]) << "read " << reads;
+      ++reads;
+    } else {
+      last_put = site;
+    }
+  }
+  // u[i][j] = v[i][j], the second member's store.
+  ASSERT_NE(last_put, nullptr);
+  EXPECT_EQ(k->arrays[k->code[last_put->ip].a].sym->name, "u");
+  EXPECT_EQ(last_put->off[0], 0);
+  EXPECT_EQ(last_put->off[1], 0);
+}
+
+// A subscript read from an array, or scaled, is no element plus a
+// constant.  u[j][i] is marked: its subscripts are bare elements, and
+// only the lane space says which axis each element is on (the link then
+// leaves it per lane; see LaneRelativeLink below).
+TEST(KernelCompiler, LaneRelativeSkipsComputedSubscripts) {
+  auto unit = analyse(
+      "index_set I:i = {0..7}, J:j = I;\n"
+      "int u[8][8], w[8][8], x[8];\n"
+      "void main() { par (I, J) w[i][j] = u[x[i]][j] + u[i*2][j] + u[j][i]; }\n");
+  const auto* e = first_construct_expr(*unit);
+  ASSERT_NE(e, nullptr);
+  const auto k = compile_expr(*e);
+  ASSERT_NE(k, nullptr);
+  std::vector<std::string> marked;
+  for (const LaneRelativeSite& site : k->lane_relative) {
+    const Inst& inst = k->code[site.ip];
+    std::string text = k->arrays[inst.a].sym->name;
+    for (std::uint16_t j = 0; j < site.rank; ++j) {
+      text += "[" + k->elems[site.elem[j]].sym->name + "]";
+    }
+    marked.push_back(text);
+  }
+  EXPECT_EQ(marked, (std::vector<std::string>{"x[i]", "u[j][i]", "w[i][j]"}));
+}
+
+// Runs `src` on the bytecode engine and returns how many sites of the
+// kernel it linked last the link classified once for every lane.
+std::size_t static_sites_of_last_link(const std::string& src) {
+  auto unit = analyse(src);
+  cm::Machine machine;
+  ExecOptions opts;
+  opts.engine = ExecEngine::kBytecode;
+  Impl vm(*unit, machine, opts);
+  vm.run();
+  return vm.kernel_engine().static_sites();
+}
+
+// Which sites the link fixes: each program ends with the statement under
+// test, so its kernel is the one linked last.
+TEST(KernelCompiler, LaneRelativeLink) {
+  const std::string decls =
+      "#define N 8\n"
+      "index_set I:i = {0..N-1}, J:j = I, K:k = {1..N};\n"
+      "index_set P:p = {3, 0, 2, 1};\n"
+      "int a[N], b[N], c[N][N], u[N][N], t[N][N], r[N], q[4], s[4];\n"
+      "map (I) { permute (I) b[N-1-i] :- a[i]; }\n";
+  const auto last = [&](const std::string& stmt) {
+    return static_sites_of_last_link(decls + "void main() { " + stmt + " }\n");
+  };
+  // A read one hop away and the store.
+  EXPECT_EQ(last("par (I, J) st (i > 0) t[i][j] = u[i-1][j];"), 2u);
+  // Transposed: only the store.
+  EXPECT_EQ(last("par (I, J) t[i][j] = u[j][i];"), 1u);
+  // i one level up, on axis 0; the swapped nest puts it on axis 1.
+  EXPECT_EQ(last("par (I) par (J) st (j > 1) t[i][j] = u[i][j-2];"), 2u);
+  EXPECT_EQ(last("par (J) par (I) t[i][j] = u[i][j];"), 0u);
+  // A seq binding space binds j on no axis: a[j] stays per lane, below
+  // the par and above it.
+  EXPECT_EQ(last("par (I) seq (J) r[i] = r[i] + a[j];"), 2u);
+  EXPECT_EQ(last("seq (J) par (I) r[i] = r[i] + a[j];"), 2u);
+  // {1..N}: k - 1 is the lane's own position.
+  EXPECT_EQ(last("par (K) r[k-1] = a[k-1];"), 2u);
+  // Not a consecutive run.
+  EXPECT_EQ(last("par (P) q[p] = s[p];"), 0u);
+  // b is permuted: only the store to r.
+  EXPECT_EQ(last("par (I) r[i] = b[i];"), 1u);
+  // c[i][j] sits at a reduce site.
+  EXPECT_EQ(last("par (I) r[i] = $+(J; c[i][j]);"), 1u);
 }
 
 }  // namespace

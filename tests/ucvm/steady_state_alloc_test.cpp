@@ -12,6 +12,10 @@
 // with 2R rounds at the same lane count; the second count must not exceed
 // the first.
 //
+// One more test counts every allocation, whatever its size, while a
+// lane-relative kernel is linked again and again: the link keeps each
+// site's class in storage it reuses (docs/VM.md "Lane-relative sites").
+//
 // The sanitizers own operator new, so the binary is built only when
 // UC_SANITIZE is empty.  The TSan lane covers the same two-thread reuse
 // through EngineParity.SeqAndStarSolveRoundsOnTwoThreads instead.
@@ -25,19 +29,28 @@
 #include <new>
 #include <string>
 
+#include "cm/machine.hpp"
+#include "uclang/frontend.hpp"
 #include "ucvm/interp.hpp"
+#include "ucvm/interp_detail.hpp"
+#include "ucvm/kernel/kernel.hpp"
 
 namespace {
 
 constexpr std::size_t kLargeBytes = 64 * 1024;
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_large{0};
+std::atomic<bool> g_counting_all{false};
+std::atomic<std::uint64_t> g_all{0};
 
 }  // namespace
 
 void* operator new(std::size_t n) {
   if (n >= kLargeBytes && g_counting.load(std::memory_order_relaxed)) {
     g_large.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (g_counting_all.load(std::memory_order_relaxed)) {
+    g_all.fetch_add(1, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
@@ -225,6 +238,54 @@ TEST_F(SteadyStateAlloc, StarSolveNative) {
               ExecEngine::kNative, 1);
   expect_flat(star_solve_source(32, 32), star_solve_source(0, 0),
               ExecEngine::kNative, 2);
+}
+
+// The stencil sits in a function main never calls: the lane plan compiles
+// it all the same, and its lanes never run, so no edge lane is out of range.
+TEST(SteadyStateLink, LaneRelativeKernelRelinksWithoutAllocating) {
+  auto unit = lang::compile(
+      "link.uc",
+      "#define N 64\n"
+      "index_set I:i = {0..N-1}, J:j = I;\n"
+      "float u[N][N], v[N][N];\n"
+      "void sweep() {\n"
+      "  par (I, J) v[i][j] = u[i-1][j] + u[i+1][j] + u[i][j-1] + u[i][j+1];\n"
+      "}\n"
+      "void main() {}\n");
+  ASSERT_TRUE(unit->ok());
+  const lang::UcConstructStmt* par = nullptr;
+  for (const auto& item : unit->program->items) {
+    if (item.func != nullptr && item.func->name == "sweep") {
+      par = static_cast<const lang::UcConstructStmt*>(
+          item.func->body->body.front().get());
+    }
+  }
+  ASSERT_NE(par, nullptr);
+  const lang::Expr& stmt =
+      *static_cast<const lang::ExprStmt&>(*par->blocks.front().body).expr;
+
+  cm::Machine machine;
+  ExecOptions opts;
+  opts.engine = ExecEngine::kBytecode;
+  detail::Impl vm(*unit, machine, opts);
+  vm.run();  // declares the arrays
+  detail::LaneSpace space;
+  vm.expand(space, vm.root, vm.root.all_lanes(), par->index_set_syms);
+  const detail::kernel::Kernel* k = vm.lane_site(stmt, space).kernel;
+  ASSERT_NE(k, nullptr);
+  detail::kernel::Engine& engine = vm.kernel_engine();
+  ASSERT_EQ(engine.prepare(k, space, nullptr), k);
+  // Four NEWS reads and the local store.
+  EXPECT_EQ(engine.static_sites(), 5u);
+
+  g_all.store(0);
+  g_counting_all.store(true);
+  for (int round = 0; round < 100; ++round) {
+    (void)engine.prepare(k, space, nullptr);
+  }
+  g_counting_all.store(false);
+  EXPECT_EQ(g_all.load(), 0u);
+  EXPECT_EQ(engine.static_sites(), 5u);
 }
 
 }  // namespace

@@ -79,12 +79,15 @@ run_engine_smoke() {
   local tmp; tmp="$(mktemp -d)"
   local prog flags eng cache
   # mapping_demo (a permuted array) and slices take the owner table;
-  # jacobi's default-layout stencil reads take the closed form; the next
-  # five reduce over small (unrolled) and large (looped) index sets;
+  # jacobi's stencil reads are lane-relative sites, classified once per
+  # site at link (docs/VM.md "Lane-relative sites"), and stencil_offsets
+  # puts such sites on a 1-based set and around the NEWS limit next to a
+  # transposed and a seq-bound read, which stay per lane; the next five
+  # reduce over small (unrolled) and large (looped) index sets;
   # mixed_types converts ?: arms and swap() operands (docs/LANGUAGE.md
   # "Conversions").
   for prog in fig6_shortest_path_on2 fig7_shortest_path_on3 \
-              fig8_grid_obstacle mapping_demo slices jacobi \
+              fig8_grid_obstacle mapping_demo slices jacobi stencil_offsets \
               prefix_sums histogram matmul grid_dynamic_obstacle \
               shortest_path_star_solve mixed_types; do
     local src="$root/programs/$prog.uc"
