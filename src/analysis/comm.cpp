@@ -1,19 +1,20 @@
 // Communication-pattern classification (UC-A2xx + summary).
 //
-// Every array access inside a parallel site is classified by the machine
-// communication it needs on a CM-2 style grid: local (subscripts align
-// with the lane indices), news (constant-offset neighbour), scan
-// (uniform spread / reduce-shaped), or router (everything else).  Permute
-// placements from map sections are composed into the subscripts so the
-// classification reflects *physical* positions; mappings that turn
-// NEWS-servable access patterns into router traffic are flagged.
+// Every array access inside a parallel site gets the class the engines
+// charge when all its lanes share one (local, news, router: the engines'
+// closed form, cm/access.hpp, for lane indices plus constants), or scan
+// when the engines decide per lane.  Permute placements are composed into
+// the subscripts; mappings that turn NEWS-servable patterns into router
+// traffic are flagged.
 #include <algorithm>
-#include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/pass.hpp"
+#include "cm/access.hpp"
+#include "uclang/arith.hpp"
 
 namespace uc::analysis {
 
@@ -26,20 +27,24 @@ struct CommDecision {
   std::string detail;  // why the access landed in this class
 };
 
+// The lane geometry of an access, and the array's shape and layout.
+struct AccessGeometry {
+  std::vector<std::int64_t> lane_dims;
+  const std::vector<std::int64_t>* dims = nullptr;
+  bool default_layout = true;  // no fold, and not a parameter (a slice?)
+};
+
 // Classifies one access's per-dimension views against the site's lanes.
 CommDecision classify_views(const ParSite& site,
-                            const std::vector<DimView>& views) {
+                            const std::vector<DimView>& views,
+                            const AccessGeometry& geom,
+                            const cm::CostModel& cost) {
   for (const auto& v : views) {
     if (v.kind == DimKind::kUnknown) {
       return {CommClass::kRouter, "subscript not affine in lane indices"};
     }
     if (v.kind == DimKind::kMulti) {
       return {CommClass::kRouter, "subscript mixes lane indices"};
-    }
-  }
-  for (const auto& v : views) {
-    if (v.kind == DimKind::kScaled) {
-      return {CommClass::kRouter, "strided or permuted subscript"};
     }
   }
   for (const auto& v : views) {
@@ -53,6 +58,13 @@ CommDecision classify_views(const ParSite& site,
   }
   if (any_uniform) {
     return {CommClass::kScan, "uniform subscript (spread/broadcast)"};
+  }
+  const CommDecision per_lane{CommClass::kScan, "class varies by lane"};
+  if (!geom.default_layout) return per_lane;
+  for (const auto& v : views) {
+    if (v.kind == DimKind::kScaled) {
+      return {CommClass::kRouter, "strided or permuted subscript"};
+    }
   }
 
   // All dims are kIdent / kOffset on distinct lane elements.  A repeated
@@ -77,15 +89,33 @@ CommDecision classify_views(const ParSite& site,
     ++lane_pos;
   }
 
-  std::int64_t max_off = 0;
-  for (const auto& v : views) {
-    max_off = std::max(max_off, std::abs(v.offset));
+  // The closed form: subscript j is the element on lane axis j plus c,
+  // over a consecutive run from v0, so lane coordinate t reads t + v0 + c.
+  if (geom.dims->size() != views.size()) return per_lane;
+  std::vector<std::int64_t> delta(views.size());
+  for (std::size_t j = 0; j < views.size(); ++j) {
+    const LaneElem* le = j < site.lanes.size() ? &site.lanes[j] : nullptr;
+    if (le == nullptr || le->elem != views[j].elem ||
+        !le->set->index_set->consecutive_run()) {
+      return per_lane;
+    }
+    delta[j] = lang::arith::Add::on(le->set->index_set->values.front(),
+                                    views[j].offset);
   }
-  if (max_off != 0) {
-    return {CommClass::kNews,
-            "constant offset " + std::to_string(max_off) + " on the grid"};
+  const auto access = cm::lane_relative_access(
+      delta.data(), geom.dims->data(), views.size(), geom.lane_dims.data(),
+      geom.lane_dims.size(), cost);
+  if (!access) return per_lane;
+  if (access->cls == cm::AccessClass::kLocal) return {CommClass::kLocal, ""};
+  if (access->cls == cm::AccessClass::kNews) {
+    return {CommClass::kNews, "constant offset " +
+                                  std::to_string(access->hops) +
+                                  " on the grid"};
   }
-  return {CommClass::kLocal, ""};
+  return {CommClass::kRouter,
+          geom.lane_dims != *geom.dims
+              ? "lane geometry differs from the array shape"
+              : "constant offset is no single NEWS move"};
 }
 
 class CommPass : public Pass {
@@ -99,6 +129,12 @@ class CommPass : public Pass {
     std::map<const Symbol*, bool> any_placed_router;
     std::map<const Symbol*, bool> all_identity_cheap;
     std::map<const Symbol*, std::size_t> access_count;
+    // Arrays a copy replicates on every VP, and arrays a fold moves.
+    std::set<const Symbol*> copied, folded;
+    for (const auto& ref : ctx.model.mappings) {
+      if (ref.mapping->kind == lang::MapKind::kCopy) copied.insert(ref.target);
+      if (ref.mapping->kind == lang::MapKind::kFold) folded.insert(ref.target);
+    }
 
     for (const auto& site : ctx.model.sites) {
       for (const auto& sa : site.accesses) {
@@ -106,21 +142,29 @@ class CommPass : public Pass {
         const Symbol* base = sa.access.base;
         if (base == nullptr || site.per_lane.count(base) != 0) continue;
 
-        auto placed = subscript_views(site, sa, ctx.model,
-                                      /*apply_placement=*/true);
-        CommDecision c = classify_views(site, placed);
-
-        std::uint64_t space = site.lane_count();
+        // The lanes' geometry is the site's, then a reduction's sets.
+        AccessGeometry geom{{}, &base->type.dims,
+                            base->kind != lang::SymbolKind::kParam &&
+                                folded.count(base) == 0};
+        std::uint64_t space = 1;
+        const auto axis = [&](std::int64_t n) {
+          geom.lane_dims.push_back(n);
+          space *= static_cast<std::uint64_t>(n);
+        };
+        for (const auto& le : site.lanes) axis(le.size);
         const lang::ReduceExpr* reduce =
             sa.access.reduce != nullptr ? sa.access.reduce : site.reduce;
-        if (reduce != nullptr) {
-          for (const auto* set : reduce->index_set_syms) {
-            if (set != nullptr && set->index_set != nullptr &&
-                !set->index_set->values.empty()) {
-              space *= set->index_set->values.size();
-            }
-          }
+        for (const auto* set : reduce != nullptr ? reduce->index_set_syms
+                                                 : std::vector<Symbol*>{}) {
+          const auto n = std::ssize(set->index_set->values);
+          if (n > 0) axis(n);
         }
+
+        auto placed = subscript_views(site, sa, ctx.model,
+                                      /*apply_placement=*/true);
+        CommDecision c = copied.count(base) != 0
+                             ? CommDecision{CommClass::kLocal, ""}
+                             : classify_views(site, placed, geom, ctx.cost);
 
         CommAccess ca;
         ca.cls = c.cls;
@@ -141,7 +185,7 @@ class CommPass : public Pass {
         if (ctx.model.placements.count(base) != 0) {
           auto identity = subscript_views(site, sa, ctx.model,
                                           /*apply_placement=*/false);
-          CommDecision ci = classify_views(site, identity);
+          CommDecision ci = classify_views(site, identity, geom, ctx.cost);
           bool cheap = ci.cls == CommClass::kLocal ||
                        ci.cls == CommClass::kNews;
           auto [ai, ains] = all_identity_cheap.try_emplace(base, true);

@@ -11,19 +11,20 @@ void PassManager::add(std::unique_ptr<Pass> pass) {
   passes_.push_back(std::move(pass));
 }
 
-void PassManager::run(const lang::CompilationUnit& unit,
-                      Report& report) const {
+void PassManager::run(const lang::CompilationUnit& unit, Report& report,
+                      const cm::CostModel& cost) const {
   ProgramModel model = build_model(unit);
-  PassContext ctx{unit, model, report};
+  PassContext ctx{unit, model, report, cost};
   for (const auto& pass : passes_) pass->run(ctx);
 }
 
-Report run_default_analysis(const lang::CompilationUnit& unit) {
+Report run_default_analysis(const lang::CompilationUnit& unit,
+                            const cm::CostModel& cost) {
   PassManager pm;
   pm.add(make_interference_pass());
   pm.add(make_comm_pass());
   Report report;
-  pm.run(unit, report);
+  pm.run(unit, report, cost);
   return report;
 }
 

@@ -12,6 +12,7 @@
 
 #include "analysis/model.hpp"
 #include "analysis/report.hpp"
+#include "cm/cost.hpp"
 #include "uclang/frontend.hpp"
 
 namespace uc::analysis {
@@ -20,6 +21,8 @@ struct PassContext {
   const lang::CompilationUnit& unit;
   const ProgramModel& model;
   Report& report;
+  // The machine whose NEWS limit the communication classes follow.
+  const cm::CostModel& cost;
 
   // Line number of a source location (0 when no file is attached).
   std::uint32_t line(support::SourceLoc loc) const;
@@ -36,7 +39,8 @@ class PassManager {
  public:
   void add(std::unique_ptr<Pass> pass);
   // Builds the model from `unit` and runs every pass into `report`.
-  void run(const lang::CompilationUnit& unit, Report& report) const;
+  void run(const lang::CompilationUnit& unit, Report& report,
+           const cm::CostModel& cost = {}) const;
 
  private:
   std::vector<std::unique_ptr<Pass>> passes_;
@@ -47,6 +51,7 @@ std::unique_ptr<Pass> make_interference_pass();
 std::unique_ptr<Pass> make_comm_pass();
 
 // Runs the default pipeline (interference + communication classifier).
-Report run_default_analysis(const lang::CompilationUnit& unit);
+Report run_default_analysis(const lang::CompilationUnit& unit,
+                            const cm::CostModel& cost = {});
 
 }  // namespace uc::analysis

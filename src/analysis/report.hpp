@@ -14,10 +14,12 @@
 //
 // The communication summary classifies every parallel array access:
 //
-//   local   subscripts align with the lane indices (no communication)
-//   news    constant-offset neighbour access on the NEWS grid
-//   scan    spread / reduction shaped (uniform or reduce-bound subscripts)
-//   router  general communication (non-affine, strided, or permuted)
+//   local   every lane reads its own element (no communication)
+//   news    every lane reads one axis away, within the NEWS limit
+//   scan    decided per lane (uniform or reduce-bound subscripts, other
+//           geometries or layouts)
+//   router  general communication (non-affine, strided, permuted, or
+//           past the NEWS limit)
 #pragma once
 
 #include <cstdint>

@@ -63,22 +63,6 @@ std::optional<VpIndex> Geometry::neighbor(VpIndex vp, std::size_t axis,
   return flatten(coords);
 }
 
-bool Geometry::is_news_neighbor(VpIndex a, VpIndex b) const {
-  if (a == b) return false;
-  if (a < 0 || b < 0 || a >= size_ || b >= size_) return false;
-  auto ca = unflatten(a);
-  auto cb = unflatten(b);
-  std::int64_t diff_axes = 0;
-  bool unit_step = true;
-  for (std::size_t i = 0; i < ca.size(); ++i) {
-    if (ca[i] != cb[i]) {
-      ++diff_axes;
-      if (ca[i] - cb[i] != 1 && cb[i] - ca[i] != 1) unit_step = false;
-    }
-  }
-  return diff_axes == 1 && unit_step;
-}
-
 std::string Geometry::to_string() const {
   std::ostringstream os;
   os << "Geometry(";

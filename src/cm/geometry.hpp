@@ -36,10 +36,6 @@ class Geometry {
   std::optional<VpIndex> neighbor(VpIndex vp, std::size_t axis,
                                   std::int64_t delta) const;
 
-  // True when two VPs are adjacent along exactly one axis (a single NEWS
-  // hop); used by the machine to classify remote accesses.
-  bool is_news_neighbor(VpIndex a, VpIndex b) const;
-
   std::string to_string() const;
 
   friend bool operator==(const Geometry& a, const Geometry& b) {

@@ -212,6 +212,14 @@ void Machine::charge_broadcast(std::int64_t vp_set_size) {
   stats_.cycles += options_.cost.broadcast_op * vpr;
 }
 
+void Machine::charge_access(std::int64_t vp_set_size,
+                            const AccessStats& stats) {
+  if (stats.news > 0) charge_news(vp_set_size, stats.news_max_hops);
+  if (stats.router > 0) charge_router(vp_set_size, stats.router);
+  if (stats.broadcast > 0) charge_broadcast(vp_set_size);
+  if (stats.frontend > 0) charge_frontend(stats.frontend);
+}
+
 void Machine::trace(const char* fmt, ...) {
   if (!options_.record_paris_trace) return;
   va_list args;

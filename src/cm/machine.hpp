@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cm/access.hpp"
 #include "cm/cost.hpp"
 #include "cm/fault.hpp"
 #include "cm/field.hpp"
@@ -100,6 +101,11 @@ class Machine {
   void charge_global_or();
   // Front-end broadcast of a scalar to a VP set.
   void charge_broadcast(std::int64_t vp_set_size);
+  // The communication of one statement's accesses over a VP set of the
+  // given size (cm/access.hpp): one NEWS instruction as far as the longest
+  // hop, one router instruction delivering every routed access, one
+  // broadcast, then the front-end accesses, each only when counted.
+  void charge_access(std::int64_t vp_set_size, const AccessStats& stats);
 
   // ---- Robustness layer (docs/ROBUSTNESS.md) ----
 

@@ -26,34 +26,11 @@ std::int64_t Elem::get(FieldHandle f,
   if (!geom.contains(coords)) {
     throw support::ApiError("cstar::Elem::get: coordinates out of range");
   }
+  // The VM's rule, with the owner and the instance in one geometry.
   const auto owner = geom.flatten(coords);
-  if (owner == vp_) {
-    ++access_->local;
-  } else if (geom.is_news_neighbor(vp_, owner)) {
-    ++access_->news;
-    access_->max_hops = std::max<std::uint64_t>(access_->max_hops, 1);
-  } else {
-    // Single-axis strides could use multi-hop NEWS; classify like the VM.
-    auto a = geom.unflatten(vp_);
-    auto b = geom.unflatten(owner);
-    int diff_axes = 0;
-    std::int64_t hops = 0;
-    for (std::size_t d = 0; d < a.size(); ++d) {
-      if (a[d] != b[d]) {
-        ++diff_axes;
-        hops = std::abs(a[d] - b[d]);
-      }
-    }
-    const auto& cost = domain_->machine_.cost_model();
-    if (diff_axes == 1 &&
-        static_cast<std::uint64_t>(hops) * cost.news_op <= cost.router_op) {
-      ++access_->news;
-      access_->max_hops =
-          std::max(access_->max_hops, static_cast<std::uint64_t>(hops));
-    } else {
-      ++access_->router;
-    }
-  }
+  access_->count(cm::access_class(coords.data(), geom.unflatten(vp_).data(),
+                                  coords.size(),
+                                  domain_->machine_.cost_model()));
   return cm::as_int(domain_->snapshot_[static_cast<std::size_t>(f.index)]
                                       [static_cast<std::size_t>(owner)]);
 }
@@ -162,7 +139,7 @@ void Domain::parallel(std::uint64_t op_weight,
 
   std::vector<std::vector<Elem::Pending>> pending(
       static_cast<std::size_t>(n));
-  std::vector<Elem::Access> access(static_cast<std::size_t>(n));
+  std::vector<cm::AccessStats> access(static_cast<std::size_t>(n));
   const auto& mask = context_.current();
   machine_.pool().parallel_for(
       0, n,
@@ -179,15 +156,9 @@ void Domain::parallel(std::uint64_t op_weight,
       },
       /*min_grain=*/256);
 
-  Elem::Access total;
-  for (const auto& a : access) {
-    total.local += a.local;
-    total.news += a.news;
-    total.router += a.router;
-    total.max_hops = std::max(total.max_hops, a.max_hops);
-  }
-  if (total.news > 0) machine_.charge_news(n, total.max_hops);
-  if (total.router > 0) machine_.charge_router(n, total.router);
+  cm::AccessStats total;
+  for (const auto& a : access) total.merge(a);
+  machine_.charge_access(n, total);
 
   // Commit: plain sets must be single-valued; combines fold in VP order.
   for (auto& per_vp : pending) {
@@ -224,7 +195,7 @@ void Domain::where(const std::function<bool(Elem&)>& pred,
   snapshot_.reserve(fields_.size());
   for (auto id : fields_) snapshot_.push_back(machine_.field(id).raw());
   std::vector<Elem::Pending> scratch;
-  Elem::Access access;
+  cm::AccessStats access;
   context_.where([&](cm::VpIndex vp) {
     Elem elem;
     elem.domain_ = this;

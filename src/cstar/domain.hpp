@@ -82,10 +82,7 @@ class Elem {
     enum class Kind : std::uint8_t { kSet, kMin, kMax, kAdd } kind;
   };
   std::vector<Pending>* pending_ = nullptr;
-  struct Access {
-    std::uint64_t local = 0, news = 0, router = 0, max_hops = 0;
-  };
-  Access* access_ = nullptr;
+  cm::AccessStats* access_ = nullptr;
 };
 
 class Domain {

@@ -135,7 +135,8 @@ ProfileResult Program::attribute(const prof::Profiler& profiler,
   // `ucc analyze` passes and annotate each dynamic site whose source range
   // covers the access.  The analysis runs on the same (possibly
   // transformed) unit the VM executed, so offsets line up exactly.
-  analysis::Report report = analysis::run_default_analysis(*unit_);
+  analysis::Report report =
+      analysis::run_default_analysis(*unit_, machine.cost_model());
   for (auto& site : result.sites) {
     if (site.end_offset <= site.begin_offset) continue;
     bool seen[4] = {false, false, false, false};

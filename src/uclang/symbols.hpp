@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +30,18 @@ const char* symbol_kind_name(SymbolKind k);
 struct IndexSetInfo {
   std::vector<std::int64_t> values;  // in declaration order
   Symbol* elem = nullptr;            // the element symbol
+
+  // True for a non-empty ascending run of consecutive ints: position t
+  // then binds values.front() + t.
+  bool consecutive_run() const {
+    for (std::size_t t = 1; t < values.size(); ++t) {
+      if (values[t - 1] == std::numeric_limits<std::int64_t>::max() ||
+          values[t] != values[t - 1] + 1) {
+        return false;
+      }
+    }
+    return !values.empty();
+  }
 };
 
 struct Symbol {

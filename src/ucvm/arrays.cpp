@@ -80,7 +80,7 @@ void ArrayObj::unflatten(std::int64_t flat, std::int64_t* out) const {
 }
 
 const std::int64_t* ArrayObj::coord_table() const {
-  if (coord_table_.empty()) {
+  std::call_once(coord_table_once_, [this] {
     const std::size_t rank = dims_.size();
     coord_table_.resize(static_cast<std::size_t>(size_) * rank);
     std::vector<std::int64_t> cur(rank, 0);
@@ -93,7 +93,7 @@ const std::int64_t* ArrayObj::coord_table() const {
         cur[r] = 0;
       }
     }
-  }
+  });
   return coord_table_.data();
 }
 

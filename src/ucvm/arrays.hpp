@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -146,9 +147,9 @@ class ArrayObj {
 
   // Lazily-built row-major coordinate table: coord_table()[v * rank + d]
   // is coordinate d of flat index v.  Pure geometry (never invalidated);
-  // the bytecode engine's NEWS classification uses it in place of
-  // per-access division.  Build it from one thread (the engine's link
-  // step) before lanes run.
+  // NEWS classification reads an owner's coordinates from it in place of
+  // per-access division.  Safe to call from the walk's pool workers: the
+  // first call builds it once.
   const std::int64_t* coord_table() const;
   const cm::Geometry& geometry() const {
     return parent_ ? parent_->geometry() : machine_.geometry(geom_);
@@ -166,6 +167,7 @@ class ArrayObj {
   std::vector<cm::VpIndex> owner_;
   bool identity_owners_ = true;
   mutable std::vector<std::int64_t> coord_table_;
+  mutable std::once_flag coord_table_once_;
   bool replicated_ = false;
   std::int64_t replica_count_ = 1;
   bool call_local_ = false;

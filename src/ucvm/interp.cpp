@@ -489,7 +489,7 @@ Flow Impl::exec_scalar_stmt(const Stmt& stmt, EvalCtx& ctx) {
       if (ctx.is_frontend()) {
         // Scoped on the front end only: inside a parallel context this
         // path runs on pool workers, where profiling hooks must not fire
-        // (charging happens via merged AccessStats on the issuing thread).
+        // (charging happens via merged cm::AccessStats on the issuing thread).
         ProfScope prof_scope(*this, &stmt, "fe", stmt.range);
         ++stmt_counter;
         charge_expr(*s.expr, 1, /*frontend=*/true);

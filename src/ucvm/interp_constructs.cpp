@@ -164,7 +164,7 @@ void Impl::eval_lanes(const Expr& expr, LaneSpace& space,
                 results, own);
     }
     if (prof != nullptr) prof->note_engine(run.tier);
-    charge_dynamic_stats(run.member_stats[0], space.geom_size);
+    machine.charge_access(space.geom_size, run.member_stats[0]);
     commit_lanes(run);
   });
 }
@@ -187,7 +187,7 @@ void Impl::run_lanes(const Expr* const* stmts, std::size_t count,
   run.writes.assign(static_cast<std::size_t>(n), {});
   run.prints.assign(static_cast<std::size_t>(n), {});
   // Per (lane, member), merged per member below.
-  std::vector<AccessStats> stats(static_cast<std::size_t>(n) * count);
+  std::vector<cm::AccessStats> stats(static_cast<std::size_t>(n) * count);
 
   const auto run_range = [&](std::int64_t b, std::int64_t e_) {
     for (std::int64_t k = b; k < e_; ++k) {
@@ -218,7 +218,7 @@ void Impl::run_lanes(const Expr* const* stmts, std::size_t count,
   // A grain of n runs every lane on the issuing thread.
   machine.pool().parallel_for(0, n, run_range, declares ? n : 64);
 
-  run.member_stats.assign(count, AccessStats{});
+  run.member_stats.assign(count, cm::AccessStats{});
   for (std::size_t k = 0; k < stats.size(); ++k) {
     run.member_stats[k % count].merge(stats[k]);
   }
@@ -231,14 +231,6 @@ void Impl::commit_lanes(const LaneRun& run) {
   }
   commit_writes(run.writes);
   for (const auto& p : run.prints) output += p;
-}
-
-void Impl::charge_dynamic_stats(const AccessStats& total,
-                                std::int64_t geom_size) {
-  if (total.news > 0) machine.charge_news(geom_size, total.news_max_hops);
-  if (total.router > 0) machine.charge_router(geom_size, total.router);
-  if (total.broadcast > 0) machine.charge_broadcast(geom_size);
-  if (total.frontend > 0) machine.charge_frontend(total.frontend);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,7 +382,7 @@ bool Impl::exec_fused_group(const FusionSeg& seg, LaneSpace& space,
     }
     for (std::size_t k = 0; k < count; ++k) {
       ProfScope prof_scope(*this, stmts[k], "stmt", stmts[k]->range);
-      charge_dynamic_stats(run.member_stats[k], space.geom_size);
+      machine.charge_access(space.geom_size, run.member_stats[k]);
       if (prof != nullptr) {
         prof->note_engine(run.tier);
         prof->note_fused();
@@ -1142,7 +1134,7 @@ bool Impl::exec_selection(const ScBlock& block, const SelectionBlock& sel,
         }
       }
       if (prof != nullptr) prof->note_engine(run.tier);
-      charge_dynamic_stats(run.member_stats[0], space.geom_size);
+      machine.charge_access(space.geom_size, run.member_stats[0]);
       if (!merged) commit_lanes(run);
     });
   }

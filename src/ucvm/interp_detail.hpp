@@ -206,27 +206,6 @@ class CommitSeen {
   std::uint32_t gen_ = 0;
 };
 
-// Communication classification counters for one statement execution.
-// Summed across lanes; all fields merge commutatively so any host
-// execution order yields identical charges.
-struct AccessStats {
-  std::uint64_t local = 0;
-  std::uint64_t news = 0;
-  std::uint64_t news_max_hops = 0;
-  std::uint64_t router = 0;
-  std::uint64_t frontend = 0;
-  std::uint64_t broadcast = 0;
-
-  void merge(const AccessStats& o) {
-    local += o.local;
-    news += o.news;
-    news_max_hops = std::max(news_max_hops, o.news_max_hops);
-    router += o.router;
-    frontend += o.frontend;
-    broadcast += o.broadcast;
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Per-lane evaluation context
 // ---------------------------------------------------------------------------
@@ -246,7 +225,7 @@ struct EvalCtx {
 
   // Synchronous-write collection; nullptr = commit directly.
   std::vector<Write>* writes = nullptr;
-  AccessStats* stats = nullptr;
+  cm::AccessStats* stats = nullptr;
   std::string* print_out = nullptr;  // per-lane print buffer (may be null)
 
   // Deterministic per-lane RNG (seeded lazily from statement id + VP).
@@ -449,7 +428,7 @@ struct Impl {
   // (a kernel run buffers in the engine's arenas).
   struct LaneRun {
     prof::Tier tier = prof::Tier::kWalk;
-    std::vector<AccessStats> member_stats;
+    std::vector<cm::AccessStats> member_stats;
     std::vector<std::vector<Write>> writes;
     std::vector<std::string> prints;
   };
@@ -475,9 +454,6 @@ struct Impl {
   // Commits per-lane write buffers (walk, solve), lanes in order.
   void commit_writes(const std::vector<std::vector<Write>>& per_lane);
   void apply_write(const WriteTarget& t, const Value& v);
-  // Charges the dynamic comm stats gathered by one statement execution
-  // (order matters for the paris trace: news, router, broadcast, frontend).
-  void charge_dynamic_stats(const AccessStats& total, std::int64_t geom_size);
 
   // Lazily constructed kernel engine (exec.cpp).  Every engine links the
   // statement's planned kernel through it: the kernel, or its absence,
@@ -644,19 +620,6 @@ class ProfScope {
 // safe from pool workers, so the walk runs such statements' lanes on the
 // issuing thread (interp_constructs.cpp).
 bool calls_array_declarer(const Expr& e);
-
-// Shared between the tree walk and the bytecode engine (definition in
-// interp_expr.cpp) so remote-access classification cannot drift apart;
-// operator values come from uclang/arith.hpp.
-//
-// Classifies an access to a non-replicated array from a lane that is not on
-// the front end: local when the lane's VP owns the element, NEWS for a
-// short single-axis offset when the lane geometry matches the array shape
-// (geom_matches), router otherwise.
-void classify_remote_access(const ArrayObj& arr, std::int64_t flat,
-                            cm::VpIndex vp, const std::int64_t* lane_coords,
-                            std::size_t n_dims, bool geom_matches,
-                            const cm::CostModel& cost, AccessStats& stats);
 
 // True when the reduction's arms are guarded by predicates of the shape
 // `f(inner elems) == g(outer elems)` so each input element contributes to

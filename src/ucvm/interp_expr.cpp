@@ -60,47 +60,6 @@ ArrayPtr Impl::array_of(const Symbol& sym, const EvalCtx& ctx) {
   return slot->array;
 }
 
-void classify_remote_access(const ArrayObj& arr, std::int64_t flat,
-                            cm::VpIndex vp, const std::int64_t* lane_coords,
-                            std::size_t n_dims, bool geom_matches,
-                            const cm::CostModel& cost, AccessStats& stats) {
-  const auto owner = arr.owner(flat);
-  if (owner == vp) {
-    ++stats.local;
-    return;
-  }
-  // A slice's element coordinates live in the parent's geometry, which
-  // does not align with the lane geometry — remote slice traffic routes.
-  if (arr.is_slice()) {
-    ++stats.router;
-    return;
-  }
-  // When the lane geometry matches the array shape, a single-axis unit-ish
-  // offset travels over the NEWS grid; everything else uses the router.
-  if (geom_matches) {
-    std::int64_t owner_coords[8];
-    arr.unflatten(owner, owner_coords);
-    int diff_axes = 0;
-    std::int64_t hops = 0;
-    for (std::size_t d = 0; d < n_dims; ++d) {
-      if (owner_coords[d] != lane_coords[d]) {
-        ++diff_axes;
-        hops = std::abs(owner_coords[d] - lane_coords[d]);
-      }
-    }
-    if (diff_axes == 1) {
-      // NEWS is profitable for short hops; long strides use the router.
-      if (static_cast<std::uint64_t>(hops) * cost.news_op <= cost.router_op) {
-        ++stats.news;
-        stats.news_max_hops =
-            std::max(stats.news_max_hops, static_cast<std::uint64_t>(hops));
-        return;
-      }
-    }
-  }
-  ++stats.router;
-}
-
 void Impl::classify_access(const ArrayObj& arr, std::int64_t flat,
                            EvalCtx& ctx) {
   if (ctx.stats == nullptr || ctx.suppress_comm > 0) return;
@@ -112,15 +71,19 @@ void Impl::classify_access(const ArrayObj& arr, std::int64_t flat,
     ++ctx.stats->local;  // every VP holds a copy (copy mapping)
     return;
   }
+  // The table-reading reference (docs/VM.md "Read classification"); a
+  // slice's owners live in its parent's geometry.
   const auto& dims = ctx.space->dims;
-  const bool geom_matches = dims.size() <= 8 && dims == arr.dims();
+  const bool grid =
+      !arr.is_slice() && dims.size() <= 8 && dims == arr.dims();
   const std::int64_t* lane_coords =
       dims.empty() ? nullptr
                    : &ctx.space->coords[static_cast<std::size_t>(ctx.lane) *
                                         dims.size()];
-  classify_remote_access(arr, flat, ctx.space->vps[ctx.lane], lane_coords,
-                         dims.size(), geom_matches, machine.cost_model(),
-                         *ctx.stats);
+  ctx.stats->count(cm::owner_access(
+      arr.owner(flat), ctx.space->vps[ctx.lane],
+      grid ? arr.coord_table() : nullptr, lane_coords, dims.size(),
+      machine.cost_model()));
 }
 
 // ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
       ProfScope prof_scope(*this, assigns[a].assign, "solve-eq",
                            assigns[a].assign->range);
       std::vector<std::vector<Write>> writes(static_cast<std::size_t>(n));
-      std::vector<AccessStats> stats(static_cast<std::size_t>(n));
+      std::vector<cm::AccessStats> stats(static_cast<std::size_t>(n));
       std::vector<std::uint8_t> fired(static_cast<std::size_t>(n), 0);
       machine.pool().parallel_for(
           0, n,
@@ -180,14 +180,9 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
       // Charge one *par-style round for this assignment.
       charge_expr(*assigns[a].assign, space.geom_size, /*frontend=*/false,
                   &space);
-      AccessStats total;
+      cm::AccessStats total;
       for (const auto& s : stats) total.merge(s);
-      if (total.news > 0) {
-        machine.charge_news(space.geom_size, total.news_max_hops);
-      }
-      if (total.router > 0) {
-        machine.charge_router(space.geom_size, total.router);
-      }
+      machine.charge_access(space.geom_size, total);
 
       commit_writes(writes);
       for (std::int64_t k = 0; k < n; ++k) {

@@ -258,7 +258,8 @@ bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
       la.geom_matches =
           space.dims.size() <= 8 && space.dims == la.arr->dims();
     }
-    if (la.geom_matches) la.vp_coords = la.arr->coord_table();
+    la.vp_coords =
+        la.geom_matches && !la.slice ? la.arr->coord_table() : nullptr;
   }
 
   sites_.assign(k.code.size(), LinkedSite{});
@@ -271,16 +272,15 @@ bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
 Engine::LinkedSite Engine::link_site(const Kernel& k,
                                      const LaneRelativeSite& rel) const {
   // The closed form's preconditions (docs/VM.md "Read classification"):
-  // the owner of an element is its own flat index, and the lane geometry
-  // is the array's shape, so a lane is the owner of the element at its
-  // own coordinates.
+  // the owner of an element is its own flat index, and array axis j is
+  // lane axis j, so the lane's coordinate on it is its position in the
+  // element's set.
   const LinkedArray& la = arrays_[k.code[rel.ip].a];
-  if (la.mode != AccMode::kRemote || !la.identity || !la.geom_matches ||
-      la.slice || la.reduce >= 0 || rel.rank != la.rank) {
-    return {};
+  if (la.mode != AccMode::kRemote || !la.identity || la.reduce >= 0 ||
+      rel.rank != la.rank) {
+    return std::nullopt;
   }
-  int moved = 0;
-  std::uint64_t hops = 0;
+  std::int64_t delta[kMaxSubscripts];
   for (std::uint16_t j = 0; j < rel.rank; ++j) {
     const LinkedElem& le = elems_[rel.elem[j]];
     // The element's space must add one lane axis per element it binds,
@@ -295,76 +295,22 @@ Engine::LinkedSite Engine::link_site(const Kernel& k,
         p == nullptr || p->frontend ? 0 : p->dims.size();
     if (s.dims.size() != parent_dims + s.elems.size() ||
         parent_dims + le.k != j) {
-      return {};
+      return std::nullopt;
     }
     // Position t binds v0 + t (the set is a consecutive run), so the lane
-    // reads v0 + t + off[j] at coordinate t: every lane in range is
-    // v0 + off[j] away on this axis.  A distance of the axis's extent or
-    // more leaves no lane in range, and the bounds check raises first.
+    // reads v0 + t + off[j] at coordinate t.
     const lang::Symbol* set = k.elems[rel.elem[j]].sym->elem_of_set;
-    const std::int64_t off =
-        arith::Add::on(set->index_set->values.front(), rel.off[j]);
-    if (off == 0) continue;
-    const std::uint64_t dist = off < 0 ? 0 - static_cast<std::uint64_t>(off)
-                                       : static_cast<std::uint64_t>(off);
-    if (dist >= static_cast<std::uint64_t>(la.adims[j])) return {};
-    ++moved;
-    hops = dist;
+    delta[j] = arith::Add::on(set->index_set->values.front(), rel.off[j]);
   }
-  // The closed form's rule, once for the site.
-  if (moved == 0) return {SiteClass::kLocal, 0};
-  const cm::CostModel& cost = vm_.machine.cost_model();
-  if (moved == 1 && hops * cost.news_op <= cost.router_op) {
-    return {SiteClass::kNews, hops};
-  }
-  return {SiteClass::kRouter, 0};
+  const std::vector<std::int64_t>& lane_dims = depth_spaces_[0]->dims;
+  return cm::lane_relative_access(delta, la.adims, rel.rank,
+                                  lane_dims.data(), lane_dims.size(),
+                                  vm_.machine.cost_model());
 }
 
 std::size_t Engine::static_sites() const {
   return static_cast<std::size_t>(std::ranges::count_if(
-      sites_, [](const LinkedSite& s) { return s.cls != SiteClass::kPerLane; }));
-}
-
-void Engine::classify_remote(const LinkedArray& la, std::int64_t flat,
-                             std::int64_t vp, const std::int64_t* coords,
-                             AccessStats& stats) const {
-  // Inlined classify_remote_access over the linked caches (identical
-  // decision order: local, slice->router, NEWS when the geometry matches,
-  // router otherwise).
-  const cm::VpIndex owner = la.identity ? flat : la.owners[flat];
-  if (owner == vp) {
-    ++stats.local;
-    return;
-  }
-  if (la.slice) {
-    ++stats.router;
-    return;
-  }
-  if (la.geom_matches) {
-    // geom_matches implies the lane geometry equals the array shape, so
-    // la.rank coordinates cover both; the precomputed coord table replaces
-    // the per-access unflatten division.
-    const std::int64_t* oc =
-        la.vp_coords + static_cast<std::size_t>(owner) * la.rank;
-    int diff_axes = 0;
-    std::int64_t hops = 0;
-    for (std::uint32_t d = 0; d < la.rank; ++d) {
-      if (oc[d] != coords[d]) {
-        ++diff_axes;
-        hops = oc[d] < coords[d] ? coords[d] - oc[d] : oc[d] - coords[d];
-      }
-    }
-    if (diff_axes == 1) {
-      const cm::CostModel& cost = vm_.machine.cost_model();
-      if (static_cast<std::uint64_t>(hops) * cost.news_op <= cost.router_op) {
-        ++stats.news;
-        stats.news_max_hops =
-            std::max(stats.news_max_hops, static_cast<std::uint64_t>(hops));
-        return;
-      }
-    }
-  }
-  ++stats.router;
+      sites_, [](const auto& s) { return s.has_value(); }));
 }
 
 void Engine::run_block(const Kernel& k, LaneSpace& space,
@@ -498,7 +444,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
   };
 
   // --- shared instruction bodies ---
-  AccessStats* st = arena.stats.data();
+  cm::AccessStats* st = arena.stats.data();
   std::int64_t flat[kBlock];
   // Flat element of la at subscripts r[I.b .. I.b+I.c) for every lane; a
   // lane out of range raises the walk's error.
@@ -545,7 +491,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
   // the owner is the lane exactly when every subscript equals the lane's
   // coordinate; one differing axis is a NEWS candidate.  No table loads.
   const auto classify_closed = [&](const Inst& I, const LinkedArray& la,
-                                   AccessStats& acc) {
+                                   cm::AccessStats& acc) {
     const std::int64_t* lc[kBlock];
     int diff[kBlock];
     std::uint64_t hops[kBlock];
@@ -571,16 +517,7 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
       }
     }
     const cm::CostModel& cost = vm_.machine.cost_model();
-    each(S, [&](int l) {
-      if (diff[l] == 0) {
-        ++acc.local;
-      } else if (diff[l] == 1 && hops[l] * cost.news_op <= cost.router_op) {
-        ++acc.news;
-        acc.news_max_hops = std::max(acc.news_max_hops, hops[l]);
-      } else {
-        ++acc.router;
-      }
-    });
+    each(S, [&](int l) { acc.count(cm::access_class(diff[l], hops[l], cost)); });
   };
   // `read` is the kArrGet whose subscripts allow the geometry-matched
   // closed form; flat-only sites pass null.  `site` is the instruction's
@@ -591,19 +528,9 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
     // by the send-with-combine charge (walk: suppress_comm).
     if (la.reduce >= 0 && rt.suppress) return;
     const auto lanes = static_cast<std::uint64_t>(S.n);
-    switch (site.cls) {
-      case SiteClass::kPerLane:
-        break;
-      case SiteClass::kLocal:
-        st->local += lanes;
-        return;
-      case SiteClass::kNews:
-        st->news += lanes;
-        st->news_max_hops = std::max(st->news_max_hops, site.hops);
-        return;
-      case SiteClass::kRouter:
-        st->router += lanes;
-        return;
+    if (site) {
+      st->count(*site, lanes);
+      return;
     }
     switch (la.mode) {
       case AccMode::kFrontend:
@@ -613,27 +540,24 @@ void Engine::run_block(const Kernel& k, LaneSpace& space,
         st->local += lanes;
         return;
       case AccMode::kRemote: {
-        AccessStats acc;
-        if (la.identity && !la.geom_matches) {
-          // Default layout, lane geometry off the array shape (a reduce
-          // site's expanded geometry, say): element e lives on VP e and NEWS
-          // is impossible, so the access is local exactly when the element
-          // is the lane's own VP, and routes otherwise.
-          const std::int64_t* vp = la.reduce >= 0 ? bl.rs_vp : bl.vp;
-          std::uint64_t local = 0;
-          each(S, [&](int l) { local += flat[l] == vp[l] ? 1 : 0; });
-          acc.local = local;
-          acc.router = lanes - local;
-        } else if (read != nullptr && la.identity) {
+        cm::AccessStats acc;
+        if (read != nullptr && la.identity && la.geom_matches) {
           classify_closed(*read, la, acc);
-        } else if (la.reduce >= 0) {
-          each(S, [&](int l) {
-            classify_remote(la, flat[l], bl.rs_vp[l], bl.rs_coords[l], acc);
-          });
         } else {
-          each(S, [&](int l) {
-            classify_remote(la, flat[l], bl.vp[l], bl.coords[l], acc);
-          });
+          // The walk's per-lane rule over the owner and coordinate tables.
+          const cm::CostModel& cost = vm_.machine.cost_model();
+          const auto per_lane = [&](const std::int64_t* vp, auto coords) {
+            each(S, [&](int l) {
+              acc.count(cm::owner_access(
+                  la.identity ? flat[l] : la.owners[flat[l]], vp[l],
+                  la.vp_coords, coords[l], la.rank, cost));
+            });
+          };
+          if (la.reduce >= 0) {
+            per_lane(bl.rs_vp, bl.rs_coords);
+          } else {
+            per_lane(bl.vp, bl.coords);
+          }
         }
         st->merge(acc);
         return;
@@ -1151,7 +1075,7 @@ void Engine::reset_arenas(const Kernel& k) {
   for (auto& a : arenas_) {
     a.writes.clear();
     a.spans.clear();
-    a.stats.assign(k.num_members, AccessStats{});
+    a.stats.assign(k.num_members, cm::AccessStats{});
     a.enabled = 0;
   }
 }
@@ -1207,11 +1131,11 @@ bool Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
 bool Engine::run(const Kernel& k, LaneSpace& space,
                  const std::vector<std::int64_t>& active, Frame* frame,
                  std::uint64_t stmt_id, Value* results,
-                 std::vector<AccessStats>& member_stats) {
+                 std::vector<cm::AccessStats>& member_stats) {
   reset_arenas(k);
   const bool native =
       run_lanes_pooled(k, space, active, frame, stmt_id, results);
-  member_stats.assign(k.num_members, AccessStats{});
+  member_stats.assign(k.num_members, cm::AccessStats{});
   for (const auto& a : arenas_) {
     for (std::uint32_t m = 0; m < k.num_members; ++m) {
       member_stats[m].merge(a.stats[m]);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -43,7 +44,7 @@ class Engine {
   bool run(const Kernel& k, LaneSpace& space,
            const std::vector<std::int64_t>& active, Frame* frame,
            std::uint64_t stmt_id, Value* results,
-           std::vector<AccessStats>& member_stats);
+           std::vector<cm::AccessStats>& member_stats);
   // Conflict-checks and applies the last run's buffered writes in lane
   // order through Impl::commit.
   void commit();
@@ -91,7 +92,8 @@ class Engine {
     // while lanes run, so the pointers stay stable).
     const cm::Bits* data = nullptr;
     const cm::VpIndex* owners = nullptr;
-    const std::int64_t* vp_coords = nullptr;  // geom_matches: coord_table()
+    // coord_table() when geom_matches and not a slice, else null.
+    const std::int64_t* vp_coords = nullptr;
     const std::int64_t* adims = nullptr;
     const std::int64_t* astrides = nullptr;
     std::uint32_t rank = 0;
@@ -99,12 +101,8 @@ class Engine {
     bool slice = false;
   };
   // The class every lane of a site shares, fixed at link for a
-  // lane-relative site; kPerLane at every other site.
-  enum class SiteClass : std::uint8_t { kPerLane, kLocal, kNews, kRouter };
-  struct LinkedSite {
-    SiteClass cls = SiteClass::kPerLane;
-    std::uint64_t hops = 0;  // kNews: the one moved axis's distance
-  };
+  // lane-relative site; empty at a site classified per lane.
+  using LinkedSite = std::optional<cm::Access>;
   struct LinkedReduce {
     const lang::ReduceExpr* expr = nullptr;
     std::size_t n_sets = 0;
@@ -205,7 +203,7 @@ class Engine {
     // One slot per kernel member (plain statements use slot 0); fused
     // kernels switch slots at kMemberBoundary so the driver can charge
     // and attribute each member's communication separately.
-    std::vector<AccessStats> stats;
+    std::vector<cm::AccessStats> stats;
     std::vector<SubBlock> pending;  // sorted by descending ip
     BlockLanes lanes;
     ReduceTuple rt;
@@ -247,13 +245,6 @@ class Engine {
                            std::int64_t k0, int n, Frame* frame,
                            std::uint64_t stmt_id, Arena& arena,
                            Value* results);
-  // Counts one remote access of element `flat` from a lane at `vp` with
-  // lane-geometry coordinates `coords` (the owner is `flat` itself under
-  // the default layout, else read from the owner table).
-  void classify_remote(const LinkedArray& la, std::int64_t flat,
-                       std::int64_t vp, const std::int64_t* coords,
-                       AccessStats& stats) const;
-
   Impl& vm_;
   // Link state of the kernel prepared last.
   std::vector<LinkedElem> elems_;

@@ -893,17 +893,6 @@ class Optimizer {
       c = k_.pool[d->a].i;
       return true;
     };
-    const auto consecutive = [&](std::uint16_t slot) {
-      const std::vector<std::int64_t>& v =
-          k_.elems[slot].sym->elem_of_set->index_set->values;
-      for (std::size_t t = 1; t < v.size(); ++t) {
-        if (v[t - 1] == std::numeric_limits<std::int64_t>::max() ||
-            v[t] != v[t - 1] + 1) {
-          return false;
-        }
-      }
-      return !v.empty();
-    };
     // Subscript register r as element slot + off.
     const auto axis = [&](std::uint16_t r, std::uint16_t& slot,
                           std::int64_t& off) {
@@ -923,7 +912,7 @@ class Optimizer {
       } else if (!elem(r, slot)) {
         return false;
       }
-      return consecutive(slot);
+      return k_.elems[slot].sym->elem_of_set->index_set->consecutive_run();
     };
     for (std::size_t i = 0; i < code.size(); ++i) {
       const Inst& inst = code[i];

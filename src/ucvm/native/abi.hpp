@@ -13,7 +13,7 @@
 // processes and mappings, which is what makes the on-disk cache sound.
 //
 // The emitted source defines byte-identical mirrors of Value, Write and
-// AccessStats and static_asserts their sizes/offsets against numbers the
+// cm::AccessStats and static_asserts their sizes/offsets against numbers the
 // emitter measured in the host process; a layout drift fails the emitted
 // compile instead of corrupting memory.  NativeInfo carries the ABI
 // version and the source hash so a stale or foreign cache entry is
@@ -103,7 +103,7 @@ struct NativeArgs {
   void* results = nullptr;
   void* writes = nullptr;
   std::int64_t writes_count = 0;  // out: records actually appended
-  void* stats = nullptr;          // AccessStats[num_members]
+  void* stats = nullptr;          // cm::AccessStats[num_members]
   std::int64_t enabled = 0;       // out: lanes past kSelect
 
   // Error-site table: Inst::where pointers, indexed by emit-time constant.

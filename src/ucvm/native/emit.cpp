@@ -313,7 +313,7 @@ class Emitter {
             offsetof(WriteTarget, obj), offsetof(WriteTarget, index),
             offsetof(WriteTarget, lane));
     appendf(src_, "static_assert(sizeof(NStats) == %zu, \"stats layout\");\n",
-            sizeof(AccessStats));
+            sizeof(cm::AccessStats));
     src_ +=
         "struct NElem { const i64* vals; i64 k; i64 width; int depth; };\n"
         "struct NScalar { i64 i; double f; const void* store; void* owner;\n"
@@ -356,9 +356,11 @@ class Emitter {
         "  return z ^ (z >> 31);\n"
         "}\n"
         // Mirror of kernel::Engine's classification, decision for
-        // decision.  The owner-table walk is out of line: arrays under the
-        // default layout never take it, and every access site would
-        // otherwise repeat it.
+        // decision: the one rule of cm/access.hpp written again as C text,
+        // since a kernel .so includes no host header and its text is
+        // pinned byte for byte (the on-disk cache keys on it).  The
+        // owner-table walk is out of line: arrays under the default layout
+        // never take it, and every access site would otherwise repeat it.
         "__attribute__((noinline)) static void uc_walk(const NArray& a,\n"
         "    i64 flat, i64 vp, const i64* coords, u64 news_op, u64 router_op,\n"
         "    NStats& st) {\n"
@@ -411,7 +413,7 @@ class Emitter {
         "  }\n"
         "  ++st.router;\n"
         "}\n"
-        // AccessStats::merge: a chunk's local counters into the host's.
+        // cm::AccessStats::merge: a chunk's local counters into the host's.
         "static inline void uc_merge(NStats* d, const NStats& s) {\n"
         "  d->local += s.local; d->news += s.news; d->router += s.router;\n"
         "  d->frontend += s.frontend; d->broadcast += s.broadcast;\n"

@@ -199,12 +199,14 @@ TEST(Interference, UserCallLimitsAnalysis) {
 // --- communication classification ----------------------------------------
 
 TEST(Comm, StencilIsNewsNotRouter) {
+  // The lanes span the array's shape, and the guard keeps them in range.
+  // (Over {1..N-2} they would not: tests/uc/comm_test.cpp.)
   auto a = analyze(R"(
     const int N = 8;
-    index_set I:i = {1..N-2};
+    index_set I:i = {0..N-1};
     int a[N], b[N];
     void main() {
-      par (I) b[i] = a[i-1] + a[i+1];
+      par (I) st (i > 0 && i < N - 1) b[i] = a[i-1] + a[i+1];
     }
   )");
   EXPECT_EQ(class_count(a.report, CommClass::kNews), 2u);

@@ -296,6 +296,26 @@ TEST(Replay, PreciseFloatConstantSurvivesThePrintedRewrite) {
   }
 }
 
+// The corpus program on which a copy pays off: the chosen mapping is
+// kept through the printed rewrite, whose float constant reads back to
+// the same double, so the rewrite prints the same line in fewer cycles.
+TEST(Replay, PreciseFloatConstantKeepsAPayingCopy) {
+  const std::string source = corpus::source("float_copy");
+  const auto result = uc::optimize_map("float_copy.uc", source);
+  ASSERT_TRUE(result.compiled);
+  ASSERT_TRUE(result.improved) << result.text;
+  ASSERT_EQ(result.choices.size(), 1u) << result.text;
+  EXPECT_EQ(result.choices[0].text, "copy (T) v");
+  EXPECT_NE(result.optimized_source.find("3.14159265358979"),
+            std::string::npos);
+  const auto before = uc::Program::compile("float_copy.uc", source).run();
+  const auto after =
+      uc::Program::compile("rewrite.uc", result.optimized_source).run();
+  EXPECT_EQ(after.output(), before.output());
+  EXPECT_EQ(after.stats().cycles, result.optimized_cycles);
+  EXPECT_LT(after.stats().cycles, before.stats().cycles);
+}
+
 TEST(Replay, NothingToGainListsNothingBlocked) {
   auto result = uc::optimize_map("one.uc", R"(
     const int N = 8;

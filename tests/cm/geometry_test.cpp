@@ -81,23 +81,6 @@ TEST(Geometry, Neighbor2D) {
   EXPECT_THROW((void)g.neighbor(vp, 2, 1), support::ApiError);
 }
 
-TEST(Geometry, NewsNeighborClassification) {
-  Geometry g({4, 4});
-  auto a = g.flatten({1, 1});
-  EXPECT_TRUE(g.is_news_neighbor(a, g.flatten({1, 2})));
-  EXPECT_TRUE(g.is_news_neighbor(a, g.flatten({0, 1})));
-  EXPECT_FALSE(g.is_news_neighbor(a, a));                      // self
-  EXPECT_FALSE(g.is_news_neighbor(a, g.flatten({2, 2})));      // diagonal
-  EXPECT_FALSE(g.is_news_neighbor(a, g.flatten({1, 3})));      // 2 apart
-  EXPECT_FALSE(g.is_news_neighbor(a, -1));                     // out of range
-}
-
-TEST(Geometry, NewsNeighborWrapsAreNotNeighbors) {
-  // Row-major adjacency across a row boundary is NOT a NEWS hop.
-  Geometry g({2, 4});
-  EXPECT_FALSE(g.is_news_neighbor(g.flatten({0, 3}), g.flatten({1, 0})));
-}
-
 TEST(Geometry, ToString) {
   EXPECT_EQ(Geometry({16}).to_string(), "Geometry(16)");
   EXPECT_EQ(Geometry({4, 8}).to_string(), "Geometry(4x8)");

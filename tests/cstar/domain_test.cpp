@@ -85,6 +85,23 @@ TEST_F(DomainFixture, TransposeAccessChargesRouter) {
   EXPECT_GT(machine.stats().router_messages, 0u);
 }
 
+// The C* reference classifies with the VM's rule: a NEWS hop that costs
+// more than a router delivery routes.
+TEST(CstarAccess, OneHopRoutesWhenNewsCostsMoreThanTheRouter) {
+  cm::MachineOptions mopts;
+  mopts.cost.news_op = 700;
+  mopts.cost.router_op = 600;
+  cm::Machine machine(mopts);
+  Domain dom(machine, "D", {4, 4});
+  const FieldHandle v = dom.add_field("v");
+  dom.parallel(1, [&](Elem& e) {
+    if (e.at(1) < 3) e.set(v, e.get(v, {e.at(0), e.at(1) + 1}));
+  });
+  EXPECT_EQ(machine.stats().news_ops, 0u);
+  EXPECT_EQ(machine.stats().router_ops, 1u);
+  EXPECT_EQ(machine.stats().router_messages, 12u);
+}
+
 TEST_F(DomainFixture, NestedParallelRejected) {
   EXPECT_THROW(dom.parallel(1,
                             [&](Elem&) {

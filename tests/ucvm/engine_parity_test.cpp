@@ -1203,6 +1203,31 @@ TEST(EngineParity, ReadClassificationPermutedSet) {
 
 // A permuted array and a slice take the owner table whatever their
 // subscripts.
+// Lanes off the array's shape (docs/VM.md "Lane-relative sites"): over
+// {1..N-2} a lane is VP t and reads element t + 1 + c, so the link fixes
+// a[m-1] local and a[m+1] and the stores routed; with a narrower trailing
+// axis the class varies by lane and stays per lane.
+TEST(EngineParity, ReadClassificationLaneRelativeOffTheArrayShape) {
+  const std::string src =
+      "#define N 8\n"
+      "index_set I:i = {0..N-1}, J:j = I, M:m = {1..N-2};\n"
+      "int a[N], r[N], u[N][N], t[N][N], w[N][N];\n"
+      "void main() {\n"
+      "  par (I) a[i] = i * i;\n"
+      "  par (I, J) u[i][j] = i * N + j;\n"
+      "  par (M) r[m] = a[m-1] + a[m+1];\n"
+      "  par (M, J) t[m][j] = u[m-1][j] + u[m+1][j];\n"
+      "  par (I, M) w[i][m] = u[i][m-1] + u[i][m];\n"
+      "  print($+(I; r[i]), $+(I, J; t[i][j] + w[i][j]));\n"
+      "}\n";
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    cm::MachineOptions mopts;
+    mopts.host_threads = threads;
+    expect_parity(src, {"r", "t", "w"}, mopts);
+  }
+}
+
 TEST(EngineParity, ReadClassificationLaneRelativeSubscriptsOnTables) {
   expect_lane_relative(
       "#define N 16\n"

@@ -479,7 +479,7 @@ TEST(KernelCompiler, LaneRelativeLink) {
   const std::string decls =
       "#define N 8\n"
       "index_set I:i = {0..N-1}, J:j = I, K:k = {1..N};\n"
-      "index_set P:p = {3, 0, 2, 1};\n"
+      "index_set P:p = {3, 0, 2, 1}, M:m = {1..N-2};\n"
       "int a[N], b[N], c[N][N], u[N][N], t[N][N], r[N], q[4], s[4];\n"
       "map (I) { permute (I) b[N-1-i] :- a[i]; }\n";
   const auto last = [&](const std::string& stmt) {
@@ -498,6 +498,12 @@ TEST(KernelCompiler, LaneRelativeLink) {
   EXPECT_EQ(last("seq (J) par (I) r[i] = r[i] + a[j];"), 2u);
   // {1..N}: k - 1 is the lane's own position.
   EXPECT_EQ(last("par (K) r[k-1] = a[k-1];"), 2u);
+  // Lanes off the array's shape: with equal trailing extents every lane
+  // is the same distance from its own element (local or router); with a
+  // narrower trailing axis the distance varies by lane.
+  EXPECT_EQ(last("par (M) r[m] = a[m-1] + a[m+1];"), 3u);
+  EXPECT_EQ(last("par (M, J) t[m][j] = u[m-1][j];"), 2u);
+  EXPECT_EQ(last("par (I, M) t[i][m] = u[i][m];"), 0u);
   // Not a consecutive run.
   EXPECT_EQ(last("par (P) q[p] = s[p];"), 0u);
   // b is permuted: only the store to r.

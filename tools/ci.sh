@@ -30,13 +30,18 @@ run_suite() {
 # or traced run must leave the program output bit-identical, `ucc profile`
 # and `ucc run --profile` must attribute the same cycles to every site, and
 # the hot-site table must account for every modeled cycle (no ** MISMATCH
-# ** marker).
+# ** marker).  A statement row's static column (`ucc analyze`'s classes)
+# must agree with its own ops columns unless it names scan (a class the
+# engines decide per lane): static news exactly when the row issued a NEWS
+# instruction, static router exactly when it issued a router one.
+# stencil_offsets puts lane-relative reads on a 1-based set and on both
+# sides of the NEWS limit.
 run_profile_smoke() {
   local dir="$1"
   local ucc="$dir/tools/ucc"
   local tmp; tmp="$(mktemp -d)"
   for prog in fig6_shortest_path_on2 fig7_shortest_path_on3 \
-              fig8_grid_obstacle; do
+              fig8_grid_obstacle stencil_offsets; do
     local src="$root/programs/$prog.uc"
     "$ucc" run "$src" >"$tmp/off.txt"
     "$ucc" run "$src" --profile --json="$tmp/a.json" >"$tmp/on.txt" 2>/dev/null
@@ -59,6 +64,17 @@ run_profile_smoke() {
       echo "ci.sh: per-site cycles do not sum to the aggregate for $prog" >&2
       exit 1
     fi
+    # Columns: ops v/n/r/... is $5, static is $8, the site's kind is $10.
+    awk '$10 == "stmt" && $8 !~ /scan/ {
+           split($5, ops, "/")
+           if (($8 ~ /news/) != (ops[2] > 0) ||
+               ($8 ~ /router/) != (ops[3] > 0)) { print; bad = 1 }
+         }
+         END { exit bad }' "$tmp/table.txt" >"$tmp/contradicts.txt" || {
+      echo "ci.sh: static classes contradict the charges of $prog:" >&2
+      cat "$tmp/contradicts.txt" >&2
+      exit 1
+    }
   done
   rm -rf "$tmp"
 }
