@@ -406,6 +406,7 @@ RunResult Impl::run() {
   // the result below copies every array.
   spaces_.clear();
   lane_lists_.clear();
+  lane_tables_.clear();
   value_lists_.clear();
   ckpt->clear_spares();
 

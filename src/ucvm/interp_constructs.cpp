@@ -399,6 +399,25 @@ bool Impl::exec_fused_group(const FusionSeg& seg, LaneSpace& space,
 
 namespace {
 
+// Whether `u`'s sc-blocks run guard then body, block by block: par, seq,
+// *solve and a one-block *par.  A multi-block *par and oneof evaluate every
+// guard before any body.
+bool guards_in_turn(const UcConstructStmt& u) {
+  switch (u.op) {
+    case UcOp::kOneof: return false;
+    case UcOp::kPar: return !u.starred || u.blocks.size() == 1;
+    default: return true;
+  }
+}
+
+// Whether the kernel engines may run a guarded block of `u` as one kernel
+// (docs/VM.md "Selection blocks"): its guards run in turn, no `others`
+// needs the lanes it enabled, and it runs on an expanded lane space (a seq
+// binds on its parent's).
+bool merges_blocks(const UcConstructStmt& u) {
+  return guards_in_turn(u) && !u.others && u.op != UcOp::kSeq;
+}
+
 // Where a statement runs: in a function body outside every construct (on
 // the front end, not through eval_lanes), on the front end's lane space (a
 // seq binds on its parent's space), or on a space a construct expanded.
@@ -509,11 +528,7 @@ struct Planner {
         } else if (w == Where::kScalar) {
           w = Where::kFrontend;
         }
-        // The blocks exec_selection runs (docs/VM.md "Selection blocks").
-        const bool merges =
-            select && !u.others &&
-            ((u.op == UcOp::kPar && (!u.starred || u.blocks.size() == 1)) ||
-             (u.op == UcOp::kSolve && u.starred));
+        const bool merges = select && merges_blocks(u);
         for (const auto& block : u.blocks) {
           add(block.pred.get(), w);
           stmt(*block.body, w);
@@ -711,35 +726,6 @@ void Impl::filter_lanes(const Expr& pred, LaneSpace& space,
   keep_truthy(*vals, candidates, enabled);
 }
 
-std::vector<const std::vector<std::int64_t>*> Impl::filter_blocks(
-    const UcConstructStmt& stmt, LaneSpace& space, Frame* frame,
-    std::vector<LaneList>& leases) {
-  std::vector<const std::vector<std::int64_t>*> enabled;
-  enabled.reserve(stmt.blocks.size());
-  for (const auto& block : stmt.blocks) {
-    if (!block.pred) {
-      enabled.push_back(&space.all_lanes());
-      continue;
-    }
-    auto& lanes = *leases.emplace_back(lane_lists_);
-    filter_lanes(*block.pred, space, space.all_lanes(), frame, lanes);
-    enabled.push_back(&lanes);
-  }
-  return enabled;
-}
-
-void Impl::run_others(const UcConstructStmt& stmt, LaneSpace& space,
-                      const std::vector<bool>& covered, Frame* frame) {
-  if (!stmt.others) return;
-  LaneList rest(lane_lists_);
-  rest->clear();
-  rest->reserve(covered.size());
-  for (std::size_t k = 0; k < covered.size(); ++k) {
-    if (!covered[k]) rest->push_back(static_cast<std::int64_t>(k));
-  }
-  if (!rest->empty()) exec_parallel_stmt(*stmt.others, space, *rest, frame);
-}
-
 // ---------------------------------------------------------------------------
 // Parallel statement execution
 // ---------------------------------------------------------------------------
@@ -826,14 +812,7 @@ void Impl::exec_parallel_stmt(const Stmt& stmt, LaneSpace& space,
         machine.charge_global_or();
         if (live->empty()) return;
         exec_parallel_stmt(*s.body, space, *live, frame);
-        if (opts.max_iterations > 0 && ++guard > opts.max_iterations) {
-          runtime_error(
-              &stmt,
-              support::format("while loop inside a parallel construct "
-                              "exceeded the iteration limit (%lld); raise "
-                              "or disable it with --max-iterations",
-                              static_cast<long long>(opts.max_iterations)));
-        }
+        count_round(stmt, guard, "while loop inside a parallel construct");
       }
     }
     case StmtKind::kFor: {
@@ -852,14 +831,7 @@ void Impl::exec_parallel_stmt(const Stmt& stmt, LaneSpace& space,
         }
         exec_parallel_stmt(*s.body, space, *live, frame);
         if (s.step) eval_lanes(*s.step, space, *live, frame);
-        if (opts.max_iterations > 0 && ++guard > opts.max_iterations) {
-          runtime_error(
-              &stmt,
-              support::format("for loop inside a parallel construct "
-                              "exceeded the iteration limit (%lld); raise "
-                              "or disable it with --max-iterations",
-                              static_cast<long long>(opts.max_iterations)));
-        }
+        count_round(stmt, guard, "for loop inside a parallel construct");
         if (!s.cond) {
           runtime_error(&stmt,
                         "for loop without a condition inside a parallel "
@@ -932,12 +904,13 @@ void Impl::exec_nested_construct(const UcConstructStmt& stmt,
           exec_seq(stmt, parent, active, frame, rscope);
           return;
         }
-        case UcOp::kPar: {
+        case UcOp::kPar:
+        case UcOp::kOneof: {
           if (!stmt.starred) {
-            run_blocks(stmt, *child, frame);
+            (void)run_blocks(stmt, *child, frame);
             return;
           }
-          std::int64_t guard = 0;
+          std::int64_t rounds = 0;
           for (;;) {
             check_deadline(&stmt);
             // Sweep top: a valid redo point — the fixed-point loop carries
@@ -945,38 +918,8 @@ void Impl::exec_nested_construct(const UcConstructStmt& stmt,
             // re-dispatching from construct entry resumes this sweep.
             rscope.safe_point(child, frame);
             machine.charge_global_or();
-            if (!run_blocks_once_if_enabled(stmt, *child, frame)) return;
-            if (opts.max_iterations > 0 && ++guard > opts.max_iterations) {
-              runtime_error(
-                  &stmt,
-                  support::format("*par exceeded the iteration limit "
-                                  "(%lld); raise or disable it with "
-                                  "--max-iterations",
-                                  static_cast<long long>(
-                                      opts.max_iterations)));
-            }
-          }
-        }
-        case UcOp::kOneof: {
-          if (!stmt.starred) {
-            (void)exec_oneof_once(stmt, *child, frame);
-            return;
-          }
-          std::int64_t guard = 0;
-          for (;;) {
-            check_deadline(&stmt);
-            rscope.safe_point(child, frame);
-            machine.charge_global_or();
-            if (!exec_oneof_once(stmt, *child, frame)) return;
-            if (opts.max_iterations > 0 && ++guard > opts.max_iterations) {
-              runtime_error(
-                  &stmt,
-                  support::format("*oneof exceeded the iteration limit "
-                                  "(%lld); raise or disable it with "
-                                  "--max-iterations",
-                                  static_cast<long long>(
-                                      opts.max_iterations)));
-            }
+            if (!run_blocks(stmt, *child, frame)) return;
+            count_round(stmt, rounds, kind);
           }
         }
         case UcOp::kSolve: {
@@ -1031,10 +974,8 @@ void Impl::exec_seq(const UcConstructStmt& stmt, LaneSpace& parent,
       bind.coords[k * n_dims + d] = parent.coords[pl * n_dims + d];
     }
   }
-  const auto& bind_active = bind.all_lanes();
-  LaneList enabled(lane_lists_);
 
-  std::int64_t guard = 0;
+  std::int64_t rounds = 0;
   for (;;) {  // once for plain seq; repeated for *seq
     check_deadline(&stmt);
     // *seq sweep top: the tuple loop rebinds every element from scratch
@@ -1050,31 +991,7 @@ void Impl::exec_seq(const UcConstructStmt& stmt, LaneSpace& parent,
         }
       }
 
-      for (const auto& block : stmt.blocks) {
-        const std::vector<std::int64_t>* lanes = &bind_active;
-        if (block.pred) {
-          filter_lanes(*block.pred, bind, bind_active, frame, *enabled);
-          lanes = &*enabled;
-        }
-        if (!lanes->empty()) {
-          any_enabled_this_sweep = true;
-          exec_parallel_stmt(*block.body, bind, *lanes, frame);
-        }
-      }
-      if (stmt.others) {
-        // Lanes not enabled by any block (re-evaluate preds; cheap and
-        // simple — seq others is rare).
-        std::vector<bool> covered(active.size(), stmt.blocks.empty());
-        for (const auto& block : stmt.blocks) {
-          if (!block.pred) {
-            covered.assign(active.size(), true);
-            break;
-          }
-          filter_lanes(*block.pred, bind, bind_active, frame, *enabled);
-          for (auto l : *enabled) covered[static_cast<std::size_t>(l)] = true;
-        }
-        run_others(stmt, bind, covered, frame);
-      }
+      if (run_blocks(stmt, bind, frame)) any_enabled_this_sweep = true;
 
       for (std::size_t k = k_sets; k-- > 0;) {
         if (++pos[k] < values(k).size()) break;
@@ -1087,14 +1004,7 @@ void Impl::exec_seq(const UcConstructStmt& stmt, LaneSpace& parent,
     if (stmt.blocks.size() == 1 && !stmt.blocks[0].pred) {
       runtime_error(&stmt, "*seq without a predicate never terminates");
     }
-    if (opts.max_iterations > 0 && ++guard > opts.max_iterations) {
-      runtime_error(&stmt,
-                    support::format("*seq exceeded the iteration limit "
-                                    "(%lld); raise or disable it with "
-                                    "--max-iterations",
-                                    static_cast<long long>(
-                                        opts.max_iterations)));
-    }
+    count_round(stmt, rounds, "*seq");
   }
 }
 
@@ -1177,81 +1087,82 @@ bool Impl::run_selection(const SelectionBlock& sel, LaneSpace& space,
   }
 }
 
-void Impl::run_blocks(const UcConstructStmt& stmt, LaneSpace& space,
+bool Impl::run_blocks(const UcConstructStmt& stmt, LaneSpace& space,
                       Frame* frame) {
-  const auto& all = space.all_lanes();
-  LaneList enabled(lane_lists_);
-  std::vector<bool> covered(stmt.others ? all.size() : 0, false);
-  for (const auto& block : stmt.blocks) {
+  const std::vector<std::int64_t>& all = space.all_lanes();
+  const bool in_turn = guards_in_turn(stmt);
+  const std::size_t n = stmt.blocks.size();
+  // Block b's enabled lanes: all of them for an unguarded block, else
+  // entry b.  A merged block fills no entry: it has no `others`.
+  LaneTable table(lane_tables_);
+  table->resize(n);
+  const auto lanes = [&](std::size_t b) -> const std::vector<std::int64_t>& {
+    return stmt.blocks[b].pred ? (*table)[b] : all;
+  };
+  bool any = false;
+  for (std::size_t b = 0; b < n; ++b) {
+    const ScBlock& block = stmt.blocks[b];
     if (const SelectionBlock* sel = selection(block)) {
-      exec_selection(block, *sel, space, frame);
+      if (exec_selection(block, *sel, space, frame)) any = true;
       continue;
     }
-    const std::vector<std::int64_t>* lanes = &all;
-    if (block.pred) {
-      filter_lanes(*block.pred, space, all, frame, *enabled);
-      lanes = &*enabled;
-    }
-    if (stmt.others) {
-      for (auto l : *lanes) covered[static_cast<std::size_t>(l)] = true;
-    }
-    if (!lanes->empty()) exec_parallel_stmt(*block.body, space, *lanes, frame);
+    if (block.pred) filter_lanes(*block.pred, space, all, frame, (*table)[b]);
+    if (lanes(b).empty()) continue;
+    any = true;
+    if (in_turn) exec_parallel_stmt(*block.body, space, lanes(b), frame);
   }
-  run_others(stmt, space, covered, frame);
+  // A *par or oneof round that enabled no lane runs no `others`.
+  if (!any && (stmt.op == UcOp::kOneof ||
+               (stmt.op == UcOp::kPar && stmt.starred))) {
+    return false;
+  }
+  std::size_t ran = n;  // oneof: the block it ran
+  if (stmt.op == UcOp::kOneof) {
+    // Non-deterministic but reproducible choice (no fairness guarantee,
+    // paper §3.7): the machine's seeded RNG picks an enabled block.
+    std::size_t enabled = 0;
+    for (std::size_t b = 0; b < n; ++b) enabled += lanes(b).empty() ? 0 : 1;
+    std::size_t pick = machine.rng().next_below(enabled);
+    for (ran = 0;; ++ran) {
+      if (!lanes(ran).empty() && pick-- == 0) break;
+    }
+    exec_parallel_stmt(*stmt.blocks[ran].body, space, lanes(ran), frame);
+  } else if (!in_turn) {
+    for (std::size_t b = 0; b < n; ++b) {
+      if (!lanes(b).empty()) {
+        exec_parallel_stmt(*stmt.blocks[b].body, space, lanes(b), frame);
+      }
+    }
+  }
+  if (!stmt.others) return any;
+  // The complement: mark each enabled lane, then compact the unmarked
+  // positions, which are their own lane numbers, in place.
+  LaneList rest(lane_lists_);
+  rest->assign(all.size(), 0);
+  for (std::size_t b = 0; b < n; ++b) {
+    if (ran != n && b != ran) continue;
+    for (const std::int64_t l : lanes(b)) {
+      (*rest)[static_cast<std::size_t>(l)] = 1;
+    }
+  }
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < rest->size(); ++k) {
+    if ((*rest)[k] == 0) (*rest)[kept++] = static_cast<std::int64_t>(k);
+  }
+  rest->resize(kept);
+  if (!rest->empty()) exec_parallel_stmt(*stmt.others, space, *rest, frame);
+  return any;
 }
 
-bool Impl::run_blocks_once_if_enabled(const UcConstructStmt& stmt,
-                                      LaneSpace& space, Frame* frame) {
-  // A single block's guard runs before its body either way.
-  if (stmt.blocks.size() == 1) {
-    if (const SelectionBlock* sel = selection(stmt.blocks[0])) {
-      return exec_selection(stmt.blocks[0], *sel, space, frame);
-    }
+void Impl::count_round(const Stmt& stmt, std::int64_t& rounds,
+                       const char* what) {
+  if (opts.max_iterations > 0 && ++rounds > opts.max_iterations) {
+    runtime_error(&stmt,
+                  support::format("%s exceeded the iteration limit (%lld); "
+                                  "raise or disable it with --max-iterations",
+                                  what,
+                                  static_cast<long long>(opts.max_iterations)));
   }
-  // Evaluate all predicates first: iteration continues only while at least
-  // one lane is enabled for some block (paper §3.3).
-  std::vector<LaneList> leases;
-  const auto enabled = filter_blocks(stmt, space, frame, leases);
-  std::vector<bool> covered(
-      stmt.others ? static_cast<std::size_t>(space.lane_count()) : 0, false);
-  bool any = false;
-  for (const auto& lanes : enabled) {
-    if (stmt.others) {
-      for (auto l : *lanes) covered[static_cast<std::size_t>(l)] = true;
-    }
-    any = any || !lanes->empty();
-  }
-  if (!any) return false;
-  for (std::size_t b = 0; b < stmt.blocks.size(); ++b) {
-    if (!enabled[b]->empty()) {
-      exec_parallel_stmt(*stmt.blocks[b].body, space, *enabled[b], frame);
-    }
-  }
-  run_others(stmt, space, covered, frame);
-  return true;
-}
-
-bool Impl::exec_oneof_once(const UcConstructStmt& stmt, LaneSpace& space,
-                           Frame* frame) {
-  std::vector<LaneList> leases;
-  const auto enabled = filter_blocks(stmt, space, frame, leases);
-  std::vector<std::size_t> enabled_blocks;
-  for (std::size_t b = 0; b < stmt.blocks.size(); ++b) {
-    if (!enabled[b]->empty()) enabled_blocks.push_back(b);
-  }
-  if (enabled_blocks.empty()) return false;
-  // Non-deterministic but reproducible choice (no fairness guarantee,
-  // paper §3.7): the machine's seeded RNG picks the block.
-  const std::size_t pick =
-      enabled_blocks[machine.rng().next_below(enabled_blocks.size())];
-  exec_parallel_stmt(*stmt.blocks[pick].body, space, *enabled[pick], frame);
-  if (stmt.others) {
-    std::vector<bool> covered(static_cast<std::size_t>(space.lane_count()),
-                              false);
-    for (auto l : *enabled[pick]) covered[static_cast<std::size_t>(l)] = true;
-    run_others(stmt, space, covered, frame);
-  }
-  return true;
 }
 
 }  // namespace uc::vm::detail

@@ -289,10 +289,20 @@ struct Impl {
   void exec_seq(const lang::UcConstructStmt& stmt, LaneSpace& parent,
                 const std::vector<std::int64_t>& active, Frame* frame,
                 RecoveryScope& rscope);
-  bool run_blocks_once_if_enabled(const lang::UcConstructStmt& stmt,
-                                  LaneSpace& space, Frame* frame);
-  bool exec_oneof_once(const lang::UcConstructStmt& stmt, LaneSpace& space,
-                       Frame* frame);
+  // Runs one round of `stmt`'s sc-blocks over every lane of `space`, the
+  // one block runner of every construct but plain solve (docs/VM.md
+  // "Selection blocks").  Each guard is evaluated once.  Guards run in turn
+  // (guards_in_turn: each block's guard, then its body) or all before any
+  // body (multi-block *par, oneof, which then runs one enabled block).
+  // `others` runs over the lanes no block enabled (oneof: the lanes outside
+  // the block it ran), except in a *par or oneof round where no guard
+  // enabled a lane.  Returns whether some guard enabled a lane.
+  bool run_blocks(const lang::UcConstructStmt& stmt, LaneSpace& space,
+                  Frame* frame);
+  // Counts one more round of the loop or fixed point `stmt`, which `what`
+  // names in the error raised once the rounds exceed --max-iterations.
+  void count_round(const lang::Stmt& stmt, std::int64_t& rounds,
+                   const char* what);
   void exec_parallel_stmt(const Stmt& stmt, LaneSpace& space,
                           const std::vector<std::int64_t>& active,
                           Frame* frame);
@@ -313,10 +323,10 @@ struct Impl {
     LaneSite group;  // count >= 2 and compiled: the group's kernel
     std::vector<const Expr*> members;  // count >= 2: their expressions
   };
-  // A guarded sc-block of a par, a *solve or a single-block *par without
-  // `others` whose guard and body run as one kernel (docs/VM.md
-  // "Selection blocks").  The body is one expression statement, or a
-  // compound statement that fuses into the one group `group`.
+  // A guarded sc-block whose guard and body run as one kernel: a block of
+  // a construct merges_blocks admits (docs/VM.md "Selection blocks").  The
+  // body is one expression statement, or a compound statement that fuses
+  // into the one group `group`.
   struct SelectionBlock {
     const kernel::Kernel* kernel = nullptr;  // guard, kSelect, body
     const Expr* body = nullptr;  // null when the body is `group`
@@ -391,20 +401,10 @@ struct Impl {
   void filter_lanes(const Expr& pred, LaneSpace& space,
                     const std::vector<std::int64_t>& candidates, Frame* frame,
                     std::vector<std::int64_t>& enabled);
-  // Evaluates every block predicate of one construct round before any body
-  // runs (*par, oneof): entry b points at block b's enabled lanes, which
-  // are space.all_lanes() for an unguarded block and a list leased into
-  // `leases` for a guarded one.
   using LaneList = support::FreeList<std::vector<std::int64_t>>::Lease;
+  using LaneTable =
+      support::FreeList<std::vector<std::vector<std::int64_t>>>::Lease;
   using ValueList = support::FreeList<std::vector<Value>>::Lease;
-  std::vector<const std::vector<std::int64_t>*> filter_blocks(
-      const lang::UcConstructStmt& stmt, LaneSpace& space, Frame* frame,
-      std::vector<LaneList>& leases);
-  // Runs `others` (if any) over the lanes of `space` not covered.
-  void run_others(const lang::UcConstructStmt& stmt, LaneSpace& space,
-                  const std::vector<bool>& covered, Frame* frame);
-  void run_blocks(const lang::UcConstructStmt& stmt, LaneSpace& space,
-                  Frame* frame);
   void exec_solve(const lang::UcConstructStmt& stmt, LaneSpace& space,
                   Frame* frame);
   void exec_star_solve(const lang::UcConstructStmt& stmt, LaneSpace& space,
@@ -487,6 +487,7 @@ struct Impl {
   // (docs/VM.md "Linking and execution").
   support::FreeList<LaneSpace> spaces_;
   support::FreeList<std::vector<std::int64_t>> lane_lists_;
+  support::FreeList<std::vector<std::vector<std::int64_t>>> lane_tables_;
   support::FreeList<std::vector<Value>> value_lists_;
 
   // --- expression evaluation (per lane) ---

@@ -31,22 +31,24 @@ struct SolveAssign {
   const Expr* pred = nullptr;  // block predicate (may be null)
   const lang::AssignExpr* assign = nullptr;
   bool declares = false;  // calls_array_declarer(rhs)
+  bool others = false;    // from the `others` arm
 };
 
-void collect_assigns(const Stmt& stmt, const Expr* pred,
+void collect_assigns(const Stmt& stmt, const Expr* pred, bool others,
                      std::vector<SolveAssign>& out) {
   switch (stmt.kind) {
     case StmtKind::kExpr: {
       const auto& es = static_cast<const lang::ExprStmt&>(stmt);
       if (es.expr->kind == ExprKind::kAssign) {
         const auto* a = static_cast<const lang::AssignExpr*>(es.expr.get());
-        out.push_back(SolveAssign{pred, a, calls_array_declarer(*a->rhs)});
+        out.push_back(
+            SolveAssign{pred, a, calls_array_declarer(*a->rhs), others});
       }
       return;
     }
     case StmtKind::kCompound:
       for (const auto& s : static_cast<const lang::CompoundStmt&>(stmt).body) {
-        collect_assigns(*s, pred, out);
+        collect_assigns(*s, pred, others, out);
       }
       return;
     default:
@@ -58,9 +60,9 @@ void collect_assigns(const Stmt& stmt, const Expr* pred,
 std::vector<SolveAssign> solve_assigns(const UcConstructStmt& stmt) {
   std::vector<SolveAssign> assigns;
   for (const auto& block : stmt.blocks) {
-    collect_assigns(*block.body, block.pred.get(), assigns);
+    collect_assigns(*block.body, block.pred.get(), false, assigns);
   }
-  if (stmt.others) collect_assigns(*stmt.others, nullptr, assigns);
+  if (stmt.others) collect_assigns(*stmt.others, nullptr, true, assigns);
   return assigns;
 }
 
@@ -78,7 +80,8 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
   // as of entry — docs/LANGUAGE.md) and resolve each enabled lane's target
   // address.  Only those exact elements receive the paper's "impossible
   // value"; elements the solve never assigns (e.g. boundary cells written
-  // before the solve) stay defined and readable.
+  // before the solve) stay defined and readable.  The `others` equations,
+  // collected last, exist on the lanes no block's guard enabled.
   struct LaneTarget {
     std::int64_t lane;
     WriteTarget target;
@@ -86,6 +89,8 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
   std::vector<std::vector<LaneTarget>> enabled(assigns.size());
   std::unordered_set<ArrayObj*> targets;
   std::unordered_map<WriteTarget, const Expr*, WriteTargetHash> claimed;
+  LaneList guarded(lane_lists_);  // lanes a guard enabled, for `others`
+  guarded->assign(stmt.others ? static_cast<std::size_t>(lane_count) : 0, 0);
   for (std::size_t a = 0; a < assigns.size(); ++a) {
     charge_expr(assigns[a].pred != nullptr ? *assigns[a].pred
                                            : *assigns[a].assign->lhs,
@@ -97,10 +102,13 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
       ctx.lane = l;
       ctx.frame = frame;
       ctx.statement_frame = frame;
-      if (assigns[a].pred != nullptr &&
-          !eval(*assigns[a].pred, ctx).truthy()) {
+      const auto lane = static_cast<std::size_t>(l);
+      if (assigns[a].others ? (*guarded)[lane] != 0
+                            : assigns[a].pred != nullptr &&
+                                  !eval(*assigns[a].pred, ctx).truthy()) {
         continue;
       }
+      if (stmt.others && !assigns[a].others) (*guarded)[lane] = 1;
       auto target = resolve_lvalue(*assigns[a].assign->lhs, ctx);
       if (!target) continue;
       auto [it, inserted] =
@@ -201,14 +209,7 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
                     "set is circular or reads values that are never "
                     "assigned (not a proper set, paper §3.6)");
     }
-    if (opts.max_iterations > 0 && ++rounds > opts.max_iterations) {
-      runtime_error(&stmt,
-                    support::format("solve exceeded the iteration limit "
-                                    "(%lld); raise or disable it with "
-                                    "--max-iterations",
-                                    static_cast<long long>(
-                                        opts.max_iterations)));
-    }
+    count_round(stmt, rounds, "solve");
   }
 }
 

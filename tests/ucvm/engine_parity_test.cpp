@@ -171,6 +171,7 @@ const std::vector<CorpusCase> kCorpusCases = {
     {"Matmul", "matmul", {{"N", 6}}, {"c"}},
     {"ReductionsTour", "reductions_tour", {}, {"a"}},
     {"Slices", "slices", {{"N", 6}}, {"m"}},
+    {"ScBlocks", "sc_blocks", {}, {"a", "c", "d", "f"}},
 };
 
 class Corpus : public ::testing::TestWithParam<CorpusCase> {};
@@ -1824,6 +1825,73 @@ TEST(EngineParity, SelectionDieAtAndResume) {
       EXPECT_EQ(ref, resumed.stats());
     }
   }
+}
+
+// --- the block runner (docs/VM.md "Selection blocks") ---
+
+// Every engine at 1 and 4 threads prints `output` at `cycles`.
+void expect_blocks(const std::string& src, const std::string& output,
+                   std::uint64_t cycles) {
+  const Outcome ref = expect_selection_parity(src);
+  EXPECT_EQ(ref.text, output);
+  EXPECT_EQ(ref.stats.cycles, cycles);
+}
+
+// A seq evaluates each tuple's guard once: `others` gets the lanes the
+// guard left out, not the ones its body has since made false.
+TEST(EngineParity, BlocksSeqOthersGetsTheLanesNoGuardEnabled) {
+  expect_blocks(
+      "index_set I:i = {0..3}, K:k = {0..1};\n"
+      "int a[4], b[4];\n"
+      "void main() {\n"
+      "  par (I) a[i] = 1;\n"
+      "  par (I) seq (K) st (a[i] > 0) a[i] = 0; others b[i] = b[i] + 1;\n"
+      "  print(b[0], b[1], b[2], b[3]);\n"
+      "}\n",
+      "1 1 1 1\n", 230);
+}
+
+TEST(EngineParity, BlocksStarSeqOthersGetsTheLanesNoGuardEnabled) {
+  expect_blocks(
+      "index_set I:i = {0..3}, K:k = {0..1};\n"
+      "int a[4], b[4];\n"
+      "void main() {\n"
+      "  par (I) a[i] = i;\n"
+      "  par (I) *seq (K) st (a[i] > 0) a[i] = a[i] - 1;\n"
+      "    others b[i] = b[i] + 1;\n"
+      "  print(b[0], b[1], b[2], b[3]);\n"
+      "}\n",
+      "6 5 4 3\n", 536);
+}
+
+// A multi-block *par evaluates every guard before any body, and its last
+// round, in which no guard enables a lane, runs no others.
+TEST(EngineParity, BlocksStarParOthersSkipsTheLastRound) {
+  expect_blocks(
+      "index_set I:i = {0..5};\n"
+      "int a[6], b[6];\n"
+      "void main() {\n"
+      "  par (I) a[i] = i;\n"
+      "  *par (I) st (a[i] > 3) a[i] = a[i] - 1; st (a[i] == 1) a[i] = 0;\n"
+      "    others b[i] = b[i] + 1;\n"
+      "  print(b[0], b[1], b[2], b[3], b[4], b[5]);\n"
+      "}\n",
+      "2 1 2 2 1 0\n", 484);
+}
+
+// oneof runs one enabled block; others gets every lane outside it,
+// including those the other block enabled.
+TEST(EngineParity, BlocksOneofOthersGetsTheLanesOutsideTheChosenBlock) {
+  const Outcome ref = expect_selection_parity(
+      "index_set I:i = {0..5};\n"
+      "int a[6];\n"
+      "void main() {\n"
+      "  oneof (I) st (i < 2) a[i] = 1; st (i >= 4) a[i] = 2;\n"
+      "    others a[i] = 3;\n"
+      "  print(a[0], a[1], a[2], a[3], a[4], a[5]);\n"
+      "}\n");
+  EXPECT_TRUE(ref.text == "1 1 3 3 3 3\n" || ref.text == "3 3 3 3 2 2\n")
+      << ref.text;
 }
 
 }  // namespace

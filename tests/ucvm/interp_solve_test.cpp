@@ -156,6 +156,28 @@ TEST(InterpSolve, SolveWithPredicatedBlocks) {
   EXPECT_EQ(r.global_element("a", {7}).as_int(), 107);
 }
 
+// The others equation exists on the lanes no block's guard enabled at
+// entry, on every engine and at the same cost.
+TEST(InterpSolve, OthersGetsTheLanesNoGuardEnabled) {
+  const std::string src =
+      "index_set I:i = {0..3};\n"
+      "int d[4];\n"
+      "void main() {\n"
+      "  solve (I) st (i == 0) d[i] = 5; others d[i] = d[i-1] + 1;\n"
+      "  print(d[0], d[1], d[2], d[3]);\n"
+      "}\n";
+  ExecOptions opts;
+  opts.engine = ExecEngine::kWalk;
+  const RunResult walk = run_uc(src, {}, opts);
+  EXPECT_EQ(walk.output(), "5 6 7 8\n");
+  for (const ExecEngine engine : {ExecEngine::kBytecode, ExecEngine::kNative}) {
+    opts.engine = engine;
+    const RunResult r = run_uc(src, {}, opts);
+    EXPECT_EQ(r.output(), walk.output());
+    EXPECT_TRUE(r.stats() == walk.stats());
+  }
+}
+
 TEST(InterpSolve, IterationLimitGuards) {
   ExecOptions opts;
   opts.max_iterations = 4;

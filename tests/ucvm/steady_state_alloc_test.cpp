@@ -10,7 +10,8 @@
 // the *solve grid is 64 x 64: at 32 x 32 no per-round buffer reaches it).
 // Each workload runs once to warm the native kernel cache, then with R and
 // with 2R rounds at the same lane count; the second count must not exceed
-// the first.
+// the first.  The sc-block case counts blocks of 512 bytes or more: a
+// per-round lane mask over its 4096 lanes takes 512 bytes.
 //
 // One more test counts every allocation, whatever its size, while a
 // lane-relative kernel is linked again and again: the link keeps each
@@ -38,6 +39,7 @@
 namespace {
 
 constexpr std::size_t kLargeBytes = 64 * 1024;
+std::atomic<std::size_t> g_min_bytes{kLargeBytes};  // what counts as large
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_large{0};
 std::atomic<bool> g_counting_all{false};
@@ -46,7 +48,8 @@ std::atomic<std::uint64_t> g_all{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
-  if (n >= kLargeBytes && g_counting.load(std::memory_order_relaxed)) {
+  if (n >= g_min_bytes.load(std::memory_order_relaxed) &&
+      g_counting.load(std::memory_order_relaxed)) {
     g_large.fetch_add(1, std::memory_order_relaxed);
   }
   if (g_counting_all.load(std::memory_order_relaxed)) {
@@ -82,6 +85,26 @@ std::string seq_par_source(int rounds, int n = 64) {
          "      st (d[i][k % N] + d[k % N][j] < d[i][j])\n"
          "        d[i][j] = d[i][k % N] + d[k % N][j];\n"
          "  print(\"sum\", $+(I, J; d[i][j]));\n"
+         "}\n";
+}
+
+// Fig 6's relaxation as two guarded blocks and an `others` arm, which
+// counts per lane the rounds in which neither block enabled it.  The seq
+// runs 64 rounds per sweep; the sweep set stays tiny, so its own storage
+// is the same at every sweep count.
+std::string seq_blocks_source(int sweeps) {
+  return "#define N 64\n"
+         "#define S " + std::to_string(sweeps) + "\n"
+         "index_set I:i = {0..N-1}, J:j = I, K:k = I, L:l = {0..S-1};\n"
+         "int d[N][N], idle[N][N];\n"
+         "void main() {\n"
+         "  par (I, J) d[i][j] = (i * 7 + j * 13) % 31 + 1;\n"
+         "  seq (L, K)\n"
+         "    par (I, J)\n"
+         "      st (d[i][k] + d[k][j] < d[i][j]) d[i][j] = d[i][k] + d[k][j];\n"
+         "      st (i == j && d[i][j] > 0) d[i][j] = 0;\n"
+         "      others idle[i][j] = idle[i][j] + 1;\n"
+         "  print(\"sum\", $+(I, J; d[i][j]), $+(I, J; idle[i][j]));\n"
          "}\n";
 }
 
@@ -134,6 +157,7 @@ std::uint64_t count_large(const std::string& src, ExecEngine engine,
 class SteadyStateAlloc : public ::testing::Test {
  protected:
   void SetUp() override {
+    g_min_bytes = kLargeBytes;
     const auto* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = fs::temp_directory_path() /
@@ -210,6 +234,15 @@ TEST_F(SteadyStateAlloc, SeqParBytecodeTwoThreads) {
 TEST_F(SteadyStateAlloc, SeqParBytecodeCheckpointed) {
   expect_flat(seq_par_source(64, 128), seq_par_source(128, 128),
               ExecEngine::kBytecode, 1, /*checkpoint_every=*/8);
+}
+
+// The 4096 lanes' block lane lists and the lanes `others` gets are leased
+// storage.  A per-round mask of those lanes would take 512 bytes, so this
+// test counts every block of that size or more.
+TEST_F(SteadyStateAlloc, SeqBlocksWithOthersBytecode) {
+  g_min_bytes = 512;
+  expect_flat(seq_blocks_source(1), seq_blocks_source(2),
+              ExecEngine::kBytecode, 1);
 }
 
 TEST_F(SteadyStateAlloc, StarSolveBytecode) {

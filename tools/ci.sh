@@ -101,11 +101,11 @@ run_engine_smoke() {
   # transposed and a seq-bound read, which stay per lane; the next five
   # reduce over small (unrolled) and large (looped) index sets;
   # mixed_types converts ?: arms and swap() operands (docs/LANGUAGE.md
-  # "Conversions").
+  # "Conversions"); sc_blocks puts an `others` arm under every construct.
   for prog in fig6_shortest_path_on2 fig7_shortest_path_on3 \
               fig8_grid_obstacle mapping_demo slices jacobi stencil_offsets \
               prefix_sums histogram matmul grid_dynamic_obstacle \
-              shortest_path_star_solve mixed_types; do
+              shortest_path_star_solve mixed_types sc_blocks; do
     local src="$root/programs/$prog.uc"
     cache="--native-cache-dir=$tmp/cache-$prog"
     for flags in "" "--faults=$faults --checkpoint-every=8"; do
