@@ -631,76 +631,79 @@ void Impl::commit_conflict(const Write& first, const Write& w) {
   runtime_error(w.where, what);
 }
 
-void Impl::commit(std::span<const WriteRun> runs) {
+void Impl::commit(std::span<const WriteRun> runs, bool unique) {
   ++commit_ordinal_;
   commit_arrays_.clear();
   commit_seen_.begin();
 
-  // Pass 1: conflict check in lane order.  Consecutive writes usually hit
-  // the same array, so its commit entry is looked up once per change, and
-  // an array this commit has seen already (a lane writing two arrays in
-  // turn) finds its entry through its marks without a call.
-  const void* last = nullptr;
-  CommitArray* ca = nullptr;
-  std::int64_t offset = 0;
-  for (const WriteRun& run : runs) {
-    for (const Write& w : run) {
-      if (w.target.kind != WriteTarget::Kind::kArray) {
-        const Write* first = commit_seen_.check_insert(w);
-        if (first != nullptr && !(first->value == w.value)) {
-          commit_conflict(*first, w);
+  // Calls array(w, entry, element) for each array write in lane order, and
+  // other(w) for each scalar write.  Consecutive writes usually hit the
+  // same array, so its commit entry is looked up once per change, and an
+  // array this commit has seen already (a lane writing two arrays in turn)
+  // finds its entry through its marks without a call.
+  const auto each_write = [&](auto&& array, auto&& other) {
+    const void* last = nullptr;
+    CommitArray* ca = nullptr;
+    std::int64_t offset = 0;
+    for (const WriteRun& run : runs) {
+      for (const Write& w : run) {
+        if (w.target.kind != WriteTarget::Kind::kArray) {
+          other(w);
+          continue;
         }
-        continue;
-      }
-      if (w.target.obj != last) {
-        auto* view = static_cast<ArrayObj*>(w.target.obj);
-        const WriteMarks& wm = view->write_marks();
-        ca = wm.commit == commit_ordinal_ ? &commit_arrays_[wm.slot]
-                                          : &open_commit_array(view->root());
-        offset = view->root_offset();
-        last = view;
-      }
-      const auto e = static_cast<std::uint64_t>(w.target.index + offset);
-      if (e >= ca->size) {
-        throw support::ApiError("Field '" + ca->root->field().name() +
-                                "': VP index out of range");
-      }
-      WriteMarks::Mark& mark = ca->marks[e];
-      if (mark.stamp != ca->stamp) {
-        mark.first = &w;
-        mark.stamp = ca->stamp;
-      } else if (!(mark.first->value == w.value)) {
-        commit_conflict(*mark.first, w);
+        if (w.target.obj != last) {
+          auto* view = static_cast<ArrayObj*>(w.target.obj);
+          const WriteMarks& wm = view->write_marks();
+          ca = wm.commit == commit_ordinal_ ? &commit_arrays_[wm.slot]
+                                            : &open_commit_array(view->root());
+          offset = view->root_offset();
+          last = view;
+        }
+        const auto e = static_cast<std::uint64_t>(w.target.index + offset);
+        if (e >= ca->size) {
+          throw support::ApiError("Field '" + ca->root->field().name() +
+                                  "': VP index out of range");
+        }
+        array(w, *ca, e);
       }
     }
+  };
+
+  // Pass 1: conflict check in lane order, unless no two writes can share
+  // a target.
+  if (!unique) {
+    each_write(
+        [&](const Write& w, CommitArray& ca, std::uint64_t e) {
+          WriteMarks::Mark& mark = ca.marks[e];
+          if (mark.stamp != ca.stamp) {
+            mark.first = &w;
+            mark.stamp = ca.stamp;
+          } else if (!(mark.first->value == w.value)) {
+            commit_conflict(*mark.first, w);
+          }
+        },
+        [&](const Write& w) {
+          const Write* first = commit_seen_.check_insert(w);
+          if (first != nullptr && !(first->value == w.value)) {
+            commit_conflict(*first, w);
+          }
+        });
   }
 
   // Pass 2: apply in the same order, storing array elements straight into
   // the root field with the coercion ArrayObj::store would apply.
-  last = nullptr;
-  for (const WriteRun& run : runs) {
-    for (const Write& w : run) {
-      if (w.target.kind != WriteTarget::Kind::kArray) {
-        apply_write(w.target, w.value);
-        continue;
-      }
-      if (w.target.obj != last) {
-        auto* view = static_cast<ArrayObj*>(w.target.obj);
-        ca = &commit_arrays_[view->write_marks().slot];
-        offset = view->root_offset();
-        last = view;
-      }
-      const auto e = static_cast<std::size_t>(w.target.index + offset);
-      ca->data[e] = ca->flt ? cm::from_float(w.value.as_float())
+  each_write(
+      [](const Write& w, CommitArray& ca, std::uint64_t e) {
+        ca.data[e] = ca.flt ? cm::from_float(w.value.as_float())
                             : cm::from_int(w.value.as_int());
-      ca->defined[e] = 1;
-    }
-  }
+        ca.defined[e] = 1;
+      },
+      [&](const Write& w) { apply_write(w.target, w.value); });
 }
 
 void Impl::commit_writes(const std::vector<std::vector<Write>>& per_lane) {
   commit_runs_.assign(per_lane.begin(), per_lane.end());
-  commit(commit_runs_);
+  commit(commit_runs_, /*unique=*/false);
 }
 
 namespace {

@@ -449,8 +449,10 @@ struct Impl {
   // execution").  `runs` hold one synchronous statement's buffered writes
   // in lane order.  Pass 1 checks them in that order: the first write of
   // a different value to an already written target raises the paper §3.4
-  // error.  Pass 2 applies them in the same order.
-  void commit(std::span<const WriteRun> runs);
+  // error.  Pass 2 applies them in the same order.  `unique` says the link
+  // proved that no two of the writes share a target
+  // (kernel::Engine::unique_stores), and pass 1 is skipped.
+  void commit(std::span<const WriteRun> runs, bool unique);
   // Commits per-lane write buffers (walk, solve), lanes in order.
   void commit_writes(const std::vector<std::vector<Write>>& per_lane);
   void apply_write(const WriteTarget& t, const Value& v);

@@ -29,6 +29,7 @@ namespace {
 // sc-block it came from.
 struct SolveAssign {
   const Expr* pred = nullptr;  // block predicate (may be null)
+  // Null for a block with no assignment: only its guard matters.
   const lang::AssignExpr* assign = nullptr;
   bool declares = false;  // calls_array_declarer(rhs)
   bool others = false;    // from the `others` arm
@@ -56,13 +57,23 @@ void collect_assigns(const Stmt& stmt, const Expr* pred, bool others,
   }
 }
 
-// The assignments of a solve's blocks and `others` arm, in order.
+// The assignments of a solve's blocks and `others` arm, in order.  When
+// `others` has an assignment, a block with none still gives one entry
+// with a null `assign`: its guard decides which lanes `others` gets.
 std::vector<SolveAssign> solve_assigns(const UcConstructStmt& stmt) {
   std::vector<SolveAssign> assigns;
   for (const auto& block : stmt.blocks) {
+    const std::size_t before = assigns.size();
     collect_assigns(*block.body, block.pred.get(), false, assigns);
+    if (assigns.size() == before) {
+      assigns.push_back(SolveAssign{block.pred.get()});
+    }
   }
+  const std::size_t blocks_end = assigns.size();
   if (stmt.others) collect_assigns(*stmt.others, nullptr, true, assigns);
+  if (assigns.size() == blocks_end) {
+    std::erase_if(assigns, [](const SolveAssign& a) { return !a.assign; });
+  }
   return assigns;
 }
 
@@ -81,7 +92,9 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
   // address.  Only those exact elements receive the paper's "impossible
   // value"; elements the solve never assigns (e.g. boundary cells written
   // before the solve) stay defined and readable.  The `others` equations,
-  // collected last, exist on the lanes no block's guard enabled.
+  // collected last, exist on the lanes no block's guard enabled.  A block
+  // with no equation has its guard evaluated and charged once, as one
+  // equation's guard is, for those lanes alone.
   struct LaneTarget {
     std::int64_t lane;
     WriteTarget target;
@@ -92,9 +105,11 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
   LaneList guarded(lane_lists_);  // lanes a guard enabled, for `others`
   guarded->assign(stmt.others ? static_cast<std::size_t>(lane_count) : 0, 0);
   for (std::size_t a = 0; a < assigns.size(); ++a) {
-    charge_expr(assigns[a].pred != nullptr ? *assigns[a].pred
-                                           : *assigns[a].assign->lhs,
-                space.geom_size, /*frontend=*/false, &space);
+    if (assigns[a].pred != nullptr || assigns[a].assign != nullptr) {
+      charge_expr(assigns[a].pred != nullptr ? *assigns[a].pred
+                                             : *assigns[a].assign->lhs,
+                  space.geom_size, /*frontend=*/false, &space);
+    }
     for (std::int64_t l = 0; l < lane_count; ++l) {
       EvalCtx ctx;
       ctx.vm = this;
@@ -109,6 +124,7 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
         continue;
       }
       if (stmt.others && !assigns[a].others) (*guarded)[lane] = 1;
+      if (assigns[a].assign == nullptr) continue;
       auto target = resolve_lvalue(*assigns[a].assign->lhs, ctx);
       if (!target) continue;
       auto [it, inserted] =
@@ -138,6 +154,7 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
     bool progress = false;
     bool all_done = true;
     for (std::size_t a = 0; a < assigns.size(); ++a) {
+      if (assigns[a].assign == nullptr) continue;
       ckpt->note_statement();
       maybe_die();  // deterministic pre-equation kill point (tools/soak.sh)
       ++stmt_counter;
@@ -220,6 +237,7 @@ void Impl::exec_star_solve(const UcConstructStmt& stmt, LaneSpace& space,
   {
     std::unordered_set<ArrayObj*> seen;
     for (const auto& a : solve_assigns(stmt)) {
+      if (a.assign == nullptr) continue;
       const auto& sub =
           static_cast<const lang::SubscriptExpr&>(*a.assign->lhs);
       const auto& id = static_cast<const lang::IdentExpr&>(*sub.base);

@@ -1,8 +1,9 @@
 // Flat register bytecode for the lane-kernel engine (docs/VM.md).
 //
 // A Kernel is the compiled form of one synchronous statement expression:
-// straight-line code with explicit jumps (short-circuit &&/||, ?:, and the
-// tuple loop of a reduction too large to unroll), a constant pool, and
+// straight-line code with explicit jumps (short-circuit &&/|| whose right
+// operand must not run everywhere, ?:, and the tuple loop of a reduction
+// too large to unroll), a constant pool, and
 // symbolic operand tables that are resolved ("linked") against the current
 // lane space once per execution.  Instructions reference virtual
 // registers; registers are allocated monotonically during lowering and
@@ -15,7 +16,12 @@
 // error messages — and the walk skips classification at the reads the
 // optimiser elides (Kernel::elided_reads), so the engines are
 // observationally identical, costs included; the differential suite
-// tests/ucvm/engine_parity_test.cpp enforces this.
+// tests/ucvm/engine_parity_test.cpp enforces this.  A && or || whose
+// right operand is pure and total (literals, elements and scalars under
+// operators other than / and %) is one kBinary kLogAnd / kLogOr with no
+// jump: that operand has no observable effect, so evaluating it on the
+// lanes the walk's short circuit skips changes nothing (docs/VM.md
+// "Selection blocks").
 #pragma once
 
 #include <cstdint>
@@ -65,7 +71,8 @@ enum class Op : std::uint8_t {
   kArrStore,        // buffer write of r[c] to arrays[a] element r[b]
   kArrPut,          // fused kClassify (+ kBroadcastCheck, arg bit0) + kArrStore
   kUnary,           // r[dst] = unary<arg>(r[a])
-  kBinary,          // r[dst] = binary<arg>(r[a], r[b]); div/mod errors
+  kBinary,          // r[dst] = binary<arg>(r[a], r[b]); div/mod errors;
+                    // && and || with a pure right operand
   kIncDec,          // r[dst] = r[a] +/- 1 (arg bit0: increment)
   kCoerce,          // r[dst] = r[a].coerce(ScalarKind(arg))
   kJump,            // ip = jump

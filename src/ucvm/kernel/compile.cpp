@@ -160,6 +160,36 @@ bool can_compile(const Expr& e, bool in_reduce) {
   return false;
 }
 
+// A right operand of && or || that the lowering evaluates on every lane
+// (docs/VM.md "Selection blocks"): literals, index elements and scalar
+// variables under unary and binary operators other than / and %.  It
+// classifies no access, raises no error, draws no random number and
+// writes nothing, so running it where the walk's short circuit skips it
+// changes no output, error or cost.  (Sema gives the operators that
+// truncate to int int operands only, so none meets a NaN.)
+bool pure_total(const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kIntLit:
+    case ExprKind::kFloatLit:
+      return true;
+    case ExprKind::kIdent: {
+      const auto* sym = static_cast<const lang::IdentExpr&>(e).symbol;
+      return sym != nullptr &&
+             (sym->has_const_value || sym->kind == SymbolKind::kIndexElem ||
+              is_scalar_var(sym));
+    }
+    case ExprKind::kUnary:
+      return pure_total(*static_cast<const lang::UnaryExpr&>(e).operand);
+    case ExprKind::kBinary: {
+      const auto& b = static_cast<const lang::BinaryExpr&>(e);
+      return b.op != BinaryOp::kDiv && b.op != BinaryOp::kMod &&
+             pure_total(*b.lhs) && pure_total(*b.rhs);
+    }
+    default:
+      return false;
+  }
+}
+
 class Lowerer {
  public:
   explicit Lowerer(Kernel& k) : k_(k) {}
@@ -353,7 +383,10 @@ class Lowerer {
       }
       case ExprKind::kBinary: {
         const auto& b = static_cast<const lang::BinaryExpr&>(e);
-        if (b.op == BinaryOp::kLogAnd || b.op == BinaryOp::kLogOr) {
+        // A pure and total right operand runs on every lane: one
+        // kBinary instead of a split of the block (pure_total).
+        if ((b.op == BinaryOp::kLogAnd || b.op == BinaryOp::kLogOr) &&
+            !pure_total(*b.rhs)) {
           const bool is_and = b.op == BinaryOp::kLogAnd;
           const std::uint16_t dst = alloc();
           const std::uint16_t l = expr(*b.lhs);

@@ -266,7 +266,64 @@ bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
   for (const LaneRelativeSite& rel : k.lane_relative) {
     sites_[rel.ip] = link_site(k, rel);
   }
+  unique_stores_ = stores_unique(k, space);
   return max_depth_ < kMaxDepth;
+}
+
+std::int64_t Engine::lane_axis(const LinkedElem& le) const {
+  // The element's space must add one lane axis per element it binds,
+  // after its parent's, as expand builds it: element k is then on axis
+  // parent_dims + k, and a lane's coordinate there is its position in the
+  // element's set.  Every space below keeps its parent's coordinates as a
+  // prefix, so the same holds in the statement space.  A seq binding
+  // space binds elements but adds no axis.
+  const LaneSpace& s = *depth_spaces_[static_cast<std::size_t>(le.depth)];
+  const LaneSpace* p = s.parent;
+  const std::size_t parent_dims =
+      p == nullptr || p->frontend ? 0 : p->dims.size();
+  if (s.dims.size() != parent_dims + s.elems.size()) return -1;
+  return static_cast<std::int64_t>(parent_dims + le.k);
+}
+
+bool Engine::stores_unique(const Kernel& k, const LaneSpace& space) const {
+  // Distinct lanes of a space have distinct coordinates.  A put whose
+  // subscripts are element + constant on every axis, each axis once, is
+  // then one-to-one from lanes to elements (each element's set is a run of
+  // distinct ints), and a lane runs each put at most once when no store
+  // sits in a reduction loop.  Puts to different roots cannot meet.
+  const std::size_t n_dims = space.dims.size();
+  if (space.frontend || k.writes_per_lane < 0 || n_dims == 0 ||
+      n_dims >= 64) {
+    return false;
+  }
+  std::size_t puts = 0;
+  for (const Inst& i : k.code) {
+    if (i.op == Op::kStoreScalar || i.op == Op::kArrStore) return false;
+    if (i.op == Op::kArrPut) ++puts;
+  }
+  const auto& rels = k.lane_relative;
+  for (auto r = rels.begin(); r != rels.end(); ++r) {
+    const Inst& put = k.code[r->ip];
+    if (put.op != Op::kArrPut) continue;
+    std::uint64_t axes = 0;
+    for (std::uint16_t j = 0; j < r->rank; ++j) {
+      const std::int64_t a = lane_axis(elems_[r->elem[j]]);
+      if (a < 0 || static_cast<std::size_t>(a) >= n_dims) return false;
+      const std::uint64_t bit = std::uint64_t{1} << a;
+      if ((axes & bit) != 0) return false;  // an axis used twice
+      axes |= bit;
+    }
+    if (axes != (std::uint64_t{1} << n_dims) - 1) return false;
+    const ArrayObj* root = &arrays_[put.a].arr->root();
+    for (auto q = rels.begin(); q != r; ++q) {
+      const Inst& other = k.code[q->ip];
+      if (other.op == Op::kArrPut && &arrays_[other.a].arr->root() == root) {
+        return false;
+      }
+    }
+    --puts;
+  }
+  return puts == 0;
 }
 
 Engine::LinkedSite Engine::link_site(const Kernel& k,
@@ -282,21 +339,7 @@ Engine::LinkedSite Engine::link_site(const Kernel& k,
   }
   std::int64_t delta[kMaxSubscripts];
   for (std::uint16_t j = 0; j < rel.rank; ++j) {
-    const LinkedElem& le = elems_[rel.elem[j]];
-    // The element's space must add one lane axis per element it binds,
-    // after its parent's, as expand builds it: element k is then on axis
-    // parent_dims + k, and a lane's coordinate there is its position in
-    // the element's set.  Every space below keeps its parent's
-    // coordinates as a prefix, so the same holds in the statement space.
-    // A seq binding space binds elements but adds no axis.
-    const LaneSpace& s = *depth_spaces_[static_cast<std::size_t>(le.depth)];
-    const LaneSpace* p = s.parent;
-    const std::size_t parent_dims =
-        p == nullptr || p->frontend ? 0 : p->dims.size();
-    if (s.dims.size() != parent_dims + s.elems.size() ||
-        parent_dims + le.k != j) {
-      return std::nullopt;
-    }
+    if (lane_axis(elems_[rel.elem[j]]) != j) return std::nullopt;
     // Position t binds v0 + t (the set is a consecutive run), so the lane
     // reads v0 + t + off[j] at coordinate t.
     const lang::Symbol* set = k.elems[rel.elem[j]].sym->elem_of_set;
@@ -1159,7 +1202,7 @@ void Engine::commit() {
             [](const auto& x, const auto& y) { return x.first < y.first; });
   runs_.clear();
   for (const auto& [begin_k, run] : span_order_) runs_.push_back(run);
-  vm_.commit(runs_);
+  vm_.commit(runs_, unique_stores_);
 }
 
 }  // namespace uc::vm::detail::kernel

@@ -46,8 +46,12 @@ class Engine {
            std::uint64_t stmt_id, Value* results,
            std::vector<cm::AccessStats>& member_stats);
   // Conflict-checks and applies the last run's buffered writes in lane
-  // order through Impl::commit.
+  // order through Impl::commit, which skips the conflict check when
+  // unique_stores().
   void commit();
+  // Whether the link proved that no two lanes of the kernel prepared last
+  // can write one element (docs/VM.md "Linking and execution").
+  bool unique_stores() const { return unique_stores_; }
   // The lanes the last run's kSelect enabled (docs/VM.md "Selection
   // blocks"); 0 for a kernel without one.
   std::int64_t enabled_lanes() const;
@@ -216,6 +220,14 @@ class Engine {
   bool link(const Kernel& k, LaneSpace& space, Frame* frame);
   // The class of a lane-relative site under the operands link resolved.
   LinkedSite link_site(const Kernel& k, const LaneRelativeSite& rel) const;
+  // The statement-space axis whose coordinate is a lane's position in the
+  // linked element's set, or -1 when the element's space adds no axis for
+  // it.
+  std::int64_t lane_axis(const LinkedElem& le) const;
+  // The unique-store proof: every store of `k` is a lane-relative kArrPut
+  // that uses each axis of `space` once, and no two reach one root array.
+  // Allocates nothing.
+  bool stores_unique(const Kernel& k, const LaneSpace& space) const;
   void reset_arenas(const Kernel& k);
   // Runs the lanes natively when it can, else on the pooled block
   // executor; returns whether the native tier ran them.
@@ -252,6 +264,7 @@ class Engine {
   std::vector<LinkedArray> arrays_;
   std::vector<LinkedReduce> reduces_;
   std::vector<LinkedSite> sites_;  // per instruction
+  bool unique_stores_ = false;
   std::vector<LaneSpace*> depth_spaces_;  // [0]=statement space, then parents
   std::int32_t max_depth_ = 0;
   std::vector<Arena> arenas_;

@@ -14,7 +14,10 @@
 //      kReduceEnd makes the whole loop body a dropped region at its exit,
 //      and in-body entries are re-defined every iteration before reuse.
 //      Registers with more than one static write (short-circuit and
-//      ternary join registers) are never tabled.  A selection kernel's
+//      ternary join registers) are never tabled, and a branch-free && or
+//      || (docs/VM.md "Selection blocks") gets a fresh number as the
+//      join register of its short-circuit form did, so a subscript built
+//      from it elides exactly the reads it did.  A selection kernel's
 //      kSelect empties the table: the body's reads are numbered as in the
 //      body's own kernel, never against the guard's, so the kernel elides
 //      exactly the reads the two separate kernels elide.
@@ -57,7 +60,8 @@
 //      instead of once per lane.
 //
 // The pass never reorders instructions, so evaluation order, error sites
-// and short-circuit behaviour are exactly the unoptimised kernel's; it
+// and short-circuit behaviour are exactly the unoptimised kernel's (the
+// lowering already chose which && and || keep a branch); it
 // only elides recomputation.  An elided array read is not classified, so
 // every read the first two passes replace is recorded in
 // Kernel::elided_reads: the walk skips classification at the same sites,
@@ -103,6 +107,13 @@ enum Tag : std::uint64_t {
 bool is_div_or_mod(std::uint8_t arg) {
   const auto op = static_cast<lang::BinaryOp>(arg);
   return op == lang::BinaryOp::kDiv || op == lang::BinaryOp::kMod;
+}
+
+// A branch-free && or || (compile.cpp lowers it so when its right operand
+// is pure and total).
+bool is_logical(std::uint8_t arg) {
+  const auto op = static_cast<lang::BinaryOp>(arg);
+  return op == lang::BinaryOp::kLogAnd || op == lang::BinaryOp::kLogOr;
 }
 
 bool deletable(const Inst& i) {
@@ -448,6 +459,13 @@ class Optimizer {
         case Op::kBinary: {
           const auto va = use(inst.a);
           const auto vb = use(inst.b);
+          if (is_logical(inst.arg)) {
+            // Numbered like the join register of the short-circuit form,
+            // so a subscript built from it elides no more reads than that
+            // form does.
+            fresh(inst.dst, i);
+            break;
+          }
           pure(inst, i, {kTBinary, inst.arg, va, vb});
           break;
         }

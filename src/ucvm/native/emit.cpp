@@ -933,8 +933,10 @@ class Emitter {
         return;
       case BinaryOp::kLogAnd:
       case BinaryOp::kLogOr:
-        // Lowered to jumps by the compiler; unreachable (exec.cpp agrees).
-        appendf(src_, "      %s = 0;\n", R(I.dst).c_str());
+        // A branch-free && or ||: both operands are already evaluated.
+        appendf(src_, "      %s = (%s %s %s) ? 1 : 0;\n", R(I.dst).c_str(),
+                truthy(I.a).c_str(), op == BinaryOp::kLogAnd ? "&&" : "||",
+                truthy(I.b).c_str());
         return;
     }
     const bool cmp = op >= BinaryOp::kEq && op <= BinaryOp::kGe;

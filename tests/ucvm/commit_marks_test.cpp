@@ -32,7 +32,7 @@ TEST(CommitMarks, SurviveStampWraparound) {
   ArrayObj arr(machine, "a", lang::ScalarKind::kInt, {4});
   const auto commit = [&vm](const std::vector<Write>& writes) {
     const WriteRun run(writes);
-    vm.commit(std::span<const WriteRun>(&run, 1));
+    vm.commit(std::span<const WriteRun>(&run, 1), /*unique=*/false);
   };
 
   // The first commit allocates the column and marks a[3] at stamp 1.  Its
@@ -82,7 +82,7 @@ TEST(CommitMarks, ConflictInTheSecondOfTwoAlternatingArrays) {
                                     int_write(a, 3, 4), int_write(b, 0, 6)};
   const WriteRun runs[] = {WriteRun(lane0), WriteRun(lane1), WriteRun(lane2)};
   try {
-    vm.commit(runs);
+    vm.commit(runs, /*unique=*/false);
     ADD_FAILURE() << "conflict not reported";
   } catch (const support::UcRuntimeError& e) {
     EXPECT_EQ(std::string(e.what()),
@@ -100,10 +100,34 @@ TEST(CommitMarks, ConflictInTheSecondOfTwoAlternatingArrays) {
                                  int_write(a, 1, 2), int_write(b, 1, 2),
                                  int_write(a, 1, 2), int_write(b, 3, 7)};
   const WriteRun run(ok);
-  vm.commit(std::span<const WriteRun>(&run, 1));
+  vm.commit(std::span<const WriteRun>(&run, 1), /*unique=*/false);
   EXPECT_EQ(a.load(1).as_int(), 2);
   EXPECT_EQ(b.load(1).as_int(), 2);
   EXPECT_EQ(b.load(3).as_int(), 7);
+}
+
+// A commit whose writes the link proved unique skips the conflict pass:
+// its apply pass opens each array's entry itself and still refuses an
+// element past the root's end.
+TEST(CommitMarks, UniqueCommitOpensEntriesAndChecksTheRange) {
+  auto unit = lang::compile("t.uc", "void main() {}");
+  ASSERT_TRUE(unit->ok());
+  cm::Machine machine;
+  Impl vm(*unit, machine, ExecOptions{});
+  ArrayObj a(machine, "a", lang::ScalarKind::kInt, {4});
+  ArrayObj b(machine, "b", lang::ScalarKind::kFloat, {4});
+  const std::vector<Write> lanes = {int_write(a, 0, 5), int_write(b, 0, 1),
+                                    int_write(a, 2, 6), int_write(b, 3, 2)};
+  const WriteRun run(lanes);
+  vm.commit(std::span<const WriteRun>(&run, 1), /*unique=*/true);
+  EXPECT_EQ(a.load(0).as_int(), 5);
+  EXPECT_EQ(a.load(2).as_int(), 6);
+  EXPECT_EQ(b.load(3).as_float(), 2.0);
+
+  const std::vector<Write> past = {int_write(a, 4, 1)};
+  const WriteRun bad(past);
+  EXPECT_THROW(vm.commit(std::span<const WriteRun>(&bad, 1), /*unique=*/true),
+               support::ApiError);
 }
 
 }  // namespace

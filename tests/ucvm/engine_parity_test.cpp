@@ -614,6 +614,44 @@ TEST(EngineParity, CommitScalarConflictsAreStillCaught) {
       "", conflict_error("6:28", ": values 0 and 1"));
 }
 
+// Statements whose stores the link cannot prove unique to their lanes
+// (docs/VM.md "Linking and execution") keep the §3.4 check, and raise the
+// walk's text on every engine: an axis used twice, an axis missing, two
+// puts to one root (through two slices, or one array passed twice), and
+// an element a seq or the parent binds.
+TEST(EngineParity, CommitUnprovenStoresStillConflict) {
+  const std::string ij =
+      "index_set I:i = {0..3}, J:j = I;\n"
+      "int c[4][4], r[4];\n";
+  expect_commit(ij + "void main() { par (I, J) c[i][i] = j; }", "",
+                conflict_error("3:26", " to c[0][0]: values 0 and 1"));
+  expect_commit(ij + "void main() { par (I, J) r[i] = j; }", "",
+                conflict_error("3:26", " to r[0]: values 0 and 1"));
+  expect_commit(ij + "void main() { par (I) seq (J) r[j] = i; }", "",
+                conflict_error("3:31", " to r[0]: values 0 and 1"));
+  expect_commit(ij + "void main() { par (I) *solve (J) r[j] = i; }", "",
+                conflict_error("3:34", " to r[0]: values 0 and 1"));
+  const std::string f =
+      "index_set I:i = {0..3};\n"
+      "int a[4], m[2][4];\n"
+      "void f(int x[4], int y[4]) { par (I) x[i] = (y[i] = i) + 1; }\n";
+  expect_commit(f + "void main() { f(m[1], m[1]); }", "",
+                conflict_error("3:38", " to m[1][0]: values 0 and 1"));
+  expect_commit(f + "void main() { f(a, a); }", "",
+                conflict_error("3:38", " to a[0]: values 0 and 1"));
+  // Two slices of one root, or the parent's axis and a seq-bound one:
+  // nothing conflicts.
+  expect_commit(f + "void main() { f(m[0], m[1]); print(m[0][3], m[1][3]); }",
+                "4 3\n");
+  expect_commit(ij +
+                    "void main() {\n"
+                    "  par (I) *solve (J) c[i][j] = i + j;\n"
+                    "  seq (J) par (I) c[i][j] = c[i][j] + 1;\n"
+                    "  print($+(I, J; c[i][j]));\n"
+                    "}",
+                "64\n");
+}
+
 // --- the lane-block executor (docs/VM.md "Linking and execution") ---
 
 std::string fmt_g(double v) {
@@ -673,6 +711,80 @@ TEST(EngineParity, BlockDivergentShortCircuitAndTernary) {
       "}",
       std::to_string(sum) + " " + std::to_string(v[0]) + " " +
           std::to_string(v[1]) + " " + std::to_string(v[99]) + "\n");
+}
+
+// --- branch-free && and || (docs/VM.md "Selection blocks") ---
+//
+// A right operand built from literals, elements and scalars under
+// operators other than / and % runs on every lane as one kBinary; any
+// other keeps the short circuit.  Values are derived by hand in each
+// comment.
+
+// i / j > 1 keeps its branch: no lane with j == 0 divides.  On {0..7}^2,
+// i / j >= 2 holds for i >= 2j: 6 + 4 + 2 lanes at j = 1, 2, 3, counted
+// once by the guard and once by the expression.
+TEST(EngineParity, GuardDividingRightOperandDoesNotRaise) {
+  expect_commit(
+      "index_set I:i = {0..7}, J:j = I;\n"
+      "int a[8][8];\n"
+      "void main() {\n"
+      "  par (I, J) st (j != 0 && i / j > 1) a[i][j] = 1;\n"
+      "  par (I, J) a[i][j] = a[i][j] + (j != 0 && i / j > 1);\n"
+      "  print($+(I, J; a[i][j]));\n"
+      "}",
+      "24\n");
+}
+
+// -0.0 is false and NaN true, on either side: z * 2.0 + 0.0 is +0.0, -z is
+// +0.0, nan != nan holds.  Lane 0 gets 4 + 8; lane 1 adds 64 + 128; lanes
+// 2 and 3 get 2 + 8 + 16 + 64 + 128, and lane 3 also 256.
+TEST(EngineParity, BranchFreeFloatOperandsNegativeZeroAndNaN) {
+  expect_commit(
+      "index_set I:i = {0..3};\n"
+      "float z, nan;\n"
+      "int a[4];\n"
+      "void main() {\n"
+      "  z = -0.0;\n"
+      "  nan = 0.0 / 0.0;\n"
+      "  par (I) a[i] = (i > 1 && z) + 2 * (i > 1 && nan) + 4 * (i < 2 || z)\n"
+      "      + 8 * (i < 2 || nan) + 16 * (i > 1 && z * 2.0 + 0.0 == 0.0)\n"
+      "      + 32 * (i > 0 && -z) + 64 * (i > 0 && nan != nan)\n"
+      "      + 128 * (nan && i) + 256 * (z || i > 2);\n"
+      "  print(a[0], a[1], a[2], a[3]);\n"
+      "}",
+      "12 204 218 474\n");
+}
+
+// Operands that wrap: big * 2 + i is i - 2, zero at lane 2; big + i is
+// negative from lane 1; -(big + 1) is INT64_MIN; (big + 1) * i is 0 at
+// lanes 0 and 2.
+TEST(EngineParity, BranchFreeIntWrapOperands) {
+  expect_commit(
+      "index_set I:i = {0..3};\n"
+      "int big;\n"
+      "int a[4];\n"
+      "void main() {\n"
+      "  big = 9223372036854775807;\n"
+      "  par (I) a[i] = (i >= 0 && big * 2 + i) + 2 * (i == 3 || big + i < 0)\n"
+      "      + 4 * (i > 0 && -(big + 1) < 0) + 8 * (i < 3 && (big + 1) * i);\n"
+      "  print(a[0], a[1], a[2], a[3]);\n"
+      "}",
+      "1 15 6 7\n");
+}
+
+// A negated && inside a guard: 63 lanes get 1, then the 7 x 7 lanes off
+// row and column 7, less (0, 0), add 2: 63 + 2 * 48 = 159.
+TEST(EngineParity, BranchFreeNestedNegation) {
+  expect_commit(
+      "index_set I:i = {0..7}, J:j = I;\n"
+      "int a[8][8];\n"
+      "void main() {\n"
+      "  par (I, J) st (!(i==0 && j==0)) a[i][j] = 1;\n"
+      "  par (I, J) st (!(i==0 && j==0) && !(i == 7 || j == 7))\n"
+      "    a[i][j] = a[i][j] + 2;\n"
+      "  print($+(I, J; a[i][j]), a[0][0], a[1][1], a[7][0]);\n"
+      "}",
+      "159 0 3 1\n");
 }
 
 // Stores that only some lanes of a block reach leave gaps in the block's

@@ -178,6 +178,34 @@ TEST(InterpSolve, OthersGetsTheLanesNoGuardEnabled) {
   }
 }
 
+// A block with no equation still enables lanes: its guard is evaluated
+// once, so `others` gets lanes 1..3 alone and d[0] keeps its 0.  The guard
+// is charged as one equation's guard is.  With an issue overhead of 30 and
+// 4 cycles an ALU op on 4 VPs: the guard `i == 0` (3 ops) 42, the `others`
+// target `d[i]` (2 ops) 38, its one round `d[i] = 1` (4 ops) 46, the
+// round's global OR 12 and the print's 10 front-end ops 20: 158 cycles.
+TEST(InterpSolve, BlockWithoutEquationKeepsItsLanesFromOthers) {
+  const std::string src =
+      "index_set I:i = {0..3};\n"
+      "int d[4];\n"
+      "void main() {\n"
+      "  solve (I) st (i == 0) ; others d[i] = 1;\n"
+      "  print(d[0], d[1], d[2], d[3]);\n"
+      "}\n";
+  ExecOptions opts;
+  opts.engine = ExecEngine::kWalk;
+  const RunResult walk = run_uc(src, {}, opts);
+  EXPECT_EQ(walk.output(), "0 1 1 1\n");
+  EXPECT_EQ(walk.stats().cycles, 158u);
+  EXPECT_EQ(walk.stats().vector_ops, 3u);
+  for (const ExecEngine engine : {ExecEngine::kBytecode, ExecEngine::kNative}) {
+    opts.engine = engine;
+    const RunResult r = run_uc(src, {}, opts);
+    EXPECT_EQ(r.output(), walk.output());
+    EXPECT_TRUE(r.stats() == walk.stats());
+  }
+}
+
 TEST(InterpSolve, IterationLimitGuards) {
   ExecOptions opts;
   opts.max_iterations = 4;

@@ -371,6 +371,86 @@ TEST(KernelCompiler, SelectionRejectsAGuardThatStores) {
   EXPECT_EQ(compile_selection(*block.pred, &body, 1), nullptr);
 }
 
+// --- branch-free guards (docs/VM.md "Selection blocks") ---
+
+// Branch-free && and || instructions.
+int count_logical(const Kernel& k) {
+  int n = 0;
+  for (const auto& inst : k.code) {
+    const auto op = static_cast<lang::BinaryOp>(inst.arg);
+    n += inst.op == Op::kBinary && (op == lang::BinaryOp::kLogAnd ||
+                                    op == lang::BinaryOp::kLogOr)
+             ? 1
+             : 0;
+  }
+  return n;
+}
+
+int count_branches(const Kernel& k) {
+  return count_ops(k, Op::kJumpIfFalse) + count_ops(k, Op::kJumpIfTrue) +
+         count_ops(k, Op::kJump);
+}
+
+// The guard of the first block of `body`'s first construct, compiled.
+std::unique_ptr<Kernel> compile_guard(const std::string& body) {
+  auto unit = analyse(body);
+  const lang::ScBlock& block = first_block(*unit);
+  EXPECT_NE(block.pred, nullptr) << body;
+  if (block.pred == nullptr) return nullptr;
+  return compile_expr(*block.pred);
+}
+
+// jacobi_news's interior guard: every right operand is pure and total, so
+// the three && are three kBinary and the guard splits no lane block.
+TEST(KernelCompiler, PureGuardCompilesWithoutBranches) {
+  const std::string decls =
+      "#define N 128\n"
+      "index_set I:i = {0..N-1}, J:j = I;\n"
+      "float u[N][N], v[N][N];\n";
+  const auto k = compile_guard(
+      decls + "void main() { par (I, J) st (i>0 && i<N-1 && j>0 && j<N-1)\n"
+              "  v[i][j] = u[i][j]; }\n");
+  ASSERT_NE(k, nullptr);
+  EXPECT_EQ(count_branches(*k), 0);
+  EXPECT_EQ(count_logical(*k), 3);
+  // The boundary guard of the same program, with ||.
+  const auto edge = compile_guard(
+      decls + "void main() { par (I, J) st (i==0 || i==N-1 || j==0 || "
+              "j==N-1) u[i][j] = 1.0; }\n");
+  ASSERT_NE(edge, nullptr);
+  EXPECT_EQ(count_branches(*edge), 0);
+  EXPECT_EQ(count_logical(*edge), 3);
+  // Scalars, float literals and a nested negation are pure too.
+  const auto nested = compile_guard(
+      decls + "float z;\n"
+              "void main() { par (I, J) st (u[i][j] > 0.0 && !(i==0 && j==0)"
+              " && (z * 2.0 || -j)) v[i][j] = 1.0; }\n");
+  ASSERT_NE(nested, nullptr);
+  EXPECT_EQ(count_branches(*nested), 0);
+  EXPECT_EQ(count_logical(*nested), 4);
+}
+
+// A right operand that reads an array, divides, calls power2 or draws a
+// random number keeps the short circuit: the lanes the left operand
+// disables must not classify, raise or draw.
+TEST(KernelCompiler, ImpureRightOperandKeepsTheBranch) {
+  const std::string decls =
+      "index_set I:i = {0..7};\n"
+      "int a[8], b[8];\n";
+  for (const std::string guard :
+       {"i > 0 && a[i] > 0", "i > 0 && 8 / i > 1", "i > 0 && 8 % i",
+        "i > 0 && power2(i) > 2", "i > 0 && rand() > 5",
+        "i > 0 || abs(i) > 2"}) {
+    SCOPED_TRACE(guard);
+    const auto k = compile_guard(
+        decls + "void main() { par (I) st (" + guard + ") b[i] = 1; }\n");
+    ASSERT_NE(k, nullptr);
+    EXPECT_EQ(count_logical(*k), 0);
+    EXPECT_EQ(count_ops(*k, Op::kJumpIfFalse) + count_ops(*k, Op::kJumpIfTrue),
+              1);
+  }
+}
+
 // --- lane-relative sites (docs/VM.md "Lane-relative sites") ---
 
 // The Kernel::lane_relative entry of the instruction at `ip`, or null.
@@ -510,6 +590,54 @@ TEST(KernelCompiler, LaneRelativeLink) {
   EXPECT_EQ(last("par (I) r[i] = b[i];"), 1u);
   // c[i][j] sits at a reduce site.
   EXPECT_EQ(last("par (I) r[i] = $+(J; c[i][j]);"), 1u);
+}
+
+// --- unique-store commits (docs/VM.md "Linking and execution") ---
+
+// Runs `src` on the bytecode engine and returns whether the link proved
+// the stores of the kernel it linked last unique to their lanes.
+bool unique_stores_of_last_link(const std::string& src) {
+  auto unit = analyse(src);
+  cm::Machine machine;
+  ExecOptions opts;
+  opts.engine = ExecEngine::kBytecode;
+  Impl vm(*unit, machine, opts);
+  vm.run();
+  return vm.kernel_engine().unique_stores();
+}
+
+// Which stores the link proves unique: each put's subscripts must use
+// every axis of the lane space once, and no two puts may reach one root.
+TEST(KernelCompiler, UniqueStoreLink) {
+  const std::string decls =
+      "#define N 8\n"
+      "index_set I:i = {0..N-1}, J:j = I, K:k = {1..N};\n"
+      "int a[N], r[N], c[N][N], u[N][N], m[2][N];\n"
+      "void f(int x[N], int y[N]) { par (I) x[i] = (y[i] = i) + 0; }\n";
+  const auto last = [&](const std::string& stmt) {
+    return unique_stores_of_last_link(decls + "void main() { " + stmt +
+                                      " }\n");
+  };
+  EXPECT_TRUE(last("par (I, J) st (i > 0) c[i][j] = u[i-1][j];"));
+  EXPECT_TRUE(last("par (I, J) c[j][i] = i;"));
+  EXPECT_TRUE(last("par (K) r[k-1] = k;"));
+  EXPECT_TRUE(last("par (I) par (J) st (j > 1) c[i][j] = u[i][j-2];"));
+  EXPECT_TRUE(last("par (I, J) { c[i][j] = 1; u[i][j] = c[i][j]; }"));
+  EXPECT_TRUE(last("par (I) seq (J) r[i] = r[i] + a[j];"));
+  EXPECT_TRUE(last("par (I) r[i] = (a[i] = i) + 1;"));
+  EXPECT_TRUE(last("f(a, r);"));
+  // An axis used twice, an axis missing, a seq element on no axis.
+  EXPECT_FALSE(last("par (I, J) c[i][i] = 1;"));
+  EXPECT_FALSE(last("par (I, J) r[i] = 1;"));
+  EXPECT_FALSE(last("par (I) seq (J) r[j] = 1;"));
+  EXPECT_FALSE(last("seq (J) par (I) c[i][j] = 1;"));
+  // Two puts to one array, to one array through two parameters, or to one
+  // root through two slices (the values agree, so nothing raises).
+  EXPECT_FALSE(last("par (I) r[i] = (r[i] = i) + 0;"));
+  EXPECT_FALSE(last("f(a, a);"));
+  EXPECT_FALSE(last("f(m[0], m[1]);"));
+  // A lane-local scalar store.
+  EXPECT_FALSE(last("par (I) { int t; r[i] = (t = i); }"));
 }
 
 }  // namespace

@@ -13,9 +13,10 @@
 // the first.  The sc-block case counts blocks of 512 bytes or more: a
 // per-round lane mask over its 4096 lanes takes 512 bytes.
 //
-// One more test counts every allocation, whatever its size, while a
-// lane-relative kernel is linked again and again: the link keeps each
-// site's class in storage it reuses (docs/VM.md "Lane-relative sites").
+// Two more tests count every allocation, whatever its size, while a
+// kernel is linked again and again: the link keeps each lane-relative
+// site's class in storage it reuses (docs/VM.md "Lane-relative sites"),
+// and its unique-store proof keeps no storage at all.
 //
 // The sanitizers own operator new, so the binary is built only when
 // UC_SANITIZE is empty.  The TSan lane covers the same two-thread reuse
@@ -47,7 +48,9 @@ std::atomic<std::uint64_t> g_all{0};
 
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The replacements stay out of line: inlined, GCC would see free() on a
+// pointer that came from `new` and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
   if (n >= g_min_bytes.load(std::memory_order_relaxed) &&
       g_counting.load(std::memory_order_relaxed)) {
     g_large.fetch_add(1, std::memory_order_relaxed);
@@ -58,11 +61,17 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace uc::vm {
 namespace {
@@ -319,6 +328,54 @@ TEST(SteadyStateLink, LaneRelativeKernelRelinksWithoutAllocating) {
   g_counting_all.store(false);
   EXPECT_EQ(g_all.load(), 0u);
   EXPECT_EQ(engine.static_sites(), 5u);
+}
+
+// The unique-store proof runs at every link (docs/VM.md "Linking and
+// execution").  Here both puts, to two roots, use both axes once, so the
+// proof walks its whole way, and it allocates nothing.
+TEST(SteadyStateLink, UniqueStoreProofRelinksWithoutAllocating) {
+  auto unit = lang::compile(
+      "link.uc",
+      "#define N 64\n"
+      "index_set I:i = {0..N-1}, J:j = I;\n"
+      "float u[N][N], v[N][N], w[N][N];\n"
+      "void sweep() {\n"
+      "  par (I, J) v[j][i] = (u[i][j] = w[i][j] + 1.0) * 2.0;\n"
+      "}\n"
+      "void main() {}\n");
+  ASSERT_TRUE(unit->ok());
+  const lang::UcConstructStmt* par = nullptr;
+  for (const auto& item : unit->program->items) {
+    if (item.func != nullptr && item.func->name == "sweep") {
+      par = static_cast<const lang::UcConstructStmt*>(
+          item.func->body->body.front().get());
+    }
+  }
+  ASSERT_NE(par, nullptr);
+  const lang::Expr& stmt =
+      *static_cast<const lang::ExprStmt&>(*par->blocks.front().body).expr;
+
+  cm::Machine machine;
+  ExecOptions opts;
+  opts.engine = ExecEngine::kBytecode;
+  detail::Impl vm(*unit, machine, opts);
+  vm.run();  // declares the arrays
+  detail::LaneSpace space;
+  vm.expand(space, vm.root, vm.root.all_lanes(), par->index_set_syms);
+  const detail::kernel::Kernel* k = vm.lane_site(stmt, space).kernel;
+  ASSERT_NE(k, nullptr);
+  detail::kernel::Engine& engine = vm.kernel_engine();
+  ASSERT_EQ(engine.prepare(k, space, nullptr), k);
+  EXPECT_TRUE(engine.unique_stores());
+
+  g_all.store(0);
+  g_counting_all.store(true);
+  for (int round = 0; round < 100; ++round) {
+    (void)engine.prepare(k, space, nullptr);
+  }
+  g_counting_all.store(false);
+  EXPECT_EQ(g_all.load(), 0u);
+  EXPECT_TRUE(engine.unique_stores());
 }
 
 }  // namespace
