@@ -1,6 +1,6 @@
 // Parallel execution: lane-space expansion, synchronous statement
-// execution with conflict-checked commits, and the par / seq / oneof
-// constructs (solve lives in interp_solve.cpp).
+// execution with conflict-checked commits, the block runner, and the
+// par / seq / oneof constructs (solve lives in interp_solve.cpp).
 #include <algorithm>
 #include <optional>
 
@@ -174,7 +174,8 @@ void Impl::run_lanes(const Expr* const* stmts, std::size_t count,
                      LaneSpace& space,
                      const std::vector<std::int64_t>& active, Frame* frame,
                      std::uint64_t first_stmt_id, Value* results,
-                     LaneRun& run) {
+                     LaneRun& run,
+                     const std::unordered_set<ArrayObj*>* solve_targets) {
   if (kern != nullptr && opts.engine != ExecEngine::kWalk) {
     const bool native = kernel_engine().run(*kern, space, active, frame,
                                             first_stmt_id, results,
@@ -201,6 +202,7 @@ void Impl::run_lanes(const Expr* const* stmts, std::size_t count,
       ctx.writes = &run.writes[lane];
       ctx.print_out = &run.prints[lane];
       ctx.kernel = kern;
+      ctx.solve_targets = solve_targets;
       const auto vp = static_cast<std::uint64_t>(space.vps[ctx.lane]);
       for (std::size_t m = 0; m < count; ++m) {
         ctx.stats = &stats[lane * count + m];
@@ -213,6 +215,7 @@ void Impl::run_lanes(const Expr* const* stmts, std::size_t count,
         const Value v = eval(*stmts[m], ctx);
         if (results != nullptr && m + 1 == count) results[k] = v;
       }
+      if (ctx.undef) run.writes[lane].clear();  // a solve lane not ready
     }
   };
   // A grain of n runs every lane on the issuing thread.
@@ -229,7 +232,8 @@ void Impl::commit_lanes(const LaneRun& run) {
     kernel_engine().commit();
     return;
   }
-  commit_writes(run.writes);
+  commit_runs_.assign(run.writes.begin(), run.writes.end());
+  commit(commit_runs_, /*unique=*/false);
   for (const auto& p : run.prints) output += p;
 }
 
@@ -400,12 +404,13 @@ bool Impl::exec_fused_group(const FusionSeg& seg, LaneSpace& space,
 namespace {
 
 // Whether `u`'s sc-blocks run guard then body, block by block: par, seq,
-// *solve and a one-block *par.  A multi-block *par and oneof evaluate every
-// guard before any body.
+// *solve and a one-block *par.  A multi-block *par, oneof and plain solve
+// evaluate every guard before any body.
 bool guards_in_turn(const UcConstructStmt& u) {
   switch (u.op) {
     case UcOp::kOneof: return false;
     case UcOp::kPar: return !u.starred || u.blocks.size() == 1;
+    case UcOp::kSolve: return u.starred;
     default: return true;
   }
 }
@@ -518,9 +523,9 @@ struct Planner {
         return;
       }
       case StmtKind::kUcConstruct: {
-        // A plain solve evaluates its equations on the walk.
         const auto& u = static_cast<const UcConstructStmt&>(s);
-        if (u.op == UcOp::kSolve && !u.starred) return;
+        // A plain solve's guards are sites; its equations run on the walk.
+        const bool equations = u.op != UcOp::kSolve || u.starred;
         const std::size_t outer_dims = dims;
         if (u.op != UcOp::kSeq) {
           w = Where::kExpanded;
@@ -531,10 +536,10 @@ struct Planner {
         const bool merges = select && merges_blocks(u);
         for (const auto& block : u.blocks) {
           add(block.pred.get(), w);
-          stmt(*block.body, w);
+          if (equations) stmt(*block.body, w);
           if (merges && block.pred) selection(block);
         }
-        if (u.others) stmt(*u.others, w);
+        if (u.others && equations) stmt(*u.others, w);
         dims = outer_dims;
         return;
       }
@@ -699,11 +704,6 @@ void Impl::commit(std::span<const WriteRun> runs, bool unique) {
         ca.defined[e] = 1;
       },
       [&](const Write& w) { apply_write(w.target, w.value); });
-}
-
-void Impl::commit_writes(const std::vector<std::vector<Write>>& per_lane) {
-  commit_runs_.assign(per_lane.begin(), per_lane.end());
-  commit(commit_runs_, /*unique=*/false);
 }
 
 namespace {
@@ -893,9 +893,10 @@ void Impl::exec_nested_construct(const UcConstructStmt& stmt,
   }
 
   // Construct-level recovery anchor (docs/ROBUSTNESS.md).  solve must
-  // capture at entry: its rounds carry fired-equation bookkeeping that only
-  // an entry snapshot can rewind (and its per-equation commits bypass the
-  // eval_lanes statement-retry net).
+  // capture at entry: its rounds carry pending-lane bookkeeping and cleared
+  // defined bits that only an entry snapshot can rewind (its guards retry
+  // as statements, but its equation rounds bypass the eval_lanes
+  // statement-retry net).
   RecoveryScope rscope(*this);
   rscope.safe_point(child != nullptr ? child : &parent, frame,
                     /*mandatory=*/stmt.op == UcOp::kSolve && !stmt.starred);
@@ -1090,69 +1091,87 @@ bool Impl::run_selection(const SelectionBlock& sel, LaneSpace& space,
   }
 }
 
-bool Impl::run_blocks(const UcConstructStmt& stmt, LaneSpace& space,
-                      Frame* frame) {
-  const std::vector<std::int64_t>& all = space.all_lanes();
-  const bool in_turn = guards_in_turn(stmt);
+Impl::BlockLanes::BlockLanes(Impl& vm, const UcConstructStmt& stmt,
+                             LaneSpace& space)
+    : stmt(stmt), all(space.all_lanes()), table(vm.lane_tables_) {
+  table->resize(stmt.blocks.size());
+}
+
+const std::vector<std::int64_t>& Impl::BlockLanes::operator[](
+    std::size_t b) const {
+  return stmt.blocks[b].pred ? (*table)[b] : all;
+}
+
+void Impl::BlockLanes::others(std::size_t ran,
+                              std::vector<std::int64_t>& rest) const {
+  // Mark each enabled lane, then compact the unmarked positions, which are
+  // their own lane numbers, in place.
   const std::size_t n = stmt.blocks.size();
-  // Block b's enabled lanes: all of them for an unguarded block, else
-  // entry b.  A merged block fills no entry: it has no `others`.
-  LaneTable table(lane_tables_);
-  table->resize(n);
-  const auto lanes = [&](std::size_t b) -> const std::vector<std::int64_t>& {
-    return stmt.blocks[b].pred ? (*table)[b] : all;
-  };
-  bool any = false;
+  rest.assign(all.size(), 0);
   for (std::size_t b = 0; b < n; ++b) {
+    if (ran != n && b != ran) continue;
+    for (const std::int64_t l : (*this)[b]) {
+      rest[static_cast<std::size_t>(l)] = 1;
+    }
+  }
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < rest.size(); ++k) {
+    if (rest[k] == 0) rest[kept++] = static_cast<std::int64_t>(k);
+  }
+  rest.resize(kept);
+}
+
+bool Impl::run_guards(const UcConstructStmt& stmt, LaneSpace& space,
+                      Frame* frame, BlockLanes& lanes) {
+  const bool in_turn = guards_in_turn(stmt);
+  bool any = false;
+  for (std::size_t b = 0; b < stmt.blocks.size(); ++b) {
     const ScBlock& block = stmt.blocks[b];
     if (const SelectionBlock* sel = selection(block)) {
       if (exec_selection(block, *sel, space, frame)) any = true;
       continue;
     }
-    if (block.pred) filter_lanes(*block.pred, space, all, frame, (*table)[b]);
-    if (lanes(b).empty()) continue;
+    if (block.pred) {
+      filter_lanes(*block.pred, space, lanes.all, frame, (*lanes.table)[b]);
+    }
+    if (lanes[b].empty()) continue;
     any = true;
-    if (in_turn) exec_parallel_stmt(*block.body, space, lanes(b), frame);
+    if (in_turn) exec_parallel_stmt(*block.body, space, lanes[b], frame);
   }
+  return any;
+}
+
+bool Impl::run_blocks(const UcConstructStmt& stmt, LaneSpace& space,
+                      Frame* frame) {
+  BlockLanes lanes(*this, stmt, space);
+  const bool any = run_guards(stmt, space, frame, lanes);
   // A *par or oneof round that enabled no lane runs no `others`.
   if (!any && (stmt.op == UcOp::kOneof ||
                (stmt.op == UcOp::kPar && stmt.starred))) {
     return false;
   }
+  const std::size_t n = stmt.blocks.size();
   std::size_t ran = n;  // oneof: the block it ran
   if (stmt.op == UcOp::kOneof) {
     // Non-deterministic but reproducible choice (no fairness guarantee,
     // paper §3.7): the machine's seeded RNG picks an enabled block.
     std::size_t enabled = 0;
-    for (std::size_t b = 0; b < n; ++b) enabled += lanes(b).empty() ? 0 : 1;
+    for (std::size_t b = 0; b < n; ++b) enabled += lanes[b].empty() ? 0 : 1;
     std::size_t pick = machine.rng().next_below(enabled);
     for (ran = 0;; ++ran) {
-      if (!lanes(ran).empty() && pick-- == 0) break;
+      if (!lanes[ran].empty() && pick-- == 0) break;
     }
-    exec_parallel_stmt(*stmt.blocks[ran].body, space, lanes(ran), frame);
-  } else if (!in_turn) {
+    exec_parallel_stmt(*stmt.blocks[ran].body, space, lanes[ran], frame);
+  } else if (!guards_in_turn(stmt)) {
     for (std::size_t b = 0; b < n; ++b) {
-      if (!lanes(b).empty()) {
-        exec_parallel_stmt(*stmt.blocks[b].body, space, lanes(b), frame);
+      if (!lanes[b].empty()) {
+        exec_parallel_stmt(*stmt.blocks[b].body, space, lanes[b], frame);
       }
     }
   }
   if (!stmt.others) return any;
-  // The complement: mark each enabled lane, then compact the unmarked
-  // positions, which are their own lane numbers, in place.
   LaneList rest(lane_lists_);
-  rest->assign(all.size(), 0);
-  for (std::size_t b = 0; b < n; ++b) {
-    if (ran != n && b != ran) continue;
-    for (const std::int64_t l : lanes(b)) {
-      (*rest)[static_cast<std::size_t>(l)] = 1;
-    }
-  }
-  std::size_t kept = 0;
-  for (std::size_t k = 0; k < rest->size(); ++k) {
-    if ((*rest)[k] == 0) (*rest)[kept++] = static_cast<std::int64_t>(k);
-  }
-  rest->resize(kept);
+  lanes.others(ran, *rest);
   if (!rest->empty()) exec_parallel_stmt(*stmt.others, space, *rest, frame);
   return any;
 }

@@ -145,8 +145,8 @@ struct Write {
   const Expr* where = nullptr;  // for error messages
 };
 
-// A lane-ordered run of buffered writes: one lane's (walk, solve) or one
-// pool chunk's (kernel engine).
+// A lane-ordered run of buffered writes: one lane's (walk) or one pool
+// chunk's (kernel engine).
 using WriteRun = std::span<const Write>;
 
 // Conflict table for the non-array writes of one commit: globals, frame
@@ -242,9 +242,9 @@ struct EvalCtx {
   // write, so it charges exactly what the kernel engines charge.
   const kernel::Kernel* kernel = nullptr;
 
-  // solve support: reads of undefined target-array elements poison the
-  // evaluation instead of failing.
-  bool solve_mode = false;
+  // solve support: in a solve equation's round (solve_targets non-null), a
+  // read of an undefined element of a target array poisons the evaluation
+  // instead of failing.
   bool undef = false;
   const std::unordered_set<ArrayObj*>* solve_targets = nullptr;
 
@@ -289,16 +289,37 @@ struct Impl {
   void exec_seq(const lang::UcConstructStmt& stmt, LaneSpace& parent,
                 const std::vector<std::int64_t>& active, Frame* frame,
                 RecoveryScope& rscope);
-  // Runs one round of `stmt`'s sc-blocks over every lane of `space`, the
-  // one block runner of every construct but plain solve (docs/VM.md
-  // "Selection blocks").  Each guard is evaluated once.  Guards run in turn
-  // (guards_in_turn: each block's guard, then its body) or all before any
-  // body (multi-block *par, oneof, which then runs one enabled block).
-  // `others` runs over the lanes no block enabled (oneof: the lanes outside
-  // the block it ran), except in a *par or oneof round where no guard
+  // Runs one round of `stmt`'s sc-blocks over every lane of `space`
+  // (docs/VM.md "The block runner"): the guard step, the bodies of a
+  // guards-first construct (oneof: one enabled block), then `others` over
+  // BlockLanes::others, except in a *par or oneof round where no guard
   // enabled a lane.  Returns whether some guard enabled a lane.
   bool run_blocks(const lang::UcConstructStmt& stmt, LaneSpace& space,
                   Frame* frame);
+  using LaneList = support::FreeList<std::vector<std::int64_t>>::Lease;
+  using LaneTable =
+      support::FreeList<std::vector<std::vector<std::int64_t>>>::Lease;
+  using ValueList = support::FreeList<std::vector<Value>>::Lease;
+  // The lanes each sc-block of one round enabled: all of the space's lanes
+  // for an unguarded block, else the block's entry of a leased table.
+  struct BlockLanes {
+    BlockLanes(Impl& vm, const lang::UcConstructStmt& stmt, LaneSpace& space);
+    const std::vector<std::int64_t>& operator[](std::size_t b) const;
+    // Stores in `rest` the lanes no block enabled or, when `ran` names a
+    // block (oneof), the lanes outside that block.
+    void others(std::size_t ran, std::vector<std::int64_t>& rest) const;
+
+    const lang::UcConstructStmt& stmt;
+    const std::vector<std::int64_t>& all;
+    LaneTable table;
+  };
+  // The guard step of run_blocks and exec_solve: evaluates each block's
+  // guard once, in block order, through filter_lanes into `lanes`.  When
+  // guards run in turn (guards_in_turn), each enabled body runs right
+  // after its guard, and a merged selection block runs whole (it fills no
+  // entry: it has no `others`).  Returns whether some block enabled a lane.
+  bool run_guards(const lang::UcConstructStmt& stmt, LaneSpace& space,
+                  Frame* frame, BlockLanes& lanes);
   // Counts one more round of the loop or fixed point `stmt`, which `what`
   // names in the error raised once the rounds exceed --max-iterations.
   void count_round(const lang::Stmt& stmt, std::int64_t& rounds,
@@ -401,10 +422,6 @@ struct Impl {
   void filter_lanes(const Expr& pred, LaneSpace& space,
                     const std::vector<std::int64_t>& candidates, Frame* frame,
                     std::vector<std::int64_t>& enabled);
-  using LaneList = support::FreeList<std::vector<std::int64_t>>::Lease;
-  using LaneTable =
-      support::FreeList<std::vector<std::vector<std::int64_t>>>::Lease;
-  using ValueList = support::FreeList<std::vector<Value>>::Lease;
   void exec_solve(const lang::UcConstructStmt& stmt, LaneSpace& space,
                   Frame* frame);
   void exec_star_solve(const lang::UcConstructStmt& stmt, LaneSpace& space,
@@ -437,24 +454,26 @@ struct Impl {
   // engines run `kern`; the walk, and every engine when `kern` is null,
   // evaluates the members lane by lane in member order, honouring `kern`'s
   // elided reads, on the issuing thread alone when `declares`.  Charges
-  // nothing and commits nothing.
+  // nothing and commits nothing.  `solve_targets` runs a solve equation's
+  // round (on the walk): a lane that reads an undefined element of one of
+  // those arrays drops its writes and keeps its prints.
   void run_lanes(const Expr* const* stmts, std::size_t count,
                  const kernel::Kernel* kern, bool declares, LaneSpace& space,
                  const std::vector<std::int64_t>& active, Frame* frame,
-                 std::uint64_t first_stmt_id, Value* results, LaneRun& run);
-  // Commits a lane run's buffered writes and flushes its prints.
+                 std::uint64_t first_stmt_id, Value* results, LaneRun& run,
+                 const std::unordered_set<ArrayObj*>* solve_targets = nullptr);
+  // Commits a lane run's buffered writes, lanes in order, and flushes its
+  // prints.
   void commit_lanes(const LaneRun& run);
 
-  // The one commit path of every engine (docs/VM.md "Linking and
-  // execution").  `runs` hold one synchronous statement's buffered writes
-  // in lane order.  Pass 1 checks them in that order: the first write of
-  // a different value to an already written target raises the paper §3.4
-  // error.  Pass 2 applies them in the same order.  `unique` says the link
-  // proved that no two of the writes share a target
-  // (kernel::Engine::unique_stores), and pass 1 is skipped.
+  // The one commit path of every engine and construct, a solve equation's
+  // round included (docs/VM.md "Linking and execution").  `runs` hold one
+  // synchronous statement's buffered writes in lane order.  Pass 1 checks
+  // them in that order: the first write of a different value to an already
+  // written target raises the paper §3.4 error.  Pass 2 applies them in the
+  // same order.  `unique` says the link proved that no two of the writes
+  // share a target (kernel::Engine::unique_stores), and pass 1 is skipped.
   void commit(std::span<const WriteRun> runs, bool unique);
-  // Commits per-lane write buffers (walk, solve), lanes in order.
-  void commit_writes(const std::vector<std::vector<Write>>& per_lane);
   void apply_write(const WriteTarget& t, const Value& v);
 
   // Lazily constructed kernel engine (exec.cpp).  Every engine links the

@@ -255,8 +255,7 @@ Value Impl::eval(const Expr& e, EvalCtx& ctx) {
         return Value::of_int(0);
       }
       auto* arr = static_cast<ArrayObj*>(target->obj);
-      if (ctx.solve_mode && ctx.solve_targets != nullptr &&
-          ctx.solve_targets->contains(arr) &&
+      if (ctx.solve_targets != nullptr && ctx.solve_targets->contains(arr) &&
           !arr->is_defined(target->index)) {
         ctx.undef = true;
         return Value::of_int(0);

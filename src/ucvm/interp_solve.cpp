@@ -1,17 +1,18 @@
 // The solve construct (paper §3.6).
 //
 // `solve` executes a proper set of assignments in dependency order using
-// the paper's general method: every target array starts "undefined"
+// the paper's general method: every target element starts "undefined"
 // (the impossible value), and the body is iterated like a *par in which an
 // assignment fires only when it has not fired yet and every value it reads
 // is defined.  A fixed point with unfired assignments means the set was
-// not proper (circular), which is reported.
+// not proper (circular), which is reported.  Its guards run once, at
+// entry, through the block runner's guard step; each round runs an
+// equation's pending lanes through the one lane loop and commit, on the
+// walk (docs/VM.md "The block runner").
 //
 // `*solve` repeats its body until no referenced variable changes value,
 // paying the cost of saving and comparing the previous state each round —
 // exactly why the paper calls hand-refined *par more efficient (E6).
-#include <algorithm>
-
 #include "support/error.hpp"
 #include "support/str.hpp"
 #include "ucvm/checkpoint.hpp"
@@ -25,31 +26,27 @@ using lang::UcConstructStmt;
 
 namespace {
 
-// One assignment statement of a solve body, with the predicate of the
-// sc-block it came from.
+// One assignment statement of a solve body, with the sc-block it came from
+// (the block count for the `others` arm).
 struct SolveAssign {
-  const Expr* pred = nullptr;  // block predicate (may be null)
-  // Null for a block with no assignment: only its guard matters.
   const lang::AssignExpr* assign = nullptr;
-  bool declares = false;  // calls_array_declarer(rhs)
-  bool others = false;    // from the `others` arm
+  std::size_t block = 0;
 };
 
-void collect_assigns(const Stmt& stmt, const Expr* pred, bool others,
+void collect_assigns(const Stmt& stmt, std::size_t block,
                      std::vector<SolveAssign>& out) {
   switch (stmt.kind) {
     case StmtKind::kExpr: {
       const auto& es = static_cast<const lang::ExprStmt&>(stmt);
       if (es.expr->kind == ExprKind::kAssign) {
-        const auto* a = static_cast<const lang::AssignExpr*>(es.expr.get());
-        out.push_back(
-            SolveAssign{pred, a, calls_array_declarer(*a->rhs), others});
+        out.push_back(SolveAssign{
+            static_cast<const lang::AssignExpr*>(es.expr.get()), block});
       }
       return;
     }
     case StmtKind::kCompound:
       for (const auto& s : static_cast<const lang::CompoundStmt&>(stmt).body) {
-        collect_assigns(*s, pred, others, out);
+        collect_assigns(*s, block, out);
       }
       return;
     default:
@@ -57,23 +54,13 @@ void collect_assigns(const Stmt& stmt, const Expr* pred, bool others,
   }
 }
 
-// The assignments of a solve's blocks and `others` arm, in order.  When
-// `others` has an assignment, a block with none still gives one entry
-// with a null `assign`: its guard decides which lanes `others` gets.
+// The assignments of a solve's blocks and `others` arm, in order.
 std::vector<SolveAssign> solve_assigns(const UcConstructStmt& stmt) {
   std::vector<SolveAssign> assigns;
-  for (const auto& block : stmt.blocks) {
-    const std::size_t before = assigns.size();
-    collect_assigns(*block.body, block.pred.get(), false, assigns);
-    if (assigns.size() == before) {
-      assigns.push_back(SolveAssign{block.pred.get()});
-    }
+  for (std::size_t b = 0; b < stmt.blocks.size(); ++b) {
+    collect_assigns(*stmt.blocks[b].body, b, assigns);
   }
-  const std::size_t blocks_end = assigns.size();
-  if (stmt.others) collect_assigns(*stmt.others, nullptr, true, assigns);
-  if (assigns.size() == blocks_end) {
-    std::erase_if(assigns, [](const SolveAssign& a) { return !a.assign; });
-  }
+  if (stmt.others) collect_assigns(*stmt.others, stmt.blocks.size(), assigns);
   return assigns;
 }
 
@@ -84,139 +71,96 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
   const std::vector<SolveAssign> assigns = solve_assigns(stmt);
   if (assigns.empty()) return;
 
-  const auto lane_count = space.lane_count();
+  // Entry, against the pre-solve state: the guard step evaluates each
+  // block's guard once (solve guards select which equations exist, so they
+  // see the state as of entry -- docs/LANGUAGE.md), and the `others`
+  // equations exist on the lanes no guard enabled.
+  BlockLanes lanes(*this, stmt, space);
+  run_guards(stmt, space, frame, lanes);
+  LaneList rest(lane_lists_);
+  if (stmt.others) lanes.others(stmt.blocks.size(), *rest);
 
-  // Pre-pass, against the pre-solve state: evaluate each block predicate
-  // (solve predicates select which equations exist, so they see the state
-  // as of entry — docs/LANGUAGE.md) and resolve each enabled lane's target
-  // address.  Only those exact elements receive the paper's "impossible
-  // value"; elements the solve never assigns (e.g. boundary cells written
-  // before the solve) stay defined and readable.  The `others` equations,
-  // collected last, exist on the lanes no block's guard enabled.  A block
-  // with no equation has its guard evaluated and charged once, as one
-  // equation's guard is, for those lanes alone.
-  struct LaneTarget {
-    std::int64_t lane;
-    WriteTarget target;
+  // Each equation claims the target element of every lane it exists on.
+  // Only those exact elements receive the paper's "impossible value";
+  // elements the solve never assigns (e.g. boundary cells written before
+  // the solve) stay defined and readable.
+  struct Equation {
+    const lang::AssignExpr* assign = nullptr;
+    bool declares = false;  // calls_array_declarer(rhs)
+    bool exists = false;    // on some lane at entry: charged every round
+    std::vector<std::int64_t> lanes;    // not yet fired
+    std::vector<WriteTarget> targets;   // each lane's claimed element
   };
-  std::vector<std::vector<LaneTarget>> enabled(assigns.size());
+  std::vector<Equation> eqs(assigns.size());
   std::unordered_set<ArrayObj*> targets;
   std::unordered_map<WriteTarget, const Expr*, WriteTargetHash> claimed;
-  LaneList guarded(lane_lists_);  // lanes a guard enabled, for `others`
-  guarded->assign(stmt.others ? static_cast<std::size_t>(lane_count) : 0, 0);
   for (std::size_t a = 0; a < assigns.size(); ++a) {
-    if (assigns[a].pred != nullptr || assigns[a].assign != nullptr) {
-      charge_expr(assigns[a].pred != nullptr ? *assigns[a].pred
-                                             : *assigns[a].assign->lhs,
-                  space.geom_size, /*frontend=*/false, &space);
+    const SolveAssign& sa = assigns[a];
+    const bool others = sa.block == stmt.blocks.size();
+    if (others || !stmt.blocks[sa.block].pred) {
+      charge_expr(*sa.assign->lhs, space.geom_size, /*frontend=*/false,
+                  &space);
     }
-    for (std::int64_t l = 0; l < lane_count; ++l) {
+    Equation& eq = eqs[a];
+    eq.assign = sa.assign;
+    eq.declares = calls_array_declarer(*sa.assign->rhs);
+    for (const std::int64_t l : others ? *rest : lanes[sa.block]) {
       EvalCtx ctx;
       ctx.vm = this;
       ctx.space = &space;
       ctx.lane = l;
       ctx.frame = frame;
       ctx.statement_frame = frame;
-      const auto lane = static_cast<std::size_t>(l);
-      if (assigns[a].others ? (*guarded)[lane] != 0
-                            : assigns[a].pred != nullptr &&
-                                  !eval(*assigns[a].pred, ctx).truthy()) {
-        continue;
-      }
-      if (stmt.others && !assigns[a].others) (*guarded)[lane] = 1;
-      if (assigns[a].assign == nullptr) continue;
-      auto target = resolve_lvalue(*assigns[a].assign->lhs, ctx);
+      auto target = resolve_lvalue(*sa.assign->lhs, ctx);
       if (!target) continue;
-      auto [it, inserted] =
-          claimed.try_emplace(*target, assigns[a].assign);
-      if (!inserted) {
-        runtime_error(assigns[a].assign,
+      if (!claimed.try_emplace(*target, sa.assign).second) {
+        runtime_error(sa.assign,
                       "solve assigns the same element from more than one "
                       "equation (not a proper set, paper §3.6)");
       }
-      enabled[a].push_back(LaneTarget{l, *target});
+      eq.lanes.push_back(l);
+      eq.targets.push_back(*target);
       targets.insert(static_cast<ArrayObj*>(target->obj));
     }
+    eq.exists = !eq.lanes.empty();
   }
   for (const auto& [target, where] : claimed) {
     static_cast<ArrayObj*>(target.obj)->clear_defined_at(target.index);
   }
 
-  // done[a][k]: entry k of enabled[a] has fired.
-  std::vector<std::vector<std::uint8_t>> done(assigns.size());
-  for (std::size_t a = 0; a < assigns.size(); ++a) {
-    done[a].assign(enabled[a].size(), 0);
-  }
-
+  // Rounds: each equation runs its pending lanes like one *par statement.
+  // An entry has fired once its claimed element is defined again: only its
+  // own equation writes that element.
   std::int64_t rounds = 0;
   for (;;) {
     check_deadline(&stmt);
     bool progress = false;
     bool all_done = true;
-    for (std::size_t a = 0; a < assigns.size(); ++a) {
-      if (assigns[a].assign == nullptr) continue;
-      ckpt->note_statement();
-      maybe_die();  // deterministic pre-equation kill point (tools/soak.sh)
-      ++stmt_counter;
-      const std::uint64_t stmt_id = stmt_counter;
-      const auto n = static_cast<std::int64_t>(enabled[a].size());
-      if (n == 0) continue;
+    for (Equation& eq : eqs) {
+      const std::uint64_t stmt_id = begin_statement();
+      if (!eq.exists) continue;
       // Attribute each equation's rounds to its own assignment site.
-      ProfScope prof_scope(*this, assigns[a].assign, "solve-eq",
-                           assigns[a].assign->range);
-      std::vector<std::vector<Write>> writes(static_cast<std::size_t>(n));
-      std::vector<cm::AccessStats> stats(static_cast<std::size_t>(n));
-      std::vector<std::uint8_t> fired(static_cast<std::size_t>(n), 0);
-      machine.pool().parallel_for(
-          0, n,
-          [&](std::int64_t b, std::int64_t e_) {
-            for (std::int64_t k = b; k < e_; ++k) {
-              if (done[a][static_cast<std::size_t>(k)] != 0) continue;
-              const auto& lt = enabled[a][static_cast<std::size_t>(k)];
-              EvalCtx ctx;
-              ctx.vm = this;
-              ctx.space = &space;
-              ctx.lane = lt.lane;
-              ctx.frame = frame;
-              ctx.statement_frame = frame;
-              ctx.writes = &writes[static_cast<std::size_t>(k)];
-              ctx.stats = &stats[static_cast<std::size_t>(k)];
-              ctx.solve_mode = true;
-              ctx.solve_targets = &targets;
-              const auto vp = static_cast<std::uint64_t>(space.vps[lt.lane]);
-              ctx.rng.seed(base_seed ^ (stmt_id * 0x9e3779b97f4a7c15ull) ^
-                           (vp + 0x5851f42d4c957f2dull));
-              ctx.rng_seeded = true;
-              ctx.undef = false;
-              Value v = eval(*assigns[a].assign->rhs, ctx);
-              if (ctx.undef) {
-                writes[static_cast<std::size_t>(k)].clear();  // not ready
-              } else {
-                writes[static_cast<std::size_t>(k)].push_back(Write{
-                    lt.target, v.coerce(assigns[a].assign->lhs->type.scalar),
-                    assigns[a].assign});
-                fired[static_cast<std::size_t>(k)] = 1;
-              }
-            }
-          },
-          // A grain of n runs every lane on the issuing thread.
-          assigns[a].declares ? n : 64);
+      ProfScope prof_scope(*this, eq.assign, "solve-eq", eq.assign->range);
+      const Expr* const stmts[1] = {eq.assign};
+      LaneRun run;
+      run_lanes(stmts, 1, /*kern=*/nullptr, eq.declares, space, eq.lanes,
+                frame, stmt_id, /*results=*/nullptr, run, &targets);
+      if (prof != nullptr) prof->note_engine(run.tier);
+      charge_expr(*eq.assign, space.geom_size, /*frontend=*/false, &space);
+      machine.charge_access(space.geom_size, run.member_stats[0]);
+      commit_lanes(run);
 
-      // Charge one *par-style round for this assignment.
-      charge_expr(*assigns[a].assign, space.geom_size, /*frontend=*/false,
-                  &space);
-      cm::AccessStats total;
-      for (const auto& s : stats) total.merge(s);
-      machine.charge_access(space.geom_size, total);
-
-      commit_writes(writes);
-      for (std::int64_t k = 0; k < n; ++k) {
-        if (fired[static_cast<std::size_t>(k)] != 0) {
-          done[a][static_cast<std::size_t>(k)] = 1;
-          progress = true;
-        }
-        all_done = all_done && done[a][static_cast<std::size_t>(k)] != 0;
+      std::size_t pending = 0;
+      for (std::size_t k = 0; k < eq.lanes.size(); ++k) {
+        const WriteTarget& t = eq.targets[k];
+        if (static_cast<ArrayObj*>(t.obj)->is_defined(t.index)) continue;
+        eq.lanes[pending] = eq.lanes[k];
+        eq.targets[pending++] = t;
       }
+      progress = progress || pending < eq.lanes.size();
+      all_done = all_done && pending == 0;
+      eq.lanes.resize(pending);
+      eq.targets.resize(pending);
     }
     machine.charge_global_or();
     if (all_done) return;
@@ -237,7 +181,6 @@ void Impl::exec_star_solve(const UcConstructStmt& stmt, LaneSpace& space,
   {
     std::unordered_set<ArrayObj*> seen;
     for (const auto& a : solve_assigns(stmt)) {
-      if (a.assign == nullptr) continue;
       const auto& sub =
           static_cast<const lang::SubscriptExpr&>(*a.assign->lhs);
       const auto& id = static_cast<const lang::IdentExpr&>(*sub.base);

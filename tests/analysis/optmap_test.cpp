@@ -386,7 +386,9 @@ TEST(Replay, CorpusChoiceBeatsEverySingleCandidate) {
 
 // The programs where the static estimator this replaced got the direction
 // wrong: three wins it never tried, and two predicted wins the replay
-// refutes.
+// refutes.  wavefront's copied `a` costs a broadcast (15 cycles) in each of
+// its solve's 14 equation rounds, as a par write to a copied array does:
+// 2192 + 210 = 2402.
 TEST(Replay, ProgramsTheStaticEstimateMisjudged) {
   struct Case {
     const char* program;
@@ -394,7 +396,7 @@ TEST(Replay, ProgramsTheStaticEstimateMisjudged) {
     std::uint64_t baseline, optimized;
   };
   for (const Case& c : {Case{"odd_even_sort", "copy (I) x", 11212, 1627},
-                        Case{"wavefront", "copy (I) a", 9548, 2192},
+                        Case{"wavefront", "copy (I) a", 9548, 2402},
                         Case{"shortest_path_star_solve", "copy (I) d", 1876,
                              1336},
                         Case{"copy_broadcast", "", 881, 881},

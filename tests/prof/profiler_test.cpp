@@ -151,6 +151,39 @@ TEST(Profiler, NativeSitesAreLabelledNative) {
   EXPECT_NE(prof.json().find("\"native_stmts\": "), std::string::npos);
 }
 
+// A plain solve's guards are lane statements with kernels; its equations
+// run on the walk on every engine, and their rows say so.
+TEST(Profiler, PlainSolveGuardsRunOnKernelsAndEquationsOnTheWalk) {
+  const char* solve =
+      "index_set I:i = {0..7};\n"
+      "int d[8];\n"
+      "void main() {\n"
+      "  solve (I) st (i < 2) d[i] = 1; others d[i] = d[i-1] + 1;\n"
+      "}\n";
+  for (auto engine : {vm::ExecEngine::kBytecode, vm::ExecEngine::kNative}) {
+    auto prof = profile_with(engine, solve);
+    EXPECT_EQ(sum_sites(prof.sites), prof.run.stats());
+    std::map<std::string, const prof::Site*> by_text;
+    for (const auto& s : prof.sites) by_text[s.text] = &s;
+    const prof::Site* guard = by_text["i < 2"];
+    ASSERT_NE(guard, nullptr);
+    EXPECT_EQ(guard->kind, "stmt");
+    EXPECT_EQ(guard->bytecode_stmts, 1u);
+    EXPECT_EQ(guard->walk_stmts, 0u);
+    // d[i] = 1 fires in round 1, before the `others` equation runs, which
+    // fires on lane k in round k - 1: both run in each of 6 rounds.
+    for (const std::string text : {"d[i] = 1", "d[i] = d[i-1] + 1"}) {
+      const prof::Site* eq = by_text[text];
+      ASSERT_NE(eq, nullptr) << text;
+      EXPECT_EQ(eq->kind, "solve-eq");
+      EXPECT_EQ(eq->walk_stmts, 6u) << text;
+      EXPECT_EQ(eq->bytecode_stmts, 0u) << text;
+    }
+    const std::string table = prof.table();
+    EXPECT_NE(table.find(" walk "), std::string::npos) << table;
+  }
+}
+
 TEST(Profiler, ProfilingDoesNotChangeOutputOrCycles) {
   auto program = Program::compile("prof.uc", kMixedProgram);
   auto plain = program.run();

@@ -1030,6 +1030,23 @@ TEST(EngineParity, CallsFromLanesOnFourThreads) {
       "25163776\n");
 }
 
+// A solve equation's lanes run on the pool like a par statement's, and
+// each prints into its own buffer, flushed in lane order after the
+// round's commit.  When they printed into the VM's output directly, this
+// program aborted with "double free or corruption" at 4 host threads on
+// every engine.  The output is the lane-ordered text 1 thread printed
+// then.
+TEST(EngineParity, SolveEquationPrintsOnFourThreads) {
+  std::string output;
+  for (int k = 0; k < 4096; ++k) output += "lane " + std::to_string(k) + "\n";
+  output += "8386560\n";
+  expect_commit(
+      "index_set I:i = {0..4095}; int a[4096];\n"
+      "int f(int x) { print(\"lane\", x); return x; }\n"
+      "void main() { solve (I) a[i] = f(i); print($+(I; a[i])); }\n",
+      output);
+}
+
 // --- read classification (docs/VM.md "Read classification") ---
 //
 // Under the default layout the compiled engines classify a read from its

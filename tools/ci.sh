@@ -35,13 +35,14 @@ run_suite() {
 # engines decide per lane): static news exactly when the row issued a NEWS
 # instruction, static router exactly when it issued a router one.
 # stencil_offsets puts lane-relative reads on a 1-based set and on both
-# sides of the NEWS limit.
+# sides of the NEWS limit; sc_blocks and wavefront run plain solves, whose
+# guards are statement rows and whose equations are solve-eq rows.
 run_profile_smoke() {
   local dir="$1"
   local ucc="$dir/tools/ucc"
   local tmp; tmp="$(mktemp -d)"
   for prog in fig6_shortest_path_on2 fig7_shortest_path_on3 \
-              fig8_grid_obstacle stencil_offsets; do
+              fig8_grid_obstacle stencil_offsets sc_blocks wavefront; do
     local src="$root/programs/$prog.uc"
     "$ucc" run "$src" >"$tmp/off.txt"
     "$ucc" run "$src" --profile --json="$tmp/a.json" >"$tmp/on.txt" 2>/dev/null
@@ -293,8 +294,10 @@ run_tsan() {
   # executor's per-worker arenas (register columns, block lanes, lane-major
   # write slots) at 4 threads; EngineParity.CallLocalArraysOnFourThreads
   # checks that lanes whose calls declare arrays stay off the pool workers,
-  # and EngineParity.CallsFromLanesOnFourThreads that concurrent per-lane
-  # calls keep their return values apart.
+  # EngineParity.CallsFromLanesOnFourThreads that concurrent per-lane
+  # calls keep their return values apart, and
+  # EngineParity.SolveEquationPrintsOnFourThreads that the lanes of a solve
+  # equation print into their own buffers.
   "$root/build-tsan/tests/ucvm/test_ucvm" \
       --gtest_filter='EngineParity*:FaultRecovery.MapRemap*'
 }
